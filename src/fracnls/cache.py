@@ -4,7 +4,9 @@ Profiles persist in the container format from :mod:`fracnls.spectral`, with
 a JSON sidecar for the solve metadata; the key hashes (s, N, L, M, method,
 tol) together with the artifact version so stale entries invalidate on a
 version bump.  Cache hits skip recomputation and reproduce results
-bit-for-bit.
+bit-for-bit.  Entries are written through a temporary file and renamed
+into place, and an entry that cannot be read back counts as a miss, so a
+crash or a truncated file costs a recomputation, never a failed run.
 """
 
 from __future__ import annotations
@@ -43,15 +45,27 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_ENV, Path.home() / ".cache" / "fracnls"))
 
 
+def _write_atomically(path: Path, write) -> None:
+    """Call ``write`` on a temporary name beside ``path``, then rename it over ``path``.
+
+    Readers see the old file or the new one, never a partial write.  The
+    process id keeps two concurrent runs from sharing a temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
 def store_result(cache_dir, key: str, result: SolveResult, s: float, mass: float) -> None:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    save_profile(
+    _write_atomically(
         cache_dir / f"{key}.prof",
-        result.profile,
-        s=s,
-        mass=mass,
-        multiplier=result.multiplier,
+        lambda tmp: save_profile(tmp, result.profile, s=s, mass=mass, multiplier=result.multiplier),
     )
     meta = {
         "multiplier": result.multiplier,
@@ -62,27 +76,27 @@ def store_result(cache_dir, key: str, result: SolveResult, s: float, mass: float
         "method": result.method,
         "stabilization": None if np.isnan(result.stabilization) else result.stabilization,
     }
-    (cache_dir / f"{key}.json").write_text(json.dumps(meta, sort_keys=True))
+    _write_atomically(cache_dir / f"{key}.json", lambda tmp: tmp.write_text(json.dumps(meta, sort_keys=True)))
 
 
 def load_result(cache_dir, key: str) -> SolveResult | None:
+    """The stored result, or None when the entry is missing or cannot be read back."""
     cache_dir = Path(cache_dir)
-    prof_path = cache_dir / f"{key}.prof"
-    meta_path = cache_dir / f"{key}.json"
-    if not (prof_path.exists() and meta_path.exists()):
+    try:
+        profile, _ = load_profile(cache_dir / f"{key}.prof")
+        meta = json.loads((cache_dir / f"{key}.json").read_text())
+        return SolveResult(
+            profile=profile,
+            multiplier=meta["multiplier"],
+            residual=meta["residual"],
+            energy=meta["energy"],
+            iterations=meta["iterations"],
+            converged=meta["converged"],
+            method=meta["method"],
+            stabilization=np.nan if meta["stabilization"] is None else meta["stabilization"],
+        )
+    except (OSError, ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
         return None
-    profile, _ = load_profile(prof_path)
-    meta = json.loads(meta_path.read_text())
-    return SolveResult(
-        profile=profile,
-        multiplier=meta["multiplier"],
-        residual=meta["residual"],
-        energy=meta["energy"],
-        iterations=meta["iterations"],
-        converged=meta["converged"],
-        method=meta["method"],
-        stabilization=np.nan if meta["stabilization"] is None else meta["stabilization"],
-    )
 
 
 def cached_solve(cache_dir, s, mass, grid, method, tol, compute):

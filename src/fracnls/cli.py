@@ -1,9 +1,11 @@
-"""Batch front end: sweeps, verification suites for the limit claims, persistence.
+"""Batch front end: per-point pipelines for the limit claims, persistence.
 
 Subcommands map one-to-one to the verification pipelines; every pass/fail
-entry carries the measured value and its threshold.  Identical
+entry carries the measured value and its threshold.  Each command is a
+stage applied to every (s, N) point, plus an optional per-s summary; the
+points run in-process or on a worker pool with the same result.  Identical
 configurations reproduce byte-identical CSV/JSON (timings live in a
-separate metadata file), serial and parallel sweeps produce identical
+separate metadata file), serial and parallel runs produce identical
 records, and cached solves replay exactly.
 """
 
@@ -12,11 +14,13 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from .cache import cached_solve, default_cache_dir
 from .linearized import build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
 from .solvers import (
-    ConvergenceError,
     fractional_ground_state,
     lambda_of_s,
     local_ground_state,
@@ -34,17 +37,6 @@ from .solvers import (
 )
 from .spectral import Profile, make_grid
 from .symbols import ModelParams
-
-COMMANDS = (
-    "solve",
-    "sweep",
-    "verify-th2",
-    "verify-th3",
-    "verify-th4",
-    "linearize",
-    "kernel",
-    "gn-constant",
-)
 
 EXIT_OK = 0
 EXIT_CRITERION_FAIL = 1
@@ -76,12 +68,17 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.s_list or not self.n_list or not self.beta_list:
             raise ConfigError("s-list, N-list and beta-list must be nonempty")
+        if any(beta != 0.0 for beta in self.beta_list):
+            raise ConfigError("nonzero beta is not supported: every pipeline runs the beta = 0 reduction")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if any(not 1.0 < s < 2.0 for s in self.s_list) and self.command != "gn-constant":
             raise ConfigError("s values must lie in (1, 2) outside gn-constant validation")
         if not self.cache_dir:
             self.cache_dir = str(default_cache_dir())
+        # not a field: the grid derives from grid_l and grid_m, and building
+        # it here turns a bad size into a configuration error
+        self.grid = make_grid(self.grid_l, self.grid_m)
 
     def config_hash(self) -> str:
         """Hash of the scientific content only.
@@ -123,305 +120,244 @@ def _check(value: float, threshold: float, mode: str = "le") -> dict:
     return {"value": float(value), "threshold": float(threshold), "mode": mode, "pass": bool(ok)}
 
 
-def _solve_point(s: float, n: float, grid_l: float, grid_m: int, tol: float,
-                 cache_dir: str, out_dir: str = "", plot_rel: str = "") -> dict:
-    grid = make_grid(grid_l, grid_m)
+def _point(s: float, n: float | None, **fields) -> dict:
+    return {"s": s, "N": n, "beta": 0.0, "checks": {}, "error": None, **fields}
+
+
+def _l2(grid, values: np.ndarray):
+    return np.sqrt(grid.h * np.sum(np.abs(values) ** 2))
+
+
+def _solution(config: RunConfig, s: float, n: float):
+    """The cached mass-constrained solve at (s, N), with its model parameters."""
     params = ModelParams(s, 0.0, n)
     result, _ = cached_solve(
-        cache_dir,
-        s,
-        n,
-        grid,
-        "petviashvili",
-        tol,
-        lambda: petviashvili_mass_constrained(grid, params, tol=tol),
+        config.cache_dir, s, n, config.grid, "petviashvili", config.tol,
+        lambda: petviashvili_mass_constrained(config.grid, params, tol=config.tol),
     )
-    plot_file = None
-    if plot_rel:
-        # records carry the output-dir-relative path so their bytes do not
-        # depend on where the run happened to live
-        full_dir = Path(out_dir) / plot_rel
-        full_dir.mkdir(parents=True, exist_ok=True)
-        name = f"profile-s{s:g}-N{n:g}.dat"
-        plot_file = str(Path(plot_rel) / name)
-        emit_profile_plotdata(result.profile, full_dir / name)
+    return result, params
+
+
+def _local_limit(config: RunConfig, s: float):
+    """lambda(s) and the local ground state that small-mass profiles approach."""
+    _, lam = lambda_of_s(s)
+    return lam, local_ground_state(s, lam, config.grid)
+
+
+# -- stages: (config, s, N) -> the point's fields and checks -------------------
+# Each stage fills its checks only after every call that can raise, so a
+# failed point carries an error and no partial results.
+
+def _solve_stage(config: RunConfig, s: float, n: float) -> dict:
+    result, params = _solution(config, s, n)
+    # records carry the output-dir-relative path so their bytes do not
+    # depend on where the run happened to live
+    plot_rel = Path(f"profiles-{config.config_hash()}")
+    (Path(config.output_dir) / plot_rel).mkdir(parents=True, exist_ok=True)
+    plot_file = plot_rel / f"profile-s{s:g}-N{n:g}.dat"
+    emit_profile_plotdata(result.profile, Path(config.output_dir) / plot_file)
     _, lam = lambda_of_s(s)
     return {
-        "s": s,
-        "N": n,
-        "beta": 0.0,
         "theta": result.multiplier,
         "lambda_s": lam,
         "theta_gap": abs(result.multiplier - lam),
         "residual": result.residual,
         "energy": result.energy,
         "iterations": result.iterations,
-        "plot_data": plot_file,
+        "plot_data": str(plot_file),
         "checks": {
             "el_residual": _check(result.residual, 1e-8),
-            "mass_constraint": _check(
-                abs(result.profile.mass() - params.s0) / params.s0, 1e-10
-            ),
+            "mass_constraint": _check(abs(result.profile.mass() - params.s0) / params.s0, 1e-10),
         },
-        "error": None,
     }
 
 
-def _solve_point_star(args) -> dict:
-    try:
-        return _solve_point(*args)
-    except ConvergenceError as exc:
-        s, n = args[0], args[1]
-        return {"s": s, "N": n, "beta": 0.0, "checks": {}, "error": str(exc)}
+def _th2_stage(config: RunConfig, s: float, n: float) -> dict:
+    lam, base = _local_limit(config, s)
+    result, _ = _solution(config, s, n)
+    fixed, _, _ = gauge_fix(result.profile)
+    return {
+        "theta": result.multiplier,
+        "lambda_s": lam,
+        "theta_gap": abs(result.multiplier - lam),
+        "profile_distance": float(_l2(config.grid, fixed.values - base.values) / _l2(config.grid, base.values)),
+        "residual": result.residual,
+        "energy": result.energy,
+        "checks": {"el_residual": _check(result.residual, 1e-8)},
+    }
 
 
-def _run_solve(config: RunConfig) -> list:
-    plot_rel = f"profiles-{config.config_hash()}"
-    jobs = [
-        (s, n, config.grid_l, config.grid_m, config.tol, config.cache_dir,
-         config.output_dir, plot_rel)
-        for s in sorted(config.s_list)
-        for n in sorted(config.n_list)
+def _th2_summary(s: float, points: list) -> list:
+    done = [pt for pt in points if pt["error"] is None]
+    gaps = [pt["theta_gap"] for pt in done]
+    dists = [pt["profile_distance"] for pt in done]
+    _, lam = lambda_of_s(s)
+    mono_gap = all(a > b for a, b in zip(gaps, gaps[1:]))
+    mono_dist = all(a > b for a, b in zip(dists, dists[1:]))
+    return [
+        _point(s, None, summary="th2-monotonicity", checks={
+            "theta_gap_decreasing": _check(0.0 if mono_gap else 1.0, 0.5),
+            "distance_decreasing": _check(0.0 if mono_dist else 1.0, 0.5),
+            "theta_gap_smallest": _check(gaps[-1] if gaps else np.inf, 2e-2 * lam),
+            "distance_smallest": _check(dists[-1] if dists else np.inf, 5e-2),
+        })
     ]
-    if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(_solve_point_star, jobs))
-    return [_solve_point_star(j) for j in jobs]
 
 
-def _run_verify_th2(config: RunConfig) -> list:
-    points = []
-    for s in sorted(config.s_list):
-        grid = make_grid(config.grid_l, config.grid_m)
-        _, lam = lambda_of_s(s)
-        base = local_ground_state(s, lam, grid)
-        norm_r = np.sqrt(grid.h * np.sum(np.abs(base.values) ** 2))
-        gaps, dists = [], []
-        for n in sorted(config.n_list, reverse=True):
-            pt = {"s": s, "N": n, "beta": 0.0, "checks": {}, "error": None}
-            try:
-                params = ModelParams(s, 0.0, n)
-                result, _ = cached_solve(
-                    config.cache_dir, s, n, grid, "petviashvili", config.tol,
-                    lambda: petviashvili_mass_constrained(grid, params, tol=config.tol),
-                )
-                fixed, _, _ = gauge_fix(result.profile)
-                dist = float(
-                    np.sqrt(grid.h * np.sum(np.abs(fixed.values - base.values) ** 2)) / norm_r
-                )
-                gap = abs(result.multiplier - lam)
-                gaps.append(gap)
-                dists.append(dist)
-                pt.update(
-                    theta=result.multiplier, lambda_s=lam, theta_gap=gap,
-                    profile_distance=dist, residual=result.residual,
-                    energy=result.energy,
-                )
-                pt["checks"]["el_residual"] = _check(result.residual, 1e-8)
-            except ConvergenceError as exc:
-                pt["error"] = str(exc)
-            points.append(pt)
-        mono_gap = all(a > b for a, b in zip(gaps, gaps[1:]))
-        mono_dist = all(a > b for a, b in zip(dists, dists[1:]))
-        points.append(
-            {
-                "s": s,
-                "N": None,
-                "beta": 0.0,
-                "summary": "th2-monotonicity",
-                "checks": {
-                    "theta_gap_decreasing": _check(0.0 if mono_gap else 1.0, 0.5),
-                    "distance_decreasing": _check(0.0 if mono_dist else 1.0, 0.5),
-                    "theta_gap_smallest": _check(gaps[-1] if gaps else np.inf, 2e-2 * lam),
-                    "distance_smallest": _check(dists[-1] if dists else np.inf, 5e-2),
-                },
-                "error": None,
-            }
-        )
-    return points
-
-
-def _run_verify_th3(config: RunConfig) -> list:
-    points = []
+def _th3_stage(config: RunConfig, s: float, n: float) -> dict:
+    grid = config.grid
+    params = ModelParams(s, 0.0, n)
+    # one generator per point, so a point's draws do not depend on which
+    # points ran before it or on which worker runs it
     rng = np.random.default_rng(20260810)
-    for s in sorted(config.s_list):
-        for n in sorted(config.n_list):
-            pt = {"s": s, "N": n, "beta": 0.0, "checks": {}, "error": None}
-            try:
-                grid = make_grid(config.grid_l, config.grid_m)
-                params = ModelParams(s, 0.0, n)
-                fixed_profiles = []
-                for _ in range(config.inits):
-                    envelope = np.exp(-np.abs(grid.xi) * float(rng.uniform(1.0, 3.0)))
-                    coeffs = envelope * (
-                        rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
-                    )
-                    vals = grid.from_fourier_coefficients(coeffs)
-                    init = Profile(grid, vals)
-                    res = petviashvili_mass_constrained(grid, params, init=init, tol=config.tol)
-                    fixed_profiles.append(gauge_fix(res.profile)[0])
-                dmax = 0.0
-                for i in range(len(fixed_profiles)):
-                    for j in range(i + 1, len(fixed_profiles)):
-                        d = np.sqrt(
-                            grid.h
-                            * np.sum(
-                                np.abs(fixed_profiles[i].values - fixed_profiles[j].values) ** 2
-                            )
-                        )
-                        dmax = max(dmax, float(d))
-                pt["pairwise_distance_max"] = dmax
-                pt["checks"]["uniqueness"] = _check(dmax, 1e-6)
-            except ConvergenceError as exc:
-                pt["error"] = str(exc)
-            points.append(pt)
-    return points
+    fixed_profiles = []
+    for _ in range(config.inits):
+        envelope = np.exp(-np.abs(grid.xi) * float(rng.uniform(1.0, 3.0)))
+        coeffs = envelope * (rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points))
+        init = Profile(grid, grid.from_fourier_coefficients(coeffs))
+        res = petviashvili_mass_constrained(grid, params, init=init, tol=config.tol)
+        fixed_profiles.append(gauge_fix(res.profile)[0])
+    dmax = 0.0
+    for a, b in itertools.combinations(fixed_profiles, 2):
+        dmax = max(dmax, float(_l2(grid, a.values - b.values)))
+    return {"pairwise_distance_max": dmax, "checks": {"uniqueness": _check(dmax, 1e-6)}}
 
 
-def _run_verify_th4(config: RunConfig) -> list:
-    points = []
-    for s in sorted(config.s_list):
-        grid = make_grid(config.grid_l, config.grid_m)
-        _, lam = lambda_of_s(s)
-        base = local_ground_state(s, lam, grid)
-        c_values = []
-        for n in sorted(config.n_list, reverse=True):
-            pt = {"s": s, "N": n, "beta": 0.0, "checks": {}, "error": None}
-            try:
-                params = ModelParams(s, 0.0, n)
-                result, _ = cached_solve(
-                    config.cache_dir, s, n, grid, "petviashvili", config.tol,
-                    lambda: petviashvili_mass_constrained(grid, params, tol=config.tol),
-                )
-                fit = tail_fit(result, base, params)
-                bound = decay_bound_check(result, params)
-                c_values.append(bound["C_min"])
-                rate_dev = abs(fit.exp_rate - np.sqrt(lam)) / np.sqrt(lam)
-                amp_dev = abs(fit.exp_amplitude - fit.exp_amplitude_oracle) / fit.exp_amplitude_oracle
-                pt.update(
-                    exp_rate=fit.exp_rate, exp_amplitude=fit.exp_amplitude,
-                    exp_amplitude_oracle=fit.exp_amplitude_oracle,
-                    alg_exponent=fit.alg_exponent, C_min=bound["C_min"],
-                )
-                pt["checks"]["tail_rate"] = _check(rate_dev, 2e-2)
-                pt["checks"]["tail_amplitude"] = _check(amp_dev, 5e-2)
-            except (ConvergenceError, RuntimeError) as exc:
-                pt["error"] = str(exc)
-            points.append(pt)
-        if c_values:
-            ratio = max(c_values) / min(c_values)
-            points.append(
-                {
-                    "s": s,
-                    "N": None,
-                    "beta": 0.0,
-                    "summary": "decay-bound-uniformity",
-                    "C_values": c_values,
-                    "checks": {"C_uniform_factor_2": _check(ratio, 2.0)},
-                    "error": None,
-                }
-            )
-    return points
+def _th4_stage(config: RunConfig, s: float, n: float) -> dict:
+    lam, base = _local_limit(config, s)
+    result, params = _solution(config, s, n)
+    fit = tail_fit(result, base, params)
+    bound = decay_bound_check(result, params)
+    rate_dev = abs(fit.exp_rate - np.sqrt(lam)) / np.sqrt(lam)
+    amp_dev = abs(fit.exp_amplitude - fit.exp_amplitude_oracle) / fit.exp_amplitude_oracle
+    return {
+        "exp_rate": fit.exp_rate,
+        "exp_amplitude": fit.exp_amplitude,
+        "exp_amplitude_oracle": fit.exp_amplitude_oracle,
+        "alg_exponent": fit.alg_exponent,
+        "C_min": bound["C_min"],
+        "checks": {
+            "tail_rate": _check(rate_dev, 2e-2),
+            "tail_amplitude": _check(amp_dev, 5e-2),
+        },
+    }
 
 
-def _run_linearize(config: RunConfig) -> list:
-    points = []
-    for s in sorted(config.s_list):
-        for n in sorted(config.n_list):
-            pt = {"s": s, "N": n, "beta": 0.0, "checks": {}, "error": None}
-            try:
-                grid = make_grid(config.grid_l, config.grid_m)
-                params = ModelParams(s, 0.0, n)
-                result, _ = cached_solve(
-                    config.cache_dir, s, n, grid, "petviashvili", config.tol,
-                    lambda: petviashvili_mass_constrained(grid, params, tol=config.tol),
-                )
-                op = build_linearized(result, params)
-                rep = kernel_diagnostics(op)
-                pt.update(
-                    eigenvalues=[float(v) for v in rep.eigenvalues],
-                    correlations=list(rep.correlations),
-                    coercivity=rep.coercivity,
-                )
-                pt["checks"]["kernel_dimension"] = _check(float(len(rep.near_zero)), 2.0, mode="le")
-                pt["checks"]["kernel_dimension_lower"] = _check(float(len(rep.near_zero)), 2.0, mode="ge")
-                pt["checks"]["correlation"] = _check(min(rep.correlations), 0.999, mode="ge")
-            except (ConvergenceError, RuntimeError) as exc:
-                pt["error"] = str(exc)
-            points.append(pt)
-    return points
+def _th4_summary(s: float, points: list) -> list:
+    c_values = [pt["C_min"] for pt in points if pt["error"] is None]
+    if not c_values:
+        return []
+    ratio = max(c_values) / min(c_values)
+    return [
+        _point(s, None, summary="decay-bound-uniformity", C_values=c_values,
+               checks={"C_uniform_factor_2": _check(ratio, 2.0)})
+    ]
 
 
-def _run_kernel(config: RunConfig) -> list:
-    points = []
-    for s in sorted(config.s_list):
-        _, lam = lambda_of_s(s)
-        for n in sorted(config.n_list):
-            pt = {"s": s, "N": n, "beta": 0.0, "checks": {}, "error": None}
-            try:
-                params = ModelParams(s, 0.0, n)
-                rep = kernel_expansion_check(params, lam)
-                root = find_root_f1("+", params, lam)
-                f2 = verify_f2_rootless("+", params, lam)
-                pt.update(
-                    exp_window_deviation=rep["exp_window_deviation"],
-                    alg_exponent=rep["alg_exponent"],
-                    envelope_ratio=rep["envelope_ratio"],
-                    oscillation_frequency=rep["oscillation_frequency"],
-                    root=repr(root.y),
-                    winding=f2["winding"],
-                )
-                pt["checks"]["exp_window"] = _check(rep["exp_window_deviation"], 2e-2)
-                pt["checks"]["alg_exponent"] = _check(
-                    abs(rep["alg_exponent"] - (s + 1.0)), 5e-2
-                )
-                pt["checks"]["envelope"] = _check(abs(rep["envelope_ratio"] - 1.0), 5e-2)
-                pt["checks"]["frequency"] = _check(
-                    abs(rep["oscillation_frequency"] * params.kappa - 1.0), 2e-2
-                )
-                pt["checks"]["root_residual"] = _check(root.residual, 1e-12)
-                pt["checks"]["winding"] = _check(float(abs(f2["winding"])), 0.0)
-            except RuntimeError as exc:
-                pt["error"] = str(exc)
-            points.append(pt)
-    return points
+def _linearize_stage(config: RunConfig, s: float, n: float) -> dict:
+    result, params = _solution(config, s, n)
+    rep = kernel_diagnostics(build_linearized(result, params))
+    return {
+        "eigenvalues": [float(v) for v in rep.eigenvalues],
+        "correlations": list(rep.correlations),
+        "coercivity": rep.coercivity,
+        "checks": {
+            "kernel_dimension": _check(float(len(rep.near_zero)), 2.0, mode="le"),
+            "kernel_dimension_lower": _check(float(len(rep.near_zero)), 2.0, mode="ge"),
+            "correlation": _check(min(rep.correlations), 0.999, mode="ge"),
+        },
+    }
 
 
-def _run_gn_constant(config: RunConfig) -> list:
-    points = []
-    for s in sorted(config.s_list):
-        pt = {"s": s, "N": None, "beta": 0.0, "checks": {}, "error": None}
-        try:
-            validation = s == 2.0
-            q, c_s, mass = fractional_ground_state(s, validation=validation)
-            pt.update(C_s=c_s, mass_threshold=mass)
-            if validation:
-                quintic_mass = np.pi * np.sqrt(3.0) / 2.0
-                pt["checks"]["quintic_mass"] = _check(abs(mass - quintic_mass), 1e-6)
-            else:
-                pt["checks"]["threshold_positive"] = _check(mass, 0.0, mode="ge")
-                over = [n for n in config.n_list if n >= mass]
-                pt["checks"]["masses_below_threshold"] = _check(float(len(over)), 0.0)
-        except ConvergenceError as exc:
-            pt["error"] = str(exc)
-        points.append(pt)
-    return points
+def _kernel_stage(config: RunConfig, s: float, n: float) -> dict:
+    _, lam = lambda_of_s(s)
+    params = ModelParams(s, 0.0, n)
+    rep = kernel_expansion_check(params, lam)
+    root = find_root_f1("+", params, lam)
+    f2 = verify_f2_rootless("+", params, lam)
+    return {
+        "exp_window_deviation": rep["exp_window_deviation"],
+        "alg_exponent": rep["alg_exponent"],
+        "envelope_ratio": rep["envelope_ratio"],
+        "oscillation_frequency": rep["oscillation_frequency"],
+        "root": repr(root.y),
+        "winding": f2["winding"],
+        "checks": {
+            "exp_window": _check(rep["exp_window_deviation"], 2e-2),
+            "alg_exponent": _check(abs(rep["alg_exponent"] - (s + 1.0)), 5e-2),
+            "envelope": _check(abs(rep["envelope_ratio"] - 1.0), 5e-2),
+            "frequency": _check(abs(rep["oscillation_frequency"] * params.kappa - 1.0), 2e-2),
+            "root_residual": _check(root.residual, 1e-12),
+            "winding": _check(float(abs(f2["winding"])), 0.0),
+        },
+    }
+
+
+def _gn_constant_stage(config: RunConfig, s: float, n: None) -> dict:
+    validation = s == 2.0
+    _, c_s, mass = fractional_ground_state(s, validation=validation)
+    if validation:
+        checks = {"quintic_mass": _check(abs(mass - np.pi * np.sqrt(3.0) / 2.0), 1e-6)}
+    else:
+        over = [m for m in config.n_list if m >= mass]
+        checks = {
+            "threshold_positive": _check(mass, 0.0, mode="ge"),
+            "masses_below_threshold": _check(float(len(over)), 0.0),
+        }
+    return {"C_s": c_s, "mass_threshold": mass, "checks": checks}
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    stage: Callable  # (config, s, N) -> the point's fields and checks
+    masses: str  # "ascending" or "descending" N per s, or "none": one point per s with N = None
+    summary: Callable | None = None  # (s, that s's points) -> summary points appended after them
+
+
+PIPELINES = {
+    "solve": Pipeline(_solve_stage, "ascending"),
+    "verify-th2": Pipeline(_th2_stage, "descending", _th2_summary),
+    "verify-th3": Pipeline(_th3_stage, "ascending"),
+    "verify-th4": Pipeline(_th4_stage, "descending", _th4_summary),
+    "linearize": Pipeline(_linearize_stage, "ascending"),
+    "kernel": Pipeline(_kernel_stage, "ascending"),
+    "gn-constant": Pipeline(_gn_constant_stage, "none"),
+}
+COMMANDS = tuple(PIPELINES)
+
+
+def _run_point(job) -> dict:
+    """One point of the command's pipeline; a solver or check failure becomes its error."""
+    config, s, n = job
+    pt = _point(s, n)
+    try:
+        pt.update(PIPELINES[config.command].stage(config, s, n))
+    except RuntimeError as exc:
+        pt["error"] = str(exc)
+    return pt
 
 
 def run(config: RunConfig) -> RunRecord:
     """Execute the mapped pipeline; per-point errors are recorded, not raised."""
     t0 = time.time()
-    dispatch = {
-        "solve": _run_solve,
-        "sweep": _run_solve,
-        "verify-th2": _run_verify_th2,
-        "verify-th3": _run_verify_th3,
-        "verify-th4": _run_verify_th4,
-        "linearize": _run_linearize,
-        "kernel": _run_kernel,
-        "gn-constant": _run_gn_constant,
-    }
-    points = dispatch[config.command](config)
+    pipeline = PIPELINES[config.command]
+    s_values = sorted(config.s_list)
+    if pipeline.masses == "none":
+        masses = [None]
+    else:
+        masses = sorted(config.n_list, reverse=pipeline.masses == "descending")
+    jobs = [(config, s, n) for s in s_values for n in masses]
+    if config.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(_run_point, jobs))
+    else:
+        results = list(map(_run_point, jobs))
+    points = []
+    for i, s in enumerate(s_values):
+        own = results[i * len(masses):(i + 1) * len(masses)]
+        points += own
+        if pipeline.summary is not None:
+            points += pipeline.summary(s, own)
     record = RunRecord(config=asdict(config), points=points)
     record.timings = {"wall_seconds": time.time() - t0}
     return record
@@ -566,7 +502,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", dest="cache_dir", help="profile cache directory")
     parser.add_argument("--output-dir", dest="output_dir", help="output directory")
     parser.add_argument("--format", dest="output_format", choices=("csv", "json"))
-    parser.add_argument("--workers", type=int, help="sweep worker processes")
+    parser.add_argument("--workers", type=int, help="worker processes for the points of any command")
     parser.add_argument("--inits", type=int, help="random initializations (verify-th3)")
     return parser
 

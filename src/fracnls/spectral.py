@@ -303,6 +303,8 @@ def load_profile(path) -> tuple[Profile, dict]:
     head_size = struct.calcsize("<4sIdQdddIId")
     with open(path, "rb") as fh:
         raw = fh.read(head_size)
+        if len(raw) < head_size:
+            raise ValueError(f"truncated profile container: {len(raw)} of {head_size} header bytes")
         magic, version, length, points, s, mass, beta, gauge_flag, has_mult, mult = struct.unpack(
             "<4sIdQdddIId", raw
         )
@@ -310,7 +312,10 @@ def load_profile(path) -> tuple[Profile, dict]:
             raise ValueError(f"not a profile container: bad magic {magic!r}")
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported container version {version}")
-        data = np.frombuffer(fh.read(int(points) * 16), dtype="<c16").astype(complex)
+        payload = fh.read(int(points) * 16)
+        if len(payload) < int(points) * 16:
+            raise ValueError(f"truncated profile container: {len(payload)} of {int(points) * 16} data bytes")
+        data = np.frombuffer(payload, dtype="<c16").astype(complex)
     grid = SpectralGrid(length, int(points))
     prof = Profile(grid, data, "fixed" if gauge_flag else "raw")
     meta = {

@@ -310,7 +310,7 @@ def test_criterion_11_variational_structure(flow_path, ground_state_15):
 def test_criterion_12_determinism(tmp_path):
     def cfg(workers, tag):
         return RunConfig(
-            command="sweep",
+            command="solve",
             s_list=(1.5,),
             n_list=(0.2, 0.1),
             grid_l=64.0,

@@ -55,6 +55,18 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
     assert code == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--grid-m", "1000"], ["--grid-l", "0"], ["--beta-list", "0,0.5"]],
+    ids=["grid-m", "grid-l", "beta-list"],
+)
+def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags):
+    code = main(["solve", *flags, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -170,9 +182,10 @@ def _emit_bytes(config):
     return out
 
 
-def test_serial_parallel_identical(tmp_path):
-    serial = _emit_bytes(fast_config("sweep", tmp_path, workers=1))
-    parallel = _emit_bytes(fast_config("sweep", tmp_path, workers=2))
+@pytest.mark.parametrize("command", ["solve", "verify-th2", "verify-th3"])
+def test_serial_parallel_identical(tmp_path, command):
+    serial = _emit_bytes(fast_config(command, tmp_path, workers=1, inits=2))
+    parallel = _emit_bytes(fast_config(command, tmp_path, workers=2, inits=2))
     # records must be identical; the config echo differs only in `workers`,
     # so compare the per-point payloads
     rec_s = json.loads(serial[next(k for k in serial if k.endswith(".json"))])
@@ -181,6 +194,29 @@ def test_serial_parallel_identical(tmp_path):
     csv_s = serial[next(k for k in serial if k.endswith(".csv"))]
     csv_p = parallel[next(k for k in parallel if k.endswith(".csv"))]
     assert csv_s == csv_p
+
+
+def test_uniqueness_point_independent_of_other_points(tmp_path):
+    # each point draws its random starts from its own generator
+    both = run(fast_config("verify-th3", tmp_path, n_list=(0.2, 0.1), inits=2)).points
+    alone = run(fast_config("verify-th3", tmp_path, n_list=(0.2,), inits=2)).points
+    assert [pt["N"] for pt in both] == [0.1, 0.2]
+    assert both[1] == alone[0]
+
+
+@pytest.mark.parametrize("size", [30, 1000])  # short header, short payload
+def test_truncated_cache_entry_is_recomputed(tmp_path, size):
+    config = fast_config("solve", tmp_path, n_list=(0.2,))
+    first = _emit_bytes(config)
+    (prof,) = Path(config.cache_dir).glob("*.prof")
+    stored = prof.read_bytes()
+    prof.write_bytes(stored[:size])
+    args = ["solve", "--s-list", "1.5", "--n-list", "0.2", "--grid-l", "64", "--grid-m", "512",
+            "--tol", "1e-9", "--cache-dir", config.cache_dir, "--output-dir", config.output_dir]
+    assert main(args) == EXIT_OK
+    second = {p.name: p.read_bytes() for p in Path(config.output_dir).iterdir() if p.name in first}
+    assert second == first
+    assert prof.read_bytes() == stored
 
 
 def test_cache_replay_identical(tmp_path):
