@@ -16,6 +16,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -68,12 +69,18 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.s_list or not self.n_list or not self.beta_list:
             raise ConfigError("s-list, N-list and beta-list must be nonempty")
+        if not all(n > 0.0 for n in self.n_list):
+            raise ConfigError("masses in the N-list must be positive")
         if any(beta != 0.0 for beta in self.beta_list):
             raise ConfigError("nonzero beta is not supported: every pipeline runs the beta = 0 reduction")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if any(not 1.0 < s < 2.0 for s in self.s_list) and self.command != "gn-constant":
             raise ConfigError("s values must lie in (1, 2) outside gn-constant validation")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.inits < 2:
+            raise ConfigError(f"inits must be at least 2 to compare random starts pairwise, got {self.inits}")
         if not self.cache_dir:
             self.cache_dir = str(default_cache_dir())
         # not a field: the grid derives from grid_l and grid_m, and building

@@ -2,19 +2,23 @@
 
 The conjugation term makes the linearization real-linear but not
 complex-linear, so the operator is represented on stacked (Re f, Im f)
-coordinates, where it is a real symmetric matrix: spectral symbol blocks
+coordinates, where it is a real symmetric operator: spectral symbol blocks
 (even part symmetric, odd part antisymmetric) plus pointwise potentials.
 Eigenanalysis, the two symmetry null directions, coercivity diagnostics,
 and the constrained linear solve of the uniqueness argument live here.
+Both run matrix-free (LOBPCG and MINRES, preconditioned by the inverse of
+the positive symbol n_N + theta); the dense matrix is a small-grid oracle.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import circulant, eigh
+from scipy.linalg import circulant
+from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .spectral import Profile, SpectralGrid, derivative, sobolev_norm
 from .symbols import ModelParams, symbol_nN
@@ -28,7 +32,10 @@ __all__ = [
     "kernel_diagnostics",
     "constrained_solve",
     "LocalOperator",
+    "DENSE_MAX_POINTS",
 ]
+
+DENSE_MAX_POINTS = 2048  # dense() refuses larger grids: (2M)^2 doubles is 128 MiB here
 
 
 def _stack(values: np.ndarray) -> np.ndarray:
@@ -38,6 +45,11 @@ def _stack(values: np.ndarray) -> np.ndarray:
 def _unstack(vec: np.ndarray) -> np.ndarray:
     m = vec.shape[0] // 2
     return vec[:m] + 1j * vec[m:]
+
+
+def _along_rows(grid_field: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A grid field shaped to scale a single field or each column of a block."""
+    return grid_field.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
 @dataclass
@@ -50,35 +62,46 @@ class LinearizedOperator:
     symbol: np.ndarray = field(repr=False)  # n_N + theta on the grid frequencies
     v1: np.ndarray = field(repr=False)  # (s+1)|R|^{2s}
     w: np.ndarray = field(repr=False)  # s |R|^{2s-2} R^2 (conjugation coupling)
-    _dense: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def grid(self) -> SpectralGrid:
         return self.profile.grid
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Matrix-free application to a complex field."""
-        out = np.fft.ifft(self.symbol * np.fft.fft(values))
-        return out - self.v1 * values - self.w * np.conj(values)
+        """Matrix-free application to a complex field, or to each column of an (M, k) block."""
+        out = np.fft.ifft(_along_rows(self.symbol, values) * np.fft.fft(values, axis=0), axis=0)
+        return out - _along_rows(self.v1, values) * values - _along_rows(self.w, values) * np.conj(values)
 
     def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
         return _stack(self.apply(_unstack(vec)))
 
+    def solve_symbol_stacked(self, vec: np.ndarray) -> np.ndarray:
+        """The preconditioner 1/(n_N + theta) on stacked coordinates (vector or block)."""
+        values = _unstack(vec)
+        return _stack(np.fft.ifft(np.fft.fft(values, axis=0) / _along_rows(self.symbol, values), axis=0))
+
     def dense(self) -> np.ndarray:
-        """Real symmetric 2M x 2M matrix on stacked (Re, Im) coordinates."""
-        if self._dense is None:
-            m = self.grid.points
-            col = np.fft.ifft(self.symbol)  # circulant column of the symbol part
-            a = circulant(col.real)
-            b = circulant(col.imag)
-            v1 = np.diag(self.v1)
-            wr = np.diag(self.w.real)
-            wi = np.diag(self.w.imag)
-            top = np.hstack([a - v1 - wr, -b - wi])
-            bot = np.hstack([b - wi, a - v1 + wr])
-            mat = np.vstack([top, bot])
-            self._dense = 0.5 * (mat + mat.T)  # symmetrize roundoff
-        return self._dense
+        """Real symmetric 2M x 2M matrix on stacked (Re, Im) coordinates.
+
+        A test oracle for small grids only: M > DENSE_MAX_POINTS is refused
+        before anything is allocated.
+        """
+        m = self.grid.points
+        if m > DENSE_MAX_POINTS:
+            raise ValueError(
+                f"dense operator refused at M={m}: the {2 * m}x{2 * m} matrix needs "
+                f"{(2 * m) ** 2 * 8 / 2**20:.0f} MiB (limit M={DENSE_MAX_POINTS})"
+            )
+        col = np.fft.ifft(self.symbol)  # circulant column of the symbol part
+        a = circulant(col.real)
+        b = circulant(col.imag)
+        v1 = np.diag(self.v1)
+        wr = np.diag(self.w.real)
+        wi = np.diag(self.w.imag)
+        top = np.hstack([a - v1 - wr, -b - wi])
+        bot = np.hstack([b - wi, a - v1 + wr])
+        mat = np.vstack([top, bot])
+        return 0.5 * (mat + mat.T)  # symmetrize roundoff
 
     def kernel_candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """The symmetry null directions iR and dR/dx, as complex fields."""
@@ -163,20 +186,65 @@ class LinearizedReport:
         )
 
 
-def kernel_diagnostics(op: LinearizedOperator, rel_threshold: float = 1e-6) -> LinearizedReport:
-    """Eigenanalysis of the symmetric form: kernel pair, correlations, coercivity.
+def _stacked_operator(op: LinearizedOperator, apply) -> LinearOperator:
+    n2 = 2 * op.grid.points
+    return LinearOperator((n2, n2), matvec=apply, matmat=apply, dtype=float)
 
-    Exactly two eigenvalues are expected below rel_threshold times the
-    operator-norm estimate; their eigenspace is compared against
-    span{iR, dR/dx} through orthogonal projections.
+
+_BLOCK = 8  # LOBPCG block width; the lowest _KEEP of its eigenpairs are reported
+_KEEP = 6
+_START_SEED = 20260810  # fixed start block: reruns are bitwise identical
+_EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
+_EIG_MAXITER = 400  # at s = 1.2-1.3 the kept six need 100-140 iterations, all eight 200-225
+_MINRES_RTOL = 1e-13
+_MINRES_MAXITER = 1000
+
+
+def kernel_diagnostics(op: LinearizedOperator, rel_threshold: float = 1e-6) -> LinearizedReport:
+    """Lowest eigenpairs of the symmetric form: kernel pair, correlations, coercivity.
+
+    LOBPCG (Knyazev 2001) on the stacked operator, preconditioned by the
+    exact inverse symbol 1/(n_N + theta), which is positive.  Exactly two
+    eigenvalues are expected below rel_threshold times the operator-norm
+    bound; their eigenspace is compared against span{iR, dR/dx} through
+    orthogonal projections.  The six lowest eigenpairs must reach residual
+    _EIG_TOL times that bound, and the highest of them must lie above the
+    threshold: the unseen spectrum then lies above both the threshold and
+    the coercivity, so near_zero and coercivity hold for the whole spectrum.
+    Either failure raises RuntimeError.
     """
-    mat = op.dense()
-    evals, evecs = eigh(mat)
-    norm_est = float(np.max(np.abs(evals)))
+    # operator-norm bound max(n_N + theta) + ||v1||_inf + ||w||_inf
+    norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
     threshold = rel_threshold * norm_est
+    start = np.random.default_rng(_START_SEED).standard_normal((2 * op.grid.points, _BLOCK))
+    with warnings.catch_warnings():  # convergence is checked below, not by lobpcg's warning
+        warnings.simplefilter("ignore", UserWarning)
+        evals, evecs = lobpcg(
+            _stacked_operator(op, op.apply_stacked),
+            start,
+            M=_stacked_operator(op, op.solve_symbol_stacked),
+            # a tenth of the acceptance residual: lobpcg locks a column at its
+            # own tol, and a locked residual can drift slightly past it
+            tol=0.1 * _EIG_TOL * norm_est,
+            maxiter=_EIG_MAXITER,
+            largest=False,
+        )
+    keep = np.argsort(evals)[:_KEEP]
+    evals, evecs = evals[keep], evecs[:, keep]
+    residual = float(np.max(np.linalg.norm(op.apply_stacked(evecs) - evecs * evals, axis=0)))
+    if residual > _EIG_TOL * norm_est:
+        raise RuntimeError(
+            f"LOBPCG did not converge: eigen-residual {residual:.3e} above "
+            f"{_EIG_TOL:g} x norm bound {norm_est:.6g} within {_EIG_MAXITER} iterations"
+        )
     order = np.argsort(np.abs(evals))
-    near_idx = [i for i in order if abs(evals[i]) <= threshold]
     kernel_pair = order[:2]
+    coercivity = float(np.min(np.abs(evals[order[2:]])))
+    if not (evals[-1] > threshold and evals[-1] >= coercivity):
+        raise RuntimeError(
+            f"the {_KEEP} lowest eigenvalues do not reach past the kernel pair "
+            f"(highest {evals[-1]:.6g}, threshold {threshold:.6g})"
+        )
     basis = evecs[:, kernel_pair]
     ir, dr = op.kernel_candidates()
     correlations = []
@@ -184,12 +252,11 @@ def kernel_diagnostics(op: LinearizedOperator, rel_threshold: float = 1e-6) -> L
         v = _stack(cand)
         v = v / np.linalg.norm(v)
         correlations.append(float(np.linalg.norm(basis.T @ v)))
-    rest = [abs(evals[i]) for i in order[2:]]
     return LinearizedReport(
-        eigenvalues=np.sort(evals)[:6],
-        near_zero=np.array([evals[i] for i in near_idx]),
+        eigenvalues=evals,
+        near_zero=evals[order][np.abs(evals[order]) <= threshold],
         correlations=tuple(correlations),
-        coercivity=float(min(rest)),
+        coercivity=coercivity,
         norm_estimate=norm_est,
         threshold=threshold,
         grid_length=op.grid.length,
@@ -202,11 +269,13 @@ def constrained_solve(
 ) -> tuple[Profile, dict]:
     """Solve L f = F on the orthogonal complement of span{iR, dR/dx}.
 
-    Uses the augmented saddle system with the two constraint columns; a
+    MINRES on P L P, where P is the orthogonal projector onto the
+    complement of the two constraint columns, preconditioned by
+    P (n_N + theta)^{-1} P; the iterates stay in the complement.  A
     right-hand side with symmetry components beyond overlap_tol is projected
     first and the projection is reported.  The returned info carries the
     stability quotient ||f||_{H^{s/2}} / ||F||_{H^{-s/2}} in the weighted
-    spectral norms.
+    spectral norms.  A solve that does not converge raises RuntimeError.
     """
     grid = op.grid
     h = grid.h
@@ -218,31 +287,28 @@ def constrained_solve(
     # profile carries momentum), so the removal must solve the 2x2 Gram system
     cmat = np.stack([c1, c2], axis=1)
     gram = cmat.T @ cmat
-    coeff = np.linalg.solve(gram, cmat.T @ f_vec)
-    for c, co in zip((c1, c2), coeff):
+
+    def project(vec):
+        return vec - cmat @ np.linalg.solve(gram, cmat.T @ vec)
+
+    for c in (c1, c2):
         ov = h * float(f_vec @ c)
         info["overlaps"].append(ov)
         scale = np.linalg.norm(f_vec) * np.linalg.norm(c) * h
         if scale > 0 and abs(ov) > overlap_tol * scale:
             info["projected"] = True
     if info["projected"]:
-        f_vec = f_vec - cmat @ coeff
-    m2 = 2 * grid.points
-    mat = op.dense()
-    aug = np.zeros((m2 + 2, m2 + 2))
-    aug[:m2, :m2] = mat
-    aug[:m2, m2] = c1
-    aug[:m2, m2 + 1] = c2
-    aug[m2, :m2] = c1
-    aug[m2 + 1, :m2] = c2
-    b = np.concatenate([f_vec, [0.0, 0.0]])
-    try:
-        sol = np.linalg.solve(aug, b)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            "singular augmented system: kernel dimension is not 2"
-        ) from exc
-    f = _unstack(sol[:m2])
+        f_vec = project(f_vec)
+    sol, status = minres(
+        _stacked_operator(op, lambda v: project(op.apply_stacked(project(v)))),
+        project(f_vec),
+        rtol=_MINRES_RTOL,
+        maxiter=_MINRES_MAXITER,
+        M=_stacked_operator(op, lambda v: project(op.solve_symbol_stacked(project(v)))),
+    )
+    if status != 0:
+        raise RuntimeError(f"MINRES on the constrained complement did not converge (status {status})")
+    f = _unstack(sol)
     f_prof = Profile(grid, f)
     rhs_proj = Profile(grid, _unstack(f_vec))
     num = sobolev_norm(f_prof, op.params.s / 2.0)

@@ -57,8 +57,11 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--grid-m", "1000"], ["--grid-l", "0"], ["--beta-list", "0,0.5"]],
-    ids=["grid-m", "grid-l", "beta-list"],
+    [
+        ["--grid-m", "1000"], ["--grid-l", "0"], ["--beta-list", "0,0.5"], ["--n-list", "-0.1"],
+        ["--inits", "1"], ["--tol", "0"], ["--tol", "-1"],
+    ],
+    ids=["grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative"],
 )
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags):
     code = main(["solve", *flags, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path)])
@@ -182,7 +185,7 @@ def _emit_bytes(config):
     return out
 
 
-@pytest.mark.parametrize("command", ["solve", "verify-th2", "verify-th3"])
+@pytest.mark.parametrize("command", ["solve", "verify-th2", "verify-th3", "linearize"])
 def test_serial_parallel_identical(tmp_path, command):
     serial = _emit_bytes(fast_config(command, tmp_path, workers=1, inits=2))
     parallel = _emit_bytes(fast_config(command, tmp_path, workers=2, inits=2))

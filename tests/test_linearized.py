@@ -1,10 +1,15 @@
 """Linearized operator: kernel structure, coercivity, constrained solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from fracnls import linearized
 from fracnls.linearized import (
+    DENSE_MAX_POINTS,
+    LinearizedOperator,
     LinearizedReport,
     build_linearized,
     constrained_solve,
@@ -19,6 +24,25 @@ from fracnls.solvers import (
 from fracnls.spectral import Profile, derivative, make_grid
 from fracnls.symbols import ModelParams
 from conftest import S_DEFAULT, smooth_random_profile
+
+
+def _stack(values):
+    return np.concatenate([values.real, values.imag])
+
+
+def _saddle_oracle(op, f_vec):
+    """Dense augmented saddle system [[L, C], [C^T, 0]] for L f = F with C^T f = 0."""
+    ir, dr = op.kernel_candidates()
+    c1, c2 = _stack(ir), _stack(dr)
+    m2 = 2 * op.grid.points
+    aug = np.zeros((m2 + 2, m2 + 2))
+    aug[:m2, :m2] = op.dense()
+    aug[:m2, m2] = c1
+    aug[:m2, m2 + 1] = c2
+    aug[m2, :m2] = c1
+    aug[m2 + 1, :m2] = c2
+    sol = np.linalg.solve(aug, np.concatenate([f_vec, [0.0, 0.0]]))
+    return sol[: m2 // 2] + 1j * sol[m2 // 2 : m2]
 
 
 def _project_out(values, directions):
@@ -40,6 +64,11 @@ def op10(lin_solve):
 @pytest.fixture(scope="module")
 def report10(op10):
     return kernel_diagnostics(op10)
+
+
+@pytest.fixture(scope="module")
+def dense_spectrum10(op10):
+    return eigh(op10.dense())
 
 
 def test_build_requires_converged(lin_solve):
@@ -88,6 +117,32 @@ def test_dense_matches_matrix_free(op10):
 def test_dense_is_symmetric(op10):
     mat = op10.dense()
     assert np.max(np.abs(mat - mat.T)) <= 1e-12 * np.max(np.abs(mat))
+
+
+def test_dense_refuses_large_grid_before_allocating():
+    grid = make_grid(64.0, 2 * DENSE_MAX_POINTS)
+    zeros = np.zeros(grid.points)
+    op = LinearizedOperator(
+        ModelParams(S_DEFAULT, 0.0, 0.1), Profile(grid, zeros.astype(complex)), 1.0,
+        symbol=np.ones(grid.points), v1=zeros, w=zeros.astype(complex),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense operator refused at M=4096"):
+            op.dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_block_apply_matches_columns(op10):
+    rng = np.random.default_rng(8)
+    block = rng.standard_normal((2 * op10.grid.points, 3))
+    out = op10.apply_stacked(block)
+    for k in range(block.shape[1]):
+        col = op10.apply_stacked(block[:, k])
+        assert np.max(np.abs(out[:, k] - col)) <= 1e-13 * np.max(np.abs(col))
 
 
 # -- local limit operators -----------------------------------------------------
@@ -149,6 +204,41 @@ def test_kernel_diagnostics_json(report10):
     payload = json.loads(report10.to_json())
     assert payload["grid"]["M"] == 1024
     assert len(payload["eigenvalues"]) == 6
+
+
+def test_kernel_diagnostics_matches_dense_oracle(op10, report10, dense_spectrum10):
+    evals, evecs = dense_spectrum10
+    assert np.max(np.abs(report10.eigenvalues - evals[:6])) <= 1e-10
+    order = np.argsort(np.abs(evals))
+    assert len(report10.near_zero) == int(np.sum(np.abs(evals) <= report10.threshold))
+    basis = evecs[:, order[:2]]
+    for cand, corr in zip(op10.kernel_candidates(), report10.correlations):
+        v = _stack(cand) / np.linalg.norm(_stack(cand))
+        assert corr == pytest.approx(float(np.linalg.norm(basis.T @ v)), abs=1e-8)
+    assert report10.coercivity == pytest.approx(float(np.min(np.abs(evals[order[2:]]))), abs=1e-10)
+    # the norm bound dominates the spectrum it replaces as the threshold scale
+    assert report10.norm_estimate >= np.max(np.abs(evals))
+
+
+def test_kernel_diagnostics_bitwise_repeatable(op10, report10):
+    again = kernel_diagnostics(op10)
+    assert again.to_json() == report10.to_json()
+    assert np.array_equal(again.eigenvalues, report10.eigenvalues)
+    assert again.correlations == report10.correlations
+
+
+def test_kernel_diagnostics_rejects_unconverged(op10, monkeypatch):
+    monkeypatch.setattr(linearized, "_EIG_MAXITER", 1)
+    with pytest.raises(RuntimeError, match="LOBPCG did not converge"):
+        kernel_diagnostics(op10)
+
+
+def test_kernel_diagnostics_requires_spectrum_past_kernel(op10, monkeypatch):
+    # the three lowest eigenvalues end inside the kernel pair, so the unseen
+    # spectrum could still hold near-zero eigenvalues
+    monkeypatch.setattr(linearized, "_KEEP", 3)
+    with pytest.raises(RuntimeError, match="do not reach past the kernel pair"):
+        kernel_diagnostics(op10)
 
 
 def test_spectrum_matches_local_split(lin_solve, lam15):
@@ -238,6 +328,25 @@ def test_constrained_solve_roundtrip(op10):
     assert err <= 1e-8
     assert max(abs(c) for c in info["constraint_residuals"]) <= 1e-10
     assert info["stability_constant"] > 0
+
+
+def test_constrained_solve_matches_saddle_oracle(op10):
+    """A generic right-hand side: symmetry components are projected out, then both agree."""
+    rng = np.random.default_rng(19)
+    rhs = smooth_random_profile(op10.grid, rng)
+    sol, info = constrained_solve(op10, rhs)
+    assert info["projected"]
+    r = op10.profile.values
+    f_proj = _project_out(rhs.values, [1j * r, derivative(op10.profile).values])
+    oracle = _saddle_oracle(op10, _stack(f_proj))
+    assert np.linalg.norm(sol.values - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+
+def test_constrained_solve_rejects_unconverged(op10, monkeypatch):
+    monkeypatch.setattr(linearized, "_MINRES_MAXITER", 2)
+    rhs = smooth_random_profile(op10.grid, np.random.default_rng(21))
+    with pytest.raises(RuntimeError, match="MINRES"):
+        constrained_solve(op10, rhs)
 
 
 def test_constrained_solve_pure_kernel_input(op10):
