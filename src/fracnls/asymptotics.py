@@ -10,10 +10,9 @@ fitting, and the uniform decay bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .asymptotics_roots import RootBracketError, find_root_translated, n_analytic
@@ -63,9 +62,8 @@ class RootResult:
         return im_ok and self.y.real > -1.0
 
 
-def f1_value(y: complex, params: ModelParams, theta: float, sign: str = "+") -> complex:
+def f1_value(y: complex, params: ModelParams, theta: float) -> complex:
     """f1 = (y+1)^s - s y - 1 + (s(s-1)/2) N^{2s/(2-s)} theta, principal branch."""
-    del sign  # one analytic formula; the sign only selects the half plane
     return complex(n_analytic(y, params.s)) + kernel_shift(params, theta)
 
 

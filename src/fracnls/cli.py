@@ -12,13 +12,13 @@ records, and cached solves replay exactly.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -69,16 +69,18 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.s_list or not self.n_list or not self.beta_list:
             raise ConfigError("s-list, N-list and beta-list must be nonempty")
-        if not all(n > 0.0 for n in self.n_list):
-            raise ConfigError("masses in the N-list must be positive")
+        if not all(math.isfinite(n) and n > 0.0 for n in self.n_list):
+            raise ConfigError("masses in the N-list must be positive and finite")
         if any(beta != 0.0 for beta in self.beta_list):
             raise ConfigError("nonzero beta is not supported: every pipeline runs the beta = 0 reduction")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
-        if any(not 1.0 < s < 2.0 for s in self.s_list) and self.command != "gn-constant":
-            raise ConfigError("s values must lie in (1, 2) outside gn-constant validation")
+        if any(not (1.0 < s < 2.0 or (s == 2.0 and self.command == "gn-constant")) for s in self.s_list):
+            raise ConfigError("s values must lie in (1, 2); gn-constant also accepts 2 for validation")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers}")
         if self.inits < 2:
             raise ConfigError(f"inits must be at least 2 to compare random starts pairwise, got {self.inits}")
         if not self.cache_dir:
@@ -354,8 +356,10 @@ def run(config: RunConfig) -> RunRecord:
     else:
         masses = sorted(config.n_list, reverse=pipeline.masses == "descending")
     jobs = [(config, s, n) for s in s_values for n in masses]
-    if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # the pool starts all its processes at once, so never more than the points
+    workers = min(config.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, jobs))
     else:
         results = list(map(_run_point, jobs))

@@ -19,9 +19,11 @@ from .spectral import (
     Profile,
     SpectralGrid,
     make_grid,
+    multiplier_values,
     pad_evaluate,
+    zero_pad,
 )
-from .symbols import ModelParams, symbol_nN
+from .symbols import ModelParams, _rho0_lambda, symbol_nN
 
 __all__ = [
     "SolveResult",
@@ -89,20 +91,7 @@ def _nonlinear_term(values: np.ndarray, p: float) -> np.ndarray:
 
 def _power_integral(grid: SpectralGrid, values: np.ndarray, p: float) -> float:
     """integral |u|^{p+1} with the same padded quadrature as the nonlinearity."""
-    m = grid.points
-    coeffs = np.fft.fft(values)
-    padded = np.zeros(2 * m, dtype=complex)
-    padded[: m // 2] = coeffs[: m // 2]
-    padded[-m // 2 :] = coeffs[-m // 2 :]
-    fine = np.fft.ifft(padded) * 2.0
-    return float(grid.h / 2.0 * np.sum(np.abs(fine) ** (p + 1.0)))
-
-
-def _sigma_array(grid: SpectralGrid, sigma) -> np.ndarray:
-    vals = sigma(grid.xi) if callable(sigma) else np.asarray(sigma, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("symbol is non-finite on the grid frequencies")
-    return vals
+    return float(grid.h / 2.0 * np.sum(np.abs(zero_pad(values, 2)) ** (p + 1.0)))
 
 
 def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -> float:
@@ -111,7 +100,7 @@ def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -
     With sigma = n_N this is the renormalized energy; with sigma = n it is
     the beta-independent energy; with sigma = |xi|^2 the local one.
     """
-    sig = _sigma_array(grid, sigma)
+    sig = multiplier_values(grid, sigma)
     coeffs = np.fft.fft(values)
     quad = grid.h / grid.points * float(np.sum(sig * np.abs(coeffs) ** 2))
     return 0.5 * quad - _power_integral(grid, values, p) / (p + 1.0)
@@ -119,20 +108,10 @@ def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -
 
 def el_residual(grid: SpectralGrid, values: np.ndarray, sigma, theta: float, p: float) -> float:
     """Relative L2 norm of sigma(D)u + theta u - |u|^{p-1}u."""
-    sig = _sigma_array(grid, sigma)
+    sig = multiplier_values(grid, sigma)
     w = _nonlinear_term(values, p)
     r = np.fft.ifft((sig + theta) * np.fft.fft(values)) - w
     return float(np.linalg.norm(r) / np.linalg.norm(values))
-
-
-def rayleigh_multiplier(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -> float:
-    """theta = <|u|^{p-1}u - sigma(D)u, u> / <u, u>, the L2 pairing identity."""
-    sig = _sigma_array(grid, sigma)
-    w = _nonlinear_term(values, p)
-    su = np.fft.ifft(sig * np.fft.fft(values))
-    num = np.real(np.sum((w - su) * np.conj(values)))
-    den = np.real(np.sum(values * np.conj(values)))
-    return float(num / den)
 
 
 def local_ground_state(s: float, lam: float, grid: SpectralGrid) -> Profile:
@@ -149,19 +128,15 @@ def local_ground_state(s: float, lam: float, grid: SpectralGrid) -> Profile:
     return Profile(grid, amp * sech_pow, gauge="fixed")
 
 
-def lambda_of_s(s: float, grid: SpectralGrid | None = None) -> tuple[float, float]:
+def lambda_of_s(s: float) -> tuple[float, float]:
     """(rho0, lambda(s)) from the unit-multiplier ground state mass.
 
-    rho0 is the trapezoid-rule mass of the sampled profile; lambda(s) =
-    ((s(s-1)/2) rho0^s)^(-2/(2-s)).
+    rho0 is the quadrature mass of the closed form that ModelParams.lam also
+    uses; lambda(s) = ((s(s-1)/2) rho0^s)^(-2/(2-s)).
     """
     if not 1.0 < s < 2.0:
         raise ValueError("lambda(s) requires 1 < s < 2")
-    if grid is None:
-        grid = make_grid(256.0, 8192)
-    rho0 = local_ground_state(s, 1.0, grid).mass()
-    lam = ((s * (s - 1.0) / 2.0) * rho0**s) ** (-2.0 / (2.0 - s))
-    return rho0, lam
+    return _rho0_lambda(s)
 
 
 def petviashvili_solve(
@@ -180,7 +155,7 @@ def petviashvili_solve(
     contraction-optimal exponent gamma = p/(p-1).  Divergence is declared
     when M leaves [0.5, 2] for 50 consecutive iterations.
     """
-    sig = _sigma_array(grid, sigma)
+    sig = multiplier_values(grid, sigma)
     denom = sig + theta
     if np.any(denom <= 0.0):
         raise ValueError("sigma + theta must be positive on all grid frequencies")
@@ -188,10 +163,10 @@ def petviashvili_solve(
         raise ValueError("initial guess must be nonzero")
     gamma = p / (p - 1.0)
     u = init.values.astype(complex)
+    w = _nonlinear_term(u, p)
     m_hist, res_hist = [], []
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        w = _nonlinear_term(u, p)
         uh = np.fft.fft(u)
         wh = np.fft.fft(w)
         num = float(np.real(np.sum(denom * np.abs(uh) ** 2)))
@@ -211,7 +186,8 @@ def petviashvili_solve(
             )
         uh_next = (m_fac**gamma) * wh / denom
         u = np.fft.ifft(uh_next)
-        res = float(np.linalg.norm(np.fft.ifft(denom * uh_next) - _nonlinear_term(u, p)) / np.linalg.norm(u))
+        w = _nonlinear_term(u, p)  # also the next iteration's nonlinearity
+        res = float(np.linalg.norm(np.fft.ifft(denom * uh_next) - w) / np.linalg.norm(u))
         res_hist.append(res)
         # a residual can pass spuriously mid-collapse onto near-null symbol
         # modes; genuine fixed points also drive the stabilization to 1
@@ -285,12 +261,15 @@ def petviashvili_mass_constrained(
     # multiplier the residual is L2-orthogonal to the profile, so the
     # stabilization functional evaluates to 1 up to roundoff
     vals = r_cur.profile.values * math.sqrt(target / m_cur)
-    theta = rayleigh_multiplier(grid, vals, sig, p)
-    res = el_residual(grid, vals, sig, theta, p)
-    energy = functional_energy(grid, vals, sig, p)
     uh = np.fft.fft(vals)
+    w = _nonlinear_term(vals, p)
+    # theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity
+    su = np.fft.ifft(sig * uh)
+    theta = float(np.real(np.sum((w - su) * np.conj(vals))) / np.real(np.sum(vals * np.conj(vals))))
+    res = float(np.linalg.norm(np.fft.ifft((sig + theta) * uh) - w) / np.linalg.norm(vals))
+    energy = functional_energy(grid, vals, sig, p)
     num = float(np.real(np.sum((sig + theta) * np.abs(uh) ** 2)))
-    den = float(np.real(np.sum(np.fft.fft(_nonlinear_term(vals, p)) * np.conj(uh))))
+    den = float(np.real(np.sum(np.fft.fft(w) * np.conj(uh))))
     total_iters = sum(r.iterations for r in solves)
     return SolveResult(
         Profile(grid, vals), theta, res, energy, total_iters, res <= 10 * tol,
@@ -320,7 +299,7 @@ def descend_symbol(
     the Euler-Lagrange residual drops below tol, or fails when the step
     underflows with non-monotone energy.
     """
-    sig = _sigma_array(grid, sigma)
+    sig = multiplier_values(grid, sigma)
     if np.any(sig < 0.0):
         raise ValueError("descent preconditioner requires a nonnegative symbol")
     u = init.values.astype(complex)
@@ -465,7 +444,7 @@ def continuation_in_N(
         seed = None  # Gaussian default inside the first solve
     elif direction == "up":
         n_sorted = sorted(n_list)
-        seed = local_ground_state(s, lambda_of_s(s, grid)[1], grid)
+        seed = local_ground_state(s, lambda_of_s(s)[1], grid)
     else:
         raise ValueError("direction must be 'down' or 'up'")
     if mass_threshold is not None:

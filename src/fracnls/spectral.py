@@ -10,7 +10,7 @@ on the periodic grid is the single quadrature used for norms/energies.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,7 +141,8 @@ def _check_same_grid(u: Profile, v: Profile):
         raise GridError(f"grid mismatch: {u.grid} vs {v.grid}")
 
 
-def _sigma_values(grid: SpectralGrid, sigma) -> np.ndarray:
+def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
+    """The symbol sampled on the grid frequencies (FFT order), checked finite."""
     vals = sigma(grid.xi) if callable(sigma) else np.asarray(sigma)
     vals = np.broadcast_to(vals, grid.xi.shape)
     finite = np.isfinite(vals)
@@ -157,7 +158,7 @@ def apply_multiplier(u: Profile, sigma) -> Profile:
     `sigma` is a function of frequency (or a precomputed array in FFT
     ordering); it must be finite on every grid frequency.
     """
-    vals = _sigma_values(u.grid, sigma)
+    vals = multiplier_values(u.grid, sigma)
     return Profile(u.grid, u.grid.ifft(vals * u.grid.fft(u.values)), u.gauge)
 
 
@@ -184,7 +185,7 @@ def quadratic_form(u: Profile, sigma) -> complex:
     Real symbols give values that are real up to roundoff; the caller may
     assert this via the returned imaginary part.
     """
-    vals = _sigma_values(u.grid, sigma)
+    vals = multiplier_values(u.grid, sigma)
     coeffs = u.spectrum()
     return complex(np.sum(vals * np.abs(coeffs) ** 2) * u.grid.dxi)
 
@@ -237,13 +238,22 @@ def spectral_refine(u: Profile, factor: int) -> Profile:
         raise ValueError("refinement factor must be a power of two")
     if factor == 1:
         return u.copy()
-    m = u.grid.points
-    coeffs = np.fft.fft(u.values)
+    fine_grid = SpectralGrid(u.grid.length, factor * u.grid.points)
+    return Profile(fine_grid, zero_pad(u.values, factor), u.gauge)
+
+
+def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
+    """Samples of the band-limited interpolant on a factor-times finer grid.
+
+    The spectrum is zero-padded above the source Nyquist; the scaling keeps
+    the sampled values, so band-limited fields are reproduced exactly.
+    """
+    m = values.shape[0]
+    coeffs = np.fft.fft(values)
     padded = np.zeros(factor * m, dtype=complex)
     padded[: m // 2] = coeffs[: m // 2]
     padded[-m // 2 :] = coeffs[-m // 2 :]
-    fine = np.fft.ifft(padded) * factor
-    return Profile(SpectralGrid(u.grid.length, factor * m), fine, u.gauge)
+    return np.fft.ifft(padded) * factor
 
 
 def pad_evaluate(u_values: np.ndarray, fn) -> np.ndarray:
@@ -253,12 +263,7 @@ def pad_evaluate(u_values: np.ndarray, fn) -> np.ndarray:
     the padding isometry, so gradients of padded energies stay consistent.
     """
     m = u_values.shape[0]
-    coeffs = np.fft.fft(u_values)
-    padded = np.zeros(2 * m, dtype=complex)
-    padded[: m // 2] = coeffs[: m // 2]
-    padded[-m // 2 :] = coeffs[-m // 2 :]
-    fine = np.fft.ifft(padded) * 2.0
-    w = np.fft.fft(fn(fine)) / 2.0
+    w = np.fft.fft(fn(zero_pad(u_values, 2))) / 2.0
     out = np.concatenate([w[: m // 2], w[-m // 2 :]])
     return np.fft.ifft(out)
 

@@ -222,9 +222,6 @@ class KernelField:
         """Spectral convolution: identical to applying 1/(n_N + theta)."""
         return apply_multiplier(u, 1.0 / self.symbol)
 
-    def pointwise(self, x: float) -> complex:
-        return kernel_pointwise(x, self.params, self.theta)
-
     def export_csv(self, path) -> None:
         data = np.column_stack([self.grid.x, self.values.real, self.values.imag])
         np.savetxt(path, data, header="x re_mN im_mN", comments="# ")
@@ -338,7 +335,6 @@ def kernel_pointwise(x: float, params: ModelParams, theta: float, *, parts: bool
 
 def kernel_zero_value(params: ModelParams, theta: float) -> float:
     """m_N(0) = (1/sqrt(2 pi)) integral dxi / (n_N + theta), by quadrature."""
-    s = params.s
 
     def integrand(xi):
         return 1.0 / (float(symbol_nN(xi, params)) + theta)

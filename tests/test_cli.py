@@ -59,12 +59,20 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
     "flags",
     [
         ["--grid-m", "1000"], ["--grid-l", "0"], ["--beta-list", "0,0.5"], ["--n-list", "-0.1"],
-        ["--inits", "1"], ["--tol", "0"], ["--tol", "-1"],
+        ["--inits", "1"], ["--tol", "0"], ["--tol", "-1"], ["--n-list", "inf"], ["--workers", "0"],
     ],
-    ids=["grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative"],
+    ids=["grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative", "n-list-inf", "workers"],
 )
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags):
     code = main(["solve", *flags, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("s", ["2.5", "nan", "1.0"])
+def test_gn_constant_bad_s_exits_with_config_error(tmp_path, capsys, s):
+    code = main(["gn-constant", "--s-list", s, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
@@ -197,6 +205,31 @@ def test_serial_parallel_identical(tmp_path, command):
     csv_s = serial[next(k for k in serial if k.endswith(".csv"))]
     csv_p = parallel[next(k for k in parallel if k.endswith(".csv"))]
     assert csv_s == csv_p
+
+
+@pytest.mark.parametrize("n_list,pool_size", [((0.2, 0.1), 2), ((0.2,), None)])
+def test_worker_pool_never_exceeds_the_points(tmp_path, monkeypatch, n_list, pool_size):
+    import fracnls.cli as cli
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    record = run(fast_config("solve", tmp_path, n_list=n_list, workers=5000))
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert not record.any_failure()
 
 
 def test_uniqueness_point_independent_of_other_points(tmp_path):

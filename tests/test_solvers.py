@@ -20,7 +20,7 @@ from fracnls.solvers import (
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, lp_norm, make_grid, quadratic_form
+from fracnls.spectral import Profile, lp_norm, make_grid, pad_evaluate, quadratic_form
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
 
@@ -80,10 +80,19 @@ def test_lambda_of_s_against_quadrature(lam15):
     assert lam == pytest.approx(lam15["lam"], rel=1e-12)
 
 
-def test_lambda_of_s_grid_stability():
-    rho_a, _ = lambda_of_s(1.5, make_grid(256.0, 8192))
-    rho_b, _ = lambda_of_s(1.5, make_grid(512.0, 16384))
-    assert abs(rho_a - rho_b) <= 1e-10
+@pytest.mark.parametrize("length,points", [(256.0, 8192), (512.0, 16384)])
+def test_lambda_of_s_against_sampled_mass(length, points):
+    """Oracle: the trapezoid-rule mass of the sampled closed form."""
+    s = 1.5
+    rho0, lam = lambda_of_s(s)
+    sampled = local_ground_state(s, 1.0, make_grid(length, points)).mass()
+    assert abs(sampled - rho0) <= 1e-12
+    assert ((s * (s - 1.0) / 2.0) * sampled**s) ** (-2.0 / (2.0 - s)) == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.2, 1.5, 1.8])
+def test_lambda_of_s_is_model_params_lam(s):
+    assert lambda_of_s(s)[1] == ModelParams(s).lam
 
 
 @pytest.mark.parametrize("s", [1.2, 1.5, 1.8])
@@ -135,6 +144,24 @@ def test_petviashvili_mass_constraint(petviashvili_path):
     s0 = ModelParams(S_DEFAULT, 0.0, 0.1).s0
     for res in petviashvili_path.values():
         assert abs(res.profile.mass() - s0) <= 1e-10 * s0
+
+
+def test_petviashvili_one_padded_nonlinearity_per_iteration(monkeypatch):
+    """Each iterate's nonlinearity serves its residual and the next step."""
+    import fracnls.solvers as solvers
+
+    calls = []
+
+    def counting(values, fn):
+        calls.append(1)
+        return pad_evaluate(values, fn)
+
+    monkeypatch.setattr(solvers, "pad_evaluate", counting)
+    grid = make_grid(64.0, 1024)
+    init = Profile(grid, np.exp(-grid.x**2))
+    res = petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-10)
+    assert res.converged
+    assert len(calls) == res.iterations + 1
 
 
 def test_petviashvili_requires_positive_denominator():

@@ -234,6 +234,30 @@ def test_spectral_refine_band_limited_exact():
         spectral_refine(u, 3)
 
 
+def test_pad_evaluate_squares_band_limited_field_exactly():
+    """A field band-limited to |k| < M/4 has its square inside the band;
+    a field filling the band gets the truncated, unaliased square."""
+    from fracnls.spectral import pad_evaluate
+
+    m = 256
+    k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+    rng = np.random.default_rng(22)
+    for cutoff in (m // 4, m // 2):
+        band = np.abs(k) < cutoff
+        coeffs = np.zeros(m, dtype=complex)
+        coeffs[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
+        coeffs /= np.max(np.abs(np.fft.ifft(coeffs)))
+        out = pad_evaluate(np.fft.ifft(coeffs), lambda v: v * v)
+        # oracle: the coefficients of the square by direct convolution
+        centred = coeffs[np.arange(1 - cutoff, cutoff) % m]
+        conv = np.convolve(centred, centred) / m
+        freqs = np.arange(2 - 2 * cutoff, 2 * cutoff - 1)
+        kept = (-m // 2 <= freqs) & (freqs < m // 2)
+        square = np.zeros(m, dtype=complex)
+        square[freqs[kept] % m] = conv[kept]
+        assert np.max(np.abs(out - np.fft.ifft(square))) <= 1e-12
+
+
 def test_load_profile_rejects_future_version(tmp_path):
     g = make_grid(32.0, 16)
     u = Profile(g, np.ones(16, dtype=complex))
