@@ -25,6 +25,7 @@ from .symbols import (
     kernel_pointwise,
     kernel_shift,
     _laplace_quad,
+    _residue_data,
     _vertical_integrand_factory,
 )
 
@@ -262,14 +263,9 @@ class _KernelTail:
     """
 
     def __init__(self, params: ModelParams, theta: float, x_min: float, x_max: float):
-        s = params.s
         self.kappa = params.kappa
-        c = kernel_shift(params, theta)
-        self.pref = s * (s - 1.0) * self.kappa / (2.0 * SQRT_2PI)
-        y_t = find_root_translated(s, c)
-        self.root = y_t - 1.0
-        self.damp = s * ((self.root + 1.0) ** (s - 1.0) - 1.0)
-        diff = _vertical_integrand_factory(s, c)
+        self.pref, self.root, self.damp = _residue_data(params, theta)
+        diff = _vertical_integrand_factory(params.s, kernel_shift(params, theta))
         xs = np.geomspace(max(x_min, 1e-8), x_max, 160)
         vals = np.array([_laplace_quad(diff, float(x) / self.kappa) for x in xs])
         logx = np.log(xs)
@@ -277,20 +273,14 @@ class _KernelTail:
         self._arg = CubicSpline(logx, np.unwrap(np.angle(vals)))
         self._range = (xs[0], xs[-1])
 
-    def exp_part(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         ax = np.abs(x)
-        out = self.pref * 2.0 * np.pi * 1j * np.exp(1j * ax / self.kappa * self.root) / self.damp
-        return np.where(x >= 0, out, np.conj(out))
-
-    def alg_part(self, x: np.ndarray) -> np.ndarray:
-        ax = np.clip(np.abs(x), self._range[0], self._range[1])
+        residue = self.pref * 2.0 * np.pi * 1j * np.exp(1j * ax / self.kappa * self.root) / self.damp
+        ax = np.clip(ax, self._range[0], self._range[1])  # held at the table ends; the residue needs no table
         lx = np.log(ax)
         lap = np.exp(self._mod(lx) + 1j * self._arg(lx))
-        out = self.pref * 1j * np.exp(-1j * ax / self.kappa) * lap
+        out = residue + self.pref * 1j * np.exp(-1j * ax / self.kappa) * lap
         return np.where(x >= 0, out, np.conj(out))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.exp_part(x) + self.alg_part(x)
 
 
 def far_field_reconstruction(
@@ -327,7 +317,8 @@ class TailFit:
     coefficient treated as constant across the convolution);
     `far_remainder_max` reports the honest remainder of
     the reconstruction after removing the exponential part, which is
-    oscillation-damped far below that model term.
+    oscillation-damped far below that model term.  `decay_bound` reports
+    the uniform decay bound on the same reconstruction.
     """
 
     exp_rate: float
@@ -343,6 +334,7 @@ class TailFit:
     alg_fit_residual: float
     far_remainder_max: float
     n_samples: tuple
+    decay_bound: dict
     profile_mass: float = np.nan
 
     def window_failure(self) -> bool:
@@ -393,19 +385,23 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     # |m_alg(x)| integral(g) / sqrt(2 pi), versus the honest remainder
     g_int = complex(grid.h * np.sum(np.abs(fixed.values) ** (2.0 * s) * fixed.values))
     xs_far = np.geomspace(max(3.0 * x_cross, grid.length / 3.0), 8.0 * x_cross, 24)
-    kern = _KernelTail(params, result.multiplier, float(xs_far[0]) * 0.5, float(xs_far[-1]) * 1.1)
-    alg_term = kern.alg_part(xs_far) * g_int / SQRT_2PI
+    x_bound = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
+
+    def alg_part(xs):
+        return np.array([kernel_pointwise(float(x), params, result.multiplier, parts=True)[2] for x in xs])
+
+    alg_term = alg_part(xs_far) * g_int / SQRT_2PI
     coef_a, res_a, *_ = np.polyfit(np.log(xs_far), np.log(np.abs(alg_term)), 1, full=True)
     alg_exponent = -float(coef_a[0])
     alg_coefficient = float(np.exp(coef_a[1]))
     alg_resid = float(np.sqrt(res_a[0] / len(xs_far))) if len(res_a) else 0.0
-    rec = far_field_reconstruction(result, params, xs_far)
-    remainder = np.abs(rec - exp_amp * np.exp(-exp_rate * xs_far))
+    rec = far_field_reconstruction(result, params, np.concatenate([xs_far, x_bound]))
+    remainder = np.abs(rec[: len(xs_far)] - exp_amp * np.exp(-exp_rate * xs_far))
     # frozen-phase oscillation frequency, from the kernel branch-cut phase
     x0 = float(xs_far[0])
     dx = math.pi * params.kappa / 4.0
     cluster = x0 + dx * np.arange(9)
-    phases = np.unwrap(np.angle(kern.alg_part(cluster)))
+    phases = np.unwrap(np.angle(alg_part(cluster)))
     freq = abs(float(np.polyfit(cluster, phases, 1)[0]))
 
     return TailFit(
@@ -422,24 +418,23 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
         alg_fit_residual=alg_resid,
         far_remainder_max=float(np.max(remainder)),
         n_samples=(int(mask.sum()), len(xs_far)),
+        decay_bound=decay_bound_check(fixed, params, x_bound, rec[len(xs_far) :]),
         profile_mass=fixed.mass(),
     )
 
 
-def decay_bound_check(
-    result: SolveResult, params: ModelParams, x_far: np.ndarray | None = None
-) -> dict:
+def decay_bound_check(fixed: Profile, params: ModelParams, x_far: np.ndarray, far: np.ndarray) -> dict:
     """Minimal constant of the uniform two-scale decay bound.
 
     |R_N(x)| <= C (e^{-sqrt(lam)|x|} + N^{s(2+s)/(2-s)} / (1 + |x|^{s+1}))
-    over the grid samples (|x| <= L/4) plus reconstructed far-field points;
+    over the grid samples of the gauge-fixed profile (|x| <= L/4) plus the
+    far-field samples `far` at `x_far` (reconstructed beyond the torus);
     C always exists for finite samples, and its N-uniformity is the
     assertion made by the acceptance suite.
     """
     s = params.s
     lam = params.lam
     npow = params.N ** (s * (2.0 + s) / (2.0 - s))
-    fixed, _, _ = gauge_fix(result.profile)
     grid = fixed.grid
     mask = np.abs(grid.x) <= grid.length / 4.0
     xs = grid.x[mask]
@@ -447,12 +442,9 @@ def decay_bound_check(
     bound = np.exp(-math.sqrt(lam) * np.abs(xs)) + npow / (1.0 + np.abs(xs) ** (s + 1.0))
     ratios = vals / bound
     c_grid = float(np.max(ratios))
-    if x_far is None:
-        x_far = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
-    x_far = np.atleast_1d(np.asarray(x_far, dtype=float))
-    rec = far_field_reconstruction(result, params, x_far)
+    x_far = np.abs(np.asarray(x_far, dtype=float))
     bound_far = np.exp(-math.sqrt(lam) * x_far) + npow / (1.0 + x_far ** (s + 1.0))
-    c_far = float(np.max(np.abs(rec) / bound_far))
+    c_far = float(np.max(np.abs(far) / bound_far))
     return {
         "C_min": max(c_grid, c_far),
         "C_grid": c_grid,

@@ -86,6 +86,7 @@ def translated_value(y: complex, s: float, c: float) -> complex:
     return complex(n_analytic(complex(y) - 1.0, s)) + c
 
 
+@lru_cache(maxsize=128)
 def find_root_translated(
     s: float, c: float, *, phi_tol: float = 1e-14, newton_steps: int = 3
 ) -> complex:
@@ -93,7 +94,8 @@ def find_root_translated(
 
     Requires c > 0 (guaranteed for positive multipliers); raises
     RootBracketError when the bracketing function keeps one sign, which
-    signals a mass above the root-existence threshold.
+    signals a mass above the root-existence threshold.  Memoized: every
+    pointwise kernel evaluation at one (s, c) shares one bisection.
     """
     if c <= 0.0:
         raise ValueError(f"shift c must be positive, got {c}")

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .asymptotics import decay_bound_check, find_root_f1, kernel_expansion_check, tail_fit, verify_f2_rootless
+from .asymptotics import find_root_f1, kernel_expansion_check, tail_fit, verify_f2_rootless
 from .cache import cached_solve, default_cache_dir
 from .linearized import build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
@@ -236,7 +236,6 @@ def _th4_stage(config: RunConfig, s: float, n: float) -> dict:
     lam, base = _local_limit(config, s)
     result, params = _solution(config, s, n)
     fit = tail_fit(result, base, params)
-    bound = decay_bound_check(result, params)
     rate_dev = abs(fit.exp_rate - np.sqrt(lam)) / np.sqrt(lam)
     amp_dev = abs(fit.exp_amplitude - fit.exp_amplitude_oracle) / fit.exp_amplitude_oracle
     return {
@@ -244,7 +243,7 @@ def _th4_stage(config: RunConfig, s: float, n: float) -> dict:
         "exp_amplitude": fit.exp_amplitude,
         "exp_amplitude_oracle": fit.exp_amplitude_oracle,
         "alg_exponent": fit.alg_exponent,
-        "C_min": bound["C_min"],
+        "C_min": fit.decay_bound["C_min"],
         "checks": {
             "tail_rate": _check(rate_dev, 2e-2),
             "tail_amplitude": _check(amp_dev, 5e-2),
@@ -385,8 +384,8 @@ CSV_COLUMNS = (
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # numpy 2 reprs its scalars as np.float64(...)
     return str(value)
 
 

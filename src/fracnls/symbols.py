@@ -295,6 +295,16 @@ def _laplace_quad(func, X: float) -> complex:
     return out * scale
 
 
+def _residue_data(params: ModelParams, theta: float) -> tuple[float, complex, complex]:
+    """(pref, y, f1'(y)) of the residue term pref 2 pi i e^{i X y} / f1'(y), X = |x|/kappa."""
+    s = params.s
+    pref = s * (s - 1.0) * params.kappa / (2.0 * SQRT_2PI)
+    y_t = find_root_translated(s, kernel_shift(params, theta))  # root of y^s - s y + s - 1 + c
+    y_root = y_t - 1.0  # back to the untranslated variable
+    df = s * ((y_root + 1.0) ** (s - 1.0) - 1.0)
+    return pref, y_root, df
+
+
 def kernel_pointwise(x: float, params: ModelParams, theta: float, *, parts: bool = False):
     """High-accuracy evaluation of m_N(x) off the grid, |x| > 0.
 
@@ -311,14 +321,9 @@ def kernel_pointwise(x: float, params: ModelParams, theta: float, *, parts: bool
     if x == 0.0:
         raise ValueError("pointwise evaluator requires |x| > 0; use the grid sample at 0")
     s = params.s
-    kappa = params.kappa
     c = kernel_shift(params, theta)
-    X = abs(x) / kappa
-    pref = s * (s - 1.0) * kappa / (2.0 * SQRT_2PI)
-
-    y_t = find_root_translated(s, c)  # root of y^s - s y + s - 1 + c in the upper quadrant
-    y_root = y_t - 1.0  # back to the untranslated variable
-    df = s * ((y_root + 1.0) ** (s - 1.0) - 1.0)
+    X = abs(x) / params.kappa
+    pref, y_root, df = _residue_data(params, theta)
     exp_term = pref * 2.0 * np.pi * 1j * np.exp(1j * X * y_root) / df
 
     diff = _vertical_integrand_factory(s, c)

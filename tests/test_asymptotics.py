@@ -1,10 +1,12 @@
 """Root system, kernel expansion, tails, and the uniform decay bound."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fracnls import asymptotics
 from fracnls.asymptotics import (
     RootBracketError,
     decay_bound_check,
@@ -14,8 +16,9 @@ from fracnls.asymptotics import (
     tail_fit,
     verify_f2_rootless,
 )
-from fracnls.asymptotics_roots import f11_on_curve, radius_of_angle
+from fracnls.asymptotics_roots import f11_on_curve, find_root_translated, radius_of_angle
 from fracnls.renorm import gauge_fix
+from fracnls.spectral import Profile, make_grid
 from fracnls.symbols import ModelParams, kernel_shift
 from conftest import S_DEFAULT
 
@@ -128,6 +131,13 @@ def test_f2_precondition():
 
 # -- kernel expansion -------------------------------------------------------------
 
+def test_kernel_expansion_check_runs_one_bisection(lam15):
+    find_root_translated.cache_clear()
+    kernel_expansion_check(ModelParams(S_DEFAULT, 0.0, 0.1), lam15["lam"])
+    info = find_root_translated.cache_info()
+    assert info.misses == 1 and info.hits > 0
+
+
 def test_kernel_expansion_report(lam15, petviashvili_path):
     """Window deviations at N = 0.2 with the solved multiplier."""
     p = ModelParams(S_DEFAULT, 0.0, 0.2)
@@ -185,9 +195,42 @@ def test_reconstruction_matches_grid(petviashvili_path, grid_main):
 # -- tail fits ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def fit01(petviashvili_path, local_R):
-    params = ModelParams(S_DEFAULT, 0.0, 0.1)
-    return tail_fit(petviashvili_path[0.1], local_R, params)
+def fits(petviashvili_path, local_R):
+    return {
+        n: tail_fit(petviashvili_path[n], local_R, ModelParams(S_DEFAULT, 0.0, n)) for n in (0.2, 0.1, 0.05)
+    }
+
+
+@pytest.fixture(scope="module")
+def fit01(fits):
+    return fits[0.1]
+
+
+def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
+    """One kernel-tail table, one reconstruction and one root bisection per fit."""
+    calls = Counter()
+    build, reconstruct = asymptotics._KernelTail.__init__, asymptotics.far_field_reconstruction
+
+    def counting_build(self, *args):
+        calls["_KernelTail"] += 1
+        build(self, *args)
+
+    def counting_reconstruct(*args):
+        calls["far_field_reconstruction"] += 1
+        return reconstruct(*args)
+
+    monkeypatch.setattr(asymptotics._KernelTail, "__init__", counting_build)
+    monkeypatch.setattr(asymptotics, "far_field_reconstruction", counting_reconstruct)
+    find_root_translated.cache_clear()
+    res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.0, 0.1)
+    fit = tail_fit(res, local_R, params)
+    assert calls == {"_KernelTail": 1, "far_field_reconstruction": 1}
+    assert find_root_translated.cache_info().misses == 1
+    # the shared reconstruction agrees with one made for the decay-bound points alone
+    x_bound = np.geomspace(res.profile.grid.length / 3.0, res.profile.grid.length / 1.5, 12)
+    own = decay_bound_check(gauge_fix(res.profile)[0], params, x_bound, reconstruct(res, params, x_bound))
+    assert fit.decay_bound["C_far"] == pytest.approx(own["C_far"], rel=1e-10)
+    assert fit.decay_bound["C_grid"] == own["C_grid"]
 
 
 def test_tail_rate(fit01, lam15):
@@ -249,23 +292,41 @@ def test_tail_window_robustness(petviashvili_path, local_R, grid_main, lam15):
 
 # -- decay bound -------------------------------------------------------------------
 
-def test_decay_bound_uniform(petviashvili_path):
+def test_decay_bound_uniform(fits):
     consts = []
     for n in (0.2, 0.1, 0.05):
-        params = ModelParams(S_DEFAULT, 0.0, n)
-        rep = decay_bound_check(petviashvili_path[n], params)
+        rep = fits[n].decay_bound
         assert rep["C_min"] > 0
         consts.append(rep["C_min"])
     assert max(consts) / min(consts) <= 2.0
 
 
-def test_decay_bound_trivial_at_origin(petviashvili_path):
+def test_decay_bound_trivial_at_origin(petviashvili_path, fit01):
     params = ModelParams(S_DEFAULT, 0.0, 0.1)
     fixed, _, _ = gauge_fix(petviashvili_path[0.1].profile)
-    rep = decay_bound_check(petviashvili_path[0.1], params)
+    rep = fit01.decay_bound
     i0 = int(np.argmin(np.abs(fixed.grid.x)))
     npow = params.N ** (S_DEFAULT * (2 + S_DEFAULT) / (2 - S_DEFAULT))
     assert abs(fixed.values[i0]) <= rep["C_min"] * (1.0 + npow) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("c_far, c_min", [(2.0, 2.0), (0.25, 0.5)])
+def test_decay_bound_check_on_samples(lam15, c_far, c_min):
+    """C_min = max(C_grid, C_far) on samples at fixed multiples of the bound."""
+    params = ModelParams(S_DEFAULT, 0.0, 0.1)
+    npow = params.N ** (S_DEFAULT * (2 + S_DEFAULT) / (2 - S_DEFAULT))
+
+    def bound(x):
+        return np.exp(-math.sqrt(lam15["lam"]) * np.abs(x)) + npow / (1.0 + np.abs(x) ** (S_DEFAULT + 1.0))
+
+    grid = make_grid(64.0, 512)
+    x_far = np.geomspace(30.0, 90.0, 7)
+    far = c_far * bound(x_far) * np.exp(1j * x_far)
+    rep = decay_bound_check(Profile(grid, 0.5 * bound(grid.x) + 0j), params, x_far, far)
+    assert rep["C_grid"] == pytest.approx(0.5, rel=1e-14)
+    assert rep["C_far"] == pytest.approx(c_far, rel=1e-14)
+    assert rep["C_min"] == max(rep["C_grid"], rep["C_far"]) == pytest.approx(c_min, rel=1e-14)
+    assert rep["n_power"] == npow
 
 
 def test_local_profile_exponential_bound(local_R, lam15):

@@ -159,6 +159,17 @@ def test_csv_parse_emit_parse_identity(solve_record):
     assert text2 == text1
 
 
+def test_csv_cells_of_numpy_scalars_parse_as_floats(tmp_path):
+    config = fast_config("kernel", tmp_path)
+    values = {"envelope_ratio": np.float64(1.0000002618099988), "exp_amplitude_oracle": np.float64(0.75)}
+    point = {"s": 1.5, "N": 0.2, **values, "checks": {}, "error": None}
+    paths = emit_outputs(RunRecord(config={}, points=[point]), config)
+    header, row = next(p for p in paths if p.suffix == ".csv").read_text().strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    for name, value in values.items():
+        assert float(cells[name]) == value
+
+
 def test_plotdata_row_count(solve_record, tmp_path):
     from fracnls.spectral import Profile, make_grid
 
