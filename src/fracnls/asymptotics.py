@@ -24,9 +24,8 @@ from .symbols import (
     kernel_constants,
     kernel_pointwise,
     kernel_shift,
-    _laplace_quad,
+    laplace_transform,
     _residue_data,
-    _vertical_integrand_factory,
 )
 
 __all__ = [
@@ -66,12 +65,6 @@ class RootResult:
 def f1_value(y: complex, params: ModelParams, theta: float) -> complex:
     """f1 = (y+1)^s - s y - 1 + (s(s-1)/2) N^{2s/(2-s)} theta, principal branch."""
     return complex(n_analytic(y, params.s)) + kernel_shift(params, theta)
-
-
-def f2_value(y: complex, params: ModelParams, theta: float) -> complex:
-    """f2 = (y-1)^s + s y - 1 + shift on Re y > 1, principal branch of (y-1)^s."""
-    s = params.s
-    return (y - 1.0) ** s + s * y - 1.0 + kernel_shift(params, theta)
 
 
 def find_root_f1(sign: str, params: ModelParams, theta: float) -> RootResult:
@@ -213,18 +206,11 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
             f"before one decay length {x_lo:.3g} (N too large)"
         )
     xs_exp = np.geomspace(x_lo, x_dom, 25)
-    dev_exp = []
-    for x in xs_exp:
-        m = kernel_pointwise(float(x), params, theta)
-        dev_exp.append(abs(m) / (c1 * math.exp(-rate * x)) - 1.0)
+    dev_exp = np.abs(kernel_pointwise(xs_exp, params, theta)) / (c1 * np.exp(-rate * xs_exp)) - 1.0
     exp_window_dev = float(np.max(np.abs(dev_exp)))
 
     xs_far = np.geomspace(3.0 * x_cross, 10.0 * x_cross, 30)
-    resid = []
-    for x in xs_far:
-        m = kernel_pointwise(float(x), params, theta)
-        resid.append(m - c1 * math.exp(-rate * x))
-    resid = np.array(resid)
+    resid = kernel_pointwise(xs_far, params, theta) - c1 * np.exp(-rate * xs_far)
     coef = np.polyfit(np.log(xs_far), np.log(np.abs(resid)), 1)
     alg_exponent = -float(coef[0])
     alg_coefficient = float(np.exp(coef[1]))
@@ -233,9 +219,7 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
     x0 = 3.0 * x_cross
     dx = math.pi * params.kappa / 4.0
     cluster = x0 + dx * np.arange(9)
-    phases = np.unwrap(
-        [np.angle(kernel_pointwise(float(x), params, theta, parts=True)[2]) for x in cluster]
-    )
+    phases = np.unwrap(np.angle(kernel_pointwise(cluster, params, theta, parts=True)[2]))
     freq = abs(float(np.polyfit(cluster, phases, 1)[0]))
     return {
         "C1": c1,
@@ -265,9 +249,8 @@ class _KernelTail:
     def __init__(self, params: ModelParams, theta: float, x_min: float, x_max: float):
         self.kappa = params.kappa
         self.pref, self.root, self.damp = _residue_data(params, theta)
-        diff = _vertical_integrand_factory(params.s, kernel_shift(params, theta))
         xs = np.geomspace(max(x_min, 1e-8), x_max, 160)
-        vals = np.array([_laplace_quad(diff, float(x) / self.kappa) for x in xs])
+        vals = laplace_transform(params.s, kernel_shift(params, theta), xs / self.kappa)
         logx = np.log(xs)
         self._mod = CubicSpline(logx, np.log(np.abs(vals)))
         self._arg = CubicSpline(logx, np.unwrap(np.angle(vals)))
@@ -284,24 +267,23 @@ class _KernelTail:
 
 
 def far_field_reconstruction(
-    result: SolveResult, params: ModelParams, x_points: np.ndarray
+    fixed: Profile, params: ModelParams, theta: float, x_points: np.ndarray
 ) -> np.ndarray:
     """Reconstruct the profile beyond the torus through the kernel convolution.
 
     R(x) = (1/sqrt(2 pi)) integral m_N(x - y) (|R|^{2s} R)(y) dy with the
-    pointwise kernel and the grid-supported nonlinearity (trapezoid rule);
-    the nonlinearity decays exponentially, so the torus truncation is
-    controlled.  Valid for |x| beyond the torus where grid values are
-    periodization-contaminated.
+    pointwise kernel at multiplier theta and the grid-supported nonlinearity
+    of the gauge-fixed profile `fixed` (trapezoid rule); the nonlinearity
+    decays exponentially, so the torus truncation is controlled.  Valid for
+    |x| beyond the torus where grid values are periodization-contaminated.
     """
     x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
-    fixed, _, _ = gauge_fix(result.profile)
     grid = fixed.grid
     s = params.s
     g = np.abs(fixed.values) ** (2.0 * s) * fixed.values
     w_min = max(float(np.min(np.abs(x_points))) - grid.length / 2.0, 1e-6)
     w_max = float(np.max(np.abs(x_points))) + grid.length / 2.0 + 1.0
-    kern = _KernelTail(params, result.multiplier, max(w_min * 0.5, 1e-8), w_max)
+    kern = _KernelTail(params, theta, max(w_min * 0.5, 1e-8), w_max)
     out = np.empty(x_points.shape, dtype=complex)
     for i, x in enumerate(x_points):
         out[i] = grid.h / SQRT_2PI * np.sum(kern(x - grid.x) * g)
@@ -388,14 +370,14 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     x_bound = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
 
     def alg_part(xs):
-        return np.array([kernel_pointwise(float(x), params, result.multiplier, parts=True)[2] for x in xs])
+        return kernel_pointwise(xs, params, result.multiplier, parts=True)[2]
 
     alg_term = alg_part(xs_far) * g_int / SQRT_2PI
     coef_a, res_a, *_ = np.polyfit(np.log(xs_far), np.log(np.abs(alg_term)), 1, full=True)
     alg_exponent = -float(coef_a[0])
     alg_coefficient = float(np.exp(coef_a[1]))
     alg_resid = float(np.sqrt(res_a[0] / len(xs_far))) if len(res_a) else 0.0
-    rec = far_field_reconstruction(result, params, np.concatenate([xs_far, x_bound]))
+    rec = far_field_reconstruction(fixed, params, result.multiplier, np.concatenate([xs_far, x_bound]))
     remainder = np.abs(rec[: len(xs_far)] - exp_amp * np.exp(-exp_rate * xs_far))
     # frozen-phase oscillation frequency, from the kernel branch-cut phase
     x0 = float(xs_far[0])
