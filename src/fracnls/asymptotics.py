@@ -243,7 +243,8 @@ class _KernelTail:
 
     The exponential (residue) part is a closed form; the algebraic
     (branch-cut) part is tabulated as modulus/phase of the Laplace factor on
-    a log grid and interpolated by cubic splines.
+    a log grid and interpolated by one two-column cubic spline (one interval
+    search per call serves both columns).
     """
 
     def __init__(self, params: ModelParams, theta: float, x_min: float, x_max: float):
@@ -252,8 +253,8 @@ class _KernelTail:
         xs = np.geomspace(max(x_min, 1e-8), x_max, 160)
         vals = laplace_transform(params.s, kernel_shift(params, theta), xs / self.kappa)
         logx = np.log(xs)
-        self._mod = CubicSpline(logx, np.log(np.abs(vals)))
-        self._arg = CubicSpline(logx, np.unwrap(np.angle(vals)))
+        table = np.stack([np.log(np.abs(vals)), np.unwrap(np.angle(vals))], axis=-1)
+        self._mod_arg = CubicSpline(logx, table)  # columns: log-modulus, unwrapped phase
         self._range = (xs[0], xs[-1])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -261,7 +262,8 @@ class _KernelTail:
         residue = self.pref * 2.0 * np.pi * 1j * np.exp(1j * ax / self.kappa * self.root) / self.damp
         ax = np.clip(ax, self._range[0], self._range[1])  # held at the table ends; the residue needs no table
         lx = np.log(ax)
-        lap = np.exp(self._mod(lx) + 1j * self._arg(lx))
+        mod_arg = self._mod_arg(lx)
+        lap = np.exp(mod_arg[..., 0] + 1j * mod_arg[..., 1])
         out = residue + self.pref * 1j * np.exp(-1j * ax / self.kappa) * lap
         return np.where(x >= 0, out, np.conj(out))
 

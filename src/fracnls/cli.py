@@ -12,6 +12,8 @@ records, and cached solves replay exactly.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import itertools
 import json
@@ -517,7 +519,28 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Keep grid-sized temporaries on the heap, once per process.
+
+    glibc's adaptive thresholds hand freed 0.1-1 MiB arrays back to the
+    kernel, so every solver iteration faults them in again.  Fixed
+    thresholds keep them in the heap; worker processes forked afterwards
+    inherit the setting.  A no-op where libc has no `mallopt` (musl,
+    macOS, Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD: only blocks above 1 MiB get their own mapping
+    mallopt(-1, 4 << 20)  # M_TRIM_THRESHOLD: keep up to 4 MiB of free heap top
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     args = make_parser().parse_args(argv)
     try:
         config = build_config(args)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import circulant
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
-from .spectral import Profile, SpectralGrid, derivative, sobolev_norm
+from .spectral import Profile, SpectralGrid, derivative, fft, ifft, sobolev_norm
 from .symbols import ModelParams, symbol_nN
 from .solvers import SolveResult
 
@@ -69,7 +69,7 @@ class LinearizedOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Matrix-free application to a complex field, or to each column of an (M, k) block."""
-        out = np.fft.ifft(_along_rows(self.symbol, values) * np.fft.fft(values, axis=0), axis=0)
+        out = ifft(_along_rows(self.symbol, values) * fft(values, axis=0), axis=0)
         return out - _along_rows(self.v1, values) * values - _along_rows(self.w, values) * np.conj(values)
 
     def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ class LinearizedOperator:
     def solve_symbol_stacked(self, vec: np.ndarray) -> np.ndarray:
         """The preconditioner 1/(n_N + theta) on stacked coordinates (vector or block)."""
         values = _unstack(vec)
-        return _stack(np.fft.ifft(np.fft.fft(values, axis=0) / _along_rows(self.symbol, values), axis=0))
+        return _stack(ifft(fft(values, axis=0) / _along_rows(self.symbol, values), axis=0))
 
     def dense(self) -> np.ndarray:
         """Real symmetric 2M x 2M matrix on stacked (Re, Im) coordinates.
@@ -92,7 +92,7 @@ class LinearizedOperator:
                 f"dense operator refused at M={m}: the {2 * m}x{2 * m} matrix needs "
                 f"{(2 * m) ** 2 * 8 / 2**20:.0f} MiB (limit M={DENSE_MAX_POINTS})"
             )
-        col = np.fft.ifft(self.symbol)  # circulant column of the symbol part
+        col = ifft(self.symbol)  # circulant column of the symbol part
         a = circulant(col.real)
         b = circulant(col.imag)
         v1 = np.diag(self.v1)
@@ -140,11 +140,11 @@ class LocalOperator:
     potential: np.ndarray = field(repr=False)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(self.grid.xi**2 * np.fft.fft(values))
+        out = ifft(self.grid.xi**2 * fft(values))
         return out + self.lam * values - self.potential * values
 
     def dense(self) -> np.ndarray:
-        col = np.fft.ifft(self.grid.xi**2 + self.lam).real
+        col = ifft(self.grid.xi**2 + self.lam).real
         return circulant(col) - np.diag(self.potential)
 
 

@@ -18,6 +18,8 @@ import numpy as np
 from .spectral import (
     Profile,
     SpectralGrid,
+    fft,
+    ifft,
     make_grid,
     multiplier_values,
     pad_evaluate,
@@ -101,7 +103,7 @@ def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -
     the beta-independent energy; with sigma = |xi|^2 the local one.
     """
     sig = multiplier_values(grid, sigma)
-    coeffs = np.fft.fft(values)
+    coeffs = fft(values)
     quad = grid.h / grid.points * float(np.sum(sig * np.abs(coeffs) ** 2))
     return 0.5 * quad - _power_integral(grid, values, p) / (p + 1.0)
 
@@ -110,7 +112,7 @@ def el_residual(grid: SpectralGrid, values: np.ndarray, sigma, theta: float, p: 
     """Relative L2 norm of sigma(D)u + theta u - |u|^{p-1}u."""
     sig = multiplier_values(grid, sigma)
     w = _nonlinear_term(values, p)
-    r = np.fft.ifft((sig + theta) * np.fft.fft(values)) - w
+    r = ifft((sig + theta) * fft(values)) - w
     return float(np.linalg.norm(r) / np.linalg.norm(values))
 
 
@@ -167,8 +169,8 @@ def petviashvili_solve(
     m_hist, res_hist = [], []
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        uh = np.fft.fft(u)
-        wh = np.fft.fft(w)
+        uh = fft(u)
+        wh = fft(w)
         num = float(np.real(np.sum(denom * np.abs(uh) ** 2)))
         den = float(np.real(np.sum(wh * np.conj(uh))))
         if den <= 0.0:
@@ -185,9 +187,9 @@ def petviashvili_solve(
                 {"M": m_hist, "residual": res_hist},
             )
         uh_next = (m_fac**gamma) * wh / denom
-        u = np.fft.ifft(uh_next)
+        u = ifft(uh_next)
         w = _nonlinear_term(u, p)  # also the next iteration's nonlinearity
-        res = float(np.linalg.norm(np.fft.ifft(denom * uh_next) - w) / np.linalg.norm(u))
+        res = float(np.linalg.norm(ifft(denom * uh_next) - w) / np.linalg.norm(u))
         res_hist.append(res)
         # a residual can pass spuriously mid-collapse onto near-null symbol
         # modes; genuine fixed points also drive the stabilization to 1
@@ -261,15 +263,15 @@ def petviashvili_mass_constrained(
     # multiplier the residual is L2-orthogonal to the profile, so the
     # stabilization functional evaluates to 1 up to roundoff
     vals = r_cur.profile.values * math.sqrt(target / m_cur)
-    uh = np.fft.fft(vals)
+    uh = fft(vals)
     w = _nonlinear_term(vals, p)
     # theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity
-    su = np.fft.ifft(sig * uh)
+    su = ifft(sig * uh)
     theta = float(np.real(np.sum((w - su) * np.conj(vals))) / np.real(np.sum(vals * np.conj(vals))))
-    res = float(np.linalg.norm(np.fft.ifft((sig + theta) * uh) - w) / np.linalg.norm(vals))
+    res = float(np.linalg.norm(ifft((sig + theta) * uh) - w) / np.linalg.norm(vals))
     energy = functional_energy(grid, vals, sig, p)
     num = float(np.real(np.sum((sig + theta) * np.abs(uh) ** 2)))
-    den = float(np.real(np.sum(np.fft.fft(w) * np.conj(uh))))
+    den = float(np.real(np.sum(fft(w) * np.conj(uh))))
     total_iters = sum(r.iterations for r in solves)
     return SolveResult(
         Profile(grid, vals), theta, res, energy, total_iters, res <= 10 * tol,
@@ -309,8 +311,8 @@ def descend_symbol(
     e_hist, res_hist = [energy], []
     for it in range(1, max_iter + 1):
         w = _nonlinear_term(u, p)
-        uh = np.fft.fft(u)
-        su = np.fft.ifft(sig * uh)
+        uh = fft(u)
+        su = ifft(sig * uh)
         den = float(np.real(np.sum(u * np.conj(u))))
         theta = float(np.real(np.sum((w - su) * np.conj(u))) / den)
         grad = su + theta * u - w
@@ -323,12 +325,12 @@ def descend_symbol(
                 history={"energy": e_hist, "residual": res_hist},
             )
         shift = max(abs(theta), 1e-6)
-        step_hat = np.fft.fft(grad) / (sig + shift)
+        step_hat = fft(grad) / (sig + shift)
         # energy roundoff floor: increments below a few ulps of the kinetic
         # scale are accepted so the line search cannot stall at convergence
         slack = 1e-13 * (1.0 + abs(energy))
         while True:
-            cand = u - tau * np.fft.ifft(step_hat)
+            cand = u - tau * ifft(step_hat)
             cand *= math.sqrt(mass / (grid.h * np.sum(np.abs(cand) ** 2)))
             e_cand = functional_energy(grid, cand, sig, p)
             if e_cand <= energy + slack:

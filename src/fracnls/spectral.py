@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -55,24 +56,17 @@ class SpectralGrid:
     def dxi(self) -> float:
         return 2.0 * np.pi / self.length
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        """Raw index-space FFT (no normalization), for multiplier application."""
-        return np.fft.fft(values)
-
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(coeffs)
-
     def fourier_coefficients(self, values: np.ndarray) -> np.ndarray:
         """Continuum-normalized coefficients u_hat(xi_k), FFT ordering.
 
         u_hat(xi) = (1/sqrt(2 pi)) integral u(x) e^{-i xi x} dx, discretized
         by the trapezoid rule on the nodes.
         """
-        return (self.h / SQRT_2PI) * self._phase * np.fft.fft(values)
+        return (self.h / SQRT_2PI) * self._phase * fft(values)
 
     def from_fourier_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`fourier_coefficients`."""
-        return (SQRT_2PI / self.h) * np.fft.ifft(coeffs * np.conj(self._phase))
+        return (SQRT_2PI / self.h) * ifft(coeffs * np.conj(self._phase))
 
     def sample(self, fn) -> np.ndarray:
         return np.asarray(fn(self.x), dtype=complex)
@@ -91,6 +85,21 @@ class SpectralGrid:
 
     def __repr__(self):
         return f"SpectralGrid(L={self.length:g}, M={self.points})"
+
+
+def fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Raw index-space DFT along `axis` (no normalization); the one transform backend.
+
+    scipy.fft wraps the same pocketfft as numpy.fft and returns the same
+    bits on complex input.  Real input is promoted to complex first, as
+    numpy does, because scipy's real-input path rounds differently.
+    """
+    return scipy.fft.fft(np.asarray(values, dtype=complex), axis=axis)
+
+
+def ifft(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Inverse of :func:`fft` (1/M normalization), with the same backend and promotion."""
+    return scipy.fft.ifft(np.asarray(coeffs, dtype=complex), axis=axis)
 
 
 def make_grid(length: float, points: int) -> SpectralGrid:
@@ -159,7 +168,7 @@ def apply_multiplier(u: Profile, sigma) -> Profile:
     ordering); it must be finite on every grid frequency.
     """
     vals = multiplier_values(u.grid, sigma)
-    return Profile(u.grid, u.grid.ifft(vals * u.grid.fft(u.values)), u.gauge)
+    return Profile(u.grid, ifft(vals * fft(u.values)), u.gauge)
 
 
 def inner(u: Profile, v: Profile) -> complex:
@@ -224,8 +233,7 @@ def spectral_interpolate(u: Profile, x: np.ndarray) -> np.ndarray:
 def translate(u: Profile, a: float) -> Profile:
     """u(. - a), exact for band-limited fields (fractional shifts allowed)."""
     shift = np.exp(-1j * u.grid.xi * a)
-    coeffs = u.grid.fft(u.values) * shift
-    return Profile(u.grid, u.grid.ifft(coeffs), u.gauge)
+    return Profile(u.grid, ifft(fft(u.values) * shift), u.gauge)
 
 
 def spectral_refine(u: Profile, factor: int) -> Profile:
@@ -249,11 +257,11 @@ def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
     the sampled values, so band-limited fields are reproduced exactly.
     """
     m = values.shape[0]
-    coeffs = np.fft.fft(values)
+    coeffs = fft(values)
     padded = np.zeros(factor * m, dtype=complex)
     padded[: m // 2] = coeffs[: m // 2]
     padded[-m // 2 :] = coeffs[-m // 2 :]
-    return np.fft.ifft(padded) * factor
+    return ifft(padded) * factor
 
 
 def pad_evaluate(u_values: np.ndarray, fn) -> np.ndarray:
@@ -263,9 +271,9 @@ def pad_evaluate(u_values: np.ndarray, fn) -> np.ndarray:
     the padding isometry, so gradients of padded energies stay consistent.
     """
     m = u_values.shape[0]
-    w = np.fft.fft(fn(zero_pad(u_values, 2))) / 2.0
+    w = fft(fn(zero_pad(u_values, 2))) / 2.0
     out = np.concatenate([w[: m // 2], w[-m // 2 :]])
-    return np.fft.ifft(out)
+    return ifft(out)
 
 
 def save_profile(

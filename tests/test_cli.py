@@ -2,10 +2,12 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fracnls import cli
 from fracnls.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -294,6 +296,34 @@ def test_main_roundtrip_ok(tmp_path):
         ]
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("libc", ["missing", "no-mallopt", "glibc"])
+def test_heap_setting_is_once_per_process_and_optional(tmp_path, monkeypatch, libc):
+    settings, lookups = [], []
+
+    def mallopt(param, value):  # a plain function takes argtypes like a ctypes one
+        settings.append((param, value))
+        return 1
+
+    def lookup(name):
+        lookups.append(name)
+        if libc == "missing":
+            raise OSError("no libc")
+        return SimpleNamespace(mallopt=mallopt) if libc == "glibc" else SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lookup)
+    cli._keep_heap.cache_clear()
+    argv = ["solve", "--s-list", "1.5", "--n-list", "0.2", "--grid-l", "64", "--grid-m", "512",
+            "--tol", "1e-9", "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
+    try:
+        assert main(argv) == EXIT_OK
+        assert main(argv) == EXIT_OK
+    finally:
+        cli._keep_heap.cache_clear()
+    assert lookups == [None]
+    # M_MMAP_THRESHOLD = 1 MiB, M_TRIM_THRESHOLD = 4 MiB, set once
+    assert settings == ([(-3, 1 << 20), (-1, 4 << 20)] if libc == "glibc" else [])
 
 
 def test_solver_failure_exit(tmp_path):

@@ -1,15 +1,21 @@
 """Grid, transform, multiplier, quadrature, and serialization contracts."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import fracnls
 from fracnls.spectral import (
     GridError,
     Profile,
     apply_multiplier,
+    fft,
+    ifft,
     inner,
     load_profile,
     lp_norm,
@@ -22,6 +28,36 @@ from fracnls.spectral import (
     translate,
 )
 from conftest import smooth_random_profile
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", [1024, 4096, 16384, 32768])
+def test_transform_pair_bitwise_equals_numpy(m):
+    # the backend contract that keeps records byte-identical; numpy.fft is the oracle
+    rng = np.random.default_rng(m)
+    field = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    real = rng.standard_normal(m)
+    block = rng.standard_normal((m, 8)) + 1j * rng.standard_normal((m, 8))
+    for ours, oracle in ((fft, np.fft.fft), (ifft, np.fft.ifft)):
+        assert _same_bits(ours(field), oracle(field))
+        assert _same_bits(ours(real), oracle(real))
+        assert _same_bits(ours(block, axis=0), oracle(block, axis=0))
+
+
+def test_transforms_exist_once():
+    # every transform in the package goes through spectral.fft / spectral.ifft
+    call = re.compile(r"\b(np|numpy|scipy)\.fft\.i?fft\(")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(Path(fracnls.__file__).parent.glob("*.py"))
+        if path.name != "spectral.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if call.search(line)
+    ]
+    assert offenders == []
 
 
 def test_grid_2pi_integer_frequencies():
