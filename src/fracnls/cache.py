@@ -2,11 +2,12 @@
 
 Profiles persist in the container format from :mod:`fracnls.spectral`, with
 a JSON sidecar for the solve metadata; the key hashes (s, N, L, M, method,
-tol) together with the artifact version so stale entries invalidate on a
-version bump.  Cache hits skip recomputation and reproduce results
-bit-for-bit.  Entries are written through a temporary file and renamed
-into place, and an entry that cannot be read back counts as a miss, so a
-crash or a truncated file costs a recomputation, never a failed run.
+tol) together with the artifact version and the solver algorithm, so stale
+entries invalidate on a version bump or a change of algorithm.  Cache hits
+skip recomputation and reproduce results bit-for-bit.  Entries are written
+through a temporary file and renamed into place, and an entry that cannot
+be read back counts as a miss, so a crash or a truncated file costs a
+recomputation, never a failed run.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ def cache_key(s: float, mass: float, length: float, points: int, method: str, to
             "M": int(points),
             "method": method,
             "tol": repr(float(tol)),
+            # the mass-constrained algorithm: its profiles differ in the last
+            # digits from the secant solver's, whose entries must miss
+            "solver": "newton-minres",
         },
         sort_keys=True,
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import circulant
@@ -22,7 +23,9 @@ from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .spectral import Profile, SpectralGrid, derivative, fft, ifft, sobolev_norm
 from .symbols import ModelParams, symbol_nN
-from .solvers import SolveResult
+
+if TYPE_CHECKING:  # solvers builds its Newton steps on this module
+    from .solvers import SolveResult
 
 __all__ = [
     "LinearizedOperator",
@@ -62,6 +65,24 @@ class LinearizedOperator:
     symbol: np.ndarray = field(repr=False)  # n_N + theta on the grid frequencies
     v1: np.ndarray = field(repr=False)  # (s+1)|R|^{2s}
     w: np.ndarray = field(repr=False)  # s |R|^{2s-2} R^2 (conjugation coupling)
+
+    @classmethod
+    def at(cls, params: ModelParams, profile: Profile, theta: float) -> "LinearizedOperator":
+        """The linearization around any profile and multiplier, converged or not."""
+        s = params.s
+        r = profile.values
+        absr = np.abs(r)
+        pow2s = np.where(absr > 0.0, absr ** (2.0 * s), 0.0)
+        # |R|^{2s-2} R^2 = |R|^{2s} (R/|R|)^2, continuous (-> 0) at zeros of R
+        phase2 = np.where(absr > 0.0, (r / np.where(absr > 0.0, absr, 1.0)) ** 2, 0.0)
+        return cls(
+            params=params,
+            profile=profile,
+            theta=theta,
+            symbol=symbol_nN(profile.grid.xi, params) + theta,
+            v1=(s + 1.0) * pow2s,
+            w=s * pow2s * phase2,
+        )
 
     @property
     def grid(self) -> SpectralGrid:
@@ -109,26 +130,24 @@ class LinearizedOperator:
         dr = derivative(self.profile).values
         return 1j * r, dr
 
+    def complement_projector(self):
+        """The orthogonal projector onto the complement of span{iR, dR/dx}, on stacked coordinates."""
+        # the two symmetry directions are not mutually orthogonal (the complex
+        # profile carries momentum), so the removal must solve the 2x2 Gram system
+        cmat = np.stack([_stack(c) for c in self.kernel_candidates()], axis=1)
+        gram = cmat.T @ cmat
+
+        def project(vec):
+            return vec - cmat @ np.linalg.solve(gram, cmat.T @ vec)
+
+        return project
+
 
 def build_linearized(result: SolveResult, params: ModelParams) -> LinearizedOperator:
     """Assemble the linearization around a converged renormalized minimizer."""
     if not result.converged:
         raise ValueError("linearization requires a converged solve")
-    s = params.s
-    grid = result.profile.grid
-    r = result.profile.values
-    absr = np.abs(r)
-    pow2s = np.where(absr > 0.0, absr ** (2.0 * s), 0.0)
-    # |R|^{2s-2} R^2 = |R|^{2s} (R/|R|)^2, continuous (-> 0) at zeros of R
-    phase2 = np.where(absr > 0.0, (r / np.where(absr > 0.0, absr, 1.0)) ** 2, 0.0)
-    return LinearizedOperator(
-        params=params,
-        profile=result.profile,
-        theta=result.multiplier,
-        symbol=symbol_nN(grid.xi, params) + result.multiplier,
-        v1=(s + 1.0) * pow2s,
-        w=s * pow2s * phase2,
-    )
+    return LinearizedOperator.at(params, result.profile, result.multiplier)
 
 
 @dataclass
@@ -283,14 +302,7 @@ def constrained_solve(
     c1, c2 = _stack(ir), _stack(dr)
     f_vec = _stack(rhs.values)
     info = {"projected": False, "overlaps": []}
-    # the two symmetry directions are not mutually orthogonal (the complex
-    # profile carries momentum), so the removal must solve the 2x2 Gram system
-    cmat = np.stack([c1, c2], axis=1)
-    gram = cmat.T @ cmat
-
-    def project(vec):
-        return vec - cmat @ np.linalg.solve(gram, cmat.T @ vec)
-
+    project = op.complement_projector()
     for c in (c1, c2):
         ov = h * float(f_vec @ c)
         info["overlaps"].append(ov)

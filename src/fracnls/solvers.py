@@ -1,11 +1,12 @@
 """Ground states and traveling-wave minimizers.
 
 Two independent methods are implemented so that each serves as the other's
-oracle: a Petviashvili fixed-point iteration (run inside a secant loop on
-the multiplier when the mass is constrained) and a mass-projected descent
-on the energy.  Both operate on the renormalized problem, where profiles
-have O(1) width; all other formulations are reached through the exact
-rescalings in :mod:`fracnls.renorm`.
+oracle: a Petviashvili fixed-point iteration (handing over to Newton-MINRES
+on the profile and the multiplier when the mass is constrained) and a
+mass-projected descent on the energy.  Both operate on the renormalized
+problem, where profiles have O(1) width; all other formulations are reached
+through the exact rescalings in :mod:`fracnls.renorm`.  The secant loop on
+the multiplier over full Petviashvili solves stays as a test oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, minres
 
+from .linearized import LinearizedOperator, _stack, _unstack
 from .spectral import (
     Profile,
     SpectralGrid,
@@ -37,6 +40,7 @@ __all__ = [
     "petviashvili_mass_constrained",
     "gradient_flow_minimize",
     "descend_symbol",
+    "secant_mass_constrained",
     "fractional_ground_state",
     "continuation_in_N",
     "el_residual",
@@ -207,62 +211,132 @@ def petviashvili_solve(
     )
 
 
+_HANDOFF_TOL = 1e-3  # Petviashvili residual at which Newton takes over
+_FORCING_MAX = 1e-2  # MINRES rtol = min(_FORCING_MAX, _FORCING_FACTOR * error)
+_FORCING_FACTOR = 0.1
+_NEWTON_MAX_STEPS = 10
+_NEWTON_MINRES_MAXITER = 1000
+
+
 def petviashvili_mass_constrained(
     grid: SpectralGrid,
     params: ModelParams,
-    mass: float | None = None,
     init: Profile | None = None,
-    theta0: float | None = None,
     tol: float = 1e-10,
     mass_tol: float = 1e-11,
-    max_outer: int = 60,
 ) -> SolveResult:
     """Solve n_N(D)R + theta R = |R|^{2s}R with the mass constraint.
 
-    The multiplier is not known a priori; Petviashvili runs inside a
-    one-dimensional secant loop on theta that enforces integral |R|^2 = s0
-    (the mass-to-multiplier map is monotone near the small-mass limit).
+    One Petviashvili solve at theta = lambda(s) to residual _HANDOFF_TOL
+    brings the start into the ground-state basin; Newton steps on
+    F(R, theta) = ((n_N + theta)R - |R|^{2s}R, (sum |R|^2 - s0/h)/2) then
+    enforce both equations (Knoll & Keyes 2004).  Each step solves the
+    symmetric bordered system [[L, R], [R^T, 0]] by MINRES, L the
+    linearization at the iterate, preconditioned by the positive
+    diag(1/(n_N + theta), 1/(R^T (n_N + theta)^{-1} R)), to the forcing
+    rtol min(_FORCING_MAX, _FORCING_FACTOR * error), where the error is
+    the larger of the relative residual and the relative mass error.  The
+    steps stop when the residual is at most tol and the mass error at most
+    mass_tol.  A MINRES failure, an error that fails to halve over two
+    consecutive steps, or _NEWTON_MAX_STEPS steps raise ConvergenceError.
+    The history holds theta, residual and mass error at every iterate and
+    the MINRES iterations of every step; `iterations` counts the
+    Petviashvili and MINRES iterations.
     """
     s = params.s
     p = 2.0 * s + 1.0
-    target = params.s0 if mass is None else mass
+    target = params.s0
     sig = symbol_nN(grid.xi, params)
     if init is None:
         init = local_ground_state(s, params.lam, grid)
-    th0 = params.lam if theta0 is None else theta0
-    th1 = th0 * 1.05
-
-    u = init
-    solves = []
-
-    def mass_at(theta, seed):
-        r = petviashvili_solve(grid, sig, theta, p, seed, tol=tol)
-        solves.append(r)
-        return r.profile.mass(), r
-
-    m0, r0 = mass_at(th0, u)
-    m1, r1 = mass_at(th1, r0.profile)
-    th_prev, m_prev = th0, m0
-    th_cur, m_cur, r_cur = th1, m1, r1
-    for _ in range(max_outer):
-        if abs(m_cur - target) <= mass_tol * target:
+    start = petviashvili_solve(grid, sig, params.lam, p, init, tol=_HANDOFF_TOL)
+    # the iterate lives in Fourier space: a correction added there carries
+    # roundoff relative to each mode, while one added on the grid would
+    # leave 1e-16 white noise that n_N + theta amplifies into the residual
+    uh, theta = fft(start.profile.values), params.lam
+    history = {"theta": [], "residual": [], "mass_error": [], "minres_iterations": []}
+    errors = []
+    for step in range(_NEWTON_MAX_STEPS + 1):
+        u = ifft(uh)
+        f = ifft((sig + theta) * uh) - _nonlinear_term(u, p)
+        sq = float(np.sum(np.abs(u) ** 2))
+        res = float(np.linalg.norm(f) / math.sqrt(sq))
+        mass_err = abs(grid.h * sq - target) / target
+        for key, value in (("theta", theta), ("residual", res), ("mass_error", mass_err)):
+            history[key].append(value)
+        if res <= tol and mass_err <= mass_tol:
             break
-        if m_cur == m_prev:
-            raise ConvergenceError("secant loop stalled: mass insensitive to theta")
-        th_next = th_cur - (m_cur - target) * (th_cur - th_prev) / (m_cur - m_prev)
-        if th_next <= 0.0:
-            th_next = th_cur / 2.0
-        th_prev, m_prev = th_cur, m_cur
-        m_cur, r_cur = mass_at(th_next, r_cur.profile)
-        th_cur = th_next
-    else:
-        raise ConvergenceError(
-            f"mass constraint not met: |mass - target| = {abs(m_cur - target):.3e}"
+        errors.append(max(res, mass_err))
+        stalled = len(errors) >= 3 and errors[-1] > 0.5 * errors[-2] and errors[-2] > 0.5 * errors[-3]
+        if stalled or step == _NEWTON_MAX_STEPS:
+            why = "residual failed to halve over two steps" if stalled else "step cap reached"
+            raise ConvergenceError(
+                f"newton stopped after {step} steps: {why} (residual {res:.3e}, "
+                f"mass error {mass_err:.3e})",
+                history,
+            )
+        op = LinearizedOperator.at(params, Profile(grid, u), theta)
+        delta, iters = _bordered_solve(
+            op, -np.append(_stack(f), 0.5 * (sq - target / grid.h)),
+            min(_FORCING_MAX, _FORCING_FACTOR * errors[-1]),
         )
+        history["minres_iterations"].append(iters)
+        if delta is None:
+            raise ConvergenceError(
+                f"newton step {step + 1}: MINRES did not converge in {iters} iterations "
+                f"(residual {res:.3e})",
+                history,
+            )
+        uh = uh + fft(_unstack(delta[:-1]))
+        theta += float(delta[-1])
+    total_iters = start.iterations + sum(history["minres_iterations"])
+    return _renormalized_result(grid, sig, p, target, Profile(grid, u), tol, total_iters, history)
+
+
+def _bordered_solve(op: LinearizedOperator, rhs: np.ndarray, rtol: float):
+    """MINRES on [[L, R], [R^T, 0]] in stacked coordinates: (solution or None, iterations).
+
+    iR and dR/dx are near-null at the iterate (eigenvalues of the order of
+    the residual).  Left in, MINRES roundoff grows a phase and translation
+    drift there, far above the step, which costs mass at second order and
+    inflates the solution norm that MINRES's stopping test divides by.  So,
+    as in constrained_solve, the iterates stay on their orthogonal
+    complement; neither direction changes the solution.
+    """
+    r = _stack(op.profile.values)
+    n = rhs.size
+    project = op.complement_projector()
+    schur = float(r @ op.solve_symbol_stacked(r))
+
+    def matvec(x):
+        v = project(x[:-1])
+        return np.append(project(op.apply_stacked(v) + x[-1] * r), r @ v)
+
+    def precond(x):
+        return np.append(project(op.solve_symbol_stacked(project(x[:-1]))), x[-1] / schur)
+
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    sol, status = minres(
+        LinearOperator((n, n), matvec=matvec, dtype=float),
+        np.append(project(rhs[:-1]), rhs[-1]),
+        rtol=rtol,
+        maxiter=_NEWTON_MINRES_MAXITER,
+        M=LinearOperator((n, n), matvec=precond, dtype=float),
+        callback=count,
+    )
+    return (sol if status == 0 else None), iters
+
+
+def _renormalized_result(grid, sig, p, target, profile, tol, iterations, history) -> SolveResult:
     # exact renormalization, then report the Rayleigh multiplier; at that
     # multiplier the residual is L2-orthogonal to the profile, so the
     # stabilization functional evaluates to 1 up to roundoff
-    vals = r_cur.profile.values * math.sqrt(target / m_cur)
+    vals = profile.values * math.sqrt(target / profile.mass())
     uh = fft(vals)
     w = _nonlinear_term(vals, p)
     # theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity
@@ -272,11 +346,9 @@ def petviashvili_mass_constrained(
     energy = functional_energy(grid, vals, sig, p)
     num = float(np.real(np.sum((sig + theta) * np.abs(uh) ** 2)))
     den = float(np.real(np.sum(fft(w) * np.conj(uh))))
-    total_iters = sum(r.iterations for r in solves)
     return SolveResult(
-        Profile(grid, vals), theta, res, energy, total_iters, res <= 10 * tol,
-        "petviashvili", stabilization=num / den,
-        history={"outer_thetas": [r.multiplier for r in solves]},
+        Profile(grid, vals), theta, res, energy, iterations, res <= 10 * tol,
+        "petviashvili", stabilization=num / den, history=history,
     )
 
 
@@ -349,6 +421,63 @@ def descend_symbol(
         f"descent did not reach tol={tol:g} in {max_iter} iterations "
         f"(residual {res_hist[-1]:.3e})",
         {"energy": e_hist, "residual": res_hist},
+    )
+
+
+def secant_mass_constrained(
+    grid: SpectralGrid,
+    params: ModelParams,
+    init: Profile | None = None,
+    tol: float = 1e-10,
+    mass_tol: float = 1e-11,
+) -> SolveResult:
+    """Test oracle for petviashvili_mass_constrained, with no production caller.
+
+    A secant loop on theta enforces integral |R|^2 = s0, each step a full
+    Petviashvili solve at fixed theta (the mass-to-multiplier map is
+    monotone near the small-mass limit).  The final renormalization is the
+    production solver's.
+    """
+    s = params.s
+    p = 2.0 * s + 1.0
+    target = params.s0
+    sig = symbol_nN(grid.xi, params)
+    if init is None:
+        init = local_ground_state(s, params.lam, grid)
+    th0 = params.lam
+    th1 = th0 * 1.05
+
+    u = init
+    solves = []
+
+    def mass_at(theta, seed):
+        r = petviashvili_solve(grid, sig, theta, p, seed, tol=tol)
+        solves.append(r)
+        return r.profile.mass(), r
+
+    m0, r0 = mass_at(th0, u)
+    m1, r1 = mass_at(th1, r0.profile)
+    th_prev, m_prev = th0, m0
+    th_cur, m_cur, r_cur = th1, m1, r1
+    for _ in range(60):
+        if abs(m_cur - target) <= mass_tol * target:
+            break
+        if m_cur == m_prev:
+            raise ConvergenceError("secant loop stalled: mass insensitive to theta")
+        th_next = th_cur - (m_cur - target) * (th_cur - th_prev) / (m_cur - m_prev)
+        if th_next <= 0.0:
+            th_next = th_cur / 2.0
+        th_prev, m_prev = th_cur, m_cur
+        m_cur, r_cur = mass_at(th_next, r_cur.profile)
+        th_cur = th_next
+    else:
+        raise ConvergenceError(
+            f"mass constraint not met: |mass - target| = {abs(m_cur - target):.3e}"
+        )
+    total_iters = sum(r.iterations for r in solves)
+    return _renormalized_result(
+        grid, sig, p, target, r_cur.profile, tol, total_iters,
+        {"outer_thetas": [r.multiplier for r in solves]},
     )
 
 

@@ -1,5 +1,6 @@
 """CLI runner: config handling, record emission, determinism, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fracnls import cli
+from fracnls import __version__, cli
+from fracnls.cache import cache_key, cached_solve, load_result, store_result
 from fracnls.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -23,6 +25,8 @@ from fracnls.cli import (
     make_parser,
     run,
 )
+from fracnls.solvers import SolveResult, local_ground_state
+from fracnls.spectral import make_grid
 
 FAST_GRID = {"grid_l": 64.0, "grid_m": 512, "tol": 1e-9}
 
@@ -268,6 +272,24 @@ def test_truncated_cache_entry_is_recomputed(tmp_path, size):
     assert prof.read_bytes() == stored
 
 
+def test_secant_solver_entry_is_a_miss(tmp_path):
+    # the key payload as it stood before the solver fingerprint, for the same point
+    s, n, length, points, tol = 1.5, 0.2, 64.0, 512, 1e-9
+    payload = {"version": __version__, "s": repr(s), "N": repr(n), "L": repr(length), "M": points,
+               "method": "petviashvili", "tol": repr(tol)}
+    old_key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
+    grid = make_grid(length, points)
+    assert cache_key(s, n, length, points, "petviashvili", tol) != old_key
+
+    def result(theta):
+        return SolveResult(local_ground_state(s, 0.05, grid), theta, 0.0, 0.0, 1, True, "petviashvili")
+
+    store_result(tmp_path, old_key, result(1.0), s, n)
+    assert load_result(tmp_path, old_key).multiplier == 1.0
+    got, hit = cached_solve(tmp_path, s, n, grid, "petviashvili", tol, lambda: result(2.0))
+    assert (got.multiplier, hit) == (2.0, False)
+
+
 def test_cache_replay_identical(tmp_path):
     config = fast_config("solve", tmp_path)
     first = _emit_bytes(config)
@@ -338,6 +360,20 @@ def test_solver_failure_exit(tmp_path):
         ]
     )
     assert code == EXIT_SOLVER_FAILURE
+
+
+def test_newton_failure_exits_3_with_one_line(tmp_path, capsys):
+    # no residual reaches 1e-30: Newton stalls at roundoff and says so in one line
+    code = main(["solve", "--s-list", "1.5", "--n-list", "0.1", "--tol", "1e-30",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_SOLVER_FAILURE
+    errors = [line for line in out.splitlines() if "ERROR" in line]
+    assert len(errors) == 1 and "steps" in errors[0] and "residual" in errors[0]
+    assert "Traceback" not in out + err
+    (record,) = [p for p in Path(tmp_path / "out").glob("solve-*.json") if not p.name.endswith(".meta.json")]
+    (point,) = json.loads(record.read_text())["points"]
+    assert "\n" not in point["error"] and point["error"] in errors[0]
 
 
 def test_any_failure_maps_to_exit_1():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracnls import solvers
 from fracnls.renorm import gauge_fix, scale_R_to_S
 from fracnls.solvers import (
     ContinuationPath,
@@ -19,6 +20,7 @@ from fracnls.solvers import (
     local_ground_state,
     petviashvili_mass_constrained,
     petviashvili_solve,
+    secant_mass_constrained,
 )
 from fracnls.spectral import Profile, lp_norm, make_grid, pad_evaluate, quadratic_form
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
@@ -394,3 +396,59 @@ def test_petviashvili_degenerate_symbol_reaches_constant_solution():
     assert abs(res.stabilization - 1.0) <= 1e-10
     assert np.ptp(np.abs(res.profile.values)) == 0.0  # the constant solution
     assert np.mean(np.abs(res.profile.values)) == pytest.approx((1e-30) ** 0.25, rel=1e-10)
+
+
+# -- Newton-MINRES against the secant oracle ---------------------------------
+
+def _th3_start(grid):
+    """The first random start of a verify-th3 point, drawn as that stage draws it."""
+    rng = np.random.default_rng(20260810)
+    return smooth_random_profile(grid, rng, width=float(rng.uniform(1.0, 3.0)))
+
+
+@pytest.mark.parametrize(
+    "s,n,start",
+    [(s, n, "local") for s in (1.3, 1.4, 1.5) for n in (0.4, 0.05)] + [(1.5, 0.05, "random")],
+)
+def test_newton_matches_secant_oracle(grid_desk, s, n, start):
+    params = ModelParams(s, 0.0, n)
+    init = _th3_start(grid_desk) if start == "random" else None
+    newton = petviashvili_mass_constrained(grid_desk, params, init=init)
+    oracle = secant_mass_constrained(grid_desk, params, init=init)
+    for res in (newton, oracle):
+        assert res.converged
+        assert abs(res.stabilization - 1.0) <= 1e-10
+    assert abs(newton.multiplier - oracle.multiplier) <= 1e-9 * abs(oracle.multiplier)
+    a = gauge_fix(newton.profile)[0].values
+    b = gauge_fix(oracle.profile)[0].values
+    assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_newton_history_per_step(grid_desk):
+    res = petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.0, 0.1))
+    hist = res.history
+    steps = len(hist["minres_iterations"])
+    assert 1 <= steps <= 3
+    assert len(hist["theta"]) == len(hist["residual"]) == len(hist["mass_error"]) == steps + 1
+    assert hist["residual"][-1] <= 1e-10 and hist["mass_error"][-1] <= 1e-11
+    assert res.iterations > sum(hist["minres_iterations"])  # plus the Petviashvili hand-off
+
+
+@pytest.mark.parametrize(
+    "cause,tol,constant,value",
+    [
+        ("failed to halve", 1e-30, None, None),
+        ("MINRES did not converge", 1e-10, "_NEWTON_MINRES_MAXITER", 1),
+        ("step cap", 1e-10, "_NEWTON_MAX_STEPS", 1),
+    ],
+)
+def test_newton_failure_is_one_line_with_history(grid_desk, monkeypatch, cause, tol, constant, value):
+    if constant is not None:
+        monkeypatch.setattr(solvers, constant, value)
+    with pytest.raises(ConvergenceError) as info:
+        petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.0, 0.1), tol=tol)
+    msg = str(info.value)
+    assert cause in msg and "step" in msg and "residual" in msg and "\n" not in msg
+    hist = info.value.history
+    assert set(hist) == {"theta", "residual", "mass_error", "minres_iterations"}
+    assert len(hist["theta"]) == len(hist["residual"]) == len(hist["mass_error"]) >= 1
