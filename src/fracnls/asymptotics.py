@@ -102,13 +102,11 @@ def _winding_number(path_values: np.ndarray) -> int:
     return int(round((ang[-1] - ang[0]) / (2.0 * np.pi)))
 
 
-def verify_f2_rootless(
-    sign: str,
-    params: ModelParams,
-    theta: float,
-    box: float = 10.0,
-    samples: int = 2000,
-) -> dict:
+_F2_BOX = 10.0  # side of the sampled quarter box
+_F2_SAMPLES = 2000  # samples per box edge and along the real axis
+
+
+def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> dict:
     """Confirm f2 has no roots in its quarter region.
 
     Reproduces the sign argument on a dense polar sampling of the translated
@@ -134,21 +132,21 @@ def verify_f2_rootless(
         return y**s + s * y + s - 1.0 + c
 
     # on-axis positivity
-    r_ax = np.linspace(0.0, box, samples)
+    r_ax = np.linspace(0.0, _F2_BOX, _F2_SAMPLES)
     on_axis = r_ax**s + s * r_ax + s - 1.0 + c
     on_axis_min = float(np.min(on_axis))
     # off-axis imaginary part, sampled on the polar grid
     phi = np.linspace(1e-3, np.pi / 2.0, 120)
-    r = np.linspace(1e-3, box, 200)
+    r = np.linspace(1e-3, _F2_BOX, 200)
     rr, pp = np.meshgrid(r, phi)
     f22 = sgn * (rr**s * np.sin(s * pp) + s * rr * np.sin(pp))
     off_axis_min = float(np.min(f22))
     # winding along the boundary of the quarter box
-    t = np.linspace(0.0, 1.0, samples)
-    edge1 = box * t  # 0 -> box on the real axis
-    edge2 = box + 1j * sgn * box * t  # up the right edge
-    edge3 = box + 1j * sgn * box - box * t  # across the top
-    edge4 = 1j * sgn * box * (1.0 - t)  # down the imaginary axis
+    t = np.linspace(0.0, 1.0, _F2_SAMPLES)
+    edge1 = _F2_BOX * t  # 0 -> box on the real axis
+    edge2 = _F2_BOX + 1j * sgn * _F2_BOX * t  # up the right edge
+    edge3 = _F2_BOX + 1j * sgn * _F2_BOX - _F2_BOX * t  # across the top
+    edge4 = 1j * sgn * _F2_BOX * (1.0 - t)  # down the imaginary axis
     path = np.concatenate([edge1, edge2, edge3, edge4])
     vals = f2t(path)
     if np.any(np.abs(vals) == 0.0):
@@ -160,7 +158,7 @@ def verify_f2_rootless(
         "on_axis_min": on_axis_min,
         "off_axis_min": off_axis_min,
         "constant_term": s - 1.0 + c,
-        "box": box,
+        "box": _F2_BOX,
     }
     if winding != 0:
         raise RuntimeError(f"argument principle found roots: winding = {winding}, report {report}")

@@ -13,11 +13,16 @@ from functools import lru_cache
 import numpy as np
 
 
+_SERIES_KMAX = 48  # highest binomial order kept by n_series
+_PHI_TOL = 1e-14  # relative width of the final root-angle bracket
+_NEWTON_STEPS = 3  # complex Newton polish steps after the bisection
+
+
 @lru_cache(maxsize=32)
-def binomial_tail_coeffs(s: float, kmax: int = 48) -> tuple:
-    """binom(s, k) for k = 2..kmax: Taylor coefficients of (1+z)^s - 1 - s z."""
+def binomial_tail_coeffs(s: float) -> tuple:
+    """binom(s, k) for k = 2.._SERIES_KMAX: Taylor coefficients of (1+z)^s - 1 - s z."""
     coeffs = [s * (s - 1.0) / 2.0]
-    for k in range(2, kmax):
+    for k in range(2, _SERIES_KMAX):
         coeffs.append(coeffs[-1] * (s - k) / (k + 1.0))
     return tuple(coeffs)
 
@@ -87,9 +92,7 @@ def translated_value(y: complex, s: float, c: float) -> complex:
 
 
 @lru_cache(maxsize=128)
-def find_root_translated(
-    s: float, c: float, *, phi_tol: float = 1e-14, newton_steps: int = 3
-) -> complex:
+def find_root_translated(s: float, c: float) -> complex:
     """Unique root of y^s - s y + s - 1 + c in the open upper-right quadrant.
 
     Requires c > 0 (guaranteed for positive multipliers); raises
@@ -116,7 +119,7 @@ def find_root_translated(
     # relative criterion must govern (an absolute width test would stop the
     # search long before reaching angles ~ sqrt(c) when c is tiny)
     for _ in range(220):
-        if phi_hi - phi_lo <= phi_tol * phi_hi or phi_hi / phi_lo <= 1.0 + 1e-13:
+        if phi_hi - phi_lo <= _PHI_TOL * phi_hi or phi_hi / phi_lo <= 1.0 + 1e-13:
             break
         mid = np.sqrt(phi_lo * phi_hi)
         if f11_on_curve(mid, s, c) > 0.0:
@@ -125,7 +128,7 @@ def find_root_translated(
             phi_hi = mid
     phi = np.sqrt(phi_lo * phi_hi)
     y = radius_of_angle(phi, s) * np.exp(1j * phi)
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         dval = s * (y ** (s - 1.0) - 1.0)
         y = y - translated_value(y, s, c) / dval
     return complex(y)

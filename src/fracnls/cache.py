@@ -1,8 +1,8 @@
 """Content-addressed solve cache.
 
 Profiles persist in the container format from :mod:`fracnls.spectral`, with
-a JSON sidecar for the solve metadata; the key hashes (s, N, L, M, method,
-tol) together with the artifact version and the solver algorithm, so stale
+a JSON sidecar for the solve metadata; the key hashes (s, N, L, M, tol)
+together with the artifact version and the solver algorithm, so stale
 entries invalidate on a version bump or a change of algorithm.  Cache hits
 skip recomputation and reproduce results bit-for-bit.  Entries are written
 through a temporary file and renamed into place, and an entry that cannot
@@ -26,7 +26,7 @@ from .solvers import SolveResult
 CACHE_ENV = "FRACNLS_CACHE"
 
 
-def cache_key(s: float, mass: float, length: float, points: int, method: str, tol: float) -> str:
+def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> str:
     payload = json.dumps(
         {
             "version": __version__,
@@ -34,7 +34,7 @@ def cache_key(s: float, mass: float, length: float, points: int, method: str, to
             "N": repr(float(mass)),
             "L": repr(float(length)),
             "M": int(points),
-            "method": method,
+            "method": "petviashvili",  # the one cached method; kept so existing keys hold
             "tol": repr(float(tol)),
             # the mass-constrained algorithm: its profiles differ in the last
             # digits from the secant solver's, whose entries must miss
@@ -103,9 +103,9 @@ def load_result(cache_dir, key: str) -> SolveResult | None:
         return None
 
 
-def cached_solve(cache_dir, s, mass, grid, method, tol, compute):
+def cached_solve(cache_dir, s, mass, grid, tol, compute):
     """Return the cached SolveResult for this key, or compute and store it."""
-    key = cache_key(s, mass, grid.length, grid.points, method, tol)
+    key = cache_key(s, mass, grid.length, grid.points, tol)
     hit = load_result(cache_dir, key)
     if hit is not None:
         return hit, True

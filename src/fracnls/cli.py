@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -51,32 +51,38 @@ class ConfigError(ValueError):
     pass
 
 
+def _setting(default, help: str, *, deployment: bool = False):
+    """A RunConfig field; deployment settings never change results."""
+    return field(default=default, metadata={"help": help, "deployment": deployment})
+
+
 @dataclass
 class RunConfig:
+    """The settings of one run, declared once.
+
+    Every field but `command` is also a flag (`--grid-m` for grid_m) and a
+    config-file key, parsed as the type of its default.  Deployment
+    settings stay out of the config hash and the record.
+    """
+
     command: str
-    s_list: tuple = (1.5,)
-    n_list: tuple = (0.1,)
-    beta_list: tuple = (0.0,)
-    grid_l: float = 64.0
-    grid_m: int = 4096
-    tol: float = 1e-10
-    cache_dir: str = ""
-    output_dir: str = "fracnls-out"
-    output_format: str = "csv"
-    workers: int = 1
-    inits: int = 5  # random initializations for the uniqueness probe
+    s_list: tuple = _setting((1.5,), "comma-separated s values")
+    n_list: tuple = _setting((0.1,), "comma-separated masses")
+    grid_l: float = _setting(64.0, "torus length")
+    grid_m: int = _setting(4096, "grid points (power of two)")
+    tol: float = _setting(1e-10, "solver tolerance")
+    inits: int = _setting(5, "random initializations (verify-th3)")
+    cache_dir: str = _setting("", "profile cache directory", deployment=True)
+    output_dir: str = _setting("fracnls-out", "output directory", deployment=True)
+    workers: int = _setting(1, "worker processes for the points of any command", deployment=True)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if not self.s_list or not self.n_list or not self.beta_list:
-            raise ConfigError("s-list, N-list and beta-list must be nonempty")
+        if not self.s_list or not self.n_list:
+            raise ConfigError("s-list and N-list must be nonempty")
         if not all(math.isfinite(n) and n > 0.0 for n in self.n_list):
             raise ConfigError("masses in the N-list must be positive and finite")
-        if any(beta != 0.0 for beta in self.beta_list):
-            raise ConfigError("nonzero beta is not supported: every pipeline runs the beta = 0 reduction")
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
         if any(not (1.0 < s < 2.0 or (s == 2.0 and self.command == "gn-constant")) for s in self.s_list):
             raise ConfigError("s values must lie in (1, 2); gn-constant also accepts 2 for validation")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -91,19 +97,20 @@ class RunConfig:
         # it here turns a bad size into a configuration error
         self.grid = make_grid(self.grid_l, self.grid_m)
 
-    def config_hash(self) -> str:
-        """Hash of the scientific content only.
+    def echo(self) -> dict:
+        """The settings that decide results: the record's config and the hash input."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if not f.metadata.get("deployment")}
 
-        Worker count and directory locations cannot influence results, so
-        they stay out of the hash: parallel and serial runs of one
-        configuration share their output identity.
-        """
-        fields = ("command", "s_list", "n_list", "beta_list", "grid_l", "grid_m", "tol", "inits")
+    def config_hash(self) -> str:
+        """Hash of the echoed settings: runs that differ only in deployment share their output identity."""
         payload = json.dumps(
-            {k: (repr(v) if isinstance(v, float) else v) for k, v in asdict(self).items() if k in fields},
+            {k: (repr(v) if isinstance(v, float) else v) for k, v in self.echo().items()},
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+SETTINGS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
 
 
 @dataclass
@@ -132,7 +139,7 @@ def _check(value: float, threshold: float, mode: str = "le") -> dict:
 
 
 def _point(s: float, n: float | None, **fields) -> dict:
-    return {"s": s, "N": n, "beta": 0.0, "checks": {}, "error": None, **fields}
+    return {"s": s, "N": n, "checks": {}, "error": None, **fields}
 
 
 def _l2(grid, values: np.ndarray):
@@ -143,7 +150,7 @@ def _solution(config: RunConfig, s: float, n: float):
     """The cached mass-constrained solve at (s, N), with its model parameters."""
     params = ModelParams(s, 0.0, n)
     result, _ = cached_solve(
-        config.cache_dir, s, n, config.grid, "petviashvili", config.tol,
+        config.cache_dir, s, n, config.grid, config.tol,
         lambda: petviashvili_mass_constrained(config.grid, params, tol=config.tol),
     )
     return result, params
@@ -266,6 +273,8 @@ def _th4_summary(s: float, points: list) -> list:
 
 def _linearize_stage(config: RunConfig, s: float, n: float) -> dict:
     result, params = _solution(config, s, n)
+    if not result.converged:  # a solver failure, where build_linearized raises ValueError
+        raise RuntimeError(f"linearization needs a converged solve (residual {result.residual:.3e})")
     rep = kernel_diagnostics(build_linearized(result, params))
     return {
         "eigenvalues": [float(v) for v in rep.eigenvalues],
@@ -370,13 +379,13 @@ def run(config: RunConfig) -> RunRecord:
         points += own
         if pipeline.summary is not None:
             points += pipeline.summary(s, own)
-    record = RunRecord(config=asdict(config), points=points)
+    record = RunRecord(config=config.echo(), points=points)
     record.timings = {"wall_seconds": time.time() - t0}
     return record
 
 
 CSV_COLUMNS = (
-    "s", "N", "beta", "theta", "lambda_s", "theta_gap", "residual", "energy",
+    "s", "N", "theta", "lambda_s", "theta_gap", "residual", "energy",
     "profile_distance", "exp_rate", "exp_amplitude", "exp_amplitude_oracle",
     "alg_exponent", "C_min", "C_s", "mass_threshold", "pairwise_distance_max",
     "coercivity", "envelope_ratio", "oscillation_frequency", "winding",
@@ -410,19 +419,18 @@ def emit_outputs(record: RunRecord, config: RunConfig) -> list:
     stem = f"{config.command}-{config.config_hash()}"
     written = []
 
-    if config.output_format == "csv":  # json-only runs skip the CSV
-        csv_path = outdir / f"{stem}.csv"
-        lines = [",".join(CSV_COLUMNS + ("pass_flags", "error"))]
-        for pt in record.points:
-            cells = [_csv_cell(pt.get(col)) for col in CSV_COLUMNS]
-            chks = ";".join(
-                f"{name}:{'pass' if chk['pass'] else 'fail'}" for name, chk in pt.get("checks", {}).items()
-            )
-            cells.append(chks)
-            cells.append(_csv_cell(pt.get("error")))
-            lines.append(",".join(cells))
-        csv_path.write_text("\n".join(lines) + "\n")
-        written.append(csv_path)
+    csv_path = outdir / f"{stem}.csv"
+    lines = [",".join(CSV_COLUMNS + ("pass_flags", "error"))]
+    for pt in record.points:
+        cells = [_csv_cell(pt.get(col)) for col in CSV_COLUMNS]
+        chks = ";".join(
+            f"{name}:{'pass' if chk['pass'] else 'fail'}" for name, chk in pt.get("checks", {}).items()
+        )
+        cells.append(chks)
+        cells.append(_csv_cell(pt.get("error")))
+        lines.append(",".join(cells))
+    csv_path.write_text("\n".join(lines) + "\n")
+    written.append(csv_path)
 
     json_path = outdir / f"{stem}.json"
     json_path.write_text(
@@ -448,8 +456,12 @@ def emit_profile_plotdata(profile: Profile, path) -> None:
 
 def load_config_file(path) -> dict:
     """Flat KEY = VALUE text config; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {path}: {exc.strerror or exc}") from None
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -460,62 +472,50 @@ def load_config_file(path) -> dict:
     return out
 
 
-_LIST_KEYS = {"s_list", "n_list", "beta_list"}
-_FLOAT_KEYS = {"grid_l", "tol"}
-_INT_KEYS = {"grid_m", "workers", "inits"}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _coerce(key: str, val):
-    if key in _LIST_KEYS:
-        if isinstance(val, str):
-            return tuple(float(tok) for tok in val.split(",") if tok.strip())
-        return tuple(float(v) for v in val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _INT_KEYS:
-        return int(val)
-    return val
+_EXPECTED = {tuple: "comma-separated numbers", float: "a number", int: "an integer"}
 
 
-_CONFIG_KEYS = (
-    "s_list", "n_list", "beta_list", "grid_l", "grid_m", "tol",
-    "cache_dir", "output_dir", "output_format", "workers", "inits",
-)
+def _parse(name: str, text: str):
+    """A flag or config-file value as the type of the setting's default."""
+    kind = type(SETTINGS[name].default)
+    try:
+        if kind is tuple:
+            return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{_flag(name)} expects {_EXPECTED[kind]}, got {text!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults < config file < command-line flags."""
-    merged: dict = {}
-    if args.config:
-        for k, v in load_config_file(args.config).items():
-            if k not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {k!r} (expected one of {_CONFIG_KEYS})")
-            merged[k] = _coerce(k, v)
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = _coerce(key, val)
-    return RunConfig(command=args.command, **merged)
+    merged = load_config_file(args.config) if args.config else {}
+    for key in merged:
+        if key not in SETTINGS:
+            raise ConfigError(f"unknown config key {key!r} (expected one of {tuple(SETTINGS)})")
+    merged.update({name: getattr(args, name) for name in SETTINGS if getattr(args, name) is not None})
+    return RunConfig(command=args.command, **{name: _parse(name, text) for name, text in merged.items()})
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a configuration error: one line, exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracnls",
         description="Traveling-wave laboratory for the 1-D mass-critical fractional NLS",
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat KEY = VALUE config file")
-    parser.add_argument("--s-list", dest="s_list", help="comma-separated s values")
-    parser.add_argument("--n-list", dest="n_list", help="comma-separated masses")
-    parser.add_argument("--beta-list", dest="beta_list", help="comma-separated drifts")
-    parser.add_argument("--grid-l", dest="grid_l", type=float, help="torus length")
-    parser.add_argument("--grid-m", dest="grid_m", type=int, help="grid points (power of two)")
-    parser.add_argument("--tol", type=float, help="solver tolerance")
-    parser.add_argument("--cache-dir", dest="cache_dir", help="profile cache directory")
-    parser.add_argument("--output-dir", dest="output_dir", help="output directory")
-    parser.add_argument("--format", dest="output_format", choices=("csv", "json"))
-    parser.add_argument("--workers", type=int, help="worker processes for the points of any command")
-    parser.add_argument("--inits", type=int, help="random initializations (verify-th3)")
+    for name, setting in SETTINGS.items():
+        parser.add_argument(_flag(name), dest=name, help=setting.metadata["help"])
     return parser
 
 
@@ -541,9 +541,8 @@ def _keep_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_heap()
-    args = make_parser().parse_args(argv)
     try:
-        config = build_config(args)
+        config = build_config(make_parser().parse_args(argv))
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

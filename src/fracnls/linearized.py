@@ -215,16 +215,18 @@ _KEEP = 6
 _START_SEED = 20260810  # fixed start block: reruns are bitwise identical
 _EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
 _EIG_MAXITER = 400  # at s = 1.2-1.3 the kept six need 100-140 iterations, all eight 200-225
+_KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
 _MINRES_RTOL = 1e-13
 _MINRES_MAXITER = 1000
+_OVERLAP_TOL = 1e-8  # relative symmetry overlap above which a right-hand side is projected
 
 
-def kernel_diagnostics(op: LinearizedOperator, rel_threshold: float = 1e-6) -> LinearizedReport:
+def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     """Lowest eigenpairs of the symmetric form: kernel pair, correlations, coercivity.
 
     LOBPCG (Knyazev 2001) on the stacked operator, preconditioned by the
     exact inverse symbol 1/(n_N + theta), which is positive.  Exactly two
-    eigenvalues are expected below rel_threshold times the operator-norm
+    eigenvalues are expected below _KERNEL_REL_THRESHOLD times the operator-norm
     bound; their eigenspace is compared against span{iR, dR/dx} through
     orthogonal projections.  The six lowest eigenpairs must reach residual
     _EIG_TOL times that bound, and the highest of them must lie above the
@@ -234,7 +236,7 @@ def kernel_diagnostics(op: LinearizedOperator, rel_threshold: float = 1e-6) -> L
     """
     # operator-norm bound max(n_N + theta) + ||v1||_inf + ||w||_inf
     norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
-    threshold = rel_threshold * norm_est
+    threshold = _KERNEL_REL_THRESHOLD * norm_est
     start = np.random.default_rng(_START_SEED).standard_normal((2 * op.grid.points, _BLOCK))
     with warnings.catch_warnings():  # convergence is checked below, not by lobpcg's warning
         warnings.simplefilter("ignore", UserWarning)
@@ -283,15 +285,13 @@ def kernel_diagnostics(op: LinearizedOperator, rel_threshold: float = 1e-6) -> L
     )
 
 
-def constrained_solve(
-    op: LinearizedOperator, rhs: Profile, overlap_tol: float = 1e-8
-) -> tuple[Profile, dict]:
+def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, dict]:
     """Solve L f = F on the orthogonal complement of span{iR, dR/dx}.
 
     MINRES on P L P, where P is the orthogonal projector onto the
     complement of the two constraint columns, preconditioned by
     P (n_N + theta)^{-1} P; the iterates stay in the complement.  A
-    right-hand side with symmetry components beyond overlap_tol is projected
+    right-hand side with symmetry components beyond _OVERLAP_TOL is projected
     first and the projection is reported.  The returned info carries the
     stability quotient ||f||_{H^{s/2}} / ||F||_{H^{-s/2}} in the weighted
     spectral norms.  A solve that does not converge raises RuntimeError.
@@ -307,7 +307,7 @@ def constrained_solve(
         ov = h * float(f_vec @ c)
         info["overlaps"].append(ov)
         scale = np.linalg.norm(f_vec) * np.linalg.norm(c) * h
-        if scale > 0 and abs(ov) > overlap_tol * scale:
+        if scale > 0 and abs(ov) > _OVERLAP_TOL * scale:
             info["projected"] = True
     if info["projected"]:
         f_vec = project(f_vec)

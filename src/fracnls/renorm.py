@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 
+_TRIPLE_RTOL = 1e-12
+_SNAP_TOL = 0.05  # largest relative lattice snap of the drift frequency
+
+
 @dataclass
 class MultiplierTriple:
     """The three equivalent Lagrange multipliers of one traveling wave.
@@ -54,13 +58,14 @@ class MultiplierTriple:
     theta: float
     params: ModelParams
 
-    def check(self, rtol: float = 1e-12) -> bool:
+    def check(self) -> bool:
+        """Whether the three multipliers satisfy both relations to _TRIPLE_RTOL."""
         s = self.params.s
         xs = self.params.xi_star
         g = xs**s * (self.eta + s - 1.0)
         e = 0.5 * s * (s - 1.0) * self.params.kappa**2 * self.theta
-        ok_g = abs(g - self.gamma) <= rtol * max(1.0, abs(self.gamma))
-        ok_e = abs(e - self.eta) <= rtol * max(1.0, abs(self.eta))
+        ok_g = abs(g - self.gamma) <= _TRIPLE_RTOL * max(1.0, abs(self.gamma))
+        ok_e = abs(e - self.eta) <= _TRIPLE_RTOL * max(1.0, abs(self.eta))
         return ok_g and ok_e
 
 
@@ -123,7 +128,7 @@ def tau_beta_snap(params: ModelParams, grid: SpectralGrid) -> TauBetaSnap:
     return TauBetaSnap(xs, xs_snap, beta_snap, abs(factor - 1.0))
 
 
-def tau_beta(u: Profile, params: ModelParams, snap_tol: float = 0.05) -> Profile:
+def tau_beta(u: Profile, params: ModelParams, snap_tol: float = _SNAP_TOL) -> Profile:
     """(tau_beta u)(x) = (xi*)^{1/2} e^{i xi* x} u(xi* x), mass preserving.
 
     The dilation is a metadata reinterpretation (new torus length L/xi*);
@@ -142,16 +147,16 @@ def tau_beta(u: Profile, params: ModelParams, snap_tol: float = 0.05) -> Profile
     return Profile(new_grid, math.sqrt(xs) * phase * u.values, u.gauge)
 
 
-def tau_beta_inverse(q: Profile, params: ModelParams, snap_tol: float = 0.05) -> Profile:
+def tau_beta_inverse(q: Profile, params: ModelParams) -> Profile:
     """Inverse drift transform: u(y) = (xi*)^{-1/2} e^{-i y} q(y / xi*)."""
     xs = params.xi_star
     if xs <= 0.0:
         raise ValueError("tau_beta needs beta > 0 (xi* = 0 is degenerate)")
     source_length = q.grid.length * xs
     factor = _lattice_factor(source_length)
-    if abs(factor - 1.0) > snap_tol:
+    if abs(factor - 1.0) > _SNAP_TOL:
         raise ValueError(
-            f"xi* off-lattice: snap of {abs(factor - 1.0):.3%} exceeds tolerance {snap_tol:.3%}"
+            f"xi* off-lattice: snap of {abs(factor - 1.0):.3%} exceeds tolerance {_SNAP_TOL:.3%}"
         )
     new_grid = SpectralGrid(source_length, q.grid.points)
     phase = np.exp(-1j * factor * new_grid.x)
@@ -174,14 +179,14 @@ def scale_R_to_S(r_prof: Profile, params: ModelParams) -> Profile:
     return Profile(new_grid, amp * r_prof.values, r_prof.gauge)
 
 
-def full_map_Q_to_R(q_prof: Profile, params: ModelParams, snap_tol: float = 0.05) -> Profile:
+def full_map_Q_to_R(q_prof: Profile, params: ModelParams) -> Profile:
     """Composite rescaling/demodulation from Q_{beta,N} to R_N.
 
     Equals scale_S_to_R(tau_beta^{-1}(Q)); the direct formula is
     R_N(x) = s0^{1/2} N^{-1/(2-s)} (xi*)^{-1/2} e^{-i x/kappa}
              Q(x / (kappa xi*)).
     """
-    return scale_S_to_R(tau_beta_inverse(q_prof, params, snap_tol), params)
+    return scale_S_to_R(tau_beta_inverse(q_prof, params), params)
 
 
 def gauge_fix(u: Profile) -> tuple[Profile, float, float]:

@@ -216,6 +216,11 @@ _FORCING_MAX = 1e-2  # MINRES rtol = min(_FORCING_MAX, _FORCING_FACTOR * error)
 _FORCING_FACTOR = 0.1
 _NEWTON_MAX_STEPS = 10
 _NEWTON_MINRES_MAXITER = 1000
+_MASS_TOL = 1e-11  # relative mass error at which both mass-constrained solvers stop
+_SECANT_TOL = 1e-10  # residual of each Petviashvili solve in the secant oracle
+_DESCENT_MAX_ITER = 20000
+_DESCENT_STEP0 = 0.1  # first descent step; grown by 1.5 on success up to _DESCENT_STEP_MAX
+_DESCENT_STEP_MAX = 1.0
 
 
 def petviashvili_mass_constrained(
@@ -223,7 +228,6 @@ def petviashvili_mass_constrained(
     params: ModelParams,
     init: Profile | None = None,
     tol: float = 1e-10,
-    mass_tol: float = 1e-11,
 ) -> SolveResult:
     """Solve n_N(D)R + theta R = |R|^{2s}R with the mass constraint.
 
@@ -237,7 +241,7 @@ def petviashvili_mass_constrained(
     rtol min(_FORCING_MAX, _FORCING_FACTOR * error), where the error is
     the larger of the relative residual and the relative mass error.  The
     steps stop when the residual is at most tol and the mass error at most
-    mass_tol.  A MINRES failure, an error that fails to halve over two
+    _MASS_TOL.  A MINRES failure, an error that fails to halve over two
     consecutive steps, or _NEWTON_MAX_STEPS steps raise ConvergenceError.
     The history holds theta, residual and mass error at every iterate and
     the MINRES iterations of every step; `iterations` counts the
@@ -264,7 +268,7 @@ def petviashvili_mass_constrained(
         mass_err = abs(grid.h * sq - target) / target
         for key, value in (("theta", theta), ("residual", res), ("mass_error", mass_err)):
             history[key].append(value)
-        if res <= tol and mass_err <= mass_tol:
+        if res <= tol and mass_err <= _MASS_TOL:
             break
         errors.append(max(res, mass_err))
         stalled = len(errors) >= 3 and errors[-1] > 0.5 * errors[-2] and errors[-2] > 0.5 * errors[-3]
@@ -359,9 +363,6 @@ def descend_symbol(
     mass: float,
     init: Profile,
     tol: float = 1e-10,
-    max_iter: int = 20000,
-    step0: float = 0.1,
-    step_max: float = 1.0,
 ) -> SolveResult:
     """Mass-projected descent on E(u) = 1/2 <u,sigma(D)u> - |u|^{p+1}/(p+1).
 
@@ -378,10 +379,10 @@ def descend_symbol(
         raise ValueError("descent preconditioner requires a nonnegative symbol")
     u = init.values.astype(complex)
     u *= math.sqrt(mass / (grid.h * np.sum(np.abs(u) ** 2)))
-    tau = step0
+    tau = _DESCENT_STEP0
     energy = functional_energy(grid, u, sig, p)
     e_hist, res_hist = [energy], []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _DESCENT_MAX_ITER + 1):
         w = _nonlinear_term(u, p)
         uh = fft(u)
         su = ifft(sig * uh)
@@ -409,7 +410,7 @@ def descend_symbol(
                 u = cand
                 energy = e_cand
                 e_hist.append(energy)
-                tau = min(tau * 1.5, step_max)
+                tau = min(tau * 1.5, _DESCENT_STEP_MAX)
                 break
             tau *= 0.5
             if tau < 1e-14:
@@ -418,7 +419,7 @@ def descend_symbol(
                     {"energy": e_hist, "residual": res_hist},
                 )
     raise ConvergenceError(
-        f"descent did not reach tol={tol:g} in {max_iter} iterations "
+        f"descent did not reach tol={tol:g} in {_DESCENT_MAX_ITER} iterations "
         f"(residual {res_hist[-1]:.3e})",
         {"energy": e_hist, "residual": res_hist},
     )
@@ -428,15 +429,14 @@ def secant_mass_constrained(
     grid: SpectralGrid,
     params: ModelParams,
     init: Profile | None = None,
-    tol: float = 1e-10,
-    mass_tol: float = 1e-11,
 ) -> SolveResult:
     """Test oracle for petviashvili_mass_constrained, with no production caller.
 
     A secant loop on theta enforces integral |R|^2 = s0, each step a full
-    Petviashvili solve at fixed theta (the mass-to-multiplier map is
-    monotone near the small-mass limit).  The final renormalization is the
-    production solver's.
+    Petviashvili solve at fixed theta to residual _SECANT_TOL (the
+    mass-to-multiplier map is monotone near the small-mass limit), until
+    the relative mass error is at most _MASS_TOL.  The final
+    renormalization is the production solver's.
     """
     s = params.s
     p = 2.0 * s + 1.0
@@ -451,7 +451,7 @@ def secant_mass_constrained(
     solves = []
 
     def mass_at(theta, seed):
-        r = petviashvili_solve(grid, sig, theta, p, seed, tol=tol)
+        r = petviashvili_solve(grid, sig, theta, p, seed, tol=_SECANT_TOL)
         solves.append(r)
         return r.profile.mass(), r
 
@@ -460,7 +460,7 @@ def secant_mass_constrained(
     th_prev, m_prev = th0, m0
     th_cur, m_cur, r_cur = th1, m1, r1
     for _ in range(60):
-        if abs(m_cur - target) <= mass_tol * target:
+        if abs(m_cur - target) <= _MASS_TOL * target:
             break
         if m_cur == m_prev:
             raise ConvergenceError("secant loop stalled: mass insensitive to theta")
@@ -476,7 +476,7 @@ def secant_mass_constrained(
         )
     total_iters = sum(r.iterations for r in solves)
     return _renormalized_result(
-        grid, sig, p, target, r_cur.profile, tol, total_iters,
+        grid, sig, p, target, r_cur.profile, _SECANT_TOL, total_iters,
         {"outer_thetas": [r.multiplier for r in solves]},
     )
 
@@ -511,10 +511,6 @@ def gradient_flow_minimize(
         sig = symbol_nN(grid.xi, params)
         return descend_symbol(grid, sig, p, params.s0, init, tol=tol)
     if functional == "I":
-        if params.mass_threshold is not None and mass >= params.mass_threshold:
-            raise ValueError(
-                f"mass {mass} is not below the ground-state threshold {params.mass_threshold}"
-            )
         prm = params.with_mass(mass)
         renorm_res = gradient_flow_minimize("Y_N", prm.s0, init, tol, grid=grid, params=prm)
         s_prof = scale_R_to_S(renorm_res.profile, prm)
@@ -557,12 +553,11 @@ def continuation_in_N(
     s: float,
     n_list,
     grid: SpectralGrid,
-    method: str = "petviashvili",
     direction: str = "down",
     tol: float = 1e-10,
     mass_threshold: float | None = None,
 ) -> ContinuationPath:
-    """Solve along a mass path, seeding each solve from its neighbor.
+    """Solve along a mass path, seeding each mass-constrained solve from its neighbor.
 
     direction "down": descending masses, Gaussian seed at the largest N.
     direction "up": ascending masses, seeded from the closed-form local
@@ -586,17 +581,12 @@ def continuation_in_N(
     entries = []
     prev_prof = seed
     for n in n_sorted:
-        prm = ModelParams(s, 0.0, n, mass_threshold=mass_threshold)
+        prm = ModelParams(s, 0.0, n)
         init = prev_prof
         if init is None:
             init = Profile(grid, np.exp(-grid.x**2) * math.sqrt(prm.s0))
         try:
-            if method == "petviashvili":
-                res = petviashvili_mass_constrained(grid, prm, init=init, tol=tol)
-            elif method == "gradient-flow":
-                res = gradient_flow_minimize("Y_N", prm.s0, init, tol, grid=grid, params=prm)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            res = petviashvili_mass_constrained(grid, prm, init=init, tol=tol)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"continuation aborted at N={n}: {exc}",

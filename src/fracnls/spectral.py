@@ -217,8 +217,8 @@ def norms_and_products(u: Profile, v: Profile, s: float | None = None, sigma=Non
     return out
 
 
-def derivative(u: Profile, order: int = 1) -> Profile:
-    return apply_multiplier(u, (1j * u.grid.xi) ** order)
+def derivative(u: Profile) -> Profile:
+    return apply_multiplier(u, 1j * u.grid.xi)
 
 
 def spectral_interpolate(u: Profile, x: np.ndarray) -> np.ndarray:

@@ -66,7 +66,6 @@ class ModelParams:
     beta: float = 0.0
     N: float = 1.0
     validation: bool = False
-    mass_threshold: float | None = None
 
     def __post_init__(self):
         if not (1.0 < self.s < 2.0) and not (self.s == 2.0 and self.validation):
@@ -100,7 +99,7 @@ class ModelParams:
         return _rho0_lambda(self.s)[1]
 
     def with_mass(self, N: float) -> "ModelParams":
-        return ModelParams(self.s, self.beta, N, self.validation, self.mass_threshold)
+        return ModelParams(self.s, self.beta, N, self.validation)
 
 
 def symbol_n(xi, s: float):
@@ -143,17 +142,20 @@ def stationary_point(params: ModelParams) -> tuple[float, float]:
     return xs, val
 
 
-def check_lower_bound(A: float, s: float, samples: int = 4001) -> tuple[float, bool]:
+_LOWER_BOUND_SAMPLES = 4001
+
+
+def check_lower_bound(A: float, s: float) -> tuple[float, bool]:
     """Constant C(A) with n(xi) - A|xi|^s >= (1-A)|xi|^s / 2 - C(A).
 
     C(A) = (A+1) c1(A)^s with c1(A) = (2^{s+3} (1-A)^{-1})^{1/(s-1)}; the
-    inequality is confirmed on a dense sample |xi| <= 10 c1(A).
+    inequality is confirmed on _LOWER_BOUND_SAMPLES points of |xi| <= 10 c1(A).
     """
     if not 0.0 <= A < 1.0:
         raise ValueError(f"A must lie in [0, 1), got {A}")
     c1 = (2.0 ** (s + 3.0) / (1.0 - A)) ** (1.0 / (s - 1.0))
     c_a = (A + 1.0) * c1**s
-    xi = np.linspace(-10.0 * c1, 10.0 * c1, samples)
+    xi = np.linspace(-10.0 * c1, 10.0 * c1, _LOWER_BOUND_SAMPLES)
     lhs = symbol_n(xi, s) - A * np.abs(xi) ** s
     rhs = 0.5 * (1.0 - A) * np.abs(xi) ** s - c_a
     verified = bool(np.all(lhs >= rhs - 1e-12 * (1.0 + np.abs(rhs))))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,18 +63,53 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags,named",
     [
-        ["--grid-m", "1000"], ["--grid-l", "0"], ["--beta-list", "0,0.5"], ["--n-list", "-0.1"],
-        ["--inits", "1"], ["--tol", "0"], ["--tol", "-1"], ["--n-list", "inf"], ["--workers", "0"],
+        (["--grid-m", "1000"], "M must"), (["--grid-l", "0"], "L must"),
+        (["--beta-list", "0"], "unrecognized arguments: --beta-list 0"), (["--n-list", "-0.1"], "N-list"),
+        (["--inits", "1"], "inits"), (["--tol", "0"], "tol"), (["--tol", "-1"], "tol"),
+        (["--n-list", "inf"], "N-list"), (["--workers", "0"], "workers"),
+        (["--grid-m", "abc"], "--grid-m"), (["--workers", "x"], "--workers"),
+        (["--s-list", "abc"], "--s-list"), (["--config", "/missing.cfg"], "--config"),
+        (["--format", "json"], "unrecognized arguments: --format json"),
     ],
-    ids=["grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative", "n-list-inf", "workers"],
+    ids=[
+        "grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative", "n-list-inf",
+        "workers", "grid-m-text", "workers-text", "s-list-text", "config-missing", "format",
+    ],
 )
-def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags):
+def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
     code = main(["solve", *flags, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert named in err
+
+
+# one text per setting, with the value it must parse to
+SETTING_SAMPLES = {
+    "s_list": ("1.25, 1.5", (1.25, 1.5)),
+    "n_list": ("0.3", (0.3,)),
+    "grid_l": ("32", 32.0),
+    "grid_m": ("256", 256),
+    "tol": ("1e-8", 1e-8),
+    "inits": ("3", 3),
+    "cache_dir": ("some-cache", "some-cache"),
+    "output_dir": ("some-out", "some-out"),
+    "workers": ("2", 2),
+}
+
+
+def test_every_setting_has_a_flag_and_a_config_key(tmp_path):
+    assert set(SETTING_SAMPLES) == set(cli.SETTINGS)
+    for name, (text, value) in SETTING_SAMPLES.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"{name.replace('_', '-')} = {text}\n")
+        from_flag = build_config(make_parser().parse_args(["solve", "--" + name.replace("_", "-"), text]))
+        from_file = build_config(make_parser().parse_args(["solve", "--config", str(cfg)]))
+        for config in (from_flag, from_file):
+            assert getattr(config, name) == value
+            assert type(getattr(config, name)) is type(cli.SETTINGS[name].default)
 
 
 @pytest.mark.parametrize("s", ["2.5", "nan", "1.0"])
@@ -118,6 +154,16 @@ def test_config_hash_stable(tmp_path):
     assert a.config_hash() != c.config_hash()
 
 
+def test_config_echo_leaves_out_deployment(tmp_path):
+    config = fast_config("verify-th3", tmp_path, workers=3)
+    assert config.echo() == {
+        "command": "verify-th3", "s_list": (1.5,), "n_list": (0.2, 0.1),
+        "grid_l": 64.0, "grid_m": 512, "tol": 1e-9, "inits": 5,
+    }
+    moved = fast_config("verify-th3", tmp_path / "elsewhere", workers=1)
+    assert moved.config_hash() == config.config_hash()
+
+
 # -- records and emission ------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -148,6 +194,16 @@ def test_emitted_json_validates_against_schema(solve_record):
     payload = json.loads(json_path.read_text())
     schema = json.loads(files("fracnls").joinpath("schemas/run_record.schema.json").read_text())
     jsonschema.validate(payload, schema)
+
+
+def test_schema_config_is_the_echoed_settings():
+    from importlib.resources import files
+
+    schema = json.loads(files("fracnls").joinpath("schemas/run_record.schema.json").read_text())
+    config = schema["properties"]["config"]
+    echoed = [f.name for f in fields(RunConfig) if not f.metadata.get("deployment")]
+    assert sorted(config["required"]) == sorted(echoed) == sorted(config["properties"])
+    assert config["additionalProperties"] is False
 
 
 def test_csv_parse_emit_parse_identity(solve_record):
@@ -214,14 +270,24 @@ def _emit_bytes(config):
 def test_serial_parallel_identical(tmp_path, command):
     serial = _emit_bytes(fast_config(command, tmp_path, workers=1, inits=2))
     parallel = _emit_bytes(fast_config(command, tmp_path, workers=2, inits=2))
-    # records must be identical; the config echo differs only in `workers`,
-    # so compare the per-point payloads
-    rec_s = json.loads(serial[next(k for k in serial if k.endswith(".json"))])
-    rec_p = json.loads(parallel[next(k for k in parallel if k.endswith(".json"))])
-    assert rec_s["points"] == rec_p["points"]
-    csv_s = serial[next(k for k in serial if k.endswith(".csv"))]
-    csv_p = parallel[next(k for k in parallel if k.endswith(".csv"))]
-    assert csv_s == csv_p
+    # the config echo leaves `workers` out, so whole records must match
+    assert sorted(name.rsplit(".", 1)[1] for name in serial) == ["csv", "json"]
+    assert serial == parallel
+
+
+def test_record_bytes_independent_of_deployment(tmp_path):
+    def records(workers, tag):
+        out = tmp_path / f"out-{tag}"
+        args = ["solve", "--s-list", "1.5", "--n-list", "0.2,0.1", "--grid-l", "64", "--grid-m", "512",
+                "--tol", "1e-9", "--workers", workers, "--cache-dir", str(tmp_path / f"cache-{tag}"),
+                "--output-dir", str(out)]
+        assert main(args) == EXIT_OK
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and not p.name.endswith(".meta.json")}
+
+    serial = records("1", "a")
+    assert records("2", "b") == serial
+    assert sorted(p.suffix for p in serial if p.parent == Path(".")) == [".csv", ".json"]
 
 
 @pytest.mark.parametrize("n_list,pool_size", [((0.2, 0.1), 2), ((0.2,), None)])
@@ -279,15 +345,20 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
                "method": "petviashvili", "tol": repr(tol)}
     old_key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
     grid = make_grid(length, points)
-    assert cache_key(s, n, length, points, "petviashvili", tol) != old_key
+    assert cache_key(s, n, length, points, tol) != old_key
 
     def result(theta):
         return SolveResult(local_ground_state(s, 0.05, grid), theta, 0.0, 0.0, 1, True, "petviashvili")
 
     store_result(tmp_path, old_key, result(1.0), s, n)
     assert load_result(tmp_path, old_key).multiplier == 1.0
-    got, hit = cached_solve(tmp_path, s, n, grid, "petviashvili", tol, lambda: result(2.0))
+    got, hit = cached_solve(tmp_path, s, n, grid, tol, lambda: result(2.0))
     assert (got.multiplier, hit) == (2.0, False)
+
+
+def test_cache_key_digest_is_stable():
+    # the digest of the Newton-MINRES entries written before the key lost its method argument
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "4ba800c89f460ce2fd78b659"
 
 
 def test_cache_replay_identical(tmp_path):
@@ -374,6 +445,17 @@ def test_newton_failure_exits_3_with_one_line(tmp_path, capsys):
     (record,) = [p for p in Path(tmp_path / "out").glob("solve-*.json") if not p.name.endswith(".meta.json")]
     (point,) = json.loads(record.read_text())["points"]
     assert "\n" not in point["error"] and point["error"] in errors[0]
+
+
+def test_unconverged_solve_fails_linearize_with_one_line(tmp_path, capsys):
+    # at s = 1.3 the renormalized residual has a roundoff floor near 1.2e-11
+    code = main(["linearize", "--s-list", "1.3", "--n-list", "0.1", "--tol", "1e-12",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_SOLVER_FAILURE
+    errors = [line for line in out.splitlines() if "ERROR" in line]
+    assert len(errors) == 1 and "residual" in errors[0] and "converged" in errors[0]
+    assert "Traceback" not in out + err
 
 
 def test_any_failure_maps_to_exit_1():
