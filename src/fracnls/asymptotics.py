@@ -9,8 +9,10 @@ fitting, and the uniform decay bound.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -237,17 +239,22 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
 
 
 class _KernelTail:
-    """Vectorized kernel evaluation for convolution sums.
+    """The kernel m_N(w) split for convolution sums over the grid.
 
-    The exponential (residue) part is a closed form; the algebraic
-    (branch-cut) part is tabulated as modulus/phase of the Laplace factor on
-    a log grid and interpolated by one two-column cubic spline (one interval
-    search per call serves both columns).
+    The residue part A e^{i|w|rho/kappa} (conjugated for w < 0) has a closed
+    form that `far_field_reconstruction` sums by running prefix sums.  The
+    branch-cut part is tabulated as modulus/phase of the Laplace factor on a
+    log grid, interpolated by one two-column cubic spline (one interval
+    search per call serves both columns) and evaluated per pair by
+    `branch_cut`, its phase e^{-i|w|/kappa} left unfactored.
     """
 
     def __init__(self, params: ModelParams, theta: float, x_min: float, x_max: float):
+        self.s = params.s
         self.kappa = params.kappa
-        self.pref, self.root, self.damp = _residue_data(params, theta)
+        self.pref, root, damp = _residue_data(params, theta)
+        self.residue_amp = self.pref * 2.0 * np.pi * 1j / damp
+        self.residue_rate = 1j * root / self.kappa  # Re < 0: the residue part decays in |w|
         xs = np.geomspace(max(x_min, 1e-8), x_max, 160)
         vals = laplace_transform(params.s, kernel_shift(params, theta), xs / self.kappa)
         logx = np.log(xs)
@@ -255,38 +262,69 @@ class _KernelTail:
         self._mod_arg = CubicSpline(logx, table)  # columns: log-modulus, unwrapped phase
         self._range = (xs[0], xs[-1])
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        ax = np.abs(x)
-        residue = self.pref * 2.0 * np.pi * 1j * np.exp(1j * ax / self.kappa * self.root) / self.damp
-        ax = np.clip(ax, self._range[0], self._range[1])  # held at the table ends; the residue needs no table
-        lx = np.log(ax)
-        mod_arg = self._mod_arg(lx)
+    @classmethod
+    def covering(cls, grid, params: ModelParams, theta: float, x_points: np.ndarray) -> _KernelTail:
+        """The table for every separation x - y between `x_points` and the torus."""
+        ax = np.abs(np.asarray(x_points, dtype=float))
+        w_min = max(float(np.min(ax)) - grid.length / 2.0, 1e-6)
+        w_max = float(np.max(ax)) + grid.length / 2.0 + 1.0
+        return cls(params, theta, max(w_min * 0.5, 1e-8), w_max)
+
+    def branch_cut(self, w: np.ndarray) -> np.ndarray:
+        ax = np.clip(np.abs(w), self._range[0], self._range[1])  # held at the table ends
+        mod_arg = self._mod_arg(np.log(ax))
         lap = np.exp(mod_arg[..., 0] + 1j * mod_arg[..., 1])
-        out = residue + self.pref * 1j * np.exp(-1j * ax / self.kappa) * lap
-        return np.where(x >= 0, out, np.conj(out))
+        out = self.pref * 1j * np.exp(-1j * ax / self.kappa) * lap
+        return np.where(w >= 0, out, np.conj(out))
 
 
-def far_field_reconstruction(
-    fixed: Profile, params: ModelParams, theta: float, x_points: np.ndarray
-) -> np.ndarray:
+def _one_sided_sums(rate: complex, y: np.ndarray, g: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """sum_{y_j <= x_m} e^{rate (x_m - y_j)} g_j for ascending y and x (y_j < x_m with side="left").
+
+    A prefix sum carried from one abscissa to the next: each grid point
+    enters once, at the first abscissa at or above it, and the running sum
+    is moved on by e^{rate (x_m - x_{m-1})}.  With Re rate < 0 no factor
+    exceeds 1 in modulus, so nothing overflows however long the torus is
+    (the unscaled e^{-rate y_j} would overflow once -Re rate L/2 > 709).
+    """
+    ends = np.searchsorted(y, x, side=side)
+    out = np.empty(len(x), dtype=complex)
+    acc, start, prev = 0j, 0, x[0]
+    for m, (xm, end) in enumerate(zip(x, ends)):
+        acc = acc * np.exp(rate * (xm - prev)) + np.sum(np.exp(rate * (xm - y[start:end])) * g[start:end])
+        out[m], start, prev = acc, end, xm
+    return out
+
+
+def far_field_reconstruction(fixed: Profile, kern: _KernelTail, x_points: np.ndarray) -> np.ndarray:
     """Reconstruct the profile beyond the torus through the kernel convolution.
 
     R(x) = (1/sqrt(2 pi)) integral m_N(x - y) (|R|^{2s} R)(y) dy with the
-    pointwise kernel at multiplier theta and the grid-supported nonlinearity
-    of the gauge-fixed profile `fixed` (trapezoid rule); the nonlinearity
-    decays exponentially, so the torus truncation is controlled.  Valid for
-    |x| beyond the torus where grid values are periodization-contaminated.
+    kernel table `kern` (which must cover every |x - y|, see
+    `_KernelTail.covering`) and the grid-supported nonlinearity of the
+    gauge-fixed profile `fixed` (trapezoid rule); the nonlinearity decays
+    exponentially, so the torus truncation is controlled.  Valid for |x|
+    beyond the torus where grid values are periodization-contaminated.
+
+    The residue part is summed by prefix sums, forward over y <= x and
+    backward over y > x: one pass over the grid per side serves all
+    abscissae.  The branch-cut part is summed per pair, its phase
+    e^{-i(x-y)/kappa} unfactored.  Past x ~ 300 at the README grid that sum
+    cancels by about 13 orders and the values are rounding noise; no
+    record reads them.
     """
     x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
-    grid = fixed.grid
-    s = params.s
-    g = np.abs(fixed.values) ** (2.0 * s) * fixed.values
-    w_min = max(float(np.min(np.abs(x_points))) - grid.length / 2.0, 1e-6)
-    w_max = float(np.max(np.abs(x_points))) + grid.length / 2.0 + 1.0
-    kern = _KernelTail(params, theta, max(w_min * 0.5, 1e-8), w_max)
+    y = fixed.grid.x
+    g = np.abs(fixed.values) ** (2.0 * kern.s) * fixed.values
+    order = np.argsort(x_points)
+    xs = x_points[order]
+    forward = _one_sided_sums(kern.residue_rate, y, g, xs, "right")
+    backward = _one_sided_sums(np.conj(kern.residue_rate), -y[::-1], g[::-1], -xs[::-1], "left")[::-1]
+    residue = np.empty(x_points.shape, dtype=complex)
+    residue[order] = kern.residue_amp * forward + np.conj(kern.residue_amp) * backward
     out = np.empty(x_points.shape, dtype=complex)
     for i, x in enumerate(x_points):
-        out[i] = grid.h / SQRT_2PI * np.sum(kern(x - grid.x) * g)
+        out[i] = fixed.grid.h / SQRT_2PI * (np.sum(kern.branch_cut(x - y) * g) + residue[i])
     return out
 
 
@@ -299,8 +337,12 @@ class TailFit:
     coefficient treated as constant across the convolution);
     `far_remainder_max` reports the honest remainder of
     the reconstruction after removing the exponential part, which is
-    oscillation-damped far below that model term.  `decay_bound` reports
-    the uniform decay bound on the same reconstruction.
+    oscillation-damped far below that model term.  The far window behind it
+    is reconstructed on first read, with the fit's kernel-tail table; its
+    values past x ~ 300 are rounding noise (see `far_field_reconstruction`),
+    and no record reads them.
+    `decay_bound` reports the uniform decay bound on the reconstruction at
+    the decay-bound points, made with the fit.
     """
 
     exp_rate: float
@@ -314,10 +356,14 @@ class TailFit:
     window_far: tuple
     exp_fit_residual: float
     alg_fit_residual: float
-    far_remainder_max: float
     n_samples: tuple
     decay_bound: dict
+    _far_remainder: Callable[[], float] = field(repr=False, compare=False)
     profile_mass: float = np.nan
+
+    @functools.cached_property
+    def far_remainder_max(self) -> float:
+        return self._far_remainder()
 
     def window_failure(self) -> bool:
         return self.exp_fit_residual > 0.1 or self.alg_fit_residual > 0.1
@@ -337,7 +383,10 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     periodization.  The amplitude oracle is the kernel Green's amplitude
     C1/sqrt(2 pi) = 1/(2 sqrt(lam)) times the closed-form nonlinearity
     moment (the local Green's function of -d^2/dx^2 + lam is
-    e^{-sqrt(lam)|x|}/(2 sqrt(lam)), which pins the bookkeeping).
+    e^{-sqrt(lam)|x|}/(2 sqrt(lam)), which pins the bookkeeping).  One
+    kernel-tail table covers both the far window and the decay-bound
+    points; the decay-bound points are reconstructed here, the far window
+    on the first read of `far_remainder_max`.
     """
     s = params.s
     lam = params.lam
@@ -377,8 +426,12 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     alg_exponent = -float(coef_a[0])
     alg_coefficient = float(np.exp(coef_a[1]))
     alg_resid = float(np.sqrt(res_a[0] / len(xs_far))) if len(res_a) else 0.0
-    rec = far_field_reconstruction(fixed, params, result.multiplier, np.concatenate([xs_far, x_bound]))
-    remainder = np.abs(rec[: len(xs_far)] - exp_amp * np.exp(-exp_rate * xs_far))
+    kern = _KernelTail.covering(grid, params, result.multiplier, np.concatenate([xs_far, x_bound]))
+
+    def far_remainder() -> float:
+        rec = far_field_reconstruction(fixed, kern, xs_far)
+        return float(np.max(np.abs(rec - exp_amp * np.exp(-exp_rate * xs_far))))
+
     # frozen-phase oscillation frequency, from the kernel branch-cut phase
     x0 = float(xs_far[0])
     dx = math.pi * params.kappa / 4.0
@@ -398,9 +451,9 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
         window_far=(float(xs_far[0]), float(xs_far[-1])),
         exp_fit_residual=exp_resid,
         alg_fit_residual=alg_resid,
-        far_remainder_max=float(np.max(remainder)),
         n_samples=(int(mask.sum()), len(xs_far)),
-        decay_bound=decay_bound_check(fixed, params, x_bound, rec[len(xs_far) :]),
+        decay_bound=decay_bound_check(fixed, params, x_bound, far_field_reconstruction(fixed, kern, x_bound)),
+        _far_remainder=far_remainder,
         profile_mass=fixed.mass(),
     )
 

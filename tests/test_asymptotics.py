@@ -1,7 +1,6 @@
 """Root system, kernel expansion, tails, and the uniform decay bound."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -188,8 +187,40 @@ def test_reconstruction_matches_grid(petviashvili_path, grid_main):
     fixed, _, _ = gauge_fix(res.profile)
     for x0 in (40.0, 56.0):
         i = int(np.argmin(np.abs(grid_main.x - x0)))
-        rec = far_field_reconstruction(fixed, params, res.multiplier, np.array([grid_main.x[i]]))[0]
+        x = np.array([grid_main.x[i]])
+        kern = asymptotics._KernelTail.covering(grid_main, params, res.multiplier, x)
+        rec = far_field_reconstruction(fixed, kern, x)[0]
         assert abs(rec - fixed.values[i]) <= 1e-6 * abs(fixed.values[i])
+
+
+def fsum_reconstruction(fixed, kern, x):
+    """The convolution at x as an exactly rounded sum of the per-pair kernel terms."""
+    grid = fixed.grid
+    w = x - grid.x
+    residue = kern.residue_amp * np.exp(kern.residue_rate * np.abs(w))
+    kernel = np.where(w >= 0, residue, np.conj(residue)) + kern.branch_cut(w)
+    terms = kernel * np.abs(fixed.values) ** (2.0 * kern.s) * fixed.values
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)) * grid.h / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n", [0.2, 0.1, 0.05])
+def test_prefix_sum_reconstruction_matches_exact_pair_sum(petviashvili_path, grid_main, n):
+    """Prefix-summed residue part plus per-pair branch cut equals fsum of the pairs.
+
+    The decay-bound abscissae of tail_fit, and one grid node inside the
+    torus, where the pair with x - y = 0 goes on the y <= x side.
+    """
+    params = ModelParams(S_DEFAULT, 0.0, n)
+    res = petviashvili_path[n]
+    fixed, _, _ = gauge_fix(res.profile)
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    x_node = grid_main.x[int(np.argmin(np.abs(grid_main.x - 40.0)))]
+    for xs in (x_bound, np.array([x_node])):
+        kern = asymptotics._KernelTail.covering(grid_main, params, res.multiplier, xs)
+        rec = far_field_reconstruction(fixed, kern, xs)
+        for x, r in zip(xs, rec):
+            ref = fsum_reconstruction(fixed, kern, x)
+            assert abs(r - ref) <= 1e-13 * abs(ref)
 
 
 # -- tail fits ---------------------------------------------------------------------
@@ -207,29 +238,39 @@ def fit01(fits):
 
 
 def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
-    """One kernel-tail table, one reconstruction and one root bisection per fit."""
-    calls = Counter()
+    """One kernel-tail table, one root bisection and a reconstruction of only
+    the decay-bound points per fit; the far window is reconstructed on first
+    read of far_remainder_max, with the same table."""
+    builds, reconstructed = [], []
     build, reconstruct = asymptotics._KernelTail.__init__, asymptotics.far_field_reconstruction
 
     def counting_build(self, *args):
-        calls["_KernelTail"] += 1
+        builds.append(args)
         build(self, *args)
 
-    def counting_reconstruct(*args):
-        calls["far_field_reconstruction"] += 1
-        return reconstruct(*args)
+    def counting_reconstruct(fixed, kern, x_points):
+        reconstructed.append((kern, len(x_points)))
+        return reconstruct(fixed, kern, x_points)
 
     monkeypatch.setattr(asymptotics._KernelTail, "__init__", counting_build)
     monkeypatch.setattr(asymptotics, "far_field_reconstruction", counting_reconstruct)
     find_root_translated.cache_clear()
     res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.0, 0.1)
     fit = tail_fit(res, local_R, params)
-    assert calls == {"_KernelTail": 1, "far_field_reconstruction": 1}
+    assert len(builds) == 1
+    assert [n for _, n in reconstructed] == [12]
     assert find_root_translated.cache_info().misses == 1
-    # the shared reconstruction agrees with one made for the decay-bound points alone
-    x_bound = np.geomspace(res.profile.grid.length / 3.0, res.profile.grid.length / 1.5, 12)
+    remainder = fit.far_remainder_max
+    assert fit.far_remainder_max == remainder
+    assert len(builds) == 1
+    assert [n for _, n in reconstructed] == [12, fit.n_samples[1]] == [12, 24]
+    assert reconstructed[0][0] is reconstructed[1][0]
+    # the shared table agrees with one made for the decay-bound points alone
+    grid = res.profile.grid
+    x_bound = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
     fixed = gauge_fix(res.profile)[0]
-    own = decay_bound_check(fixed, params, x_bound, reconstruct(fixed, params, res.multiplier, x_bound))
+    own_kern = asymptotics._KernelTail.covering(grid, params, res.multiplier, x_bound)
+    own = decay_bound_check(fixed, params, x_bound, reconstruct(fixed, own_kern, x_bound))
     assert fit.decay_bound["C_far"] == pytest.approx(own["C_far"], rel=1e-10)
     assert fit.decay_bound["C_grid"] == own["C_grid"]
 
