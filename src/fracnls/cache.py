@@ -36,9 +36,10 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             "M": int(points),
             "method": "petviashvili",  # the one cached method; kept so existing keys hold
             "tol": repr(float(tol)),
-            # the mass-constrained algorithm: its profiles differ in the last
-            # digits from the secant solver's, whose entries must miss
-            "solver": "newton-minres",
+            # the mass-constrained algorithm and its finish: entries of the
+            # secant solver, and of the finish that transformed the grid
+            # values again, differ in the last digits and must miss
+            "solver": "newton-minres/fourier-finish",
         },
         sort_keys=True,
     )

@@ -7,7 +7,9 @@ coordinates, where it is a real symmetric operator: spectral symbol blocks
 Eigenanalysis, the two symmetry null directions, coercivity diagnostics,
 and the constrained linear solve of the uniqueness argument live here.
 Both run matrix-free (LOBPCG and MINRES, preconditioned by the inverse of
-the positive symbol n_N + theta); the dense matrix is a small-grid oracle.
+the positive symbol n_N + theta); LOBPCG starts from the lowest eigenvectors
+of the same linearization on a coarse grid, brought to the grid by zero
+padding.  The dense matrix is a small-grid test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,16 @@ import numpy as np
 from scipy.linalg import circulant
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
-from .spectral import Profile, SpectralGrid, derivative, fft, ifft, sobolev_norm
+from .spectral import (
+    Profile,
+    SpectralGrid,
+    derivative,
+    fft,
+    fourier_restrict,
+    ifft,
+    sobolev_norm,
+    zero_pad,
+)
 from .symbols import ModelParams, symbol_nN
 
 if TYPE_CHECKING:  # solvers builds its Newton steps on this module
@@ -189,6 +200,7 @@ class LinearizedReport:
     threshold: float
     grid_length: float
     grid_points: int
+    iterations: int  # rows of LOBPCG's residual history, start and final Rayleigh-Ritz included
 
     def to_json(self) -> str:
         return json.dumps(
@@ -212,23 +224,45 @@ def _stacked_operator(op: LinearizedOperator, apply) -> LinearOperator:
 
 _BLOCK = 8  # LOBPCG block width; the lowest _KEEP of its eigenpairs are reported
 _KEEP = 6
-_START_SEED = 20260810  # fixed start block: reruns are bitwise identical
+_COARSE_POINTS = 128  # grid of the start block's dense eigensolve (a 256 x 256 matrix)
 _EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
-_EIG_MAXITER = 400  # at s = 1.2-1.3 the kept six need 100-140 iterations, all eight 200-225
+_EIG_MAXITER = 400  # README grid: 6, 30, 165, 362 iterations at s = 1.5, 1.4, 1.3, 1.2
 _KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
 _MINRES_RTOL = 1e-13
 _MINRES_MAXITER = 1000
 _OVERLAP_TOL = 1e-8  # relative symmetry overlap above which a right-hand side is projected
 
 
+def _coarse_start(op: LinearizedOperator) -> np.ndarray:
+    """The _BLOCK lowest eigenvectors of the same linearization on a coarse grid, on op's grid.
+
+    The coarse grid has the same length and _COARSE_POINTS points (op's own
+    grid when that is no finer); its profile is op's Fourier truncation at
+    the same theta.  The coarse matrix is the stacked operator applied to
+    the identity, and its eigenvectors are zero-padded to op's grid.
+    """
+    factor = max(op.grid.points // _COARSE_POINTS, 1)
+    coarse = op
+    if factor > 1:
+        grid = SpectralGrid(op.grid.length, op.grid.points // factor)
+        profile = Profile(grid, fourier_restrict(op.profile.values, factor))
+        coarse = LinearizedOperator.at(op.params, profile, op.theta)
+    _, vecs = np.linalg.eigh(coarse.apply_stacked(np.eye(2 * coarse.grid.points)))
+    fields = _unstack(vecs[:, :_BLOCK])
+    return _stack(np.stack([zero_pad(f, factor) for f in fields.T], axis=1))
+
+
 def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     """Lowest eigenpairs of the symmetric form: kernel pair, correlations, coercivity.
 
     LOBPCG (Knyazev 2001) on the stacked operator, preconditioned by the
-    exact inverse symbol 1/(n_N + theta), which is positive.  Exactly two
-    eigenvalues are expected below _KERNEL_REL_THRESHOLD times the operator-norm
-    bound; their eigenspace is compared against span{iR, dR/dx} through
-    orthogonal projections.  The six lowest eigenpairs must reach residual
+    exact inverse symbol 1/(n_N + theta), which is positive, and started
+    from the lowest eigenvectors of the same linearization on a grid of
+    _COARSE_POINTS points (_coarse_start).  The start is deterministic, so
+    reruns are bitwise identical, and exact when op's grid is no finer.
+    Exactly two eigenvalues are expected below _KERNEL_REL_THRESHOLD times
+    the operator-norm bound; their eigenspace is compared against
+    span{iR, dR/dx} through orthogonal projections.  The six lowest eigenpairs must reach residual
     _EIG_TOL times that bound, and the highest of them must lie above the
     threshold: the unseen spectrum then lies above both the threshold and
     the coercivity, so near_zero and coercivity hold for the whole spectrum.
@@ -237,18 +271,18 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     # operator-norm bound max(n_N + theta) + ||v1||_inf + ||w||_inf
     norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
     threshold = _KERNEL_REL_THRESHOLD * norm_est
-    start = np.random.default_rng(_START_SEED).standard_normal((2 * op.grid.points, _BLOCK))
     with warnings.catch_warnings():  # convergence is checked below, not by lobpcg's warning
         warnings.simplefilter("ignore", UserWarning)
-        evals, evecs = lobpcg(
+        evals, evecs, *history = lobpcg(
             _stacked_operator(op, op.apply_stacked),
-            start,
+            _coarse_start(op),
             M=_stacked_operator(op, op.solve_symbol_stacked),
             # a tenth of the acceptance residual: lobpcg locks a column at its
             # own tol, and a locked residual can drift slightly past it
             tol=0.1 * _EIG_TOL * norm_est,
             maxiter=_EIG_MAXITER,
             largest=False,
+            retResidualNormsHistory=True,
         )
     keep = np.argsort(evals)[:_KEEP]
     evals, evecs = evals[keep], evecs[:, keep]
@@ -282,6 +316,8 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
         threshold=threshold,
         grid_length=op.grid.length,
         grid_points=op.grid.points,
+        # below 5 x _BLOCK unknowns lobpcg solves densely and keeps no history
+        iterations=len(history[0]) if history else 0,
     )
 
 

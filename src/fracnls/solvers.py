@@ -294,7 +294,7 @@ def petviashvili_mass_constrained(
         uh = uh + fft(_unstack(delta[:-1]))
         theta += float(delta[-1])
     total_iters = start.iterations + sum(history["minres_iterations"])
-    return _renormalized_result(grid, sig, p, target, Profile(grid, u), tol, total_iters, history)
+    return _renormalized_result(grid, sig, p, target, uh, tol, total_iters, history)
 
 
 def _bordered_solve(op: LinearizedOperator, rhs: np.ndarray, rtol: float):
@@ -336,12 +336,16 @@ def _bordered_solve(op: LinearizedOperator, rhs: np.ndarray, rtol: float):
     return (sol if status == 0 else None), iters
 
 
-def _renormalized_result(grid, sig, p, target, profile, tol, iterations, history) -> SolveResult:
+def _renormalized_result(grid, sig, p, target, uh, tol, iterations, history) -> SolveResult:
     # exact renormalization, then report the Rayleigh multiplier; at that
     # multiplier the residual is L2-orthogonal to the profile, so the
-    # stabilization functional evaluates to 1 up to roundoff
-    vals = profile.values * math.sqrt(target / profile.mass())
-    uh = fft(vals)
+    # stabilization functional evaluates to 1 up to roundoff.  The Fourier
+    # iterate uh is scaled, not transformed again from the grid values: that
+    # transform's white roundoff, lifted by n_N + theta, would floor the
+    # residual (about 1.2e-11 at s = 1.3, N = 0.1)
+    vals = ifft(uh)
+    scale = math.sqrt(target / float(grid.h * np.sum(np.abs(vals) ** 2)))
+    vals, uh = vals * scale, uh * scale
     w = _nonlinear_term(vals, p)
     # theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity
     su = ifft(sig * uh)
@@ -476,7 +480,7 @@ def secant_mass_constrained(
         )
     total_iters = sum(r.iterations for r in solves)
     return _renormalized_result(
-        grid, sig, p, target, r_cur.profile, _SECANT_TOL, total_iters,
+        grid, sig, p, target, fft(r_cur.profile.values), _SECANT_TOL, total_iters,
         {"outer_thetas": [r.multiplier for r in solves]},
     )
 

@@ -264,16 +264,24 @@ def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
     return ifft(padded) * factor
 
 
+def fourier_restrict(values: np.ndarray, factor: int) -> np.ndarray:
+    """Samples of the lowest modes on a factor-times coarser grid.
+
+    The modes zero_pad keeps, coarse Nyquist included, are kept and the
+    rest dropped, so this is the exact left inverse of zero_pad.
+    """
+    m = values.shape[0] // factor
+    coeffs = fft(values)
+    return ifft(np.concatenate([coeffs[: m // 2], coeffs[-m // 2 :]])) / factor
+
+
 def pad_evaluate(u_values: np.ndarray, fn) -> np.ndarray:
     """Evaluate a pointwise nonlinearity with 2x zero-padding, then truncate.
 
     Standard mitigation for non-polynomial nonlinearities; exact adjoint of
     the padding isometry, so gradients of padded energies stay consistent.
     """
-    m = u_values.shape[0]
-    w = fft(fn(zero_pad(u_values, 2))) / 2.0
-    out = np.concatenate([w[: m // 2], w[-m // 2 :]])
-    return ifft(out)
+    return fourier_restrict(fn(zero_pad(u_values, 2)), 2)
 
 
 def save_profile(

@@ -357,8 +357,8 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
 
 
 def test_cache_key_digest_is_stable():
-    # the digest of the Newton-MINRES entries written before the key lost its method argument
-    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "4ba800c89f460ce2fd78b659"
+    # the digest of the entries written by the Newton-MINRES solver with the Fourier-space finish
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "23f79d3df2b0e65843b0eb72"
 
 
 def test_cache_replay_identical(tmp_path):
@@ -447,9 +447,13 @@ def test_newton_failure_exits_3_with_one_line(tmp_path, capsys):
     assert "\n" not in point["error"] and point["error"] in errors[0]
 
 
-def test_unconverged_solve_fails_linearize_with_one_line(tmp_path, capsys):
-    # at s = 1.3 the renormalized residual has a roundoff floor near 1.2e-11
-    code = main(["linearize", "--s-list", "1.3", "--n-list", "0.1", "--tol", "1e-12",
+def test_unconverged_solve_fails_linearize_with_one_line(tmp_path, capsys, monkeypatch):
+    def unconverged(grid, params, tol):
+        return SolveResult(local_ground_state(params.s, params.lam, grid), params.lam, 1e-3,
+                           0.0, 1, False, "petviashvili")
+
+    monkeypatch.setattr(cli, "petviashvili_mass_constrained", unconverged)
+    code = main(["linearize", "--s-list", "1.3", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512",
                  "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
     out, err = capsys.readouterr()
     assert code == EXIT_SOLVER_FAILURE

@@ -1,5 +1,6 @@
 """Linearized operator: kernel structure, coercivity, constrained solve."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -199,25 +200,63 @@ def test_kernel_diagnostics_two_dimensional(report10):
 
 
 def test_kernel_diagnostics_json(report10):
-    import json
-
     payload = json.loads(report10.to_json())
     assert payload["grid"]["M"] == 1024
     assert len(payload["eigenvalues"]) == 6
 
 
-def test_kernel_diagnostics_matches_dense_oracle(op10, report10, dense_spectrum10):
-    evals, evecs = dense_spectrum10
-    assert np.max(np.abs(report10.eigenvalues - evals[:6])) <= 1e-10
+def _assert_matches_dense(op, report, evals, evecs):
+    assert np.max(np.abs(report.eigenvalues - evals[:6])) <= 1e-10
     order = np.argsort(np.abs(evals))
-    assert len(report10.near_zero) == int(np.sum(np.abs(evals) <= report10.threshold))
+    assert len(report.near_zero) == int(np.sum(np.abs(evals) <= report.threshold))
     basis = evecs[:, order[:2]]
-    for cand, corr in zip(op10.kernel_candidates(), report10.correlations):
+    for cand, corr in zip(op.kernel_candidates(), report.correlations):
         v = _stack(cand) / np.linalg.norm(_stack(cand))
         assert corr == pytest.approx(float(np.linalg.norm(basis.T @ v)), abs=1e-8)
-    assert report10.coercivity == pytest.approx(float(np.min(np.abs(evals[order[2:]]))), abs=1e-10)
+    assert report.coercivity == pytest.approx(float(np.min(np.abs(evals[order[2:]]))), abs=1e-10)
     # the norm bound dominates the spectrum it replaces as the threshold scale
-    assert report10.norm_estimate >= np.max(np.abs(evals))
+    assert report.norm_estimate >= np.max(np.abs(evals))
+
+
+def test_kernel_diagnostics_matches_dense_oracle(op10, report10, dense_spectrum10):
+    _assert_matches_dense(op10, report10, *dense_spectrum10)
+
+
+def _linearized_at(s, n, length, points):
+    grid = make_grid(length, points)
+    params = ModelParams(s, 0.0, n)
+    return build_linearized(petviashvili_mass_constrained(grid, params, tol=1e-10), params)
+
+
+def test_coarse_start_matches_dense_oracle_in_tight_cluster():
+    # at s = 1.3 eigenvalues 4-8 lie within 2e-2 of each other, just above
+    # theta: a start that missed one would converge to the next, 4e-4 away
+    op = _linearized_at(1.3, 0.1, 64.0, 512)
+    report = kernel_diagnostics(op)
+    evals, evecs = eigh(op.dense())
+    assert evals[7] - evals[3] < 2e-2
+    _assert_matches_dense(op, report, evals, evecs)
+
+
+@pytest.mark.parametrize(
+    "grid_spec,iterations",
+    # 2 history rows: the start's residuals already pass, so LOBPCG takes no
+    # step; below 5 x 8 unknowns lobpcg solves densely and keeps no history
+    [((64.0, 128), 2), ((16.0, 16), 0)],
+)
+def test_coarse_start_is_exact_on_coarse_grids(grid_spec, iterations):
+    op = _linearized_at(1.5, 0.1, *grid_spec)
+    report = kernel_diagnostics(op)
+    assert report.iterations == iterations
+    evals = eigh(op.dense(), eigvals_only=True)
+    assert np.max(np.abs(report.eigenvalues - evals[:6])) <= 1e-12 * report.norm_estimate
+
+
+def test_coarse_start_halves_readme_grid_iterations():
+    # the README linearize grid at s = 1.4 took 112 from a seeded random start block
+    report = kernel_diagnostics(_linearized_at(1.4, 0.1, 128.0, 1024))
+    assert 0 < report.iterations <= 56
+    assert "iterations" not in json.loads(report.to_json())
 
 
 def test_kernel_diagnostics_bitwise_repeatable(op10, report10):
@@ -228,7 +267,9 @@ def test_kernel_diagnostics_bitwise_repeatable(op10, report10):
 
 
 def test_kernel_diagnostics_rejects_unconverged(op10, monkeypatch):
-    monkeypatch.setattr(linearized, "_EIG_MAXITER", 1)
+    # from the coarse start this fixture converges even under a one-iteration
+    # cap; a residual bound below roundoff is never met within the real cap
+    monkeypatch.setattr(linearized, "_EIG_TOL", 1e-20)
     with pytest.raises(RuntimeError, match="LOBPCG did not converge"):
         kernel_diagnostics(op10)
 

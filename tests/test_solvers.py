@@ -424,6 +424,13 @@ def test_newton_matches_secant_oracle(grid_desk, s, n, start):
     assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
 
+def test_newton_converges_below_the_regrid_roundoff_floor(grid_desk):
+    # a finish that transforms the grid values again floors the residual
+    # near 1.2e-11 here; scaling the Fourier iterate keeps Newton's residual
+    res = petviashvili_mass_constrained(grid_desk, ModelParams(1.3, 0.0, 0.1), tol=1e-12)
+    assert res.converged and res.residual <= 1e-12
+
+
 def test_newton_history_per_step(grid_desk):
     res = petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.0, 0.1))
     hist = res.history

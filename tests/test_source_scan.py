@@ -1,4 +1,5 @@
-"""Source scans: every settable value of the package is set by some caller."""
+"""Source scans: every settable value of the package is set by some caller,
+and no module of the package calls a dense test oracle."""
 
 import ast
 from pathlib import Path
@@ -104,3 +105,27 @@ def test_scan_sees_keyword_positional_and_class_calls():
     assert calls["K"] == (set(), 2, False)
     assert calls["f"] == ({"z"}, 1, False)
     assert calls["m"][2]
+
+
+def _dense_calls(tree: ast.Module) -> list:
+    """Line numbers of the `.dense(` calls in a module."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dense"
+    ]
+
+
+def test_no_module_calls_a_dense_oracle():
+    # the dense matrices are test oracles; the package runs matrix-free
+    calls = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _dense_calls(ast.parse(path.read_text()))
+    ]
+    assert calls == []
+
+
+def test_dense_scan_sees_method_calls_only():
+    source = ast.parse("def dense(self):\n    pass\nm = op.dense()\nf = op.dense\nn = f()\n")
+    assert _dense_calls(source) == [3]

@@ -15,6 +15,7 @@ from fracnls.spectral import (
     Profile,
     apply_multiplier,
     fft,
+    fourier_restrict,
     ifft,
     inner,
     load_profile,
@@ -26,6 +27,7 @@ from fracnls.spectral import (
     sobolev_norm,
     spectral_interpolate,
     translate,
+    zero_pad,
 )
 from conftest import smooth_random_profile
 
@@ -268,6 +270,26 @@ def test_spectral_refine_band_limited_exact():
     assert fine.mass() == pytest.approx(u.mass(), rel=1e-12)
     with pytest.raises(ValueError, match="power of two"):
         spectral_refine(u, 3)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 8])
+def test_fourier_restrict_left_inverts_zero_pad(factor):
+    m = 32
+    rng = np.random.default_rng(17)
+    noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)  # every mode, Nyquist included
+    nyquist = (-1.0) ** np.arange(m) + 0j
+    for values in (noise, nyquist):
+        back = fourier_restrict(zero_pad(values, factor), factor)
+        assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
+
+
+def test_fourier_restrict_drops_modes_above_coarse_nyquist():
+    j = np.arange(128)
+    low = np.exp(2j * np.pi * 5 * j / 128)
+    high = np.exp(2j * np.pi * 20 * j / 128)  # above the Nyquist mode 16 of 32 points
+    coarse = fourier_restrict(low + high, 4)
+    assert coarse.shape == (32,)
+    assert np.max(np.abs(coarse - low[::4])) <= 1e-14
 
 
 def test_pad_evaluate_squares_band_limited_field_exactly():
