@@ -34,10 +34,8 @@ from .solvers import (
     ConvergenceError,
     SolveResult,
     continuation_in_N,
-    descend_symbol,
     el_residual,
     fractional_ground_state,
-    gradient_flow_minimize,
     lambda_of_s,
     local_ground_state,
     petviashvili_mass_constrained,

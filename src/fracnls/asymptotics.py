@@ -15,7 +15,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .asymptotics_roots import RootBracketError, find_root_translated, n_analytic
 from .renorm import gauge_fix
@@ -250,6 +249,8 @@ class _KernelTail:
     """
 
     def __init__(self, params: ModelParams, theta: float, x_min: float, x_max: float):
+        from scipy.interpolate import CubicSpline  # loaded on first use: only verify-th4 builds a table
+
         self.s = params.s
         self.kappa = params.kappa
         self.pref, root, damp = _residue_data(params, theta)

@@ -36,10 +36,11 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             "M": int(points),
             "method": "petviashvili",  # the one cached method; kept so existing keys hold
             "tol": repr(float(tol)),
-            # the mass-constrained algorithm and its finish: entries of the
-            # secant solver, and of the finish that transformed the grid
-            # values again, differ in the last digits and must miss
-            "solver": "newton-minres/fourier-finish",
+            # the mass-constrained algorithm, its finish and its lambda(s):
+            # entries of the secant solver, of the finish that transformed
+            # the grid values again, and of lambda(s) by quadrature differ
+            # in the last digits and must miss
+            "solver": "newton-minres/fourier-finish/closed-form-lambda",
         },
         sort_keys=True,
     )

@@ -69,7 +69,7 @@ class RunConfig:
     s_list: tuple = _setting((1.5,), "comma-separated s values")
     n_list: tuple = _setting((0.1,), "comma-separated masses")
     grid_l: float = _setting(64.0, "torus length")
-    grid_m: int = _setting(4096, "grid points (power of two)")
+    grid_m: int = _setting(4096, "grid points (power of two, 16 to 2**20)")
     tol: float = _setting(1e-10, "solver tolerance")
     inits: int = _setting(5, "random initializations (verify-th3)")
     cache_dir: str = _setting("", "profile cache directory", deployment=True)

@@ -9,7 +9,8 @@ and the constrained linear solve of the uniqueness argument live here.
 Both run matrix-free (LOBPCG and MINRES, preconditioned by the inverse of
 the positive symbol n_N + theta); LOBPCG starts from the lowest eigenvectors
 of the same linearization on a coarse grid, brought to the grid by zero
-padding.  The dense matrix is a small-grid test oracle.
+padding.  The dense matrix is a small-grid test oracle.  scipy.sparse.linalg
+is imported where it runs, so processes that never need it skip loading it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import circulant
-from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .spectral import (
     Profile,
@@ -116,7 +115,8 @@ class LinearizedOperator:
         """Real symmetric 2M x 2M matrix on stacked (Re, Im) coordinates.
 
         A test oracle for small grids only: M > DENSE_MAX_POINTS is refused
-        before anything is allocated.
+        before anything is allocated.  It stays in the package while the
+        benchmark's tracer wraps it here.
         """
         m = self.grid.points
         if m > DENSE_MAX_POINTS:
@@ -125,8 +125,10 @@ class LinearizedOperator:
                 f"{(2 * m) ** 2 * 8 / 2**20:.0f} MiB (limit M={DENSE_MAX_POINTS})"
             )
         col = ifft(self.symbol)  # circulant column of the symbol part
-        a = circulant(col.real)
-        b = circulant(col.imag)
+        i = np.arange(m)
+        wrap = (i[:, None] - i[None, :]) % m  # entry (i, j) of a circulant is col[(i - j) % m]
+        a = col.real[wrap]
+        b = col.imag[wrap]
         v1 = np.diag(self.v1)
         wr = np.diag(self.w.real)
         wi = np.diag(self.w.imag)
@@ -173,10 +175,6 @@ class LocalOperator:
         out = ifft(self.grid.xi**2 * fft(values))
         return out + self.lam * values - self.potential * values
 
-    def dense(self) -> np.ndarray:
-        col = ifft(self.grid.xi**2 + self.lam).real
-        return circulant(col) - np.diag(self.potential)
-
 
 def local_limit_operators(s: float, lam: float, grid: SpectralGrid, base: Profile):
     """L+ h = |D|^2 h + lam h - (2s+1) R^{2s} h and L- g = |D|^2 g + lam g - R^{2s} g.
@@ -217,7 +215,9 @@ class LinearizedReport:
         )
 
 
-def _stacked_operator(op: LinearizedOperator, apply) -> LinearOperator:
+def _stacked_operator(op: LinearizedOperator, apply):
+    from scipy.sparse.linalg import LinearOperator
+
     n2 = 2 * op.grid.points
     return LinearOperator((n2, n2), matvec=apply, matmat=apply, dtype=float)
 
@@ -268,6 +268,8 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     the coercivity, so near_zero and coercivity hold for the whole spectrum.
     Either failure raises RuntimeError.
     """
+    from scipy.sparse.linalg import lobpcg
+
     # operator-norm bound max(n_N + theta) + ||v1||_inf + ||w||_inf
     norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
     threshold = _KERNEL_REL_THRESHOLD * norm_est
@@ -332,6 +334,8 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
     stability quotient ||f||_{H^{s/2}} / ||F||_{H^{-s/2}} in the weighted
     spectral norms.  A solve that does not converge raises RuntimeError.
     """
+    from scipy.sparse.linalg import minres
+
     grid = op.grid
     h = grid.h
     ir, dr = op.kernel_candidates()

@@ -1,12 +1,12 @@
 """Ground states and traveling-wave minimizers.
 
-Two independent methods are implemented so that each serves as the other's
-oracle: a Petviashvili fixed-point iteration (handing over to Newton-MINRES
-on the profile and the multiplier when the mass is constrained) and a
-mass-projected descent on the energy.  Both operate on the renormalized
-problem, where profiles have O(1) width; all other formulations are reached
-through the exact rescalings in :mod:`fracnls.renorm`.  The secant loop on
-the multiplier over full Petviashvili solves stays as a test oracle.
+A Petviashvili fixed-point iteration solves at a fixed multiplier; with the
+mass constrained it hands over to Newton-MINRES steps on the profile and the
+multiplier.  The solvers operate on the renormalized problem, where profiles
+have O(1) width; all other formulations are reached through the exact
+rescalings in :mod:`fracnls.renorm`.  The secant loop on the multiplier and
+the mass-projected descent that cross-check them are test oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .linearized import LinearizedOperator, _stack, _unstack
 from .spectral import (
@@ -38,9 +37,6 @@ __all__ = [
     "lambda_of_s",
     "petviashvili_solve",
     "petviashvili_mass_constrained",
-    "gradient_flow_minimize",
-    "descend_symbol",
-    "secant_mass_constrained",
     "fractional_ground_state",
     "continuation_in_N",
     "el_residual",
@@ -216,11 +212,7 @@ _FORCING_MAX = 1e-2  # MINRES rtol = min(_FORCING_MAX, _FORCING_FACTOR * error)
 _FORCING_FACTOR = 0.1
 _NEWTON_MAX_STEPS = 10
 _NEWTON_MINRES_MAXITER = 1000
-_MASS_TOL = 1e-11  # relative mass error at which both mass-constrained solvers stop
-_SECANT_TOL = 1e-10  # residual of each Petviashvili solve in the secant oracle
-_DESCENT_MAX_ITER = 20000
-_DESCENT_STEP0 = 0.1  # first descent step; grown by 1.5 on success up to _DESCENT_STEP_MAX
-_DESCENT_STEP_MAX = 1.0
+_MASS_TOL = 1e-11  # relative mass error at which the mass-constrained solve stops
 
 
 def petviashvili_mass_constrained(
@@ -307,6 +299,8 @@ def _bordered_solve(op: LinearizedOperator, rhs: np.ndarray, rtol: float):
     as in constrained_solve, the iterates stay on their orthogonal
     complement; neither direction changes the solution.
     """
+    from scipy.sparse.linalg import LinearOperator, minres
+
     r = _stack(op.profile.values)
     n = rhs.size
     project = op.complement_projector()
@@ -358,174 +352,6 @@ def _renormalized_result(grid, sig, p, target, uh, tol, iterations, history) -> 
         Profile(grid, vals), theta, res, energy, iterations, res <= 10 * tol,
         "petviashvili", stabilization=num / den, history=history,
     )
-
-
-def descend_symbol(
-    grid: SpectralGrid,
-    sigma,
-    p: float,
-    mass: float,
-    init: Profile,
-    tol: float = 1e-10,
-) -> SolveResult:
-    """Mass-projected descent on E(u) = 1/2 <u,sigma(D)u> - |u|^{p+1}/(p+1).
-
-    Steps along the negative Riemannian gradient sigma(D)u + theta u - w
-    (theta the Rayleigh multiplier, w the nonlinearity) in the
-    (sigma(D) + theta)^{-1} metric, renormalizes the mass after every step,
-    and backtracks by halving on any energy increase; the step is re-grown
-    on success so the iteration count stays at desk scale.  Terminates when
-    the Euler-Lagrange residual drops below tol, or fails when the step
-    underflows with non-monotone energy.
-    """
-    sig = multiplier_values(grid, sigma)
-    if np.any(sig < 0.0):
-        raise ValueError("descent preconditioner requires a nonnegative symbol")
-    u = init.values.astype(complex)
-    u *= math.sqrt(mass / (grid.h * np.sum(np.abs(u) ** 2)))
-    tau = _DESCENT_STEP0
-    energy = functional_energy(grid, u, sig, p)
-    e_hist, res_hist = [energy], []
-    for it in range(1, _DESCENT_MAX_ITER + 1):
-        w = _nonlinear_term(u, p)
-        uh = fft(u)
-        su = ifft(sig * uh)
-        den = float(np.real(np.sum(u * np.conj(u))))
-        theta = float(np.real(np.sum((w - su) * np.conj(u))) / den)
-        grad = su + theta * u - w
-        res = float(np.linalg.norm(grad) / np.linalg.norm(u))
-        res_hist.append(res)
-        if res <= tol:
-            prof = Profile(grid, u)
-            return SolveResult(
-                prof, theta, res, energy, it, True, "gradient-flow",
-                history={"energy": e_hist, "residual": res_hist},
-            )
-        shift = max(abs(theta), 1e-6)
-        step_hat = fft(grad) / (sig + shift)
-        # energy roundoff floor: increments below a few ulps of the kinetic
-        # scale are accepted so the line search cannot stall at convergence
-        slack = 1e-13 * (1.0 + abs(energy))
-        while True:
-            cand = u - tau * ifft(step_hat)
-            cand *= math.sqrt(mass / (grid.h * np.sum(np.abs(cand) ** 2)))
-            e_cand = functional_energy(grid, cand, sig, p)
-            if e_cand <= energy + slack:
-                u = cand
-                energy = e_cand
-                e_hist.append(energy)
-                tau = min(tau * 1.5, _DESCENT_STEP_MAX)
-                break
-            tau *= 0.5
-            if tau < 1e-14:
-                raise ConvergenceError(
-                    "descent step underflow with non-monotone energy",
-                    {"energy": e_hist, "residual": res_hist},
-                )
-    raise ConvergenceError(
-        f"descent did not reach tol={tol:g} in {_DESCENT_MAX_ITER} iterations "
-        f"(residual {res_hist[-1]:.3e})",
-        {"energy": e_hist, "residual": res_hist},
-    )
-
-
-def secant_mass_constrained(
-    grid: SpectralGrid,
-    params: ModelParams,
-    init: Profile | None = None,
-) -> SolveResult:
-    """Test oracle for petviashvili_mass_constrained, with no production caller.
-
-    A secant loop on theta enforces integral |R|^2 = s0, each step a full
-    Petviashvili solve at fixed theta to residual _SECANT_TOL (the
-    mass-to-multiplier map is monotone near the small-mass limit), until
-    the relative mass error is at most _MASS_TOL.  The final
-    renormalization is the production solver's.
-    """
-    s = params.s
-    p = 2.0 * s + 1.0
-    target = params.s0
-    sig = symbol_nN(grid.xi, params)
-    if init is None:
-        init = local_ground_state(s, params.lam, grid)
-    th0 = params.lam
-    th1 = th0 * 1.05
-
-    u = init
-    solves = []
-
-    def mass_at(theta, seed):
-        r = petviashvili_solve(grid, sig, theta, p, seed, tol=_SECANT_TOL)
-        solves.append(r)
-        return r.profile.mass(), r
-
-    m0, r0 = mass_at(th0, u)
-    m1, r1 = mass_at(th1, r0.profile)
-    th_prev, m_prev = th0, m0
-    th_cur, m_cur, r_cur = th1, m1, r1
-    for _ in range(60):
-        if abs(m_cur - target) <= _MASS_TOL * target:
-            break
-        if m_cur == m_prev:
-            raise ConvergenceError("secant loop stalled: mass insensitive to theta")
-        th_next = th_cur - (m_cur - target) * (th_cur - th_prev) / (m_cur - m_prev)
-        if th_next <= 0.0:
-            th_next = th_cur / 2.0
-        th_prev, m_prev = th_cur, m_cur
-        m_cur, r_cur = mass_at(th_next, r_cur.profile)
-        th_cur = th_next
-    else:
-        raise ConvergenceError(
-            f"mass constraint not met: |mass - target| = {abs(m_cur - target):.3e}"
-        )
-    total_iters = sum(r.iterations for r in solves)
-    return _renormalized_result(
-        grid, sig, p, target, fft(r_cur.profile.values), _SECANT_TOL, total_iters,
-        {"outer_thetas": [r.multiplier for r in solves]},
-    )
-
-
-def gradient_flow_minimize(
-    functional: str,
-    mass: float,
-    init: Profile | None,
-    tol: float,
-    *,
-    grid: SpectralGrid,
-    params: ModelParams,
-) -> SolveResult:
-    """Constrained minimization of the reduced energies.
-
-    functional "Y_N": the renormalized problem at mass s0 (the native solver
-    problem).  functional "I": the beta-independent problem at mass N; the
-    minimizer has width 1/kappa, so the descent runs on the renormalized
-    problem and the result is mapped back through the exact mass/energy
-    scalings (profile on the metadata-rescaled grid, eta multiplier,
-    energy I(S_N)).
-    """
-    from .renorm import scale_R_to_S  # deferred: renorm imports nothing from here
-
-    s = params.s
-    p = 2.0 * s + 1.0
-    if functional == "Y_N":
-        if abs(mass - params.s0) > 1e-12 * params.s0:
-            raise ValueError("the renormalized problem fixes mass = s0")
-        if init is None:
-            init = local_ground_state(s, params.lam, grid)
-        sig = symbol_nN(grid.xi, params)
-        return descend_symbol(grid, sig, p, params.s0, init, tol=tol)
-    if functional == "I":
-        prm = params.with_mass(mass)
-        renorm_res = gradient_flow_minimize("Y_N", prm.s0, init, tol, grid=grid, params=prm)
-        s_prof = scale_R_to_S(renorm_res.profile, prm)
-        eta = 0.5 * s * (s - 1.0) * prm.kappa**2 * renorm_res.multiplier
-        e_scale = prm.s0 ** (s + 1.0) * mass ** (-(2.0 + s) / (2.0 - s))
-        energy_i = renorm_res.energy / e_scale
-        return SolveResult(
-            s_prof, eta, renorm_res.residual, energy_i, renorm_res.iterations,
-            renorm_res.converged, "gradient-flow", history=renorm_res.history,
-        )
-    raise ValueError(f"unknown functional {functional!r} (expected 'I' or 'Y_N')")
 
 
 def fractional_ground_state(

@@ -19,6 +19,7 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 _MAGIC = b"FNLS"
 _FORMAT_VERSION = 1
+MAX_POINTS = 2**20  # larger grids are refused before allocating (one complex grid array: 16 MiB)
 
 
 class GridError(ValueError):
@@ -40,6 +41,8 @@ class SpectralGrid:
             raise GridError(f"L must be positive, got {length}")
         if points < 16:
             raise GridError(f"M must be at least 16, got {points}")
+        if points > MAX_POINTS:
+            raise GridError(f"M must be at most {MAX_POINTS}, got {points}")
         if points & (points - 1) != 0:
             raise GridError(f"M must be a power of two, got {points}")
         self.length = length
@@ -103,7 +106,7 @@ def ifft(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def make_grid(length: float, points: int) -> SpectralGrid:
-    """Build a periodic spectral grid; L > 0, M a power of two >= 16."""
+    """Build a periodic spectral grid; L > 0, M a power of two in [16, MAX_POINTS]."""
     return SpectralGrid(length, points)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .asymptotics_roots import find_root_translated, n_series
 from .spectral import SQRT_2PI, Profile, SpectralGrid, apply_multiplier
@@ -38,18 +37,10 @@ __all__ = [
 
 @lru_cache(maxsize=64)
 def _rho0_lambda(s: float) -> tuple[float, float]:
-    # rho0 = mass of the unit-multiplier local ground state; adaptive quadrature
-    # of the closed form (s+1)^{1/s} sech^{2/s}(s x), split to avoid cosh overflow
-    amp = (s + 1.0) ** (1.0 / s)
-    half, _ = quad(
-        lambda x: amp * math.exp((-2.0 / s) * (abs(s * x) + math.log1p(math.exp(-2 * abs(s * x))) - math.log(2.0))),
-        0.0,
-        np.inf,
-        epsabs=1e-15,
-        epsrel=1e-13,
-        limit=200,
-    )
-    rho0 = 2.0 * half
+    # rho0 = mass of the unit-multiplier local ground state (s+1)^{1/s} sech^{2/s}(s x):
+    # integral sech^{2a} = sqrt(pi) Gamma(a) / Gamma(a + 1/2), here with a = 1/s
+    a = 1.0 / s
+    rho0 = (s + 1.0) ** a * math.sqrt(math.pi) * math.gamma(a) / (s * math.gamma(a + 0.5))
     lam = ((s * (s - 1.0) / 2.0) * rho0**s) ** (-2.0 / (2.0 - s)) if s < 2.0 else np.nan
     return rho0, lam
 
@@ -308,11 +299,15 @@ def _laplace_quad(func, X: float) -> complex:
     per abscissa.  Trusted for X >= ~1e-5 only: below that the unscaled
     integrand spreads over t ~ 1/X and QUADPACK returns errors up to ~1e-2
     relative (at s = 1.4, X = 8.1e-7) behind its muted IntegrationWarning.
+    It stays in the package while the benchmark's tracer wraps it here, and
+    loads scipy.integrate only when called.
 
     For X >= 1 the variable is rescaled to tau = X t so the integrand stays
     O(1)-localized however large X gets; for small X the original variable is
     kept (the rescaled form would concentrate an integrable spike at 0).
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     if X >= 1.0:
 
         def re_part(tau):
@@ -381,54 +376,3 @@ def kernel_pointwise(x, params: ModelParams, theta: float, *, parts: bool = Fals
     if x.ndim == 0:
         out = tuple(complex(v) for v in out)
     return out if parts else out[0]
-
-
-def kernel_zero_value(params: ModelParams, theta: float) -> float:
-    """m_N(0) = (1/sqrt(2 pi)) integral dxi / (n_N + theta), by quadrature."""
-
-    def integrand(xi):
-        return 1.0 / (float(symbol_nN(xi, params)) + theta)
-
-    acc = 0.0
-    kink = 1.0 / params.kappa
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in ((-np.inf, -kink), (-kink, 0.0), (0.0, kink), (kink, np.inf)):
-            val, _ = quad(integrand, a, b, epsabs=1e-14, epsrel=1e-11, limit=400)
-            acc += val
-    return acc / SQRT_2PI
-
-
-def kernel_realaxis_quadrature(x: float, params: ModelParams, theta: float) -> complex:
-    """Independent oscillatory-quadrature evaluation of m_N(x) on the real axis.
-
-    Adaptive panels with QUADPACK's oscillatory weights, split at the symbol
-    kink; infinite tails use the Fourier-integral routine.  Loses relative
-    accuracy once |m_N| falls below ~1e-13 of the integrand scale, so it
-    serves as the mid-range cross-check of the contour evaluator.
-    """
-    if x == 0.0:
-        return complex(kernel_zero_value(params, theta))
-    w = abs(x)
-
-    def f(xi):
-        return 1.0 / (float(symbol_nN(xi, params)) + theta)
-
-    # even/odd split avoids the cancellation that defeats the oscillatory
-    # quadrature when the small odd component rides on the O(1) even bulk
-    def f_even(xi):
-        return 0.5 * (f(xi) + f(-xi))
-
-    def f_odd(xi):
-        return 0.5 * (f(xi) - f(-xi))
-
-    cut = min(1.0 / params.kappa, 200.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        ce_, _ = quad(f_even, 0.0, cut, weight="cos", wvar=w, epsabs=1e-14, epsrel=1e-11, limit=1000)
-        ct_, _ = quad(f_even, cut, np.inf, weight="cos", wvar=w, epsabs=1e-13, limit=1000)
-        se_, _ = quad(f_odd, 0.0, cut, weight="sin", wvar=w, epsabs=1e-14, epsrel=1e-11, limit=1000)
-        st_, _ = quad(f_odd, cut, np.inf, weight="sin", wvar=w, epsabs=1e-13, limit=1000)
-    cos_int = 2.0 * (ce_ + ct_)
-    sin_int = 2.0 * (se_ + st_)
-    return complex((cos_int + 1j * np.sign(x) * sin_int) / SQRT_2PI)

@@ -9,13 +9,13 @@ import pytest
 
 from fracnls.solvers import (
     fractional_ground_state,
-    gradient_flow_minimize,
     lambda_of_s,
     local_ground_state,
     petviashvili_mass_constrained,
 )
 from fracnls.spectral import make_grid
 from fracnls.symbols import ModelParams
+from oracles import gradient_flow_minimize
 
 S_DEFAULT = 1.5
 N_PATH = (0.4, 0.2, 0.1, 0.05)

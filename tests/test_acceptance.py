@@ -32,7 +32,6 @@ from fracnls.renorm import (
     tau_beta,
 )
 from fracnls.solvers import (
-    descend_symbol,
     el_residual,
     fractional_ground_state,
     local_ground_state,
@@ -42,6 +41,7 @@ from fracnls.solvers import (
 from fracnls.spectral import Profile, derivative, lp_norm, make_grid, quadratic_form, sobolev_norm
 from fracnls.symbols import ModelParams, symbol_nN, stationary_point
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
+from oracles import descend_symbol
 
 
 def report(num, ok, detail):

@@ -72,10 +72,12 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
         (["--grid-m", "abc"], "--grid-m"), (["--workers", "x"], "--workers"),
         (["--s-list", "abc"], "--s-list"), (["--config", "/missing.cfg"], "--config"),
         (["--format", "json"], "unrecognized arguments: --format json"),
+        (["--grid-m", "1125899906842624"], "M must be at most"),
     ],
     ids=[
         "grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative", "n-list-inf",
         "workers", "grid-m-text", "workers-text", "s-list-text", "config-missing", "format",
+        "grid-m-huge",
     ],
 )
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
@@ -357,8 +359,9 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
 
 
 def test_cache_key_digest_is_stable():
-    # the digest of the entries written by the Newton-MINRES solver with the Fourier-space finish
-    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "23f79d3df2b0e65843b0eb72"
+    # the digest of the entries written by the Newton-MINRES solver with the
+    # Fourier-space finish and the closed-form lambda(s)
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "ed299c812ccea328033393b0"
 
 
 def test_cache_replay_identical(tmp_path):

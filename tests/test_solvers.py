@@ -11,20 +11,18 @@ from fracnls.solvers import (
     ContinuationPath,
     ConvergenceError,
     continuation_in_N,
-    descend_symbol,
     el_residual,
     fractional_ground_state,
     functional_energy,
-    gradient_flow_minimize,
     lambda_of_s,
     local_ground_state,
     petviashvili_mass_constrained,
     petviashvili_solve,
-    secant_mass_constrained,
 )
 from fracnls.spectral import Profile, lp_norm, make_grid, pad_evaluate, quadratic_form
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
+from oracles import descend_symbol, gradient_flow_minimize, secant_mass_constrained
 
 
 # -- the closed form is verified before use ----------------------------------
@@ -70,16 +68,26 @@ def test_closed_form_quintic_limit():
 
 # -- lambda(s) ---------------------------------------------------------------
 
-def test_lambda_of_s_against_quadrature(lam15):
+@pytest.mark.parametrize("s", [1.1, 1.3, 1.5, 1.9])
+def test_lambda_of_s_against_quadrature(s):
+    """The closed-form mass against 40-digit arithmetic and against QUADPACK."""
+    import mpmath
     from scipy.integrate import quad
 
-    s = 1.5
     rho0, lam = lambda_of_s(s)
     amp = (s + 1.0) ** (1.0 / s)
     oracle, _ = quad(lambda x: amp * np.cosh(s * x) ** (-2.0 / s), -50.0, 50.0,
                      epsabs=1e-14, epsrel=1e-13, limit=300)
-    assert rho0 == pytest.approx(oracle, abs=1e-8)
-    assert lam == pytest.approx(lam15["lam"], rel=1e-12)
+    assert rho0 == pytest.approx(oracle, rel=1e-14)
+    with mpmath.workdps(40):
+        s_ = mpmath.mpf(s)
+        exact = (s_ + 1) ** (1 / s_) * mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 / s_) / (
+            s_ * mpmath.gamma(1 / s_ + mpmath.mpf(1) / 2)
+        )
+        lam_exact = (s_ * (s_ - 1) / 2 * exact**s_) ** (-2 / (2 - s_))
+    assert rho0 == pytest.approx(float(exact), rel=2e-15)
+    # lambda amplifies the relative error of rho0 by 2s/(2-s), 38 at s = 1.9
+    assert lam == pytest.approx(float(lam_exact), rel=1e-13)
 
 
 @pytest.mark.parametrize("length,points", [(256.0, 8192), (512.0, 16384)])

@@ -1,7 +1,11 @@
 """Source scans: every settable value of the package is set by some caller,
-and no module of the package calls a dense test oracle."""
+no module of the package calls a dense test oracle, and importing the CLI
+loads none of the scipy submodules that only some commands use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracnls
@@ -129,3 +133,87 @@ def test_no_module_calls_a_dense_oracle():
 def test_dense_scan_sees_method_calls_only():
     source = ast.parse("def dense(self):\n    pass\nm = op.dense()\nf = op.dense\nn = f()\n")
     assert _dense_calls(source) == [3]
+
+
+# loaded by the functions that use them, never at import
+LAZY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.sparse")
+
+
+def _is_under(name: str, packages) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in packages)
+
+
+def _import_time_imports(tree: ast.Module) -> list:
+    """(line, dotted name) of the imports that run when a module is imported.
+
+    Function bodies are skipped; class bodies and conditional blocks run at
+    import and are scanned.  `from a import b` gives "a.b".
+    """
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.extend((child.lineno, f"{child.module}.{alias.name}") for alias in child.names)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_no_module_imports_a_lazy_scipy_submodule_at_import():
+    # commands that never integrate, interpolate or solve a linear system
+    # should not pay for loading the code that does
+    hits = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _import_time_imports(ast.parse(path.read_text()))
+        if _is_under(name, LAZY_SCIPY)
+    ]
+    assert hits == []
+
+
+def test_import_scan_skips_function_bodies_only():
+    source = ast.parse(
+        "import scipy.fft\n"
+        "from scipy.sparse.linalg import minres\n"
+        "from scipy import linalg\n"
+        "def f():\n"
+        "    from scipy.integrate import quad\n"
+        "class K:\n"
+        "    import scipy.interpolate\n"
+        "    def m(self):\n"
+        "        import scipy.linalg\n"
+        "if True:\n"
+        "    import scipy.sparse\n"
+    )
+    names = _import_time_imports(source)
+    assert names == [
+        (1, "scipy.fft"), (2, "scipy.sparse.linalg.minres"), (3, "scipy.linalg"),
+        (7, "scipy.interpolate"), (11, "scipy.sparse"),
+    ]
+    assert [_is_under(n, LAZY_SCIPY) for _, n in names] == [False, True, True, True, True]
+
+
+def _lazy_modules_loaded_by(statement: str) -> list:
+    """The lazy scipy submodules, and scipy.optimize, in sys.modules after running `statement` afresh."""
+    probe = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    return [name for name in out.split() if _is_under(name, LAZY_SCIPY + ("scipy.optimize",))]
+
+
+def test_cli_import_loads_no_lazy_scipy_submodule():
+    assert _lazy_modules_loaded_by("import fracnls.cli") == []
+
+
+def test_module_probe_sees_a_loaded_submodule():
+    loaded = _lazy_modules_loaded_by("import scipy.interpolate")
+    assert "scipy.interpolate" in loaded and "scipy.linalg" in loaded

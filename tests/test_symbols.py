@@ -15,9 +15,7 @@ from fracnls.symbols import (
     check_lower_bound,
     kernel_constants,
     kernel_pointwise,
-    kernel_realaxis_quadrature,
     kernel_shift,
-    kernel_zero_value,
     laplace_transform,
     stationary_point,
     symbol_mbeta,
@@ -27,6 +25,7 @@ from fracnls.symbols import (
     _vertical_integrand_factory,
 )
 from conftest import smooth_random_profile
+from oracles import kernel_realaxis_quadrature, kernel_zero_value
 
 
 # -- ModelParams -------------------------------------------------------------
