@@ -47,6 +47,11 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
 
 
+# at s = 1.8 the decay length 1/sqrt(lambda(s)) is 2610, so a resolved torus
+# is of order 1e5 long; nearer s = 2, lambda(s) and kappa underflow
+_S_SOLVABLE_MAX = 1.8
+
+
 class ConfigError(ValueError):
     pass
 
@@ -85,6 +90,14 @@ class RunConfig:
             raise ConfigError("masses in the N-list must be positive and finite")
         if any(not (1.0 < s < 2.0 or (s == 2.0 and self.command == "gn-constant")) for s in self.s_list):
             raise ConfigError("s values must lie in (1, 2); gn-constant also accepts 2 for validation")
+        s = max(self.s_list)
+        if self.command != "gn-constant" and s >= _S_SOLVABLE_MAX:
+            lam = lambda_of_s(s)[1]  # underflows to 0 near s = 2
+            decay = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf
+            raise ConfigError(
+                f"s = {s:g} is past desk scale: the profile decays over 1/sqrt(lambda(s)) = {decay:.3g}; "
+                f"commands other than gn-constant need s < {_S_SOLVABLE_MAX:g}"
+            )
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
         if self.workers < 1:
@@ -400,14 +413,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return str(obj)
-
-
 def emit_outputs(record: RunRecord, config: RunConfig) -> list:
     """Write the CSV/JSON record, per-profile plot data, and the metadata file.
 
@@ -435,7 +440,7 @@ def emit_outputs(record: RunRecord, config: RunConfig) -> list:
     json_path = outdir / f"{stem}.json"
     json_path.write_text(
         json.dumps({"version": record.version, "config": record.config, "points": record.points},
-                   sort_keys=True, indent=1, default=_json_default)
+                   sort_keys=True, indent=1)
     )
     written.append(json_path)
 

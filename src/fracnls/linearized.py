@@ -15,7 +15,6 @@ is imported where it runs, so processes that never need it skip loading it.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -196,23 +195,7 @@ class LinearizedReport:
     coercivity: float  # smallest |ev| outside the kernel pair
     norm_estimate: float
     threshold: float
-    grid_length: float
-    grid_points: int
     iterations: int  # rows of LOBPCG's residual history, start and final Rayleigh-Ritz included
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-                "near_zero": [float(v) for v in self.near_zero],
-                "correlations": [float(c) for c in self.correlations],
-                "coercivity": float(self.coercivity),
-                "norm_estimate": float(self.norm_estimate),
-                "threshold": float(self.threshold),
-                "grid": {"L": self.grid_length, "M": self.grid_points},
-            },
-            indent=2,
-        )
 
 
 def _stacked_operator(op: LinearizedOperator, apply):
@@ -316,8 +299,6 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
         coercivity=coercivity,
         norm_estimate=norm_est,
         threshold=threshold,
-        grid_length=op.grid.length,
-        grid_points=op.grid.points,
         # below 5 x _BLOCK unknowns lobpcg solves densely and keeps no history
         iterations=len(history[0]) if history else 0,
     )

@@ -31,14 +31,12 @@ from .symbols import ModelParams, _rho0_lambda, symbol_nN
 
 __all__ = [
     "SolveResult",
-    "ContinuationPath",
     "ConvergenceError",
     "local_ground_state",
     "lambda_of_s",
     "petviashvili_solve",
     "petviashvili_mass_constrained",
     "fractional_ground_state",
-    "continuation_in_N",
     "el_residual",
     "functional_energy",
 ]
@@ -65,19 +63,6 @@ class SolveResult:
     method: str
     stabilization: float = np.nan  # final Petviashvili factor, when applicable
     history: dict = field(default_factory=dict, repr=False)
-
-
-@dataclass
-class ContinuationPath:
-    entries: list  # ordered (N, SolveResult)
-    s: float
-    direction: str
-
-    def masses(self):
-        return [n for n, _ in self.entries]
-
-    def multipliers(self):
-        return [r.multiplier for _, r in self.entries]
 
 
 def _nonlinear_term(values: np.ndarray, p: float) -> np.ndarray:
@@ -377,59 +362,3 @@ def fractional_ground_state(
     mass = q.mass()
     c_s = (s + 1.0) / mass**s
     return q, c_s, mass
-
-
-def continuation_in_N(
-    s: float,
-    n_list,
-    grid: SpectralGrid,
-    direction: str = "down",
-    tol: float = 1e-10,
-    mass_threshold: float | None = None,
-) -> ContinuationPath:
-    """Solve along a mass path, seeding each mass-constrained solve from its neighbor.
-
-    direction "down": descending masses, Gaussian seed at the largest N.
-    direction "up": ascending masses, seeded from the closed-form local
-    profile (the N -> 0 limit shape).  Both variants must agree after gauge
-    fixing; that uniqueness probe lives in the test suite.
-    """
-    n_list = list(n_list)
-    if direction == "down":
-        n_sorted = sorted(n_list, reverse=True)
-        seed = None  # Gaussian default inside the first solve
-    elif direction == "up":
-        n_sorted = sorted(n_list)
-        seed = local_ground_state(s, lambda_of_s(s)[1], grid)
-    else:
-        raise ValueError("direction must be 'down' or 'up'")
-    if mass_threshold is not None:
-        over = [n for n in n_sorted if n >= mass_threshold]
-        if over:
-            raise ValueError(f"masses {over} are not below the threshold {mass_threshold}")
-
-    entries = []
-    prev_prof = seed
-    for n in n_sorted:
-        prm = ModelParams(s, 0.0, n)
-        init = prev_prof
-        if init is None:
-            init = Profile(grid, np.exp(-grid.x**2) * math.sqrt(prm.s0))
-        try:
-            res = petviashvili_mass_constrained(grid, prm, init=init, tol=tol)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"continuation aborted at N={n}: {exc}",
-                {"partial_path": entries, "failed_N": n},
-            ) from exc
-        if entries:
-            prev = entries[-1][1].profile.values
-            rel = np.linalg.norm(res.profile.values - prev) / np.linalg.norm(prev)
-            if rel > 0.5:
-                raise ConvergenceError(
-                    f"continuation step too large at N={n}: relative change {rel:.2f}",
-                    {"partial_path": entries, "failed_N": n},
-                )
-        entries.append((n, res))
-        prev_prof = res.profile
-    return ContinuationPath(entries, s, direction)

@@ -71,24 +71,6 @@ class SpectralGrid:
         """Inverse of :meth:`fourier_coefficients`."""
         return (SQRT_2PI / self.h) * ifft(coeffs * np.conj(self._phase))
 
-    def sample(self, fn) -> np.ndarray:
-        return np.asarray(fn(self.x), dtype=complex)
-
-    def is_compatible(self, other: "SpectralGrid") -> bool:
-        return (
-            self.points == other.points
-            and abs(self.length - other.length) <= 1e-12 * self.length
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, SpectralGrid) and self.is_compatible(other)
-
-    def __hash__(self):
-        return hash((round(self.length, 12), self.points))
-
-    def __repr__(self):
-        return f"SpectralGrid(L={self.length:g}, M={self.points})"
-
 
 def fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Raw index-space DFT along `axis` (no normalization); the one transform backend.
@@ -134,23 +116,10 @@ class Profile:
     def spectrum(self) -> np.ndarray:
         return self.grid.fourier_coefficients(self.values)
 
-    def __add__(self, other: "Profile") -> "Profile":
-        _check_same_grid(self, other)
-        return Profile(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Profile") -> "Profile":
-        _check_same_grid(self, other)
-        return Profile(self.grid, self.values - other.values)
-
     def __mul__(self, c) -> "Profile":
         return Profile(self.grid, self.values * c)
 
     __rmul__ = __mul__
-
-
-def _check_same_grid(u: Profile, v: Profile):
-    if not u.grid.is_compatible(v.grid):
-        raise GridError(f"grid mismatch: {u.grid} vs {v.grid}")
 
 
 def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
@@ -172,12 +141,6 @@ def apply_multiplier(u: Profile, sigma) -> Profile:
     """
     vals = multiplier_values(u.grid, sigma)
     return Profile(u.grid, ifft(vals * fft(u.values)), u.gauge)
-
-
-def inner(u: Profile, v: Profile) -> complex:
-    """L2 inner product <u, v> = integral u conj(v)."""
-    _check_same_grid(u, v)
-    return complex(u.grid.h * np.sum(u.values * np.conj(v.values)))
 
 
 def lp_norm(u: Profile, p: float) -> float:
@@ -202,35 +165,8 @@ def quadratic_form(u: Profile, sigma) -> complex:
     return complex(np.sum(vals * np.abs(coeffs) ** 2) * u.grid.dxi)
 
 
-def norms_and_products(u: Profile, v: Profile, s: float | None = None, sigma=None) -> dict:
-    """Bundle of the quadratic quantities used by the energy functionals."""
-    _check_same_grid(u, v)
-    out = {
-        "inner": inner(u, v),
-        "l2": lp_norm(u, 2.0),
-        "h0": sobolev_norm(u, 0.0),
-        "h1": sobolev_norm(u, 1.0),
-        "h2": sobolev_norm(u, 2.0),
-    }
-    if s is not None:
-        out["lp"] = lp_norm(u, 2.0 * s + 2.0)
-        out["hs2"] = sobolev_norm(u, s / 2.0)
-    if sigma is not None:
-        out["quad_form"] = quadratic_form(u, sigma)
-    return out
-
-
 def derivative(u: Profile) -> Profile:
     return apply_multiplier(u, 1j * u.grid.xi)
-
-
-def spectral_interpolate(u: Profile, x: np.ndarray) -> np.ndarray:
-    """Evaluate the band-limited interpolant of u at arbitrary points."""
-    coeffs = u.spectrum()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    # direct evaluation of the truncated Fourier series
-    ph = np.exp(1j * np.outer(x, u.grid.xi))
-    return (ph @ coeffs) * u.grid.dxi / SQRT_2PI
 
 
 def translate(u: Profile, a: float) -> Profile:

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .asymptotics_roots import find_root_translated, n_series
-from .spectral import SQRT_2PI, Profile, SpectralGrid, apply_multiplier
+from .spectral import SQRT_2PI, SpectralGrid
 
 __all__ = [
     "ModelParams",
@@ -79,10 +79,6 @@ class ModelParams:
     @property
     def s0(self) -> float:
         return (self.s * (self.s - 1.0) / 2.0) ** (-1.0 / self.s)
-
-    @property
-    def rho0(self) -> float:
-        return _rho0_lambda(self.s)[0]
 
     @property
     def lam(self) -> float:
@@ -199,7 +195,7 @@ def kernel_constants(params: ModelParams, theta: float | None = None) -> dict:
 
 @dataclass
 class KernelField:
-    """Grid samples of m_N = Finv(1/(n_N + theta)) plus convolution handles.
+    """Grid samples of m_N = Finv(1/(n_N + theta)), with the symbol n_N + theta on the grid.
 
     Grid samples are the periodized kernel; tail comparisons beyond |x| = L/4
     must use the pointwise evaluator instead (periodization bias is
@@ -211,14 +207,6 @@ class KernelField:
     grid: SpectralGrid
     values: np.ndarray = field(repr=False)
     symbol: np.ndarray = field(repr=False)
-
-    def convolve(self, u: Profile) -> Profile:
-        """Spectral convolution: identical to applying 1/(n_N + theta)."""
-        return apply_multiplier(u, 1.0 / self.symbol)
-
-    def export_csv(self, path) -> None:
-        data = np.column_stack([self.grid.x, self.values.real, self.values.imag])
-        np.savetxt(path, data, header="x re_mN im_mN", comments="# ")
 
 
 def build_kernel(grid: SpectralGrid, params: ModelParams, theta: float) -> KernelField:

@@ -10,7 +10,9 @@ package computes another way:
   mass-projected descent on the energy, a second solver;
 - `kernel_zero_value` and `kernel_realaxis_quadrature`: the kernel m_N by
   QUADPACK on the real axis (the package deforms the contour);
-- `local_dense`: the local-limit operators L+/L- as dense matrices.
+- `local_dense`: the local-limit operators L+/L- as dense matrices;
+- `spectral_interpolate`: the band-limited interpolant summed directly
+  as a Fourier series (the package translates by a spectral phase).
 
 `symbols._laplace_quad` and `LinearizedOperator.dense` are oracles too, but
 stay in the package while the benchmark's tracer wraps them there.
@@ -276,3 +278,15 @@ def local_dense(op: LocalOperator) -> np.ndarray:
     """The real M x M matrix of a local-limit operator L+ or L-."""
     col = ifft(op.grid.xi**2 + op.lam).real
     return circulant(col) - np.diag(op.potential)
+
+
+# -- interpolation ---------------------------------------------------------------
+
+
+def spectral_interpolate(u: Profile, x: np.ndarray) -> np.ndarray:
+    """Evaluate the band-limited interpolant of u at arbitrary points."""
+    coeffs = u.spectrum()
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    # direct evaluation of the truncated Fourier series
+    ph = np.exp(1j * np.outer(x, u.grid.xi))
+    return (ph @ coeffs) * u.grid.dxi / SQRT_2PI

@@ -73,11 +73,15 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
         (["--s-list", "abc"], "--s-list"), (["--config", "/missing.cfg"], "--config"),
         (["--format", "json"], "unrecognized arguments: --format json"),
         (["--grid-m", "1125899906842624"], "M must be at most"),
+        # s >= 1.8 is past desk scale; nearer 2, lambda(s) and kappa underflow
+        (["--s-list", "1.8"], "s = 1.8 is past desk scale"),
+        (["--s-list", "1.5,1.95", "--grid-m", "256"], "s = 1.95 is past desk scale"),
+        (["--s-list", "1.999", "--grid-m", "256"], "1/sqrt(lambda(s)) = inf"),
     ],
     ids=[
         "grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative", "n-list-inf",
         "workers", "grid-m-text", "workers-text", "s-list-text", "config-missing", "format",
-        "grid-m-huge",
+        "grid-m-huge", "s-1.8", "s-1.95", "s-1.999",
     ],
 )
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
@@ -483,6 +487,13 @@ def test_gn_constant_quintic_validation(tmp_path):
             "--output-dir", str(tmp_path / "out"),
         ]
     )
+    assert code == EXIT_OK
+
+
+def test_gn_constant_is_open_past_desk_scale(tmp_path):
+    # gn-constant solves no traveling wave, so the s >= 1.8 refusal spares it
+    code = main(["gn-constant", "--s-list", "1.9", "--cache-dir", str(tmp_path / "cache"),
+                 "--output-dir", str(tmp_path / "out")])
     assert code == EXIT_OK
 
 

@@ -1,6 +1,5 @@
 """Linearized operator: kernel structure, coercivity, constrained solve."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -200,12 +199,6 @@ def test_kernel_diagnostics_two_dimensional(report10):
     assert np.all(np.diff(report10.eigenvalues) >= 0)
 
 
-def test_kernel_diagnostics_json(report10):
-    payload = json.loads(report10.to_json())
-    assert payload["grid"]["M"] == 1024
-    assert len(payload["eigenvalues"]) == 6
-
-
 def _assert_matches_dense(op, report, evals, evecs):
     assert np.max(np.abs(report.eigenvalues - evals[:6])) <= 1e-10
     order = np.argsort(np.abs(evals))
@@ -257,14 +250,14 @@ def test_coarse_start_halves_readme_grid_iterations():
     # the README linearize grid at s = 1.4 took 112 from a seeded random start block
     report = kernel_diagnostics(_linearized_at(1.4, 0.1, 128.0, 1024))
     assert 0 < report.iterations <= 56
-    assert "iterations" not in json.loads(report.to_json())
 
 
 def test_kernel_diagnostics_bitwise_repeatable(op10, report10):
     again = kernel_diagnostics(op10)
-    assert again.to_json() == report10.to_json()
-    assert np.array_equal(again.eigenvalues, report10.eigenvalues)
-    assert again.correlations == report10.correlations
+    for name in ("eigenvalues", "near_zero", "correlations"):
+        assert np.array_equal(getattr(again, name), getattr(report10, name))
+    for name in ("coercivity", "norm_estimate", "threshold", "iterations"):
+        assert getattr(again, name) == getattr(report10, name)
 
 
 def test_kernel_diagnostics_rejects_unconverged(op10, monkeypatch):

