@@ -26,7 +26,7 @@ from .symbols import (
     kernel_pointwise,
     kernel_shift,
     laplace_transform,
-    _residue_data,
+    residue_data,
 )
 
 __all__ = [
@@ -63,11 +63,6 @@ class RootResult:
         return im_ok and self.y.real > -1.0
 
 
-def f1_value(y: complex, params: ModelParams, theta: float) -> complex:
-    """f1 = (y+1)^s - s y - 1 + (s(s-1)/2) N^{2s/(2-s)} theta, principal branch."""
-    return complex(n_analytic(y, params.s)) + kernel_shift(params, theta)
-
-
 def find_root_f1(sign: str, params: ModelParams, theta: float) -> RootResult:
     """The unique root of f1 in its half-plane region.
 
@@ -75,6 +70,8 @@ def find_root_f1(sign: str, params: ModelParams, theta: float) -> RootResult:
     the translated variable, then a complex Newton polish; the lower-sign
     root is the conjugate of the upper one for real theta.  A missing sign
     change reports the mass-threshold failure with both endpoint values.
+    The residual is |f1(y)|, f1 = (y+1)^s - s y - 1 + kernel_shift on the
+    principal branch.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -85,7 +82,7 @@ def find_root_f1(sign: str, params: ModelParams, theta: float) -> RootResult:
     if sign == "-":
         y = np.conj(y)
         y_t = np.conj(y_t)
-    res = abs(f1_value(y, params, theta))
+    res = abs(complex(n_analytic(y, s)) + c)
     return RootResult(
         sign=sign,
         y=complex(y),
@@ -158,8 +155,6 @@ def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> dict:
         "winding": winding,
         "on_axis_min": on_axis_min,
         "off_axis_min": off_axis_min,
-        "constant_term": s - 1.0 + c,
-        "box": _F2_BOX,
     }
     if winding != 0:
         raise RuntimeError(f"argument principle found roots: winding = {winding}, report {report}")
@@ -178,6 +173,14 @@ def _crossover(c1: float, rate: float, alg_coeff: float, power: float) -> float:
     return math.sqrt(lo * hi)
 
 
+def _oscillation_frequency(params: ModelParams, theta: float, x0: float) -> float:
+    """Phase slope of the kernel's branch-cut part over nine points from x0, resolving 2 pi kappa."""
+    dx = math.pi * params.kappa / 4.0
+    cluster = x0 + dx * np.arange(9)
+    phases = np.unwrap(np.angle(kernel_pointwise(cluster, params, theta, parts=True)[2]))
+    return abs(float(np.polyfit(cluster, phases, 1)[0]))
+
+
 def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
     """Compare the kernel against its two-scale expansion.
 
@@ -189,7 +192,7 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
     """
     s = params.s
     lam = params.lam
-    kc = kernel_constants(params, theta)
+    kc = kernel_constants(params)
     c1 = kc["C1"]
     rate = math.sqrt(lam)
     alg = kc["c2_envelope"] * kc["n_power"]
@@ -214,26 +217,17 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
     alg_exponent = -float(coef[0])
     alg_coefficient = float(np.exp(coef[1]))
     envelope_ratio = alg_coefficient / alg
-    # oscillation frequency: phase slope over a cluster resolving 2 pi / kappa
-    x0 = 3.0 * x_cross
-    dx = math.pi * params.kappa / 4.0
-    cluster = x0 + dx * np.arange(9)
-    phases = np.unwrap(np.angle(kernel_pointwise(cluster, params, theta, parts=True)[2]))
-    freq = abs(float(np.polyfit(cluster, phases, 1)[0]))
     return {
         "C1": c1,
-        "decay_rate_model": rate,
         "exp_window": (x_lo, x_dom),
         "exp_window_deviation": exp_window_dev,
         "crossover": x_cross,
-        "far_window": (float(xs_far[0]), float(xs_far[-1])),
         "alg_exponent": alg_exponent,
-        "alg_exponent_model": power,
         "alg_coefficient": alg_coefficient,
         "alg_coefficient_model": alg,
         "envelope_ratio": envelope_ratio,
-        "oscillation_frequency": freq,
-        "oscillation_frequency_model": 1.0 / params.kappa,
+        "oscillation_frequency": _oscillation_frequency(params, theta, 3.0 * x_cross),
+        "oscillation_frequency_model": kc["oscillation_frequency"],
     }
 
 
@@ -253,7 +247,7 @@ class _KernelTail:
 
         self.s = params.s
         self.kappa = params.kappa
-        self.pref, root, damp = _residue_data(params, theta)
+        self.pref, root, damp = residue_data(params, theta)
         self.residue_amp = self.pref * 2.0 * np.pi * 1j / damp
         self.residue_rate = 1j * root / self.kappa  # Re < 0: the residue part decays in |w|
         xs = np.geomspace(max(x_min, 1e-8), x_max, 160)
@@ -353,14 +347,12 @@ class TailFit:
     alg_coefficient: float
     alg_coefficient_model: float
     oscillation_frequency: float
-    window_exp: tuple
     window_far: tuple
     exp_fit_residual: float
     alg_fit_residual: float
     n_samples: tuple
     decay_bound: dict
     _far_remainder: Callable[[], float] = field(repr=False, compare=False)
-    profile_mass: float = np.nan
 
     @functools.cached_property
     def far_remainder_max(self) -> float:
@@ -392,14 +384,12 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     s = params.s
     lam = params.lam
     rate_model = math.sqrt(lam)
-    kc = kernel_constants(params, result.multiplier)
+    kc = kernel_constants(params)
     fixed, _, _ = gauge_fix(result.profile)
     grid = fixed.grid
     moment = _local_nonlinearity_moment(local_r, s, rate_model)
     amp_oracle = kc["C1"] / SQRT_2PI * moment
-    alg_model = kc["c2_envelope"] / SQRT_2PI * kc["n_power"] * abs(
-        float(local_r.grid.h * np.sum(np.abs(local_r.values) ** (2.0 * s + 1.0)))
-    )
+    alg_model = kc["c2_envelope"] / SQRT_2PI * kc["n_power"] * _local_nonlinearity_moment(local_r, s, 0.0)
     x_cross = _crossover(amp_oracle, rate_model, alg_model, s + 1.0)
     x_hi = min(grid.length / 4.0, 0.8 * x_cross)
     x_lo = 2.0 / rate_model
@@ -419,10 +409,7 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     xs_far = np.geomspace(max(3.0 * x_cross, grid.length / 3.0), 8.0 * x_cross, 24)
     x_bound = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
 
-    def alg_part(xs):
-        return kernel_pointwise(xs, params, result.multiplier, parts=True)[2]
-
-    alg_term = alg_part(xs_far) * g_int / SQRT_2PI
+    alg_term = kernel_pointwise(xs_far, params, result.multiplier, parts=True)[2] * g_int / SQRT_2PI
     coef_a, res_a, *_ = np.polyfit(np.log(xs_far), np.log(np.abs(alg_term)), 1, full=True)
     alg_exponent = -float(coef_a[0])
     alg_coefficient = float(np.exp(coef_a[1]))
@@ -433,13 +420,6 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
         rec = far_field_reconstruction(fixed, kern, xs_far)
         return float(np.max(np.abs(rec - exp_amp * np.exp(-exp_rate * xs_far))))
 
-    # frozen-phase oscillation frequency, from the kernel branch-cut phase
-    x0 = float(xs_far[0])
-    dx = math.pi * params.kappa / 4.0
-    cluster = x0 + dx * np.arange(9)
-    phases = np.unwrap(np.angle(alg_part(cluster)))
-    freq = abs(float(np.polyfit(cluster, phases, 1)[0]))
-
     return TailFit(
         exp_rate=exp_rate,
         exp_amplitude=exp_amp,
@@ -447,15 +427,14 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
         alg_exponent=alg_exponent,
         alg_coefficient=alg_coefficient,
         alg_coefficient_model=alg_model,
-        oscillation_frequency=freq,
-        window_exp=(float(x_lo), float(x_hi)),
+        # frozen-phase oscillation frequency, from the kernel branch-cut phase
+        oscillation_frequency=_oscillation_frequency(params, result.multiplier, float(xs_far[0])),
         window_far=(float(xs_far[0]), float(xs_far[-1])),
         exp_fit_residual=exp_resid,
         alg_fit_residual=alg_resid,
         n_samples=(int(mask.sum()), len(xs_far)),
         decay_bound=decay_bound_check(fixed, params, x_bound, far_field_reconstruction(fixed, kern, x_bound)),
         _far_remainder=far_remainder,
-        profile_mass=fixed.mass(),
     )
 
 
@@ -470,14 +449,13 @@ def decay_bound_check(fixed: Profile, params: ModelParams, x_far: np.ndarray, fa
     """
     s = params.s
     lam = params.lam
-    npow = params.N ** (s * (2.0 + s) / (2.0 - s))
+    npow = kernel_constants(params)["n_power"]
     grid = fixed.grid
     mask = np.abs(grid.x) <= grid.length / 4.0
     xs = grid.x[mask]
     vals = np.abs(fixed.values[mask])
     bound = np.exp(-math.sqrt(lam) * np.abs(xs)) + npow / (1.0 + np.abs(xs) ** (s + 1.0))
-    ratios = vals / bound
-    c_grid = float(np.max(ratios))
+    c_grid = float(np.max(vals / bound))
     x_far = np.abs(np.asarray(x_far, dtype=float))
     bound_far = np.exp(-math.sqrt(lam) * x_far) + npow / (1.0 + x_far ** (s + 1.0))
     c_far = float(np.max(np.abs(far) / bound_far))
@@ -485,6 +463,5 @@ def decay_bound_check(fixed: Profile, params: ModelParams, x_far: np.ndarray, fa
         "C_min": max(c_grid, c_far),
         "C_grid": c_grid,
         "C_far": c_far,
-        "argmax_on_grid": float(xs[np.argmax(ratios)]),
         "n_power": npow,
     }

@@ -34,7 +34,7 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             "N": repr(float(mass)),
             "L": repr(float(length)),
             "M": int(points),
-            "method": "petviashvili",  # the one cached method; kept so existing keys hold
+            "method": "petviashvili",  # a constant of every key; dropping it would change every digest
             "tol": repr(float(tol)),
             # the mass-constrained algorithm, its finish and its lambda(s):
             # entries of the secant solver, of the finish that transformed
@@ -79,7 +79,6 @@ def store_result(cache_dir, key: str, result: SolveResult, s: float, mass: float
         "energy": result.energy,
         "iterations": result.iterations,
         "converged": result.converged,
-        "method": result.method,
         "stabilization": None if np.isnan(result.stabilization) else result.stabilization,
     }
     _write_atomically(cache_dir / f"{key}.json", lambda tmp: tmp.write_text(json.dumps(meta, sort_keys=True)))
@@ -98,7 +97,6 @@ def load_result(cache_dir, key: str) -> SolveResult | None:
             energy=meta["energy"],
             iterations=meta["iterations"],
             converged=meta["converged"],
-            method=meta["method"],
             stabilization=np.nan if meta["stabilization"] is None else meta["stabilization"],
         )
     except (OSError, ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError

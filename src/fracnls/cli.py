@@ -32,14 +32,9 @@ from .asymptotics import find_root_f1, kernel_expansion_check, tail_fit, verify_
 from .cache import cached_solve, default_cache_dir
 from .linearized import build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
-from .solvers import (
-    fractional_ground_state,
-    lambda_of_s,
-    local_ground_state,
-    petviashvili_mass_constrained,
-)
+from .solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
 from .spectral import Profile, make_grid
-from .symbols import ModelParams
+from .symbols import ModelParams, lambda_of_s
 
 EXIT_OK = 0
 EXIT_CRITERION_FAIL = 1
@@ -169,6 +164,17 @@ def _solution(config: RunConfig, s: float, n: float):
     return result, params
 
 
+def _solve_fields(result, lam: float) -> dict:
+    """The multiplier, its gap to lambda(s), residual and energy of a solve."""
+    return {
+        "theta": result.multiplier,
+        "lambda_s": lam,
+        "theta_gap": abs(result.multiplier - lam),
+        "residual": result.residual,
+        "energy": result.energy,
+    }
+
+
 def _local_limit(config: RunConfig, s: float):
     """lambda(s) and the local ground state that small-mass profiles approach."""
     _, lam = lambda_of_s(s)
@@ -187,13 +193,8 @@ def _solve_stage(config: RunConfig, s: float, n: float) -> dict:
     (Path(config.output_dir) / plot_rel).mkdir(parents=True, exist_ok=True)
     plot_file = plot_rel / f"profile-s{s:g}-N{n:g}.dat"
     emit_profile_plotdata(result.profile, Path(config.output_dir) / plot_file)
-    _, lam = lambda_of_s(s)
     return {
-        "theta": result.multiplier,
-        "lambda_s": lam,
-        "theta_gap": abs(result.multiplier - lam),
-        "residual": result.residual,
-        "energy": result.energy,
+        **_solve_fields(result, lambda_of_s(s)[1]),
         "iterations": result.iterations,
         "plot_data": str(plot_file),
         "checks": {
@@ -208,12 +209,8 @@ def _th2_stage(config: RunConfig, s: float, n: float) -> dict:
     result, _ = _solution(config, s, n)
     fixed, _, _ = gauge_fix(result.profile)
     return {
-        "theta": result.multiplier,
-        "lambda_s": lam,
-        "theta_gap": abs(result.multiplier - lam),
+        **_solve_fields(result, lam),
         "profile_distance": float(_l2(config.grid, fixed.values - base.values) / _l2(config.grid, base.values)),
-        "residual": result.residual,
-        "energy": result.energy,
         "checks": {"el_residual": _check(result.residual, 1e-8)},
     }
 

@@ -5,9 +5,10 @@ complex-linear, so the operator is represented on stacked (Re f, Im f)
 coordinates, where it is a real symmetric operator: spectral symbol blocks
 (even part symmetric, odd part antisymmetric) plus pointwise potentials.
 Eigenanalysis, the two symmetry null directions, coercivity diagnostics,
-and the constrained linear solve of the uniqueness argument live here.
-Both run matrix-free (LOBPCG and MINRES, preconditioned by the inverse of
-the positive symbol n_N + theta); LOBPCG starts from the lowest eigenvectors
+the constrained linear solve of the uniqueness argument and the bordered
+solve of the solver's Newton steps live here.  All run matrix-free (LOBPCG
+and MINRES, preconditioned by the inverse of the positive symbol
+n_N + theta); LOBPCG starts from the lowest eigenvectors
 of the same linearization on a coarse grid, brought to the grid by zero
 padding.  The dense matrix is a small-grid test oracle.  scipy.sparse.linalg
 is imported where it runs, so processes that never need it skip loading it.
@@ -43,6 +44,7 @@ __all__ = [
     "local_limit_operators",
     "kernel_diagnostics",
     "constrained_solve",
+    "bordered_solve",
     "LocalOperator",
     "DENSE_MAX_POINTS",
 ]
@@ -198,11 +200,11 @@ class LinearizedReport:
     iterations: int  # rows of LOBPCG's residual history, start and final Rayleigh-Ritz included
 
 
-def _stacked_operator(op: LinearizedOperator, apply):
+def _operator(n: int, apply):
+    """The real n x n LinearOperator of `apply`; LOBPCG also applies it to blocks of columns."""
     from scipy.sparse.linalg import LinearOperator
 
-    n2 = 2 * op.grid.points
-    return LinearOperator((n2, n2), matvec=apply, matmat=apply, dtype=float)
+    return LinearOperator((n, n), matvec=apply, matmat=apply, dtype=float)
 
 
 _BLOCK = 8  # LOBPCG block width; the lowest _KEEP of its eigenpairs are reported
@@ -211,7 +213,7 @@ _COARSE_POINTS = 128  # grid of the start block's dense eigensolve (a 256 x 256 
 _EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
 _EIG_MAXITER = 400  # README grid: 6, 30, 165, 362 iterations at s = 1.5, 1.4, 1.3, 1.2
 _KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
-_MINRES_RTOL = 1e-13
+_MINRES_RTOL = 1e-13  # constrained_solve's tolerance; Newton steps pass their own
 _MINRES_MAXITER = 1000
 _OVERLAP_TOL = 1e-8  # relative symmetry overlap above which a right-hand side is projected
 
@@ -253,15 +255,16 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     """
     from scipy.sparse.linalg import lobpcg
 
+    n2 = 2 * op.grid.points
     # operator-norm bound max(n_N + theta) + ||v1||_inf + ||w||_inf
     norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
     threshold = _KERNEL_REL_THRESHOLD * norm_est
     with warnings.catch_warnings():  # convergence is checked below, not by lobpcg's warning
         warnings.simplefilter("ignore", UserWarning)
         evals, evecs, *history = lobpcg(
-            _stacked_operator(op, op.apply_stacked),
+            _operator(n2, op.apply_stacked),
             _coarse_start(op),
-            M=_stacked_operator(op, op.solve_symbol_stacked),
+            M=_operator(n2, op.solve_symbol_stacked),
             # a tenth of the acceptance residual: lobpcg locks a column at its
             # own tol, and a locked residual can drift slightly past it
             tol=0.1 * _EIG_TOL * norm_est,
@@ -332,12 +335,13 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
             info["projected"] = True
     if info["projected"]:
         f_vec = project(f_vec)
+    n2 = f_vec.size
     sol, status = minres(
-        _stacked_operator(op, lambda v: project(op.apply_stacked(project(v)))),
+        _operator(n2, lambda v: project(op.apply_stacked(project(v)))),
         project(f_vec),
         rtol=_MINRES_RTOL,
         maxiter=_MINRES_MAXITER,
-        M=_stacked_operator(op, lambda v: project(op.solve_symbol_stacked(project(v)))),
+        M=_operator(n2, lambda v: project(op.solve_symbol_stacked(project(v)))),
     )
     if status != 0:
         raise RuntimeError(f"MINRES on the constrained complement did not converge (status {status})")
@@ -352,3 +356,50 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
         h * float(_stack(f) @ c2),
     )
     return f_prof, info
+
+
+def bordered_solve(op: LinearizedOperator, f: np.ndarray, mass_residual: float, rtol: float):
+    """The Newton step (du or None, dtheta, MINRES iterations) at op's profile R and multiplier.
+
+    Solves L du + dtheta R = -f, R^T du = -mass_residual in stacked
+    coordinates: MINRES on the symmetric bordered matrix [[L, R], [R^T, 0]],
+    preconditioned by the positive diag(1/(n_N + theta), 1/(R^T (n_N + theta)^{-1} R)).
+    du is None when MINRES fails to reach rtol in _MINRES_MAXITER iterations.
+
+    iR and dR/dx are near-null at the iterate (eigenvalues of the order of
+    the residual).  Left in, MINRES roundoff grows a phase and translation
+    drift there, far above the step, which costs mass at second order and
+    inflates the solution norm that MINRES's stopping test divides by.  So,
+    as in constrained_solve, the iterates stay on their orthogonal
+    complement; neither direction changes the solution.
+    """
+    from scipy.sparse.linalg import minres
+
+    rhs = -np.append(_stack(f), mass_residual)
+    r = _stack(op.profile.values)
+    n = rhs.size
+    project = op.complement_projector()
+    schur = float(r @ op.solve_symbol_stacked(r))
+
+    def matvec(x):
+        v = project(x[:-1])
+        return np.append(project(op.apply_stacked(v) + x[-1] * r), r @ v)
+
+    def precond(x):
+        return np.append(project(op.solve_symbol_stacked(project(x[:-1]))), x[-1] / schur)
+
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    sol, status = minres(
+        _operator(n, matvec),
+        np.append(project(rhs[:-1]), rhs[-1]),
+        rtol=rtol,
+        maxiter=_MINRES_MAXITER,
+        M=_operator(n, precond),
+        callback=count,
+    )
+    return (_unstack(sol[:-1]) if status == 0 else None), float(sol[-1]), iters

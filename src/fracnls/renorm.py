@@ -8,7 +8,7 @@ gauge fixing that quotients the phase/translation symmetry.
 Dilations are implemented by reinterpreting the grid metadata (exact and
 lossless); the drift modulation is exact on the torus only when the grid
 length is a multiple of 2 pi, otherwise the modulation frequency is
-snapped to the nearest lattice point and the snap is reported.
+snapped to the nearest lattice point, and a snap beyond _SNAP_TOL is refused.
 """
 
 from __future__ import annotations
@@ -18,22 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Profile, SpectralGrid, lp_norm, quadratic_form, translate
-from .symbols import ModelParams
+from .spectral import Profile, SpectralGrid, translate
+from .symbols import ModelParams, kernel_shift
 
 __all__ = [
     "MultiplierTriple",
-    "TauBetaSnap",
     "tau_beta",
     "tau_beta_inverse",
-    "tau_beta_snap",
     "scale_S_to_R",
     "scale_R_to_S",
     "full_map_Q_to_R",
     "convert_multipliers",
     "gauge_fix",
-    "energy_beta",
-    "energy_reduced",
 ]
 
 
@@ -63,7 +59,7 @@ class MultiplierTriple:
         s = self.params.s
         xs = self.params.xi_star
         g = xs**s * (self.eta + s - 1.0)
-        e = 0.5 * s * (s - 1.0) * self.params.kappa**2 * self.theta
+        e = kernel_shift(self.params, self.theta)
         ok_g = abs(g - self.gamma) <= _TRIPLE_RTOL * max(1.0, abs(self.gamma))
         ok_e = abs(e - self.eta) <= _TRIPLE_RTOL * max(1.0, abs(self.eta))
         return ok_g and ok_e
@@ -83,9 +79,9 @@ def convert_multipliers(
     if gamma is not None and params.beta <= 0.0:
         raise ValueError("gamma-involving conversions need beta > 0")
     xs = params.xi_star
-    mass_factor = 0.5 * s * (s - 1.0) * params.kappa**2
+    mass_factor = kernel_shift(params, 1.0)
     if theta is not None:
-        eta = mass_factor * theta
+        eta = kernel_shift(params, theta)
         gamma = xs**s * (eta + s - 1.0)
     elif eta is not None:
         theta = eta / mass_factor
@@ -96,39 +92,26 @@ def convert_multipliers(
     return MultiplierTriple(float(gamma), float(eta), float(theta), params)
 
 
-@dataclass
-class TauBetaSnap:
-    """Report of the drift-frequency lattice snap."""
-
-    xi_star: float
-    xi_star_snapped: float
-    beta_snapped: float
-    relative_shift: float
-
-
-def _lattice_factor(source_length: float) -> float:
+def _lattice_factor(params: ModelParams, source_length: float) -> float:
     """Nearest lattice-compatible modulation frequency, in units of the ideal 1.
 
     The drift phase at the source nodes is e^{i x_j}; on the torus that is a
     pure frequency shift iff L is a multiple of 2 pi.  Otherwise the
-    frequency is snapped to (2 pi m / L) with m = round(L / 2 pi).
+    frequency is snapped to (2 pi m / L) with m = round(L / 2 pi); a snap
+    beyond _SNAP_TOL, or beta = 0, is refused.
     """
-    m = max(1, round(source_length / (2.0 * math.pi)))
-    return 2.0 * math.pi * m / source_length
-
-
-def tau_beta_snap(params: ModelParams, grid: SpectralGrid) -> TauBetaSnap:
-    """Report the lattice snap of the drift frequency on this source grid."""
     if params.beta <= 0.0:
         raise ValueError("tau_beta needs beta > 0 (xi* = 0 is degenerate)")
-    xs = params.xi_star
-    factor = _lattice_factor(grid.length)
-    xs_snap = xs * factor
-    beta_snap = 0.5 * params.s * xs_snap ** (params.s - 1.0)
-    return TauBetaSnap(xs, xs_snap, beta_snap, abs(factor - 1.0))
+    m = max(1, round(source_length / (2.0 * math.pi)))
+    factor = 2.0 * math.pi * m / source_length
+    if abs(factor - 1.0) > _SNAP_TOL:
+        raise ValueError(
+            f"xi* off-lattice: snap of {abs(factor - 1.0):.3%} exceeds tolerance {_SNAP_TOL:.3%}"
+        )
+    return factor
 
 
-def tau_beta(u: Profile, params: ModelParams, snap_tol: float = _SNAP_TOL) -> Profile:
+def tau_beta(u: Profile, params: ModelParams) -> Profile:
     """(tau_beta u)(x) = (xi*)^{1/2} e^{i xi* x} u(xi* x), mass preserving.
 
     The dilation is a metadata reinterpretation (new torus length L/xi*);
@@ -136,28 +119,18 @@ def tau_beta(u: Profile, params: ModelParams, snap_tol: float = _SNAP_TOL) -> Pr
     ones and is snapped to the source lattice, so the transform is exact
     whenever L is a multiple of 2 pi.
     """
-    snap = tau_beta_snap(params, u.grid)
-    if snap.relative_shift > snap_tol:
-        raise ValueError(
-            f"xi* off-lattice: snap of {snap.relative_shift:.3%} exceeds tolerance {snap_tol:.3%}"
-        )
+    factor = _lattice_factor(params, u.grid.length)
     xs = params.xi_star
     new_grid = SpectralGrid(u.grid.length / xs, u.grid.points)
-    phase = np.exp(1j * _lattice_factor(u.grid.length) * u.grid.x)
+    phase = np.exp(1j * factor * u.grid.x)
     return Profile(new_grid, math.sqrt(xs) * phase * u.values, u.gauge)
 
 
 def tau_beta_inverse(q: Profile, params: ModelParams) -> Profile:
     """Inverse drift transform: u(y) = (xi*)^{-1/2} e^{-i y} q(y / xi*)."""
     xs = params.xi_star
-    if xs <= 0.0:
-        raise ValueError("tau_beta needs beta > 0 (xi* = 0 is degenerate)")
     source_length = q.grid.length * xs
-    factor = _lattice_factor(source_length)
-    if abs(factor - 1.0) > _SNAP_TOL:
-        raise ValueError(
-            f"xi* off-lattice: snap of {abs(factor - 1.0):.3%} exceeds tolerance {_SNAP_TOL:.3%}"
-        )
+    factor = _lattice_factor(params, source_length)
     new_grid = SpectralGrid(source_length, q.grid.points)
     phase = np.exp(-1j * factor * new_grid.x)
     return Profile(new_grid, phase * q.values / math.sqrt(xs), q.gauge)
@@ -209,24 +182,3 @@ def gauge_fix(u: Profile) -> tuple[Profile, float, float]:
     phase = float(np.angle(zero_mode)) if zero_mode != 0 else 0.0
     fixed = Profile(u.grid, centered.values * np.exp(-1j * phase), gauge="fixed")
     return fixed, shift, phase
-
-
-def energy_beta(u: Profile, params: ModelParams) -> float:
-    """E_beta(u) = 1/2 <u,|D|^s u> - beta <u, D u> - integral |u|^{2s+2} / (2s+2).
-
-    The drift form <u, D u> is real for every field (real odd symbol).
-    """
-    s = params.s
-    kin = quadratic_form(u, lambda xi: np.abs(xi) ** s).real
-    drift = quadratic_form(u, lambda xi: xi).real
-    pot = lp_norm(u, 2.0 * s + 2.0) ** (2.0 * s + 2.0)
-    return 0.5 * kin - params.beta * drift - pot / (2.0 * s + 2.0)
-
-
-def energy_reduced(u: Profile, s: float) -> float:
-    """I(u) = 1/2 (<u, n(D) u> - integral |u|^{2s+2} / (s+1))."""
-    from .symbols import symbol_n
-
-    kin = quadratic_form(u, lambda xi: symbol_n(xi, s)).real
-    pot = lp_norm(u, 2.0 * s + 2.0) ** (2.0 * s + 2.0)
-    return 0.5 * (kin - pot / (s + 1.0))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linearized import LinearizedOperator, _stack, _unstack
+from .linearized import LinearizedOperator, bordered_solve
+from .renorm import gauge_fix
 from .spectral import (
     Profile,
     SpectralGrid,
@@ -25,15 +26,15 @@ from .spectral import (
     make_grid,
     multiplier_values,
     pad_evaluate,
+    quadratic_form,
     zero_pad,
 )
-from .symbols import ModelParams, _rho0_lambda, symbol_nN
+from .symbols import ModelParams, symbol_nN
 
 __all__ = [
     "SolveResult",
     "ConvergenceError",
     "local_ground_state",
-    "lambda_of_s",
     "petviashvili_solve",
     "petviashvili_mass_constrained",
     "fractional_ground_state",
@@ -60,7 +61,6 @@ class SolveResult:
     energy: float
     iterations: int
     converged: bool
-    method: str
     stabilization: float = np.nan  # final Petviashvili factor, when applicable
     history: dict = field(default_factory=dict, repr=False)
 
@@ -87,9 +87,7 @@ def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -
     With sigma = n_N this is the renormalized energy; with sigma = n it is
     the beta-independent energy; with sigma = |xi|^2 the local one.
     """
-    sig = multiplier_values(grid, sigma)
-    coeffs = fft(values)
-    quad = grid.h / grid.points * float(np.sum(sig * np.abs(coeffs) ** 2))
+    quad = quadratic_form(Profile(grid, values), sigma)
     return 0.5 * quad - _power_integral(grid, values, p) / (p + 1.0)
 
 
@@ -113,17 +111,6 @@ def local_ground_state(s: float, lam: float, grid: SpectralGrid) -> Profile:
     u = np.abs(s * math.sqrt(lam) * grid.x)
     sech_pow = np.exp((math.log(2.0) - u - np.log1p(np.exp(-2.0 * u))) / s)
     return Profile(grid, amp * sech_pow, gauge="fixed")
-
-
-def lambda_of_s(s: float) -> tuple[float, float]:
-    """(rho0, lambda(s)) from the unit-multiplier ground state mass.
-
-    rho0 is the quadrature mass of the closed form that ModelParams.lam also
-    uses; lambda(s) = ((s(s-1)/2) rho0^s)^(-2/(2-s)).
-    """
-    if not 1.0 < s < 2.0:
-        raise ValueError("lambda(s) requires 1 < s < 2")
-    return _rho0_lambda(s)
 
 
 def petviashvili_solve(
@@ -182,7 +169,7 @@ def petviashvili_solve(
             prof = Profile(grid, u)
             energy = functional_energy(grid, u, sig, p)
             return SolveResult(
-                prof, float(theta), res, energy, it, True, "petviashvili",
+                prof, float(theta), res, energy, it, True,
                 stabilization=m_fac, history={"M": m_hist, "residual": res_hist},
             )
     raise ConvergenceError(
@@ -196,7 +183,6 @@ _HANDOFF_TOL = 1e-3  # Petviashvili residual at which Newton takes over
 _FORCING_MAX = 1e-2  # MINRES rtol = min(_FORCING_MAX, _FORCING_FACTOR * error)
 _FORCING_FACTOR = 0.1
 _NEWTON_MAX_STEPS = 10
-_NEWTON_MINRES_MAXITER = 1000
 _MASS_TOL = 1e-11  # relative mass error at which the mass-constrained solve stops
 
 
@@ -212,9 +198,8 @@ def petviashvili_mass_constrained(
     brings the start into the ground-state basin; Newton steps on
     F(R, theta) = ((n_N + theta)R - |R|^{2s}R, (sum |R|^2 - s0/h)/2) then
     enforce both equations (Knoll & Keyes 2004).  Each step solves the
-    symmetric bordered system [[L, R], [R^T, 0]] by MINRES, L the
-    linearization at the iterate, preconditioned by the positive
-    diag(1/(n_N + theta), 1/(R^T (n_N + theta)^{-1} R)), to the forcing
+    bordered linearization at the iterate by MINRES
+    (linearized.bordered_solve) to the forcing
     rtol min(_FORCING_MAX, _FORCING_FACTOR * error), where the error is
     the larger of the relative residual and the relative mass error.  The
     steps stop when the residual is at most tol and the mass error at most
@@ -257,62 +242,20 @@ def petviashvili_mass_constrained(
                 history,
             )
         op = LinearizedOperator.at(params, Profile(grid, u), theta)
-        delta, iters = _bordered_solve(
-            op, -np.append(_stack(f), 0.5 * (sq - target / grid.h)),
-            min(_FORCING_MAX, _FORCING_FACTOR * errors[-1]),
+        du, dtheta, iters = bordered_solve(
+            op, f, 0.5 * (sq - target / grid.h), min(_FORCING_MAX, _FORCING_FACTOR * errors[-1])
         )
         history["minres_iterations"].append(iters)
-        if delta is None:
+        if du is None:
             raise ConvergenceError(
                 f"newton step {step + 1}: MINRES did not converge in {iters} iterations "
                 f"(residual {res:.3e})",
                 history,
             )
-        uh = uh + fft(_unstack(delta[:-1]))
-        theta += float(delta[-1])
+        uh = uh + fft(du)
+        theta += dtheta
     total_iters = start.iterations + sum(history["minres_iterations"])
     return _renormalized_result(grid, sig, p, target, uh, tol, total_iters, history)
-
-
-def _bordered_solve(op: LinearizedOperator, rhs: np.ndarray, rtol: float):
-    """MINRES on [[L, R], [R^T, 0]] in stacked coordinates: (solution or None, iterations).
-
-    iR and dR/dx are near-null at the iterate (eigenvalues of the order of
-    the residual).  Left in, MINRES roundoff grows a phase and translation
-    drift there, far above the step, which costs mass at second order and
-    inflates the solution norm that MINRES's stopping test divides by.  So,
-    as in constrained_solve, the iterates stay on their orthogonal
-    complement; neither direction changes the solution.
-    """
-    from scipy.sparse.linalg import LinearOperator, minres
-
-    r = _stack(op.profile.values)
-    n = rhs.size
-    project = op.complement_projector()
-    schur = float(r @ op.solve_symbol_stacked(r))
-
-    def matvec(x):
-        v = project(x[:-1])
-        return np.append(project(op.apply_stacked(v) + x[-1] * r), r @ v)
-
-    def precond(x):
-        return np.append(project(op.solve_symbol_stacked(project(x[:-1]))), x[-1] / schur)
-
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    sol, status = minres(
-        LinearOperator((n, n), matvec=matvec, dtype=float),
-        np.append(project(rhs[:-1]), rhs[-1]),
-        rtol=rtol,
-        maxiter=_NEWTON_MINRES_MAXITER,
-        M=LinearOperator((n, n), matvec=precond, dtype=float),
-        callback=count,
-    )
-    return (sol if status == 0 else None), iters
 
 
 def _renormalized_result(grid, sig, p, target, uh, tol, iterations, history) -> SolveResult:
@@ -335,7 +278,7 @@ def _renormalized_result(grid, sig, p, target, uh, tol, iterations, history) -> 
     den = float(np.real(np.sum(fft(w) * np.conj(uh))))
     return SolveResult(
         Profile(grid, vals), theta, res, energy, iterations, res <= 10 * tol,
-        "petviashvili", stabilization=num / den, history=history,
+        stabilization=num / den, history=history,
     )
 
 
@@ -356,8 +299,6 @@ def fractional_ground_state(
     result = petviashvili_solve(grid, sig, 1.0, 2.0 * s + 1.0, init, tol=1e-12)
     q = result.profile
     # the solve is phase/translation-neutral: recentre and strip the phase
-    from .renorm import gauge_fix
-
     q, _, _ = gauge_fix(q)
     mass = q.mass()
     c_s = (s + 1.0) / mass**s

@@ -107,9 +107,6 @@ class Profile:
                 f"profile has {self.values.shape} values on a grid of {self.grid.points} points"
             )
 
-    def copy(self) -> "Profile":
-        return Profile(self.grid, self.values.copy(), self.gauge)
-
     def mass(self) -> float:
         return float(self.grid.h * np.sum(np.abs(self.values) ** 2))
 
@@ -149,20 +146,13 @@ def lp_norm(u: Profile, p: float) -> float:
 
 def sobolev_norm(u: Profile, r: float) -> float:
     """H^r norm via the spectral weight <xi>^r = (1 + xi^2)^{r/2}."""
-    coeffs = u.spectrum()
-    w = (1.0 + u.grid.xi**2) ** r
-    return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2) * u.grid.dxi))
+    return float(np.sqrt(quadratic_form(u, (1.0 + u.grid.xi**2) ** r)))
 
 
-def quadratic_form(u: Profile, sigma) -> complex:
-    """<u, sigma(D) u> computed on the spectral side.
-
-    Real symbols give values that are real up to roundoff; the caller may
-    assert this via the returned imaginary part.
-    """
+def quadratic_form(u: Profile, sigma) -> float:
+    """<u, sigma(D) u> for a real symbol, by Parseval: (h/M) sum sigma |fft u|^2."""
     vals = multiplier_values(u.grid, sigma)
-    coeffs = u.spectrum()
-    return complex(np.sum(vals * np.abs(coeffs) ** 2) * u.grid.dxi)
+    return u.grid.h / u.grid.points * float(np.sum(vals * np.abs(fft(u.values)) ** 2))
 
 
 def derivative(u: Profile) -> Profile:
@@ -183,8 +173,6 @@ def spectral_refine(u: Profile, factor: int) -> Profile:
     """
     if factor < 1 or factor & (factor - 1):
         raise ValueError("refinement factor must be a power of two")
-    if factor == 1:
-        return u.copy()
     fine_grid = SpectralGrid(u.grid.length, factor * u.grid.points)
     return Profile(fine_grid, zero_pad(u.values, factor), u.gauge)
 

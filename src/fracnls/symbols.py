@@ -22,6 +22,7 @@ from .spectral import SQRT_2PI, SpectralGrid
 __all__ = [
     "ModelParams",
     "KernelField",
+    "lambda_of_s",
     "symbol_n",
     "symbol_nN",
     "symbol_mbeta",
@@ -32,16 +33,23 @@ __all__ = [
     "laplace_transform",
     "kernel_constants",
     "kernel_shift",
+    "residue_data",
 ]
 
 
 @lru_cache(maxsize=64)
-def _rho0_lambda(s: float) -> tuple[float, float]:
-    # rho0 = mass of the unit-multiplier local ground state (s+1)^{1/s} sech^{2/s}(s x):
-    # integral sech^{2a} = sqrt(pi) Gamma(a) / Gamma(a + 1/2), here with a = 1/s
+def lambda_of_s(s: float) -> tuple[float, float]:
+    """(rho0, lambda(s)), rho0 the mass of the unit-multiplier ground state.
+
+    rho0 is the closed-form mass of (s+1)^{1/s} sech^{2/s}(s x), by
+    integral sech^{2a} = sqrt(pi) Gamma(a) / Gamma(a + 1/2) with a = 1/s;
+    lambda(s) = ((s(s-1)/2) rho0^s)^(-2/(2-s)).
+    """
+    if not 1.0 < s < 2.0:
+        raise ValueError("lambda(s) requires 1 < s < 2")
     a = 1.0 / s
     rho0 = (s + 1.0) ** a * math.sqrt(math.pi) * math.gamma(a) / (s * math.gamma(a + 0.5))
-    lam = ((s * (s - 1.0) / 2.0) * rho0**s) ** (-2.0 / (2.0 - s)) if s < 2.0 else np.nan
+    lam = ((s * (s - 1.0) / 2.0) * rho0**s) ** (-2.0 / (2.0 - s))
     return rho0, lam
 
 
@@ -50,7 +58,7 @@ class ModelParams:
     """Parameter bundle (s, beta, N) plus the derived scalars.
 
     s = 2 is accepted only with validation=True (symbol identities and the
-    local-limit oracle); solver paths require s < 2.
+    local-limit oracle); solver paths and `lam` require s < 2.
     """
 
     s: float
@@ -83,7 +91,7 @@ class ModelParams:
     @property
     def lam(self) -> float:
         """Multiplier lambda(s) of the small-mass limit profile."""
-        return _rho0_lambda(self.s)[1]
+        return lambda_of_s(self.s)[1]
 
     def with_mass(self, N: float) -> "ModelParams":
         return ModelParams(self.s, self.beta, N, self.validation)
@@ -154,13 +162,14 @@ def kernel_shift(params: ModelParams, theta: float) -> float:
 
     This is the shift appearing in the analytic continuations f1/f2; the
     factor s(s-1)/2 converts the multiplier of the rescaled equation to the
-    normalization of n.
+    normalization of n, so it is also the multiplier eta of the
+    beta-independent equation (renorm.convert_multipliers).
     """
     s = params.s
     return 0.5 * s * (s - 1.0) * params.kappa**2 * theta
 
 
-def kernel_constants(params: ModelParams, theta: float | None = None) -> dict:
+def kernel_constants(params: ModelParams) -> dict:
     """Constants of the two-scale kernel expansion.
 
     C1 multiplies the exponential term; the algebraic term has envelope
@@ -180,17 +189,13 @@ def kernel_constants(params: ModelParams, theta: float | None = None) -> dict:
         * gam
         / (2.0 * SQRT_2PI * (s - 1.0))
     )
-    out = {
+    return {
         "C1": c1,
         "c2_envelope": env,
         "c2_envelope_single_s": float(env_single),
-        "algebraic_power": s + 1.0,
         "oscillation_frequency": 1.0 / params.kappa,
         "n_power": params.N ** (s * (2.0 + s) / (2.0 - s)),
     }
-    if theta is not None:
-        out["decay_rate"] = math.sqrt(theta)
-    return out
 
 
 @dataclass
@@ -326,7 +331,7 @@ def _laplace_quad(func, X: float) -> complex:
     return out * scale
 
 
-def _residue_data(params: ModelParams, theta: float) -> tuple[float, complex, complex]:
+def residue_data(params: ModelParams, theta: float) -> tuple[float, complex, complex]:
     """(pref, y, f1'(y)) of the residue term pref 2 pi i e^{i X y} / f1'(y), X = |x|/kappa."""
     s = params.s
     pref = s * (s - 1.0) * params.kappa / (2.0 * SQRT_2PI)
@@ -354,7 +359,7 @@ def kernel_pointwise(x, params: ModelParams, theta: float, *, parts: bool = Fals
     if np.any(x == 0.0):
         raise ValueError("pointwise evaluator requires |x| > 0; use the grid sample at 0")
     X = np.abs(x) / params.kappa
-    pref, y_root, df = _residue_data(params, theta)
+    pref, y_root, df = residue_data(params, theta)
     exp_term = pref * 2.0 * np.pi * 1j * np.exp(1j * X * y_root) / df
     vert = 1j * np.exp(-1j * X) * laplace_transform(params.s, kernel_shift(params, theta), X)
     alg_term = pref * vert

@@ -7,14 +7,9 @@ tests reuse the same converged solves.
 import numpy as np
 import pytest
 
-from fracnls.solvers import (
-    fractional_ground_state,
-    lambda_of_s,
-    local_ground_state,
-    petviashvili_mass_constrained,
-)
+from fracnls.solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
 from fracnls.spectral import make_grid
-from fracnls.symbols import ModelParams
+from fracnls.symbols import ModelParams, lambda_of_s
 from oracles import gradient_flow_minimize
 
 S_DEFAULT = 1.5

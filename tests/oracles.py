@@ -89,7 +89,7 @@ def descend_symbol(
         if res <= tol:
             prof = Profile(grid, u)
             return SolveResult(
-                prof, theta, res, energy, it, True, "gradient-flow",
+                prof, theta, res, energy, it, True,
                 history={"energy": e_hist, "residual": res_hist},
             )
         shift = max(abs(theta), 1e-6)
@@ -212,7 +212,7 @@ def gradient_flow_minimize(
         energy_i = renorm_res.energy / e_scale
         return SolveResult(
             s_prof, eta, renorm_res.residual, energy_i, renorm_res.iterations,
-            renorm_res.converged, "gradient-flow", history=renorm_res.history,
+            renorm_res.converged, history=renorm_res.history,
         )
     raise ValueError(f"unknown functional {functional!r} (expected 'I' or 'Y_N')")
 

@@ -23,23 +23,17 @@ from fracnls.linearized import (
     kernel_diagnostics,
     local_limit_operators,
 )
-from fracnls.renorm import (
-    convert_multipliers,
-    energy_beta,
-    energy_reduced,
-    gauge_fix,
-    scale_R_to_S,
-    tau_beta,
-)
+from fracnls.renorm import convert_multipliers, gauge_fix, scale_R_to_S, tau_beta
 from fracnls.solvers import (
     el_residual,
     fractional_ground_state,
+    functional_energy,
     local_ground_state,
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
 from fracnls.spectral import Profile, derivative, lp_norm, make_grid, quadratic_form, sobolev_norm
-from fracnls.symbols import ModelParams, symbol_nN, stationary_point
+from fracnls.symbols import ModelParams, stationary_point, symbol_mbeta, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
 from oracles import descend_symbol
 
@@ -122,11 +116,19 @@ def test_criterion_05_reduction_identities():
     grid = make_grid(20.0 * np.pi, 2048)
     rng = np.random.default_rng(55)
     xs, m_star = stationary_point(params)
+    p = 2.0 * S_DEFAULT + 1.0
+
+    def energy_beta(u):  # E_beta: the energy with the drift symbol m_beta
+        return functional_energy(u.grid, u.values, symbol_mbeta(u.grid.xi, params), p)
+
+    def energy_reduced(u):  # I: the beta-independent energy with the symbol n
+        return functional_energy(u.grid, u.values, symbol_n(u.grid.xi, S_DEFAULT), p)
+
     worst_energy = 0.0
     for _ in range(20):
         u = smooth_random_profile(grid, rng, width=float(rng.uniform(1.0, 2.5)))
-        lhs = energy_beta(tau_beta(u, params), params)
-        rhs = xs**S_DEFAULT * energy_reduced(u, S_DEFAULT) + m_star * u.mass() / 2.0
+        lhs = energy_beta(tau_beta(u, params))
+        rhs = xs**S_DEFAULT * energy_reduced(u) + m_star * u.mass() / 2.0
         worst_energy = max(worst_energy, abs(lhs - rhs) / max(abs(rhs), 1e-12))
     # solved minimizer: pick the renormalized torus so the mapped-out S grid
     # is lattice-commensurate (L_S = L_R / kappa a multiple of 2 pi), and
@@ -137,8 +139,8 @@ def test_criterion_05_reduction_identities():
     solved = petviashvili_mass_constrained(grid_r, params, tol=1e-11)
     s_solved = scale_R_to_S(solved.profile, params)
     s_fine = spectral_refine(s_solved, 8)
-    lhs = energy_beta(tau_beta(s_fine, params), params)
-    rhs = xs**S_DEFAULT * energy_reduced(s_solved, S_DEFAULT) + m_star * s_solved.mass() / 2.0
+    lhs = energy_beta(tau_beta(s_fine, params))
+    rhs = xs**S_DEFAULT * energy_reduced(s_solved) + m_star * s_solved.mass() / 2.0
     worst_solved = abs(lhs - rhs) / abs(rhs)
     worst_rt = 0.0
     # round trips at unit mass, where the gamma -> theta direction is

@@ -91,7 +91,7 @@ def test_root_threshold_failure():
 
 @pytest.mark.parametrize("s", [1.2, 1.8])
 def test_root_smoke_other_s(s):
-    from fracnls.solvers import lambda_of_s
+    from fracnls.symbols import lambda_of_s
 
     _, lam = lambda_of_s(s)
     p = ModelParams(s, 0.0, 0.1)
@@ -114,7 +114,7 @@ def test_f2_rootless_winding(lam15):
 
 @pytest.mark.parametrize("s", [1.2, 1.8])
 def test_f2_rootless_smoke(s):
-    from fracnls.solvers import lambda_of_s
+    from fracnls.symbols import lambda_of_s
 
     _, lam = lambda_of_s(s)
     rep = verify_f2_rootless("+", ModelParams(s, 0.0, 0.1), lam)
@@ -387,7 +387,7 @@ def test_kernel_expansion_remainder_monotone_in_x(lam15):
     p = ModelParams(S_DEFAULT, 0.0, 0.1)
     from fracnls.symbols import kernel_constants, kernel_pointwise
 
-    kc = kernel_constants(p, lam)
+    kc = kernel_constants(p)
     rel = []
     for x in (60.0, 120.0, 240.0, 480.0):
         _, _, alg = kernel_pointwise(x, p, lam, parts=True)
@@ -407,7 +407,7 @@ def test_root_extreme_orders(s, n):
     the scale-aware geometric bracketing must still land on i kappa
     sqrt(lambda).
     """
-    from fracnls.solvers import lambda_of_s
+    from fracnls.symbols import lambda_of_s
 
     _, lam = lambda_of_s(s)
     p = ModelParams(s, 0.0, n)

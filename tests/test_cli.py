@@ -354,7 +354,7 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
     assert cache_key(s, n, length, points, tol) != old_key
 
     def result(theta):
-        return SolveResult(local_ground_state(s, 0.05, grid), theta, 0.0, 0.0, 1, True, "petviashvili")
+        return SolveResult(local_ground_state(s, 0.05, grid), theta, 0.0, 0.0, 1, True)
 
     store_result(tmp_path, old_key, result(1.0), s, n)
     assert load_result(tmp_path, old_key).multiplier == 1.0
@@ -457,7 +457,7 @@ def test_newton_failure_exits_3_with_one_line(tmp_path, capsys):
 def test_unconverged_solve_fails_linearize_with_one_line(tmp_path, capsys, monkeypatch):
     def unconverged(grid, params, tol):
         return SolveResult(local_ground_state(params.s, params.lam, grid), params.lam, 1e-3,
-                           0.0, 1, False, "petviashvili")
+                           0.0, 1, False)
 
     monkeypatch.setattr(cli, "petviashvili_mass_constrained", unconverged)
     code = main(["linearize", "--s-list", "1.3", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512",

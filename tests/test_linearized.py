@@ -74,7 +74,7 @@ def dense_spectrum10(op10):
 
 def test_build_requires_converged(lin_solve):
     res = lin_solve["result"]
-    broken = SolveResult(res.profile, res.multiplier, 1.0, res.energy, 1, False, "petviashvili")
+    broken = SolveResult(res.profile, res.multiplier, 1.0, res.energy, 1, False)
     with pytest.raises(ValueError, match="converged"):
         build_linearized(broken, lin_solve["params"])
 

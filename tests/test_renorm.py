@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracnls import renorm
 from fracnls.renorm import (
     convert_multipliers,
-    energy_beta,
-    energy_reduced,
     full_map_Q_to_R,
     gauge_fix,
     scale_R_to_S,
     scale_S_to_R,
     tau_beta,
     tau_beta_inverse,
-    tau_beta_snap,
 )
+from fracnls.solvers import functional_energy
 from fracnls.spectral import Profile, SpectralGrid, make_grid, translate
-from fracnls.symbols import ModelParams, stationary_point
+from fracnls.symbols import ModelParams, stationary_point, symbol_mbeta, symbol_n
 from conftest import S_DEFAULT, smooth_random_profile
 
 # beta = s/2 makes xi* = 1; the 20 pi torus keeps the drift phase on-lattice
@@ -32,20 +31,26 @@ def unit_params(mass=0.1):
     return ModelParams(S_DEFAULT, BETA_UNIT, mass)
 
 
+# the energies of the drift reduction are functional_energy at p = 2s + 1:
+# E_beta with the symbol m_beta, I with the symbol n
+P_DEFAULT = 2.0 * S_DEFAULT + 1.0
+
+
 def test_snap_is_identity_on_commensurate_grid():
-    snap = tau_beta_snap(unit_params(), GRID_2PI)
-    assert snap.relative_shift <= 1e-15
-    assert snap.xi_star_snapped == pytest.approx(1.0, rel=1e-14)
-    assert snap.beta_snapped == pytest.approx(BETA_UNIT, rel=1e-14)
+    factor = renorm._lattice_factor(unit_params(), GRID_2PI.length)
+    assert abs(factor - 1.0) <= 1e-15
+    # the snapped xi* = factor and its beta = (s/2) xi*^(s-1) are the ideal ones
+    assert 0.5 * S_DEFAULT * factor ** (S_DEFAULT - 1.0) == pytest.approx(BETA_UNIT, rel=1e-14)
 
 
-def test_snap_reported_on_incommensurate_grid():
+def test_snap_reported_on_incommensurate_grid(monkeypatch):
     grid = make_grid(64.0, 256)
-    snap = tau_beta_snap(unit_params(), grid)
-    assert snap.relative_shift == pytest.approx(abs(2 * np.pi * 10 / 64.0 - 1.0), rel=1e-12)
+    factor = renorm._lattice_factor(unit_params(), grid.length)
+    assert abs(factor - 1.0) == pytest.approx(abs(2 * np.pi * 10 / 64.0 - 1.0), rel=1e-12)
     u = smooth_random_profile(grid, np.random.default_rng(0))
+    monkeypatch.setattr(renorm, "_SNAP_TOL", 1e-6)
     with pytest.raises(ValueError, match="off-lattice"):
-        tau_beta(u, unit_params(), snap_tol=1e-6)
+        tau_beta(u, unit_params())
 
 
 def test_tau_beta_requires_positive_beta():
@@ -86,9 +91,10 @@ def test_lemma_energy_identity_random_fields(seed):
     params = unit_params()
     u = smooth_random_profile(GRID_2PI, rng, width=float(rng.uniform(1.0, 2.5)))
     q = tau_beta(u, params)
-    lhs = energy_beta(q, params)
+    lhs = functional_energy(q.grid, q.values, symbol_mbeta(q.grid.xi, params), P_DEFAULT)
     xs, m_star = stationary_point(params)
-    rhs = xs**S_DEFAULT * energy_reduced(u, S_DEFAULT) + m_star * u.mass() / 2.0
+    rhs = xs**S_DEFAULT * functional_energy(u.grid, u.values, symbol_n(u.grid.xi, S_DEFAULT), P_DEFAULT)
+    rhs += m_star * u.mass() / 2.0
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
 
@@ -97,8 +103,9 @@ def test_lemma_energy_identity_general_beta():
     u = smooth_random_profile(GRID_2PI, np.random.default_rng(9))
     q = tau_beta(u, params)
     xs, m_star = stationary_point(params)
-    lhs = energy_beta(q, params)
-    rhs = xs**S_DEFAULT * energy_reduced(u, S_DEFAULT) + m_star * u.mass() / 2.0
+    lhs = functional_energy(q.grid, q.values, symbol_mbeta(q.grid.xi, params), P_DEFAULT)
+    rhs = xs**S_DEFAULT * functional_energy(u.grid, u.values, symbol_n(u.grid.xi, S_DEFAULT), P_DEFAULT)
+    rhs += m_star * u.mass() / 2.0
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -117,9 +124,6 @@ def test_scale_maps_mass():
 
 def test_scale_energy_map(petviashvili_path, grid_main):
     # exercised in detail in test_solvers; here the inverse direction
-    from fracnls.solvers import functional_energy
-    from fracnls.symbols import symbol_n
-
     n = 0.2
     params = ModelParams(S_DEFAULT, 0.0, n)
     res = petviashvili_path[n]
@@ -299,8 +303,9 @@ def test_beta_sweep_smoke(petviashvili_path, lam15):
         assert convert_multipliers(params, gamma=trip.gamma).theta == pytest.approx(theta, rel=1e-7)
         q = tau_beta(u, params)
         xs_pt, m_star = stationary_point(params)
-        lhs = energy_beta(q, params)
-        rhs = xs_pt**S_DEFAULT * energy_reduced(u, S_DEFAULT) + m_star * u.mass() / 2.0
+        lhs = functional_energy(q.grid, q.values, symbol_mbeta(q.grid.xi, params), P_DEFAULT)
+        rhs = xs_pt**S_DEFAULT * functional_energy(u.grid, u.values, symbol_n(u.grid.xi, S_DEFAULT), P_DEFAULT)
+        rhs += m_star * u.mass() / 2.0
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
 
 
@@ -336,6 +341,7 @@ def test_traveling_wave_equation_end_to_end(lam15):
     assert residual <= 1e-8
     # and the drifted energy is reproduced by the reduction identity
     xs, m_star = stationary_point(params)
-    lhs_e = energy_beta(q_prof, params)
-    rhs_e = xs**s * energy_reduced(s_prof, s) + m_star * s_prof.mass() / 2.0
+    lhs_e = functional_energy(q_prof.grid, q_prof.values, symbol_mbeta(q_prof.grid.xi, params), P_DEFAULT)
+    rhs_e = xs**s * functional_energy(s_prof.grid, s_prof.values, symbol_n(s_prof.grid.xi, s), P_DEFAULT)
+    rhs_e += m_star * s_prof.mass() / 2.0
     assert lhs_e == pytest.approx(rhs_e, rel=1e-10)

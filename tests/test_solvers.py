@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from fracnls import solvers
+from fracnls import linearized, solvers
 from fracnls.renorm import gauge_fix, scale_R_to_S
 from fracnls.solvers import (
     ConvergenceError,
     el_residual,
     fractional_ground_state,
     functional_energy,
-    lambda_of_s,
     local_ground_state,
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
 from fracnls.spectral import Profile, lp_norm, make_grid, pad_evaluate, quadratic_form
-from fracnls.symbols import ModelParams, symbol_n, symbol_nN
+from fracnls.symbols import ModelParams, lambda_of_s, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, SOLVE_TOL, smooth_random_profile
 from oracles import descend_symbol, gradient_flow_minimize, secant_mass_constrained
 
@@ -426,13 +425,15 @@ def test_newton_history_per_step(grid_desk):
     "cause,tol,constant,value",
     [
         ("failed to halve", 1e-30, None, None),
-        ("MINRES did not converge", 1e-10, "_NEWTON_MINRES_MAXITER", 1),
+        ("MINRES did not converge", 1e-10, "_MINRES_MAXITER", 1),
         ("step cap", 1e-10, "_NEWTON_MAX_STEPS", 1),
     ],
 )
 def test_newton_failure_is_one_line_with_history(grid_desk, monkeypatch, cause, tol, constant, value):
     if constant is not None:
-        monkeypatch.setattr(solvers, constant, value)
+        # the MINRES cap of the Newton step belongs to linearized.bordered_solve
+        owner = linearized if constant == "_MINRES_MAXITER" else solvers
+        monkeypatch.setattr(owner, constant, value)
     with pytest.raises(ConvergenceError) as info:
         petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.0, 0.1), tol=tol)
     msg = str(info.value)

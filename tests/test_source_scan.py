@@ -1,6 +1,7 @@
 """Source scans: every settable value of the package is set by some caller,
-no module of the package calls a dense test oracle, and importing the CLI
-loads none of the scipy submodules that only some commands use."""
+no module of the package calls a dense test oracle or imports another
+module's private name, and importing the CLI loads none of the scipy
+submodules that only some commands use."""
 
 import ast
 import os
@@ -133,6 +134,50 @@ def test_no_module_calls_a_dense_oracle():
 def test_dense_scan_sees_method_calls_only():
     source = ast.parse("def dense(self):\n    pass\nm = op.dense()\nf = op.dense\nn = f()\n")
     assert _dense_calls(source) == [3]
+
+
+def _private_imports(tree: ast.Module) -> list:
+    """(line, "module.name") of the underscore names imported from the package.
+
+    Relative and `fracnls.` imports count, in function bodies too; dunder
+    names such as `__version__` do not.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if node.level == 0 and module.split(".")[0] != "fracnls":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append((node.lineno, f"{module}.{name}"))
+    return sorted(found)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name belongs to its module; a name that two modules share is public
+    hits = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _private_imports(ast.parse(path.read_text()))
+    ]
+    assert hits == []
+
+
+def test_private_import_scan_sees_package_imports_only():
+    source = ast.parse(
+        "from .linearized import _stack, bordered_solve\n"
+        "from . import __version__\n"
+        "from fracnls.symbols import _laplace_quad\n"
+        "from numpy import _core\n"
+        "def f():\n"
+        "    from ..spectral import _MAGIC\n"
+    )
+    assert _private_imports(source) == [
+        (1, ".linearized._stack"), (3, "fracnls.symbols._laplace_quad"), (6, "..spectral._MAGIC"),
+    ]
 
 
 # loaded by the functions that use them, never at import

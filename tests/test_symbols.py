@@ -243,7 +243,7 @@ def test_kernel_midrange_exponential_ratio(lam15):
     """|m_N| / (C1 e^{-sqrt(lam)|x|}) in [0.98, 1.02] on [3, 8] at N = 0.2."""
     p = ModelParams(1.5, 0.0, 0.2)
     lam = lam15["lam"]
-    c1 = kernel_constants(p, lam)["C1"]
+    c1 = kernel_constants(p)["C1"]
     for x in (3.0, 4.5, 6.0, 8.0):
         ratio = abs(kernel_pointwise(x, p, lam)) / (c1 * np.exp(-np.sqrt(lam) * x))
         assert 0.98 <= ratio <= 1.02
@@ -281,7 +281,7 @@ def test_kernel_far_envelope_matches_derived_constant(lam15):
     """
     p = ModelParams(1.5, 0.0, 0.1)
     lam = lam15["lam"]
-    kc = kernel_constants(p, lam)
+    kc = kernel_constants(p)
     for x in (50.0, 150.0, 400.0):
         _, _, alg = kernel_pointwise(x, p, lam, parts=True)
         env = abs(alg) * x**2.5 / kc["n_power"]
