@@ -158,9 +158,12 @@ class LinearizedOperator:
 
 
 def build_linearized(result: SolveResult, params: ModelParams) -> LinearizedOperator:
-    """Assemble the linearization around a converged renormalized minimizer."""
+    """Assemble the linearization around a converged renormalized minimizer.
+
+    An unconverged solve is a solver failure and raises RuntimeError.
+    """
     if not result.converged:
-        raise ValueError("linearization requires a converged solve")
+        raise RuntimeError(f"linearization needs a converged solve (residual {result.residual:.3e})")
     return LinearizedOperator.at(params, result.profile, result.multiplier)
 
 
@@ -325,11 +328,10 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
     ir, dr = op.kernel_candidates()
     c1, c2 = _stack(ir), _stack(dr)
     f_vec = _stack(rhs.values)
-    info = {"projected": False, "overlaps": []}
+    info = {"projected": False}
     project = op.complement_projector()
     for c in (c1, c2):
         ov = h * float(f_vec @ c)
-        info["overlaps"].append(ov)
         scale = np.linalg.norm(f_vec) * np.linalg.norm(c) * h
         if scale > 0 and abs(ov) > _OVERLAP_TOL * scale:
             info["projected"] = True

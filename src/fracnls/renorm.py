@@ -123,7 +123,7 @@ def tau_beta(u: Profile, params: ModelParams) -> Profile:
     xs = params.xi_star
     new_grid = SpectralGrid(u.grid.length / xs, u.grid.points)
     phase = np.exp(1j * factor * u.grid.x)
-    return Profile(new_grid, math.sqrt(xs) * phase * u.values, u.gauge)
+    return Profile(new_grid, math.sqrt(xs) * phase * u.values)
 
 
 def tau_beta_inverse(q: Profile, params: ModelParams) -> Profile:
@@ -133,7 +133,7 @@ def tau_beta_inverse(q: Profile, params: ModelParams) -> Profile:
     factor = _lattice_factor(params, source_length)
     new_grid = SpectralGrid(source_length, q.grid.points)
     phase = np.exp(-1j * factor * new_grid.x)
-    return Profile(new_grid, phase * q.values / math.sqrt(xs), q.gauge)
+    return Profile(new_grid, phase * q.values / math.sqrt(xs))
 
 
 def scale_S_to_R(s_prof: Profile, params: ModelParams) -> Profile:
@@ -141,7 +141,7 @@ def scale_S_to_R(s_prof: Profile, params: ModelParams) -> Profile:
     s = params.s
     amp = math.sqrt(params.s0) * params.N ** (-1.0 / (2.0 - s))
     new_grid = SpectralGrid(s_prof.grid.length * params.kappa, s_prof.grid.points)
-    return Profile(new_grid, amp * s_prof.values, s_prof.gauge)
+    return Profile(new_grid, amp * s_prof.values)
 
 
 def scale_R_to_S(r_prof: Profile, params: ModelParams) -> Profile:
@@ -149,7 +149,7 @@ def scale_R_to_S(r_prof: Profile, params: ModelParams) -> Profile:
     s = params.s
     amp = params.N ** (1.0 / (2.0 - s)) / math.sqrt(params.s0)
     new_grid = SpectralGrid(r_prof.grid.length / params.kappa, r_prof.grid.points)
-    return Profile(new_grid, amp * r_prof.values, r_prof.gauge)
+    return Profile(new_grid, amp * r_prof.values)
 
 
 def full_map_Q_to_R(q_prof: Profile, params: ModelParams) -> Profile:
@@ -180,5 +180,5 @@ def gauge_fix(u: Profile) -> tuple[Profile, float, float]:
     centered = translate(u, -shift)
     zero_mode = np.sum(centered.values)
     phase = float(np.angle(zero_mode)) if zero_mode != 0 else 0.0
-    fixed = Profile(u.grid, centered.values * np.exp(-1j * phase), gauge="fixed")
+    fixed = Profile(u.grid, centered.values * np.exp(-1j * phase))
     return fixed, shift, phase

@@ -110,7 +110,10 @@ def local_ground_state(s: float, lam: float, grid: SpectralGrid) -> Profile:
     amp = ((s + 1.0) * lam) ** (1.0 / (2.0 * s))
     u = np.abs(s * math.sqrt(lam) * grid.x)
     sech_pow = np.exp((math.log(2.0) - u - np.log1p(np.exp(-2.0 * u))) / s)
-    return Profile(grid, amp * sech_pow, gauge="fixed")
+    return Profile(grid, amp * sech_pow)
+
+
+_PETVIASHVILI_MAX_ITER = 2000
 
 
 def petviashvili_solve(
@@ -120,14 +123,14 @@ def petviashvili_solve(
     p: float,
     init: Profile,
     tol: float = 1e-10,
-    max_iter: int = 2000,
 ) -> SolveResult:
     """Petviashvili iteration for sigma(D)u + theta u = |u|^{p-1}u.
 
     u <- M^gamma (sigma(D)+theta)^{-1}(|u|^{p-1}u) with the stabilization
     factor M = <(sigma(D)+theta)u, u> / <|u|^{p-1}u, u> and the
     contraction-optimal exponent gamma = p/(p-1).  Divergence is declared
-    when M leaves [0.5, 2] for 50 consecutive iterations.
+    when M leaves [0.5, 2] for 50 consecutive iterations, and failure after
+    _PETVIASHVILI_MAX_ITER iterations.
     """
     sig = multiplier_values(grid, sigma)
     denom = sig + theta
@@ -140,7 +143,7 @@ def petviashvili_solve(
     w = _nonlinear_term(u, p)
     m_hist, res_hist = [], []
     bad_streak = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _PETVIASHVILI_MAX_ITER + 1):
         uh = fft(u)
         wh = fft(w)
         num = float(np.real(np.sum(denom * np.abs(uh) ** 2)))
@@ -173,7 +176,7 @@ def petviashvili_solve(
                 stabilization=m_fac, history={"M": m_hist, "residual": res_hist},
             )
     raise ConvergenceError(
-        f"petviashvili did not reach tol={tol:g} in {max_iter} iterations "
+        f"petviashvili did not reach tol={tol:g} in {_PETVIASHVILI_MAX_ITER} iterations "
         f"(residual {res_hist[-1]:.3e})",
         {"M": m_hist, "residual": res_hist},
     )
@@ -282,16 +285,15 @@ def _renormalized_result(grid, sig, p, target, uh, tol, iterations, history) -> 
     )
 
 
-def fractional_ground_state(
-    s: float, grid: SpectralGrid | None = None, validation: bool = False
-) -> tuple[Profile, float, float]:
+def fractional_ground_state(s: float, grid: SpectralGrid | None = None) -> tuple[Profile, float, float]:
     """Ground state Q of |D|^s Q + Q = Q^{2s+1} and the sharp constant.
 
-    Returns (Q, C_s, <Q,Q>) with C_s = (s+1)/<Q,Q>^s.  Q has an algebraic
-    tail for s < 2, so the default torus is generous (L = 256).
+    Returns (Q, C_s, <Q,Q>) with C_s = (s+1)/<Q,Q>^s; s = 2 is the local
+    limit, the quintic soliton.  Q has an algebraic tail for s < 2, so the
+    default torus is generous (L = 256).
     """
-    if not (1.0 < s < 2.0) and not (s == 2.0 and validation):
-        raise ValueError("fractional ground state requires 1 < s < 2 (s = 2 in validation mode)")
+    if not 1.0 < s <= 2.0:
+        raise ValueError(f"fractional ground state requires 1 < s <= 2 (got {s})")
     if grid is None:
         grid = make_grid(256.0, 8192)
     init = Profile(grid, np.exp(-grid.x**2))

@@ -55,20 +55,12 @@ class SpectralGrid:
         for arr in (self.x, self.xi, self._phase):
             arr.flags.writeable = False
 
-    @property
-    def dxi(self) -> float:
-        return 2.0 * np.pi / self.length
-
-    def fourier_coefficients(self, values: np.ndarray) -> np.ndarray:
-        """Continuum-normalized coefficients u_hat(xi_k), FFT ordering.
-
-        u_hat(xi) = (1/sqrt(2 pi)) integral u(x) e^{-i xi x} dx, discretized
-        by the trapezoid rule on the nodes.
-        """
-        return (self.h / SQRT_2PI) * self._phase * fft(values)
-
     def from_fourier_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`fourier_coefficients`."""
+        """Grid values of the field whose continuum-normalized coefficients are coeffs (FFT order).
+
+        u_hat(xi) = (1/sqrt(2 pi)) integral u(x) e^{-i xi x} dx; this inverts
+        its trapezoid rule on the nodes, (h/sqrt(2 pi)) e^{i xi L/2} fft(u).
+        """
         return (SQRT_2PI / self.h) * ifft(coeffs * np.conj(self._phase))
 
 
@@ -94,11 +86,10 @@ def make_grid(length: float, points: int) -> SpectralGrid:
 
 @dataclass
 class Profile:
-    """A complex field sampled on a spectral grid, with gauge metadata."""
+    """A complex field sampled on a spectral grid."""
 
     grid: SpectralGrid
     values: np.ndarray
-    gauge: str = "raw"  # "raw" or "fixed"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -109,9 +100,6 @@ class Profile:
 
     def mass(self) -> float:
         return float(self.grid.h * np.sum(np.abs(self.values) ** 2))
-
-    def spectrum(self) -> np.ndarray:
-        return self.grid.fourier_coefficients(self.values)
 
     def __mul__(self, c) -> "Profile":
         return Profile(self.grid, self.values * c)
@@ -137,7 +125,7 @@ def apply_multiplier(u: Profile, sigma) -> Profile:
     ordering); it must be finite on every grid frequency.
     """
     vals = multiplier_values(u.grid, sigma)
-    return Profile(u.grid, ifft(vals * fft(u.values)), u.gauge)
+    return Profile(u.grid, ifft(vals * fft(u.values)))
 
 
 def lp_norm(u: Profile, p: float) -> float:
@@ -162,7 +150,7 @@ def derivative(u: Profile) -> Profile:
 def translate(u: Profile, a: float) -> Profile:
     """u(. - a), exact for band-limited fields (fractional shifts allowed)."""
     shift = np.exp(-1j * u.grid.xi * a)
-    return Profile(u.grid, ifft(fft(u.values) * shift), u.gauge)
+    return Profile(u.grid, ifft(fft(u.values) * shift))
 
 
 def spectral_refine(u: Profile, factor: int) -> Profile:
@@ -174,7 +162,7 @@ def spectral_refine(u: Profile, factor: int) -> Profile:
     if factor < 1 or factor & (factor - 1):
         raise ValueError("refinement factor must be a power of two")
     fine_grid = SpectralGrid(u.grid.length, factor * u.grid.points)
-    return Profile(fine_grid, zero_pad(u.values, factor), u.gauge)
+    return Profile(fine_grid, zero_pad(u.values, factor))
 
 
 def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
@@ -222,10 +210,10 @@ def save_profile(
 ) -> None:
     """Write the documented array-container format.
 
-    Header: magic, format version, L, M, s, N, beta, gauge flag, multiplier
-    presence flag and value; then M little-endian complex double pairs.
+    Header: magic, format version, L, M, s, N, beta, a reserved flag
+    (written 0, the former gauge flag), multiplier presence flag and value;
+    then M little-endian complex double pairs.
     """
-    gauge_flag = 1 if profile.gauge == "fixed" else 0
     has_mult = 0 if multiplier is None else 1
     header = struct.pack(
         "<4sIdQdddIId",
@@ -236,7 +224,7 @@ def save_profile(
         float(s),
         float(mass),
         float(beta),
-        gauge_flag,
+        0,
         has_mult,
         0.0 if multiplier is None else float(multiplier),
     )
@@ -247,13 +235,13 @@ def save_profile(
 
 
 def load_profile(path) -> tuple[Profile, dict]:
-    """Read a profile container; returns (profile, header metadata)."""
+    """Read a profile container; returns (profile, header metadata), ignoring the reserved flag."""
     head_size = struct.calcsize("<4sIdQdddIId")
     with open(path, "rb") as fh:
         raw = fh.read(head_size)
         if len(raw) < head_size:
             raise ValueError(f"truncated profile container: {len(raw)} of {head_size} header bytes")
-        magic, version, length, points, s, mass, beta, gauge_flag, has_mult, mult = struct.unpack(
+        magic, version, length, points, s, mass, beta, _, has_mult, mult = struct.unpack(
             "<4sIdQdddIId", raw
         )
         if magic != _MAGIC:
@@ -265,7 +253,7 @@ def load_profile(path) -> tuple[Profile, dict]:
             raise ValueError(f"truncated profile container: {len(payload)} of {int(points) * 16} data bytes")
         data = np.frombuffer(payload, dtype="<c16").astype(complex)
     grid = SpectralGrid(length, int(points))
-    prof = Profile(grid, data, "fixed" if gauge_flag else "raw")
+    prof = Profile(grid, data)
     meta = {
         "s": s,
         "mass": mass,

@@ -57,18 +57,17 @@ def lambda_of_s(s: float) -> tuple[float, float]:
 class ModelParams:
     """Parameter bundle (s, beta, N) plus the derived scalars.
 
-    s = 2 is accepted only with validation=True (symbol identities and the
-    local-limit oracle); solver paths and `lam` require s < 2.
+    s = 2, the local limit, is accepted for the symbol identities; `lam`,
+    and with it every solver path, requires s < 2.
     """
 
     s: float
     beta: float = 0.0
     N: float = 1.0
-    validation: bool = False
 
     def __post_init__(self):
-        if not (1.0 < self.s < 2.0) and not (self.s == 2.0 and self.validation):
-            raise ValueError(f"s must lie in (1, 2) (got {self.s}); s = 2 needs validation mode")
+        if not 1.0 < self.s <= 2.0:
+            raise ValueError(f"s must lie in (1, 2] (got {self.s})")
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
         if self.N <= 0.0:
@@ -94,7 +93,7 @@ class ModelParams:
         return lambda_of_s(self.s)[1]
 
     def with_mass(self, N: float) -> "ModelParams":
-        return ModelParams(self.s, self.beta, N, self.validation)
+        return ModelParams(self.s, self.beta, N)
 
 
 def symbol_n(xi, s: float):
@@ -176,23 +175,16 @@ def kernel_constants(params: ModelParams) -> dict:
     c2_envelope * N^{s(2+s)/(2-s)} / |x|^{s+1} and oscillation frequency
     1/kappa.  c2_envelope carries the factor s^2 |i^{s+1} + (-i)^{s+1}|
     required for consistency with the contour computation (it vanishes at
-    s = 2, where the kernel tail is purely exponential); the variant with a
-    single s-factor is also reported for reference.
+    s = 2, where the kernel tail is purely exponential).
     """
     s = params.s
     lam = params.lam
     gam = math.gamma(s)
     c1 = math.sqrt(math.pi / (2.0 * lam))
     env = s**2 * math.sin(math.pi * s / 2.0) * gam / (SQRT_2PI * (s - 1.0))
-    env_single = (
-        abs(s * np.exp(1j * np.pi * (s + 1) / 2.0) + np.exp(-1j * np.pi * (s + 1) / 2.0))
-        * gam
-        / (2.0 * SQRT_2PI * (s - 1.0))
-    )
     return {
         "C1": c1,
         "c2_envelope": env,
-        "c2_envelope_single_s": float(env_single),
         "oscillation_frequency": 1.0 / params.kappa,
         "n_power": params.N ** (s * (2.0 + s) / (2.0 - s)),
     }

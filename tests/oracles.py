@@ -12,7 +12,8 @@ package computes another way:
   QUADPACK on the real axis (the package deforms the contour);
 - `local_dense`: the local-limit operators L+/L- as dense matrices;
 - `spectral_interpolate`: the band-limited interpolant summed directly
-  as a Fourier series (the package translates by a spectral phase).
+  as a Fourier series (the package translates by a spectral phase), from
+  the continuum-normalized coefficients of `fourier_coefficients`.
 
 `symbols._laplace_quad` and `LinearizedOperator.dense` are oracles too, but
 stay in the package while the benchmark's tracer wraps them there.
@@ -283,10 +284,21 @@ def local_dense(op: LocalOperator) -> np.ndarray:
 # -- interpolation ---------------------------------------------------------------
 
 
+def fourier_coefficients(u: Profile) -> np.ndarray:
+    """Continuum-normalized coefficients u_hat(xi_k), FFT ordering.
+
+    u_hat(xi) = (1/sqrt(2 pi)) integral u(x) e^{-i xi x} dx by the trapezoid
+    rule on the nodes x_j = -L/2 + j h: (h/sqrt(2 pi)) e^{i xi L/2} fft(u).
+    `SpectralGrid.from_fourier_coefficients` is its inverse.
+    """
+    grid = u.grid
+    return (grid.h / SQRT_2PI) * np.exp(1j * grid.xi * (grid.length / 2.0)) * fft(u.values)
+
+
 def spectral_interpolate(u: Profile, x: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited interpolant of u at arbitrary points."""
-    coeffs = u.spectrum()
+    coeffs = fourier_coefficients(u)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    # direct evaluation of the truncated Fourier series
+    # direct evaluation of the truncated Fourier series, frequency step 2 pi / L
     ph = np.exp(1j * np.outer(x, u.grid.xi))
-    return (ph @ coeffs) * u.grid.dxi / SQRT_2PI
+    return (ph @ coeffs) * (2.0 * np.pi / u.grid.length) / SQRT_2PI

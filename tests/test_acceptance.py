@@ -54,7 +54,7 @@ def test_criterion_01_closed_form_oracle_equivalence():
     flow = descend_symbol(grid, grid.xi**2, 2 * S_DEFAULT + 1, oracle.mass(), init, tol=1e-11)
     fixed_f, _, _ = gauge_fix(flow.profile)
     err_f = float(np.max(np.abs(fixed_f.values - oracle.values)))
-    q5, _, mass5 = fractional_ground_state(2.0, grid, validation=True)
+    q5, _, mass5 = fractional_ground_state(2.0, grid)
     err_mass = abs(mass5 - np.pi * np.sqrt(3.0) / 2.0)
     ok = err_p <= 1e-8 and err_f <= 1e-8 and err_mass <= 1e-6
     report(

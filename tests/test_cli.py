@@ -9,10 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fracnls import __version__, cli
+from fracnls import __version__, asymptotics, cli
 from fracnls.cache import cache_key, cached_solve, load_result, store_result
 from fracnls.cli import (
     EXIT_CONFIG_ERROR,
+    EXIT_CRITERION_FAIL,
     EXIT_OK,
     EXIT_SOLVER_FAILURE,
     ConfigError,
@@ -467,6 +468,18 @@ def test_unconverged_solve_fails_linearize_with_one_line(tmp_path, capsys, monke
     errors = [line for line in out.splitlines() if "ERROR" in line]
     assert len(errors) == 1 and "residual" in errors[0] and "converged" in errors[0]
     assert "Traceback" not in out + err
+
+
+def test_nonzero_winding_fails_its_check_with_exit_1(tmp_path, capsys, monkeypatch):
+    # a root of f2 is a failed check of the paper's claim, not a solver failure
+    monkeypatch.setattr(asymptotics, "_winding_number", lambda values: 1)
+    code = main(["kernel", "--s-list", "1.5", "--n-list", "0.2",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CRITERION_FAIL
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert fails == ["s=1.5 N=0.2: winding = 1 (threshold 0) FAIL"]
+    assert "ERROR" not in out and "Traceback" not in out + err
 
 
 def test_any_failure_maps_to_exit_1():

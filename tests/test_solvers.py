@@ -182,11 +182,12 @@ def test_petviashvili_zero_init_rejected():
         petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, Profile(grid, np.zeros(256)))
 
 
-def test_petviashvili_max_iter_error():
+def test_petviashvili_max_iter_error(monkeypatch):
+    monkeypatch.setattr(solvers, "_PETVIASHVILI_MAX_ITER", 3)
     grid = make_grid(64.0, 256)
     init = Profile(grid, np.exp(-grid.x**2))
-    with pytest.raises(ConvergenceError, match="did not reach"):
-        petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-12, max_iter=3)
+    with pytest.raises(ConvergenceError, match="did not reach tol=1e-12 in 3 iterations"):
+        petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-12)
 
 
 # -- gradient flow / descent -------------------------------------------------
@@ -262,9 +263,9 @@ def test_gradient_flow_reduced_functional(grid_main, flow_path):
 # -- fractional ground state and the sharp constant ---------------------------
 
 def test_quintic_ground_state_mass():
-    """s = 2 validation: <Q,Q> = pi sqrt(3)/2 for the quintic soliton."""
+    """s = 2, the local limit: <Q,Q> = pi sqrt(3)/2 for the quintic soliton."""
     grid = make_grid(64.0, 4096)
-    q, c_s, mass = fractional_ground_state(2.0, grid, validation=True)
+    q, c_s, mass = fractional_ground_state(2.0, grid)
     assert mass == pytest.approx(np.pi * np.sqrt(3.0) / 2.0, abs=1e-6)
 
 
@@ -302,9 +303,10 @@ def test_ground_state_pohozaev_identities(ground_state_15):
     assert pot == pytest.approx((s + 1.0) * kin, rel=1e-6)
 
 
-def test_ground_state_rejects_s2_without_validation():
-    with pytest.raises(ValueError):
-        fractional_ground_state(2.0)
+def test_ground_state_rejects_s_outside_range():
+    for s in (1.0, 2.05):
+        with pytest.raises(ValueError, match=r"1 < s <= 2"):
+            fractional_ground_state(s)
 
 
 # -- continuation ------------------------------------------------------------
@@ -362,16 +364,17 @@ def test_petviashvili_stabilization_at_convergence(petviashvili_path):
         assert abs(res.stabilization - 1.0) <= 1e-10
 
 
-def test_petviashvili_degenerate_symbol_reaches_constant_solution():
+def test_petviashvili_degenerate_symbol_reaches_constant_solution(monkeypatch):
     """Near-null symbol modes: convergence requires the stabilization, too.
 
     With theta ~ 0 the torus problem's attractor is the constant solution
     u = theta^{1/(p-1)}; a residual-only test would declare victory
     mid-collapse with a wild stabilization factor.
     """
+    monkeypatch.setattr(solvers, "_PETVIASHVILI_MAX_ITER", 500)
     grid = make_grid(64.0, 256)
     init = Profile(grid, np.exp(-grid.x**2))
-    res = petviashvili_solve(grid, grid.xi**2, 1e-30, 5.0, init, tol=1e-12, max_iter=500)
+    res = petviashvili_solve(grid, grid.xi**2, 1e-30, 5.0, init, tol=1e-12)
     assert res.converged
     assert abs(res.stabilization - 1.0) <= 1e-10
     assert np.ptp(np.abs(res.profile.values)) == 0.0  # the constant solution

@@ -1,7 +1,8 @@
 """Source scans: every settable value of the package is set by some caller,
-no module of the package calls a dense test oracle or imports another
-module's private name, and importing the CLI loads none of the scipy
-submodules that only some commands use."""
+and by a caller outside the tests unless it is a listed entry point; no
+module of the package calls a dense test oracle or imports another module's
+private name; and importing the CLI loads none of the scipy submodules that
+only some commands use."""
 
 import ast
 import os
@@ -68,11 +69,11 @@ def _settings(trees):
     return found
 
 
-def dead_knobs() -> list:
-    """Defaulted parameters of src/fracnls/*.py that no call in src/, tests/ or perfbench/ sets."""
+def dead_knobs(caller_dirs) -> list:
+    """Defaulted parameters of src/fracnls/*.py that no call in the `caller_dirs` of the repo sets."""
     trees = [
         ast.parse(path.read_text())
-        for folder in CALLER_DIRS
+        for folder in caller_dirs
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
     calls = _settings(trees)
@@ -88,7 +89,22 @@ def dead_knobs() -> list:
 
 def test_every_defaulted_parameter_is_set_somewhere():
     # a default that no caller overrides is a constant: write it as one
-    assert dead_knobs() == []
+    assert dead_knobs(CALLER_DIRS) == []
+
+
+# defaulted parameters that only tests set, each an entry point kept on purpose
+TEST_ONLY_KNOBS = {
+    "renorm.convert_multipliers(gamma)": "the multiplier bijection is checked from each of its three entry points",
+    "renorm.convert_multipliers(eta)": "the multiplier bijection is checked from each of its three entry points",
+    "renorm.convert_multipliers(theta)": "the multiplier bijection is checked from each of its three entry points",
+    "solvers.fractional_ground_state(grid)": "tests solve the ground state on tori smaller than the default",
+    "spectral.save_profile(beta)": "the container's beta header slot is checked by a round trip",
+}
+
+
+def test_no_defaulted_parameter_is_set_by_tests_alone():
+    # a knob that only tests turn is a test-only constant: make it a module constant
+    assert sorted(dead_knobs(("src", "perfbench"))) == sorted(TEST_ONLY_KNOBS)
 
 
 def test_scan_sees_keyword_positional_and_class_calls():

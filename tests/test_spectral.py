@@ -27,7 +27,7 @@ from fracnls.spectral import (
     zero_pad,
 )
 from conftest import smooth_random_profile
-from oracles import spectral_interpolate
+from oracles import fourier_coefficients, spectral_interpolate
 
 
 def _same_bits(a, b):
@@ -89,10 +89,10 @@ def test_grid_rejects_bad_sizes():
 def test_transform_roundtrip_and_parseval(seed):
     g = make_grid(48.0, 256)
     u = smooth_random_profile(g, np.random.default_rng(seed))
-    coeffs = u.spectrum()
+    coeffs = fourier_coefficients(u)
     back = g.from_fourier_coefficients(coeffs)
     assert np.max(np.abs(back - u.values)) <= 1e-12 * np.max(np.abs(u.values))
-    spectral_mass = float(np.sum(np.abs(coeffs) ** 2) * g.dxi)
+    spectral_mass = float(np.sum(np.abs(coeffs) ** 2) * (2.0 * np.pi / g.length))
     assert spectral_mass == pytest.approx(u.mass(), rel=1e-12)
 
 
@@ -188,12 +188,14 @@ def test_single_mode_quadratic_form():
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**31 - 1))
-def test_real_symbol_forms_are_real(seed):
+def test_quadratic_form_is_the_grid_pairing(seed):
+    # Parseval: <u, sigma(D) u> = h Re sum conj(u) sigma(D)u for a real symbol and a complex field
     g = make_grid(32.0, 128)
-    u = smooth_random_profile(g, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    u = Profile(g, rng.standard_normal(g.points) + 1j * rng.standard_normal(g.points))
     for sigma in (lambda xi: np.abs(xi) ** 1.5, lambda xi: xi, lambda xi: xi**2):
-        v = quadratic_form(u, sigma)
-        assert abs(v.imag) <= 1e-12 * max(1.0, abs(v.real))
+        pairing = g.h * float(np.real(np.sum(np.conj(u.values) * apply_multiplier(u, sigma).values)))
+        assert quadratic_form(u, sigma) == pytest.approx(pairing, rel=1e-12)
 
 
 def test_norms_bundle():
@@ -225,13 +227,11 @@ def test_translate_and_interpolate():
 def test_profile_serialization_roundtrip(tmp_path):
     g = make_grid(48.0, 128)
     u = smooth_random_profile(g, np.random.default_rng(11))
-    u.gauge = "fixed"
     path = tmp_path / "prof.bin"
     save_profile(path, u, s=1.5, mass=0.1, beta=0.75, multiplier=0.0492)
     back, meta = load_profile(path)
     assert np.array_equal(back.values, u.values)
     assert back.grid.length == g.length and back.grid.points == g.points
-    assert back.gauge == "fixed"
     assert meta["s"] == 1.5 and meta["mass"] == 0.1 and meta["beta"] == 0.75
     assert meta["multiplier"] == 0.0492
 

@@ -1,5 +1,6 @@
 """Symbols, their inequalities, and the convolution kernel."""
 
+import math
 import warnings
 
 import numpy as np
@@ -39,10 +40,14 @@ def test_params_derived_scalars():
 
 
 def test_params_validation_gate():
-    with pytest.raises(ValueError, match="validation"):
-        ModelParams(2.0, 0.0, 0.1)
-    p = ModelParams(2.0, 0.0, 0.1, validation=True)
+    # s = 2 is admitted for the symbol identities; lambda(s) still refuses it
+    p = ModelParams(2.0, 0.0, 0.1)
     assert p.s == 2.0
+    with pytest.raises(ValueError, match="1 < s < 2"):
+        p.lam
+    for s in (1.0, 2.05):
+        with pytest.raises(ValueError, match="s must lie in"):
+            ModelParams(s, 0.0, 0.1)
     with pytest.raises(ValueError):
         ModelParams(1.5, -0.1, 0.1)
     with pytest.raises(ValueError):
@@ -149,7 +154,7 @@ def test_mbeta_stationary_point_exact_cases():
     xs, val = stationary_point(p)
     assert xs == pytest.approx(1.0, rel=1e-14)
     assert val == pytest.approx(-0.5, rel=1e-14)
-    p2 = ModelParams(2.0, 1.0, 0.1, validation=True)
+    p2 = ModelParams(2.0, 1.0, 0.1)
     assert stationary_point(p2)[0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -282,15 +287,19 @@ def test_kernel_far_envelope_matches_derived_constant(lam15):
     p = ModelParams(1.5, 0.0, 0.1)
     lam = lam15["lam"]
     kc = kernel_constants(p)
+    s = p.s
+    single_s = (
+        abs(s * np.exp(1j * np.pi * (s + 1) / 2.0) + np.exp(-1j * np.pi * (s + 1) / 2.0))
+        * math.gamma(s)
+        / (2.0 * np.sqrt(2 * np.pi) * (s - 1.0))
+    )
     for x in (50.0, 150.0, 400.0):
         _, _, alg = kernel_pointwise(x, p, lam, parts=True)
         env = abs(alg) * x**2.5 / kc["n_power"]
         assert env == pytest.approx(kc["c2_envelope"], rel=5e-2)
-        assert abs(env / kc["c2_envelope_single_s"] - 1.0) > 0.5
+        assert abs(env / single_s - 1.0) > 0.5
     # the verified constant vanishes in the local limit, where the kernel
     # tail is purely exponential; the single-s variant does not
-    import math
-
     env_at = lambda s: s**2 * math.sin(math.pi * s / 2.0) * math.gamma(s) / (
         np.sqrt(2 * np.pi) * (s - 1.0)
     )
