@@ -217,7 +217,6 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
         "alg_coefficient": alg_coefficient,
         "envelope_ratio": envelope_ratio,
         "oscillation_frequency": _oscillation_frequency(params, theta, 3.0 * x_cross),
-        "oscillation_frequency_model": kc["oscillation_frequency"],
     }
 
 

@@ -154,6 +154,79 @@ def _l2(grid, values: np.ndarray):
     return np.sqrt(grid.h * np.sum(np.abs(values) ** 2))
 
 
+# -- the paper-claim checks: functions of measured values, shared by the
+# stages below and the acceptance criteria, and the one home of each threshold
+
+def profile_distance(profile: Profile, base: Profile) -> float:
+    """Relative L2 distance |profile - base| / |base| on the profile's grid."""
+    return float(_l2(profile.grid, profile.values - base.values) / _l2(profile.grid, base.values))
+
+
+def pairwise_distance_max(profiles: list) -> float:
+    """The largest L2 distance between two of the profiles."""
+    pairs = itertools.combinations(profiles, 2)
+    return max((float(_l2(a.grid, a.values - b.values)) for a, b in pairs), default=0.0)
+
+
+def mass_limit_checks(lam: float, gaps: list, dists: list) -> dict:
+    """theta_N -> lambda(s) and R_N -> R_0: gaps and distances, by descending N, fall to their thresholds."""
+    mono_gap = all(a > b for a, b in zip(gaps, gaps[1:]))
+    mono_dist = all(a > b for a, b in zip(dists, dists[1:]))
+    return {
+        "theta_gap_decreasing": _check(0.0 if mono_gap else 1.0, 0.5),
+        "distance_decreasing": _check(0.0 if mono_dist else 1.0, 0.5),
+        "theta_gap_smallest": _check(gaps[-1] if gaps else np.inf, 2e-2 * lam),
+        "distance_smallest": _check(dists[-1] if dists else np.inf, 5e-2),
+    }
+
+
+def uniqueness_check(dmax: float) -> dict:
+    """Gauge-fixed solves from different starts agree: their largest pairwise L2 distance."""
+    return {"uniqueness": _check(dmax, 1e-6)}
+
+
+def tail_checks(fit, lam: float) -> dict:
+    """The profile tail's exponential rate against sqrt(lambda) and amplitude against its oracle."""
+    rate_dev = abs(fit.exp_rate - np.sqrt(lam)) / np.sqrt(lam)
+    oracle = fit.exp_amplitude_oracle
+    amp_dev = abs(fit.exp_amplitude - oracle) / oracle
+    return {"tail_rate": _check(rate_dev, 2e-2), "tail_amplitude": _check(amp_dev, 5e-2)}
+
+
+def decay_uniformity_check(c_values: list) -> dict:
+    """The decay-bound constants of one s stay within a factor 2 across the masses."""
+    return {"C_uniform_factor_2": _check(max(c_values) / min(c_values), 2.0)}
+
+
+def linearized_checks(rep) -> dict:
+    """The linearized kernel is two-dimensional and spanned by iR and R'."""
+    return {
+        "kernel_dimension": _check(float(len(rep.near_zero)), 2.0, mode="le"),
+        "kernel_dimension_lower": _check(float(len(rep.near_zero)), 2.0, mode="ge"),
+        "correlation": _check(min(rep.correlations), 0.999, mode="ge"),
+    }
+
+
+def kernel_checks(params: ModelParams, rep: dict) -> dict:
+    """The kernel against its two-scale expansion (a `kernel_expansion_check` report)."""
+    return {
+        "exp_window": _check(rep["exp_window_deviation"], 2e-2),
+        "alg_exponent": _check(abs(rep["alg_exponent"] - (params.s + 1.0)), 5e-2),
+        "envelope": _check(abs(rep["envelope_ratio"] - 1.0), 5e-2),
+        "frequency": _check(abs(rep["oscillation_frequency"] * params.kappa - 1.0), 2e-2),
+    }
+
+
+def root_checks(root, f2: dict) -> dict:
+    """The root of f1 solves its equation, and f2 winds zero times on its contour."""
+    return {"root_residual": _check(root.residual, 1e-12), "winding": _check(float(abs(f2["winding"])), 0.0)}
+
+
+def quintic_mass_check(mass: float) -> dict:
+    """At s = 2 the ground-state mass is the quintic soliton's pi sqrt(3) / 2."""
+    return {"quintic_mass": _check(abs(mass - np.pi * np.sqrt(3.0) / 2.0), 1e-6)}
+
+
 def _solution(config: RunConfig, s: float, n: float):
     """The cached mass-constrained solve at (s, N), with its model parameters."""
     params = ModelParams(s, 0.0, n)
@@ -210,7 +283,7 @@ def _th2_stage(config: RunConfig, s: float, n: float) -> dict:
     fixed, _, _ = gauge_fix(result.profile)
     return {
         **_solve_fields(result, lam),
-        "profile_distance": float(_l2(config.grid, fixed.values - base.values) / _l2(config.grid, base.values)),
+        "profile_distance": profile_distance(fixed, base),
         "checks": {"el_residual": _check(result.residual, 1e-8)},
     }
 
@@ -219,17 +292,8 @@ def _th2_summary(s: float, points: list) -> list:
     done = [pt for pt in points if pt["error"] is None]
     gaps = [pt["theta_gap"] for pt in done]
     dists = [pt["profile_distance"] for pt in done]
-    _, lam = lambda_of_s(s)
-    mono_gap = all(a > b for a, b in zip(gaps, gaps[1:]))
-    mono_dist = all(a > b for a, b in zip(dists, dists[1:]))
-    return [
-        _point(s, None, summary="th2-monotonicity", checks={
-            "theta_gap_decreasing": _check(0.0 if mono_gap else 1.0, 0.5),
-            "distance_decreasing": _check(0.0 if mono_dist else 1.0, 0.5),
-            "theta_gap_smallest": _check(gaps[-1] if gaps else np.inf, 2e-2 * lam),
-            "distance_smallest": _check(dists[-1] if dists else np.inf, 5e-2),
-        })
-    ]
+    checks = mass_limit_checks(lambda_of_s(s)[1], gaps, dists)
+    return [_point(s, None, summary="th2-monotonicity", checks=checks)]
 
 
 def _th3_stage(config: RunConfig, s: float, n: float) -> dict:
@@ -245,28 +309,21 @@ def _th3_stage(config: RunConfig, s: float, n: float) -> dict:
         init = Profile(grid, grid.from_fourier_coefficients(coeffs))
         res = petviashvili_mass_constrained(grid, params, init=init, tol=config.tol)
         fixed_profiles.append(gauge_fix(res.profile)[0])
-    dmax = 0.0
-    for a, b in itertools.combinations(fixed_profiles, 2):
-        dmax = max(dmax, float(_l2(grid, a.values - b.values)))
-    return {"pairwise_distance_max": dmax, "checks": {"uniqueness": _check(dmax, 1e-6)}}
+    dmax = pairwise_distance_max(fixed_profiles)
+    return {"pairwise_distance_max": dmax, "checks": uniqueness_check(dmax)}
 
 
 def _th4_stage(config: RunConfig, s: float, n: float) -> dict:
     lam, base = _local_limit(config, s)
     result, params = _solution(config, s, n)
     fit = tail_fit(result, base, params)
-    rate_dev = abs(fit.exp_rate - np.sqrt(lam)) / np.sqrt(lam)
-    amp_dev = abs(fit.exp_amplitude - fit.exp_amplitude_oracle) / fit.exp_amplitude_oracle
     return {
         "exp_rate": fit.exp_rate,
         "exp_amplitude": fit.exp_amplitude,
         "exp_amplitude_oracle": fit.exp_amplitude_oracle,
         "alg_exponent": fit.alg_exponent,
         "C_min": fit.decay_bound["C_min"],
-        "checks": {
-            "tail_rate": _check(rate_dev, 2e-2),
-            "tail_amplitude": _check(amp_dev, 5e-2),
-        },
+        "checks": tail_checks(fit, lam),
     }
 
 
@@ -274,11 +331,8 @@ def _th4_summary(s: float, points: list) -> list:
     c_values = [pt["C_min"] for pt in points if pt["error"] is None]
     if not c_values:
         return []
-    ratio = max(c_values) / min(c_values)
-    return [
-        _point(s, None, summary="decay-bound-uniformity", C_values=c_values,
-               checks={"C_uniform_factor_2": _check(ratio, 2.0)})
-    ]
+    checks = decay_uniformity_check(c_values)
+    return [_point(s, None, summary="decay-bound-uniformity", C_values=c_values, checks=checks)]
 
 
 def _linearize_stage(config: RunConfig, s: float, n: float) -> dict:
@@ -288,11 +342,7 @@ def _linearize_stage(config: RunConfig, s: float, n: float) -> dict:
         "eigenvalues": [float(v) for v in rep.eigenvalues],
         "correlations": list(rep.correlations),
         "coercivity": rep.coercivity,
-        "checks": {
-            "kernel_dimension": _check(float(len(rep.near_zero)), 2.0, mode="le"),
-            "kernel_dimension_lower": _check(float(len(rep.near_zero)), 2.0, mode="ge"),
-            "correlation": _check(min(rep.correlations), 0.999, mode="ge"),
-        },
+        "checks": linearized_checks(rep),
     }
 
 
@@ -309,21 +359,14 @@ def _kernel_stage(config: RunConfig, s: float, n: float) -> dict:
         "oscillation_frequency": rep["oscillation_frequency"],
         "root": repr(root.y),
         "winding": f2["winding"],
-        "checks": {
-            "exp_window": _check(rep["exp_window_deviation"], 2e-2),
-            "alg_exponent": _check(abs(rep["alg_exponent"] - (s + 1.0)), 5e-2),
-            "envelope": _check(abs(rep["envelope_ratio"] - 1.0), 5e-2),
-            "frequency": _check(abs(rep["oscillation_frequency"] * params.kappa - 1.0), 2e-2),
-            "root_residual": _check(root.residual, 1e-12),
-            "winding": _check(float(abs(f2["winding"])), 0.0),
-        },
+        "checks": {**kernel_checks(params, rep), **root_checks(root, f2)},
     }
 
 
 def _gn_constant_stage(config: RunConfig, s: float, n: None) -> dict:
     _, c_s, mass = fractional_ground_state(s)
     if s == 2.0:
-        checks = {"quintic_mass": _check(abs(mass - np.pi * np.sqrt(3.0) / 2.0), 1e-6)}
+        checks = quintic_mass_check(mass)
     else:
         over = [m for m in config.n_list if m >= mass]
         checks = {

@@ -214,7 +214,7 @@ _BLOCK = 8  # LOBPCG block width; the lowest _KEEP of its eigenpairs are reporte
 _KEEP = 6
 _COARSE_POINTS = 128  # grid of the start block's dense eigensolve (a 256 x 256 matrix)
 _EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
-_EIG_MAXITER = 400  # README grid: 6, 30, 165, 362 iterations at s = 1.5, 1.4, 1.3, 1.2
+_EIG_MAXITER = 400  # README grid: 6, 30, 165, 193 iterations at s = 1.5, 1.4, 1.3, 1.2
 _KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
 _MINRES_RTOL = 1e-13  # constrained_solve's tolerance; Newton steps pass their own
 _MINRES_MAXITER = 1000

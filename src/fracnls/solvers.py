@@ -206,8 +206,10 @@ def petviashvili_mass_constrained(
     rtol min(_FORCING_MAX, _FORCING_FACTOR * error), where the error is
     the larger of the relative residual and the relative mass error.  The
     steps stop when the residual is at most tol and the mass error at most
-    _MASS_TOL.  A MINRES failure, an error that fails to halve over two
-    consecutive steps, or _NEWTON_MAX_STEPS steps raise ConvergenceError.
+    _MASS_TOL.  A MINRES failure, a step that leaves n_N + theta not
+    positive somewhere (its preconditioner would be indefinite), an error
+    that fails to halve over two consecutive steps, or _NEWTON_MAX_STEPS
+    steps raise ConvergenceError.
     The history holds theta, residual and mass error at every iterate and
     the MINRES iterations of every step; `iterations` counts the
     Petviashvili and MINRES iterations.
@@ -216,6 +218,7 @@ def petviashvili_mass_constrained(
     p = 2.0 * s + 1.0
     target = params.s0
     sig = symbol_nN(grid.xi, params)
+    sig_min = float(sig.min())
     if init is None:
         init = local_ground_state(s, params.lam, grid)
     start = petviashvili_solve(grid, sig, params.lam, p, init, tol=_HANDOFF_TOL)
@@ -257,6 +260,11 @@ def petviashvili_mass_constrained(
             )
         uh = uh + fft(du)
         theta += dtheta
+        if theta + sig_min <= 0.0:
+            raise ConvergenceError(
+                f"newton step {step + 1} moved theta to {theta:.3e}, where n_N + theta is not positive",
+                history,
+            )
     total_iters = start.iterations + sum(history["minres_iterations"])
     return _renormalized_result(grid, sig, p, target, uh, tol, total_iters, history)
 

@@ -57,8 +57,8 @@ def lambda_of_s(s: float) -> tuple[float, float]:
 class ModelParams:
     """Parameter bundle (s, beta, N) plus the derived scalars.
 
-    s = 2, the local limit, is accepted for the symbol identities; `lam`,
-    and with it every solver path, requires s < 2.
+    s = 2, the local limit, is accepted for the symbol identities; `kappa`
+    and `lam`, and with them every solver path, require s < 2.
     """
 
     s: float
@@ -81,7 +81,9 @@ class ModelParams:
 
     @property
     def kappa(self) -> float:
-        return self.N ** (self.s / (2.0 - self.s)) if self.s < 2.0 else np.nan
+        if self.s == 2.0:
+            raise ValueError("kappa = N^(s/(2-s)) requires s < 2")
+        return self.N ** (self.s / (2.0 - self.s))
 
     @property
     def s0(self) -> float:
@@ -91,9 +93,6 @@ class ModelParams:
     def lam(self) -> float:
         """Multiplier lambda(s) of the small-mass limit profile."""
         return lambda_of_s(self.s)[1]
-
-    def with_mass(self, N: float) -> "ModelParams":
-        return ModelParams(self.s, self.beta, N)
 
 
 def symbol_n(xi, s: float):
@@ -185,7 +184,6 @@ def kernel_constants(params: ModelParams) -> dict:
     return {
         "C1": c1,
         "c2_envelope": env,
-        "oscillation_frequency": 1.0 / params.kappa,
         "n_power": params.N ** (s * (2.0 + s) / (2.0 - s)),
     }
 

@@ -3,12 +3,15 @@
 Each test prints a single machine-readable line
     [criterion NN] PASS|FAIL  <measured quantities>
 so a -s run shows the full scorecard; assertions carry the same numbers.
+A measurement that a CLI stage also checks is made by the CLI's check
+function, read through `holds` at the criterion's stated tolerance.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 
 from fracnls.asymptotics import (
     find_root_f1,
@@ -16,7 +19,21 @@ from fracnls.asymptotics import (
     tail_fit,
     verify_f2_rootless,
 )
-from fracnls.cli import RunConfig, emit_outputs, run
+from fracnls.cli import (
+    RunConfig,
+    decay_uniformity_check,
+    emit_outputs,
+    kernel_checks,
+    linearized_checks,
+    mass_limit_checks,
+    pairwise_distance_max,
+    profile_distance,
+    quintic_mass_check,
+    root_checks,
+    run,
+    tail_checks,
+    uniqueness_check,
+)
 from fracnls.linearized import (
     build_linearized,
     constrained_solve,
@@ -43,6 +60,25 @@ def report(num, ok, detail):
     assert ok, detail
 
 
+def holds(checks, **tolerances):
+    """Whether every named check passes, each threshold asserted equal to its stated tolerance.
+
+    A threshold loosened in the package then fails its criterion instead of
+    moving the criterion with it.
+    """
+    for name, tol in tolerances.items():
+        threshold = checks[name]["threshold"]
+        assert threshold == tol, f"{name}: package threshold {threshold!r}, stated tolerance {tol!r}"
+    return all(checks[name]["pass"] for name in tolerances)
+
+
+def test_holds_guards_the_stated_tolerance():
+    assert holds(uniqueness_check(1e-7), uniqueness=1e-6)
+    assert not holds(uniqueness_check(1e-5), uniqueness=1e-6)
+    with pytest.raises(AssertionError, match="uniqueness: package threshold 1e-06, stated tolerance 1e-05"):
+        holds(uniqueness_check(1e-7), uniqueness=1e-5)
+
+
 def test_criterion_01_closed_form_oracle_equivalence():
     """Both solvers reproduce the sech-power closed form; quintic mass check."""
     grid = make_grid(64.0, 4096)
@@ -55,8 +91,9 @@ def test_criterion_01_closed_form_oracle_equivalence():
     fixed_f, _, _ = gauge_fix(flow.profile)
     err_f = float(np.max(np.abs(fixed_f.values - oracle.values)))
     q5, _, mass5 = fractional_ground_state(2.0, grid)
-    err_mass = abs(mass5 - np.pi * np.sqrt(3.0) / 2.0)
-    ok = err_p <= 1e-8 and err_f <= 1e-8 and err_mass <= 1e-6
+    quintic = quintic_mass_check(mass5)
+    err_mass = quintic["quintic_mass"]["value"]
+    ok = err_p <= 1e-8 and err_f <= 1e-8 and holds(quintic, quintic_mass=1e-6)
     report(
         1, ok,
         f"petviashvili Linf {err_p:.2e} (<=1e-8), flow Linf {err_f:.2e} (<=1e-8), "
@@ -79,9 +116,9 @@ def test_criterion_02_euler_lagrange_residual(petviashvili_path, flow_path, grid
 def test_criterion_03_multiplier_limit(petviashvili_path, lam15):
     lam = lam15["lam"]
     gaps = [abs(petviashvili_path[n].multiplier - lam) for n in sorted(N_PATH, reverse=True)]
-    mono = all(a > b for a, b in zip(gaps, gaps[1:]))
-    small = gaps[-1] <= 2e-2 * lam
-    ok = mono and small
+    checks = mass_limit_checks(lam, gaps, [])
+    mono = checks["theta_gap_decreasing"]["pass"]
+    ok = holds(checks, theta_gap_decreasing=0.5, theta_gap_smallest=2e-2 * lam)
     report(
         3, ok,
         f"|theta_N - lambda| = {['%.3e' % g for g in gaps]} monotone={mono}, "
@@ -89,18 +126,17 @@ def test_criterion_03_multiplier_limit(petviashvili_path, lam15):
     )
 
 
-def test_criterion_04_profile_limit(petviashvili_path, local_R, grid_main):
-    norm_l2 = math.sqrt(local_R.mass())
+def test_criterion_04_profile_limit(petviashvili_path, local_R, grid_main, lam15):
     norm_h1 = sobolev_norm(local_R, 1.0)
     d_l2, d_h1 = [], []
     for n in sorted(N_PATH, reverse=True):
         fixed, _, _ = gauge_fix(petviashvili_path[n].profile)
-        diff = Profile(grid_main, fixed.values - local_R.values)
-        d_l2.append(math.sqrt(diff.mass()) / norm_l2)
-        d_h1.append(sobolev_norm(diff, 1.0) / norm_h1)
-    mono_l2 = all(a > b for a, b in zip(d_l2, d_l2[1:]))
+        d_l2.append(profile_distance(fixed, local_R))
+        d_h1.append(sobolev_norm(Profile(grid_main, fixed.values - local_R.values), 1.0) / norm_h1)
+    checks = mass_limit_checks(lam15["lam"], [], d_l2)
+    mono_l2 = checks["distance_decreasing"]["pass"]
     mono_h1 = all(a > b for a, b in zip(d_h1, d_h1[1:]))
-    ok = mono_l2 and mono_h1 and d_l2[-1] <= 5e-2
+    ok = holds(checks, distance_decreasing=0.5, distance_smallest=5e-2) and mono_h1
     report(
         4, ok,
         f"L2 distances {['%.2e' % d for d in d_l2]} monotone={mono_l2}; "
@@ -174,19 +210,14 @@ def test_criterion_06_uniqueness_probe():
         init = smooth_random_profile(grid, rng, width=float(rng.uniform(1.0, 3.0)), mass=params.s0)
         res = petviashvili_mass_constrained(grid, params, init=init, tol=1e-11)
         fixed.append(gauge_fix(res.profile)[0])
-    dmax = 0.0
-    for i in range(5):
-        for j in range(i + 1, 5):
-            d = math.sqrt(grid.h * float(np.sum(np.abs(fixed[i].values - fixed[j].values) ** 2)))
-            dmax = max(dmax, d)
-    ok = dmax <= 1e-6
+    dmax = pairwise_distance_max(fixed)
+    ok = holds(uniqueness_check(dmax), uniqueness=1e-6)
     report(6, ok, f"max pairwise L2 distance over 5 random initializations: {dmax:.2e} (<=1e-6)")
 
 
 def test_criterion_07_linearized_diagnostics(lin_solve, lam15):
     op = build_linearized(lin_solve["result"], lin_solve["params"])
     rep = kernel_diagnostics(op)
-    two = len(rep.near_zero) == 2
     corr = min(rep.correlations)
     # local-limit identity L+ R = -2s (|D|^2 + lam) R
     lam = lam15["lam"]
@@ -209,7 +240,9 @@ def test_criterion_07_linearized_diagnostics(lin_solve, lam15):
     g = vec[: op.grid.points] + 1j * vec[op.grid.points :]
     sol, _ = constrained_solve(op, Profile(op.grid, op.apply(g)))
     rt = float(np.linalg.norm(sol.values - g) / np.linalg.norm(g))
-    ok = two and corr >= 0.999 and ident <= 1e-8 and rt <= 1e-8
+    checks = linearized_checks(rep)
+    shared = holds(checks, kernel_dimension=2.0, kernel_dimension_lower=2.0, correlation=0.999)
+    ok = shared and ident <= 1e-8 and rt <= 1e-8
     report(
         7, ok,
         f"kernel dim {len(rep.near_zero)} (=2), correlation {corr:.6f} (>=0.999), "
@@ -221,7 +254,6 @@ def test_criterion_08_root_system(lam15):
     lam = lam15["lam"]
     p_mid = ModelParams(S_DEFAULT, 0.0, 0.1)
     root = find_root_f1("+", p_mid, lam)
-    res_ok = root.residual <= 1e-12 * (1.0 + abs(root.y) ** S_DEFAULT)
     limit_err = abs(root.y / p_mid.kappa - 1j * math.sqrt(lam)) / math.sqrt(lam)
     ratios = []
     for kappa in (1e-2, 1e-3, 1e-4):
@@ -229,10 +261,10 @@ def test_criterion_08_root_system(lam15):
         for sign in ("+", "-"):
             ratios.append(abs(find_root_f1(sign, p, lam).y) / kappa)
     spread = max(ratios) / min(ratios)
-    windings = [
-        verify_f2_rootless(sign, p_mid, lam)["winding"] for sign in ("+", "-")
-    ]
-    ok = res_ok and limit_err <= 1e-2 and spread <= 1.5 and all(w == 0 for w in windings)
+    f2s = [verify_f2_rootless(sign, p_mid, lam) for sign in ("+", "-")]
+    windings = [f2["winding"] for f2 in f2s]
+    shared = all(holds(root_checks(root, f2), root_residual=1e-12, winding=0.0) for f2 in f2s)
+    ok = shared and limit_err <= 1e-2 and spread <= 1.5
     report(
         8, ok,
         f"residual {root.residual:.1e} (<=1e-12), scaled-root err {limit_err:.2e} (<=1e-2), "
@@ -241,10 +273,9 @@ def test_criterion_08_root_system(lam15):
 
 
 def test_criterion_09_kernel_expansion(petviashvili_path, lam15):
-    rep = kernel_expansion_check(ModelParams(S_DEFAULT, 0.0, 0.2), petviashvili_path[0.2].multiplier)
-    win = rep["exp_window_deviation"]
-    expo = abs(rep["alg_exponent"] - (S_DEFAULT + 1.0))
-    freq = abs(rep["oscillation_frequency"] / rep["oscillation_frequency_model"] - 1.0)
+    p_02 = ModelParams(S_DEFAULT, 0.0, 0.2)
+    checks = kernel_checks(p_02, kernel_expansion_check(p_02, petviashvili_path[0.2].multiplier))
+    win, expo, env, freq = (chk["value"] for chk in checks.values())
     coeffs, masses = [], (0.2, 0.1, 0.05)
     for n in masses:
         coeffs.append(
@@ -253,11 +284,13 @@ def test_criterion_09_kernel_expansion(petviashvili_path, lam15):
     slope = float(np.polyfit(np.log(masses), np.log(coeffs), 1)[0])
     expected = S_DEFAULT * (2.0 + S_DEFAULT) / (2.0 - S_DEFAULT)
     slope_dev = abs(slope - expected) / expected
-    ok = win <= 2e-2 and expo <= 5e-2 and slope_dev <= 5e-2 and freq <= 2e-2
+    shared = holds(checks, exp_window=2e-2, alg_exponent=5e-2, envelope=5e-2, frequency=2e-2)
+    ok = shared and slope_dev <= 5e-2
     report(
         9, ok,
         f"exp window dev {win:.2e} (<=2e-2), exponent dev {expo:.2e} (<=5e-2), "
-        f"coefficient slope {slope:.3f} vs {expected} ({slope_dev:.2e}<=5e-2), freq dev {freq:.2e} (<=2e-2)",
+        f"coefficient slope {slope:.3f} vs {expected} ({slope_dev:.2e}<=5e-2), freq dev {freq:.2e} (<=2e-2), "
+        f"envelope dev {env:.2e} (<=5e-2)",
     )
 
 
@@ -266,14 +299,10 @@ def test_criterion_10_profile_tails(petviashvili_path, local_R, lam15):
     fits = {
         n: tail_fit(petviashvili_path[n], local_R, ModelParams(S_DEFAULT, 0.0, n)) for n in (0.2, 0.1, 0.05)
     }
-    fit = fits[0.1]
-    rate_dev = abs(fit.exp_rate - math.sqrt(lam)) / math.sqrt(lam)
-    amp_dev = abs(fit.exp_amplitude - fit.exp_amplitude_oracle) / fit.exp_amplitude_oracle
-    consts = []
-    for n in (0.2, 0.1, 0.05):
-        consts.append(fits[n].decay_bound["C_min"])
-    uniform = max(consts) / min(consts)
-    ok = rate_dev <= 2e-2 and amp_dev <= 5e-2 and uniform <= 2.0
+    consts = [fits[n].decay_bound["C_min"] for n in (0.2, 0.1, 0.05)]
+    checks = {**tail_checks(fits[0.1], lam), **decay_uniformity_check(consts)}
+    rate_dev, amp_dev, uniform = (chk["value"] for chk in checks.values())
+    ok = holds(checks, tail_rate=2e-2, tail_amplitude=5e-2, C_uniform_factor_2=2.0)
     report(
         10, ok,
         f"tail rate dev {rate_dev:.2e} (<=2e-2), amplitude dev {amp_dev:.2e} (<=5e-2), "

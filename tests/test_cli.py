@@ -455,6 +455,17 @@ def test_newton_failure_exits_3_with_one_line(tmp_path, capsys):
     assert "\n" not in point["error"] and point["error"] in errors[0]
 
 
+def test_newton_step_out_of_the_positive_cone_exits_3_with_one_line(tmp_path, capsys):
+    # at s = 1.6 on the default torus the first Newton step takes theta below -min n_N
+    code = main(["solve", "--s-list", "1.6", "--n-list", "0.1",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_SOLVER_FAILURE
+    errors = [line for line in out.splitlines() if "ERROR" in line]
+    assert len(errors) == 1 and "newton step 1 moved theta" in errors[0] and "not positive" in errors[0]
+    assert "Traceback" not in out + err
+
+
 def test_unconverged_solve_fails_linearize_with_one_line(tmp_path, capsys, monkeypatch):
     def unconverged(grid, params, tol):
         return SolveResult(local_ground_state(params.s, params.lam, grid), params.lam, 1e-3,

@@ -231,18 +231,6 @@ def test_methods_agree_after_gauge_fix(petviashvili_path, flow_path, grid_main):
         assert abs(petviashvili_path[n].multiplier - flow_path[n].multiplier) <= 1e-8
 
 
-def test_reduced_energy_negative_and_decreasing(flow_path, grid_main):
-    """I(N) < 0 and strictly decreasing on the sampled mass grid."""
-    energies = {}
-    for n, res in flow_path.items():
-        params = ModelParams(S_DEFAULT, 0.0, n)
-        e_scale = params.s0 ** (S_DEFAULT + 1.0) * n ** (-(2.0 + S_DEFAULT) / (2.0 - S_DEFAULT))
-        energies[n] = res.energy / e_scale
-        assert energies[n] < 0.0
-    ordered = [energies[n] for n in sorted(energies)]  # increasing N
-    assert all(a > b for a, b in zip(ordered, ordered[1:]))
-
-
 def test_gradient_flow_reduced_functional(grid_main, flow_path):
     """The I-functional surface returns S_N with the eta multiplier."""
     n = 0.1
@@ -261,13 +249,6 @@ def test_gradient_flow_reduced_functional(grid_main, flow_path):
 
 
 # -- fractional ground state and the sharp constant ---------------------------
-
-def test_quintic_ground_state_mass():
-    """s = 2, the local limit: <Q,Q> = pi sqrt(3)/2 for the quintic soliton."""
-    grid = make_grid(64.0, 4096)
-    q, c_s, mass = fractional_ground_state(2.0, grid)
-    assert mass == pytest.approx(np.pi * np.sqrt(3.0) / 2.0, abs=1e-6)
-
 
 def test_gn_inequality_on_random_fields(ground_state_15):
     c_s = ground_state_15["C_s"]

@@ -40,11 +40,13 @@ def test_params_derived_scalars():
 
 
 def test_params_validation_gate():
-    # s = 2 is admitted for the symbol identities; lambda(s) still refuses it
+    # s = 2 is admitted for the symbol identities; kappa and lambda(s) refuse it
     p = ModelParams(2.0, 0.0, 0.1)
     assert p.s == 2.0
     with pytest.raises(ValueError, match="1 < s < 2"):
         p.lam
+    with pytest.raises(ValueError, match="requires s < 2"):
+        p.kappa
     for s in (1.0, 2.05):
         with pytest.raises(ValueError, match="s must lie in"):
             ModelParams(s, 0.0, 0.1)
