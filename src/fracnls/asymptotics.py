@@ -335,7 +335,6 @@ class TailFit:
     alg_exponent: float
     alg_coefficient: float
     alg_coefficient_model: float
-    oscillation_frequency: float
     window_far: tuple
     exp_fit_residual: float
     alg_fit_residual: float
@@ -416,8 +415,6 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
         alg_exponent=alg_exponent,
         alg_coefficient=alg_coefficient,
         alg_coefficient_model=alg_model,
-        # frozen-phase oscillation frequency, from the kernel branch-cut phase
-        oscillation_frequency=_oscillation_frequency(params, result.multiplier, float(xs_far[0])),
         window_far=(float(xs_far[0]), float(xs_far[-1])),
         exp_fit_residual=exp_resid,
         alg_fit_residual=alg_resid,

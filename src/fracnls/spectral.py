@@ -9,7 +9,6 @@ on the periodic grid is the single quadrature used for norms/energies.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,6 @@ import scipy.fft
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-_MAGIC = b"FNLS"
-_FORMAT_VERSION = 1
 MAX_POINTS = 2**20  # larger grids are refused before allocating (one complex grid array: 16 MiB)
 
 
@@ -198,66 +195,3 @@ def pad_evaluate(u_values: np.ndarray, fn) -> np.ndarray:
     """
     return fourier_restrict(fn(zero_pad(u_values, 2)), 2)
 
-
-def save_profile(
-    path,
-    profile: Profile,
-    *,
-    s: float = np.nan,
-    mass: float = np.nan,
-    beta: float = np.nan,
-    multiplier: float | None = None,
-) -> None:
-    """Write the documented array-container format.
-
-    Header: magic, format version, L, M, s, N, beta, a reserved flag
-    (written 0, the former gauge flag), multiplier presence flag and value;
-    then M little-endian complex double pairs.
-    """
-    has_mult = 0 if multiplier is None else 1
-    header = struct.pack(
-        "<4sIdQdddIId",
-        _MAGIC,
-        _FORMAT_VERSION,
-        profile.grid.length,
-        profile.grid.points,
-        float(s),
-        float(mass),
-        float(beta),
-        0,
-        has_mult,
-        0.0 if multiplier is None else float(multiplier),
-    )
-    data = np.ascontiguousarray(profile.values, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
-
-
-def load_profile(path) -> tuple[Profile, dict]:
-    """Read a profile container; returns (profile, header metadata), ignoring the reserved flag."""
-    head_size = struct.calcsize("<4sIdQdddIId")
-    with open(path, "rb") as fh:
-        raw = fh.read(head_size)
-        if len(raw) < head_size:
-            raise ValueError(f"truncated profile container: {len(raw)} of {head_size} header bytes")
-        magic, version, length, points, s, mass, beta, _, has_mult, mult = struct.unpack(
-            "<4sIdQdddIId", raw
-        )
-        if magic != _MAGIC:
-            raise ValueError(f"not a profile container: bad magic {magic!r}")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        payload = fh.read(int(points) * 16)
-        if len(payload) < int(points) * 16:
-            raise ValueError(f"truncated profile container: {len(payload)} of {int(points) * 16} data bytes")
-        data = np.frombuffer(payload, dtype="<c16").astype(complex)
-    grid = SpectralGrid(length, int(points))
-    prof = Profile(grid, data)
-    meta = {
-        "s": s,
-        "mass": mass,
-        "beta": beta,
-        "multiplier": mult if has_mult else None,
-    }
-    return prof, meta

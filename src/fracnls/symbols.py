@@ -2,33 +2,30 @@
 
 Implements the base symbol n(xi) = |xi+1|^s - s xi - 1, its mass-rescaled
 version n_N, the drift symbol m_beta, the lower bound with the explicit
-constant C(A), and the kernel m_N = Finv(1/(n_N + theta)) with both a
-grid-sampled (periodized) form and a high-accuracy pointwise evaluator for
-tail studies.
+constant C(A), and a high-accuracy pointwise evaluator of the kernel
+m_N = Finv(1/(n_N + theta)) for tail studies.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .asymptotics_roots import find_root_translated, n_series
-from .spectral import SQRT_2PI, SpectralGrid
+from .spectral import SQRT_2PI
 
 __all__ = [
     "ModelParams",
-    "KernelField",
     "lambda_of_s",
     "symbol_n",
     "symbol_nN",
     "symbol_mbeta",
     "stationary_point",
     "check_lower_bound",
-    "build_kernel",
     "kernel_pointwise",
     "laplace_transform",
     "kernel_constants",
@@ -186,33 +183,6 @@ def kernel_constants(params: ModelParams) -> dict:
         "c2_envelope": env,
         "n_power": params.N ** (s * (2.0 + s) / (2.0 - s)),
     }
-
-
-@dataclass
-class KernelField:
-    """Grid samples of m_N = Finv(1/(n_N + theta)), with the symbol n_N + theta on the grid.
-
-    Grid samples are the periodized kernel; tail comparisons beyond |x| = L/4
-    must use the pointwise evaluator instead (periodization bias is
-    O(L^{-(s+1)}) and visible at the accuracy targets).
-    """
-
-    params: ModelParams
-    theta: float
-    grid: SpectralGrid
-    values: np.ndarray = field(repr=False)
-    symbol: np.ndarray = field(repr=False)
-
-
-def build_kernel(grid: SpectralGrid, params: ModelParams, theta: float) -> KernelField:
-    """Sample m_N on the grid via the normalized inverse transform."""
-    denom = symbol_nN(grid.xi, params) + theta
-    if np.any(denom <= 0.0):
-        raise ValueError("kernel symbol n_N + theta is nonpositive at some grid frequency")
-    # sampling Finv(sigma) on the nodes is the Riemann sum over the lattice,
-    # i.e. exactly the normalized inverse with sigma as the coefficients
-    values = grid.from_fourier_coefficients(1.0 / denom)
-    return KernelField(params, theta, grid, values, denom)
 
 
 # -- pointwise evaluator -----------------------------------------------------

@@ -10,6 +10,8 @@ package computes another way:
   mass-projected descent on the energy, a second solver;
 - `kernel_zero_value` and `kernel_realaxis_quadrature`: the kernel m_N by
   QUADPACK on the real axis (the package deforms the contour);
+- `kernel_grid_samples`: the periodized kernel m_N sampled on a grid by the
+  inverse transform of its symbol;
 - `local_dense`: the local-limit operators L+/L- as dense matrices;
 - `spectral_interpolate`: the band-limited interpolant summed directly
   as a Fourier series (the package translates by a spectral phase), from
@@ -218,7 +220,7 @@ def gradient_flow_minimize(
     raise ValueError(f"unknown functional {functional!r} (expected 'I' or 'Y_N')")
 
 
-# -- the kernel on the real axis -----------------------------------------------
+# -- the kernel by other routes ------------------------------------------------
 
 
 def kernel_zero_value(params: ModelParams, theta: float) -> float:
@@ -270,6 +272,21 @@ def kernel_realaxis_quadrature(x: float, params: ModelParams, theta: float) -> c
     cos_int = 2.0 * (ce_ + ct_)
     sin_int = 2.0 * (se_ + st_)
     return complex((cos_int + 1j * np.sign(x) * sin_int) / SQRT_2PI)
+
+
+def kernel_grid_samples(grid: SpectralGrid, params: ModelParams, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid samples of m_N = Finv(1/(n_N + theta)), with the symbol n_N + theta on the grid.
+
+    The samples are the periodized kernel: beyond |x| = L/4 its
+    periodization bias, O(L^{-(s+1)}), is visible at the accuracy targets,
+    so tail comparisons use the pointwise evaluator instead.
+    """
+    symbol = symbol_nN(grid.xi, params) + theta
+    if np.any(symbol <= 0.0):
+        raise ValueError("kernel symbol n_N + theta is nonpositive at some grid frequency")
+    # sampling Finv(sigma) on the nodes is the Riemann sum over the lattice,
+    # i.e. exactly the normalized inverse with sigma as the coefficients
+    return grid.from_fourier_coefficients(1.0 / symbol), symbol
 
 
 # -- dense matrices --------------------------------------------------------------

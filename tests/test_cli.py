@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -330,19 +331,84 @@ def test_uniqueness_point_independent_of_other_points(tmp_path):
     assert both[1] == alone[0]
 
 
-@pytest.mark.parametrize("size", [30, 1000])  # short header, short payload
-def test_truncated_cache_entry_is_recomputed(tmp_path, size):
+def _assert_rerun_recomputes(tmp_path, corrupt):
+    """A CLI rerun over a cache entry that ``corrupt`` rewrote exits 0, writes the
+    same records and restores the entry."""
     config = fast_config("solve", tmp_path, n_list=(0.2,))
     first = _emit_bytes(config)
     (prof,) = Path(config.cache_dir).glob("*.prof")
     stored = prof.read_bytes()
-    prof.write_bytes(stored[:size])
+    prof.write_bytes(corrupt(stored))
     args = ["solve", "--s-list", "1.5", "--n-list", "0.2", "--grid-l", "64", "--grid-m", "512",
             "--tol", "1e-9", "--cache-dir", config.cache_dir, "--output-dir", config.output_dir]
     assert main(args) == EXIT_OK
     second = {p.name: p.read_bytes() for p in Path(config.output_dir).iterdir() if p.name in first}
     assert second == first
     assert prof.read_bytes() == stored
+
+
+@pytest.mark.parametrize("size", [30, 1000])  # short header, short payload
+def test_truncated_cache_entry_is_recomputed(tmp_path, size):
+    _assert_rerun_recomputes(tmp_path, lambda stored: stored[:size])
+
+
+@pytest.mark.parametrize("points", [2**40, 256], ids=["huge", "other-grid"])
+def test_cache_entry_with_a_wrong_grid_size_is_recomputed(tmp_path, points):
+    # bytes 16-24 of the header hold M
+    _assert_rerun_recomputes(tmp_path, lambda stored: stored[:16] + points.to_bytes(8, "little") + stored[24:])
+
+
+def _stored_solve(grid, stabilization):
+    return SolveResult(local_ground_state(1.5, 0.05, grid), 0.0492, 3.5e-12, -0.125, 21, True, stabilization)
+
+
+@pytest.mark.parametrize("stabilization", [np.nan, 1.0000003])
+def test_cache_entry_round_trip_keeps_every_field(tmp_path, stabilization):
+    grid = make_grid(48.0, 128)
+    result = _stored_solve(grid, stabilization)
+    store_result(tmp_path, "k", result)
+    back = load_result(tmp_path, "k", grid)
+    assert back.profile.grid is grid
+    assert np.array_equal(back.profile.values, result.profile.values)
+    for f in fields(SolveResult):
+        if f.name not in ("profile", "history"):  # the solver's per-iterate log is not stored
+            assert np.array_equal(getattr(back, f.name), getattr(result, f.name), equal_nan=True), f.name
+            assert type(getattr(back, f.name)) is type(getattr(result, f.name)), f.name
+
+
+def test_cache_entry_with_a_bad_magic_is_a_miss(tmp_path):
+    grid = make_grid(48.0, 128)
+    store_result(tmp_path, "k", _stored_solve(grid, np.nan))
+    prof = tmp_path / "k.prof"
+    prof.write_bytes(b"JUNK" + prof.read_bytes()[4:])
+    assert load_result(tmp_path, "k", grid) is None
+
+
+def test_version_1_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
+    s, n, tol = 1.5, 0.2, 1e-9
+    grid = make_grid(48.0, 128)
+    key = cache_key(s, n, grid.length, grid.points, tol)
+    old = _stored_solve(grid, np.nan)
+    # version 1: magic, version, L, M, s, N, beta, a reserved flag, a multiplier
+    # flag and the multiplier, the profile values, and the other scalars in a JSON sidecar
+    header = struct.pack("<4sIdQdddIId", b"FNLS", 1, grid.length, grid.points, s, n, 0.0, 0, 1, old.multiplier)
+    (tmp_path / f"{key}.prof").write_bytes(header + old.profile.values.astype("<c16").tobytes())
+    (tmp_path / f"{key}.json").write_text(json.dumps(
+        {"multiplier": old.multiplier, "residual": old.residual, "energy": old.energy,
+         "iterations": old.iterations, "converged": old.converged, "stabilization": None}))
+    assert load_result(tmp_path, key, grid) is None
+    fresh = _stored_solve(grid, 1.0)
+    got, hit = cached_solve(tmp_path, s, n, grid, tol, lambda: fresh)
+    assert got is fresh and not hit
+    assert load_result(tmp_path, key, grid).stabilization == 1.0
+
+
+def test_each_solve_is_one_file_named_by_its_key(tmp_path):
+    # the benchmark counts stored solves by file-name stem
+    config = fast_config("solve", tmp_path)
+    run(config)
+    keys = {cache_key(1.5, n, config.grid_l, config.grid_m, config.tol) for n in config.n_list}
+    assert sorted(p.name for p in Path(config.cache_dir).iterdir()) == sorted(f"{k}.prof" for k in keys)
 
 
 def test_secant_solver_entry_is_a_miss(tmp_path):
@@ -357,8 +423,8 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
     def result(theta):
         return SolveResult(local_ground_state(s, 0.05, grid), theta, 0.0, 0.0, 1, True)
 
-    store_result(tmp_path, old_key, result(1.0), s, n)
-    assert load_result(tmp_path, old_key).multiplier == 1.0
+    store_result(tmp_path, old_key, result(1.0))
+    assert load_result(tmp_path, old_key, grid).multiplier == 1.0
     got, hit = cached_solve(tmp_path, s, n, grid, tol, lambda: result(2.0))
     assert (got.multiplier, hit) == (2.0, False)
 

@@ -98,7 +98,6 @@ TEST_ONLY_KNOBS = {
     "renorm.convert_multipliers(eta)": "the multiplier bijection is checked from each of its three entry points",
     "renorm.convert_multipliers(theta)": "the multiplier bijection is checked from each of its three entry points",
     "solvers.fractional_ground_state(grid)": "tests solve the ground state on tori smaller than the default",
-    "spectral.save_profile(beta)": "the container's beta header slot is checked by a round trip",
 }
 
 

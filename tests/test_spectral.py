@@ -1,4 +1,4 @@
-"""Grid, transform, multiplier, quadrature, and serialization contracts."""
+"""Grid, transform, multiplier and quadrature contracts."""
 
 import re
 from pathlib import Path
@@ -17,11 +17,9 @@ from fracnls.spectral import (
     fft,
     fourier_restrict,
     ifft,
-    load_profile,
     lp_norm,
     make_grid,
     quadratic_form,
-    save_profile,
     sobolev_norm,
     translate,
     zero_pad,
@@ -224,25 +222,6 @@ def test_translate_and_interpolate():
     assert np.max(np.abs(vals - shifted.values[:8])) <= 1e-10
 
 
-def test_profile_serialization_roundtrip(tmp_path):
-    g = make_grid(48.0, 128)
-    u = smooth_random_profile(g, np.random.default_rng(11))
-    path = tmp_path / "prof.bin"
-    save_profile(path, u, s=1.5, mass=0.1, beta=0.75, multiplier=0.0492)
-    back, meta = load_profile(path)
-    assert np.array_equal(back.values, u.values)
-    assert back.grid.length == g.length and back.grid.points == g.points
-    assert meta["s"] == 1.5 and meta["mass"] == 0.1 and meta["beta"] == 0.75
-    assert meta["multiplier"] == 0.0492
-
-
-def test_serialization_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a profile container at all" * 4)
-    with pytest.raises(ValueError, match="magic"):
-        load_profile(path)
-
-
 def test_local_profile_mass_matches_quadrature_oracle(lam15, grid_main):
     """||R0||^2 equals the adaptive quadrature of the closed form to 1e-8."""
     from fracnls.solvers import local_ground_state
@@ -313,15 +292,3 @@ def test_pad_evaluate_squares_band_limited_field_exactly():
         square = np.zeros(m, dtype=complex)
         square[freqs[kept] % m] = conv[kept]
         assert np.max(np.abs(out - np.fft.ifft(square))) <= 1e-12
-
-
-def test_load_profile_rejects_future_version(tmp_path):
-    g = make_grid(32.0, 16)
-    u = Profile(g, np.ones(16, dtype=complex))
-    path = tmp_path / "p.bin"
-    save_profile(path, u)
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = (99).to_bytes(4, "little")  # bump the format version field
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
-        load_profile(path)

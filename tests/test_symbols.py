@@ -12,7 +12,6 @@ from scipy.optimize import minimize_scalar
 from fracnls.spectral import make_grid, apply_multiplier
 from fracnls.symbols import (
     ModelParams,
-    build_kernel,
     check_lower_bound,
     kernel_constants,
     kernel_pointwise,
@@ -26,7 +25,7 @@ from fracnls.symbols import (
     _vertical_integrand_factory,
 )
 from conftest import smooth_random_profile
-from oracles import kernel_realaxis_quadrature, kernel_zero_value
+from oracles import kernel_grid_samples, kernel_realaxis_quadrature, kernel_zero_value
 
 
 # -- ModelParams -------------------------------------------------------------
@@ -209,16 +208,17 @@ def test_lower_bound_rejects_bad_a():
 def kernel_setup(lam15):
     p = ModelParams(1.5, 0.0, 0.1)
     grid = make_grid(64.0, 4096)
-    return {"params": p, "grid": grid, "lam": lam15["lam"], "field": build_kernel(grid, p, lam15["lam"])}
+    values, symbol = kernel_grid_samples(grid, p, lam15["lam"])
+    return {"params": p, "grid": grid, "lam": lam15["lam"], "values": values, "symbol": symbol}
 
 
 def test_kernel_inverse_property(kernel_setup):
     """Convolving m_N with (n_N(D)+theta)u returns u."""
-    kf = kernel_setup["field"]
+    symbol = kernel_setup["symbol"]
     grid = kernel_setup["grid"]
     u = smooth_random_profile(grid, np.random.default_rng(5))
-    forward = apply_multiplier(u, kf.symbol)
-    back = apply_multiplier(forward, 1 / kf.symbol)
+    forward = apply_multiplier(u, symbol)
+    back = apply_multiplier(forward, 1 / symbol)
     assert np.max(np.abs(back.values - u.values)) <= 1e-10 * np.max(np.abs(u.values))
 
 
@@ -233,17 +233,17 @@ def test_kernel_zero_value_convention(kernel_setup):
     # m_N has |x|^{s-1} continuity at 0, so the one-sided limit needs tiny x
     contour_near_zero = kernel_pointwise(1e-12, p, lam)
     assert contour_near_zero.real == pytest.approx(quad_val, rel=1e-6)
-    kf = kernel_setup["field"]
+    values = kernel_setup["values"]
     i0 = int(np.argmin(np.abs(kernel_setup["grid"].x)))
-    assert kf.values[i0].real > 0.0
+    assert values[i0].real > 0.0
     # truncation of the |xi|^{-s} symbol tail beyond the lattice: O(1/ximax)
     ximax = np.pi / kernel_setup["grid"].h
-    assert abs(kf.values[i0].real - quad_val) <= 5.0 / ximax
+    assert abs(values[i0].real - quad_val) <= 5.0 / ximax
 
 
 def test_kernel_requires_positive_denominator(kernel_setup):
     with pytest.raises(ValueError, match="nonpositive"):
-        build_kernel(kernel_setup["grid"], kernel_setup["params"], -1e-9)
+        kernel_grid_samples(kernel_setup["grid"], kernel_setup["params"], -1e-9)
 
 
 def test_kernel_midrange_exponential_ratio(lam15):
@@ -269,14 +269,14 @@ def test_kernel_grid_samples_match_pointwise(kernel_setup):
     """Grid samples at |x| <= L/4 equal the image-summed pointwise kernel."""
     p, lam = kernel_setup["params"], kernel_setup["lam"]
     grid = kernel_setup["grid"]
-    kf = kernel_setup["field"]
+    values = kernel_setup["values"]
     for x in (2.0, 8.0, 16.0):
         i = int(np.argmin(np.abs(grid.x - x)))
         xs = grid.x[i]
         images = sum(
             kernel_pointwise(xs + j * grid.length, p, lam) for j in (-2, -1, 0, 1, 2)
         )
-        assert abs(kf.values[i] - images) <= 1e-6 * abs(images)
+        assert abs(values[i] - images) <= 1e-6 * abs(images)
 
 
 def test_kernel_far_envelope_matches_derived_constant(lam15):
