@@ -9,10 +9,8 @@ fitting, and the uniform decay bound.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +76,7 @@ def find_root_f1(sign: str, params: ModelParams, theta: float) -> RootResult:
     y_t = find_root_translated(s, c)
     y = y_t - 1.0
     if sign == "-":
-        y = np.conj(y)
-        y_t = np.conj(y_t)
+        y = np.conj(y)  # phi and r below read |angle| and modulus, the same for both signs
     res = abs(complex(n_analytic(y, s)) + c)
     return RootResult(
         sign=sign,
@@ -107,8 +104,8 @@ def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> dict:
     function y^s + s y + s - 1 + shift (imaginary part bounded away from 0
     off the real axis, real part positive on it) and runs an
     argument-principle winding count on the boundary of the quarter box.
-    The report carries the winding; a nonzero one is for the caller's check
-    to fail.
+    The report carries the winding (a nonzero one is for the caller's check
+    to fail), the smallest f2 on the axis and the smallest |Im f2| off it.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -119,23 +116,16 @@ def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> dict:
             f"constant term s - 1 + shift = {s - 1 + c:.3e} must stay positive"
         )
     sgn = 1.0 if sign == "+" else -1.0
-
-    def f2t(y):
-        # translated f2: y^s + s y + s - 1 + c (principal branch; the contour
-        # stays in the closed right half plane where it is analytic)
-        y = np.asarray(y, dtype=complex)
-        return y**s + s * y + s - 1.0 + c
-
     # on-axis positivity
     r_ax = np.linspace(0.0, _F2_BOX, _F2_SAMPLES)
     on_axis = r_ax**s + s * r_ax + s - 1.0 + c
     on_axis_min = float(np.min(on_axis))
-    # off-axis imaginary part, sampled on the polar grid
+    # off-axis |Im f2| = r^s sin(s phi) + s r sin(phi) at y = r e^{+-i phi},
+    # sampled on the polar grid; the lower sign flips only the sign of Im f2
     phi = np.linspace(1e-3, np.pi / 2.0, 120)
     r = np.linspace(1e-3, _F2_BOX, 200)
     rr, pp = np.meshgrid(r, phi)
-    f22 = sgn * (rr**s * np.sin(s * pp) + s * rr * np.sin(pp))
-    off_axis_min = float(np.min(f22))
+    off_axis_min = float(np.min(rr**s * np.sin(s * pp) + s * rr * np.sin(pp)))
     # winding along the boundary of the quarter box
     t = np.linspace(0.0, 1.0, _F2_SAMPLES)
     edge1 = _F2_BOX * t  # 0 -> box on the real axis
@@ -143,7 +133,9 @@ def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> dict:
     edge3 = _F2_BOX + 1j * sgn * _F2_BOX - _F2_BOX * t  # across the top
     edge4 = 1j * sgn * _F2_BOX * (1.0 - t)  # down the imaginary axis
     path = np.concatenate([edge1, edge2, edge3, edge4])
-    vals = f2t(path)
+    # translated f2 on the principal branch: the contour stays in the closed
+    # right half plane, where it is analytic
+    vals = path**s + s * path + s - 1.0 + c
     if np.any(np.abs(vals) == 0.0):
         raise RuntimeError("f2 vanished on the contour; sampling hit a root")
     return {
@@ -163,6 +155,17 @@ def _crossover(c1: float, rate: float, alg_coeff: float, power: float) -> float:
         else:
             hi = mid
     return math.sqrt(lo * hi)
+
+
+def _log_linear_fit(t: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through log|values| against t: (rate, amplitude, rms residual).
+
+    The model is |values| ~ amplitude e^{-rate t}; with t = log x the rate
+    is the algebraic exponent and the amplitude its coefficient.
+    """
+    coef, res, *_ = np.polyfit(t, np.log(np.abs(values)), 1, full=True)
+    rms = float(np.sqrt(res[0] / len(t))) if len(res) else 0.0
+    return -float(coef[0]), float(np.exp(coef[1])), rms
 
 
 def _oscillation_frequency(params: ModelParams, theta: float, x0: float) -> float:
@@ -205,9 +208,7 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
 
     xs_far = np.geomspace(3.0 * x_cross, 10.0 * x_cross, 30)
     resid = kernel_pointwise(xs_far, params, theta) - c1 * np.exp(-rate * xs_far)
-    coef = np.polyfit(np.log(xs_far), np.log(np.abs(resid)), 1)
-    alg_exponent = -float(coef[0])
-    alg_coefficient = float(np.exp(coef[1]))
+    alg_exponent, alg_coefficient, _ = _log_linear_fit(np.log(xs_far), resid)
     envelope_ratio = alg_coefficient / alg
     return {
         "exp_window": (x_lo, x_dom),
@@ -293,9 +294,9 @@ def far_field_reconstruction(fixed: Profile, kern: _KernelTail, x_points: np.nda
     The residue part is summed by prefix sums, forward over y <= x and
     backward over y > x: one pass over the grid per side serves all
     abscissae.  The branch-cut part is summed per pair, its phase
-    e^{-i(x-y)/kappa} unfactored.  Past x ~ 300 at the README grid that sum
-    cancels by about 13 orders and the values are rounding noise; no
-    record reads them.
+    e^{-i(x-y)/kappa} unfactored.  Far from the profile's support that sum
+    cancels by many orders (about 13 past x ~ 300 at s = 1.5 on the README
+    grid) and the values are rounding noise.
     """
     x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
     y = fixed.grid.x
@@ -317,16 +318,12 @@ class TailFit:
     """Two-scale tail fit of a solved profile against the model constants.
 
     The algebraic fields describe the branch-cut term of the kernel
-    convolution in the frozen-phase reading (the oscillatory factor of its
-    coefficient treated as constant across the convolution);
-    `far_remainder_max` reports the honest remainder of
-    the reconstruction after removing the exponential part, which is
-    oscillation-damped far below that model term.  The far window behind it
-    is reconstructed on first read, with the fit's kernel-tail table; its
-    values past x ~ 300 are rounding noise (see `far_field_reconstruction`),
-    and no record reads them.
-    `decay_bound` reports the uniform decay bound on the reconstruction at
-    the decay-bound points, made with the fit.
+    convolution over the far window `window_far` in the frozen-phase reading
+    (the oscillatory factor of its coefficient treated as constant across
+    the convolution); the honest reconstruction there is oscillation-damped
+    far below that model term, and no record reads it, so the fit does not
+    make it.  `decay_bound` reports the uniform decay bound on the
+    reconstruction at the decay-bound points, made with the fit.
     """
 
     exp_rate: float
@@ -338,13 +335,7 @@ class TailFit:
     window_far: tuple
     exp_fit_residual: float
     alg_fit_residual: float
-    n_samples: tuple
     decay_bound: dict
-    _far_remainder: Callable[[], float] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def far_remainder_max(self) -> float:
-        return self._far_remainder()
 
     def window_failure(self) -> bool:
         return self.exp_fit_residual > 0.1 or self.alg_fit_residual > 0.1
@@ -364,10 +355,9 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     periodization.  The amplitude oracle is the kernel Green's amplitude
     C1/sqrt(2 pi) = 1/(2 sqrt(lam)) times the closed-form nonlinearity
     moment (the local Green's function of -d^2/dx^2 + lam is
-    e^{-sqrt(lam)|x|}/(2 sqrt(lam)), which pins the bookkeeping).  One
-    kernel-tail table covers both the far window and the decay-bound
-    points; the decay-bound points are reconstructed here, the far window
-    on the first read of `far_remainder_max`.
+    e^{-sqrt(lam)|x|}/(2 sqrt(lam)), which pins the bookkeeping).  The
+    decay-bound points are the only abscissae reconstructed, through one
+    kernel-tail table.
     """
     s = params.s
     lam = params.lam
@@ -384,29 +374,19 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     mask = (grid.x >= x_lo) & (grid.x <= x_hi)
     if np.count_nonzero(mask) < 20:
         raise RuntimeError("exponential window has fewer than 20 grid samples")
-    xw = grid.x[mask]
-    yw = np.log(np.abs(fixed.values[mask]))
-    coef, res_e, *_ = np.polyfit(xw, yw, 1, full=True)
-    exp_rate = -float(coef[0])
-    exp_amp = float(np.exp(coef[1]))
-    exp_resid = float(np.sqrt(res_e[0] / mask.sum())) if len(res_e) else 0.0
+    exp_rate, exp_amp, exp_resid = _log_linear_fit(grid.x[mask], fixed.values[mask])
 
     # far window: the frozen-phase algebraic term of the convolution,
-    # |m_alg(x)| integral(g) / sqrt(2 pi), versus the honest remainder
+    # |m_alg(x)| integral(g) / sqrt(2 pi)
     g_int = complex(grid.h * np.sum(np.abs(fixed.values) ** (2.0 * s) * fixed.values))
     xs_far = np.geomspace(max(3.0 * x_cross, grid.length / 3.0), 8.0 * x_cross, 24)
     x_bound = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
 
     alg_term = kernel_pointwise(xs_far, params, result.multiplier, parts=True)[2] * g_int / SQRT_2PI
-    coef_a, res_a, *_ = np.polyfit(np.log(xs_far), np.log(np.abs(alg_term)), 1, full=True)
-    alg_exponent = -float(coef_a[0])
-    alg_coefficient = float(np.exp(coef_a[1]))
-    alg_resid = float(np.sqrt(res_a[0] / len(xs_far))) if len(res_a) else 0.0
+    alg_exponent, alg_coefficient, alg_resid = _log_linear_fit(np.log(xs_far), alg_term)
+    # the table also spans xs_far, which is not reconstructed: where xs_far
+    # reaches past x_bound, its range sets the table's nodes and so C_far's bits
     kern = _KernelTail.covering(grid, params, result.multiplier, np.concatenate([xs_far, x_bound]))
-
-    def far_remainder() -> float:
-        rec = far_field_reconstruction(fixed, kern, xs_far)
-        return float(np.max(np.abs(rec - exp_amp * np.exp(-exp_rate * xs_far))))
 
     return TailFit(
         exp_rate=exp_rate,
@@ -418,9 +398,7 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
         window_far=(float(xs_far[0]), float(xs_far[-1])),
         exp_fit_residual=exp_resid,
         alg_fit_residual=alg_resid,
-        n_samples=(int(mask.sum()), len(xs_far)),
         decay_bound=decay_bound_check(fixed, params, x_bound, far_field_reconstruction(fixed, kern, x_bound)),
-        _far_remainder=far_remainder,
     )
 
 
@@ -437,14 +415,14 @@ def decay_bound_check(fixed: Profile, params: ModelParams, x_far: np.ndarray, fa
     lam = params.lam
     npow = kernel_constants(params)["n_power"]
     grid = fixed.grid
+
+    def envelope(x):
+        ax = np.abs(np.asarray(x, dtype=float))
+        return np.exp(-math.sqrt(lam) * ax) + npow / (1.0 + ax ** (s + 1.0))
+
     mask = np.abs(grid.x) <= grid.length / 4.0
-    xs = grid.x[mask]
-    vals = np.abs(fixed.values[mask])
-    bound = np.exp(-math.sqrt(lam) * np.abs(xs)) + npow / (1.0 + np.abs(xs) ** (s + 1.0))
-    c_grid = float(np.max(vals / bound))
-    x_far = np.abs(np.asarray(x_far, dtype=float))
-    bound_far = np.exp(-math.sqrt(lam) * x_far) + npow / (1.0 + x_far ** (s + 1.0))
-    c_far = float(np.max(np.abs(far) / bound_far))
+    c_grid = float(np.max(np.abs(fixed.values[mask]) / envelope(grid.x[mask])))
+    c_far = float(np.max(np.abs(far) / envelope(x_far)))
     return {
         "C_min": max(c_grid, c_far),
         "C_grid": c_grid,

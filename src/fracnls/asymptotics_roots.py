@@ -60,11 +60,6 @@ def n_analytic(z, s: float):
 class RootBracketError(RuntimeError):
     """The bracketing function does not change sign on (0, pi/2)."""
 
-    def __init__(self, message, g_lo=None, g_hi=None):
-        super().__init__(message)
-        self.g_lo = g_lo
-        self.g_hi = g_hi
-
 
 def radius_of_angle(phi, s: float):
     """r(phi) = (s sin(phi) / sin(s phi))^{1/(s-1)}, the zero curve of Im."""
@@ -111,9 +106,7 @@ def find_root_translated(s: float, c: float) -> complex:
     g_hi = float(f11_on_curve(phi_hi, s, c))
     if not (g_lo > 0.0 > g_hi):
         raise RootBracketError(
-            f"no sign change on (0, pi/2): g({phi_lo:.1e})={g_lo:.3e}, g(pi/2)={g_hi:.3e}",
-            g_lo,
-            g_hi,
+            f"no sign change on (0, pi/2): g({phi_lo:.1e})={g_lo:.3e}, g(pi/2)={g_hi:.3e}"
         )
     # geometric bisection handles root angles many orders below 1; the
     # relative criterion must govern (an absolute width test would stop the

@@ -93,6 +93,7 @@ def store_result(cache_dir, key: str, result: SolveResult) -> None:
     )
     values = np.ascontiguousarray(result.profile.values, dtype="<c16")
     _write_atomically(cache_dir / f"{key}.prof", header + values.tobytes())
+    (cache_dir / f"{key}.json").unlink(missing_ok=True)  # a version-1 entry's sidecar
 
 
 def load_result(cache_dir, key: str, grid: SpectralGrid) -> SolveResult | None:

@@ -218,7 +218,7 @@ _EIG_MAXITER = 400  # README grid: 6, 30, 165, 193 iterations at s = 1.5, 1.4, 1
 _KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
 _MINRES_RTOL = 1e-13  # constrained_solve's tolerance; Newton steps pass their own
 _MINRES_MAXITER = 1000
-_OVERLAP_TOL = 1e-8  # relative symmetry overlap above which a right-hand side is projected
+_OVERLAP_TOL = 1e-8  # removed symmetry part, relative to the right-hand side, that counts as a projection
 
 
 def _coarse_start(op: LinearizedOperator) -> np.ndarray:
@@ -315,10 +315,10 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
 
     MINRES on P L P, where P is the orthogonal projector onto the
     complement of the two constraint columns, preconditioned by
-    P (n_N + theta)^{-1} P; the iterates stay in the complement.  A
-    right-hand side with symmetry components beyond _OVERLAP_TOL is projected
-    first and the projection is reported.  The returned info carries the
-    stability quotient ||f||_{H^{s/2}} / ||F||_{H^{-s/2}} in the weighted
+    P (n_N + theta)^{-1} P; the iterates stay in the complement.  The
+    right-hand side is projected first, and reported as projected when the
+    removed part exceeds _OVERLAP_TOL of its norm.  The returned info carries
+    the stability quotient ||f||_{H^{s/2}} / ||F||_{H^{-s/2}} in the weighted
     spectral norms.  A solve that does not converge raises RuntimeError.
     """
     from scipy.sparse.linalg import minres
@@ -327,20 +327,14 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
     h = grid.h
     ir, dr = op.kernel_candidates()
     c1, c2 = _stack(ir), _stack(dr)
-    f_vec = _stack(rhs.values)
-    info = {"projected": False}
+    raw = _stack(rhs.values)
     project = op.complement_projector()
-    for c in (c1, c2):
-        ov = h * float(f_vec @ c)
-        scale = np.linalg.norm(f_vec) * np.linalg.norm(c) * h
-        if scale > 0 and abs(ov) > _OVERLAP_TOL * scale:
-            info["projected"] = True
-    if info["projected"]:
-        f_vec = project(f_vec)
+    f_vec = project(raw)
+    info = {"projected": bool(np.linalg.norm(raw - f_vec) > _OVERLAP_TOL * np.linalg.norm(raw))}
     n2 = f_vec.size
     sol, status = minres(
         _operator(n2, lambda v: project(op.apply_stacked(project(v)))),
-        project(f_vec),
+        f_vec,
         rtol=_MINRES_RTOL,
         maxiter=_MINRES_MAXITER,
         M=_operator(n2, lambda v: project(op.solve_symbol_stacked(project(v)))),

@@ -98,11 +98,6 @@ class Profile:
     def mass(self) -> float:
         return float(self.grid.h * np.sum(np.abs(self.values) ** 2))
 
-    def __mul__(self, c) -> "Profile":
-        return Profile(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
 
 def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
     """The symbol sampled on the grid frequencies (FFT order), checked finite."""

@@ -89,5 +89,5 @@ def smooth_random_profile(grid, rng, width=2.0, mass=None):
 
     prof = Profile(grid, vals)
     if mass is not None:
-        prof = prof * np.sqrt(mass / prof.mass())
+        prof = Profile(grid, vals * np.sqrt(mass / prof.mass()))
     return prof

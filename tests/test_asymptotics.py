@@ -54,10 +54,9 @@ def test_root_curve_monotone(lam15):
 def test_root_threshold_failure():
     """Above the mass threshold the bracketing function keeps one sign."""
     p = ModelParams(S_DEFAULT, 0.0, 1.5)
-    with pytest.raises(RootBracketError) as exc:
+    # both endpoint values are positive: each starts with a digit, not a minus sign
+    with pytest.raises(RootBracketError, match=r"no sign change on \(0, pi/2\): g\([^)]*\)=\d.*, g\(pi/2\)=\d"):
         find_root_f1("+", p, 1.0e4)
-    assert exc.value.g_lo is not None and exc.value.g_lo > 0
-    assert exc.value.g_hi is not None and exc.value.g_hi > 0
 
 
 @pytest.mark.parametrize("s", [1.2, 1.8])
@@ -75,10 +74,11 @@ def test_root_smoke_other_s(s):
 # -- rootlessness of f2 ----------------------------------------------------------
 
 def test_f2_rootless_winding(lam15):
-    """f2 stays off zero on the axis and off it (the winding is criterion 08's)."""
-    rep = verify_f2_rootless("+", ModelParams(S_DEFAULT, 0.0, 0.1), lam15["lam"])
-    assert rep["on_axis_min"] > 0.0
-    assert rep["off_axis_min"] > 0.0
+    """f2 stays off zero on the axis and off it, by the same margins in both
+    half-planes (the winding is criterion 08's)."""
+    plus, minus = (verify_f2_rootless(sign, ModelParams(S_DEFAULT, 0.0, 0.1), lam15["lam"]) for sign in "+-")
+    assert plus["on_axis_min"] == minus["on_axis_min"] > 0.0
+    assert plus["off_axis_min"] == minus["off_axis_min"] > 0.0
 
 
 @pytest.mark.parametrize("s", [1.2, 1.8])
@@ -191,8 +191,7 @@ def fit01(fits):
 
 def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
     """One kernel-tail table, one root bisection and a reconstruction of only
-    the decay-bound points per fit; the far window is reconstructed on first
-    read of far_remainder_max, with the same table."""
+    the decay-bound points per fit."""
     builds, reconstructed = [], []
     build, reconstruct = asymptotics._KernelTail.__init__, asymptotics.far_field_reconstruction
 
@@ -212,11 +211,6 @@ def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
     assert len(builds) == 1
     assert [n for _, n in reconstructed] == [12]
     assert find_root_translated.cache_info().misses == 1
-    remainder = fit.far_remainder_max
-    assert fit.far_remainder_max == remainder
-    assert len(builds) == 1
-    assert [n for _, n in reconstructed] == [12, fit.n_samples[1]] == [12, 24]
-    assert reconstructed[0][0] is reconstructed[1][0]
     # the shared table agrees with one made for the decay-bound points alone
     grid = res.profile.grid
     x_bound = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
@@ -229,7 +223,6 @@ def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
 
 def test_tail_rate(fit01):
     assert not fit01.window_failure()
-    assert fit01.n_samples[0] >= 20 and fit01.n_samples[1] >= 20
 
 
 def test_tail_amplitude_oracle_value(fit01, lam15, local_R):
@@ -249,15 +242,21 @@ def test_tail_frozen_phase_algebraic_term(fit01):
     assert fit01.alg_coefficient == pytest.approx(fit01.alg_coefficient_model, rel=0.1)
 
 
-def test_tail_honest_remainder_is_oscillation_damped(fit01):
+def test_tail_honest_remainder_is_oscillation_damped(fit01, petviashvili_path):
     """The literal algebraic tail term of the profile is unobservably small.
 
     Honest evaluation of the kernel convolution damps the branch-cut term by
     the spectrum of the nonlinearity at frequency 1/kappa; the frozen-phase
-    model term exceeds the measured remainder by many orders.
+    model term exceeds the measured remainder on the far window by many orders.
     """
+    res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.0, 0.1)
+    fixed = gauge_fix(res.profile)[0]
+    xs_far = np.geomspace(*fit01.window_far, 24)
+    kern = asymptotics._KernelTail.covering(fixed.grid, params, res.multiplier, xs_far)
+    rec = far_field_reconstruction(fixed, kern, xs_far)
+    remainder = np.max(np.abs(rec - fit01.exp_amplitude * np.exp(-fit01.exp_rate * xs_far)))
     model_at_window = fit01.alg_coefficient * fit01.window_far[0] ** (-fit01.alg_exponent)
-    assert fit01.far_remainder_max <= 1e-4 * model_at_window
+    assert remainder <= 1e-4 * model_at_window
 
 
 def test_tail_window_robustness(petviashvili_path, local_R, grid_main, lam15):

@@ -401,6 +401,7 @@ def test_version_1_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
     got, hit = cached_solve(tmp_path, s, n, grid, tol, lambda: fresh)
     assert got is fresh and not hit
     assert load_result(tmp_path, key, grid).stabilization == 1.0
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.prof"]  # the sidecar goes too
 
 
 def test_each_solve_is_one_file_named_by_its_key(tmp_path):
