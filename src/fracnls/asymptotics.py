@@ -77,7 +77,7 @@ def find_root_f1(sign: str, params: ModelParams, theta: float) -> RootResult:
     y = y_t - 1.0
     if sign == "-":
         y = np.conj(y)  # phi and r below read |angle| and modulus, the same for both signs
-    res = abs(complex(n_analytic(y, s)) + c)
+    res = abs(n_analytic(y, s) + c)
     return RootResult(
         sign=sign,
         y=complex(y),
@@ -363,7 +363,7 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     lam = params.lam
     rate_model = math.sqrt(lam)
     kc = kernel_constants(params)
-    fixed, _, _ = gauge_fix(result.profile)
+    fixed = gauge_fix(result.profile)
     grid = fixed.grid
     moment = _local_nonlinearity_moment(local_r, s, rate_model)
     amp_oracle = kc["C1"] / SQRT_2PI * moment
@@ -384,9 +384,7 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
 
     alg_term = kernel_pointwise(xs_far, params, result.multiplier, parts=True)[2] * g_int / SQRT_2PI
     alg_exponent, alg_coefficient, alg_resid = _log_linear_fit(np.log(xs_far), alg_term)
-    # the table also spans xs_far, which is not reconstructed: where xs_far
-    # reaches past x_bound, its range sets the table's nodes and so C_far's bits
-    kern = _KernelTail.covering(grid, params, result.multiplier, np.concatenate([xs_far, x_bound]))
+    kern = _KernelTail.covering(grid, params, result.multiplier, x_bound)
 
     return TailFit(
         exp_rate=exp_rate,
@@ -409,7 +407,8 @@ def decay_bound_check(fixed: Profile, params: ModelParams, x_far: np.ndarray, fa
     over the grid samples of the gauge-fixed profile (|x| <= L/4) plus the
     far-field samples `far` at `x_far` (reconstructed beyond the torus);
     C always exists for finite samples, and its N-uniformity is the
-    assertion made by the acceptance suite.
+    assertion made by the acceptance suite.  Reports C_min with its grid
+    and far parts C_grid and C_far.
     """
     s = params.s
     lam = params.lam
@@ -427,5 +426,4 @@ def decay_bound_check(fixed: Profile, params: ModelParams, x_far: np.ndarray, fa
         "C_min": max(c_grid, c_far),
         "C_grid": c_grid,
         "C_far": c_far,
-        "n_power": npow,
     }

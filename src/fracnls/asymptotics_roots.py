@@ -39,22 +39,17 @@ def n_series(z, s: float):
     return acc * z * z
 
 
-def n_analytic(z, s: float):
-    """(z+1)^s - s z - 1 with the principal branch (cut along (-inf, -1]).
+def n_analytic(z: complex, s: float) -> complex:
+    """(z+1)^s - s z - 1 at one point, with the principal branch (cut along (-inf, -1]).
 
     Agrees with the real symbol right of -1; used by the root system and
-    the kernel residue.
+    the kernel residue.  The series serves |z| <= 1/2, where the direct
+    formula cancels.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        if abs(z) <= 0.5:
-            return complex(n_series(complex(z), s))
-        return complex((z + 1.0) ** s - s * z - 1.0)
-    direct = (z + 1.0) ** s - s * z - 1.0
-    small = np.abs(z) <= 0.5
-    if np.any(small):
-        direct = np.where(small, n_series(np.where(small, z, 0.0), s), direct)
-    return direct
+    if abs(z) <= 0.5:
+        return complex(n_series(complex(z), s))
+    return complex((z + 1.0) ** s - s * z - 1.0)
 
 
 class RootBracketError(RuntimeError):
@@ -69,8 +64,8 @@ def radius_of_angle(phi, s: float):
     return ratio ** (1.0 / (s - 1.0))
 
 
-def f11_on_curve(phi, s: float, c: float):
-    """Real part of the translated symbol along the zero-imaginary curve.
+def f11_on_curve(phi: float, s: float, c: float) -> float:
+    """Real part of the translated symbol at angle phi on the zero-imaginary curve.
 
     Evaluated through the stable series form n(y - 1) + c; the direct trig
     expression cancels to O(phi^2) and drowns small shifts in roundoff.
@@ -78,12 +73,12 @@ def f11_on_curve(phi, s: float, c: float):
     phi = np.asarray(phi, dtype=float)
     r = radius_of_angle(phi, s)
     y = r * np.exp(1j * phi)
-    return np.real(n_analytic(y - 1.0, s)) + c
+    return n_analytic(y - 1.0, s).real + c
 
 
 def translated_value(y: complex, s: float, c: float) -> complex:
     """y^s - s y + s - 1 + c, evaluated as n(y - 1) + c for stability near y = 1."""
-    return complex(n_analytic(complex(y) - 1.0, s)) + c
+    return n_analytic(complex(y) - 1.0, s) + c
 
 
 @lru_cache(maxsize=128)

@@ -12,6 +12,7 @@ records, and cached solves replay exactly.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import functools
 import hashlib
@@ -81,6 +82,10 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.s_list or not self.n_list:
             raise ConfigError("s-list and N-list must be nonempty")
+        for name in ("s_list", "n_list"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{_flag(name)} repeats a value: {values!r}")
         if not all(math.isfinite(n) and n > 0.0 for n in self.n_list):
             raise ConfigError("masses in the N-list must be positive and finite")
         if any(not (1.0 < s < 2.0 or (s == 2.0 and self.command == "gn-constant")) for s in self.s_list):
@@ -280,7 +285,7 @@ def _solve_stage(config: RunConfig, s: float, n: float) -> dict:
 def _th2_stage(config: RunConfig, s: float, n: float) -> dict:
     lam, base = _local_limit(config, s)
     result, _ = _solution(config, s, n)
-    fixed, _, _ = gauge_fix(result.profile)
+    fixed = gauge_fix(result.profile)
     return {
         **_solve_fields(result, lam),
         "profile_distance": profile_distance(fixed, base),
@@ -290,6 +295,8 @@ def _th2_stage(config: RunConfig, s: float, n: float) -> dict:
 
 def _th2_summary(s: float, points: list) -> list:
     done = [pt for pt in points if pt["error"] is None]
+    if not done:
+        return []
     gaps = [pt["theta_gap"] for pt in done]
     dists = [pt["profile_distance"] for pt in done]
     checks = mass_limit_checks(lambda_of_s(s)[1], gaps, dists)
@@ -308,7 +315,7 @@ def _th3_stage(config: RunConfig, s: float, n: float) -> dict:
         coeffs = envelope * (rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points))
         init = Profile(grid, grid.from_fourier_coefficients(coeffs))
         res = petviashvili_mass_constrained(grid, params, init=init, tol=config.tol)
-        fixed_profiles.append(gauge_fix(res.profile)[0])
+        fixed_profiles.append(gauge_fix(res.profile))
     dmax = pairwise_distance_max(fixed_profiles)
     return {"pairwise_distance_max": dmax, "checks": uniqueness_check(dmax)}
 
@@ -462,16 +469,15 @@ def emit_outputs(record: RunRecord, config: RunConfig) -> list:
     written = []
 
     csv_path = outdir / f"{stem}.csv"
-    lines = [",".join(CSV_COLUMNS + ("pass_flags", "error"))]
-    for pt in record.points:
-        cells = [_csv_cell(pt.get(col)) for col in CSV_COLUMNS]
-        chks = ";".join(
-            f"{name}:{'pass' if chk['pass'] else 'fail'}" for name, chk in pt.get("checks", {}).items()
-        )
-        cells.append(chks)
-        cells.append(_csv_cell(pt.get("error")))
-        lines.append(",".join(cells))
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w", newline="") as fh:
+        # a cell with a comma (a solver error) is quoted; other rows keep their bytes
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS + ("pass_flags", "error"))
+        for pt in record.points:
+            chks = ";".join(
+                f"{name}:{'pass' if chk['pass'] else 'fail'}" for name, chk in pt.get("checks", {}).items()
+            )
+            writer.writerow([_csv_cell(pt.get(col)) for col in CSV_COLUMNS] + [chks, _csv_cell(pt.get("error"))])
     written.append(csv_path)
 
     json_path = outdir / f"{stem}.json"

@@ -162,13 +162,13 @@ def full_map_Q_to_R(q_prof: Profile, params: ModelParams) -> Profile:
     return scale_S_to_R(tau_beta_inverse(q_prof, params), params)
 
 
-def gauge_fix(u: Profile) -> tuple[Profile, float, float]:
-    """Quotient the phase/translation symmetry.
+def gauge_fix(u: Profile) -> Profile:
+    """Quotient the phase/translation symmetry: the fixed representative of u's orbit.
 
     Translates so the mass centroid (circular mean of |u|^2 on the torus)
     is 0, then rotates the phase so the zero-frequency Fourier coefficient
-    is real and nonnegative.  Returns (fixed profile, shift, phase): for
-    u = e^{i phi} v(. - y) with v already fixed, shift ~ y and phase ~ phi.
+    is real and nonnegative; u = e^{i phi} v(. - y) and v fix to the same
+    profile.
     """
     vals = u.values
     dens = np.abs(vals) ** 2
@@ -180,5 +180,4 @@ def gauge_fix(u: Profile) -> tuple[Profile, float, float]:
     centered = translate(u, -shift)
     zero_mode = np.sum(centered.values)
     phase = float(np.angle(zero_mode)) if zero_mode != 0 else 0.0
-    fixed = Profile(u.grid, centered.values * np.exp(-1j * phase))
-    return fixed, shift, phase
+    return Profile(u.grid, centered.values * np.exp(-1j * phase))

@@ -309,7 +309,7 @@ def fractional_ground_state(s: float, grid: SpectralGrid | None = None) -> tuple
     result = petviashvili_solve(grid, sig, 1.0, 2.0 * s + 1.0, init, tol=1e-12)
     q = result.profile
     # the solve is phase/translation-neutral: recentre and strip the phase
-    q, _, _ = gauge_fix(q)
+    q = gauge_fix(q)
     mass = q.mass()
     c_s = (s + 1.0) / mass**s
     return q, c_s, mass

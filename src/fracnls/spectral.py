@@ -100,9 +100,8 @@ class Profile:
 
 
 def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
-    """The symbol sampled on the grid frequencies (FFT order), checked finite."""
-    vals = sigma(grid.xi) if callable(sigma) else np.asarray(sigma)
-    vals = np.broadcast_to(vals, grid.xi.shape)
+    """The symbol's values on the grid frequencies (FFT order), checked finite."""
+    vals = np.broadcast_to(np.asarray(sigma), grid.xi.shape)
     finite = np.isfinite(vals)
     if not finite.all():
         bad = grid.xi[~finite]
@@ -113,8 +112,8 @@ def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
 def apply_multiplier(u: Profile, sigma) -> Profile:
     """Apply the Fourier multiplier sigma(D): spectrum is scaled pointwise.
 
-    `sigma` is a function of frequency (or a precomputed array in FFT
-    ordering); it must be finite on every grid frequency.
+    `sigma` holds the symbol's values on `u.grid.xi` (FFT order); it must
+    be finite on every grid frequency.
     """
     vals = multiplier_values(u.grid, sigma)
     return Profile(u.grid, ifft(vals * fft(u.values)))

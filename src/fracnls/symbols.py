@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=64)
 def lambda_of_s(s: float) -> tuple[float, float]:
     """(rho0, lambda(s)), rho0 the mass of the unit-multiplier ground state.
 
@@ -52,19 +50,15 @@ def lambda_of_s(s: float) -> tuple[float, float]:
 
 @dataclass
 class ModelParams:
-    """Parameter bundle (s, beta, N) plus the derived scalars.
-
-    s = 2, the local limit, is accepted for the symbol identities; `kappa`
-    and `lam`, and with them every solver path, require s < 2.
-    """
+    """Parameter bundle (s, beta, N), 1 < s < 2, plus the derived scalars."""
 
     s: float
     beta: float = 0.0
     N: float = 1.0
 
     def __post_init__(self):
-        if not 1.0 < self.s <= 2.0:
-            raise ValueError(f"s must lie in (1, 2] (got {self.s})")
+        if not 1.0 < self.s < 2.0:
+            raise ValueError(f"s must lie in (1, 2) (got {self.s})")
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
         if self.N <= 0.0:
@@ -78,8 +72,6 @@ class ModelParams:
 
     @property
     def kappa(self) -> float:
-        if self.s == 2.0:
-            raise ValueError("kappa = N^(s/(2-s)) requires s < 2")
         return self.N ** (self.s / (2.0 - self.s))
 
     @property
@@ -302,7 +294,7 @@ def residue_data(params: ModelParams, theta: float) -> tuple[float, complex, com
 
 
 def kernel_pointwise(x, params: ModelParams, theta: float, *, parts: bool = False):
-    """High-accuracy evaluation of m_N(x) off the grid, |x| > 0, for a scalar or an array x.
+    """High-accuracy evaluation of m_N(x) off the grid, |x| > 0, as an array of x's shape.
 
     The Fourier inversion integral is evaluated after exact contour
     deformation (split at the symbol kink xi = -1/kappa): a residue term at
@@ -311,7 +303,7 @@ def kernel_pointwise(x, params: ModelParams, theta: float, *, parts: bool = Fals
     oscillatory cancellation, so the result keeps full relative accuracy far
     into the tail.  For x < 0 the Hermitian symmetry of the real symbol gives
     m_N(-x) = conj(m_N(x)).  An array x is evaluated in one Laplace rule
-    call; each entry with |x|/kappa >= 1e-8 equals the scalar call at that x.
+    call; each entry with |x|/kappa >= 1e-8 equals the call at that x alone.
 
     With parts=True, returns (total, exponential part, algebraic part).
     """
@@ -326,6 +318,4 @@ def kernel_pointwise(x, params: ModelParams, theta: float, *, parts: bool = Fals
 
     total = exp_term + alg_term
     out = tuple(np.where(x < 0, np.conj(v), v) for v in (total, exp_term, alg_term))
-    if x.ndim == 0:
-        out = tuple(complex(v) for v in out)
     return out if parts else out[0]

@@ -85,10 +85,10 @@ def test_criterion_01_closed_form_oracle_equivalence():
     oracle = local_ground_state(S_DEFAULT, 1.0, grid)
     init = Profile(grid, np.exp(-grid.x**2))
     petv = petviashvili_solve(grid, grid.xi**2, 1.0, 2 * S_DEFAULT + 1, init, tol=1e-12)
-    fixed_p, _, _ = gauge_fix(petv.profile)
+    fixed_p = gauge_fix(petv.profile)
     err_p = float(np.max(np.abs(fixed_p.values - oracle.values)))
     flow = descend_symbol(grid, grid.xi**2, 2 * S_DEFAULT + 1, oracle.mass(), init, tol=1e-11)
-    fixed_f, _, _ = gauge_fix(flow.profile)
+    fixed_f = gauge_fix(flow.profile)
     err_f = float(np.max(np.abs(fixed_f.values - oracle.values)))
     q5, _, mass5 = fractional_ground_state(2.0, grid)
     quintic = quintic_mass_check(mass5)
@@ -130,7 +130,7 @@ def test_criterion_04_profile_limit(petviashvili_path, local_R, grid_main, lam15
     norm_h1 = sobolev_norm(local_R, 1.0)
     d_l2, d_h1 = [], []
     for n in sorted(N_PATH, reverse=True):
-        fixed, _, _ = gauge_fix(petviashvili_path[n].profile)
+        fixed = gauge_fix(petviashvili_path[n].profile)
         d_l2.append(profile_distance(fixed, local_R))
         d_h1.append(sobolev_norm(Profile(grid_main, fixed.values - local_R.values), 1.0) / norm_h1)
     checks = mass_limit_checks(lam15["lam"], [], d_l2)
@@ -209,7 +209,7 @@ def test_criterion_06_uniqueness_probe():
     for _ in range(5):
         init = smooth_random_profile(grid, rng, width=float(rng.uniform(1.0, 3.0)), mass=params.s0)
         res = petviashvili_mass_constrained(grid, params, init=init, tol=1e-11)
-        fixed.append(gauge_fix(res.profile)[0])
+        fixed.append(gauge_fix(res.profile))
     dmax = pairwise_distance_max(fixed)
     ok = holds(uniqueness_check(dmax), uniqueness=1e-6)
     report(6, ok, f"max pairwise L2 distance over 5 random initializations: {dmax:.2e} (<=1e-6)")
@@ -326,10 +326,10 @@ def test_criterion_11_variational_structure(flow_path, ground_state_15):
     for _ in range(100):
         u = smooth_random_profile(grid, rng, width=float(rng.uniform(0.5, 3.0)))
         lhs = lp_norm(u, 2 * S_DEFAULT + 2) ** (2 * S_DEFAULT + 2)
-        rhs = c_s * quadratic_form(u, lambda xi: np.abs(xi) ** S_DEFAULT).real * u.mass() ** S_DEFAULT
+        rhs = c_s * quadratic_form(u, np.abs(grid.xi) ** S_DEFAULT).real * u.mass() ** S_DEFAULT
         gn_ok = gn_ok and lhs <= rhs * (1 + 1e-12)
     lhs_q = lp_norm(q, 2 * S_DEFAULT + 2) ** (2 * S_DEFAULT + 2)
-    rhs_q = c_s * quadratic_form(q, lambda xi: np.abs(xi) ** S_DEFAULT).real * q.mass() ** S_DEFAULT
+    rhs_q = c_s * quadratic_form(q, np.abs(q.grid.xi) ** S_DEFAULT).real * q.mass() ** S_DEFAULT
     ratio = lhs_q / rhs_q
     near = ratio >= 1.0 - 1e-6
     ok = negative and decreasing and gn_ok and near

@@ -1,6 +1,8 @@
 """CLI runner: config handling, record emission, determinism, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 import struct
 from dataclasses import fields
@@ -47,6 +49,21 @@ def fast_config(command, tmp_path, **kw):
     return RunConfig(**base)
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def csv_rows(text):
+    """The CSV's rows, each checked as wide as the header."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert all(len(row) == len(header) for row in rows)
+    return [dict(zip(header, row)) for row in rows]
+
+
 # -- config -------------------------------------------------------------------
 
 def test_config_rejects_empty_lists(tmp_path):
@@ -79,11 +96,12 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
         (["--s-list", "1.8"], "s = 1.8 is past desk scale"),
         (["--s-list", "1.5,1.95", "--grid-m", "256"], "s = 1.95 is past desk scale"),
         (["--s-list", "1.999", "--grid-m", "256"], "1/sqrt(lambda(s)) = inf"),
+        (["--s-list", "1.5,1.5"], "--s-list repeats a value"), (["--n-list", "0.2,0.2"], "--n-list repeats a value"),
     ],
     ids=[
         "grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative", "n-list-inf",
         "workers", "grid-m-text", "workers-text", "s-list-text", "config-missing", "format",
-        "grid-m-huge", "s-1.8", "s-1.95", "s-1.999",
+        "grid-m-huge", "s-1.8", "s-1.95", "s-1.999", "s-list-repeated", "n-list-repeated",
     ],
 )
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
@@ -281,6 +299,11 @@ def test_serial_parallel_identical(tmp_path, command):
     # the config echo leaves `workers` out, so whole records must match
     assert sorted(name.rsplit(".", 1)[1] for name in serial) == ["csv", "json"]
     assert serial == parallel
+    for name, data in serial.items():
+        if name.endswith(".csv"):
+            assert csv_rows(data.decode())
+        else:
+            assert strict_json(data.decode())["points"]
 
 
 def test_record_bytes_independent_of_deployment(tmp_path):
@@ -520,6 +543,21 @@ def test_newton_failure_exits_3_with_one_line(tmp_path, capsys):
     (record,) = [p for p in Path(tmp_path / "out").glob("solve-*.json") if not p.name.endswith(".meta.json")]
     (point,) = json.loads(record.read_text())["points"]
     assert "\n" not in point["error"] and point["error"] in errors[0]
+    # the error has commas: its cell is quoted, and the row stays as wide as the header
+    assert "," in point["error"]
+    (row,) = csv_rows(record.with_suffix(".csv").read_text())
+    assert row["error"] == point["error"]
+
+
+def test_verify_th2_without_a_converged_point_has_no_summary(tmp_path, capsys):
+    # a summary of no points would carry Infinity, which is not JSON, and pass its monotonicity vacuously
+    code = main(["verify-th2", "--s-list", "1.5", "--n-list", "0.2", "--tol", "1e-30", "--grid-m", "1024",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_SOLVER_FAILURE
+    (record,) = [p for p in Path(tmp_path / "out").glob("verify-th2-*.json") if not p.name.endswith(".meta.json")]
+    (point,) = strict_json(record.read_text())["points"]
+    assert point["error"] and "summary" not in point
+    assert len(csv_rows(record.with_suffix(".csv").read_text())) == 1
 
 
 def test_newton_step_out_of_the_positive_cone_exits_3_with_one_line(tmp_path, capsys):

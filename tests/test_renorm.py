@@ -177,7 +177,7 @@ def test_full_map_recovers_renormalized_minimizer(grid_main, petviashvili_path, 
     q_prof = tau_beta(s_prof, params)
     back = full_map_Q_to_R(q_prof, params)
     assert np.max(np.abs(back.values - r_n.values)) <= 1e-10 * np.max(np.abs(r_n.values))
-    fixed, _, _ = gauge_fix(back)
+    fixed = gauge_fix(back)
     base = local_ground_state(S_DEFAULT, lam15["lam"], grid_main)
     rel = np.sqrt(grid_main.h * np.sum(np.abs(fixed.values - base.values) ** 2) / base.mass())
     assert rel <= 5e-2
@@ -244,21 +244,18 @@ def test_convert_multipliers_argument_contract():
 
 def test_gauge_fix_recovers_shift_and_phase(grid_desk):
     base = smooth_random_profile(grid_desk, np.random.default_rng(7))
-    fixed0, _, _ = gauge_fix(base)
+    fixed0 = gauge_fix(base)
     moved = translate(fixed0, 3.21875)  # lattice-friendly shift
     rotated = Profile(grid_desk, np.exp(1j * 0.9) * moved.values)
-    fixed, shift, phase = gauge_fix(rotated)
-    assert shift == pytest.approx(3.21875, abs=1e-9)
-    assert phase == pytest.approx(0.9, abs=1e-9)
+    # the fixed profile undoes both the shift and the phase
+    fixed = gauge_fix(rotated)
     assert np.max(np.abs(fixed.values - fixed0.values)) <= 1e-10 * np.max(np.abs(fixed0.values))
 
 
 def test_gauge_fix_idempotent(grid_desk):
     u = smooth_random_profile(grid_desk, np.random.default_rng(8))
-    fixed, _, _ = gauge_fix(u)
-    again, shift, phase = gauge_fix(fixed)
-    assert abs(shift) <= 1e-10
-    assert abs(phase) <= 1e-10
+    fixed = gauge_fix(u)
+    again = gauge_fix(fixed)
     assert np.max(np.abs(again.values - fixed.values)) <= 1e-12 * np.max(np.abs(fixed.values))
 
 
@@ -268,7 +265,7 @@ def test_gauge_fix_zero_profile(grid_desk):
 
 
 def test_gauge_fix_output_properties(petviashvili_path, grid_main):
-    fixed, _, _ = gauge_fix(petviashvili_path[0.1].profile)
+    fixed = gauge_fix(petviashvili_path[0.1].profile)
     dens = np.abs(fixed.values) ** 2
     z = np.sum(dens * np.exp(2j * np.pi * grid_main.x / grid_main.length))
     assert abs(np.angle(z)) <= 1e-9

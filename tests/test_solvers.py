@@ -119,7 +119,7 @@ def test_petviashvili_quintic_soliton():
     init = Profile(grid, np.exp(-grid.x**2))
     res = petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-12)
     oracle = local_ground_state(2.0, 1.0, grid)
-    fixed, _, _ = gauge_fix(res.profile)
+    fixed = gauge_fix(res.profile)
     assert np.max(np.abs(fixed.values - oracle.values)) <= 1e-8
     assert res.converged
     assert abs(res.stabilization - 1.0) <= 1e-10
@@ -132,7 +132,7 @@ def test_petviashvili_local_fractional_multiplier(lam15):
     init = Profile(grid, np.exp(-((grid.x / 4.0) ** 2)))
     res = petviashvili_solve(grid, grid.xi**2, lam, 4.0, init, tol=1e-11)
     oracle = local_ground_state(1.5, lam, grid)
-    fixed, _, _ = gauge_fix(res.profile)
+    fixed = gauge_fix(res.profile)
     assert np.max(np.abs(fixed.values - oracle.values)) <= 1e-8
 
 
@@ -198,7 +198,7 @@ def test_descent_matches_closed_form(lam15):
     oracle = local_ground_state(1.5, lam, grid)
     init = Profile(grid, np.exp(-((grid.x / 4.0) ** 2)))
     res = descend_symbol(grid, grid.xi**2, 4.0, oracle.mass(), init, tol=1e-10)
-    fixed, _, _ = gauge_fix(res.profile)
+    fixed = gauge_fix(res.profile)
     assert np.max(np.abs(fixed.values - oracle.values)) <= 1e-8
     assert res.multiplier == pytest.approx(lam, abs=1e-8)
 
@@ -224,8 +224,8 @@ def test_flow_unknown_functional(grid_desk):
 def test_methods_agree_after_gauge_fix(petviashvili_path, flow_path, grid_main):
     """Petviashvili and descent solve the same problem: 1e-6 L2 agreement."""
     for n in N_PATH:
-        a, _, _ = gauge_fix(petviashvili_path[n].profile)
-        b, _, _ = gauge_fix(flow_path[n].profile)
+        a = gauge_fix(petviashvili_path[n].profile)
+        b = gauge_fix(flow_path[n].profile)
         dist = np.sqrt(grid_main.h * np.sum(np.abs(a.values - b.values) ** 2))
         assert dist <= 1e-6
         assert abs(petviashvili_path[n].multiplier - flow_path[n].multiplier) <= 1e-8
@@ -258,7 +258,7 @@ def test_gn_inequality_on_random_fields(ground_state_15):
     for _ in range(100):
         u = smooth_random_profile(grid, rng, width=float(rng.uniform(0.5, 3.0)))
         lhs = lp_norm(u, 2 * s + 2) ** (2 * s + 2)
-        kin = quadratic_form(u, lambda xi: np.abs(xi) ** s).real
+        kin = quadratic_form(u, np.abs(grid.xi) ** s).real
         rhs = c_s * kin * u.mass() ** s
         assert lhs <= rhs * (1.0 + 1e-12)
 
@@ -268,7 +268,7 @@ def test_gn_near_equality_at_ground_state(ground_state_15):
     c_s = ground_state_15["C_s"]
     s = S_DEFAULT
     lhs = lp_norm(q, 2 * s + 2) ** (2 * s + 2)
-    kin = quadratic_form(q, lambda xi: np.abs(xi) ** s).real
+    kin = quadratic_form(q, np.abs(q.grid.xi) ** s).real
     ratio = lhs / (c_s * kin * q.mass() ** s)
     assert ratio >= 1.0 - 1e-6
     assert abs(ratio - 1.0) <= 1e-6
@@ -278,7 +278,7 @@ def test_ground_state_pohozaev_identities(ground_state_15):
     """M = s T and P = (s+1) T pin the sharp-constant normalization."""
     q = ground_state_15["Q"]
     s = S_DEFAULT
-    kin = quadratic_form(q, lambda xi: np.abs(xi) ** s).real
+    kin = quadratic_form(q, np.abs(q.grid.xi) ** s).real
     pot = lp_norm(q, 2 * s + 2) ** (2 * s + 2)
     assert q.mass() == pytest.approx(s * kin, rel=1e-6)
     assert pot == pytest.approx((s + 1.0) * kin, rel=1e-6)
@@ -296,8 +296,8 @@ def test_continuation_up_down_agree(grid_main, petviashvili_path):
     # the warm-started path and a cold solve from the local profile (the CLI's start) meet
     for n in (0.2, 0.1):
         cold = petviashvili_mass_constrained(grid_main, ModelParams(S_DEFAULT, 0.0, n), tol=SOLVE_TOL)
-        a, _, _ = gauge_fix(petviashvili_path[n].profile)
-        b, _, _ = gauge_fix(cold.profile)
+        a = gauge_fix(petviashvili_path[n].profile)
+        b = gauge_fix(cold.profile)
         dist = np.sqrt(grid_main.h * np.sum(np.abs(a.values - b.values) ** 2))
         assert dist <= 1e-6
 
@@ -383,8 +383,8 @@ def test_newton_matches_secant_oracle(grid_desk, s, n, start):
         assert res.converged
         assert abs(res.stabilization - 1.0) <= 1e-10
     assert abs(newton.multiplier - oracle.multiplier) <= 1e-9 * abs(oracle.multiplier)
-    a = gauge_fix(newton.profile)[0].values
-    b = gauge_fix(oracle.profile)[0].values
+    a = gauge_fix(newton.profile).values
+    b = gauge_fix(oracle.profile).values
     assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
 
