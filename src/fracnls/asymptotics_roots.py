@@ -56,12 +56,9 @@ class RootBracketError(RuntimeError):
     """The bracketing function does not change sign on (0, pi/2)."""
 
 
-def radius_of_angle(phi, s: float):
-    """r(phi) = (s sin(phi) / sin(s phi))^{1/(s-1)}, the zero curve of Im."""
-    phi = np.asarray(phi, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(phi == 0.0, 1.0, s * np.sin(phi) / np.sin(s * phi))
-    return ratio ** (1.0 / (s - 1.0))
+def radius_of_angle(phi: float, s: float) -> float:
+    """r(phi) = (s sin(phi) / sin(s phi))^{1/(s-1)} at one angle phi > 0, the zero curve of Im."""
+    return (s * np.sin(phi) / np.sin(s * phi)) ** (1.0 / (s - 1.0))
 
 
 def f11_on_curve(phi: float, s: float, c: float) -> float:
@@ -70,7 +67,6 @@ def f11_on_curve(phi: float, s: float, c: float) -> float:
     Evaluated through the stable series form n(y - 1) + c; the direct trig
     expression cancels to O(phi^2) and drowns small shifts in roundoff.
     """
-    phi = np.asarray(phi, dtype=float)
     r = radius_of_angle(phi, s)
     y = r * np.exp(1j * phi)
     return n_analytic(y - 1.0, s).real + c

@@ -34,7 +34,7 @@ from .cache import cached_solve, default_cache_dir
 from .linearized import build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
 from .solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
-from .spectral import Profile, make_grid
+from .spectral import Profile, SpectralGrid
 from .symbols import ModelParams, lambda_of_s
 
 EXIT_OK = 0
@@ -108,7 +108,7 @@ class RunConfig:
             self.cache_dir = str(default_cache_dir())
         # not a field: the grid derives from grid_l and grid_m, and building
         # it here turns a bad size into a configuration error
-        self.grid = make_grid(self.grid_l, self.grid_m)
+        self.grid = SpectralGrid(self.grid_l, self.grid_m)
 
     def echo(self) -> dict:
         """The settings that decide results: the record's config and the hash input."""
@@ -130,8 +130,7 @@ SETTINGS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
 class RunRecord:
     config: dict
     points: list
-    version: str = __version__
-    timings: dict = field(default_factory=dict)  # emitted to the metadata file only
+    timings: dict  # emitted to the metadata file only
 
     def any_failure(self) -> bool:
         for pt in self.points:
@@ -234,7 +233,7 @@ def quintic_mass_check(mass: float) -> dict:
 
 def _solution(config: RunConfig, s: float, n: float):
     """The cached mass-constrained solve at (s, N), with its model parameters."""
-    params = ModelParams(s, 0.0, n)
+    params = ModelParams(s, n)
     result, _ = cached_solve(
         config.cache_dir, s, n, config.grid, config.tol,
         lambda: petviashvili_mass_constrained(config.grid, params, tol=config.tol),
@@ -305,7 +304,7 @@ def _th2_summary(s: float, points: list) -> list:
 
 def _th3_stage(config: RunConfig, s: float, n: float) -> dict:
     grid = config.grid
-    params = ModelParams(s, 0.0, n)
+    params = ModelParams(s, n)
     # one generator per point, so a point's draws do not depend on which
     # points ran before it or on which worker runs it
     rng = np.random.default_rng(20260810)
@@ -355,7 +354,7 @@ def _linearize_stage(config: RunConfig, s: float, n: float) -> dict:
 
 def _kernel_stage(config: RunConfig, s: float, n: float) -> dict:
     _, lam = lambda_of_s(s)
-    params = ModelParams(s, 0.0, n)
+    params = ModelParams(s, n)
     rep = kernel_expansion_check(params, lam)
     root = find_root_f1("+", params, lam)
     f2 = verify_f2_rootless("+", params, lam)
@@ -436,9 +435,7 @@ def run(config: RunConfig) -> RunRecord:
         points += own
         if pipeline.summary is not None:
             points += pipeline.summary(s, own)
-    record = RunRecord(config=config.echo(), points=points)
-    record.timings = {"wall_seconds": time.time() - t0}
-    return record
+    return RunRecord(config=config.echo(), points=points, timings={"wall_seconds": time.time() - t0})
 
 
 CSV_COLUMNS = (
@@ -482,7 +479,7 @@ def emit_outputs(record: RunRecord, config: RunConfig) -> list:
 
     json_path = outdir / f"{stem}.json"
     json_path.write_text(
-        json.dumps({"version": record.version, "config": record.config, "points": record.points},
+        json.dumps({"version": __version__, "config": record.config, "points": record.points},
                    sort_keys=True, indent=1)
     )
     written.append(json_path)

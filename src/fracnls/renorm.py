@@ -1,7 +1,11 @@
-"""Changes of variables and multiplier conversions between the three problems.
+"""The drift reduction and the changes of variables between the three problems.
 
-The drift transform tau_beta, the mass rescaling between the
-beta-independent and the renormalized minimizers, their composite, the
+The drift beta enters the package here and nowhere else: its stationary
+point xi*, the drift symbol m_beta and the drift transform tau_beta take
+beta as an argument, and `xi_star` is the one place that refuses
+beta <= 0.  Every other module works on the renormalized problem, whose
+ModelParams is (s, N).  The module also holds the mass rescaling between
+the beta-independent and the renormalized minimizers, their composite, the
 bijection between the three Lagrange-multiplier parametrizations, and the
 gauge fixing that quotients the phase/translation symmetry.
 
@@ -22,6 +26,9 @@ from .spectral import Profile, SpectralGrid, translate
 from .symbols import ModelParams, kernel_shift
 
 __all__ = [
+    "xi_star",
+    "symbol_mbeta",
+    "stationary_point",
     "MultiplierTriple",
     "tau_beta",
     "tau_beta_inverse",
@@ -37,9 +44,28 @@ _TRIPLE_RTOL = 1e-12
 _SNAP_TOL = 0.05  # largest relative lattice snap of the drift frequency
 
 
+def xi_star(s: float, beta: float) -> float:
+    """The stationary point xi* = (2 beta / s)^{1/(s-1)} of m_beta; refuses beta <= 0."""
+    if beta <= 0.0:
+        raise ValueError(f"the drift reduction needs beta > 0, got {beta} (xi* = 0 is degenerate)")
+    return (2.0 * beta / s) ** (1.0 / (s - 1.0))
+
+
+def symbol_mbeta(xi, s: float, beta: float):
+    """Drift symbol m_beta(xi) = |xi|^s - 2 beta xi."""
+    xi = np.asarray(xi, dtype=float)
+    return np.abs(xi) ** s - 2.0 * beta * xi
+
+
+def stationary_point(s: float, beta: float) -> tuple[float, float]:
+    """The minimizer xi* of m_beta and its value -(xi*)^s (s-1)."""
+    xs = xi_star(s, beta)
+    return xs, -(xs**s) * (s - 1.0)
+
+
 @dataclass
 class MultiplierTriple:
-    """The three equivalent Lagrange multipliers of one traveling wave.
+    """The three equivalent Lagrange multipliers of one traveling wave, at drift beta.
 
     gamma multiplies the drifted equation for Q_beta, eta the
     beta-independent equation for S, theta the renormalized equation for R;
@@ -53,11 +79,12 @@ class MultiplierTriple:
     eta: float
     theta: float
     params: ModelParams
+    beta: float
 
     def check(self) -> bool:
         """Whether the three multipliers satisfy both relations to _TRIPLE_RTOL."""
         s = self.params.s
-        xs = self.params.xi_star
+        xs = xi_star(s, self.beta)
         g = xs**s * (self.eta + s - 1.0)
         e = kernel_shift(self.params, self.theta)
         ok_g = abs(g - self.gamma) <= _TRIPLE_RTOL * max(1.0, abs(self.gamma))
@@ -67,18 +94,18 @@ class MultiplierTriple:
 
 def convert_multipliers(
     params: ModelParams,
+    beta: float,
+    *,
     gamma: float | None = None,
     eta: float | None = None,
     theta: float | None = None,
 ) -> MultiplierTriple:
-    """Populate all three multipliers from exactly one of them."""
+    """Populate all three multipliers at drift beta from exactly one of them."""
     given = [v is not None for v in (gamma, eta, theta)]
     if sum(given) != 1:
         raise ValueError("provide exactly one of gamma, eta, theta")
     s = params.s
-    if gamma is not None and params.beta <= 0.0:
-        raise ValueError("gamma-involving conversions need beta > 0")
-    xs = params.xi_star
+    xs = xi_star(s, beta)
     mass_factor = kernel_shift(params, 1.0)
     if theta is not None:
         eta = kernel_shift(params, theta)
@@ -89,19 +116,17 @@ def convert_multipliers(
     else:
         eta = gamma / xs**s - (s - 1.0)
         theta = eta / mass_factor
-    return MultiplierTriple(float(gamma), float(eta), float(theta), params)
+    return MultiplierTriple(float(gamma), float(eta), float(theta), params, beta)
 
 
-def _lattice_factor(params: ModelParams, source_length: float) -> float:
+def _lattice_factor(source_length: float) -> float:
     """Nearest lattice-compatible modulation frequency, in units of the ideal 1.
 
     The drift phase at the source nodes is e^{i x_j}; on the torus that is a
     pure frequency shift iff L is a multiple of 2 pi.  Otherwise the
     frequency is snapped to (2 pi m / L) with m = round(L / 2 pi); a snap
-    beyond _SNAP_TOL, or beta = 0, is refused.
+    beyond _SNAP_TOL is refused.
     """
-    if params.beta <= 0.0:
-        raise ValueError("tau_beta needs beta > 0 (xi* = 0 is degenerate)")
     m = max(1, round(source_length / (2.0 * math.pi)))
     factor = 2.0 * math.pi * m / source_length
     if abs(factor - 1.0) > _SNAP_TOL:
@@ -111,7 +136,7 @@ def _lattice_factor(params: ModelParams, source_length: float) -> float:
     return factor
 
 
-def tau_beta(u: Profile, params: ModelParams) -> Profile:
+def tau_beta(u: Profile, s: float, beta: float) -> Profile:
     """(tau_beta u)(x) = (xi*)^{1/2} e^{i xi* x} u(xi* x), mass preserving.
 
     The dilation is a metadata reinterpretation (new torus length L/xi*);
@@ -119,18 +144,18 @@ def tau_beta(u: Profile, params: ModelParams) -> Profile:
     ones and is snapped to the source lattice, so the transform is exact
     whenever L is a multiple of 2 pi.
     """
-    factor = _lattice_factor(params, u.grid.length)
-    xs = params.xi_star
+    xs = xi_star(s, beta)
+    factor = _lattice_factor(u.grid.length)
     new_grid = SpectralGrid(u.grid.length / xs, u.grid.points)
     phase = np.exp(1j * factor * u.grid.x)
     return Profile(new_grid, math.sqrt(xs) * phase * u.values)
 
 
-def tau_beta_inverse(q: Profile, params: ModelParams) -> Profile:
+def tau_beta_inverse(q: Profile, s: float, beta: float) -> Profile:
     """Inverse drift transform: u(y) = (xi*)^{-1/2} e^{-i y} q(y / xi*)."""
-    xs = params.xi_star
+    xs = xi_star(s, beta)
     source_length = q.grid.length * xs
-    factor = _lattice_factor(params, source_length)
+    factor = _lattice_factor(source_length)
     new_grid = SpectralGrid(source_length, q.grid.points)
     phase = np.exp(-1j * factor * new_grid.x)
     return Profile(new_grid, phase * q.values / math.sqrt(xs))
@@ -152,14 +177,14 @@ def scale_R_to_S(r_prof: Profile, params: ModelParams) -> Profile:
     return Profile(new_grid, amp * r_prof.values)
 
 
-def full_map_Q_to_R(q_prof: Profile, params: ModelParams) -> Profile:
+def full_map_Q_to_R(q_prof: Profile, params: ModelParams, beta: float) -> Profile:
     """Composite rescaling/demodulation from Q_{beta,N} to R_N.
 
     Equals scale_S_to_R(tau_beta^{-1}(Q)); the direct formula is
     R_N(x) = s0^{1/2} N^{-1/(2-s)} (xi*)^{-1/2} e^{-i x/kappa}
              Q(x / (kappa xi*)).
     """
-    return scale_S_to_R(tau_beta_inverse(q_prof, params), params)
+    return scale_S_to_R(tau_beta_inverse(q_prof, params.s, beta), params)
 
 
 def gauge_fix(u: Profile) -> Profile:

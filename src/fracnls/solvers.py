@@ -23,7 +23,6 @@ from .spectral import (
     SpectralGrid,
     fft,
     ifft,
-    make_grid,
     multiplier_values,
     pad_evaluate,
     quadratic_form,
@@ -303,7 +302,7 @@ def fractional_ground_state(s: float, grid: SpectralGrid | None = None) -> tuple
     if not 1.0 < s <= 2.0:
         raise ValueError(f"fractional ground state requires 1 < s <= 2 (got {s})")
     if grid is None:
-        grid = make_grid(256.0, 8192)
+        grid = SpectralGrid(256.0, 8192)
     init = Profile(grid, np.exp(-grid.x**2))
     sig = np.abs(grid.xi) ** s
     result = petviashvili_solve(grid, sig, 1.0, 2.0 * s + 1.0, init, tol=1e-12)

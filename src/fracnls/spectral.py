@@ -76,11 +76,6 @@ def ifft(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
     return scipy.fft.ifft(np.asarray(coeffs, dtype=complex), axis=axis)
 
 
-def make_grid(length: float, points: int) -> SpectralGrid:
-    """Build a periodic spectral grid; L > 0, M a power of two in [16, MAX_POINTS]."""
-    return SpectralGrid(length, points)
-
-
 @dataclass
 class Profile:
     """A complex field sampled on a spectral grid."""

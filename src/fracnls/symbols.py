@@ -1,9 +1,11 @@
 """Fourier symbols of the reduced traveling-wave problem and the convolution kernel.
 
-Implements the base symbol n(xi) = |xi+1|^s - s xi - 1, its mass-rescaled
-version n_N, the drift symbol m_beta, the lower bound with the explicit
-constant C(A), and a high-accuracy pointwise evaluator of the kernel
-m_N = Finv(1/(n_N + theta)) for tail studies.
+Implements the parameters (s, N) of the renormalized problem, the base
+symbol n(xi) = |xi+1|^s - s xi - 1, its mass-rescaled version n_N, the
+lower bound with the explicit constant C(A), and a high-accuracy pointwise
+evaluator of the kernel m_N = Finv(1/(n_N + theta)) for tail studies.
+Nothing here depends on the drift: the drift symbol, its stationary point
+and the drift transform live in renorm.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ __all__ = [
     "lambda_of_s",
     "symbol_n",
     "symbol_nN",
-    "symbol_mbeta",
-    "stationary_point",
     "check_lower_bound",
     "kernel_pointwise",
     "laplace_transform",
@@ -50,25 +50,20 @@ def lambda_of_s(s: float) -> tuple[float, float]:
 
 @dataclass
 class ModelParams:
-    """Parameter bundle (s, beta, N), 1 < s < 2, plus the derived scalars."""
+    """The parameters (s, N) of the renormalized problem, 1 < s < 2, N > 0, plus the derived scalars.
+
+    The drift is not among them: the reduction removes it, and renorm's
+    drift functions take it as an argument of their own.
+    """
 
     s: float
-    beta: float = 0.0
-    N: float = 1.0
+    N: float
 
     def __post_init__(self):
         if not 1.0 < self.s < 2.0:
             raise ValueError(f"s must lie in (1, 2) (got {self.s})")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
         if self.N <= 0.0:
             raise ValueError("mass N must be positive")
-
-    @property
-    def xi_star(self) -> float:
-        if self.beta == 0.0:
-            return 0.0
-        return (2.0 * self.beta / self.s) ** (1.0 / (self.s - 1.0))
 
     @property
     def kappa(self) -> float:
@@ -85,13 +80,13 @@ class ModelParams:
 
 
 def symbol_n(xi, s: float):
-    """n(xi) = |xi + 1|^s - s xi - 1; nonnegative with strict minimum 0 at 0.
+    """n(xi) = |xi + 1|^s - s xi - 1, 1 < s < 2; nonnegative with strict minimum 0 at 0.
 
     Small arguments are evaluated through the Taylor series of the analytic
     branch so the quadratic minimum keeps full relative accuracy.
     """
-    if not (1.0 < s <= 2.0):
-        raise ValueError(f"s must lie in (1, 2], got {s}")
+    if not 1.0 < s < 2.0:
+        raise ValueError(f"s must lie in (1, 2), got {s}")
     xi = np.asarray(xi, dtype=float)
     direct = np.abs(xi + 1.0) ** s - s * xi - 1.0
     small = np.abs(xi) <= 0.5
@@ -104,24 +99,6 @@ def symbol_nN(xi, params: ModelParams):
     """Rescaled symbol n_N(xi) = 2 n(kappa xi) / (s (s-1) kappa^2)."""
     s, k = params.s, params.kappa
     return 2.0 * symbol_n(k * np.asarray(xi, dtype=float), s) / (s * (s - 1.0) * k**2)
-
-
-def symbol_mbeta(xi, params: ModelParams):
-    """Drift symbol m_beta(xi) = |xi|^s - 2 beta xi."""
-    xi = np.asarray(xi, dtype=float)
-    return np.abs(xi) ** params.s - 2.0 * params.beta * xi
-
-
-def stationary_point(params: ModelParams) -> tuple[float, float]:
-    """The minimizer xi* of m_beta and its value -(xi*)^s (s-1).
-
-    Degenerate at beta = 0 (xi* = 0), which is reported as an error.
-    """
-    if params.beta <= 0.0:
-        raise ValueError("stationary point degenerates at beta = 0")
-    xs = params.xi_star
-    val = -(xs**params.s) * (params.s - 1.0)
-    return xs, val
 
 
 _LOWER_BOUND_SAMPLES = 4001

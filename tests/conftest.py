@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fracnls.solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
-from fracnls.spectral import make_grid
+from fracnls.spectral import SpectralGrid
 from fracnls.symbols import ModelParams, lambda_of_s
 from oracles import gradient_flow_minimize
 
@@ -26,12 +26,12 @@ def lam15():
 @pytest.fixture(scope="session")
 def grid_main():
     # large enough that torus bias sits below the smallest multiplier gap
-    return make_grid(256.0, 16384)
+    return SpectralGrid(256.0, 16384)
 
 
 @pytest.fixture(scope="session")
 def grid_desk():
-    return make_grid(64.0, 4096)
+    return SpectralGrid(64.0, 4096)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def petviashvili_path(grid_main):
     results = {}
     init = None
     for n in N_PATH:
-        params = ModelParams(S_DEFAULT, 0.0, n)
+        params = ModelParams(S_DEFAULT, n)
         res = petviashvili_mass_constrained(grid_main, params, init=init, tol=SOLVE_TOL)
         results[n] = res
         init = res.profile
@@ -57,7 +57,7 @@ def flow_path(grid_main):
     results = {}
     init = None
     for n in N_PATH:
-        params = ModelParams(S_DEFAULT, 0.0, n)
+        params = ModelParams(S_DEFAULT, n)
         res = gradient_flow_minimize("Y_N", params.s0, init, SOLVE_TOL, grid=grid_main, params=params)
         results[n] = res
         init = res.profile
@@ -66,7 +66,7 @@ def flow_path(grid_main):
 
 @pytest.fixture(scope="session")
 def ground_state_15():
-    grid = make_grid(1024.0, 32768)
+    grid = SpectralGrid(1024.0, 32768)
     q, c_s, mass = fractional_ground_state(S_DEFAULT, grid)
     return {"Q": q, "C_s": c_s, "mass": mass}
 
@@ -74,8 +74,8 @@ def ground_state_15():
 @pytest.fixture(scope="session")
 def lin_solve():
     """Converged solve on the reduced grid used for dense eigenanalysis."""
-    grid = make_grid(128.0, 1024)
-    params = ModelParams(S_DEFAULT, 0.0, 0.1)
+    grid = SpectralGrid(128.0, 1024)
+    params = ModelParams(S_DEFAULT, 0.1)
     res = petviashvili_mass_constrained(grid, params, tol=SOLVE_TOL)
     return {"grid": grid, "params": params, "result": res}
 

@@ -207,7 +207,7 @@ def gradient_flow_minimize(
         sig = symbol_nN(grid.xi, params)
         return descend_symbol(grid, sig, p, params.s0, init, tol=tol)
     if functional == "I":
-        prm = ModelParams(params.s, params.beta, mass)
+        prm = ModelParams(params.s, mass)
         renorm_res = gradient_flow_minimize("Y_N", prm.s0, init, tol, grid=grid, params=prm)
         s_prof = scale_R_to_S(renorm_res.profile, prm)
         eta = 0.5 * s * (s - 1.0) * prm.kappa**2 * renorm_res.multiplier

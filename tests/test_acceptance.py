@@ -40,7 +40,14 @@ from fracnls.linearized import (
     kernel_diagnostics,
     local_limit_operators,
 )
-from fracnls.renorm import convert_multipliers, gauge_fix, scale_R_to_S, tau_beta
+from fracnls.renorm import (
+    convert_multipliers,
+    gauge_fix,
+    scale_R_to_S,
+    stationary_point,
+    symbol_mbeta,
+    tau_beta,
+)
 from fracnls.solvers import (
     el_residual,
     fractional_ground_state,
@@ -49,8 +56,8 @@ from fracnls.solvers import (
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, derivative, lp_norm, make_grid, quadratic_form, sobolev_norm
-from fracnls.symbols import ModelParams, stationary_point, symbol_mbeta, symbol_n, symbol_nN
+from fracnls.spectral import Profile, SpectralGrid, derivative, lp_norm, quadratic_form, sobolev_norm
+from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
 from oracles import descend_symbol
 
@@ -81,7 +88,7 @@ def test_holds_guards_the_stated_tolerance():
 
 def test_criterion_01_closed_form_oracle_equivalence():
     """Both solvers reproduce the sech-power closed form; quintic mass check."""
-    grid = make_grid(64.0, 4096)
+    grid = SpectralGrid(64.0, 4096)
     oracle = local_ground_state(S_DEFAULT, 1.0, grid)
     init = Profile(grid, np.exp(-grid.x**2))
     petv = petviashvili_solve(grid, grid.xi**2, 1.0, 2 * S_DEFAULT + 1, init, tol=1e-12)
@@ -104,7 +111,7 @@ def test_criterion_01_closed_form_oracle_equivalence():
 def test_criterion_02_euler_lagrange_residual(petviashvili_path, flow_path, grid_main):
     worst = 0.0
     for n in N_PATH:
-        params = ModelParams(S_DEFAULT, 0.0, n)
+        params = ModelParams(S_DEFAULT, n)
         sig = symbol_nN(grid_main.xi, params)
         for res in (petviashvili_path[n], flow_path[n]):
             r = el_residual(grid_main, res.profile.values, sig, res.multiplier, 2 * S_DEFAULT + 1)
@@ -148,14 +155,15 @@ def test_criterion_05_reduction_identities():
     """Energy identity on a solved minimizer and random profiles; multiplier maps."""
     from fracnls.spectral import spectral_refine
 
-    params = ModelParams(S_DEFAULT, 0.75, 0.1)
-    grid = make_grid(20.0 * np.pi, 2048)
+    beta = 0.75
+    params = ModelParams(S_DEFAULT, 0.1)
+    grid = SpectralGrid(20.0 * np.pi, 2048)
     rng = np.random.default_rng(55)
-    xs, m_star = stationary_point(params)
+    xs, m_star = stationary_point(S_DEFAULT, beta)
     p = 2.0 * S_DEFAULT + 1.0
 
     def energy_beta(u):  # E_beta: the energy with the drift symbol m_beta
-        return functional_energy(u.grid, u.values, symbol_mbeta(u.grid.xi, params), p)
+        return functional_energy(u.grid, u.values, symbol_mbeta(u.grid.xi, S_DEFAULT, beta), p)
 
     def energy_reduced(u):  # I: the beta-independent energy with the symbol n
         return functional_energy(u.grid, u.values, symbol_n(u.grid.xi, S_DEFAULT), p)
@@ -163,7 +171,7 @@ def test_criterion_05_reduction_identities():
     worst_energy = 0.0
     for _ in range(20):
         u = smooth_random_profile(grid, rng, width=float(rng.uniform(1.0, 2.5)))
-        lhs = energy_beta(tau_beta(u, params))
+        lhs = energy_beta(tau_beta(u, S_DEFAULT, beta))
         rhs = xs**S_DEFAULT * energy_reduced(u) + m_star * u.mass() / 2.0
         worst_energy = max(worst_energy, abs(lhs - rhs) / max(abs(rhs), 1e-12))
     # solved minimizer: pick the renormalized torus so the mapped-out S grid
@@ -171,11 +179,11 @@ def test_criterion_05_reduction_identities():
     # refine past the drift frequency before modulating
     m_lat = 40744
     l_r = 2.0 * np.pi * m_lat * params.kappa
-    grid_r = make_grid(l_r, 16384)
+    grid_r = SpectralGrid(l_r, 16384)
     solved = petviashvili_mass_constrained(grid_r, params, tol=1e-11)
     s_solved = scale_R_to_S(solved.profile, params)
     s_fine = spectral_refine(s_solved, 8)
-    lhs = energy_beta(tau_beta(s_fine, params))
+    lhs = energy_beta(tau_beta(s_fine, S_DEFAULT, beta))
     rhs = xs**S_DEFAULT * energy_reduced(s_solved) + m_star * s_solved.mass() / 2.0
     worst_solved = abs(lhs - rhs) / abs(rhs)
     worst_rt = 0.0
@@ -183,15 +191,15 @@ def test_criterion_05_reduction_identities():
     # well conditioned (the worked conversions of the reduction live there;
     # at small N the inverse resolves an O(kappa^2 theta) deviation and
     # carries an intrinsic eps/kappa^2 floor)
-    params_unit = ModelParams(S_DEFAULT, 0.75, 1.0)
+    params_unit = ModelParams(S_DEFAULT, 1.0)
     for theta in (-2.0, 0.0492, 1.0, 17.0):
-        trip = convert_multipliers(params_unit, theta=theta)
-        back = convert_multipliers(params_unit, gamma=trip.gamma)
+        trip = convert_multipliers(params_unit, beta, theta=theta)
+        back = convert_multipliers(params_unit, beta, gamma=trip.gamma)
         worst_rt = max(worst_rt, abs(back.theta - theta) / max(abs(theta), 1.0))
         assert trip.check()
-        trip_small = convert_multipliers(params, theta=theta)
+        trip_small = convert_multipliers(params, beta, theta=theta)
         assert trip_small.check()
-        back_eta = convert_multipliers(params, eta=trip_small.eta)
+        back_eta = convert_multipliers(params, beta, eta=trip_small.eta)
         worst_rt = max(worst_rt, abs(back_eta.theta - theta) / max(abs(theta), 1.0))
     ok = worst_energy <= 1e-8 and worst_solved <= 1e-8 and worst_rt <= 1e-12
     report(
@@ -202,8 +210,8 @@ def test_criterion_05_reduction_identities():
 
 
 def test_criterion_06_uniqueness_probe():
-    grid = make_grid(64.0, 4096)
-    params = ModelParams(S_DEFAULT, 0.0, 0.05)
+    grid = SpectralGrid(64.0, 4096)
+    params = ModelParams(S_DEFAULT, 0.05)
     rng = np.random.default_rng(606)
     fixed = []
     for _ in range(5):
@@ -221,7 +229,7 @@ def test_criterion_07_linearized_diagnostics(lin_solve, lam15):
     corr = min(rep.correlations)
     # local-limit identity L+ R = -2s (|D|^2 + lam) R
     lam = lam15["lam"]
-    grid = make_grid(256.0, 2048)
+    grid = SpectralGrid(256.0, 2048)
     base = local_ground_state(S_DEFAULT, lam, grid)
     lp, _ = local_limit_operators(S_DEFAULT, lam, grid, base)
     lhs = lp.apply(base.values.real)
@@ -252,12 +260,12 @@ def test_criterion_07_linearized_diagnostics(lin_solve, lam15):
 
 def test_criterion_08_root_system(lam15):
     lam = lam15["lam"]
-    p_mid = ModelParams(S_DEFAULT, 0.0, 0.1)
+    p_mid = ModelParams(S_DEFAULT, 0.1)
     root = find_root_f1("+", p_mid, lam)
     limit_err = abs(root.y / p_mid.kappa - 1j * math.sqrt(lam)) / math.sqrt(lam)
     ratios = []
     for kappa in (1e-2, 1e-3, 1e-4):
-        p = ModelParams(S_DEFAULT, 0.0, kappa ** ((2 - S_DEFAULT) / S_DEFAULT))
+        p = ModelParams(S_DEFAULT, kappa ** ((2 - S_DEFAULT) / S_DEFAULT))
         for sign in ("+", "-"):
             ratios.append(abs(find_root_f1(sign, p, lam).y) / kappa)
     spread = max(ratios) / min(ratios)
@@ -273,13 +281,13 @@ def test_criterion_08_root_system(lam15):
 
 
 def test_criterion_09_kernel_expansion(petviashvili_path, lam15):
-    p_02 = ModelParams(S_DEFAULT, 0.0, 0.2)
+    p_02 = ModelParams(S_DEFAULT, 0.2)
     checks = kernel_checks(p_02, kernel_expansion_check(p_02, petviashvili_path[0.2].multiplier))
     win, expo, env, freq = (chk["value"] for chk in checks.values())
     coeffs, masses = [], (0.2, 0.1, 0.05)
     for n in masses:
         coeffs.append(
-            kernel_expansion_check(ModelParams(S_DEFAULT, 0.0, n), lam15["lam"])["alg_coefficient"]
+            kernel_expansion_check(ModelParams(S_DEFAULT, n), lam15["lam"])["alg_coefficient"]
         )
     slope = float(np.polyfit(np.log(masses), np.log(coeffs), 1)[0])
     expected = S_DEFAULT * (2.0 + S_DEFAULT) / (2.0 - S_DEFAULT)
@@ -297,7 +305,7 @@ def test_criterion_09_kernel_expansion(petviashvili_path, lam15):
 def test_criterion_10_profile_tails(petviashvili_path, local_R, lam15):
     lam = lam15["lam"]
     fits = {
-        n: tail_fit(petviashvili_path[n], local_R, ModelParams(S_DEFAULT, 0.0, n)) for n in (0.2, 0.1, 0.05)
+        n: tail_fit(petviashvili_path[n], local_R, ModelParams(S_DEFAULT, n)) for n in (0.2, 0.1, 0.05)
     }
     consts = [fits[n].decay_bound["C_min"] for n in (0.2, 0.1, 0.05)]
     checks = {**tail_checks(fits[0.1], lam), **decay_uniformity_check(consts)}
@@ -313,14 +321,14 @@ def test_criterion_10_profile_tails(petviashvili_path, local_R, lam15):
 def test_criterion_11_variational_structure(flow_path, ground_state_15):
     energies = {}
     for n, res in flow_path.items():
-        params = ModelParams(S_DEFAULT, 0.0, n)
+        params = ModelParams(S_DEFAULT, n)
         scale = params.s0 ** (S_DEFAULT + 1.0) * n ** (-(2.0 + S_DEFAULT) / (2.0 - S_DEFAULT))
         energies[n] = res.energy / scale
     vals = [energies[n] for n in sorted(energies)]
     negative = all(v < 0 for v in vals)
     decreasing = all(a > b for a, b in zip(vals, vals[1:]))
     q, c_s = ground_state_15["Q"], ground_state_15["C_s"]
-    grid = make_grid(64.0, 1024)
+    grid = SpectralGrid(64.0, 1024)
     rng = np.random.default_rng(1111)
     gn_ok = True
     for _ in range(100):

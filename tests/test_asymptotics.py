@@ -17,7 +17,7 @@ from fracnls.asymptotics import (
 )
 from fracnls.asymptotics_roots import f11_on_curve, find_root_translated, radius_of_angle
 from fracnls.renorm import gauge_fix
-from fracnls.spectral import Profile, make_grid
+from fracnls.spectral import Profile, SpectralGrid
 from fracnls.symbols import ModelParams, kernel_shift
 from conftest import S_DEFAULT
 
@@ -25,7 +25,7 @@ from conftest import S_DEFAULT
 # -- roots of f1 ---------------------------------------------------------------
 
 def test_root_residual_and_region(lam15):
-    p = ModelParams(S_DEFAULT, 0.0, 0.1)
+    p = ModelParams(S_DEFAULT, 0.1)
     root = find_root_f1("+", p, lam15["lam"])
     assert root.in_region()
     assert 0.0 < root.phi < np.pi / 2.0
@@ -33,7 +33,7 @@ def test_root_residual_and_region(lam15):
 
 
 def test_root_conjugate_symmetry(lam15):
-    p = ModelParams(S_DEFAULT, 0.0, 0.1)
+    p = ModelParams(S_DEFAULT, 0.1)
     plus = find_root_f1("+", p, lam15["lam"])
     minus = find_root_f1("-", p, lam15["lam"])
     assert minus.y == pytest.approx(np.conj(plus.y), rel=1e-12)
@@ -43,7 +43,7 @@ def test_root_conjugate_symmetry(lam15):
 
 def test_root_curve_monotone(lam15):
     """g(phi) = f11(r(phi), phi) decreases on (0, pi/2), as the proof shows."""
-    c = kernel_shift(ModelParams(S_DEFAULT, 0.0, 0.1), lam15["lam"])
+    c = kernel_shift(ModelParams(S_DEFAULT, 0.1), lam15["lam"])
     phi = np.linspace(1e-4, np.pi / 2 - 1e-4, 500)
     g = np.array([f11_on_curve(p, S_DEFAULT, c) for p in phi])
     assert np.all(np.diff(g) < 0.0)
@@ -53,7 +53,7 @@ def test_root_curve_monotone(lam15):
 
 def test_root_threshold_failure():
     """Above the mass threshold the bracketing function keeps one sign."""
-    p = ModelParams(S_DEFAULT, 0.0, 1.5)
+    p = ModelParams(S_DEFAULT, 1.5)
     # both endpoint values are positive: each starts with a digit, not a minus sign
     with pytest.raises(RootBracketError, match=r"no sign change on \(0, pi/2\): g\([^)]*\)=\d.*, g\(pi/2\)=\d"):
         find_root_f1("+", p, 1.0e4)
@@ -64,7 +64,7 @@ def test_root_smoke_other_s(s):
     from fracnls.symbols import lambda_of_s
 
     _, lam = lambda_of_s(s)
-    p = ModelParams(s, 0.0, 0.1)
+    p = ModelParams(s, 0.1)
     root = find_root_f1("+", p, lam)
     assert root.residual <= 1e-12 * (1.0 + abs(root.y) ** s)
     err = abs(root.y / p.kappa - 1j * math.sqrt(lam)) / math.sqrt(lam)
@@ -76,7 +76,7 @@ def test_root_smoke_other_s(s):
 def test_f2_rootless_winding(lam15):
     """f2 stays off zero on the axis and off it, by the same margins in both
     half-planes (the winding is criterion 08's)."""
-    plus, minus = (verify_f2_rootless(sign, ModelParams(S_DEFAULT, 0.0, 0.1), lam15["lam"]) for sign in "+-")
+    plus, minus = (verify_f2_rootless(sign, ModelParams(S_DEFAULT, 0.1), lam15["lam"]) for sign in "+-")
     assert plus["on_axis_min"] == minus["on_axis_min"] > 0.0
     assert plus["off_axis_min"] == minus["off_axis_min"] > 0.0
 
@@ -86,12 +86,12 @@ def test_f2_rootless_smoke(s):
     from fracnls.symbols import lambda_of_s
 
     _, lam = lambda_of_s(s)
-    rep = verify_f2_rootless("+", ModelParams(s, 0.0, 0.1), lam)
+    rep = verify_f2_rootless("+", ModelParams(s, 0.1), lam)
     assert rep["winding"] == 0
 
 
 def test_f2_precondition():
-    p = ModelParams(S_DEFAULT, 0.0, 0.5)
+    p = ModelParams(S_DEFAULT, 0.5)
     theta_bad = -(S_DEFAULT - 1.0 + 1.0) / kernel_shift(p, 1.0)  # forces s-1+c < 0
     with pytest.raises(ValueError, match="positive"):
         verify_f2_rootless("+", p, theta_bad)
@@ -101,14 +101,14 @@ def test_f2_precondition():
 
 def test_kernel_expansion_check_runs_one_bisection(lam15):
     find_root_translated.cache_clear()
-    kernel_expansion_check(ModelParams(S_DEFAULT, 0.0, 0.1), lam15["lam"])
+    kernel_expansion_check(ModelParams(S_DEFAULT, 0.1), lam15["lam"])
     info = find_root_translated.cache_info()
     assert info.misses == 1 and info.hits > 0
 
 
 def test_kernel_expansion_report(lam15, petviashvili_path):
     """The far window starts past the exponential one at N = 0.2 with the solved multiplier."""
-    p = ModelParams(S_DEFAULT, 0.0, 0.2)
+    p = ModelParams(S_DEFAULT, 0.2)
     rep = kernel_expansion_check(p, petviashvili_path[0.2].multiplier)
     assert rep["crossover"] > rep["exp_window"][1]
 
@@ -118,7 +118,7 @@ def test_kernel_expansion_remainder_shrinks(lam15):
     lam = lam15["lam"]
     rel = []
     for n in (0.2, 0.1):
-        p = ModelParams(S_DEFAULT, 0.0, n)
+        p = ModelParams(S_DEFAULT, n)
         rep = kernel_expansion_check(p, lam)
         rel.append(abs(rep["envelope_ratio"] - 1.0) + rep["exp_window_deviation"])
     assert rel[1] <= rel[0] * 1.2  # up to fit noise
@@ -127,14 +127,14 @@ def test_kernel_expansion_remainder_shrinks(lam15):
 def test_kernel_expansion_window_failure():
     """Too-large mass: exponential dominance never develops."""
     with pytest.raises(RuntimeError, match="windows"):
-        kernel_expansion_check(ModelParams(S_DEFAULT, 0.0, 1.8), 5.0)
+        kernel_expansion_check(ModelParams(S_DEFAULT, 1.8), 5.0)
 
 
 # -- far-field reconstruction ------------------------------------------------------
 
 def test_reconstruction_matches_grid(petviashvili_path, grid_main):
     n = 0.1
-    params = ModelParams(S_DEFAULT, 0.0, n)
+    params = ModelParams(S_DEFAULT, n)
     res = petviashvili_path[n]
     fixed = gauge_fix(res.profile)
     for x0 in (40.0, 56.0):
@@ -162,7 +162,7 @@ def test_prefix_sum_reconstruction_matches_exact_pair_sum(petviashvili_path, gri
     The decay-bound abscissae of tail_fit, and one grid node inside the
     torus, where the pair with x - y = 0 goes on the y <= x side.
     """
-    params = ModelParams(S_DEFAULT, 0.0, n)
+    params = ModelParams(S_DEFAULT, n)
     res = petviashvili_path[n]
     fixed = gauge_fix(res.profile)
     x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
@@ -180,7 +180,7 @@ def test_prefix_sum_reconstruction_matches_exact_pair_sum(petviashvili_path, gri
 @pytest.fixture(scope="module")
 def fits(petviashvili_path, local_R):
     return {
-        n: tail_fit(petviashvili_path[n], local_R, ModelParams(S_DEFAULT, 0.0, n)) for n in (0.2, 0.1, 0.05)
+        n: tail_fit(petviashvili_path[n], local_R, ModelParams(S_DEFAULT, n)) for n in (0.2, 0.1, 0.05)
     }
 
 
@@ -206,7 +206,7 @@ def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
     monkeypatch.setattr(asymptotics._KernelTail, "__init__", counting_build)
     monkeypatch.setattr(asymptotics, "far_field_reconstruction", counting_reconstruct)
     find_root_translated.cache_clear()
-    res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.0, 0.1)
+    res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.1)
     fit = tail_fit(res, local_R, params)
     assert len(builds) == 1
     assert [n for _, n in reconstructed] == [12]
@@ -248,7 +248,7 @@ def test_tail_honest_remainder_is_oscillation_damped(fit01, petviashvili_path):
     the spectrum of the nonlinearity at frequency 1/kappa; the frozen-phase
     model term exceeds the measured remainder on the far window by many orders.
     """
-    res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.0, 0.1)
+    res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.1)
     fixed = gauge_fix(res.profile)
     xs_far = np.geomspace(*fit01.window_far, 24)
     kern = asymptotics._KernelTail.covering(fixed.grid, params, res.multiplier, xs_far)
@@ -276,7 +276,7 @@ def test_tail_window_robustness(petviashvili_path, local_R, grid_main, lam15):
 # -- decay bound -------------------------------------------------------------------
 
 def test_decay_bound_trivial_at_origin(petviashvili_path, fit01):
-    params = ModelParams(S_DEFAULT, 0.0, 0.1)
+    params = ModelParams(S_DEFAULT, 0.1)
     fixed = gauge_fix(petviashvili_path[0.1].profile)
     rep = fit01.decay_bound
     i0 = int(np.argmin(np.abs(fixed.grid.x)))
@@ -287,13 +287,13 @@ def test_decay_bound_trivial_at_origin(petviashvili_path, fit01):
 @pytest.mark.parametrize("c_far, c_min", [(2.0, 2.0), (0.25, 0.5)])
 def test_decay_bound_check_on_samples(lam15, c_far, c_min):
     """C_min = max(C_grid, C_far) on samples at fixed multiples of the bound."""
-    params = ModelParams(S_DEFAULT, 0.0, 0.1)
+    params = ModelParams(S_DEFAULT, 0.1)
     npow = params.N ** (S_DEFAULT * (2 + S_DEFAULT) / (2 - S_DEFAULT))
 
     def bound(x):
         return np.exp(-math.sqrt(lam15["lam"]) * np.abs(x)) + npow / (1.0 + np.abs(x) ** (S_DEFAULT + 1.0))
 
-    grid = make_grid(64.0, 512)
+    grid = SpectralGrid(64.0, 512)
     x_far = np.geomspace(30.0, 90.0, 7)
     far = c_far * bound(x_far) * np.exp(1j * x_far)
     rep = decay_bound_check(Profile(grid, 0.5 * bound(grid.x) + 0j), params, x_far, far)
@@ -315,7 +315,7 @@ def test_local_profile_exponential_bound(local_R, lam15):
 def test_kernel_expansion_remainder_monotone_in_x(lam15):
     """The algebraic remainder, relative to its model term, decays in |x|."""
     lam = lam15["lam"]
-    p = ModelParams(S_DEFAULT, 0.0, 0.1)
+    p = ModelParams(S_DEFAULT, 0.1)
     from fracnls.symbols import kernel_constants, kernel_pointwise
 
     kc = kernel_constants(p)
@@ -341,7 +341,7 @@ def test_root_extreme_orders(s, n):
     from fracnls.symbols import lambda_of_s
 
     _, lam = lambda_of_s(s)
-    p = ModelParams(s, 0.0, n)
+    p = ModelParams(s, n)
     root = find_root_f1("+", p, lam)
     assert root.residual <= 1e-12 * (1.0 + abs(root.y) ** s)
     assert root.in_region()
@@ -361,7 +361,7 @@ def test_root_properties_random_parameters():
         st.floats(0.01, 5.0, allow_nan=False),
     )
     def inner(s, n, theta):
-        p = ModelParams(s, 0.0, n)
+        p = ModelParams(s, n)
         try:
             plus = find_root_f1("+", p, theta)
         except RootBracketError:

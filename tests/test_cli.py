@@ -31,7 +31,7 @@ from fracnls.cli import (
     run,
 )
 from fracnls.solvers import SolveResult, local_ground_state
-from fracnls.spectral import make_grid
+from fracnls.spectral import SpectralGrid
 
 FAST_GRID = {"grid_l": 64.0, "grid_m": 512, "tol": 1e-9}
 
@@ -251,7 +251,7 @@ def test_csv_cells_of_numpy_scalars_parse_as_floats(tmp_path):
     config = fast_config("kernel", tmp_path)
     values = {"envelope_ratio": np.float64(1.0000002618099988), "exp_amplitude_oracle": np.float64(0.75)}
     point = {"s": 1.5, "N": 0.2, **values, "checks": {}, "error": None}
-    paths = emit_outputs(RunRecord(config={}, points=[point]), config)
+    paths = emit_outputs(RunRecord(config={}, points=[point], timings={}), config)
     header, row = next(p for p in paths if p.suffix == ".csv").read_text().strip().split("\n")
     cells = dict(zip(header.split(","), row.split(",")))
     for name, value in values.items():
@@ -259,9 +259,9 @@ def test_csv_cells_of_numpy_scalars_parse_as_floats(tmp_path):
 
 
 def test_plotdata_row_count(solve_record, tmp_path):
-    from fracnls.spectral import Profile, make_grid
+    from fracnls.spectral import Profile, SpectralGrid
 
-    grid = make_grid(64.0, 512)
+    grid = SpectralGrid(64.0, 512)
     prof = Profile(grid, np.exp(-grid.x**2).astype(complex))
     path = tmp_path / "plot.dat"
     emit_profile_plotdata(prof, path)
@@ -387,7 +387,7 @@ def _stored_solve(grid, stabilization):
 
 @pytest.mark.parametrize("stabilization", [np.nan, 1.0000003])
 def test_cache_entry_round_trip_keeps_every_field(tmp_path, stabilization):
-    grid = make_grid(48.0, 128)
+    grid = SpectralGrid(48.0, 128)
     result = _stored_solve(grid, stabilization)
     store_result(tmp_path, "k", result)
     back = load_result(tmp_path, "k", grid)
@@ -400,7 +400,7 @@ def test_cache_entry_round_trip_keeps_every_field(tmp_path, stabilization):
 
 
 def test_cache_entry_with_a_bad_magic_is_a_miss(tmp_path):
-    grid = make_grid(48.0, 128)
+    grid = SpectralGrid(48.0, 128)
     store_result(tmp_path, "k", _stored_solve(grid, np.nan))
     prof = tmp_path / "k.prof"
     prof.write_bytes(b"JUNK" + prof.read_bytes()[4:])
@@ -409,7 +409,7 @@ def test_cache_entry_with_a_bad_magic_is_a_miss(tmp_path):
 
 def test_version_1_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
     s, n, tol = 1.5, 0.2, 1e-9
-    grid = make_grid(48.0, 128)
+    grid = SpectralGrid(48.0, 128)
     key = cache_key(s, n, grid.length, grid.points, tol)
     old = _stored_solve(grid, np.nan)
     # version 1: magic, version, L, M, s, N, beta, a reserved flag, a multiplier
@@ -441,7 +441,7 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
     payload = {"version": __version__, "s": repr(s), "N": repr(n), "L": repr(length), "M": points,
                "method": "petviashvili", "tol": repr(tol)}
     old_key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
-    grid = make_grid(length, points)
+    grid = SpectralGrid(length, points)
     assert cache_key(s, n, length, points, tol) != old_key
 
     def result(theta):
@@ -602,6 +602,7 @@ def test_any_failure_maps_to_exit_1():
     record = RunRecord(
         config={},
         points=[{"s": 1.5, "checks": {"x": {"value": 2.0, "threshold": 1.0, "mode": "le", "pass": False}}, "error": None}],
+        timings={},
     )
     assert record.any_failure() and not record.any_solver_error()
 

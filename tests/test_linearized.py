@@ -21,7 +21,7 @@ from fracnls.solvers import (
     local_ground_state,
     petviashvili_mass_constrained,
 )
-from fracnls.spectral import Profile, derivative, make_grid
+from fracnls.spectral import Profile, SpectralGrid, derivative
 from fracnls.symbols import ModelParams
 from conftest import S_DEFAULT, smooth_random_profile
 from oracles import local_dense
@@ -121,10 +121,10 @@ def test_dense_is_symmetric(op10):
 
 
 def test_dense_refuses_large_grid_before_allocating():
-    grid = make_grid(64.0, 2 * DENSE_MAX_POINTS)
+    grid = SpectralGrid(64.0, 2 * DENSE_MAX_POINTS)
     zeros = np.zeros(grid.points)
     op = LinearizedOperator(
-        ModelParams(S_DEFAULT, 0.0, 0.1), Profile(grid, zeros.astype(complex)), 1.0,
+        ModelParams(S_DEFAULT, 0.1), Profile(grid, zeros.astype(complex)), 1.0,
         symbol=np.ones(grid.points), v1=zeros, w=zeros.astype(complex),
     )
     tracemalloc.start()
@@ -151,7 +151,7 @@ def test_block_apply_matches_columns(op10):
 @pytest.fixture(scope="module")
 def local_ops(lam15):
     lam = lam15["lam"]
-    grid = make_grid(256.0, 2048)
+    grid = SpectralGrid(256.0, 2048)
     base = local_ground_state(S_DEFAULT, lam, grid)
     lp, lm = local_limit_operators(S_DEFAULT, lam, grid, base)
     return {"grid": grid, "base": base, "Lp": lp, "Lm": lm, "lam": lam}
@@ -215,8 +215,8 @@ def test_kernel_diagnostics_matches_dense_oracle(op10, report10, dense_spectrum1
 
 
 def _linearized_at(s, n, length, points):
-    grid = make_grid(length, points)
-    params = ModelParams(s, 0.0, n)
+    grid = SpectralGrid(length, points)
+    params = ModelParams(s, n)
     return build_linearized(petviashvili_mass_constrained(grid, params, tol=1e-10), params)
 
 
@@ -278,7 +278,7 @@ def test_spectrum_matches_local_split(lin_solve, lam15):
     """The small-N spectrum matches the local L+/L- split, cross-validated."""
     grid = lin_solve["grid"]
     lam = lam15["lam"]
-    params = ModelParams(S_DEFAULT, 0.0, 0.05)
+    params = ModelParams(S_DEFAULT, 0.05)
     res = petviashvili_mass_constrained(grid, params, tol=1e-11)
     op = build_linearized(res, params)
     evals = np.sort(eigh(op.dense(), eigvals_only=True))
@@ -315,8 +315,8 @@ def test_kernel_dimension_across_s(s, n, grid_spec):
     The upper smoke point runs at s = 1.6: at s = 1.8 the renormalized
     profile width ~ 1/sqrt(lambda(1.8)) ~ 2.6e3 exceeds any desk torus.
     """
-    grid = make_grid(*grid_spec)
-    params = ModelParams(s, 0.0, n)
+    grid = SpectralGrid(*grid_spec)
+    params = ModelParams(s, n)
     res = petviashvili_mass_constrained(grid, params, tol=1e-10)
     rep = kernel_diagnostics(build_linearized(res, params))
     assert len(rep.near_zero) == 2
@@ -339,8 +339,8 @@ def test_quadratic_form_positivity(op10):
 
 def test_refinement_check_m2048(lam15):
     """Documented refinement: the kernel pair persists at doubled resolution."""
-    grid = make_grid(128.0, 2048)
-    params = ModelParams(S_DEFAULT, 0.0, 0.1)
+    grid = SpectralGrid(128.0, 2048)
+    params = ModelParams(S_DEFAULT, 0.1)
     res = petviashvili_mass_constrained(grid, params, tol=1e-11)
     rep = kernel_diagnostics(build_linearized(res, params))
     assert len(rep.near_zero) == 2
@@ -395,7 +395,7 @@ def test_stability_constant_uniform_in_N(lin_solve):
     rng = np.random.default_rng(23)
     stability = []
     for n in (0.2, 0.1, 0.05):
-        params = ModelParams(S_DEFAULT, 0.0, n)
+        params = ModelParams(S_DEFAULT, n)
         res = petviashvili_mass_constrained(grid, params, tol=1e-11)
         op = build_linearized(res, params)
         g = smooth_random_profile(grid, rng, width=1.5).values

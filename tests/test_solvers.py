@@ -14,7 +14,7 @@ from fracnls.solvers import (
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, lp_norm, make_grid, pad_evaluate, quadratic_form
+from fracnls.spectral import Profile, SpectralGrid, lp_norm, pad_evaluate, quadratic_form
 from fracnls.symbols import ModelParams, lambda_of_s, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, SOLVE_TOL, smooth_random_profile
 from oracles import descend_symbol, gradient_flow_minimize, secant_mass_constrained
@@ -38,14 +38,14 @@ def test_closed_form_symbolic_substitution():
     "s,lam", [(1.5, 1.0), (1.2, 0.7), (1.8, 2.0)]
 )
 def test_closed_form_spectral_residual(s, lam):
-    grid = make_grid(64.0, 4096)
+    grid = SpectralGrid(64.0, 4096)
     prof = local_ground_state(s, lam, grid)
     res = el_residual(grid, prof.values, grid.xi**2, lam, 2 * s + 1)
     assert res <= 1e-8
 
 
 def test_closed_form_is_even():
-    grid = make_grid(64.0, 4096)
+    grid = SpectralGrid(64.0, 4096)
     prof = local_ground_state(1.5, 1.0, grid)
     flipped = prof.values[1:][::-1]  # nodes mirror about 0 except the first
     assert np.max(np.abs(prof.values[1:] - flipped)) == 0.0
@@ -53,7 +53,7 @@ def test_closed_form_is_even():
 
 def test_closed_form_quintic_limit():
     """s = 2, lam = 4: R = 12^{1/4} sech^{1/2}(4x) solves -R'' + 4R - R^5 = 0."""
-    grid = make_grid(64.0, 4096)
+    grid = SpectralGrid(64.0, 4096)
     prof = local_ground_state(2.0, 4.0, grid)
     expected = 12.0**0.25 * np.cosh(4.0 * grid.x) ** -0.5
     assert np.max(np.abs(prof.values - expected)) <= 1e-12
@@ -90,14 +90,14 @@ def test_lambda_of_s_against_sampled_mass(length, points):
     """Oracle: the trapezoid-rule mass of the sampled closed form."""
     s = 1.5
     rho0, lam = lambda_of_s(s)
-    sampled = local_ground_state(s, 1.0, make_grid(length, points)).mass()
+    sampled = local_ground_state(s, 1.0, SpectralGrid(length, points)).mass()
     assert abs(sampled - rho0) <= 1e-12
     assert ((s * (s - 1.0) / 2.0) * sampled**s) ** (-2.0 / (2.0 - s)) == pytest.approx(lam, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [1.2, 1.5, 1.8])
 def test_lambda_of_s_is_model_params_lam(s):
-    assert lambda_of_s(s)[1] == ModelParams(s).lam
+    assert lambda_of_s(s)[1] == ModelParams(s, 1.0).lam
 
 
 @pytest.mark.parametrize("s", [1.2, 1.5, 1.8])
@@ -115,7 +115,7 @@ def test_lambda_rejects_local_case():
 
 def test_petviashvili_quintic_soliton():
     """sigma = |xi|^2, theta = 1, p = 5 -> the quintic soliton, 1e-8 Linf."""
-    grid = make_grid(64.0, 4096)
+    grid = SpectralGrid(64.0, 4096)
     init = Profile(grid, np.exp(-grid.x**2))
     res = petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-12)
     oracle = local_ground_state(2.0, 1.0, grid)
@@ -128,7 +128,7 @@ def test_petviashvili_quintic_soliton():
 def test_petviashvili_local_fractional_multiplier(lam15):
     """sigma = |xi|^2 at theta = lambda(s) reproduces the closed form."""
     lam = lam15["lam"]
-    grid = make_grid(512.0, 8192)  # wide torus: decay rate sqrt(lam) ~ 0.22
+    grid = SpectralGrid(512.0, 8192)  # wide torus: decay rate sqrt(lam) ~ 0.22
     init = Profile(grid, np.exp(-((grid.x / 4.0) ** 2)))
     res = petviashvili_solve(grid, grid.xi**2, lam, 4.0, init, tol=1e-11)
     oracle = local_ground_state(1.5, lam, grid)
@@ -138,7 +138,7 @@ def test_petviashvili_local_fractional_multiplier(lam15):
 
 def test_petviashvili_renormalized_equation(petviashvili_path, grid_main):
     for n, res in petviashvili_path.items():
-        params = ModelParams(S_DEFAULT, 0.0, n)
+        params = ModelParams(S_DEFAULT, n)
         sig = symbol_nN(grid_main.xi, params)
         recomputed = el_residual(grid_main, res.profile.values, sig, res.multiplier, 2 * S_DEFAULT + 1)
         assert recomputed <= 1e-8
@@ -146,7 +146,7 @@ def test_petviashvili_renormalized_equation(petviashvili_path, grid_main):
 
 
 def test_petviashvili_mass_constraint(petviashvili_path):
-    s0 = ModelParams(S_DEFAULT, 0.0, 0.1).s0
+    s0 = ModelParams(S_DEFAULT, 0.1).s0
     for res in petviashvili_path.values():
         assert abs(res.profile.mass() - s0) <= 1e-10 * s0
 
@@ -162,7 +162,7 @@ def test_petviashvili_one_padded_nonlinearity_per_iteration(monkeypatch):
         return pad_evaluate(values, fn)
 
     monkeypatch.setattr(solvers, "pad_evaluate", counting)
-    grid = make_grid(64.0, 1024)
+    grid = SpectralGrid(64.0, 1024)
     init = Profile(grid, np.exp(-grid.x**2))
     res = petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-10)
     assert res.converged
@@ -170,21 +170,21 @@ def test_petviashvili_one_padded_nonlinearity_per_iteration(monkeypatch):
 
 
 def test_petviashvili_requires_positive_denominator():
-    grid = make_grid(64.0, 256)
+    grid = SpectralGrid(64.0, 256)
     init = Profile(grid, np.exp(-grid.x**2))
     with pytest.raises(ValueError, match="positive"):
         petviashvili_solve(grid, grid.xi**2, -1.0, 5.0, init)
 
 
 def test_petviashvili_zero_init_rejected():
-    grid = make_grid(64.0, 256)
+    grid = SpectralGrid(64.0, 256)
     with pytest.raises(ValueError, match="nonzero"):
         petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, Profile(grid, np.zeros(256)))
 
 
 def test_petviashvili_max_iter_error(monkeypatch):
     monkeypatch.setattr(solvers, "_PETVIASHVILI_MAX_ITER", 3)
-    grid = make_grid(64.0, 256)
+    grid = SpectralGrid(64.0, 256)
     init = Profile(grid, np.exp(-grid.x**2))
     with pytest.raises(ConvergenceError, match="did not reach tol=1e-12 in 3 iterations"):
         petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-12)
@@ -194,7 +194,7 @@ def test_petviashvili_max_iter_error(monkeypatch):
 
 def test_descent_matches_closed_form(lam15):
     lam = lam15["lam"]
-    grid = make_grid(512.0, 8192)
+    grid = SpectralGrid(512.0, 8192)
     oracle = local_ground_state(1.5, lam, grid)
     init = Profile(grid, np.exp(-((grid.x / 4.0) ** 2)))
     res = descend_symbol(grid, grid.xi**2, 4.0, oracle.mass(), init, tol=1e-10)
@@ -210,13 +210,13 @@ def test_descent_energy_monotone(flow_path):
 
 
 def test_flow_requires_s0_mass(grid_desk):
-    params = ModelParams(S_DEFAULT, 0.0, 0.1)
+    params = ModelParams(S_DEFAULT, 0.1)
     with pytest.raises(ValueError, match="s0"):
         gradient_flow_minimize("Y_N", 1.0, None, 1e-8, grid=grid_desk, params=params)
 
 
 def test_flow_unknown_functional(grid_desk):
-    params = ModelParams(S_DEFAULT, 0.0, 0.1)
+    params = ModelParams(S_DEFAULT, 0.1)
     with pytest.raises(ValueError, match="functional"):
         gradient_flow_minimize("Z", params.s0, None, 1e-8, grid=grid_desk, params=params)
 
@@ -234,7 +234,7 @@ def test_methods_agree_after_gauge_fix(petviashvili_path, flow_path, grid_main):
 def test_gradient_flow_reduced_functional(grid_main, flow_path):
     """The I-functional surface returns S_N with the eta multiplier."""
     n = 0.1
-    params = ModelParams(S_DEFAULT, 0.0, n)
+    params = ModelParams(S_DEFAULT, n)
     res = gradient_flow_minimize("I", n, flow_path[n].profile, 1e-10, grid=grid_main, params=params)
     assert res.profile.mass() == pytest.approx(n, rel=1e-9)
     eta_expected = 0.5 * S_DEFAULT * (S_DEFAULT - 1.0) * params.kappa**2 * flow_path[n].multiplier
@@ -252,7 +252,7 @@ def test_gradient_flow_reduced_functional(grid_main, flow_path):
 
 def test_gn_inequality_on_random_fields(ground_state_15):
     c_s = ground_state_15["C_s"]
-    grid = make_grid(64.0, 1024)
+    grid = SpectralGrid(64.0, 1024)
     rng = np.random.default_rng(2024)
     s = S_DEFAULT
     for _ in range(100):
@@ -295,7 +295,7 @@ def test_ground_state_rejects_s_outside_range():
 def test_continuation_up_down_agree(grid_main, petviashvili_path):
     # the warm-started path and a cold solve from the local profile (the CLI's start) meet
     for n in (0.2, 0.1):
-        cold = petviashvili_mass_constrained(grid_main, ModelParams(S_DEFAULT, 0.0, n), tol=SOLVE_TOL)
+        cold = petviashvili_mass_constrained(grid_main, ModelParams(S_DEFAULT, n), tol=SOLVE_TOL)
         a = gauge_fix(petviashvili_path[n].profile)
         b = gauge_fix(cold.profile)
         dist = np.sqrt(grid_main.h * np.sum(np.abs(a.values - b.values) ** 2))
@@ -306,7 +306,7 @@ def test_continuation_energy_identity(petviashvili_path, grid_main):
     """Y_N(R_N) = s0^{s+1} N^{-(2+s)/(2-s)} I(S_N) to 1e-8 relative."""
     s = S_DEFAULT
     for n, res in petviashvili_path.items():
-        params = ModelParams(s, 0.0, n)
+        params = ModelParams(s, n)
         s_prof = scale_R_to_S(res.profile, params)
         i_val = functional_energy(
             s_prof.grid, s_prof.values, symbol_n(s_prof.grid.xi, s), 2 * s + 1
@@ -322,8 +322,8 @@ def test_upper_s_smoke_solve():
     scale-critical with N-independent mass)."""
     s = 1.6
     _, lam = lambda_of_s(s)
-    grid = make_grid(512.0, 4096)
-    params = ModelParams(s, 0.0, 0.2)
+    grid = SpectralGrid(512.0, 4096)
+    params = ModelParams(s, 0.2)
     res = petviashvili_mass_constrained(grid, params, tol=1e-10)
     assert res.converged
     assert abs(res.multiplier - lam) <= 0.05 * lam
@@ -332,8 +332,8 @@ def test_upper_s_smoke_solve():
 def test_low_s_smoke_solve():
     s = 1.2
     _, lam = lambda_of_s(s)
-    grid = make_grid(64.0, 2048)
-    params = ModelParams(s, 0.0, 0.2)
+    grid = SpectralGrid(64.0, 2048)
+    params = ModelParams(s, 0.2)
     res = petviashvili_mass_constrained(grid, params, tol=1e-10)
     assert res.converged
     assert abs(res.multiplier - lam) <= 0.05 * lam
@@ -353,7 +353,7 @@ def test_petviashvili_degenerate_symbol_reaches_constant_solution(monkeypatch):
     mid-collapse with a wild stabilization factor.
     """
     monkeypatch.setattr(solvers, "_PETVIASHVILI_MAX_ITER", 500)
-    grid = make_grid(64.0, 256)
+    grid = SpectralGrid(64.0, 256)
     init = Profile(grid, np.exp(-grid.x**2))
     res = petviashvili_solve(grid, grid.xi**2, 1e-30, 5.0, init, tol=1e-12)
     assert res.converged
@@ -375,7 +375,7 @@ def _th3_start(grid):
     [(s, n, "local") for s in (1.3, 1.4, 1.5) for n in (0.4, 0.05)] + [(1.5, 0.05, "random")],
 )
 def test_newton_matches_secant_oracle(grid_desk, s, n, start):
-    params = ModelParams(s, 0.0, n)
+    params = ModelParams(s, n)
     init = _th3_start(grid_desk) if start == "random" else None
     newton = petviashvili_mass_constrained(grid_desk, params, init=init)
     oracle = secant_mass_constrained(grid_desk, params, init=init)
@@ -391,12 +391,12 @@ def test_newton_matches_secant_oracle(grid_desk, s, n, start):
 def test_newton_converges_below_the_regrid_roundoff_floor(grid_desk):
     # a finish that transforms the grid values again floors the residual
     # near 1.2e-11 here; scaling the Fourier iterate keeps Newton's residual
-    res = petviashvili_mass_constrained(grid_desk, ModelParams(1.3, 0.0, 0.1), tol=1e-12)
+    res = petviashvili_mass_constrained(grid_desk, ModelParams(1.3, 0.1), tol=1e-12)
     assert res.converged and res.residual <= 1e-12
 
 
 def test_newton_history_per_step(grid_desk):
-    res = petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.0, 0.1))
+    res = petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.1))
     hist = res.history
     steps = len(hist["minres_iterations"])
     assert 1 <= steps <= 3
@@ -419,7 +419,7 @@ def test_newton_failure_is_one_line_with_history(grid_desk, monkeypatch, cause, 
         owner = linearized if constant == "_MINRES_MAXITER" else solvers
         monkeypatch.setattr(owner, constant, value)
     with pytest.raises(ConvergenceError) as info:
-        petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.0, 0.1), tol=tol)
+        petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.1), tol=tol)
     msg = str(info.value)
     assert cause in msg and "step" in msg and "residual" in msg and "\n" not in msg
     hist = info.value.history

@@ -17,11 +17,30 @@ ROOT = PACKAGE.parents[1]
 CALLER_DIRS = ("src", "tests", "perfbench")
 
 
+def _name(node) -> str | None:
+    """The name a call or decorator expression ends in: `f` for `f` and `m.f`."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list)
+
+
+def _field_has_default(value) -> bool:
+    """Whether a dataclass field's assigned value is a default; `field(...)` only with `default(_factory)`."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and _name(value.func) == "field":
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return True
+
+
 def _defaulted_parameters(tree: ast.Module):
     """(qualified name, callee name, parameter, call-argument position or None) per defaulted parameter.
 
     A method's position skips its first parameter; `__init__` is called
-    through its class name.
+    through its class name, and so is a `@dataclass`, whose fields are its
+    parameters in their order.
     """
     owner = {}  # id of a method's def node -> its class
     for node in ast.walk(tree):
@@ -29,6 +48,11 @@ def _defaulted_parameters(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     owner[id(item)] = node
+            if _is_dataclass(node):
+                annotated = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+                for position, item in enumerate(annotated):
+                    if _field_has_default(item.value):
+                        yield node.name, node.name, item.target.id, position
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -53,8 +77,7 @@ def _settings(trees):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _name(node.func)
             if name is None:
                 continue
             keywords, most, everything = found.setdefault(name, (set(), 0, False))
@@ -115,14 +138,23 @@ def test_scan_sees_keyword_positional_and_class_calls():
         "        pass\n"
         "def f(x, y=0, z=0):\n"
         "    pass\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class D:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = field(repr=False)\n"
+        "    e: int = dataclasses.field(default=0, repr=False)\n"
     )
     params = sorted(_defaulted_parameters(source))
     assert params == [
+        ("D", "D", "b", 1), ("D", "D", "c", 2), ("D", "D", "e", 4),
         ("K.__init__", "K", "b", 1), ("K.m", "m", "c", 0), ("K.m", "m", "d", None),
         ("f", "f", "y", 1), ("f", "f", "z", 2),
     ]
-    calls = _settings([ast.parse("K(1, 2)\nf(1, z=3)\nobj.m(**opts)\n")])
+    calls = _settings([ast.parse("K(1, 2)\nf(1, z=3)\nobj.m(**opts)\nD(1, 2, d=3)\n")])
     assert calls["K"] == (set(), 2, False)
+    assert calls["D"] == ({"d"}, 2, False)
     assert calls["f"] == ({"z"}, 1, False)
     assert calls["m"][2]
 

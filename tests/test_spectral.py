@@ -13,12 +13,12 @@ import fracnls
 from fracnls.spectral import (
     GridError,
     Profile,
+    SpectralGrid,
     apply_multiplier,
     fft,
     fourier_restrict,
     ifft,
     lp_norm,
-    make_grid,
     quadratic_form,
     sobolev_norm,
     translate,
@@ -59,12 +59,12 @@ def test_transforms_exist_once():
 
 
 def test_grid_2pi_integer_frequencies():
-    g = make_grid(2 * np.pi, 16)
+    g = SpectralGrid(2 * np.pi, 16)
     assert np.allclose(np.sort(g.xi), np.arange(-8, 8), atol=1e-14)
 
 
 def test_grid_spacing():
-    g = make_grid(64.0, 4096)
+    g = SpectralGrid(64.0, 4096)
     assert g.h == 64.0 / 4096
     assert g.h == pytest.approx(0.015625)
     assert np.allclose(np.diff(np.sort(g.x)), g.h)
@@ -72,20 +72,20 @@ def test_grid_spacing():
 
 def test_grid_rejects_non_power_of_two():
     with pytest.raises(GridError, match="power of two"):
-        make_grid(64.0, 4095)
+        SpectralGrid(64.0, 4095)
 
 
 def test_grid_rejects_bad_sizes():
     with pytest.raises(GridError):
-        make_grid(-1.0, 64)
+        SpectralGrid(-1.0, 64)
     with pytest.raises(GridError):
-        make_grid(10.0, 8)
+        SpectralGrid(10.0, 8)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_transform_roundtrip_and_parseval(seed):
-    g = make_grid(48.0, 256)
+    g = SpectralGrid(48.0, 256)
     u = smooth_random_profile(g, np.random.default_rng(seed))
     coeffs = fourier_coefficients(u)
     back = g.from_fourier_coefficients(coeffs)
@@ -95,14 +95,14 @@ def test_transform_roundtrip_and_parseval(seed):
 
 
 def test_apply_multiplier_identity():
-    g = make_grid(32.0, 128)
+    g = SpectralGrid(32.0, 128)
     u = smooth_random_profile(g, np.random.default_rng(1))
     out = apply_multiplier(u, np.ones_like(g.xi))
     assert np.allclose(out.values, u.values, atol=1e-14)
 
 
 def test_apply_multiplier_eigenfunction():
-    g = make_grid(2 * np.pi, 64)
+    g = SpectralGrid(2 * np.pi, 64)
     u = Profile(g, np.exp(1j * g.x))
     out = apply_multiplier(u, np.abs(g.xi) ** 2)
     assert np.max(np.abs(out.values - u.values)) <= 1e-12
@@ -111,7 +111,7 @@ def test_apply_multiplier_eigenfunction():
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_multiplier_composition(seed):
-    g = make_grid(32.0, 128)
+    g = SpectralGrid(32.0, 128)
     rng = np.random.default_rng(seed)
     u = smooth_random_profile(g, rng)
     s1 = 1.0 / (1.0 + g.xi**2)
@@ -122,7 +122,7 @@ def test_multiplier_composition(seed):
 
 
 def test_multiplier_rejects_nonfinite():
-    g = make_grid(32.0, 128)
+    g = SpectralGrid(32.0, 128)
     u = smooth_random_profile(g, np.random.default_rng(2))
     with np.errstate(divide="ignore"):
         singular = 1.0 / g.xi
@@ -151,7 +151,7 @@ def frac_laplacian_gaussian_oracle(x, s=1.5):
 def test_fractional_laplacian_gaussian_matches_quadrature():
     # |D|^{3/2} of a Gaussian decays algebraically (|x|^{-5/2}); the torus
     # must be large enough that its periodization sits below the tolerance
-    g = make_grid(8192.0, 131072)
+    g = SpectralGrid(8192.0, 131072)
     u = Profile(g, np.exp(-g.x**2 / 2.0))
     out = apply_multiplier(u, np.abs(g.xi) ** 1.5)
     for x0, frozen in GAUSSIAN_FRAC_ORACLE.items():
@@ -169,13 +169,13 @@ def test_oracle_frozen_values_reproduce():
 
 def test_constant_inner_product_on_unit_grid():
     # <u, u> by the trapezoid rule: a unit constant on a unit torus has mass 1
-    g = make_grid(1.0, 16)
+    g = SpectralGrid(1.0, 16)
     u = Profile(g, np.ones(16))
     assert u.mass() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_single_mode_quadratic_form():
-    g = make_grid(2 * np.pi, 64)
+    g = SpectralGrid(2 * np.pi, 64)
     u = Profile(g, np.exp(1j * g.x))
     q = quadratic_form(u, np.abs(g.xi) ** 1.5)
     # |D|^s eigenvalue 1 on the e^{ix} mode: the form equals the mass
@@ -187,7 +187,7 @@ def test_single_mode_quadratic_form():
 @given(st.integers(0, 2**31 - 1))
 def test_quadratic_form_is_the_grid_pairing(seed):
     # Parseval: <u, sigma(D) u> = h Re sum conj(u) sigma(D)u for a real symbol and a complex field
-    g = make_grid(32.0, 128)
+    g = SpectralGrid(32.0, 128)
     rng = np.random.default_rng(seed)
     u = Profile(g, rng.standard_normal(g.points) + 1j * rng.standard_normal(g.points))
     for sigma in (np.abs(g.xi) ** 1.5, g.xi, g.xi**2):
@@ -196,7 +196,7 @@ def test_quadratic_form_is_the_grid_pairing(seed):
 
 
 def test_norms_bundle():
-    g = make_grid(32.0, 256)
+    g = SpectralGrid(32.0, 256)
     u = smooth_random_profile(g, np.random.default_rng(7))
     l2 = lp_norm(u, 2.0)
     h0, h1, h2 = (sobolev_norm(u, r) for r in (0.0, 1.0, 2.0))
@@ -208,13 +208,13 @@ def test_norms_bundle():
 
 def test_norms_grid_mismatch():
     # values sampled on one grid do not make a profile on a grid of another size
-    u = smooth_random_profile(make_grid(32.0, 128), np.random.default_rng(0))
+    u = smooth_random_profile(SpectralGrid(32.0, 128), np.random.default_rng(0))
     with pytest.raises(GridError, match="on a grid of 256 points"):
-        Profile(make_grid(32.0, 256), u.values)
+        Profile(SpectralGrid(32.0, 256), u.values)
 
 
 def test_translate_and_interpolate():
-    g = make_grid(32.0, 256)
+    g = SpectralGrid(32.0, 256)
     u = smooth_random_profile(g, np.random.default_rng(3))
     shifted = translate(u, 0.375)
     vals = spectral_interpolate(u, g.x[:8] - 0.375)
@@ -230,7 +230,7 @@ def test_local_profile_mass_matches_quadrature_oracle(lam15, grid_main):
 
 
 def test_sobolev_fractional_order():
-    g = make_grid(2 * np.pi, 64)
+    g = SpectralGrid(2 * np.pi, 64)
     u = Profile(g, np.exp(1j * g.x))
     expected = np.sqrt(2.0 ** (1.5 / 2.0) * u.mass())
     assert sobolev_norm(u, 0.75) == pytest.approx(expected, rel=1e-12)
@@ -239,7 +239,7 @@ def test_sobolev_fractional_order():
 def test_spectral_refine_band_limited_exact():
     from fracnls.spectral import spectral_refine
 
-    g = make_grid(32.0, 128)
+    g = SpectralGrid(32.0, 128)
     u = smooth_random_profile(g, np.random.default_rng(21))
     fine = spectral_refine(u, 4)
     assert fine.grid.points == 512
