@@ -39,6 +39,8 @@ __all__ = [
     "RootBracketError",
 ]
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # log of the largest finite double
+
 
 @dataclass
 class RootResult:
@@ -157,13 +159,22 @@ def _crossover(c1: float, rate: float, alg_coeff: float, power: float) -> float:
     return math.sqrt(lo * hi)
 
 
-def _log_linear_fit(t: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
+def _log_linear_fit(t: np.ndarray, values: np.ndarray, fields: str) -> tuple[float, float, float]:
     """Least-squares line through log|values| against t: (rate, amplitude, rms residual).
 
     The model is |values| ~ amplitude e^{-rate t}; with t = log x the rate
-    is the algebraic exponent and the amplitude its coefficient.
+    is the algebraic exponent and the amplitude its coefficient.  A zero
+    sample (no logarithm) or an amplitude past the float range would put a
+    NaN or an infinity into the record `fields`, so either raises a
+    one-line RuntimeError that names them.
     """
-    coef, res, *_ = np.polyfit(t, np.log(np.abs(values)), 1, full=True)
+    magnitudes = np.abs(values)
+    zeros = int(np.count_nonzero(magnitudes == 0.0))
+    if zeros:
+        raise RuntimeError(f"{fields}: {zeros} of the {len(t)} samples of the log-linear fit window are zero")
+    coef, res, *_ = np.polyfit(t, np.log(magnitudes), 1, full=True)
+    if not coef[1] < _LOG_FLOAT_MAX:
+        raise RuntimeError(f"{fields}: the log-linear fit's amplitude e^{coef[1]:.6g} overflows")
     rms = float(np.sqrt(res[0] / len(t))) if len(res) else 0.0
     return -float(coef[0]), float(np.exp(coef[1])), rms
 
@@ -208,7 +219,7 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
 
     xs_far = np.geomspace(3.0 * x_cross, 10.0 * x_cross, 30)
     resid = kernel_pointwise(xs_far, params, theta) - c1 * np.exp(-rate * xs_far)
-    alg_exponent, alg_coefficient, _ = _log_linear_fit(np.log(xs_far), resid)
+    alg_exponent, alg_coefficient, _ = _log_linear_fit(np.log(xs_far), resid, "alg_exponent, envelope_ratio")
     envelope_ratio = alg_coefficient / alg
     return {
         "exp_window": (x_lo, x_dom),
@@ -374,7 +385,7 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     mask = (grid.x >= x_lo) & (grid.x <= x_hi)
     if np.count_nonzero(mask) < 20:
         raise RuntimeError("exponential window has fewer than 20 grid samples")
-    exp_rate, exp_amp, exp_resid = _log_linear_fit(grid.x[mask], fixed.values[mask])
+    exp_rate, exp_amp, exp_resid = _log_linear_fit(grid.x[mask], fixed.values[mask], "exp_rate, exp_amplitude")
 
     # far window: the frozen-phase algebraic term of the convolution,
     # |m_alg(x)| integral(g) / sqrt(2 pi)
@@ -383,7 +394,7 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     x_bound = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
 
     alg_term = kernel_pointwise(xs_far, params, result.multiplier, parts=True)[2] * g_int / SQRT_2PI
-    alg_exponent, alg_coefficient, alg_resid = _log_linear_fit(np.log(xs_far), alg_term)
+    alg_exponent, alg_coefficient, alg_resid = _log_linear_fit(np.log(xs_far), alg_term, "alg_exponent")
     kern = _KernelTail.covering(grid, params, result.multiplier, x_bound)
 
     return TailFit(

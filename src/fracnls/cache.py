@@ -46,10 +46,11 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             "method": "petviashvili",  # a constant of every key; dropping it would change every digest
             "tol": repr(float(tol)),
             # the mass-constrained algorithm, its finish and its lambda(s):
-            # entries of the secant solver, of the finish that transformed
-            # the grid values again, and of lambda(s) by quadrature differ
-            # in the last digits and must miss
-            "solver": "newton-minres/fourier-finish/closed-form-lambda",
+            # entries of the secant solver, of the Krylov solves on grid
+            # values, of the finish that transformed the grid values again,
+            # and of lambda(s) by quadrature differ in the last digits and
+            # must miss
+            "solver": "newton-minres-dft/fourier-finish/closed-form-lambda",
         },
         sort_keys=True,
     )

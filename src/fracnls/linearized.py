@@ -1,21 +1,29 @@
 """Linearized operator around a converged minimizer and its kernel structure.
 
 The conjugation term makes the linearization real-linear but not
-complex-linear, so the operator is represented on stacked (Re f, Im f)
-coordinates, where it is a real symmetric operator: spectral symbol blocks
-(even part symmetric, odd part antisymmetric) plus pointwise potentials.
+complex-linear, so the operator is represented on stacked real
+coordinates, where it is a real symmetric operator.  The Krylov solves use
+the stacked raw DFT coefficients (Re f_hat, Im f_hat), f_hat = fft(f):
+there the symbol n_N + theta is diagonal, so the operator is
+S f_hat - fft(v1 g + w conj g) with g = ifft(f_hat), two transforms per
+application, and the preconditioner 1/(n_N + theta) is a plain division.
+The raw DFT is sqrt(M) times a unitary map, which acts on stacked
+coordinates as an orthogonal one, so the operator stays symmetric, its
+spectrum and eigen-residuals are those on grid values, and preconditioned
+MINRES takes the same iterates in exact arithmetic (Paige & Saunders 1975).
 Eigenanalysis, the two symmetry null directions, coercivity diagnostics,
 the constrained linear solve of the uniqueness argument and the bordered
 solve of the solver's Newton steps live here.  All run matrix-free (LOBPCG
-and MINRES, preconditioned by the inverse of the positive symbol
-n_N + theta); LOBPCG starts from the lowest eigenvectors
-of the same linearization on a coarse grid, brought to the grid by zero
-padding.  The dense matrix is a small-grid test oracle.  scipy.sparse.linalg
-is imported where it runs, so processes that never need it skip loading it.
+and MINRES, preconditioned by the inverse of the positive symbol);
+LOBPCG starts from the lowest eigenvectors of the same linearization on a
+coarse grid, zero-padded in coefficient space.  The dense matrix, on grid
+values, is a small-grid test oracle.  scipy.sparse.linalg is imported
+where it runs, so processes that never need it skip loading it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -25,12 +33,11 @@ import numpy as np
 from .spectral import (
     Profile,
     SpectralGrid,
-    derivative,
     fft,
     fourier_restrict,
     ifft,
+    pad_coefficients,
     sobolev_norm,
-    zero_pad,
 )
 from .symbols import ModelParams, symbol_nN
 
@@ -50,6 +57,7 @@ __all__ = [
 ]
 
 DENSE_MAX_POINTS = 2048  # dense() refuses larger grids: (2M)^2 doubles is 128 MiB here
+_RANK_TOL = 1e-10  # QR diagonal ratio below which the symmetry pair iR, dR/dx counts as dependent
 
 
 def _stack(values: np.ndarray) -> np.ndarray:
@@ -59,6 +67,22 @@ def _stack(values: np.ndarray) -> np.ndarray:
 def _unstack(vec: np.ndarray) -> np.ndarray:
     m = vec.shape[0] // 2
     return vec[:m] + 1j * vec[m:]
+
+
+def _unitary(coeffs: np.ndarray) -> np.ndarray:
+    """Stacked unitary DFT coefficients fft(f)/sqrt(M) from raw ones: the MINRES coordinates.
+
+    They are an orthogonal image of the stacked grid values, so MINRES's
+    norms read as on grid values.  That matters for its stopping test:
+    SciPy's estimate of the operator norm includes the right-hand side's
+    preconditioned norm, which raw coefficients would inflate by sqrt(M).
+    """
+    return _stack(coeffs) / math.sqrt(coeffs.shape[0])
+
+
+def _raw(vec: np.ndarray) -> np.ndarray:
+    """Raw DFT coefficients from stacked unitary ones, the inverse of _unitary."""
+    return _unstack(vec) * math.sqrt(vec.shape[0] // 2)
 
 
 def _along_rows(grid_field: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -99,18 +123,28 @@ class LinearizedOperator:
     def grid(self) -> SpectralGrid:
         return self.profile.grid
 
+    def apply_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
+        """L on raw DFT coefficients, of one field or of each column of an (M, k) block.
+
+        The symbol acts diagonally; the potentials act on the grid values
+        g = ifft(coeffs), so one application costs one inverse and one
+        forward transform.
+        """
+        g = ifft(coeffs, axis=0)
+        pointwise = _along_rows(self.v1, g) * g + _along_rows(self.w, g) * np.conj(g)
+        return _along_rows(self.symbol, coeffs) * coeffs - fft(pointwise, axis=0)
+
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Matrix-free application to a complex field, or to each column of an (M, k) block."""
-        out = ifft(_along_rows(self.symbol, values) * fft(values, axis=0), axis=0)
-        return out - _along_rows(self.v1, values) * values - _along_rows(self.w, values) * np.conj(values)
+        """L on a complex field's grid values, through its coefficients."""
+        return ifft(self.apply_coefficients(fft(values)))
 
     def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
-        return _stack(self.apply(_unstack(vec)))
+        """L on stacked DFT coefficients (vector or block of columns)."""
+        return _stack(self.apply_coefficients(_unstack(vec)))
 
     def solve_symbol_stacked(self, vec: np.ndarray) -> np.ndarray:
-        """The preconditioner 1/(n_N + theta) on stacked coordinates (vector or block)."""
-        values = _unstack(vec)
-        return _stack(ifft(fft(values, axis=0) / _along_rows(self.symbol, values), axis=0))
+        """The preconditioner 1/(n_N + theta) on stacked DFT coefficients (vector or block)."""
+        return vec / _along_rows(np.concatenate([self.symbol, self.symbol]), vec)
 
     def dense(self) -> np.ndarray:
         """Real symmetric 2M x 2M matrix on stacked (Re, Im) coordinates.
@@ -138,21 +172,31 @@ class LinearizedOperator:
         mat = np.vstack([top, bot])
         return 0.5 * (mat + mat.T)  # symmetrize roundoff
 
-    def kernel_candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        """The symmetry null directions iR and dR/dx, as complex fields."""
-        r = self.profile.values
-        dr = derivative(self.profile).values
-        return 1j * r, dr
+    def kernel_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symmetry null directions iR and dR/dx, as raw DFT coefficients."""
+        rh = fft(self.profile.values)
+        return 1j * rh, 1j * self.grid.xi * rh
 
     def complement_projector(self):
-        """The orthogonal projector onto the complement of span{iR, dR/dx}, on stacked coordinates."""
-        # the two symmetry directions are not mutually orthogonal (the complex
-        # profile carries momentum), so the removal must solve the 2x2 Gram system
-        cmat = np.stack([_stack(c) for c in self.kernel_candidates()], axis=1)
-        gram = cmat.T @ cmat
+        """The orthogonal projector onto the complement of span{iR, dR/dx}, on stacked DFT coefficients.
+
+        The two directions are not mutually orthogonal (the complex profile
+        carries momentum), so they are orthonormalized by QR.  A pair that
+        is linearly dependent, as at a collapsed (spatially constant or
+        vanishing) profile, leaves no well-defined complement and raises
+        numpy.linalg.LinAlgError.
+        """
+        cmat = np.stack([_stack(c) for c in self.kernel_coefficients()], axis=1)
+        basis, tri = np.linalg.qr(cmat)
+        diag = np.abs(np.diag(tri))
+        ratio = diag.min() / diag.max() if diag.max() > 0.0 else 0.0
+        if not ratio > _RANK_TOL:
+            raise np.linalg.LinAlgError(
+                f"its symmetry directions iR and dR/dx are linearly dependent (QR diagonal ratio {ratio:.1e})"
+            )
 
         def project(vec):
-            return vec - cmat @ np.linalg.solve(gram, cmat.T @ vec)
+            return vec - basis @ (basis.T @ vec)
 
         return project
 
@@ -227,7 +271,8 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
     The coarse grid has the same length and _COARSE_POINTS points (op's own
     grid when that is no finer); its profile is op's Fourier truncation at
     the same theta.  The coarse matrix is the stacked operator applied to
-    the identity, and its eigenvectors are zero-padded to op's grid.
+    the identity, and its eigenvectors, stacked DFT coefficients, are
+    zero-padded to op's grid in coefficient space.
     """
     factor = max(op.grid.points // _COARSE_POINTS, 1)
     coarse = op
@@ -236,14 +281,13 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
         profile = Profile(grid, fourier_restrict(op.profile.values, factor))
         coarse = LinearizedOperator.at(op.params, profile, op.theta)
     _, vecs = np.linalg.eigh(coarse.apply_stacked(np.eye(2 * coarse.grid.points)))
-    fields = _unstack(vecs[:, :_BLOCK])
-    return _stack(np.stack([zero_pad(f, factor) for f in fields.T], axis=1))
+    return _stack(pad_coefficients(_unstack(vecs[:, :_BLOCK]), factor))
 
 
 def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     """Lowest eigenpairs of the symmetric form: kernel pair, correlations, coercivity.
 
-    LOBPCG (Knyazev 2001) on the stacked operator, preconditioned by the
+    LOBPCG (Knyazev 2001) on the stacked DFT coefficients, preconditioned by the
     exact inverse symbol 1/(n_N + theta), which is positive, and started
     from the lowest eigenvectors of the same linearization on a grid of
     _COARSE_POINTS points (_coarse_start).  The start is deterministic, so
@@ -292,9 +336,8 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
             f"(highest {evals[-1]:.6g}, threshold {threshold:.6g})"
         )
     basis = evecs[:, kernel_pair]
-    ir, dr = op.kernel_candidates()
     correlations = []
-    for cand in (ir, dr):
+    for cand in op.kernel_coefficients():
         v = _stack(cand)
         v = v / np.linalg.norm(v)
         correlations.append(float(np.linalg.norm(basis.T @ v)))
@@ -313,10 +356,10 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
 def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, dict]:
     """Solve L f = F on the orthogonal complement of span{iR, dR/dx}.
 
-    MINRES on P L P, where P is the orthogonal projector onto the
-    complement of the two constraint columns, preconditioned by
-    P (n_N + theta)^{-1} P; the iterates stay in the complement.  The
-    right-hand side is projected first, and reported as projected when the
+    MINRES on P L P over stacked DFT coefficients, where P is the
+    orthogonal projector onto the complement of the two constraint columns,
+    preconditioned by P (n_N + theta)^{-1} P; the iterates stay in the
+    complement.  The right-hand side is projected first, and reported as projected when the
     removed part exceeds _OVERLAP_TOL of its norm.  The returned info carries
     the stability quotient ||f||_{H^{s/2}} / ||F||_{H^{-s/2}} in the weighted
     spectral norms.  A solve that does not converge raises RuntimeError.
@@ -324,10 +367,8 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
     from scipy.sparse.linalg import minres
 
     grid = op.grid
-    h = grid.h
-    ir, dr = op.kernel_candidates()
-    c1, c2 = _stack(ir), _stack(dr)
-    raw = _stack(rhs.values)
+    c1, c2 = (_unitary(c) for c in op.kernel_coefficients())
+    raw = _unitary(fft(rhs.values))
     project = op.complement_projector()
     f_vec = project(raw)
     info = {"projected": bool(np.linalg.norm(raw - f_vec) > _OVERLAP_TOL * np.linalg.norm(raw))}
@@ -341,26 +382,29 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
     )
     if status != 0:
         raise RuntimeError(f"MINRES on the constrained complement did not converge (status {status})")
-    f = _unstack(sol)
-    f_prof = Profile(grid, f)
-    rhs_proj = Profile(grid, _unstack(f_vec))
+    f_prof = Profile(grid, ifft(_raw(sol)))
+    rhs_proj = Profile(grid, ifft(_raw(f_vec)))
     num = sobolev_norm(f_prof, op.params.s / 2.0)
     den = sobolev_norm(rhs_proj, -op.params.s / 2.0)
     info["stability_constant"] = num / den if den > 0 else np.inf
-    info["constraint_residuals"] = (
-        h * float(_stack(f) @ c1),
-        h * float(_stack(f) @ c2),
-    )
+    # the real L2 pairing h sum Re(f conj c); unitary coefficients keep it (Parseval)
+    info["constraint_residuals"] = (grid.h * float(sol @ c1), grid.h * float(sol @ c2))
     return f_prof, info
 
 
-def bordered_solve(op: LinearizedOperator, f: np.ndarray, mass_residual: float, rtol: float):
-    """The Newton step (du or None, dtheta, MINRES iterations) at op's profile R and multiplier.
+def bordered_solve(op: LinearizedOperator, fh: np.ndarray, mass_residual: float, rtol: float):
+    """The Newton step (du_hat or None, dtheta, MINRES iterations) at op's profile R and multiplier.
 
-    Solves L du + dtheta R = -f, R^T du = -mass_residual in stacked
-    coordinates: MINRES on the symmetric bordered matrix [[L, R], [R^T, 0]],
-    preconditioned by the positive diag(1/(n_N + theta), 1/(R^T (n_N + theta)^{-1} R)).
-    du is None when MINRES fails to reach rtol in _MINRES_MAXITER iterations.
+    fh and du_hat are the raw DFT coefficients of the residual f and of the
+    step.  Solves L du + dtheta R = -f, R^T du = -mass_residual (the real
+    pairing) on stacked unitary DFT coefficients (_unitary): MINRES on the
+    symmetric bordered matrix [[L, R], [R^T, 0]], preconditioned by the
+    positive diag(1/(n_N + theta), 1/(R^T (n_N + theta)^{-1} R)); the
+    symbol is diagonal there, so each iteration applies L once, two
+    transforms, and the preconditioner is a division.
+    du_hat is None when MINRES fails to reach rtol in _MINRES_MAXITER iterations.
+    A rank-deficient symmetry pair raises numpy.linalg.LinAlgError
+    (complement_projector).
 
     iR and dR/dx are near-null at the iterate (eigenvalues of the order of
     the residual).  Left in, MINRES roundoff grows a phase and translation
@@ -371,8 +415,8 @@ def bordered_solve(op: LinearizedOperator, f: np.ndarray, mass_residual: float, 
     """
     from scipy.sparse.linalg import minres
 
-    rhs = -np.append(_stack(f), mass_residual)
-    r = _stack(op.profile.values)
+    rhs = -np.append(_unitary(fh), mass_residual)
+    r = _unitary(fft(op.profile.values))
     n = rhs.size
     project = op.complement_projector()
     schur = float(r @ op.solve_symbol_stacked(r))
@@ -398,4 +442,4 @@ def bordered_solve(op: LinearizedOperator, f: np.ndarray, mass_residual: float, 
         M=_operator(n, precond),
         callback=count,
     )
-    return (_unstack(sol[:-1]) if status == 0 else None), float(sol[-1]), iters
+    return (_raw(sol[:-1]) if status == 0 else None), float(sol[-1]), iters

@@ -4,9 +4,15 @@ A Petviashvili fixed-point iteration solves at a fixed multiplier; with the
 mass constrained it hands over to Newton-MINRES steps on the profile and the
 multiplier.  The solvers operate on the renormalized problem, where profiles
 have O(1) width; all other formulations are reached through the exact
-rescalings in :mod:`fracnls.renorm`.  The secant loop on the multiplier and
-the mass-projected descent that cross-check them are test oracles in
-tests/oracles.py.
+rescalings in :mod:`fracnls.renorm`.  Both iterate in Fourier space, on the
+raw DFT coefficients u_hat = fft(u): the symbol acts diagonally there;
+residuals, masses and pairings are sums over the coefficients (Parseval,
+sum |u|^2 = sum |u_hat|^2 / M); the padded nonlinearity maps coefficients
+to coefficients; and a Newton correction is added to u_hat as it comes
+out of the Krylov solve, with no transform.  Grid values are formed only
+where a pointwise potential or the returned profile needs them.  The
+secant loop on the multiplier and the mass-projected descent that
+cross-check them are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -64,15 +70,15 @@ class SolveResult:
     history: dict = field(default_factory=dict, repr=False)
 
 
-def _nonlinear_term(values: np.ndarray, p: float) -> np.ndarray:
-    """|u|^{p-1} u evaluated with 2x zero padding (|u|^{p-1} := 0 at u = 0)."""
+def _nonlinear_term(coeffs: np.ndarray, p: float) -> np.ndarray:
+    """The raw DFT coefficients of |u|^{p-1} u, with 2x zero padding (|u|^{p-1} := 0 at u = 0), from those of u."""
     q = p - 1.0
 
     def fn(v):
         a = np.abs(v)
         return np.where(a > 0.0, a**q, 0.0) * v
 
-    return pad_evaluate(values, fn)
+    return pad_evaluate(coeffs, fn)
 
 
 def _power_integral(grid: SpectralGrid, values: np.ndarray, p: float) -> float:
@@ -91,11 +97,10 @@ def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -
 
 
 def el_residual(grid: SpectralGrid, values: np.ndarray, sigma, theta: float, p: float) -> float:
-    """Relative L2 norm of sigma(D)u + theta u - |u|^{p-1}u."""
+    """Relative L2 norm of sigma(D)u + theta u - |u|^{p-1}u, by Parseval on the coefficients."""
     sig = multiplier_values(grid, sigma)
-    w = _nonlinear_term(values, p)
-    r = ifft((sig + theta) * fft(values)) - w
-    return float(np.linalg.norm(r) / np.linalg.norm(values))
+    uh = fft(values)
+    return float(np.linalg.norm((sig + theta) * uh - _nonlinear_term(uh, p)) / np.linalg.norm(uh))
 
 
 def local_ground_state(s: float, lam: float, grid: SpectralGrid) -> Profile:
@@ -127,7 +132,10 @@ def petviashvili_solve(
 
     u <- M^gamma (sigma(D)+theta)^{-1}(|u|^{p-1}u) with the stabilization
     factor M = <(sigma(D)+theta)u, u> / <|u|^{p-1}u, u> and the
-    contraction-optimal exponent gamma = p/(p-1).  Divergence is declared
+    contraction-optimal exponent gamma = p/(p-1), iterated on the DFT
+    coefficients: one padded nonlinearity (two transforms on the twice
+    finer grid) per iteration serves the residual and the next step, and
+    the pairings are coefficient sums.  Divergence is declared
     when M leaves [0.5, 2] for 50 consecutive iterations, and failure after
     _PETVIASHVILI_MAX_ITER iterations.
     """
@@ -138,13 +146,11 @@ def petviashvili_solve(
     if not np.any(init.values):
         raise ValueError("initial guess must be nonzero")
     gamma = p / (p - 1.0)
-    u = init.values.astype(complex)
-    w = _nonlinear_term(u, p)
+    uh = fft(init.values)
+    wh = _nonlinear_term(uh, p)
     m_hist, res_hist = [], []
     bad_streak = 0
     for it in range(1, _PETVIASHVILI_MAX_ITER + 1):
-        uh = fft(u)
-        wh = fft(w)
         num = float(np.real(np.sum(denom * np.abs(uh) ** 2)))
         den = float(np.real(np.sum(wh * np.conj(uh))))
         if den <= 0.0:
@@ -160,14 +166,14 @@ def petviashvili_solve(
                 f"stabilization factor out of [0.5, 2] for 50 iterations (M={m_fac:.3g})",
                 {"M": m_hist, "residual": res_hist},
             )
-        uh_next = (m_fac**gamma) * wh / denom
-        u = ifft(uh_next)
-        w = _nonlinear_term(u, p)  # also the next iteration's nonlinearity
-        res = float(np.linalg.norm(ifft(denom * uh_next) - w) / np.linalg.norm(u))
+        uh = (m_fac**gamma) * wh / denom
+        wh = _nonlinear_term(uh, p)  # also the next iteration's nonlinearity
+        res = float(np.linalg.norm(denom * uh - wh) / np.linalg.norm(uh))
         res_hist.append(res)
         # a residual can pass spuriously mid-collapse onto near-null symbol
         # modes; genuine fixed points also drive the stabilization to 1
         if res <= tol and abs(m_fac - 1.0) <= 1e-6:
+            u = ifft(uh)
             prof = Profile(grid, u)
             energy = functional_energy(grid, u, sig, p)
             return SolveResult(
@@ -199,14 +205,16 @@ def petviashvili_mass_constrained(
     One Petviashvili solve at theta = lambda(s) to residual _HANDOFF_TOL
     brings the start into the ground-state basin; Newton steps on
     F(R, theta) = ((n_N + theta)R - |R|^{2s}R, (sum |R|^2 - s0/h)/2) then
-    enforce both equations (Knoll & Keyes 2004).  Each step solves the
-    bordered linearization at the iterate by MINRES
-    (linearized.bordered_solve) to the forcing
+    enforce both equations (Knoll & Keyes 2004), on the DFT coefficients
+    of R.  Each step solves the bordered linearization at the iterate by
+    MINRES (linearized.bordered_solve, on stacked coefficients) to the forcing
     rtol min(_FORCING_MAX, _FORCING_FACTOR * error), where the error is
     the larger of the relative residual and the relative mass error.  The
     steps stop when the residual is at most tol and the mass error at most
     _MASS_TOL.  A MINRES failure, a step that leaves n_N + theta not
-    positive somewhere (its preconditioner would be indefinite), an error
+    positive somewhere (its preconditioner would be indefinite), an iterate
+    whose symmetry directions iR and dR/dx are linearly dependent (a
+    collapsed profile, where the step's complement is undefined), an error
     that fails to halve over two consecutive steps, or _NEWTON_MAX_STEPS
     steps raise ConvergenceError.
     The history holds theta, residual and mass error at every iterate and
@@ -228,10 +236,9 @@ def petviashvili_mass_constrained(
     history = {"theta": [], "residual": [], "mass_error": [], "minres_iterations": []}
     errors = []
     for step in range(_NEWTON_MAX_STEPS + 1):
-        u = ifft(uh)
-        f = ifft((sig + theta) * uh) - _nonlinear_term(u, p)
-        sq = float(np.sum(np.abs(u) ** 2))
-        res = float(np.linalg.norm(f) / math.sqrt(sq))
+        fh = (sig + theta) * uh - _nonlinear_term(uh, p)
+        sq = float(np.sum(np.abs(uh) ** 2)) / grid.points  # sum |u|^2, by Parseval
+        res = float(np.linalg.norm(fh) / math.sqrt(grid.points * sq))
         mass_err = abs(grid.h * sq - target) / target
         for key, value in (("theta", theta), ("residual", res), ("mass_error", mass_err)):
             history[key].append(value)
@@ -246,18 +253,25 @@ def petviashvili_mass_constrained(
                 f"mass error {mass_err:.3e})",
                 history,
             )
-        op = LinearizedOperator.at(params, Profile(grid, u), theta)
-        du, dtheta, iters = bordered_solve(
-            op, f, 0.5 * (sq - target / grid.h), min(_FORCING_MAX, _FORCING_FACTOR * errors[-1])
-        )
+        op = LinearizedOperator.at(params, Profile(grid, ifft(uh)), theta)
+        try:
+            duh, dtheta, iters = bordered_solve(
+                op, fh, 0.5 * (sq - target / grid.h), min(_FORCING_MAX, _FORCING_FACTOR * errors[-1])
+            )
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"newton step {step + 1}: the iterate collapsed: {exc} (residual {res:.3e}, "
+                f"mass error {mass_err:.3e})",
+                history,
+            ) from exc
         history["minres_iterations"].append(iters)
-        if du is None:
+        if duh is None:
             raise ConvergenceError(
                 f"newton step {step + 1}: MINRES did not converge in {iters} iterations "
                 f"(residual {res:.3e})",
                 history,
             )
-        uh = uh + fft(du)
+        uh = uh + duh
         theta += dtheta
         if theta + sig_min <= 0.0:
             raise ConvergenceError(
@@ -272,20 +286,20 @@ def _renormalized_result(grid, sig, p, target, uh, tol, iterations, history) -> 
     # exact renormalization, then report the Rayleigh multiplier; at that
     # multiplier the residual is L2-orthogonal to the profile, so the
     # stabilization functional evaluates to 1 up to roundoff.  The Fourier
-    # iterate uh is scaled, not transformed again from the grid values: that
-    # transform's white roundoff, lifted by n_N + theta, would floor the
-    # residual (about 1.2e-11 at s = 1.3, N = 0.1)
-    vals = ifft(uh)
-    scale = math.sqrt(target / float(grid.h * np.sum(np.abs(vals) ** 2)))
-    vals, uh = vals * scale, uh * scale
-    w = _nonlinear_term(vals, p)
+    # iterate uh is scaled and paired by Parseval, not transformed again
+    # from the grid values: that transform's white roundoff, lifted by
+    # n_N + theta, would floor the residual (about 1.2e-11 at s = 1.3, N = 0.1)
+    sq = float(np.sum(np.abs(uh) ** 2))
+    uh = uh * math.sqrt(grid.points * target / (grid.h * sq))
+    sq = float(np.sum(np.abs(uh) ** 2))
+    wh = _nonlinear_term(uh, p)
     # theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity
-    su = ifft(sig * uh)
-    theta = float(np.real(np.sum((w - su) * np.conj(vals))) / np.real(np.sum(vals * np.conj(vals))))
-    res = float(np.linalg.norm(ifft((sig + theta) * uh) - w) / np.linalg.norm(vals))
+    theta = float(np.real(np.sum((wh - sig * uh) * np.conj(uh))) / sq)
+    res = float(np.linalg.norm((sig + theta) * uh - wh) / math.sqrt(sq))
+    vals = ifft(uh)
     energy = functional_energy(grid, vals, sig, p)
     num = float(np.real(np.sum((sig + theta) * np.abs(uh) ** 2)))
-    den = float(np.real(np.sum(fft(w) * np.conj(uh))))
+    den = float(np.real(np.sum(wh * np.conj(uh))))
     return SolveResult(
         Profile(grid, vals), theta, res, energy, iterations, res <= 10 * tol,
         stabilization=num / den, history=history,

@@ -5,6 +5,10 @@ every other module.  The Fourier convention is fixed once, here: the
 forward transform carries the kernel e^{-i xi x}/sqrt(2 pi), so spectral
 constants derived in that convention apply verbatim.  The trapezoid rule
 on the periodic grid is the single quadrature used for norms/energies.
+The solvers and the linearization iterate on raw DFT coefficients
+(`fft` of the grid values); the padded nonlinearity `pad_evaluate` maps
+such coefficients to coefficients, so each application costs one inverse
+and one forward transform on the twice finer grid.
 """
 
 from __future__ import annotations
@@ -151,18 +155,31 @@ def spectral_refine(u: Profile, factor: int) -> Profile:
     return Profile(fine_grid, zero_pad(u.values, factor))
 
 
+def pad_coefficients(coeffs: np.ndarray, factor: int) -> np.ndarray:
+    """Raw DFT coefficients (along axis 0) zero-padded above the source Nyquist mode.
+
+    The inverse transform of the result, times factor, samples the
+    band-limited interpolant on a factor-times finer grid.
+    """
+    m = coeffs.shape[0]
+    padded = np.zeros((factor * m,) + coeffs.shape[1:], dtype=complex)
+    padded[: m // 2] = coeffs[: m // 2]
+    padded[-m // 2 :] = coeffs[-m // 2 :]
+    return padded
+
+
+def _truncate_coefficients(coeffs: np.ndarray, points: int) -> np.ndarray:
+    """The lowest `points` modes of raw DFT coefficients, coarse Nyquist included: pad_coefficients' left inverse."""
+    return np.concatenate([coeffs[: points // 2], coeffs[-points // 2 :]])
+
+
 def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
     """Samples of the band-limited interpolant on a factor-times finer grid.
 
     The spectrum is zero-padded above the source Nyquist; the scaling keeps
     the sampled values, so band-limited fields are reproduced exactly.
     """
-    m = values.shape[0]
-    coeffs = fft(values)
-    padded = np.zeros(factor * m, dtype=complex)
-    padded[: m // 2] = coeffs[: m // 2]
-    padded[-m // 2 :] = coeffs[-m // 2 :]
-    return ifft(padded) * factor
+    return ifft(pad_coefficients(fft(values), factor)) * factor
 
 
 def fourier_restrict(values: np.ndarray, factor: int) -> np.ndarray:
@@ -171,16 +188,16 @@ def fourier_restrict(values: np.ndarray, factor: int) -> np.ndarray:
     The modes zero_pad keeps, coarse Nyquist included, are kept and the
     rest dropped, so this is the exact left inverse of zero_pad.
     """
-    m = values.shape[0] // factor
-    coeffs = fft(values)
-    return ifft(np.concatenate([coeffs[: m // 2], coeffs[-m // 2 :]])) / factor
+    return ifft(_truncate_coefficients(fft(values), values.shape[0] // factor)) / factor
 
 
-def pad_evaluate(u_values: np.ndarray, fn) -> np.ndarray:
-    """Evaluate a pointwise nonlinearity with 2x zero-padding, then truncate.
+def pad_evaluate(coeffs: np.ndarray, fn) -> np.ndarray:
+    """Raw DFT coefficients of fn(u), evaluated with 2x zero padding, from those of u.
 
+    One inverse transform samples u on the twice finer grid, fn acts there
+    pointwise, and one forward transform brings back the lowest M modes.
     Standard mitigation for non-polynomial nonlinearities; exact adjoint of
     the padding isometry, so gradients of padded energies stay consistent.
     """
-    return fourier_restrict(fn(zero_pad(u_values, 2)), 2)
-
+    m = coeffs.shape[0]
+    return 0.5 * _truncate_coefficients(fft(fn(2.0 * ifft(pad_coefficients(coeffs, 2)))), m)

@@ -91,3 +91,20 @@ def smooth_random_profile(grid, rng, width=2.0, mass=None):
     if mass is not None:
         prof = Profile(grid, vals * np.sqrt(mass / prof.mass()))
     return prof
+
+
+def count_transforms(monkeypatch):
+    """Record the length of every `spectral.fft`/`ifft` call, through each module's binding of them."""
+    from fracnls import linearized, solvers, spectral
+
+    lengths = []
+    originals = {name: getattr(spectral, name) for name in ("fft", "ifft")}
+    for name, transform in originals.items():
+
+        def counted(values, axis=-1, _transform=transform):
+            lengths.append(np.shape(values)[axis])
+            return _transform(values, axis=axis)
+
+        for module in (spectral, solvers, linearized):
+            monkeypatch.setattr(module, name, counted)
+    return lengths

@@ -81,8 +81,8 @@ def descend_symbol(
     energy = functional_energy(grid, u, sig, p)
     e_hist, res_hist = [energy], []
     for it in range(1, _DESCENT_MAX_ITER + 1):
-        w = _nonlinear_term(u, p)
         uh = fft(u)
+        w = ifft(_nonlinear_term(uh, p))
         su = ifft(sig * uh)
         den = float(np.real(np.sum(u * np.conj(u))))
         theta = float(np.real(np.sum((w - su) * np.conj(u))) / den)

@@ -130,6 +130,16 @@ def test_kernel_expansion_window_failure():
         kernel_expansion_check(ModelParams(S_DEFAULT, 1.8), 5.0)
 
 
+def test_log_linear_fit_refuses_what_would_be_non_finite():
+    t = np.linspace(1.0, 2.0, 10)
+    rate, amp, rms = asymptotics._log_linear_fit(t, 3.0 * np.exp(-2.0 * t), "exp_rate")
+    assert rate == pytest.approx(2.0) and amp == pytest.approx(3.0) and rms < 1e-12
+    with pytest.raises(RuntimeError, match=r"^alg_exponent: 2 of the 10 samples .* are zero$"):
+        asymptotics._log_linear_fit(t, np.where(t > 1.85, 0.0, np.exp(-t)), "alg_exponent")
+    with pytest.raises(RuntimeError, match=r"^alg_exponent, envelope_ratio: .*amplitude e\^.* overflows$"):
+        asymptotics._log_linear_fit(t, np.exp(800.0 - 200.0 * t), "alg_exponent, envelope_ratio")
+
+
 # -- far-field reconstruction ------------------------------------------------------
 
 def test_reconstruction_matches_grid(petviashvili_path, grid_main):

@@ -454,9 +454,9 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
 
 
 def test_cache_key_digest_is_stable():
-    # the digest of the entries written by the Newton-MINRES solver with the
-    # Fourier-space finish and the closed-form lambda(s)
-    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "ed299c812ccea328033393b0"
+    # the digest of the entries written by the Newton-MINRES solver on DFT
+    # coefficients with the Fourier-space finish and the closed-form lambda(s)
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "9b32ca7723676dcc736850ac"
 
 
 def test_cache_replay_identical(tmp_path):
@@ -547,6 +547,46 @@ def test_newton_failure_exits_3_with_one_line(tmp_path, capsys):
     assert "," in point["error"]
     (row,) = csv_rows(record.with_suffix(".csv").read_text())
     assert row["error"] == point["error"]
+
+
+def _record(outdir, command):
+    (record,) = [p for p in Path(outdir).glob(f"{command}-*.json") if not p.name.endswith(".meta.json")]
+    return strict_json(record.read_text())
+
+
+def test_collapsed_newton_iterate_exits_3_with_one_line(tmp_path, capsys):
+    # the random starts collapse on this 4-wide torus; the Newton step's
+    # symmetry pair is then rank-deficient, which used to end in a traceback
+    code = main(["verify-th3", "--s-list", "1.7126254254714588", "--n-list", "0.001", "--grid-l", "4",
+                 "--grid-m", "256", "--tol", "0.5", "--inits", "2",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_SOLVER_FAILURE
+    errors = [line for line in out.splitlines() if "ERROR" in line]
+    assert len(errors) == 1 and "collapsed" in errors[0] and "linearly dependent" in errors[0]
+    assert "Traceback" not in out + err
+    (point,) = _record(tmp_path / "out", "verify-th3")["points"]
+    assert point["error"] in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv,failed,fields",
+    [
+        # the far-window amplitude overflowed into "envelope_ratio": Infinity
+        (["kernel", "--s-list", "1.5949", "--n-list", "0.0001"], [1e-4], "envelope_ratio"),
+        # zero far-window samples made "alg_exponent": NaN
+        (["kernel", "--s-list", "1.79", "--n-list", "0.001,0.05,0.2"], [0.001], "alg_exponent"),
+        (["verify-th4", "--s-list", "1.6", "--n-list", "0.0001,0.2", "--grid-l", "128", "--grid-m", "1024",
+          "--tol", "1e-12"], [1e-4], "alg_exponent"),
+    ],
+)
+def test_log_linear_fit_failures_are_errors_not_non_finite_records(tmp_path, capsys, argv, failed, fields):
+    code = main(argv + ["--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_SOLVER_FAILURE
+    points = _record(tmp_path / "out", argv[0])["points"]
+    errors = [pt for pt in points if pt["error"]]
+    assert [pt["N"] for pt in errors] == failed
+    assert all(fields in pt["error"] and "\n" not in pt["error"] for pt in errors)
 
 
 def test_verify_th2_without_a_converged_point_has_no_summary(tmp_path, capsys):

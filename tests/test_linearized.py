@@ -11,6 +11,7 @@ from fracnls.linearized import (
     DENSE_MAX_POINTS,
     LinearizedOperator,
     LinearizedReport,
+    bordered_solve,
     build_linearized,
     constrained_solve,
     kernel_diagnostics,
@@ -21,9 +22,9 @@ from fracnls.solvers import (
     local_ground_state,
     petviashvili_mass_constrained,
 )
-from fracnls.spectral import Profile, SpectralGrid, derivative
+from fracnls.spectral import Profile, SpectralGrid, derivative, fft, ifft
 from fracnls.symbols import ModelParams
-from conftest import S_DEFAULT, smooth_random_profile
+from conftest import S_DEFAULT, count_transforms, smooth_random_profile
 from oracles import local_dense
 
 
@@ -33,7 +34,7 @@ def _stack(values):
 
 def _saddle_oracle(op, f_vec):
     """Dense augmented saddle system [[L, C], [C^T, 0]] for L f = F with C^T f = 0."""
-    ir, dr = op.kernel_candidates()
+    ir, dr = (ifft(c) for c in op.kernel_coefficients())
     c1, c2 = _stack(ir), _stack(dr)
     m2 = 2 * op.grid.points
     aug = np.zeros((m2 + 2, m2 + 2))
@@ -202,7 +203,7 @@ def _assert_matches_dense(op, report, evals, evecs):
     order = np.argsort(np.abs(evals))
     assert len(report.near_zero) == int(np.sum(np.abs(evals) <= report.threshold))
     basis = evecs[:, order[:2]]
-    for cand, corr in zip(op.kernel_candidates(), report.correlations):
+    for cand, corr in zip((ifft(c) for c in op.kernel_coefficients()), report.correlations):
         v = _stack(cand) / np.linalg.norm(_stack(cand))
         assert corr == pytest.approx(float(np.linalg.norm(basis.T @ v)), abs=1e-8)
     assert report.coercivity == pytest.approx(float(np.min(np.abs(evals[order[2:]]))), abs=1e-10)
@@ -405,3 +406,66 @@ def test_stability_constant_uniform_in_N(lin_solve):
         _, info = constrained_solve(op, rhs)
         stability.append(info["stability_constant"])
     assert max(stability) / min(stability) <= 2.0
+
+
+# -- Krylov operators on stacked DFT coefficients --------------------------------
+
+def _spy(monkeypatch, name):
+    """Record the operators and preconditioners handed to scipy.sparse.linalg.<name>."""
+    import scipy.sparse.linalg as spla
+
+    seen = []
+    real = getattr(spla, name)
+
+    def spy(a, *args, **kwargs):
+        seen.append((a, kwargs["M"]))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, name, spy)
+    return seen
+
+
+def _assert_symmetric(matvec, n, rng):
+    for _ in range(10):
+        x, y = rng.standard_normal((2, n))
+        xay, yax = x @ matvec(y), y @ matvec(x)
+        assert abs(xay - yax) <= 1e-12 * max(abs(xay), abs(yax))
+
+
+def _newton_rhs(op, rng):
+    return fft(smooth_random_profile(op.grid, rng).values), 0.1
+
+
+def test_bordered_matrix_is_symmetric(op10, monkeypatch):
+    # MINRES needs a symmetric matrix and a symmetric positive preconditioner
+    seen = _spy(monkeypatch, "minres")
+    rng = np.random.default_rng(31)
+    bordered_solve(op10, *_newton_rhs(op10, rng), 1e-6)
+    ((a, m),) = seen
+    _assert_symmetric(a.matvec, a.shape[0], rng)
+    _assert_symmetric(m.matvec, m.shape[0], rng)
+    x = rng.standard_normal(m.shape[0])
+    assert x @ m.matvec(x) > 0.0
+
+
+def test_kernel_diagnostics_operator_is_symmetric(op10, monkeypatch):
+    seen = _spy(monkeypatch, "lobpcg")
+    kernel_diagnostics(op10)
+    ((a, _),) = seen
+    _assert_symmetric(a.matvec, a.shape[0], np.random.default_rng(37))
+
+
+def test_bordered_minres_iteration_makes_two_transforms(op10, monkeypatch):
+    """One operator application per MINRES iteration, one inverse and one forward transform; the preconditioner makes none."""
+    rng = np.random.default_rng(41)
+    fh, mass_residual = _newton_rhs(op10, rng)
+    lengths = count_transforms(monkeypatch)
+    counts = []
+    for rtol in (1e-3, 1e-9):
+        lengths.clear()
+        _, _, iters = bordered_solve(op10, fh, mass_residual, rtol)
+        counts.append((iters, len(lengths), lengths.count(op10.grid.points)))
+    (it0, all0, m0), (it1, all1, m1) = counts
+    assert it1 > it0
+    assert m1 - m0 == all1 - all0 == 2 * (it1 - it0)
+

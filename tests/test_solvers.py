@@ -16,7 +16,7 @@ from fracnls.solvers import (
 )
 from fracnls.spectral import Profile, SpectralGrid, lp_norm, pad_evaluate, quadratic_form
 from fracnls.symbols import ModelParams, lambda_of_s, symbol_n, symbol_nN
-from conftest import N_PATH, S_DEFAULT, SOLVE_TOL, smooth_random_profile
+from conftest import N_PATH, S_DEFAULT, SOLVE_TOL, count_transforms, smooth_random_profile
 from oracles import descend_symbol, gradient_flow_minimize, secant_mass_constrained
 
 
@@ -157,9 +157,9 @@ def test_petviashvili_one_padded_nonlinearity_per_iteration(monkeypatch):
 
     calls = []
 
-    def counting(values, fn):
+    def counting(coeffs, fn):
         calls.append(1)
-        return pad_evaluate(values, fn)
+        return pad_evaluate(coeffs, fn)
 
     monkeypatch.setattr(solvers, "pad_evaluate", counting)
     grid = SpectralGrid(64.0, 1024)
@@ -167,6 +167,22 @@ def test_petviashvili_one_padded_nonlinearity_per_iteration(monkeypatch):
     res = petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-10)
     assert res.converged
     assert len(calls) == res.iterations + 1
+
+
+def test_petviashvili_iteration_makes_two_fine_grid_transforms(monkeypatch):
+    """Each iteration pads once: one inverse and one forward transform at 2M, none at M."""
+    grid = SpectralGrid(64.0, 1024)
+    init = Profile(grid, np.exp(-grid.x**2))
+    lengths = count_transforms(monkeypatch)
+    counts = []
+    for tol in (1e-4, 1e-10):
+        lengths.clear()
+        res = petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=tol)
+        counts.append((res.iterations, lengths.count(grid.points), lengths.count(2 * grid.points)))
+    (it0, m0, fine0), (it1, m1, fine1) = counts
+    assert it1 > it0
+    assert fine1 - fine0 == 2 * (it1 - it0)
+    assert m1 == m0
 
 
 def test_petviashvili_requires_positive_denominator():
@@ -425,3 +441,17 @@ def test_newton_failure_is_one_line_with_history(grid_desk, monkeypatch, cause, 
     hist = info.value.history
     assert set(hist) == {"theta", "residual", "mass_error", "minres_iterations"}
     assert len(hist["theta"]) == len(hist["residual"]) == len(hist["mass_error"]) >= 1
+
+
+def test_newton_on_a_collapsed_iterate_names_the_cause():
+    # on a torus far narrower than the profile width the hand-off collapses
+    # onto a constant, whose symmetry directions iR and dR/dx are dependent
+    grid = SpectralGrid(4.0, 256)
+    init = Profile(grid, np.ones(grid.points))
+    with pytest.raises(ConvergenceError) as info:
+        petviashvili_mass_constrained(grid, ModelParams(1.7126254254714588, 0.001), init=init, tol=0.5)
+    msg = str(info.value)
+    assert "newton step 1" in msg and "collapsed" in msg and "linearly dependent" in msg
+    assert "\n" not in msg
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+

@@ -282,7 +282,7 @@ def test_pad_evaluate_squares_band_limited_field_exactly():
         coeffs = np.zeros(m, dtype=complex)
         coeffs[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
         coeffs /= np.max(np.abs(np.fft.ifft(coeffs)))
-        out = pad_evaluate(np.fft.ifft(coeffs), lambda v: v * v)
+        out = np.fft.ifft(pad_evaluate(coeffs, lambda v: v * v))
         # oracle: the coefficients of the square by direct convolution
         centred = coeffs[np.arange(1 - cutoff, cutoff) % m]
         conv = np.convolve(centred, centred) / m
@@ -291,3 +291,17 @@ def test_pad_evaluate_squares_band_limited_field_exactly():
         square = np.zeros(m, dtype=complex)
         square[freqs[kept] % m] = conv[kept]
         assert np.max(np.abs(out - np.fft.ifft(square))) <= 1e-12
+
+
+def test_pad_evaluate_matches_the_grid_value_composition():
+    """On coefficients, pad_evaluate is fft of the padded grid-value evaluation, to roundoff."""
+    from fracnls.spectral import pad_evaluate
+
+    m = 512
+    rng = np.random.default_rng(23)
+    for fn in (lambda v: v * v, lambda v: np.abs(v) ** 3.0 * v):
+        coeffs = m * (rng.standard_normal(m) + 1j * rng.standard_normal(m))  # fills the band
+        oracle = fft(fourier_restrict(fn(zero_pad(ifft(coeffs), 2)), 2))
+        out = pad_evaluate(coeffs, fn)
+        assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
