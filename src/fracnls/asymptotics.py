@@ -56,10 +56,6 @@ class RootResult:
     r: float
     residual: float
 
-    def in_region(self) -> bool:
-        im_ok = self.y.imag > 0 if self.sign == "+" else self.y.imag < 0
-        return im_ok and self.y.real > -1.0
-
 
 def find_root_f1(sign: str, params: ModelParams, theta: float) -> RootResult:
     """The unique root of f1 in its half-plane region.
@@ -220,7 +216,13 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
     xs_far = np.geomspace(3.0 * x_cross, 10.0 * x_cross, 30)
     resid = kernel_pointwise(xs_far, params, theta) - c1 * np.exp(-rate * xs_far)
     alg_exponent, alg_coefficient, _ = _log_linear_fit(np.log(xs_far), resid, "alg_exponent, envelope_ratio")
-    envelope_ratio = alg_coefficient / alg
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below, not warned
+        envelope_ratio = alg_coefficient / alg
+    if not math.isfinite(envelope_ratio):
+        raise RuntimeError(
+            f"envelope_ratio: the far-window amplitude {alg_coefficient:.6g} over the model envelope "
+            f"{alg:.6g} is not finite"
+        )
     return {
         "exp_window": (x_lo, x_dom),
         "exp_window_deviation": exp_window_dev,
@@ -347,9 +349,6 @@ class TailFit:
     exp_fit_residual: float
     alg_fit_residual: float
     decay_bound: dict
-
-    def window_failure(self) -> bool:
-        return self.exp_fit_residual > 0.1 or self.alg_fit_residual > 0.1
 
 
 def _local_nonlinearity_moment(local_r: Profile, s: float, rate: float) -> float:

@@ -11,13 +11,14 @@ The raw DFT is sqrt(M) times a unitary map, which acts on stacked
 coordinates as an orthogonal one, so the operator stays symmetric, its
 spectrum and eigen-residuals are those on grid values, and preconditioned
 MINRES takes the same iterates in exact arithmetic (Paige & Saunders 1975).
-Eigenanalysis, the two symmetry null directions, coercivity diagnostics,
-the constrained linear solve of the uniqueness argument and the bordered
-solve of the solver's Newton steps live here.  All run matrix-free (LOBPCG
-and MINRES, preconditioned by the inverse of the positive symbol);
-LOBPCG starts from the lowest eigenvectors of the same linearization on a
-coarse grid, zero-padded in coefficient space.  The dense matrix, on grid
-values, is a small-grid test oracle.  scipy.sparse.linalg is imported
+Eigenanalysis, the two symmetry null directions, coercivity diagnostics
+and the bordered solve of the solver's Newton steps live here.  Both run
+matrix-free (LOBPCG and MINRES, preconditioned by the inverse of the
+positive symbol); LOBPCG starts from the lowest eigenvectors of the same
+linearization on a coarse grid, zero-padded in coefficient space.  The
+dense matrix, on grid values, is a small-grid test oracle.  The constrained
+linear solve of the uniqueness argument and the local-limit operators L+/L-
+are test oracles in tests/oracles.py.  scipy.sparse.linalg is imported
 where it runs, so processes that never need it skip loading it.
 """
 
@@ -37,7 +38,6 @@ from .spectral import (
     fourier_restrict,
     ifft,
     pad_coefficients,
-    sobolev_norm,
 )
 from .symbols import ModelParams, symbol_nN
 
@@ -48,11 +48,8 @@ __all__ = [
     "LinearizedOperator",
     "LinearizedReport",
     "build_linearized",
-    "local_limit_operators",
     "kernel_diagnostics",
-    "constrained_solve",
     "bordered_solve",
-    "LocalOperator",
     "DENSE_MAX_POINTS",
 ]
 
@@ -212,31 +209,6 @@ def build_linearized(result: SolveResult, params: ModelParams) -> LinearizedOper
 
 
 @dataclass
-class LocalOperator:
-    """One of the real local-limit operators L+ / L- around the closed form."""
-
-    grid: SpectralGrid
-    lam: float
-    potential: np.ndarray = field(repr=False)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = ifft(self.grid.xi**2 * fft(values))
-        return out + self.lam * values - self.potential * values
-
-
-def local_limit_operators(s: float, lam: float, grid: SpectralGrid, base: Profile):
-    """L+ h = |D|^2 h + lam h - (2s+1) R^{2s} h and L- g = |D|^2 g + lam g - R^{2s} g.
-
-    `base` is the closed-form profile from local_ground_state(s, lam, grid);
-    the operators act on real fields.
-    """
-    pot = np.abs(base.values) ** (2.0 * s)
-    lplus = LocalOperator(grid, lam, (2.0 * s + 1.0) * pot)
-    lminus = LocalOperator(grid, lam, pot)
-    return lplus, lminus
-
-
-@dataclass
 class LinearizedReport:
     eigenvalues: np.ndarray  # six lowest, ascending
     near_zero: np.ndarray  # eigenvalues with |ev| below the kernel threshold
@@ -260,9 +232,7 @@ _COARSE_POINTS = 128  # grid of the start block's dense eigensolve (a 256 x 256 
 _EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
 _EIG_MAXITER = 400  # README grid: 6, 30, 165, 193 iterations at s = 1.5, 1.4, 1.3, 1.2
 _KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
-_MINRES_RTOL = 1e-13  # constrained_solve's tolerance; Newton steps pass their own
 _MINRES_MAXITER = 1000
-_OVERLAP_TOL = 1e-8  # removed symmetry part, relative to the right-hand side, that counts as a projection
 
 
 def _coarse_start(op: LinearizedOperator) -> np.ndarray:
@@ -353,45 +323,6 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     )
 
 
-def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, dict]:
-    """Solve L f = F on the orthogonal complement of span{iR, dR/dx}.
-
-    MINRES on P L P over stacked DFT coefficients, where P is the
-    orthogonal projector onto the complement of the two constraint columns,
-    preconditioned by P (n_N + theta)^{-1} P; the iterates stay in the
-    complement.  The right-hand side is projected first, and reported as projected when the
-    removed part exceeds _OVERLAP_TOL of its norm.  The returned info carries
-    the stability quotient ||f||_{H^{s/2}} / ||F||_{H^{-s/2}} in the weighted
-    spectral norms.  A solve that does not converge raises RuntimeError.
-    """
-    from scipy.sparse.linalg import minres
-
-    grid = op.grid
-    c1, c2 = (_unitary(c) for c in op.kernel_coefficients())
-    raw = _unitary(fft(rhs.values))
-    project = op.complement_projector()
-    f_vec = project(raw)
-    info = {"projected": bool(np.linalg.norm(raw - f_vec) > _OVERLAP_TOL * np.linalg.norm(raw))}
-    n2 = f_vec.size
-    sol, status = minres(
-        _operator(n2, lambda v: project(op.apply_stacked(project(v)))),
-        f_vec,
-        rtol=_MINRES_RTOL,
-        maxiter=_MINRES_MAXITER,
-        M=_operator(n2, lambda v: project(op.solve_symbol_stacked(project(v)))),
-    )
-    if status != 0:
-        raise RuntimeError(f"MINRES on the constrained complement did not converge (status {status})")
-    f_prof = Profile(grid, ifft(_raw(sol)))
-    rhs_proj = Profile(grid, ifft(_raw(f_vec)))
-    num = sobolev_norm(f_prof, op.params.s / 2.0)
-    den = sobolev_norm(rhs_proj, -op.params.s / 2.0)
-    info["stability_constant"] = num / den if den > 0 else np.inf
-    # the real L2 pairing h sum Re(f conj c); unitary coefficients keep it (Parseval)
-    info["constraint_residuals"] = (grid.h * float(sol @ c1), grid.h * float(sol @ c2))
-    return f_prof, info
-
-
 def bordered_solve(op: LinearizedOperator, fh: np.ndarray, mass_residual: float, rtol: float):
     """The Newton step (du_hat or None, dtheta, MINRES iterations) at op's profile R and multiplier.
 
@@ -409,9 +340,9 @@ def bordered_solve(op: LinearizedOperator, fh: np.ndarray, mass_residual: float,
     iR and dR/dx are near-null at the iterate (eigenvalues of the order of
     the residual).  Left in, MINRES roundoff grows a phase and translation
     drift there, far above the step, which costs mass at second order and
-    inflates the solution norm that MINRES's stopping test divides by.  So,
-    as in constrained_solve, the iterates stay on their orthogonal
-    complement; neither direction changes the solution.
+    inflates the solution norm that MINRES's stopping test divides by.  So
+    the iterates stay on their orthogonal complement (complement_projector);
+    neither direction changes the solution.
     """
     from scipy.sparse.linalg import minres
 

@@ -3,8 +3,8 @@
 A Petviashvili fixed-point iteration solves at a fixed multiplier; with the
 mass constrained it hands over to Newton-MINRES steps on the profile and the
 multiplier.  The solvers operate on the renormalized problem, where profiles
-have O(1) width; all other formulations are reached through the exact
-rescalings in :mod:`fracnls.renorm`.  Both iterate in Fourier space, on the
+have O(1) width; the exact rescalings to the other formulations are test
+helpers (tests/drift.py).  Both iterate in Fourier space, on the
 raw DFT coefficients u_hat = fft(u): the symbol acts diagonally there;
 residuals, masses and pairings are sums over the coefficients (Parseval,
 sum |u|^2 = sum |u_hat|^2 / M); the padded nonlinearity maps coefficients
@@ -43,7 +43,6 @@ __all__ = [
     "petviashvili_solve",
     "petviashvili_mass_constrained",
     "fractional_ground_state",
-    "el_residual",
     "functional_energy",
 ]
 
@@ -94,13 +93,6 @@ def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -
     """
     quad = quadratic_form(Profile(grid, values), sigma)
     return 0.5 * quad - _power_integral(grid, values, p) / (p + 1.0)
-
-
-def el_residual(grid: SpectralGrid, values: np.ndarray, sigma, theta: float, p: float) -> float:
-    """Relative L2 norm of sigma(D)u + theta u - |u|^{p-1}u, by Parseval on the coefficients."""
-    sig = multiplier_values(grid, sigma)
-    uh = fft(values)
-    return float(np.linalg.norm((sig + theta) * uh - _nonlinear_term(uh, p)) / np.linalg.norm(uh))
 
 
 def local_ground_state(s: float, lam: float, grid: SpectralGrid) -> Profile:

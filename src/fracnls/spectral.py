@@ -1,10 +1,13 @@
 """Periodic Fourier pseudospectral discretization of the line.
 
-Grids, transforms, multiplier application, norms and quadrature used by
-every other module.  The Fourier convention is fixed once, here: the
-forward transform carries the kernel e^{-i xi x}/sqrt(2 pi), so spectral
-constants derived in that convention apply verbatim.  The trapezoid rule
-on the periodic grid is the single quadrature used for norms/energies.
+Grids, transforms, symbol values, the quadratic form, translation and
+zero padding used by every other module.  The Fourier convention is fixed
+once, here: the forward transform carries the kernel e^{-i xi x}/sqrt(2 pi),
+so spectral constants derived in that convention apply verbatim.  The
+trapezoid rule on the periodic grid is the single quadrature used for
+masses and energies.  Multiplier application, L^p and Sobolev norms, the
+derivative and spectral refinement, which only tests read, are test
+oracles in tests/oracles.py.
 The solvers and the linearization iterate on raw DFT coefficients
 (`fft` of the grid values); the padded nonlinearity `pad_evaluate` maps
 such coefficients to coefficients, so each application costs one inverse
@@ -108,51 +111,16 @@ def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
     return vals
 
 
-def apply_multiplier(u: Profile, sigma) -> Profile:
-    """Apply the Fourier multiplier sigma(D): spectrum is scaled pointwise.
-
-    `sigma` holds the symbol's values on `u.grid.xi` (FFT order); it must
-    be finite on every grid frequency.
-    """
-    vals = multiplier_values(u.grid, sigma)
-    return Profile(u.grid, ifft(vals * fft(u.values)))
-
-
-def lp_norm(u: Profile, p: float) -> float:
-    return float((u.grid.h * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
-
-
-def sobolev_norm(u: Profile, r: float) -> float:
-    """H^r norm via the spectral weight <xi>^r = (1 + xi^2)^{r/2}."""
-    return float(np.sqrt(quadratic_form(u, (1.0 + u.grid.xi**2) ** r)))
-
-
 def quadratic_form(u: Profile, sigma) -> float:
     """<u, sigma(D) u> for a real symbol, by Parseval: (h/M) sum sigma |fft u|^2."""
     vals = multiplier_values(u.grid, sigma)
     return u.grid.h / u.grid.points * float(np.sum(vals * np.abs(fft(u.values)) ** 2))
 
 
-def derivative(u: Profile) -> Profile:
-    return apply_multiplier(u, 1j * u.grid.xi)
-
-
 def translate(u: Profile, a: float) -> Profile:
     """u(. - a), exact for band-limited fields (fractional shifts allowed)."""
     shift = np.exp(-1j * u.grid.xi * a)
     return Profile(u.grid, ifft(fft(u.values) * shift))
-
-
-def spectral_refine(u: Profile, factor: int) -> Profile:
-    """Resample onto a factor-times finer grid by spectral zero padding.
-
-    Exact for band-limited fields; used when a transform needs headroom
-    above the source Nyquist (e.g. drift modulation of a wide profile).
-    """
-    if factor < 1 or factor & (factor - 1):
-        raise ValueError("refinement factor must be a power of two")
-    fine_grid = SpectralGrid(u.grid.length, factor * u.grid.points)
-    return Profile(fine_grid, zero_pad(u.values, factor))
 
 
 def pad_coefficients(coeffs: np.ndarray, factor: int) -> np.ndarray:

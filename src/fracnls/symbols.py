@@ -1,11 +1,12 @@
 """Fourier symbols of the reduced traveling-wave problem and the convolution kernel.
 
 Implements the parameters (s, N) of the renormalized problem, the base
-symbol n(xi) = |xi+1|^s - s xi - 1, its mass-rescaled version n_N, the
-lower bound with the explicit constant C(A), and a high-accuracy pointwise
-evaluator of the kernel m_N = Finv(1/(n_N + theta)) for tail studies.
-Nothing here depends on the drift: the drift symbol, its stationary point
-and the drift transform live in renorm.
+symbol n(xi) = |xi+1|^s - s xi - 1, its mass-rescaled version n_N, and a
+high-accuracy pointwise evaluator of the kernel m_N = Finv(1/(n_N + theta))
+for tail studies.  Nothing here depends on the drift: the drift symbol, its
+stationary point and the drift transform are test helpers (tests/drift.py),
+and the lower bound of n with its explicit constant C(A) is a test oracle
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "lambda_of_s",
     "symbol_n",
     "symbol_nN",
-    "check_lower_bound",
     "kernel_pointwise",
     "laplace_transform",
     "kernel_constants",
@@ -52,8 +52,8 @@ def lambda_of_s(s: float) -> tuple[float, float]:
 class ModelParams:
     """The parameters (s, N) of the renormalized problem, 1 < s < 2, N > 0, plus the derived scalars.
 
-    The drift is not among them: the reduction removes it, and renorm's
-    drift functions take it as an argument of their own.
+    The drift is not among them: the reduction removes it, and the drift
+    functions of the tests (tests/drift.py) take it as an argument of their own.
     """
 
     s: float
@@ -101,33 +101,13 @@ def symbol_nN(xi, params: ModelParams):
     return 2.0 * symbol_n(k * np.asarray(xi, dtype=float), s) / (s * (s - 1.0) * k**2)
 
 
-_LOWER_BOUND_SAMPLES = 4001
-
-
-def check_lower_bound(A: float, s: float) -> tuple[float, bool]:
-    """Constant C(A) with n(xi) - A|xi|^s >= (1-A)|xi|^s / 2 - C(A).
-
-    C(A) = (A+1) c1(A)^s with c1(A) = (2^{s+3} (1-A)^{-1})^{1/(s-1)}; the
-    inequality is confirmed on _LOWER_BOUND_SAMPLES points of |xi| <= 10 c1(A).
-    """
-    if not 0.0 <= A < 1.0:
-        raise ValueError(f"A must lie in [0, 1), got {A}")
-    c1 = (2.0 ** (s + 3.0) / (1.0 - A)) ** (1.0 / (s - 1.0))
-    c_a = (A + 1.0) * c1**s
-    xi = np.linspace(-10.0 * c1, 10.0 * c1, _LOWER_BOUND_SAMPLES)
-    lhs = symbol_n(xi, s) - A * np.abs(xi) ** s
-    rhs = 0.5 * (1.0 - A) * np.abs(xi) ** s - c_a
-    verified = bool(np.all(lhs >= rhs - 1e-12 * (1.0 + np.abs(rhs))))
-    return c_a, verified
-
-
 def kernel_shift(params: ModelParams, theta: float) -> float:
     """Constant shift c = (s(s-1)/2) kappa^2 theta in the unscaled symbol n + c.
 
     This is the shift appearing in the analytic continuations f1/f2; the
     factor s(s-1)/2 converts the multiplier of the rescaled equation to the
     normalization of n, so it is also the multiplier eta of the
-    beta-independent equation (renorm.convert_multipliers).
+    beta-independent equation (convert_multipliers in tests/drift.py).
     """
     s = params.s
     return 0.5 * s * (s - 1.0) * params.kappa**2 * theta

@@ -1,22 +1,36 @@
 """Test oracles: independent cross-checks of the package's production paths.
 
 None of these has a caller in the package.  Each reproduces a quantity the
-package computes another way:
+package computes another way, or measures what only a criterion or a module
+test reads:
 
 - `secant_mass_constrained`: the mass constraint by a secant loop on the
   multiplier over full Petviashvili solves (the production solver takes
   Newton-MINRES steps);
 - `descend_symbol` and `gradient_flow_minimize`: the ground state by
   mass-projected descent on the energy, a second solver;
+- `el_residual`: the Euler-Lagrange residual of grid values, for the
+  solvers' cross-checks;
 - `kernel_zero_value` and `kernel_realaxis_quadrature`: the kernel m_N by
   QUADPACK on the real axis (the package deforms the contour);
 - `kernel_grid_samples`: the periodized kernel m_N sampled on a grid by the
   inverse transform of its symbol;
-- `local_dense`: the local-limit operators L+/L- as dense matrices;
+- `check_lower_bound`: the lower bound of the symbol n with its explicit
+  constant C(A);
+- `in_region` and `window_failure`: whether a root of f1 lies in its
+  half-plane region, and whether a tail fit's windows failed;
+- `LocalOperator`, `local_limit_operators` and `local_dense`: the
+  local-limit operators L+/L-, matrix-free and as dense matrices;
+- `constrained_solve`: L f = F on the complement of span{iR, dR/dx} by
+  MINRES, the stability quotient of the uniqueness argument;
+- `apply_multiplier`, `derivative`, `lp_norm`, `sobolev_norm` and
+  `spectral_refine`: Fourier multipliers, norms and spectral refinement on
+  grid values;
 - `spectral_interpolate`: the band-limited interpolant summed directly
   as a Fourier series (the package translates by a spectral phase), from
   the continuum-normalized coefficients of `fourier_coefficients`.
 
+The drift reduction and its changes of variables are in tests/drift.py.
 `symbols._laplace_quad` and `LinearizedOperator.dense` are oracles too, but
 stay in the package while the benchmark's tracer wraps them there.
 """
@@ -25,13 +39,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import circulant
+from scipy.sparse.linalg import LinearOperator, minres
 
-from fracnls.linearized import LocalOperator
-from fracnls.renorm import scale_R_to_S
+from fracnls.asymptotics import RootResult, TailFit
+from fracnls.linearized import LinearizedOperator
 from fracnls.solvers import (
     _MASS_TOL,
     ConvergenceError,
@@ -42,13 +58,27 @@ from fracnls.solvers import (
     local_ground_state,
     petviashvili_solve,
 )
-from fracnls.spectral import SQRT_2PI, Profile, SpectralGrid, fft, ifft, multiplier_values
-from fracnls.symbols import ModelParams, symbol_nN
+from fracnls.spectral import (
+    SQRT_2PI,
+    Profile,
+    SpectralGrid,
+    fft,
+    ifft,
+    multiplier_values,
+    quadratic_form,
+    zero_pad,
+)
+from fracnls.symbols import ModelParams, symbol_n, symbol_nN
+from drift import scale_R_to_S
 
 _SECANT_TOL = 1e-10  # residual of each Petviashvili solve in the secant oracle
 _DESCENT_MAX_ITER = 20000
 _DESCENT_STEP0 = 0.1  # first descent step; grown by 1.5 on success up to _DESCENT_STEP_MAX
 _DESCENT_STEP_MAX = 1.0
+_LOWER_BOUND_SAMPLES = 4001
+_MINRES_RTOL = 1e-13  # constrained_solve's tolerance
+_MINRES_MAXITER = 1000
+_OVERLAP_TOL = 1e-8  # removed symmetry part, relative to the right-hand side, that counts as a projection
 
 
 # -- solvers -------------------------------------------------------------------
@@ -220,6 +250,42 @@ def gradient_flow_minimize(
     raise ValueError(f"unknown functional {functional!r} (expected 'I' or 'Y_N')")
 
 
+def el_residual(grid: SpectralGrid, values: np.ndarray, sigma, theta: float, p: float) -> float:
+    """Relative L2 norm of sigma(D)u + theta u - |u|^{p-1}u, by Parseval on the coefficients."""
+    sig = multiplier_values(grid, sigma)
+    uh = fft(values)
+    return float(np.linalg.norm((sig + theta) * uh - _nonlinear_term(uh, p)) / np.linalg.norm(uh))
+
+
+# -- symbols and the kernel's analysis ------------------------------------------
+
+
+def check_lower_bound(A: float, s: float) -> tuple[float, bool]:
+    """Constant C(A) with n(xi) - A|xi|^s >= (1-A)|xi|^s / 2 - C(A).
+
+    C(A) = (A+1) c1(A)^s with c1(A) = (2^{s+3} (1-A)^{-1})^{1/(s-1)}; the
+    inequality is confirmed on _LOWER_BOUND_SAMPLES points of |xi| <= 10 c1(A).
+    """
+    if not 0.0 <= A < 1.0:
+        raise ValueError(f"A must lie in [0, 1), got {A}")
+    c1 = (2.0 ** (s + 3.0) / (1.0 - A)) ** (1.0 / (s - 1.0))
+    c_a = (A + 1.0) * c1**s
+    xi = np.linspace(-10.0 * c1, 10.0 * c1, _LOWER_BOUND_SAMPLES)
+    lhs = symbol_n(xi, s) - A * np.abs(xi) ** s
+    rhs = 0.5 * (1.0 - A) * np.abs(xi) ** s - c_a
+    verified = bool(np.all(lhs >= rhs - 1e-12 * (1.0 + np.abs(rhs))))
+    return c_a, verified
+
+
+def in_region(root: RootResult) -> bool:
+    im_ok = root.y.imag > 0 if root.sign == "+" else root.y.imag < 0
+    return im_ok and root.y.real > -1.0
+
+
+def window_failure(fit: TailFit) -> bool:
+    return fit.exp_fit_residual > 0.1 or fit.alg_fit_residual > 0.1
+
+
 # -- the kernel by other routes ------------------------------------------------
 
 
@@ -289,7 +355,32 @@ def kernel_grid_samples(grid: SpectralGrid, params: ModelParams, theta: float) -
     return grid.from_fourier_coefficients(1.0 / symbol), symbol
 
 
-# -- dense matrices --------------------------------------------------------------
+# -- the linearization ----------------------------------------------------------
+
+
+@dataclass
+class LocalOperator:
+    """One of the real local-limit operators L+ / L- around the closed form."""
+
+    grid: SpectralGrid
+    lam: float
+    potential: np.ndarray = field(repr=False)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        out = ifft(self.grid.xi**2 * fft(values))
+        return out + self.lam * values - self.potential * values
+
+
+def local_limit_operators(s: float, lam: float, grid: SpectralGrid, base: Profile):
+    """L+ h = |D|^2 h + lam h - (2s+1) R^{2s} h and L- g = |D|^2 g + lam g - R^{2s} g.
+
+    `base` is the closed-form profile from local_ground_state(s, lam, grid);
+    the operators act on real fields.
+    """
+    pot = np.abs(base.values) ** (2.0 * s)
+    lplus = LocalOperator(grid, lam, (2.0 * s + 1.0) * pot)
+    lminus = LocalOperator(grid, lam, pot)
+    return lplus, lminus
 
 
 def local_dense(op: LocalOperator) -> np.ndarray:
@@ -298,7 +389,96 @@ def local_dense(op: LocalOperator) -> np.ndarray:
     return circulant(col) - np.diag(op.potential)
 
 
-# -- interpolation ---------------------------------------------------------------
+def _unitary(coeffs: np.ndarray) -> np.ndarray:
+    """Stacked unitary DFT coefficients fft(f)/sqrt(M), (Re, Im), from raw ones: the MINRES coordinates."""
+    return np.concatenate([coeffs.real, coeffs.imag]) / math.sqrt(coeffs.shape[0])
+
+
+def _raw(vec: np.ndarray) -> np.ndarray:
+    """Raw DFT coefficients from stacked unitary ones, the inverse of _unitary."""
+    m = vec.shape[0] // 2
+    return (vec[:m] + 1j * vec[m:]) * math.sqrt(m)
+
+
+def _operator(n: int, apply) -> LinearOperator:
+    """The real n x n LinearOperator of `apply`."""
+    return LinearOperator((n, n), matvec=apply, dtype=float)
+
+
+def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, dict]:
+    """Solve L f = F on the orthogonal complement of span{iR, dR/dx}.
+
+    MINRES on P L P over stacked DFT coefficients, where P is the
+    orthogonal projector onto the complement of the two constraint columns,
+    preconditioned by P (n_N + theta)^{-1} P; the iterates stay in the
+    complement.  The right-hand side is projected first, and reported as projected when the
+    removed part exceeds _OVERLAP_TOL of its norm.  The returned info carries
+    the stability quotient ||f||_{H^{s/2}} / ||F||_{H^{-s/2}} in the weighted
+    spectral norms.  A solve that does not converge raises RuntimeError.
+    """
+    grid = op.grid
+    c1, c2 = (_unitary(c) for c in op.kernel_coefficients())
+    raw = _unitary(fft(rhs.values))
+    project = op.complement_projector()
+    f_vec = project(raw)
+    info = {"projected": bool(np.linalg.norm(raw - f_vec) > _OVERLAP_TOL * np.linalg.norm(raw))}
+    n2 = f_vec.size
+    sol, status = minres(
+        _operator(n2, lambda v: project(op.apply_stacked(project(v)))),
+        f_vec,
+        rtol=_MINRES_RTOL,
+        maxiter=_MINRES_MAXITER,
+        M=_operator(n2, lambda v: project(op.solve_symbol_stacked(project(v)))),
+    )
+    if status != 0:
+        raise RuntimeError(f"MINRES on the constrained complement did not converge (status {status})")
+    f_prof = Profile(grid, ifft(_raw(sol)))
+    rhs_proj = Profile(grid, ifft(_raw(f_vec)))
+    num = sobolev_norm(f_prof, op.params.s / 2.0)
+    den = sobolev_norm(rhs_proj, -op.params.s / 2.0)
+    info["stability_constant"] = num / den if den > 0 else np.inf
+    # the real L2 pairing h sum Re(f conj c); unitary coefficients keep it (Parseval)
+    info["constraint_residuals"] = (grid.h * float(sol @ c1), grid.h * float(sol @ c2))
+    return f_prof, info
+
+
+# -- multipliers, norms and interpolation on grid values ----------------------------
+
+
+def apply_multiplier(u: Profile, sigma) -> Profile:
+    """Apply the Fourier multiplier sigma(D): spectrum is scaled pointwise.
+
+    `sigma` holds the symbol's values on `u.grid.xi` (FFT order); it must
+    be finite on every grid frequency.
+    """
+    vals = multiplier_values(u.grid, sigma)
+    return Profile(u.grid, ifft(vals * fft(u.values)))
+
+
+def lp_norm(u: Profile, p: float) -> float:
+    return float((u.grid.h * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
+
+
+def sobolev_norm(u: Profile, r: float) -> float:
+    """H^r norm via the spectral weight <xi>^r = (1 + xi^2)^{r/2}."""
+    return float(np.sqrt(quadratic_form(u, (1.0 + u.grid.xi**2) ** r)))
+
+
+def derivative(u: Profile) -> Profile:
+    return apply_multiplier(u, 1j * u.grid.xi)
+
+
+def spectral_refine(u: Profile, factor: int) -> Profile:
+    """Resample onto a factor-times finer grid by spectral zero padding.
+
+    Exact for band-limited fields; used when a transform needs headroom
+    above the source Nyquist (e.g. drift modulation of a wide profile).
+    """
+    if factor < 1 or factor & (factor - 1):
+        raise ValueError("refinement factor must be a power of two")
+    fine_grid = SpectralGrid(u.grid.length, factor * u.grid.points)
+    return Profile(fine_grid, zero_pad(u.values, factor))
+
 
 
 def fourier_coefficients(u: Profile) -> np.ndarray:

@@ -34,32 +34,28 @@ from fracnls.cli import (
     tail_checks,
     uniqueness_check,
 )
-from fracnls.linearized import (
-    build_linearized,
-    constrained_solve,
-    kernel_diagnostics,
-    local_limit_operators,
-)
-from fracnls.renorm import (
-    convert_multipliers,
-    gauge_fix,
-    scale_R_to_S,
-    stationary_point,
-    symbol_mbeta,
-    tau_beta,
-)
+from fracnls.linearized import build_linearized, kernel_diagnostics
+from fracnls.renorm import gauge_fix
 from fracnls.solvers import (
-    el_residual,
     fractional_ground_state,
     functional_energy,
     local_ground_state,
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, SpectralGrid, derivative, lp_norm, quadratic_form, sobolev_norm
+from fracnls.spectral import Profile, SpectralGrid, quadratic_form
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
-from oracles import descend_symbol
+from drift import convert_multipliers, scale_R_to_S, stationary_point, symbol_mbeta, tau_beta
+from oracles import (
+    constrained_solve,
+    derivative,
+    descend_symbol,
+    el_residual,
+    local_limit_operators,
+    lp_norm,
+    sobolev_norm,
+)
 
 
 def report(num, ok, detail):
@@ -153,7 +149,7 @@ def test_criterion_04_profile_limit(petviashvili_path, local_R, grid_main, lam15
 
 def test_criterion_05_reduction_identities():
     """Energy identity on a solved minimizer and random profiles; multiplier maps."""
-    from fracnls.spectral import spectral_refine
+    from oracles import spectral_refine
 
     beta = 0.75
     params = ModelParams(S_DEFAULT, 0.1)

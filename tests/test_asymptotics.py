@@ -20,6 +20,7 @@ from fracnls.renorm import gauge_fix
 from fracnls.spectral import Profile, SpectralGrid
 from fracnls.symbols import ModelParams, kernel_shift
 from conftest import S_DEFAULT
+from oracles import in_region, window_failure
 
 
 # -- roots of f1 ---------------------------------------------------------------
@@ -27,7 +28,7 @@ from conftest import S_DEFAULT
 def test_root_residual_and_region(lam15):
     p = ModelParams(S_DEFAULT, 0.1)
     root = find_root_f1("+", p, lam15["lam"])
-    assert root.in_region()
+    assert in_region(root)
     assert 0.0 < root.phi < np.pi / 2.0
     assert root.r == pytest.approx(abs(root.y + 1.0), rel=1e-12)
 
@@ -38,7 +39,7 @@ def test_root_conjugate_symmetry(lam15):
     minus = find_root_f1("-", p, lam15["lam"])
     assert minus.y == pytest.approx(np.conj(plus.y), rel=1e-12)
     assert minus.residual <= 1e-12
-    assert minus.in_region()
+    assert in_region(minus)
 
 
 def test_root_curve_monotone(lam15):
@@ -231,7 +232,7 @@ def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
 
 
 def test_tail_rate(fit01):
-    assert not fit01.window_failure()
+    assert not window_failure(fit01)
 
 
 def test_tail_amplitude_oracle_value(fit01, lam15, local_R):
@@ -354,7 +355,7 @@ def test_root_extreme_orders(s, n):
     p = ModelParams(s, n)
     root = find_root_f1("+", p, lam)
     assert root.residual <= 1e-12 * (1.0 + abs(root.y) ** s)
-    assert root.in_region()
+    assert in_region(root)
     err = abs(root.y / p.kappa - 1j * math.sqrt(lam)) / math.sqrt(lam)
     assert err <= 1e-2
 
@@ -377,7 +378,7 @@ def test_root_properties_random_parameters():
         except RootBracketError:
             return  # above the root-existence threshold: a reported outcome
         assert plus.residual <= 1e-12 * (1.0 + abs(plus.y) ** s)
-        assert plus.in_region()
+        assert in_region(plus)
         minus = find_root_f1("-", p, theta)
         assert minus.y == pytest.approx(np.conj(plus.y), rel=1e-12)
 

@@ -1,16 +1,20 @@
 """CLI runner: config handling, record emission, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import struct
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracnls import __version__, asymptotics, cli
 from fracnls.cache import cache_key, cached_solve, load_result, store_result
@@ -578,6 +582,9 @@ def test_collapsed_newton_iterate_exits_3_with_one_line(tmp_path, capsys):
         (["kernel", "--s-list", "1.79", "--n-list", "0.001,0.05,0.2"], [0.001], "alg_exponent"),
         (["verify-th4", "--s-list", "1.6", "--n-list", "0.0001,0.2", "--grid-l", "128", "--grid-m", "1024",
           "--tol", "1e-12"], [1e-4], "alg_exponent"),
+        # a finite far-window amplitude over the model envelope overflowed into "envelope_ratio": Infinity
+        (["kernel", "--s-list", "1.6715074120809403", "--n-list", "0.001281389628485582"],
+         [0.001281389628485582], "envelope_ratio"),
     ],
 )
 def test_log_linear_fit_failures_are_errors_not_non_finite_records(tmp_path, capsys, argv, failed, fields):
@@ -673,3 +680,53 @@ def test_config_file_unknown_key(tmp_path):
     args = make_parser().parse_args(["solve", "--config", str(cfg)])
     with pytest.raises(ConfigError, match="unknown config key"):
         build_config(args)
+
+
+# -- random configurations ------------------------------------------------------
+
+_TOLERANCES = (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 0.5)
+
+
+@st.composite
+def _random_argv(draw):
+    """A command line over RunConfig's space: every command, small grids, one worker."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    s_top = 2.0 if command == "gn-constant" else 1.8
+    s = draw(st.floats(1.0, s_top, exclude_min=True, exclude_max=s_top < 2.0))
+    masses = draw(st.lists(st.floats(1e-4, 5.0), min_size=1, max_size=3, unique=True))
+    return [
+        command, "--s-list", repr(s), "--n-list", ",".join(map(repr, masses)),
+        "--grid-l", str(draw(st.integers(4, 256))),
+        "--grid-m", str(draw(st.sampled_from((16, 32, 64, 128, 256)))),
+        "--tol", repr(draw(st.sampled_from(_TOLERANCES))),
+        "--workers", "1",
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_random_argv())
+# the overflowing envelope ratio, on the default grid
+@example(argv=["kernel", "--s-list", "1.6715074120809403", "--n-list", "0.001281389628485582", "--grid-l", "64",
+               "--grid-m", "4096", "--tol", "1e-10", "--workers", "1"])
+def test_random_configurations_exit_with_a_code_and_write_strict_records(argv):
+    import jsonschema
+    from importlib.resources import files
+
+    schema = json.loads(files("fracnls").joinpath("schemas/run_record.schema.json").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--cache-dir", f"{tmp}/cache", "--output-dir", f"{tmp}/out"])
+        assert code in (EXIT_OK, EXIT_CRITERION_FAIL, EXIT_CONFIG_ERROR, EXIT_SOLVER_FAILURE)
+        records = [p for p in Path(tmp, "out").glob("*.json") if not p.name.endswith(".meta.json")]
+        if code == EXIT_CONFIG_ERROR:
+            assert records == []
+            return
+        (record,) = records
+        payload = strict_json(record.read_text())
+        jsonschema.validate(payload, schema)
+        csv_rows(record.with_suffix(".csv").read_text())
+    failed = [pt for pt in payload["points"] if pt["error"]]
+    error_lines = [line for line in out.getvalue().splitlines() if ": ERROR " in line]
+    assert len(error_lines) == len(failed)
+    assert (code == EXIT_SOLVER_FAILURE) == bool(failed)

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracnls import renorm
-from fracnls.renorm import (
+from fracnls.renorm import gauge_fix
+from fracnls.solvers import functional_energy
+from fracnls.spectral import Profile, SpectralGrid, translate
+from fracnls.symbols import ModelParams, symbol_n
+from conftest import S_DEFAULT, smooth_random_profile
+import drift
+from drift import (
     convert_multipliers,
     full_map_Q_to_R,
-    gauge_fix,
     scale_R_to_S,
     scale_S_to_R,
     stationary_point,
@@ -20,10 +24,6 @@ from fracnls.renorm import (
     tau_beta_inverse,
     xi_star,
 )
-from fracnls.solvers import functional_energy
-from fracnls.spectral import Profile, SpectralGrid, translate
-from fracnls.symbols import ModelParams, symbol_n
-from conftest import S_DEFAULT, smooth_random_profile
 
 # beta = s/2 makes xi* = 1; the 20 pi torus keeps the drift phase on-lattice
 BETA_UNIT = 0.75
@@ -40,7 +40,7 @@ P_DEFAULT = 2.0 * S_DEFAULT + 1.0
 
 
 def test_snap_is_identity_on_commensurate_grid():
-    factor = renorm._lattice_factor(GRID_2PI.length)
+    factor = drift._lattice_factor(GRID_2PI.length)
     assert abs(factor - 1.0) <= 1e-15
     # the snapped xi* = factor and its beta = (s/2) xi*^(s-1) are the ideal ones
     assert 0.5 * S_DEFAULT * factor ** (S_DEFAULT - 1.0) == pytest.approx(BETA_UNIT, rel=1e-14)
@@ -48,10 +48,10 @@ def test_snap_is_identity_on_commensurate_grid():
 
 def test_snap_reported_on_incommensurate_grid(monkeypatch):
     grid = SpectralGrid(64.0, 256)
-    factor = renorm._lattice_factor(grid.length)
+    factor = drift._lattice_factor(grid.length)
     assert abs(factor - 1.0) == pytest.approx(abs(2 * np.pi * 10 / 64.0 - 1.0), rel=1e-12)
     u = smooth_random_profile(grid, np.random.default_rng(0))
-    monkeypatch.setattr(renorm, "_SNAP_TOL", 1e-6)
+    monkeypatch.setattr(drift, "_SNAP_TOL", 1e-6)
     with pytest.raises(ValueError, match="off-lattice"):
         tau_beta(u, S_DEFAULT, BETA_UNIT)
 
@@ -326,7 +326,7 @@ def test_traveling_wave_equation_end_to_end(lam15):
     equation level.
     """
     from fracnls.solvers import petviashvili_mass_constrained
-    from fracnls.spectral import spectral_refine
+    from oracles import spectral_refine
 
     s = S_DEFAULT
     params = ModelParams(s, 0.1)

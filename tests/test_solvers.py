@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from fracnls import linearized, solvers
-from fracnls.renorm import gauge_fix, scale_R_to_S
+from fracnls.renorm import gauge_fix
 from fracnls.solvers import (
     ConvergenceError,
-    el_residual,
     fractional_ground_state,
     functional_energy,
     local_ground_state,
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, SpectralGrid, lp_norm, pad_evaluate, quadratic_form
+from fracnls.spectral import Profile, SpectralGrid, pad_evaluate, quadratic_form
 from fracnls.symbols import ModelParams, lambda_of_s, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, SOLVE_TOL, count_transforms, smooth_random_profile
-from oracles import descend_symbol, gradient_flow_minimize, secant_mass_constrained
+from drift import scale_R_to_S
+from oracles import descend_symbol, el_residual, gradient_flow_minimize, lp_norm, secant_mass_constrained
 
 
 # -- the closed form is verified before use ----------------------------------

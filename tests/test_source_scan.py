@@ -1,8 +1,10 @@
 """Source scans: every settable value of the package is set by some caller,
-and by a caller outside the tests unless it is a listed entry point; no
-module of the package calls a dense test oracle or imports another module's
-private name; and importing the CLI loads none of the scipy submodules that
-only some commands use."""
+and by a caller outside the tests unless it is a listed entry point; every
+function, class and method of the package is reachable by name from the
+CLI's entry point unless it is a listed exception; no module of the package
+calls a dense test oracle or imports another module's private name; and
+importing the CLI loads none of the scipy submodules that only some
+commands use."""
 
 import ast
 import os
@@ -117,9 +119,6 @@ def test_every_defaulted_parameter_is_set_somewhere():
 
 # defaulted parameters that only tests set, each an entry point kept on purpose
 TEST_ONLY_KNOBS = {
-    "renorm.convert_multipliers(gamma)": "the multiplier bijection is checked from each of its three entry points",
-    "renorm.convert_multipliers(eta)": "the multiplier bijection is checked from each of its three entry points",
-    "renorm.convert_multipliers(theta)": "the multiplier bijection is checked from each of its three entry points",
     "solvers.fractional_ground_state(grid)": "tests solve the ground state on tori smaller than the default",
 }
 
@@ -157,6 +156,132 @@ def test_scan_sees_keyword_positional_and_class_calls():
     assert calls["D"] == ({"d"}, 2, False)
     assert calls["f"] == ({"z"}, 1, False)
     assert calls["m"][2]
+
+
+def _definitions(modules: dict):
+    """(qualified name, name, qualified name of the owning class or None, node) per function, class and method."""
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{stem}.{node.name}", node.name, None, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{stem}.{node.name}.{item.name}", item.name, f"{stem}.{node.name}", item
+
+
+def _referenced(nodes) -> set:
+    """The names and attribute names that the expressions and statements `nodes` mention."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+    return found
+
+
+def _runs_with(node) -> list:
+    """What runs once a definition is reached: a function's decorators, defaults and body; a
+    class's decorators, bases and the statements of its body other than methods.  Annotations do not run."""
+    if isinstance(node, ast.ClassDef):
+        body = [item.value if isinstance(item, ast.AnnAssign) else item for item in node.body
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        return node.decorator_list + node.bases + [item for item in body if item is not None]
+    defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+    return node.decorator_list + defaults + node.body
+
+
+def unreachable(modules: dict, root: str) -> list:
+    """Qualified names of the definitions in `modules` (stem -> tree) that `root` cannot reach by name.
+
+    A reached definition reaches every module-level function or class
+    whose name its code mentions, and every method of a reached class whose
+    name it mentions, as a call or as an attribute.  A reached class also
+    reaches its dunder methods, which Python calls for it.  A module-level
+    assignment is reached with the name it binds; the other module-level
+    statements run at import and are reached from the start.
+    """
+    defs = list(_definitions(modules))
+    bound, names = {}, set()
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in _referenced(targets) if node.value is not None else ():
+                    bound.setdefault(name, []).append(node.value)
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
+                names |= _referenced([node])
+    reached, assigned = {root}, set()
+    names |= _referenced(_runs_with(next(node for qual, _, _, node in defs if qual == root)))
+    grew = True
+    while grew:
+        grew = False
+        for qual, name, owner, node in defs:
+            if qual in reached:
+                continue
+            dunder = name.startswith("__") and name.endswith("__")
+            if owner is None and name not in names:
+                continue
+            if owner is not None and not (owner in reached and (dunder or name in names)):
+                continue
+            reached.add(qual)
+            names |= _referenced(_runs_with(node))
+            grew = True
+        for name in sorted(names & bound.keys() - assigned):
+            assigned.add(name)
+            names |= _referenced(bound[name])
+            grew = True
+    return sorted(qual for qual, *_ in defs if qual not in reached)
+
+
+# package definitions that no command reaches, each kept on purpose
+UNREACHED = {
+    "cli._Parser.error": "argparse calls it on a bad command line",
+    "linearized.LinearizedOperator.dense": "a test oracle the benchmark's tracer wraps in the package",
+    "symbols._laplace_quad": "a test oracle the benchmark's tracer wraps in the package",
+}
+
+
+def test_every_package_definition_is_reachable_from_the_cli():
+    # what only tests read belongs with the tests (tests/oracles.py, tests/drift.py)
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreachable(modules, "cli.main") == sorted(UNREACHED)
+
+
+def test_reachability_scan_sees_methods_dunders_and_module_tables():
+    package = {
+        "app": ast.parse(
+            "import lib\n"
+            "TABLE = {'run': lib.staged}\n"
+            "def main():\n"
+            "    obj = lib.K(TABLE)\n"
+            "    obj.method()\n"
+            "def unused():\n"
+            "    lib.only_tested()\n"
+            "if __name__ == '__main__':\n"
+            "    lib.at_import()\n"
+        ),
+        "lib": ast.parse(
+            "def via_method(): pass\n"
+            "def via_dunder(): pass\n"
+            "def staged(): pass\n"
+            "def at_import(): pass\n"
+            "def only_tested(): pass\n"
+            "class Hint: pass\n"
+            "class K:\n"
+            "    def __init__(self, table: Hint): via_dunder()\n"
+            "    def method(self) -> Hint: via_method()\n"
+            "    def other(self): pass\n"
+            "class Unused:\n"
+            "    def method(self): pass\n"
+        ),
+    }
+    # only_tested is named by tests alone (and by unreached code): the scan reads the package only
+    assert unreachable(package, "app.main") == [
+        "app.unused", "lib.Hint", "lib.K.other", "lib.Unused", "lib.Unused.method", "lib.only_tested",
+    ]
 
 
 def _dense_calls(tree: ast.Module) -> list:

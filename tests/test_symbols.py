@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from fracnls.renorm import stationary_point, symbol_mbeta, xi_star
-from fracnls.spectral import SpectralGrid, apply_multiplier
+from fracnls.spectral import SpectralGrid
 from fracnls.symbols import (
     ModelParams,
-    check_lower_bound,
     kernel_constants,
     kernel_pointwise,
     kernel_shift,
@@ -24,7 +22,14 @@ from fracnls.symbols import (
     _vertical_integrand_factory,
 )
 from conftest import smooth_random_profile
-from oracles import kernel_grid_samples, kernel_realaxis_quadrature, kernel_zero_value
+from drift import stationary_point, symbol_mbeta, xi_star
+from oracles import (
+    apply_multiplier,
+    check_lower_bound,
+    kernel_grid_samples,
+    kernel_realaxis_quadrature,
+    kernel_zero_value,
+)
 
 
 # -- ModelParams -------------------------------------------------------------
