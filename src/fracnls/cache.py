@@ -45,12 +45,12 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             "M": int(points),
             "method": "petviashvili",  # a constant of every key; dropping it would change every digest
             "tol": repr(float(tol)),
-            # the mass-constrained algorithm, its finish and its lambda(s):
-            # entries of the secant solver, of the Krylov solves on grid
-            # values, of the finish that transformed the grid values again,
-            # and of lambda(s) by quadrature differ in the last digits and
-            # must miss
-            "solver": "newton-minres-dft/fourier-finish/closed-form-lambda",
+            # the mass-constrained algorithm, its finish, its lambda(s) and
+            # its start: entries of the secant solver, of the Krylov solves
+            # on grid values, of the finish that transformed the grid values
+            # again, of lambda(s) by quadrature and of the fine-grid
+            # Petviashvili start differ in the last digits and must miss
+            "solver": "newton-minres-dft/fourier-finish/closed-form-lambda/coarse-start-1/8",
         },
         sort_keys=True,
     )

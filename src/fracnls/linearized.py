@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -120,6 +121,11 @@ class LinearizedOperator:
     def grid(self) -> SpectralGrid:
         return self.profile.grid
 
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The raw DFT coefficients of the profile R, transformed once per operator."""
+        return fft(self.profile.values)
+
     def apply_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         """L on raw DFT coefficients, of one field or of each column of an (M, k) block.
 
@@ -130,10 +136,6 @@ class LinearizedOperator:
         g = ifft(coeffs, axis=0)
         pointwise = _along_rows(self.v1, g) * g + _along_rows(self.w, g) * np.conj(g)
         return _along_rows(self.symbol, coeffs) * coeffs - fft(pointwise, axis=0)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """L on a complex field's grid values, through its coefficients."""
-        return ifft(self.apply_coefficients(fft(values)))
 
     def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
         """L on stacked DFT coefficients (vector or block of columns)."""
@@ -171,8 +173,7 @@ class LinearizedOperator:
 
     def kernel_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """The symmetry null directions iR and dR/dx, as raw DFT coefficients."""
-        rh = fft(self.profile.values)
-        return 1j * rh, 1j * self.grid.xi * rh
+        return 1j * self.coefficients, 1j * self.grid.xi * self.coefficients
 
     def complement_projector(self):
         """The orthogonal projector onto the complement of span{iR, dR/dx}, on stacked DFT coefficients.
@@ -219,11 +220,11 @@ class LinearizedReport:
     iterations: int  # rows of LOBPCG's residual history, start and final Rayleigh-Ritz included
 
 
-def _operator(n: int, apply):
-    """The real n x n LinearOperator of `apply`; LOBPCG also applies it to blocks of columns."""
+def _operator(n: int, action):
+    """The real n x n LinearOperator of `action`; LOBPCG also applies it to blocks of columns."""
     from scipy.sparse.linalg import LinearOperator
 
-    return LinearOperator((n, n), matvec=apply, matmat=apply, dtype=float)
+    return LinearOperator((n, n), matvec=action, matmat=action, dtype=float)
 
 
 _BLOCK = 8  # LOBPCG block width; the lowest _KEEP of its eigenpairs are reported
@@ -347,7 +348,7 @@ def bordered_solve(op: LinearizedOperator, fh: np.ndarray, mass_residual: float,
     from scipy.sparse.linalg import minres
 
     rhs = -np.append(_unitary(fh), mass_residual)
-    r = _unitary(fft(op.profile.values))
+    r = _unitary(op.coefficients)
     n = rhs.size
     project = op.complement_projector()
     schur = float(r @ op.solve_symbol_stacked(r))

@@ -1,10 +1,12 @@
 """Ground states and traveling-wave minimizers.
 
 A Petviashvili fixed-point iteration solves at a fixed multiplier; with the
-mass constrained it hands over to Newton-MINRES steps on the profile and the
-multiplier.  The solvers operate on the renormalized problem, where profiles
-have O(1) width; the exact rescalings to the other formulations are test
-helpers (tests/drift.py).  Both iterate in Fourier space, on the
+mass constrained, Newton-MINRES steps on the profile and the multiplier
+take over, started from the same solve on the coarse grid of spacing 1/8
+when the requested grid is finer (mesh sequencing), else from a
+Petviashvili hand-off.  The solvers operate on the renormalized problem,
+where profiles have O(1) width; the exact rescalings to the other
+formulations are test helpers (tests/drift.py).  Both iterate in Fourier space, on the
 raw DFT coefficients u_hat = fft(u): the symbol acts diagonally there;
 residuals, masses and pairings are sums over the coefficients (Parseval,
 sum |u|^2 = sum |u_hat|^2 / M); the padded nonlinearity maps coefficients
@@ -28,8 +30,10 @@ from .spectral import (
     Profile,
     SpectralGrid,
     fft,
+    fourier_restrict,
     ifft,
     multiplier_values,
+    pad_coefficients,
     pad_evaluate,
     quadratic_form,
     zero_pad,
@@ -184,6 +188,18 @@ _FORCING_MAX = 1e-2  # MINRES rtol = min(_FORCING_MAX, _FORCING_FACTOR * error)
 _FORCING_FACTOR = 0.1
 _NEWTON_MAX_STEPS = 10
 _MASS_TOL = 1e-11  # relative mass error at which the mass-constrained solve stops
+_COARSE_SPACING = 1.0 / 8.0  # largest spacing of the coarse level the Newton steps start from
+
+
+def _coarse_factor(grid: SpectralGrid) -> int:
+    """M over the points of the coarsest grid of length L whose spacing is at most _COARSE_SPACING.
+
+    1 when there is none coarser; a grid keeps SpectralGrid's least 16 points.
+    """
+    factor = 1
+    while grid.points // (2 * factor) >= 16 and 2 * factor * grid.h <= _COARSE_SPACING:
+        factor *= 2
+    return factor
 
 
 def petviashvili_mass_constrained(
@@ -194,37 +210,73 @@ def petviashvili_mass_constrained(
 ) -> SolveResult:
     """Solve n_N(D)R + theta R = |R|^{2s}R with the mass constraint.
 
-    One Petviashvili solve at theta = lambda(s) to residual _HANDOFF_TOL
-    brings the start into the ground-state basin; Newton steps on
-    F(R, theta) = ((n_N + theta)R - |R|^{2s}R, (sum |R|^2 - s0/h)/2) then
-    enforce both equations (Knoll & Keyes 2004), on the DFT coefficients
-    of R.  Each step solves the bordered linearization at the iterate by
+    Newton steps on F(R, theta) = ((n_N + theta)R - |R|^{2s}R,
+    (sum |R|^2 - s0/h)/2) enforce both equations (Knoll & Keyes 2004), on
+    the DFT coefficients of R.  They start from a coarse level when the
+    grid has one (mesh sequencing, Knoll & Keyes 2004, section 3): init is
+    restricted to the coarsest grid of the same length whose spacing is at
+    most _COARSE_SPACING, solved there by this function at the same tol,
+    and zero-padded back in coefficient space with its multiplier.  The
+    profile's core is O(1) wide, so the padded coarse solve usually meets
+    the stop rule on the requested grid at once; the grid's length holds
+    the algebraic tail.  Without a coarser grid, or when the coarse solve
+    raises ConvergenceError, one Petviashvili solve at theta = lambda(s)
+    to residual _HANDOFF_TOL brings the start into the ground-state basin
+    instead.  Each step solves the bordered linearization at the iterate by
     MINRES (linearized.bordered_solve, on stacked coefficients) to the forcing
     rtol min(_FORCING_MAX, _FORCING_FACTOR * error), where the error is
     the larger of the relative residual and the relative mass error.  The
-    steps stop when the residual is at most tol and the mass error at most
-    _MASS_TOL.  A MINRES failure, a step that leaves n_N + theta not
-    positive somewhere (its preconditioner would be indefinite), an iterate
-    whose symmetry directions iR and dR/dx are linearly dependent (a
-    collapsed profile, where the step's complement is undefined), an error
-    that fails to halve over two consecutive steps, or _NEWTON_MAX_STEPS
-    steps raise ConvergenceError.
-    The history holds theta, residual and mass error at every iterate and
-    the MINRES iterations of every step; `iterations` counts the
-    Petviashvili and MINRES iterations.
+    steps stop when the residual on the requested grid is at most tol and
+    the mass error at most _MASS_TOL.  A MINRES failure, a step that leaves
+    n_N + theta not positive somewhere (its preconditioner would be
+    indefinite), an iterate whose symmetry directions iR and dR/dx are
+    linearly dependent (a collapsed profile, where the step's complement is
+    undefined), an error that fails to halve over two consecutive steps, or
+    _NEWTON_MAX_STEPS steps raise ConvergenceError, whose history is the
+    log of the failing grid's steps.
+    The result's history holds theta, residual, mass error and grid points
+    at every iterate and the MINRES iterations of every step: the coarse
+    level's, then the requested grid's.  `iterations` counts the
+    Petviashvili and MINRES iterations of both levels.
     """
     s = params.s
     p = 2.0 * s + 1.0
     target = params.s0
     sig = symbol_nN(grid.xi, params)
-    sig_min = float(sig.min())
     if init is None:
         init = local_ground_state(s, params.lam, grid)
-    start = petviashvili_solve(grid, sig, params.lam, p, init, tol=_HANDOFF_TOL)
-    # the iterate lives in Fourier space: a correction added there carries
-    # roundoff relative to each mode, while one added on the grid would
-    # leave 1e-16 white noise that n_N + theta amplifies into the residual
-    uh, theta = fft(start.profile.values), params.lam
+    factor = _coarse_factor(grid)
+    start = None
+    if factor > 1:
+        coarse = SpectralGrid(grid.length, grid.points // factor)
+        try:
+            start = petviashvili_mass_constrained(
+                coarse, params, Profile(coarse, fourier_restrict(init.values, factor)), tol
+            )
+        except ConvergenceError:
+            pass  # the hand-off below starts the requested grid instead
+    if start is None:
+        start = petviashvili_solve(grid, sig, params.lam, p, init, tol=_HANDOFF_TOL)
+        # the iterate lives in Fourier space: a correction added there carries
+        # roundoff relative to each mode, while one added on the grid would
+        # leave 1e-16 white noise that n_N + theta amplifies into the residual
+        uh, theta = fft(start.profile.values), params.lam
+        history = {}
+    else:
+        uh, theta = factor * pad_coefficients(fft(start.profile.values), factor), start.multiplier
+        history = start.history
+    uh, log = _newton_steps(grid, params, sig, p, uh, theta, tol)
+    log["points"] = [grid.points] * len(log["theta"])
+    for key, value in log.items():
+        history.setdefault(key, []).extend(value)
+    total_iters = start.iterations + sum(log["minres_iterations"])
+    return _renormalized_result(grid, sig, p, target, uh, tol, total_iters, history)
+
+
+def _newton_steps(grid, params, sig, p, uh, theta, tol):
+    """Newton-MINRES steps from (uh, theta) to the stop rule: the final uh and the grid's log."""
+    target = params.s0
+    sig_min = float(sig.min())
     history = {"theta": [], "residual": [], "mass_error": [], "minres_iterations": []}
     errors = []
     for step in range(_NEWTON_MAX_STEPS + 1):
@@ -235,7 +287,7 @@ def petviashvili_mass_constrained(
         for key, value in (("theta", theta), ("residual", res), ("mass_error", mass_err)):
             history[key].append(value)
         if res <= tol and mass_err <= _MASS_TOL:
-            break
+            return uh, history
         errors.append(max(res, mass_err))
         stalled = len(errors) >= 3 and errors[-1] > 0.5 * errors[-2] and errors[-2] > 0.5 * errors[-3]
         if stalled or step == _NEWTON_MAX_STEPS:
@@ -270,8 +322,6 @@ def petviashvili_mass_constrained(
                 f"newton step {step + 1} moved theta to {theta:.3e}, where n_N + theta is not positive",
                 history,
             )
-    total_iters = start.iterations + sum(history["minres_iterations"])
-    return _renormalized_result(grid, sig, p, target, uh, tol, total_iters, history)
 
 
 def _renormalized_result(grid, sig, p, target, uh, tol, iterations, history) -> SolveResult:

@@ -21,6 +21,8 @@ test reads:
   half-plane region, and whether a tail fit's windows failed;
 - `LocalOperator`, `local_limit_operators` and `local_dense`: the
   local-limit operators L+/L-, matrix-free and as dense matrices;
+- `apply`: the linearization L on a complex field's grid values, through
+  its coefficients (the package applies it to coefficients only);
 - `constrained_solve`: L f = F on the complement of span{iR, dR/dx} by
   MINRES, the stability quotient of the uniqueness argument;
 - `apply_multiplier`, `derivative`, `lp_norm`, `sobolev_norm` and
@@ -381,6 +383,11 @@ def local_limit_operators(s: float, lam: float, grid: SpectralGrid, base: Profil
     lplus = LocalOperator(grid, lam, (2.0 * s + 1.0) * pot)
     lminus = LocalOperator(grid, lam, pot)
     return lplus, lminus
+
+
+def apply(op: LinearizedOperator, values: np.ndarray) -> np.ndarray:
+    """L on a complex field's grid values, through its coefficients."""
+    return ifft(op.apply_coefficients(fft(values)))
 
 
 def local_dense(op: LocalOperator) -> np.ndarray:

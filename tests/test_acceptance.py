@@ -48,6 +48,7 @@ from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
 from drift import convert_multipliers, scale_R_to_S, stationary_point, symbol_mbeta, tau_beta
 from oracles import (
+    apply,
     constrained_solve,
     derivative,
     descend_symbol,
@@ -242,7 +243,7 @@ def test_criterion_07_linearized_diagnostics(lin_solve, lam15):
     vec = np.concatenate([g.real, g.imag])
     vec -= cmat @ np.linalg.solve(cmat.T @ cmat, cmat.T @ vec)
     g = vec[: op.grid.points] + 1j * vec[op.grid.points :]
-    sol, _ = constrained_solve(op, Profile(op.grid, op.apply(g)))
+    sol, _ = constrained_solve(op, Profile(op.grid, apply(op, g)))
     rt = float(np.linalg.norm(sol.values - g) / np.linalg.norm(g))
     checks = linearized_checks(rep)
     shared = holds(checks, kernel_dimension=2.0, kernel_dimension_lower=2.0, correlation=0.999)

@@ -412,13 +412,47 @@ def test_newton_converges_below_the_regrid_roundoff_floor(grid_desk):
 
 
 def test_newton_history_per_step(grid_desk):
+    # two levels: the coarse grid of spacing 1/8 (512 points), then the requested one
     res = petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.1))
     hist = res.history
-    steps = len(hist["minres_iterations"])
-    assert 1 <= steps <= 3
-    assert len(hist["theta"]) == len(hist["residual"]) == len(hist["mass_error"]) == steps + 1
-    assert hist["residual"][-1] <= 1e-10 and hist["mass_error"][-1] <= 1e-11
+    points = hist["points"]
+    levels = (512, grid_desk.points)
+    assert len(hist["theta"]) == len(hist["residual"]) == len(hist["mass_error"]) == len(points)
+    assert points == [levels[0]] * points.count(levels[0]) + [levels[1]] * points.count(levels[1])
+    steps = [points.count(m) - 1 for m in levels]  # each level logs its start and every step's iterate
+    assert min(steps) >= 0 and len(hist["minres_iterations"]) == sum(steps)
+    assert 1 <= sum(steps) <= 3
+    for last in (steps[0], len(points) - 1):  # each level ends on its stop rule
+        assert hist["residual"][last] <= 1e-10 and hist["mass_error"][last] <= 1e-11
     assert res.iterations > sum(hist["minres_iterations"])  # plus the Petviashvili hand-off
+
+
+@pytest.mark.parametrize(
+    "s,n,grid_spec,path",
+    [
+        (1.3, 0.1, (64.0, 4096), "no fine step"),
+        (1.1, 0.05, (64.0, 4096), "fallback"),  # the coarse solve fails; the fine hand-off converges
+        (1.5, 2.4, (256.0, 16384), "no fine step"),  # the largest mass the README grid solves at s = 1.5
+    ],
+)
+def test_coarse_start_matches_the_fine_handoff(monkeypatch, s, n, grid_spec, path):
+    grid = SpectralGrid(*grid_spec)
+    params = ModelParams(s, n)
+    sequenced = petviashvili_mass_constrained(grid, params)
+    monkeypatch.setattr(solvers, "_COARSE_SPACING", 0.0)  # no coarser level: the fine hand-off alone
+    fine = petviashvili_mass_constrained(grid, params)
+    for res in (sequenced, fine):
+        assert res.converged and res.residual <= 1e-10
+    assert set(fine.history["points"]) == {grid.points}
+    points = sequenced.history["points"]
+    if path == "fallback":
+        assert set(points) == {grid.points} and sequenced.multiplier == fine.multiplier  # the same path
+    else:
+        assert points[0] == 8 * grid.length and points.count(grid.points) == 1  # spacing 1/8
+    assert abs(sequenced.multiplier - fine.multiplier) <= 1e-9 * abs(fine.multiplier)
+    a = gauge_fix(sequenced.profile).values
+    b = gauge_fix(fine.profile).values
+    assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize(
