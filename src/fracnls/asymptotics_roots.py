@@ -33,9 +33,13 @@ def n_series(z, s: float):
     The direct formula cancels to O(z^2) and loses ~|eps/z| relative digits,
     which is visible in the multiplier at small kappa.
     """
-    acc = np.zeros_like(z)
+    # Horner's rule, in place on an array (no temporaries, the same roundings);
+    # z * 0.0 keeps z's type, so a Python complex keeps scalar arithmetic,
+    # whose complex products round unlike numpy's array loops
+    acc = z * 0.0
     for c in reversed(binomial_tail_coeffs(s)):
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc * z * z
 
 

@@ -48,9 +48,10 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             # the mass-constrained algorithm, its finish, its lambda(s) and
             # its start: entries of the secant solver, of the Krylov solves
             # on grid values, of the finish that transformed the grid values
-            # again, of lambda(s) by quadrature and of the fine-grid
-            # Petviashvili start differ in the last digits and must miss
-            "solver": "newton-minres-dft/fourier-finish/closed-form-lambda/coarse-start-1/8",
+            # again, of lambda(s) by quadrature, of the fine-grid
+            # Petviashvili start and of the finish that padded the
+            # nonlinearity again differ in the last digits and must miss
+            "solver": "newton-minres-dft/fourier-finish/closed-form-lambda/coarse-start-1/8/parseval-finish",
         },
         sort_keys=True,
     )

@@ -12,9 +12,13 @@ residuals, masses and pairings are sums over the coefficients (Parseval,
 sum |u|^2 = sum |u_hat|^2 / M); the padded nonlinearity maps coefficients
 to coefficients; and a Newton correction is added to u_hat as it comes
 out of the Krylov solve, with no transform.  Grid values are formed only
-where a pointwise potential or the returned profile needs them.  The
-secant loop on the multiplier and the mass-projected descent that
-cross-check them are test oracles in tests/oracles.py.
+where a pointwise potential or the returned profile needs them.  A solve
+ends from the nonlinearity its last residual check padded: the energy is
+a coefficient sum (integral |u|^{p+1} = (h/M) Re sum w_hat conj(u_hat)),
+and the mass renormalization by c scales that nonlinearity by c^p, so the
+finish makes one transform, for the returned profile.  The secant loop on
+the multiplier, the mass-projected descent and the energy functional on
+grid values that cross-check them are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .spectral import (
     multiplier_values,
     pad_coefficients,
     pad_evaluate,
-    quadratic_form,
-    zero_pad,
 )
 from .symbols import ModelParams, symbol_nN
 
@@ -47,7 +49,6 @@ __all__ = [
     "petviashvili_solve",
     "petviashvili_mass_constrained",
     "fractional_ground_state",
-    "functional_energy",
 ]
 
 
@@ -84,19 +85,14 @@ def _nonlinear_term(coeffs: np.ndarray, p: float) -> np.ndarray:
     return pad_evaluate(coeffs, fn)
 
 
-def _power_integral(grid: SpectralGrid, values: np.ndarray, p: float) -> float:
-    """integral |u|^{p+1} with the same padded quadrature as the nonlinearity."""
-    return float(grid.h / 2.0 * np.sum(np.abs(zero_pad(values, 2)) ** (p + 1.0)))
+def _parseval_energy(grid: SpectralGrid, quad: float, den: float, p: float) -> float:
+    """E(u) = 1/2 <u, sigma(D) u> - (1/(p+1)) integral |u|^{p+1} from coefficient sums.
 
-
-def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -> float:
-    """E(u) = 1/2 <u, sigma(D) u> - (1/(p+1)) integral |u|^{p+1}.
-
-    With sigma = n_N this is the renormalized energy; with sigma = n it is
-    the beta-independent energy; with sigma = |xi|^2 the local one.
+    quad = sum sigma |u_hat|^2 and den = Re sum w_hat conj(u_hat), with w_hat
+    the padded nonlinearity of u_hat: by Parseval on the twice finer grid,
+    den is M/h times the padded quadrature of integral |u|^{p+1}.
     """
-    quad = quadratic_form(Profile(grid, values), sigma)
-    return 0.5 * quad - _power_integral(grid, values, p) / (p + 1.0)
+    return grid.h / grid.points * (0.5 * quad - den / (p + 1.0))
 
 
 def local_ground_state(s: float, lam: float, grid: SpectralGrid) -> Profile:
@@ -169,11 +165,11 @@ def petviashvili_solve(
         # a residual can pass spuriously mid-collapse onto near-null symbol
         # modes; genuine fixed points also drive the stabilization to 1
         if res <= tol and abs(m_fac - 1.0) <= 1e-6:
-            u = ifft(uh)
-            prof = Profile(grid, u)
-            energy = functional_energy(grid, u, sig, p)
+            quad = float(np.sum(sig * np.abs(uh) ** 2))
+            den = float(np.real(np.sum(wh * np.conj(uh))))
+            energy = _parseval_energy(grid, quad, den, p)
             return SolveResult(
-                prof, float(theta), res, energy, it, True,
+                Profile(grid, ifft(uh)), float(theta), res, energy, it, True,
                 stabilization=m_fac, history={"M": m_hist, "residual": res_hist},
             )
     raise ConvergenceError(
@@ -265,29 +261,33 @@ def petviashvili_mass_constrained(
     else:
         uh, theta = factor * pad_coefficients(fft(start.profile.values), factor), start.multiplier
         history = start.history
-    uh, log = _newton_steps(grid, params, sig, p, uh, theta, tol)
+    uh, wh, log = _newton_steps(grid, params, sig, p, uh, theta, tol)
     log["points"] = [grid.points] * len(log["theta"])
     for key, value in log.items():
         history.setdefault(key, []).extend(value)
     total_iters = start.iterations + sum(log["minres_iterations"])
-    return _renormalized_result(grid, sig, p, target, uh, tol, total_iters, history)
+    return _renormalized_result(grid, sig, p, target, uh, wh, tol, total_iters, history)
 
 
 def _newton_steps(grid, params, sig, p, uh, theta, tol):
-    """Newton-MINRES steps from (uh, theta) to the stop rule: the final uh and the grid's log."""
+    """Newton-MINRES steps from (uh, theta) to the stop rule.
+
+    Returns the final uh, its padded nonlinearity (the last residual's) and the grid's log.
+    """
     target = params.s0
     sig_min = float(sig.min())
     history = {"theta": [], "residual": [], "mass_error": [], "minres_iterations": []}
     errors = []
     for step in range(_NEWTON_MAX_STEPS + 1):
-        fh = (sig + theta) * uh - _nonlinear_term(uh, p)
+        wh = _nonlinear_term(uh, p)
+        fh = (sig + theta) * uh - wh
         sq = float(np.sum(np.abs(uh) ** 2)) / grid.points  # sum |u|^2, by Parseval
         res = float(np.linalg.norm(fh) / math.sqrt(grid.points * sq))
         mass_err = abs(grid.h * sq - target) / target
         for key, value in (("theta", theta), ("residual", res), ("mass_error", mass_err)):
             history[key].append(value)
         if res <= tol and mass_err <= _MASS_TOL:
-            return uh, history
+            return uh, wh, history
         errors.append(max(res, mass_err))
         stalled = len(errors) >= 3 and errors[-1] > 0.5 * errors[-2] and errors[-2] > 0.5 * errors[-3]
         if stalled or step == _NEWTON_MAX_STEPS:
@@ -324,27 +324,31 @@ def _newton_steps(grid, params, sig, p, uh, theta, tol):
             )
 
 
-def _renormalized_result(grid, sig, p, target, uh, tol, iterations, history) -> SolveResult:
-    # exact renormalization, then report the Rayleigh multiplier; at that
-    # multiplier the residual is L2-orthogonal to the profile, so the
-    # stabilization functional evaluates to 1 up to roundoff.  The Fourier
-    # iterate uh is scaled and paired by Parseval, not transformed again
-    # from the grid values: that transform's white roundoff, lifted by
-    # n_N + theta, would floor the residual (about 1.2e-11 at s = 1.3, N = 0.1)
+def _renormalized_result(grid, sig, p, target, uh, wh, tol, iterations, history) -> SolveResult:
+    """The result at uh, scaled to the target mass, from uh and its padded nonlinearity wh.
+
+    Exact renormalization by c > 0, then the Rayleigh multiplier; at that
+    multiplier the residual is L2-orthogonal to the profile, so the
+    stabilization functional evaluates to 1 up to roundoff.  Since
+    |cu|^{p-1} cu = c^p |u|^{p-1} u, wh scales with c^p and is not padded
+    again; the energy is a coefficient sum (_parseval_energy), and the one
+    transform forms the returned profile.  The Fourier iterate uh is scaled
+    and paired by Parseval, not transformed again from the grid values:
+    that transform's white roundoff, lifted by n_N + theta, would floor the
+    residual (about 1.2e-11 at s = 1.3, N = 0.1).
+    """
+    c = math.sqrt(grid.points * target / (grid.h * float(np.sum(np.abs(uh) ** 2))))
+    uh = uh * c
+    wh = wh * c**p
     sq = float(np.sum(np.abs(uh) ** 2))
-    uh = uh * math.sqrt(grid.points * target / (grid.h * sq))
-    sq = float(np.sum(np.abs(uh) ** 2))
-    wh = _nonlinear_term(uh, p)
-    # theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity
-    theta = float(np.real(np.sum((wh - sig * uh) * np.conj(uh))) / sq)
-    res = float(np.linalg.norm((sig + theta) * uh - wh) / math.sqrt(sq))
-    vals = ifft(uh)
-    energy = functional_energy(grid, vals, sig, p)
-    num = float(np.real(np.sum((sig + theta) * np.abs(uh) ** 2)))
+    quad = float(np.sum(sig * np.abs(uh) ** 2))
     den = float(np.real(np.sum(wh * np.conj(uh))))
+    # theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity
+    theta = (den - quad) / sq
+    res = float(np.linalg.norm((sig + theta) * uh - wh) / math.sqrt(sq))
     return SolveResult(
-        Profile(grid, vals), theta, res, energy, iterations, res <= 10 * tol,
-        stabilization=num / den, history=history,
+        Profile(grid, ifft(uh)), theta, res, _parseval_energy(grid, quad, den, p), iterations,
+        res <= 10 * tol, stabilization=(quad + theta * sq) / den, history=history,
     )
 
 

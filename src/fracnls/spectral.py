@@ -1,13 +1,14 @@
 """Periodic Fourier pseudospectral discretization of the line.
 
-Grids, transforms, symbol values, the quadratic form, translation and
-zero padding used by every other module.  The Fourier convention is fixed
-once, here: the forward transform carries the kernel e^{-i xi x}/sqrt(2 pi),
-so spectral constants derived in that convention apply verbatim.  The
-trapezoid rule on the periodic grid is the single quadrature used for
-masses and energies.  Multiplier application, L^p and Sobolev norms, the
-derivative and spectral refinement, which only tests read, are test
-oracles in tests/oracles.py.
+Grids, transforms, symbol values, translation, and the zero padding and
+restriction of Fourier coefficients used by every other module.  The
+Fourier convention is fixed once, here: the forward transform carries the
+kernel e^{-i xi x}/sqrt(2 pi), so spectral constants derived in that
+convention apply verbatim.  The trapezoid rule on the periodic grid is the
+single quadrature used for masses and energies.  The quadratic form and
+zero padding of grid values, multiplier application, L^p and Sobolev
+norms, the derivative and spectral refinement, which only tests read, are
+test oracles in tests/oracles.py.
 The solvers and the linearization iterate on raw DFT coefficients
 (`fft` of the grid values); the padded nonlinearity `pad_evaluate` maps
 such coefficients to coefficients, so each application costs one inverse
@@ -111,12 +112,6 @@ def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
     return vals
 
 
-def quadratic_form(u: Profile, sigma) -> float:
-    """<u, sigma(D) u> for a real symbol, by Parseval: (h/M) sum sigma |fft u|^2."""
-    vals = multiplier_values(u.grid, sigma)
-    return u.grid.h / u.grid.points * float(np.sum(vals * np.abs(fft(u.values)) ** 2))
-
-
 def translate(u: Profile, a: float) -> Profile:
     """u(. - a), exact for band-limited fields (fractional shifts allowed)."""
     shift = np.exp(-1j * u.grid.xi * a)
@@ -141,20 +136,11 @@ def _truncate_coefficients(coeffs: np.ndarray, points: int) -> np.ndarray:
     return np.concatenate([coeffs[: points // 2], coeffs[-points // 2 :]])
 
 
-def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
-    """Samples of the band-limited interpolant on a factor-times finer grid.
-
-    The spectrum is zero-padded above the source Nyquist; the scaling keeps
-    the sampled values, so band-limited fields are reproduced exactly.
-    """
-    return ifft(pad_coefficients(fft(values), factor)) * factor
-
-
 def fourier_restrict(values: np.ndarray, factor: int) -> np.ndarray:
     """Samples of the lowest modes on a factor-times coarser grid.
 
-    The modes zero_pad keeps, coarse Nyquist included, are kept and the
-    rest dropped, so this is the exact left inverse of zero_pad.
+    The modes pad_coefficients keeps, coarse Nyquist included, are kept and
+    the rest dropped, so this is the exact left inverse of zero padding.
     """
     return ifft(_truncate_coefficients(fft(values), values.shape[0] // factor)) / factor
 

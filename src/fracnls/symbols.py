@@ -90,8 +90,9 @@ def symbol_n(xi, s: float):
     xi = np.asarray(xi, dtype=float)
     direct = np.abs(xi + 1.0) ** s - s * xi - 1.0
     small = np.abs(xi) <= 0.5
-    if np.any(small):
-        direct = np.where(small, n_series(np.where(small, xi, 0.0), s), direct)
+    if direct.ndim == 0:  # a 0-d result is a numpy scalar, which takes no item assignment
+        return n_series(xi, s) if small else direct
+    direct[small] = n_series(xi[small], s)  # the series runs on the small entries alone
     return direct
 
 

@@ -4,6 +4,10 @@ None of these has a caller in the package.  Each reproduces a quantity the
 package computes another way, or measures what only a criterion or a module
 test reads:
 
+- `functional_energy`: the energy E(u) = 1/2 <u, sigma(D) u> -
+  integral |u|^{p+1}/(p+1) of grid values, by a fresh transform and a
+  padded power integral (the solvers sum it from the coefficients and the
+  nonlinearity they already hold);
 - `secant_mass_constrained`: the mass constraint by a secant loop on the
   multiplier over full Petviashvili solves (the production solver takes
   Newton-MINRES steps);
@@ -15,6 +19,10 @@ test reads:
   QUADPACK on the real axis (the package deforms the contour);
 - `kernel_grid_samples`: the periodized kernel m_N sampled on a grid by the
   inverse transform of its symbol;
+- `symbol_n_where` and `n_series_out_of_place`: the symbol n with its
+  small-argument series run on the whole array and chosen by np.where, by
+  an out-of-place Horner loop (the package runs the series in place, on
+  the small arguments alone);
 - `check_lower_bound`: the lower bound of the symbol n with its explicit
   constant C(A);
 - `in_region` and `window_failure`: whether a root of f1 lies in its
@@ -25,9 +33,10 @@ test reads:
   its coefficients (the package applies it to coefficients only);
 - `constrained_solve`: L f = F on the complement of span{iR, dR/dx} by
   MINRES, the stability quotient of the uniqueness argument;
-- `apply_multiplier`, `derivative`, `lp_norm`, `sobolev_norm` and
-  `spectral_refine`: Fourier multipliers, norms and spectral refinement on
-  grid values;
+- `quadratic_form`, `zero_pad`, `apply_multiplier`, `derivative`,
+  `lp_norm`, `sobolev_norm` and `spectral_refine`: the quadratic form,
+  Fourier multipliers, norms, zero padding and spectral refinement on grid
+  values;
 - `spectral_interpolate`: the band-limited interpolant summed directly
   as a Fourier series (the package translates by a spectral phase), from
   the continuum-normalized coefficients of `fourier_coefficients`.
@@ -49,6 +58,7 @@ from scipy.linalg import circulant
 from scipy.sparse.linalg import LinearOperator, minres
 
 from fracnls.asymptotics import RootResult, TailFit
+from fracnls.asymptotics_roots import binomial_tail_coeffs
 from fracnls.linearized import LinearizedOperator
 from fracnls.solvers import (
     _MASS_TOL,
@@ -56,7 +66,6 @@ from fracnls.solvers import (
     SolveResult,
     _nonlinear_term,
     _renormalized_result,
-    functional_energy,
     local_ground_state,
     petviashvili_solve,
 )
@@ -67,8 +76,7 @@ from fracnls.spectral import (
     fft,
     ifft,
     multiplier_values,
-    quadratic_form,
-    zero_pad,
+    pad_coefficients,
 )
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from drift import scale_R_to_S
@@ -81,6 +89,24 @@ _LOWER_BOUND_SAMPLES = 4001
 _MINRES_RTOL = 1e-13  # constrained_solve's tolerance
 _MINRES_MAXITER = 1000
 _OVERLAP_TOL = 1e-8  # removed symmetry part, relative to the right-hand side, that counts as a projection
+
+
+# -- the energy functional on grid values ---------------------------------------
+
+
+def _power_integral(grid: SpectralGrid, values: np.ndarray, p: float) -> float:
+    """integral |u|^{p+1} with the same padded quadrature as the nonlinearity."""
+    return float(grid.h / 2.0 * np.sum(np.abs(zero_pad(values, 2)) ** (p + 1.0)))
+
+
+def functional_energy(grid: SpectralGrid, values: np.ndarray, sigma, p: float) -> float:
+    """E(u) = 1/2 <u, sigma(D) u> - (1/(p+1)) integral |u|^{p+1}.
+
+    With sigma = n_N this is the renormalized energy; with sigma = n it is
+    the beta-independent energy; with sigma = |xi|^2 the local one.
+    """
+    quad = quadratic_form(Profile(grid, values), sigma)
+    return 0.5 * quad - _power_integral(grid, values, p) / (p + 1.0)
 
 
 # -- solvers -------------------------------------------------------------------
@@ -205,8 +231,9 @@ def secant_mass_constrained(
             f"mass constraint not met: |mass - target| = {abs(m_cur - target):.3e}"
         )
     total_iters = sum(r.iterations for r in solves)
+    uh = fft(r_cur.profile.values)
     return _renormalized_result(
-        grid, sig, p, target, fft(r_cur.profile.values), _SECANT_TOL, total_iters,
+        grid, sig, p, target, uh, _nonlinear_term(uh, p), _SECANT_TOL, total_iters,
         {"outer_thetas": [r.multiplier for r in solves]},
     )
 
@@ -260,6 +287,27 @@ def el_residual(grid: SpectralGrid, values: np.ndarray, sigma, theta: float, p: 
 
 
 # -- symbols and the kernel's analysis ------------------------------------------
+
+
+def n_series_out_of_place(z, s: float):
+    """n_series with a fresh array per Horner step: the form the package evaluates in place."""
+    acc = np.zeros_like(z)
+    for c in reversed(binomial_tail_coeffs(s)):
+        acc = acc * z + c
+    return acc * z * z
+
+
+def symbol_n_where(xi, s: float):
+    """symbol_n with the series run on the whole array and chosen by np.where.
+
+    The package runs it on the |xi| <= 1/2 entries alone; both give the same bits.
+    """
+    xi = np.asarray(xi, dtype=float)
+    direct = np.abs(xi + 1.0) ** s - s * xi - 1.0
+    small = np.abs(xi) <= 0.5
+    if np.any(small):
+        direct = np.where(small, n_series_out_of_place(np.where(small, xi, 0.0), s), direct)
+    return direct
 
 
 def check_lower_bound(A: float, s: float) -> tuple[float, bool]:
@@ -462,6 +510,12 @@ def apply_multiplier(u: Profile, sigma) -> Profile:
     return Profile(u.grid, ifft(vals * fft(u.values)))
 
 
+def quadratic_form(u: Profile, sigma) -> float:
+    """<u, sigma(D) u> for a real symbol, by Parseval: (h/M) sum sigma |fft u|^2."""
+    vals = multiplier_values(u.grid, sigma)
+    return u.grid.h / u.grid.points * float(np.sum(vals * np.abs(fft(u.values)) ** 2))
+
+
 def lp_norm(u: Profile, p: float) -> float:
     return float((u.grid.h * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
 
@@ -473,6 +527,15 @@ def sobolev_norm(u: Profile, r: float) -> float:
 
 def derivative(u: Profile) -> Profile:
     return apply_multiplier(u, 1j * u.grid.xi)
+
+
+def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
+    """Samples of the band-limited interpolant on a factor-times finer grid.
+
+    The spectrum is zero-padded above the source Nyquist; the scaling keeps
+    the sampled values, so band-limited fields are reproduced exactly.
+    """
+    return ifft(pad_coefficients(fft(values), factor)) * factor
 
 
 def spectral_refine(u: Profile, factor: int) -> Profile:

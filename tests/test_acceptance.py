@@ -38,12 +38,11 @@ from fracnls.linearized import build_linearized, kernel_diagnostics
 from fracnls.renorm import gauge_fix
 from fracnls.solvers import (
     fractional_ground_state,
-    functional_energy,
     local_ground_state,
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, SpectralGrid, quadratic_form
+from fracnls.spectral import Profile, SpectralGrid
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
 from drift import convert_multipliers, scale_R_to_S, stationary_point, symbol_mbeta, tau_beta
@@ -53,8 +52,10 @@ from oracles import (
     derivative,
     descend_symbol,
     el_residual,
+    functional_energy,
     local_limit_operators,
     lp_norm,
+    quadratic_form,
     sobolev_norm,
 )
 

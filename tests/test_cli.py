@@ -459,9 +459,10 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
 
 def test_cache_key_digest_is_stable():
     # the digest of the entries written by the Newton-MINRES solver on DFT
-    # coefficients with the Fourier-space finish, the closed-form lambda(s)
-    # and the start from the coarse grid of spacing 1/8
-    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "f057c8b250756d5a51927611"
+    # coefficients with the Fourier-space finish, the closed-form lambda(s),
+    # the start from the coarse grid of spacing 1/8 and the finish from the
+    # last residual's nonlinearity, with the energy by Parseval
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "def0e758672582222069c274"
 
 
 def test_cache_replay_identical(tmp_path):

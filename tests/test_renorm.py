@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracnls.renorm import gauge_fix
-from fracnls.solvers import functional_energy
 from fracnls.spectral import Profile, SpectralGrid, translate
 from fracnls.symbols import ModelParams, symbol_n
 from conftest import S_DEFAULT, smooth_random_profile
@@ -24,6 +23,7 @@ from drift import (
     tau_beta_inverse,
     xi_star,
 )
+from oracles import functional_energy
 
 # beta = s/2 makes xi* = 1; the 20 pi torus keeps the drift phase on-lattice
 BETA_UNIT = 0.75

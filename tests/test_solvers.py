@@ -8,16 +8,23 @@ from fracnls.renorm import gauge_fix
 from fracnls.solvers import (
     ConvergenceError,
     fractional_ground_state,
-    functional_energy,
     local_ground_state,
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, SpectralGrid, pad_evaluate, quadratic_form
+from fracnls.spectral import Profile, SpectralGrid, fft, pad_evaluate
 from fracnls.symbols import ModelParams, lambda_of_s, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, SOLVE_TOL, count_transforms, smooth_random_profile
 from drift import scale_R_to_S
-from oracles import descend_symbol, el_residual, gradient_flow_minimize, lp_norm, secant_mass_constrained
+from oracles import (
+    descend_symbol,
+    el_residual,
+    functional_energy,
+    gradient_flow_minimize,
+    lp_norm,
+    quadratic_form,
+    secant_mass_constrained,
+)
 
 
 # -- the closed form is verified before use ----------------------------------
@@ -425,6 +432,59 @@ def test_newton_history_per_step(grid_desk):
     for last in (steps[0], len(points) - 1):  # each level ends on its stop rule
         assert hist["residual"][last] <= 1e-10 and hist["mass_error"][last] <= 1e-11
     assert res.iterations > sum(hist["minres_iterations"])  # plus the Petviashvili hand-off
+
+
+def test_mass_constrained_solve_finishes_with_one_padded_nonlinearity(monkeypatch):
+    # on the README grid the padded coarse solve meets the stop rule at once: the
+    # requested grid sees the restriction of the start and the profile's transform
+    # (length M) and the residual check's padded nonlinearity (length 2M), no more
+    grid = SpectralGrid(256.0, 16384)
+    lengths = count_transforms(monkeypatch)
+    res = petviashvili_mass_constrained(grid, ModelParams(1.5, 0.1))
+    assert res.converged
+    assert (lengths.count(grid.points), lengths.count(2 * grid.points)) == (2, 2)
+
+
+def _rayleigh_multiplier(grid, values, sig, p):
+    """<w - sigma(D)u, u> / <u, u>, with w from a fresh padded nonlinearity of the profile's coefficients."""
+    uh = fft(values)
+    wh = solvers._nonlinear_term(uh, p)
+    return float(np.real(np.sum((wh - sig * uh) * np.conj(uh))) / np.sum(np.abs(uh) ** 2))
+
+
+def test_finish_matches_the_grid_value_oracles(petviashvili_path, grid_main, lin_solve):
+    # the energy as coefficient sums and theta from the scaled nonlinearity agree with
+    # the energy functional and the Rayleigh quotient recomputed from the returned profile
+    cases = [(grid_main, ModelParams(S_DEFAULT, n), res) for n, res in petviashvili_path.items()]
+    cases.append((lin_solve["grid"], lin_solve["params"], lin_solve["result"]))
+    for grid, params, res in cases:
+        sig = symbol_nN(grid.xi, params)
+        p = 2.0 * params.s + 1.0
+        oracle = functional_energy(grid, res.profile.values, sig, p)
+        assert abs(res.energy - oracle) <= 1e-14 * abs(oracle)
+        theta = _rayleigh_multiplier(grid, res.profile.values, sig, p)
+        assert abs(res.multiplier - theta) <= 1e-14 * abs(theta)
+
+
+def test_petviashvili_energy_matches_the_energy_functional(monkeypatch):
+    # at a fractional_ground_state solve; by the Pohozaev identities the energy
+    # vanishes in the continuum, so the bound is relative to the kinetic term
+    solved = []
+
+    def keep(*args, **kwargs):
+        solved.append(petviashvili_solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(solvers, "petviashvili_solve", keep)
+    s = S_DEFAULT
+    fractional_ground_state(s, SpectralGrid(128.0, 2048))
+    (res,) = solved
+    grid = res.profile.grid
+    sig = np.abs(grid.xi) ** s
+    oracle = functional_energy(grid, res.profile.values, sig, 2.0 * s + 1.0)
+    kinetic = 0.5 * quadratic_form(res.profile, sig)
+    assert abs(res.energy - oracle) <= 1e-14 * kinetic
+    assert abs(res.energy) <= 1e-4 * kinetic
 
 
 @pytest.mark.parametrize(

@@ -17,17 +17,17 @@ from fracnls.spectral import (
     fft,
     fourier_restrict,
     ifft,
-    quadratic_form,
     translate,
-    zero_pad,
 )
 from conftest import smooth_random_profile
 from oracles import (
     apply_multiplier,
     fourier_coefficients,
     lp_norm,
+    quadratic_form,
     sobolev_norm,
     spectral_interpolate,
+    zero_pad,
 )
 
 

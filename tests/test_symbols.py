@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from fracnls.asymptotics_roots import n_series
 from fracnls.spectral import SpectralGrid
 from fracnls.symbols import (
     ModelParams,
@@ -29,6 +30,8 @@ from oracles import (
     kernel_grid_samples,
     kernel_realaxis_quadrature,
     kernel_zero_value,
+    n_series_out_of_place,
+    symbol_n_where,
 )
 
 
@@ -81,6 +84,26 @@ def test_n_series_matches_direct_form():
     xi = np.linspace(0.2, 0.5, 64)
     direct = np.abs(xi + 1.0) ** 1.5 - 1.5 * xi - 1.0
     assert np.allclose(symbol_n(xi, 1.5), direct, rtol=1e-12)
+
+
+def test_symbol_n_matches_the_where_form_bitwise():
+    # the series on the small entries alone, in place, gives the bits of the series on the whole array
+    rng = np.random.default_rng(11)
+    mixed = np.concatenate(
+        [rng.uniform(-0.5, 0.5, 600), rng.uniform(-60.0, 60.0, 600), [0.0, 0.5, -0.5, np.nextafter(0.5, 1.0), -1.0, -2.0]]
+    )
+    rng.shuffle(mixed)
+    readme_xi = ModelParams(1.5, 0.1).kappa * SpectralGrid(256.0, 16384).xi  # n_N's argument on the README grid
+    for s in (1.1, 1.3, 1.5, 1.79):
+        for xi in (mixed, 1e-3 * mixed, readme_xi, mixed.reshape(2, -1)):
+            assert symbol_n(xi, s).tobytes() == symbol_n_where(xi, s).tobytes()
+        for x in (0.0, 0.25, -0.5, 0.5000001, -3.0, 40.0):
+            got, want = symbol_n(x, s), symbol_n_where(x, s)
+            assert np.ndim(got) == 0
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        disc = 0.5 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+        for z in [0.3 + 0.2j, -0.5 + 0j, 1e-4j, *disc]:  # n_analytic's scalar path
+            assert n_series(complex(z), s) == complex(n_series_out_of_place(complex(z), s))
 
 
 def test_n_rejects_bad_s():
