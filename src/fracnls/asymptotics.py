@@ -176,11 +176,17 @@ def _log_linear_fit(t: np.ndarray, values: np.ndarray, fields: str) -> tuple[flo
 
 
 def _oscillation_frequency(params: ModelParams, theta: float, x0: float) -> float:
-    """Phase slope of the kernel's branch-cut part over nine points from x0, resolving 2 pi kappa."""
-    dx = math.pi * params.kappa / 4.0
-    cluster = x0 + dx * np.arange(9)
-    phases = np.unwrap(np.angle(kernel_pointwise(cluster, params, theta, parts=True)[2]))
-    return abs(float(np.polyfit(cluster, phases, 1)[0]))
+    """Phase slope of the kernel's branch-cut part over nine points from x0, resolving 2 pi kappa.
+
+    Abscissae that round together (spacing below an ulp of x0) make the
+    slope noise, so they raise a one-line RuntimeError naming the field.
+    """
+    offsets = math.pi * params.kappa / 4.0 * np.arange(9)
+    if (distinct := np.unique(x0 + offsets).size) < offsets.size:
+        raise RuntimeError(f"oscillation_frequency: x0 = {x0:.6g} rounds the nine abscissae to {distinct} points")
+    phases = np.unwrap(np.angle(kernel_pointwise(x0 + offsets, params, theta, parts=True)[2]))
+    # fitted against the offsets: x0 reaches 4.5e5, where abscissae near x0 condition the fit poorly
+    return abs(float(np.polyfit(offsets, phases, 1)[0]))
 
 
 def kernel_expansion_check(params: ModelParams, theta: float) -> dict:

@@ -11,6 +11,8 @@ The raw DFT is sqrt(M) times a unitary map, which acts on stacked
 coordinates as an orthogonal one, so the operator stays symmetric, its
 spectrum and eigen-residuals are those on grid values, and preconditioned
 MINRES takes the same iterates in exact arithmetic (Paige & Saunders 1975).
+An operator takes R's raw DFT coefficients and n_N's values from its
+caller (a Newton step passes those it holds) and keeps the coefficients.
 Eigenanalysis, the two symmetry null directions, coercivity diagnostics
 and the bordered solve of the solver's Newton steps live here.  Both run
 matrix-free (LOBPCG and MINRES, preconditioned by the inverse of the
@@ -27,19 +29,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spectral import (
-    Profile,
-    SpectralGrid,
-    fft,
-    fourier_restrict,
-    ifft,
-    pad_coefficients,
-)
+from .spectral import SpectralGrid, fft, ifft, pad_coefficients, truncate_coefficients
 from .symbols import ModelParams, symbol_nN
 
 if TYPE_CHECKING:  # solvers builds its Newton steps on this module
@@ -93,38 +87,32 @@ class LinearizedOperator:
     """L f = n_N(D) f + theta f - (s+1)|R|^{2s} f - s |R|^{2s-2} R^2 conj(f)."""
 
     params: ModelParams
-    profile: Profile
+    grid: SpectralGrid
+    coefficients: np.ndarray = field(repr=False)  # the raw DFT coefficients of R
     theta: float
     symbol: np.ndarray = field(repr=False)  # n_N + theta on the grid frequencies
     v1: np.ndarray = field(repr=False)  # (s+1)|R|^{2s}
     w: np.ndarray = field(repr=False)  # s |R|^{2s-2} R^2 (conjugation coupling)
 
     @classmethod
-    def at(cls, params: ModelParams, profile: Profile, theta: float) -> "LinearizedOperator":
-        """The linearization around any profile and multiplier, converged or not."""
+    def at(cls, params: ModelParams, grid: SpectralGrid, coefficients: np.ndarray, sig: np.ndarray,
+           theta: float) -> "LinearizedOperator":
+        """The linearization around R and theta, converged or not, from R's raw DFT coefficients and n_N on grid."""
         s = params.s
-        r = profile.values
+        r = ifft(coefficients)
         absr = np.abs(r)
         pow2s = np.where(absr > 0.0, absr ** (2.0 * s), 0.0)
         # |R|^{2s-2} R^2 = |R|^{2s} (R/|R|)^2, continuous (-> 0) at zeros of R
         phase2 = np.where(absr > 0.0, (r / np.where(absr > 0.0, absr, 1.0)) ** 2, 0.0)
         return cls(
             params=params,
-            profile=profile,
+            grid=grid,
+            coefficients=coefficients,
             theta=theta,
-            symbol=symbol_nN(profile.grid.xi, params) + theta,
+            symbol=sig + theta,
             v1=(s + 1.0) * pow2s,
             w=s * pow2s * phase2,
         )
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.profile.grid
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The raw DFT coefficients of the profile R, transformed once per operator."""
-        return fft(self.profile.values)
 
     def apply_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         """L on raw DFT coefficients, of one field or of each column of an (M, k) block.
@@ -206,7 +194,9 @@ def build_linearized(result: SolveResult, params: ModelParams) -> LinearizedOper
     """
     if not result.converged:
         raise RuntimeError(f"linearization needs a converged solve (residual {result.residual:.3e})")
-    return LinearizedOperator.at(params, result.profile, result.multiplier)
+    grid = result.profile.grid
+    sig = symbol_nN(grid.xi, params)
+    return LinearizedOperator.at(params, grid, fft(result.profile.values), sig, result.multiplier)
 
 
 @dataclass
@@ -240,17 +230,17 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
     """The _BLOCK lowest eigenvectors of the same linearization on a coarse grid, on op's grid.
 
     The coarse grid has the same length and _COARSE_POINTS points (op's own
-    grid when that is no finer); its profile is op's Fourier truncation at
-    the same theta.  The coarse matrix is the stacked operator applied to
-    the identity, and its eigenvectors, stacked DFT coefficients, are
-    zero-padded to op's grid in coefficient space.
+    grid when that is no finer); its profile's coefficients are op's,
+    truncated, at the same theta.  The coarse matrix is the stacked
+    operator applied to the identity, and its eigenvectors, stacked DFT
+    coefficients, are zero-padded to op's grid in coefficient space.
     """
     factor = max(op.grid.points // _COARSE_POINTS, 1)
     coarse = op
     if factor > 1:
         grid = SpectralGrid(op.grid.length, op.grid.points // factor)
-        profile = Profile(grid, fourier_restrict(op.profile.values, factor))
-        coarse = LinearizedOperator.at(op.params, profile, op.theta)
+        coeffs = truncate_coefficients(op.coefficients, grid.points) / factor
+        coarse = LinearizedOperator.at(op.params, grid, coeffs, symbol_nN(grid.xi, op.params), op.theta)
     _, vecs = np.linalg.eigh(coarse.apply_stacked(np.eye(2 * coarse.grid.points)))
     return _stack(pad_coefficients(_unstack(vecs[:, :_BLOCK]), factor))
 

@@ -6,15 +6,19 @@ take over, started from the same solve on the coarse grid of spacing 1/8
 when the requested grid is finer (mesh sequencing), else from a
 Petviashvili hand-off.  The solvers operate on the renormalized problem,
 where profiles have O(1) width; the exact rescalings to the other
-formulations are test helpers (tests/drift.py).  Both iterate in Fourier space, on the
-raw DFT coefficients u_hat = fft(u): the symbol acts diagonally there;
-residuals, masses and pairings are sums over the coefficients (Parseval,
-sum |u|^2 = sum |u_hat|^2 / M); the padded nonlinearity maps coefficients
-to coefficients; and a Newton correction is added to u_hat as it comes
-out of the Krylov solve, with no transform.  Grid values are formed only
-where a pointwise potential or the returned profile needs them.  A solve
-ends from the nonlinearity its last residual check padded: the energy is
-a coefficient sum (integral |u|^{p+1} = (h/M) Re sum w_hat conj(u_hat)),
+formulations are test helpers (tests/drift.py).  Both iterate in Fourier
+space, on the raw DFT coefficients u_hat = fft(u): the symbol acts
+diagonally there; residuals, masses and pairings are sums over the
+coefficients (Parseval, sum |u|^2 = sum |u_hat|^2 / M); the padded
+nonlinearity maps coefficients to coefficients; and a Newton correction is
+added to u_hat as it comes out of the Krylov solve, with no transform.
+Grid values are formed only where a pointwise potential or a profile
+needs them: a mass-constrained solve hands coefficients from its start to
+the coarse level, from there to the Newton steps and from each step, with
+the symbol values, to its linearization; only its Petviashvili hand-off,
+a petviashvili_solve call, takes and returns a profile.  A solve ends from
+the nonlinearity its last residual check padded: the energy is a
+coefficient sum (integral |u|^{p+1} = (h/M) Re sum w_hat conj(u_hat)),
 and the mass renormalization by c scales that nonlinearity by c^p, so the
 finish makes one transform, for the returned profile.  The secant loop on
 the multiplier, the mass-projected descent and the energy functional on
@@ -34,11 +38,11 @@ from .spectral import (
     Profile,
     SpectralGrid,
     fft,
-    fourier_restrict,
     ifft,
     multiplier_values,
     pad_coefficients,
     pad_evaluate,
+    truncate_coefficients,
 )
 from .symbols import ModelParams, symbol_nN
 
@@ -209,17 +213,18 @@ def petviashvili_mass_constrained(
     Newton steps on F(R, theta) = ((n_N + theta)R - |R|^{2s}R,
     (sum |R|^2 - s0/h)/2) enforce both equations (Knoll & Keyes 2004), on
     the DFT coefficients of R.  They start from a coarse level when the
-    grid has one (mesh sequencing, Knoll & Keyes 2004, section 3): init is
-    restricted to the coarsest grid of the same length whose spacing is at
-    most _COARSE_SPACING, solved there by this function at the same tol,
-    and zero-padded back in coefficient space with its multiplier.  The
-    profile's core is O(1) wide, so the padded coarse solve usually meets
-    the stop rule on the requested grid at once; the grid's length holds
-    the algebraic tail.  Without a coarser grid, or when the coarse solve
-    raises ConvergenceError, one Petviashvili solve at theta = lambda(s)
-    to residual _HANDOFF_TOL brings the start into the ground-state basin
-    instead.  Each step solves the bordered linearization at the iterate by
-    MINRES (linearized.bordered_solve, on stacked coefficients) to the forcing
+    grid has one (mesh sequencing, Knoll & Keyes 2004, section 3): the
+    coefficients of init are truncated to the coarsest grid of the same
+    length whose spacing is at most _COARSE_SPACING, solved there at the
+    same tol, renormalized to the target mass, and zero-padded back with
+    their Rayleigh multiplier.  The profile's core is O(1) wide, so the
+    padded coarse solve usually meets the stop rule on the requested grid
+    at once; the grid's length holds the algebraic tail.  Without a
+    coarser grid, or when the coarse solve raises ConvergenceError, one
+    Petviashvili solve at theta = lambda(s) to residual _HANDOFF_TOL
+    brings the start into the ground-state basin instead.  Each step
+    solves the bordered linearization at the iterate by MINRES
+    (linearized.bordered_solve, on stacked coefficients) to the forcing
     rtol min(_FORCING_MAX, _FORCING_FACTOR * error), where the error is
     the larger of the relative residual and the relative mass error.  The
     steps stop when the residual on the requested grid is at most tol and
@@ -229,44 +234,43 @@ def petviashvili_mass_constrained(
     linearly dependent (a collapsed profile, where the step's complement is
     undefined), an error that fails to halve over two consecutive steps, or
     _NEWTON_MAX_STEPS steps raise ConvergenceError, whose history is the
-    log of the failing grid's steps.
-    The result's history holds theta, residual, mass error and grid points
-    at every iterate and the MINRES iterations of every step: the coarse
-    level's, then the requested grid's.  `iterations` counts the
-    Petviashvili and MINRES iterations of both levels.
+    log of the failing grid's steps.  The result's history holds theta,
+    residual, mass error and grid points at every iterate and the MINRES
+    iterations of every step, the coarse level's first; `iterations`
+    counts the Petviashvili and MINRES iterations of both levels.
     """
-    s = params.s
-    p = 2.0 * s + 1.0
-    target = params.s0
-    sig = symbol_nN(grid.xi, params)
     if init is None:
-        init = local_ground_state(s, params.lam, grid)
+        init = local_ground_state(params.s, params.lam, grid)
+    sig, uh, wh, iterations, history = _sequenced_newton(grid, params, fft(init.values), tol)
+    return _renormalized_result(grid, sig, 2.0 * params.s + 1.0, params.s0, uh, wh, tol, iterations, history)
+
+
+def _sequenced_newton(grid, params, uh, tol):
+    """From uh: n_N on grid, the last Newton iterate and its padded nonlinearity, the iterations and the log."""
+    p = 2.0 * params.s + 1.0
+    sig = symbol_nN(grid.xi, params)
     factor = _coarse_factor(grid)
     start = None
     if factor > 1:
         coarse = SpectralGrid(grid.length, grid.points // factor)
         try:
-            start = petviashvili_mass_constrained(
-                coarse, params, Profile(coarse, fourier_restrict(init.values, factor)), tol
-            )
+            start = _sequenced_newton(coarse, params, truncate_coefficients(uh, coarse.points) / factor, tol)
         except ConvergenceError:
             pass  # the hand-off below starts the requested grid instead
     if start is None:
-        start = petviashvili_solve(grid, sig, params.lam, p, init, tol=_HANDOFF_TOL)
-        # the iterate lives in Fourier space: a correction added there carries
-        # roundoff relative to each mode, while one added on the grid would
+        handoff = petviashvili_solve(grid, sig, params.lam, p, Profile(grid, ifft(uh)), tol=_HANDOFF_TOL)
+        # the iterate lives in Fourier space: a correction added on the grid would
         # leave 1e-16 white noise that n_N + theta amplifies into the residual
-        uh, theta = fft(start.profile.values), params.lam
-        history = {}
+        uh, theta, iterations, history = fft(handoff.profile.values), params.lam, handoff.iterations, {}
     else:
-        uh, theta = factor * pad_coefficients(fft(start.profile.values), factor), start.multiplier
-        history = start.history
+        coarse_sig, coarse_uh, coarse_wh, iterations, history = start
+        coarse_uh, _, theta, _ = _renormalized(coarse, coarse_sig, p, params.s0, coarse_uh, coarse_wh)
+        uh = factor * pad_coefficients(coarse_uh, factor)
     uh, wh, log = _newton_steps(grid, params, sig, p, uh, theta, tol)
     log["points"] = [grid.points] * len(log["theta"])
     for key, value in log.items():
         history.setdefault(key, []).extend(value)
-    total_iters = start.iterations + sum(log["minres_iterations"])
-    return _renormalized_result(grid, sig, p, target, uh, wh, tol, total_iters, history)
+    return sig, uh, wh, iterations + sum(log["minres_iterations"]), history
 
 
 def _newton_steps(grid, params, sig, p, uh, theta, tol):
@@ -297,7 +301,7 @@ def _newton_steps(grid, params, sig, p, uh, theta, tol):
                 f"mass error {mass_err:.3e})",
                 history,
             )
-        op = LinearizedOperator.at(params, Profile(grid, ifft(uh)), theta)
+        op = LinearizedOperator.at(params, grid, uh, sig, theta)
         try:
             duh, dtheta, iters = bordered_solve(
                 op, fh, 0.5 * (sq - target / grid.h), min(_FORCING_MAX, _FORCING_FACTOR * errors[-1])
@@ -324,18 +328,12 @@ def _newton_steps(grid, params, sig, p, uh, theta, tol):
             )
 
 
-def _renormalized_result(grid, sig, p, target, uh, wh, tol, iterations, history) -> SolveResult:
-    """The result at uh, scaled to the target mass, from uh and its padded nonlinearity wh.
+def _renormalized(grid, sig, p, target, uh, wh):
+    """uh and its padded nonlinearity wh scaled by c > 0 to the target mass, the Rayleigh multiplier and its sums.
 
-    Exact renormalization by c > 0, then the Rayleigh multiplier; at that
-    multiplier the residual is L2-orthogonal to the profile, so the
-    stabilization functional evaluates to 1 up to roundoff.  Since
-    |cu|^{p-1} cu = c^p |u|^{p-1} u, wh scales with c^p and is not padded
-    again; the energy is a coefficient sum (_parseval_energy), and the one
-    transform forms the returned profile.  The Fourier iterate uh is scaled
-    and paired by Parseval, not transformed again from the grid values:
-    that transform's white roundoff, lifted by n_N + theta, would floor the
-    residual (about 1.2e-11 at s = 1.3, N = 0.1).
+    |cu|^{p-1} cu = c^p |u|^{p-1} u, so wh is scaled, not padded again;
+    theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity, from
+    sq = sum |u_hat|^2, quad = sum sigma |u_hat|^2, den = Re sum w_hat conj(u_hat).
     """
     c = math.sqrt(grid.points * target / (grid.h * float(np.sum(np.abs(uh) ** 2))))
     uh = uh * c
@@ -343,8 +341,18 @@ def _renormalized_result(grid, sig, p, target, uh, wh, tol, iterations, history)
     sq = float(np.sum(np.abs(uh) ** 2))
     quad = float(np.sum(sig * np.abs(uh) ** 2))
     den = float(np.real(np.sum(wh * np.conj(uh))))
-    # theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity
-    theta = (den - quad) / sq
+    return uh, wh, (den - quad) / sq, (sq, quad, den)
+
+
+def _renormalized_result(grid, sig, p, target, uh, wh, tol, iterations, history) -> SolveResult:
+    """The result at uh scaled to the target mass (_renormalized), with its residual and Parseval energy.
+
+    The stabilization functional is 1 up to roundoff, the residual being
+    L2-orthogonal to the profile there; the one transform forms the profile.
+    Transforming the grid values again would add white roundoff that
+    n_N + theta lifts into a residual floor (1.2e-11 at s = 1.3, N = 0.1).
+    """
+    uh, wh, theta, (sq, quad, den) = _renormalized(grid, sig, p, target, uh, wh)
     res = float(np.linalg.norm((sig + theta) * uh - wh) / math.sqrt(sq))
     return SolveResult(
         Profile(grid, ifft(uh)), theta, res, _parseval_energy(grid, quad, den, p), iterations,
@@ -352,17 +360,16 @@ def _renormalized_result(grid, sig, p, target, uh, wh, tol, iterations, history)
     )
 
 
-def fractional_ground_state(s: float, grid: SpectralGrid | None = None) -> tuple[Profile, float, float]:
-    """Ground state Q of |D|^s Q + Q = Q^{2s+1} and the sharp constant.
+def fractional_ground_state(s: float, grid: SpectralGrid) -> tuple[Profile, float, float]:
+    """Ground state Q of |D|^s Q + Q = Q^{2s+1} and the sharp constant, on grid.
 
     Returns (Q, C_s, <Q,Q>) with C_s = (s+1)/<Q,Q>^s; s = 2 is the local
-    limit, the quintic soliton.  Q has an algebraic tail for s < 2, so the
-    default torus is generous (L = 256).
+    limit, the quintic soliton.  Q has an algebraic tail for s < 2, so a
+    desk torus moves <Q,Q> in its fourth digit: the README solves on
+    L = 256, M = 8192.
     """
     if not 1.0 < s <= 2.0:
         raise ValueError(f"fractional ground state requires 1 < s <= 2 (got {s})")
-    if grid is None:
-        grid = SpectralGrid(256.0, 8192)
     init = Profile(grid, np.exp(-grid.x**2))
     sig = np.abs(grid.xi) ** s
     result = petviashvili_solve(grid, sig, 1.0, 2.0 * s + 1.0, init, tol=1e-12)

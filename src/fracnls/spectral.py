@@ -1,14 +1,14 @@
 """Periodic Fourier pseudospectral discretization of the line.
 
 Grids, transforms, symbol values, translation, and the zero padding and
-restriction of Fourier coefficients used by every other module.  The
+truncation of raw DFT coefficients used by every other module.  The
 Fourier convention is fixed once, here: the forward transform carries the
 kernel e^{-i xi x}/sqrt(2 pi), so spectral constants derived in that
 convention apply verbatim.  The trapezoid rule on the periodic grid is the
 single quadrature used for masses and energies.  The quadratic form and
-zero padding of grid values, multiplier application, L^p and Sobolev
-norms, the derivative and spectral refinement, which only tests read, are
-test oracles in tests/oracles.py.
+zero padding and Fourier restriction of grid values, multiplier
+application, L^p and Sobolev norms, the derivative and spectral
+refinement, which only tests read, are test oracles in tests/oracles.py.
 The solvers and the linearization iterate on raw DFT coefficients
 (`fft` of the grid values); the padded nonlinearity `pad_evaluate` maps
 such coefficients to coefficients, so each application costs one inverse
@@ -55,9 +55,7 @@ class SpectralGrid:
         self.h = length / points
         self.x = -length / 2.0 + self.h * np.arange(points)
         self.xi = 2.0 * np.pi * np.fft.fftfreq(points, d=self.h)
-        # phase aligning numpy's index-based FFT with nodes starting at -L/2
-        self._phase = np.exp(1j * self.xi * (length / 2.0))
-        for arr in (self.x, self.xi, self._phase):
+        for arr in (self.x, self.xi):
             arr.flags.writeable = False
 
     def from_fourier_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
@@ -66,7 +64,9 @@ class SpectralGrid:
         u_hat(xi) = (1/sqrt(2 pi)) integral u(x) e^{-i xi x} dx; this inverts
         its trapezoid rule on the nodes, (h/sqrt(2 pi)) e^{i xi L/2} fft(u).
         """
-        return (SQRT_2PI / self.h) * ifft(coeffs * np.conj(self._phase))
+        # the phase aligning the index-based FFT with nodes starting at -L/2
+        phase = np.exp(1j * self.xi * (self.length / 2.0))
+        return (SQRT_2PI / self.h) * ifft(coeffs * np.conj(phase))
 
 
 def fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -131,18 +131,9 @@ def pad_coefficients(coeffs: np.ndarray, factor: int) -> np.ndarray:
     return padded
 
 
-def _truncate_coefficients(coeffs: np.ndarray, points: int) -> np.ndarray:
+def truncate_coefficients(coeffs: np.ndarray, points: int) -> np.ndarray:
     """The lowest `points` modes of raw DFT coefficients, coarse Nyquist included: pad_coefficients' left inverse."""
     return np.concatenate([coeffs[: points // 2], coeffs[-points // 2 :]])
-
-
-def fourier_restrict(values: np.ndarray, factor: int) -> np.ndarray:
-    """Samples of the lowest modes on a factor-times coarser grid.
-
-    The modes pad_coefficients keeps, coarse Nyquist included, are kept and
-    the rest dropped, so this is the exact left inverse of zero padding.
-    """
-    return ifft(_truncate_coefficients(fft(values), values.shape[0] // factor)) / factor
 
 
 def pad_evaluate(coeffs: np.ndarray, fn) -> np.ndarray:
@@ -154,4 +145,4 @@ def pad_evaluate(coeffs: np.ndarray, fn) -> np.ndarray:
     the padding isometry, so gradients of padded energies stay consistent.
     """
     m = coeffs.shape[0]
-    return 0.5 * _truncate_coefficients(fft(fn(2.0 * ifft(pad_coefficients(coeffs, 2)))), m)
+    return 0.5 * truncate_coefficients(fft(fn(2.0 * ifft(pad_coefficients(coeffs, 2)))), m)

@@ -33,10 +33,10 @@ test reads:
   its coefficients (the package applies it to coefficients only);
 - `constrained_solve`: L f = F on the complement of span{iR, dR/dx} by
   MINRES, the stability quotient of the uniqueness argument;
-- `quadratic_form`, `zero_pad`, `apply_multiplier`, `derivative`,
-  `lp_norm`, `sobolev_norm` and `spectral_refine`: the quadratic form,
-  Fourier multipliers, norms, zero padding and spectral refinement on grid
-  values;
+- `quadratic_form`, `zero_pad`, `fourier_restrict`, `apply_multiplier`,
+  `derivative`, `lp_norm`, `sobolev_norm` and `spectral_refine`: the
+  quadratic form, Fourier multipliers, norms, zero padding, Fourier
+  restriction and spectral refinement on grid values;
 - `spectral_interpolate`: the band-limited interpolant summed directly
   as a Fourier series (the package translates by a spectral phase), from
   the continuum-normalized coefficients of `fourier_coefficients`.
@@ -77,6 +77,7 @@ from fracnls.spectral import (
     ifft,
     multiplier_values,
     pad_coefficients,
+    truncate_coefficients,
 )
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from drift import scale_R_to_S
@@ -536,6 +537,15 @@ def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
     the sampled values, so band-limited fields are reproduced exactly.
     """
     return ifft(pad_coefficients(fft(values), factor)) * factor
+
+
+def fourier_restrict(values: np.ndarray, factor: int) -> np.ndarray:
+    """Samples of the lowest modes on a factor-times coarser grid.
+
+    The modes pad_coefficients keeps, coarse Nyquist included, are kept and
+    the rest dropped, so this is the exact left inverse of zero padding.
+    """
+    return ifft(truncate_coefficients(fft(values), values.shape[0] // factor)) / factor
 
 
 def spectral_refine(u: Profile, factor: int) -> Profile:

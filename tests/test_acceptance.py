@@ -42,7 +42,7 @@ from fracnls.solvers import (
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, SpectralGrid
+from fracnls.spectral import Profile, SpectralGrid, ifft
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
 from drift import convert_multipliers, scale_R_to_S, stationary_point, symbol_mbeta, tau_beta
@@ -238,8 +238,8 @@ def test_criterion_07_linearized_diagnostics(lin_solve, lam15):
     # constrained-solve round trip
     rng = np.random.default_rng(7)
     g = smooth_random_profile(op.grid, rng).values
-    r = op.profile.values
-    cols = [np.concatenate([d.real, d.imag]) for d in (1j * r, derivative(op.profile).values)]
+    r = ifft(op.coefficients)
+    cols = [np.concatenate([d.real, d.imag]) for d in (1j * r, derivative(Profile(op.grid, r)).values)]
     cmat = np.stack(cols, axis=1)
     vec = np.concatenate([g.real, g.imag])
     vec -= cmat @ np.linalg.solve(cmat.T @ cmat, cmat.T @ vec)

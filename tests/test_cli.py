@@ -459,10 +459,10 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
 
 def test_cache_key_digest_is_stable():
     # the digest of the entries written by the Newton-MINRES solver on DFT
-    # coefficients with the Fourier-space finish, the closed-form lambda(s),
-    # the start from the coarse grid of spacing 1/8 and the finish from the
-    # last residual's nonlinearity, with the energy by Parseval
-    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "def0e758672582222069c274"
+    # coefficients with the closed-form lambda(s), the start from the coarse
+    # grid of spacing 1/8, the finish from the last residual's nonlinearity
+    # and only DFT coefficients handed between its levels and steps
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "968c5d25919eeb74a8b306c8"
 
 
 def test_cache_replay_identical(tmp_path):
@@ -581,12 +581,14 @@ def test_collapsed_newton_iterate_exits_3_with_one_line(tmp_path, capsys):
         # the far-window amplitude overflowed into "envelope_ratio": Infinity
         (["kernel", "--s-list", "1.5949", "--n-list", "0.0001"], [1e-4], "envelope_ratio"),
         # zero far-window samples made "alg_exponent": NaN
-        (["kernel", "--s-list", "1.79", "--n-list", "0.001,0.05,0.2"], [0.001], "alg_exponent"),
+        (["kernel", "--s-list", "1.79", "--n-list", "0.001,0.2"], [0.001], "alg_exponent"),
         (["verify-th4", "--s-list", "1.6", "--n-list", "0.0001,0.2", "--grid-l", "128", "--grid-m", "1024",
           "--tol", "1e-12"], [1e-4], "alg_exponent"),
         # a finite far-window amplitude over the model envelope overflowed into "envelope_ratio": Infinity
         (["kernel", "--s-list", "1.6715074120809403", "--n-list", "0.001281389628485582"],
          [0.001281389628485582], "envelope_ratio"),
+        # nine abscissae rounded to one made a noise slope and a failing "frequency" verdict
+        (["kernel", "--s-list", "1.79", "--n-list", "0.05"], [0.05], "oscillation_frequency"),
     ],
 )
 def test_log_linear_fit_failures_are_errors_not_non_finite_records(tmp_path, capsys, argv, failed, fields):
@@ -667,6 +669,16 @@ def test_gn_constant_quintic_validation(tmp_path):
         ]
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("grid_l,grid_m,passes", [("16", "256", False), ("64", "4096", True)])
+def test_gn_constant_checks_that_the_torus_holds_the_tail(tmp_path, grid_l, grid_m, passes):
+    # on L = 16 the mass threshold reads 2.616, 2.9e-3 above its value on large tori
+    code = main(["gn-constant", "--s-list", "1.5", "--grid-l", grid_l, "--grid-m", grid_m,
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    assert code == (EXIT_OK if passes else EXIT_CRITERION_FAIL)
+    (point,) = _record(tmp_path / "out", "gn-constant")["points"]
+    assert [name for name, chk in point["checks"].items() if not chk["pass"]] == ([] if passes else ["torus_edge"])
 
 
 def test_gn_constant_is_open_past_desk_scale(tmp_path):

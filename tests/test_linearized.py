@@ -80,9 +80,9 @@ def test_build_requires_converged(lin_solve):
 
 
 def test_kernel_directions_annihilated(op10):
-    r = op10.profile.values
+    r = ifft(op10.coefficients)
     ir = 1j * r
-    dr = derivative(op10.profile).values
+    dr = derivative(Profile(op10.grid, r)).values
     norm_r = np.linalg.norm(r)
     assert np.linalg.norm(apply(op10, ir)) <= 1e-7 * norm_r
     assert np.linalg.norm(apply(op10, dr)) <= 1e-7 * np.linalg.norm(dr)
@@ -124,7 +124,7 @@ def test_dense_refuses_large_grid_before_allocating():
     grid = SpectralGrid(64.0, 2 * DENSE_MAX_POINTS)
     zeros = np.zeros(grid.points)
     op = LinearizedOperator(
-        ModelParams(S_DEFAULT, 0.1), Profile(grid, zeros.astype(complex)), 1.0,
+        ModelParams(S_DEFAULT, 0.1), grid, zeros.astype(complex), 1.0,
         symbol=np.ones(grid.points), v1=zeros, w=zeros.astype(complex),
     )
     tracemalloc.start()
@@ -328,8 +328,8 @@ def test_quadratic_form_positivity(op10):
     grid = op10.grid
     rng = np.random.default_rng(99)
     h = grid.h
-    r = op10.profile.values
-    dirs = [r, 1j * r, derivative(op10.profile).values]
+    r = ifft(op10.coefficients)
+    dirs = [r, 1j * r, derivative(Profile(op10.grid, r)).values]
     for _ in range(50):
         f = smooth_random_profile(grid, rng, width=float(rng.uniform(0.3, 2.0))).values
         f = _project_out(f, dirs)
@@ -353,8 +353,8 @@ def test_constrained_solve_roundtrip(op10):
     grid = op10.grid
     rng = np.random.default_rng(17)
     g = smooth_random_profile(grid, rng).values
-    r = op10.profile.values
-    g = _project_out(g, [1j * r, derivative(op10.profile).values])
+    r = ifft(op10.coefficients)
+    g = _project_out(g, [1j * r, derivative(Profile(op10.grid, r)).values])
     rhs = Profile(grid, apply(op10, g))
     sol, info = constrained_solve(op10, rhs)
     err = np.linalg.norm(sol.values - g) / np.linalg.norm(g)
@@ -369,8 +369,8 @@ def test_constrained_solve_matches_saddle_oracle(op10):
     rhs = smooth_random_profile(op10.grid, rng)
     sol, info = constrained_solve(op10, rhs)
     assert info["projected"]
-    r = op10.profile.values
-    f_proj = _project_out(rhs.values, [1j * r, derivative(op10.profile).values])
+    r = ifft(op10.coefficients)
+    f_proj = _project_out(rhs.values, [1j * r, derivative(Profile(op10.grid, r)).values])
     oracle = _saddle_oracle(op10, _stack(f_proj))
     assert np.linalg.norm(sol.values - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
@@ -383,10 +383,10 @@ def test_constrained_solve_rejects_unconverged(op10, monkeypatch):
 
 
 def test_constrained_solve_pure_kernel_input(op10):
-    rhs = Profile(op10.grid, 1j * op10.profile.values)
+    rhs = Profile(op10.grid, 1j * ifft(op10.coefficients))
     sol, info = constrained_solve(op10, rhs)
     assert info["projected"]
-    assert np.linalg.norm(sol.values) <= 1e-8 * np.linalg.norm(op10.profile.values)
+    assert np.linalg.norm(sol.values) <= 1e-8 * np.linalg.norm(ifft(op10.coefficients))
 
 
 def test_stability_constant_uniform_in_N(lin_solve):
@@ -399,8 +399,8 @@ def test_stability_constant_uniform_in_N(lin_solve):
         res = petviashvili_mass_constrained(grid, params, tol=1e-11)
         op = build_linearized(res, params)
         g = smooth_random_profile(grid, rng, width=1.5).values
-        r = op.profile.values
-        g = _project_out(g, [1j * r, derivative(op.profile).values])
+        r = ifft(op.coefficients)
+        g = _project_out(g, [1j * r, derivative(Profile(op.grid, r)).values])
         rhs = Profile(grid, apply(op, g))
         _, info = constrained_solve(op, rhs)
         stability.append(info["stability_constant"])

@@ -310,7 +310,7 @@ def test_ground_state_pohozaev_identities(ground_state_15):
 def test_ground_state_rejects_s_outside_range():
     for s in (1.0, 2.05):
         with pytest.raises(ValueError, match=r"1 < s <= 2"):
-            fractional_ground_state(s)
+            fractional_ground_state(s, SpectralGrid(256.0, 8192))
 
 
 # -- continuation ------------------------------------------------------------
@@ -443,6 +443,40 @@ def test_mass_constrained_solve_finishes_with_one_padded_nonlinearity(monkeypatc
     res = petviashvili_mass_constrained(grid, ModelParams(1.5, 0.1))
     assert res.converged
     assert (lengths.count(grid.points), lengths.count(2 * grid.points)) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "s,n,grid_spec,levels,path",
+    [
+        (1.5, 0.1, (256.0, 16384), (2048, 16384), "coarse start"),
+        (1.1, 0.05, (64.0, 4096), (512, 4096), "fallback"),  # the coarse level fails; the fine hand-off converges
+    ],
+)
+def test_a_solve_forms_profiles_only_at_its_ends_and_hand_offs(monkeypatch, s, n, grid_spec, levels, path):
+    # a solve forms profiles only at its ends and around each Petviashvili hand-off, and n_N
+    # once per grid level it enters: the coarse level and each Newton step's linearization
+    # take the DFT coefficients and symbol values the solver holds
+    profiles, symbols = [], []
+    post_init = Profile.__post_init__
+
+    def counted_profile(self):
+        profiles.append(self.grid.points)
+        post_init(self)
+
+    def counted_symbol(xi, params):
+        symbols.append(xi.shape[0])
+        return symbol_nN(xi, params)
+
+    monkeypatch.setattr(Profile, "__post_init__", counted_profile)
+    for module in (solvers, linearized):
+        monkeypatch.setattr(module, "symbol_nN", counted_symbol)
+    res = petviashvili_mass_constrained(SpectralGrid(*grid_spec), ModelParams(s, n))
+    assert res.converged
+    assert set(res.history["points"]) == (set(levels) if path == "coarse start" else {levels[1]})
+    # the start, a profile into and out of each hand-off, the result
+    handoffs = [levels[0]] * 2 + ([levels[1]] * 2 if path == "fallback" else [])
+    assert profiles == [levels[1], *handoffs, levels[1]]
+    assert sorted(symbols) == list(levels)
 
 
 def _rayleigh_multiplier(grid, values, sig, p):

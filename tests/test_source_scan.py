@@ -118,9 +118,7 @@ def test_every_defaulted_parameter_is_set_somewhere():
 
 
 # defaulted parameters that only tests set, each an entry point kept on purpose
-TEST_ONLY_KNOBS = {
-    "solvers.fractional_ground_state(grid)": "tests solve the ground state on tori smaller than the default",
-}
+TEST_ONLY_KNOBS = {}
 
 
 def test_no_defaulted_parameter_is_set_by_tests_alone():

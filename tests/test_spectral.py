@@ -15,7 +15,6 @@ from fracnls.spectral import (
     Profile,
     SpectralGrid,
     fft,
-    fourier_restrict,
     ifft,
     translate,
 )
@@ -23,6 +22,7 @@ from conftest import smooth_random_profile
 from oracles import (
     apply_multiplier,
     fourier_coefficients,
+    fourier_restrict,
     lp_norm,
     quadratic_form,
     sobolev_norm,
