@@ -1,17 +1,18 @@
 """Content-addressed solve cache.
 
-Each solve is one file, ``<key>.prof``: a 64-byte little-endian header
+Each solve is one file, ``<key>.prof``: a 56-byte little-endian header
 (magic ``FNLS``, format version, L, M, multiplier, residual, energy,
-iterations, converged, stabilization; a missing stabilization is stored as
-NaN) followed by the M profile values as complex doubles.  The key hashes
-(s, N, L, M, tol) together with the artifact version and the solver
-algorithm, so stale entries invalidate on a version bump or a change of
-algorithm.  Cache hits skip recomputation and reproduce results
-bit-for-bit.  Entries are written through a temporary file and renamed
-into place.  An entry is read back onto the caller's grid, and only when
-its size, magic, version, L and M all match; anything else (a crash, a
-truncated or corrupt file, an older format) is a miss that costs a
-recomputation, never a failed run.
+iterations, converged) followed by the M raw DFT coefficients of the
+result as complex doubles, the form the solver returns, so a hit hands
+later stages the same bits as the solve did.  The key hashes (s, N, L, M,
+tol) together with the artifact version and the solver algorithm, so
+stale entries invalidate on a version bump or a change of algorithm.
+Cache hits skip recomputation and reproduce results bit-for-bit.  Entries
+are written through a temporary file and renamed into place.  An entry is
+read back onto the caller's grid, and only when its size, magic, version,
+L and M all match; anything else (a crash, a truncated or corrupt file,
+an older format) is a miss that costs a recomputation, never a failed
+run.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .spectral import Profile, SpectralGrid
+from .spectral import SpectralGrid
 from .solvers import SolveResult
 
 CACHE_ENV = "FRACNLS_CACHE"
 
 _MAGIC = b"FNLS"
-_FORMAT_VERSION = 2  # version 1 kept s, N and beta in the header and the scalars in a JSON sidecar
-_HEADER = struct.Struct("<4sIdQdddIId")
+_FORMAT_VERSION = 3
+_HEADER = struct.Struct("<4sIdQdddII")
 
 
 def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> str:
@@ -43,11 +44,10 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             "N": repr(float(mass)),
             "L": repr(float(length)),
             "M": int(points),
-            "method": "petviashvili",  # a constant of every key; dropping it would change every digest
             "tol": repr(float(tol)),
             # the mass-constrained algorithm: entries of another algorithm
             # differ in the last digits and must miss
-            "solver": "newton-minres-dft/closed-form-lambda/coarse-start-1/8/parseval-finish/coefficient-hand-overs",
+            "solver": "newton-minres-dft/closed-form-lambda/coarse-start-1/8/petviashvili-dft-hand-off/parseval-finish",
         },
         sort_keys=True,
     )
@@ -76,7 +76,7 @@ def _write_atomically(path: Path, data: bytes) -> None:
 def store_result(cache_dir, key: str, result: SolveResult) -> None:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    grid = result.profile.grid
+    grid = result.grid
     header = _HEADER.pack(
         _MAGIC,
         _FORMAT_VERSION,
@@ -87,11 +87,9 @@ def store_result(cache_dir, key: str, result: SolveResult) -> None:
         result.energy,
         result.iterations,
         result.converged,
-        result.stabilization,
     )
-    values = np.ascontiguousarray(result.profile.values, dtype="<c16")
-    _write_atomically(cache_dir / f"{key}.prof", header + values.tobytes())
-    (cache_dir / f"{key}.json").unlink(missing_ok=True)  # a version-1 entry's sidecar
+    coefficients = np.ascontiguousarray(result.coefficients, dtype="<c16")
+    _write_atomically(cache_dir / f"{key}.prof", header + coefficients.tobytes())
 
 
 def load_result(cache_dir, key: str, grid: SpectralGrid) -> SolveResult | None:
@@ -102,21 +100,11 @@ def load_result(cache_dir, key: str, grid: SpectralGrid) -> SolveResult | None:
         return None
     if len(raw) != _HEADER.size + 16 * grid.points:
         return None
-    magic, version, length, points, multiplier, residual, energy, iterations, converged, stabilization = (
-        _HEADER.unpack_from(raw)
-    )
+    magic, version, length, points, multiplier, residual, energy, iterations, converged = _HEADER.unpack_from(raw)
     if (magic, version, length, points) != (_MAGIC, _FORMAT_VERSION, grid.length, grid.points):
         return None
-    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).astype(complex)
-    return SolveResult(
-        profile=Profile(grid, values),
-        multiplier=multiplier,
-        residual=residual,
-        energy=energy,
-        iterations=iterations,
-        converged=bool(converged),
-        stabilization=stabilization,
-    )
+    coefficients = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).astype(complex)
+    return SolveResult(grid, coefficients, multiplier, residual, energy, iterations, bool(converged))
 
 
 def cached_solve(cache_dir, s, mass, grid, tol, compute):

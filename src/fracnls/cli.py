@@ -274,19 +274,20 @@ def _local_limit(config: RunConfig, s: float):
 
 def _solve_stage(config: RunConfig, s: float, n: float) -> dict:
     result, params = _solution(config, s, n)
+    profile = result.profile
     # records carry the output-dir-relative path so their bytes do not
     # depend on where the run happened to live
     plot_rel = Path(f"profiles-{config.config_hash()}")
     (Path(config.output_dir) / plot_rel).mkdir(parents=True, exist_ok=True)
     plot_file = plot_rel / f"profile-s{s:g}-N{n:g}.dat"
-    emit_profile_plotdata(result.profile, Path(config.output_dir) / plot_file)
+    emit_profile_plotdata(profile, Path(config.output_dir) / plot_file)
     return {
         **_solve_fields(result, lambda_of_s(s)[1]),
         "iterations": result.iterations,
         "plot_data": str(plot_file),
         "checks": {
             "el_residual": _check(result.residual, 1e-8),
-            "mass_constraint": _check(abs(result.profile.mass() - params.s0) / params.s0, 1e-10),
+            "mass_constraint": _check(abs(profile.mass() - params.s0) / params.s0, 1e-10),
         },
     }
 

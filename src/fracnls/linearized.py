@@ -12,7 +12,8 @@ coordinates as an orthogonal one, so the operator stays symmetric, its
 spectrum and eigen-residuals are those on grid values, and preconditioned
 MINRES takes the same iterates in exact arithmetic (Paige & Saunders 1975).
 An operator takes R's raw DFT coefficients and n_N's values from its
-caller (a Newton step passes those it holds) and keeps the coefficients.
+caller (a Newton step passes those it holds, build_linearized those of
+the solve's result) and keeps the coefficients.
 Eigenanalysis, the two symmetry null directions, coercivity diagnostics
 and the bordered solve of the solver's Newton steps live here.  Both run
 matrix-free (LOBPCG and MINRES, preconditioned by the inverse of the
@@ -101,7 +102,7 @@ class LinearizedOperator:
         s = params.s
         r = ifft(coefficients)
         absr = np.abs(r)
-        pow2s = np.where(absr > 0.0, absr ** (2.0 * s), 0.0)
+        pow2s = absr ** (2.0 * s)
         # |R|^{2s-2} R^2 = |R|^{2s} (R/|R|)^2, continuous (-> 0) at zeros of R
         phase2 = np.where(absr > 0.0, (r / np.where(absr > 0.0, absr, 1.0)) ** 2, 0.0)
         return cls(
@@ -194,9 +195,8 @@ def build_linearized(result: SolveResult, params: ModelParams) -> LinearizedOper
     """
     if not result.converged:
         raise RuntimeError(f"linearization needs a converged solve (residual {result.residual:.3e})")
-    grid = result.profile.grid
-    sig = symbol_nN(grid.xi, params)
-    return LinearizedOperator.at(params, grid, fft(result.profile.values), sig, result.multiplier)
+    sig = symbol_nN(result.grid.xi, params)
+    return LinearizedOperator.at(params, result.grid, result.coefficients, sig, result.multiplier)
 
 
 @dataclass

@@ -12,17 +12,18 @@ diagonally there; residuals, masses and pairings are sums over the
 coefficients (Parseval, sum |u|^2 = sum |u_hat|^2 / M); the padded
 nonlinearity maps coefficients to coefficients; and a Newton correction is
 added to u_hat as it comes out of the Krylov solve, with no transform.
-Grid values are formed only where a pointwise potential or a profile
-needs them: a mass-constrained solve hands coefficients from its start to
-the coarse level, from there to the Newton steps and from each step, with
-the symbol values, to its linearization; only its Petviashvili hand-off,
-a petviashvili_solve call, takes and returns a profile.  A solve ends from
+A solve's result is its coefficients: the Petviashvili iteration takes and
+returns them, a mass-constrained solve hands them from its start to the
+coarse level, to the hand-off, to the Newton steps and from each step,
+with the symbol values, to its linearization, and a SolveResult holds
+them.  Grid values are formed only where a pointwise potential needs
+them, and where a caller reads SolveResult.profile.  A solve ends from
 the nonlinearity its last residual check padded: the energy is a
 coefficient sum (integral |u|^{p+1} = (h/M) Re sum w_hat conj(u_hat)),
 and the mass renormalization by c scales that nonlinearity by c^p, so the
-finish makes one transform, for the returned profile.  The secant loop on
-the multiplier, the mass-projected descent and the energy functional on
-grid values that cross-check them are test oracles in tests/oracles.py.
+finish makes no transform.  The secant loop on the multiplier, the
+mass-projected descent and the energy functional on grid values that
+cross-check them are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .spectral import (
     SpectralGrid,
     fft,
     ifft,
-    multiplier_values,
     pad_coefficients,
     pad_evaluate,
     truncate_coefficients,
@@ -66,16 +66,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SolveResult:
-    """A converged profile with its multiplier, residual, energy, and log."""
+    """A solve's raw DFT coefficients on its grid, with its multiplier, residual, energy, and log."""
 
-    profile: Profile
+    grid: SpectralGrid
+    coefficients: np.ndarray = field(repr=False)
     multiplier: float
     residual: float
     energy: float
     iterations: int
     converged: bool
-    stabilization: float = np.nan  # final Petviashvili factor, when applicable
     history: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def profile(self) -> Profile:
+        """The grid values, ifft(coefficients); each read makes one transform."""
+        return Profile(self.grid, ifft(self.coefficients))
 
 
 def _nonlinear_term(coeffs: np.ndarray, p: float) -> np.ndarray:
@@ -83,8 +88,7 @@ def _nonlinear_term(coeffs: np.ndarray, p: float) -> np.ndarray:
     q = p - 1.0
 
     def fn(v):
-        a = np.abs(v)
-        return np.where(a > 0.0, a**q, 0.0) * v
+        return np.abs(v) ** q * v  # q > 0, so 0**q = 0
 
     return pad_evaluate(coeffs, fn)
 
@@ -118,14 +122,15 @@ _PETVIASHVILI_MAX_ITER = 2000
 
 def petviashvili_solve(
     grid: SpectralGrid,
-    sigma,
+    sig: np.ndarray,
     theta: float,
     p: float,
-    init: Profile,
+    uh: np.ndarray,
     tol: float = 1e-10,
 ) -> SolveResult:
-    """Petviashvili iteration for sigma(D)u + theta u = |u|^{p-1}u.
+    """Petviashvili iteration for sigma(D)u + theta u = |u|^{p-1}u, from the raw DFT coefficients uh.
 
+    sig holds sigma's values on the grid frequencies (FFT order).
     u <- M^gamma (sigma(D)+theta)^{-1}(|u|^{p-1}u) with the stabilization
     factor M = <(sigma(D)+theta)u, u> / <|u|^{p-1}u, u> and the
     contraction-optimal exponent gamma = p/(p-1), iterated on the DFT
@@ -135,14 +140,12 @@ def petviashvili_solve(
     when M leaves [0.5, 2] for 50 consecutive iterations, and failure after
     _PETVIASHVILI_MAX_ITER iterations.
     """
-    sig = multiplier_values(grid, sigma)
     denom = sig + theta
-    if np.any(denom <= 0.0):
+    if not np.all(denom > 0.0):
         raise ValueError("sigma + theta must be positive on all grid frequencies")
-    if not np.any(init.values):
+    if not np.any(uh):
         raise ValueError("initial guess must be nonzero")
     gamma = p / (p - 1.0)
-    uh = fft(init.values)
     wh = _nonlinear_term(uh, p)
     m_hist, res_hist = [], []
     bad_streak = 0
@@ -173,8 +176,7 @@ def petviashvili_solve(
             den = float(np.real(np.sum(wh * np.conj(uh))))
             energy = _parseval_energy(grid, quad, den, p)
             return SolveResult(
-                Profile(grid, ifft(uh)), float(theta), res, energy, it, True,
-                stabilization=m_fac, history={"M": m_hist, "residual": res_hist},
+                grid, uh, float(theta), res, energy, it, True, {"M": m_hist, "residual": res_hist}
             )
     raise ConvergenceError(
         f"petviashvili did not reach tol={tol:g} in {_PETVIASHVILI_MAX_ITER} iterations "
@@ -258,10 +260,8 @@ def _sequenced_newton(grid, params, uh, tol):
         except ConvergenceError:
             pass  # the hand-off below starts the requested grid instead
     if start is None:
-        handoff = petviashvili_solve(grid, sig, params.lam, p, Profile(grid, ifft(uh)), tol=_HANDOFF_TOL)
-        # the iterate lives in Fourier space: a correction added on the grid would
-        # leave 1e-16 white noise that n_N + theta amplifies into the residual
-        uh, theta, iterations, history = fft(handoff.profile.values), params.lam, handoff.iterations, {}
+        handoff = petviashvili_solve(grid, sig, params.lam, p, uh, tol=_HANDOFF_TOL)
+        uh, theta, iterations, history = handoff.coefficients, params.lam, handoff.iterations, {}
     else:
         coarse_sig, coarse_uh, coarse_wh, iterations, history = start
         coarse_uh, _, theta, _ = _renormalized(coarse, coarse_sig, p, params.s0, coarse_uh, coarse_wh)
@@ -347,16 +347,14 @@ def _renormalized(grid, sig, p, target, uh, wh):
 def _renormalized_result(grid, sig, p, target, uh, wh, tol, iterations, history) -> SolveResult:
     """The result at uh scaled to the target mass (_renormalized), with its residual and Parseval energy.
 
-    The stabilization functional is 1 up to roundoff, the residual being
-    L2-orthogonal to the profile there; the one transform forms the profile.
-    Transforming the grid values again would add white roundoff that
-    n_N + theta lifts into a residual floor (1.2e-11 at s = 1.3, N = 0.1).
+    The result keeps the scaled coefficients: transforming grid values back
+    would add white roundoff that n_N + theta lifts into a residual floor
+    (1.2e-11 at s = 1.3, N = 0.1).
     """
     uh, wh, theta, (sq, quad, den) = _renormalized(grid, sig, p, target, uh, wh)
     res = float(np.linalg.norm((sig + theta) * uh - wh) / math.sqrt(sq))
     return SolveResult(
-        Profile(grid, ifft(uh)), theta, res, _parseval_energy(grid, quad, den, p), iterations,
-        res <= 10 * tol, stabilization=(quad + theta * sq) / den, history=history,
+        grid, uh, theta, res, _parseval_energy(grid, quad, den, p), iterations, res <= 10 * tol, history
     )
 
 
@@ -370,9 +368,8 @@ def fractional_ground_state(s: float, grid: SpectralGrid) -> tuple[Profile, floa
     """
     if not 1.0 < s <= 2.0:
         raise ValueError(f"fractional ground state requires 1 < s <= 2 (got {s})")
-    init = Profile(grid, np.exp(-grid.x**2))
     sig = np.abs(grid.xi) ** s
-    result = petviashvili_solve(grid, sig, 1.0, 2.0 * s + 1.0, init, tol=1e-12)
+    result = petviashvili_solve(grid, sig, 1.0, 2.0 * s + 1.0, fft(np.exp(-grid.x**2)), tol=1e-12)
     q = result.profile
     # the solve is phase/translation-neutral: recentre and strip the phase
     q = gauge_fix(q)

@@ -1,18 +1,20 @@
 """Periodic Fourier pseudospectral discretization of the line.
 
-Grids, transforms, symbol values, translation, and the zero padding and
-truncation of raw DFT coefficients used by every other module.  The
-Fourier convention is fixed once, here: the forward transform carries the
-kernel e^{-i xi x}/sqrt(2 pi), so spectral constants derived in that
-convention apply verbatim.  The trapezoid rule on the periodic grid is the
-single quadrature used for masses and energies.  The quadratic form and
-zero padding and Fourier restriction of grid values, multiplier
-application, L^p and Sobolev norms, the derivative and spectral
-refinement, which only tests read, are test oracles in tests/oracles.py.
-The solvers and the linearization iterate on raw DFT coefficients
-(`fft` of the grid values); the padded nonlinearity `pad_evaluate` maps
-such coefficients to coefficients, so each application costs one inverse
-and one forward transform on the twice finer grid.
+Grids, transforms, translation, and the zero padding and truncation of
+raw DFT coefficients used by every other module.  The Fourier convention
+is fixed once, here: the forward transform carries the kernel
+e^{-i xi x}/sqrt(2 pi), so spectral constants derived in that convention
+apply verbatim.  The trapezoid rule on the periodic grid is the single
+quadrature used for masses and energies.  The quadratic form and zero
+padding and Fourier restriction of grid values, symbol values checked
+finite, multiplier application, L^p and Sobolev norms, the derivative and
+spectral refinement, which only tests read, are test oracles in
+tests/oracles.py.  The solvers and the linearization iterate on raw DFT
+coefficients (`fft` of the grid values) and take symbols as arrays of
+their values on the grid frequencies; the padded nonlinearity
+`pad_evaluate` maps such coefficients to coefficients, so each
+application costs one inverse and one forward transform on the twice
+finer grid.
 """
 
 from __future__ import annotations
@@ -100,16 +102,6 @@ class Profile:
 
     def mass(self) -> float:
         return float(self.grid.h * np.sum(np.abs(self.values) ** 2))
-
-
-def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
-    """The symbol's values on the grid frequencies (FFT order), checked finite."""
-    vals = np.broadcast_to(np.asarray(sigma), grid.xi.shape)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = grid.xi[~finite]
-        raise ValueError(f"multiplier is non-finite at frequencies {bad[:4]}")
-    return vals
 
 
 def translate(u: Profile, a: float) -> Profile:

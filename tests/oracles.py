@@ -15,6 +15,8 @@ test reads:
   mass-projected descent on the energy, a second solver;
 - `el_residual`: the Euler-Lagrange residual of grid values, for the
   solvers' cross-checks;
+- `stabilization_factor`: the Petviashvili factor at a solve's result,
+  which a solution drives to 1 (no result stores it);
 - `kernel_zero_value` and `kernel_realaxis_quadrature`: the kernel m_N by
   QUADPACK on the real axis (the package deforms the contour);
 - `kernel_grid_samples`: the periodized kernel m_N sampled on a grid by the
@@ -33,10 +35,11 @@ test reads:
   its coefficients (the package applies it to coefficients only);
 - `constrained_solve`: L f = F on the complement of span{iR, dR/dx} by
   MINRES, the stability quotient of the uniqueness argument;
-- `quadratic_form`, `zero_pad`, `fourier_restrict`, `apply_multiplier`,
-  `derivative`, `lp_norm`, `sobolev_norm` and `spectral_refine`: the
-  quadratic form, Fourier multipliers, norms, zero padding, Fourier
-  restriction and spectral refinement on grid values;
+- `quadratic_form`, `zero_pad`, `fourier_restrict`, `multiplier_values`,
+  `apply_multiplier`, `derivative`, `lp_norm`, `sobolev_norm` and
+  `spectral_refine`: the quadratic form, symbol values checked finite,
+  Fourier multipliers, norms, zero padding, Fourier restriction and
+  spectral refinement on grid values;
 - `spectral_interpolate`: the band-limited interpolant summed directly
   as a Fourier series (the package translates by a spectral phase), from
   the continuum-normalized coefficients of `fourier_coefficients`.
@@ -75,7 +78,6 @@ from fracnls.spectral import (
     SpectralGrid,
     fft,
     ifft,
-    multiplier_values,
     pad_coefficients,
     truncate_coefficients,
 )
@@ -149,10 +151,8 @@ def descend_symbol(
         res = float(np.linalg.norm(grad) / np.linalg.norm(u))
         res_hist.append(res)
         if res <= tol:
-            prof = Profile(grid, u)
             return SolveResult(
-                prof, theta, res, energy, it, True,
-                history={"energy": e_hist, "residual": res_hist},
+                grid, uh, theta, res, energy, it, True, {"energy": e_hist, "residual": res_hist}
             )
         shift = max(abs(theta), 1e-6)
         step_hat = fft(grad) / (sig + shift)
@@ -204,7 +204,6 @@ def secant_mass_constrained(
     th0 = params.lam
     th1 = th0 * 1.05
 
-    u = init
     solves = []
 
     def mass_at(theta, seed):
@@ -212,8 +211,8 @@ def secant_mass_constrained(
         solves.append(r)
         return r.profile.mass(), r
 
-    m0, r0 = mass_at(th0, u)
-    m1, r1 = mass_at(th1, r0.profile)
+    m0, r0 = mass_at(th0, fft(init.values))
+    m1, r1 = mass_at(th1, r0.coefficients)
     th_prev, m_prev = th0, m0
     th_cur, m_cur, r_cur = th1, m1, r1
     for _ in range(60):
@@ -225,14 +224,14 @@ def secant_mass_constrained(
         if th_next <= 0.0:
             th_next = th_cur / 2.0
         th_prev, m_prev = th_cur, m_cur
-        m_cur, r_cur = mass_at(th_next, r_cur.profile)
+        m_cur, r_cur = mass_at(th_next, r_cur.coefficients)
         th_cur = th_next
     else:
         raise ConvergenceError(
             f"mass constraint not met: |mass - target| = {abs(m_cur - target):.3e}"
         )
     total_iters = sum(r.iterations for r in solves)
-    uh = fft(r_cur.profile.values)
+    uh = r_cur.coefficients
     return _renormalized_result(
         grid, sig, p, target, uh, _nonlinear_term(uh, p), _SECANT_TOL, total_iters,
         {"outer_thetas": [r.multiplier for r in solves]},
@@ -274,10 +273,21 @@ def gradient_flow_minimize(
         e_scale = prm.s0 ** (s + 1.0) * mass ** (-(2.0 + s) / (2.0 - s))
         energy_i = renorm_res.energy / e_scale
         return SolveResult(
-            s_prof, eta, renorm_res.residual, energy_i, renorm_res.iterations,
-            renorm_res.converged, history=renorm_res.history,
+            s_prof.grid, fft(s_prof.values), eta, renorm_res.residual, energy_i, renorm_res.iterations,
+            renorm_res.converged, renorm_res.history,
         )
     raise ValueError(f"unknown functional {functional!r} (expected 'I' or 'Y_N')")
+
+
+def stabilization_factor(result: SolveResult, sig: np.ndarray, p: float) -> float:
+    """The Petviashvili factor <(sigma(D)+theta)u, u> / <|u|^{p-1}u, u> at a result.
+
+    From its coefficients, its multiplier and a fresh padded nonlinearity;
+    it is 1 at a solution, and sig holds sigma's values on the grid.
+    """
+    uh = result.coefficients
+    num = float(np.sum((sig + result.multiplier) * np.abs(uh) ** 2))
+    return num / float(np.real(np.sum(_nonlinear_term(uh, p) * np.conj(uh))))
 
 
 def el_residual(grid: SpectralGrid, values: np.ndarray, sigma, theta: float, p: float) -> float:
@@ -499,6 +509,16 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
 
 
 # -- multipliers, norms and interpolation on grid values ----------------------------
+
+
+def multiplier_values(grid: SpectralGrid, sigma) -> np.ndarray:
+    """The symbol's values on the grid frequencies (FFT order), checked finite."""
+    vals = np.broadcast_to(np.asarray(sigma), grid.xi.shape)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = grid.xi[~finite]
+        raise ValueError(f"multiplier is non-finite at frequencies {bad[:4]}")
+    return vals
 
 
 def apply_multiplier(u: Profile, sigma) -> Profile:

@@ -42,7 +42,7 @@ from fracnls.solvers import (
     petviashvili_mass_constrained,
     petviashvili_solve,
 )
-from fracnls.spectral import Profile, SpectralGrid, ifft
+from fracnls.spectral import Profile, SpectralGrid, fft, ifft
 from fracnls.symbols import ModelParams, symbol_n, symbol_nN
 from conftest import N_PATH, S_DEFAULT, smooth_random_profile
 from drift import convert_multipliers, scale_R_to_S, stationary_point, symbol_mbeta, tau_beta
@@ -89,7 +89,7 @@ def test_criterion_01_closed_form_oracle_equivalence():
     grid = SpectralGrid(64.0, 4096)
     oracle = local_ground_state(S_DEFAULT, 1.0, grid)
     init = Profile(grid, np.exp(-grid.x**2))
-    petv = petviashvili_solve(grid, grid.xi**2, 1.0, 2 * S_DEFAULT + 1, init, tol=1e-12)
+    petv = petviashvili_solve(grid, grid.xi**2, 1.0, 2 * S_DEFAULT + 1, fft(init.values), tol=1e-12)
     fixed_p = gauge_fix(petv.profile)
     err_p = float(np.max(np.abs(fixed_p.values - oracle.values)))
     flow = descend_symbol(grid, grid.xi**2, 2 * S_DEFAULT + 1, oracle.mass(), init, tol=1e-11)

@@ -7,7 +7,7 @@ import io
 import json
 import struct
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,7 +35,7 @@ from fracnls.cli import (
     run,
 )
 from fracnls.solvers import SolveResult, local_ground_state
-from fracnls.spectral import SpectralGrid
+from fracnls.spectral import SpectralGrid, fft
 
 FAST_GRID = {"grid_l": 64.0, "grid_m": 512, "tol": 1e-9}
 
@@ -385,50 +385,45 @@ def test_cache_entry_with_a_wrong_grid_size_is_recomputed(tmp_path, points):
     _assert_rerun_recomputes(tmp_path, lambda stored: stored[:16] + points.to_bytes(8, "little") + stored[24:])
 
 
-def _stored_solve(grid, stabilization):
-    return SolveResult(local_ground_state(1.5, 0.05, grid), 0.0492, 3.5e-12, -0.125, 21, True, stabilization)
+def _stored_solve(grid):
+    return SolveResult(grid, fft(local_ground_state(1.5, 0.05, grid).values), 0.0492, 3.5e-12, -0.125, 21, True)
 
 
-@pytest.mark.parametrize("stabilization", [np.nan, 1.0000003])
-def test_cache_entry_round_trip_keeps_every_field(tmp_path, stabilization):
+def test_cache_entry_round_trip_keeps_every_field(tmp_path):
     grid = SpectralGrid(48.0, 128)
-    result = _stored_solve(grid, stabilization)
+    result = _stored_solve(grid)
     store_result(tmp_path, "k", result)
     back = load_result(tmp_path, "k", grid)
-    assert back.profile.grid is grid
-    assert np.array_equal(back.profile.values, result.profile.values)
+    assert back.grid is grid
     for f in fields(SolveResult):
-        if f.name not in ("profile", "history"):  # the solver's per-iterate log is not stored
-            assert np.array_equal(getattr(back, f.name), getattr(result, f.name), equal_nan=True), f.name
+        if f.name not in ("grid", "history"):  # the solver's per-iterate log is not stored
+            assert np.array_equal(getattr(back, f.name), getattr(result, f.name)), f.name
             assert type(getattr(back, f.name)) is type(getattr(result, f.name)), f.name
 
 
 def test_cache_entry_with_a_bad_magic_is_a_miss(tmp_path):
     grid = SpectralGrid(48.0, 128)
-    store_result(tmp_path, "k", _stored_solve(grid, np.nan))
+    store_result(tmp_path, "k", _stored_solve(grid))
     prof = tmp_path / "k.prof"
     prof.write_bytes(b"JUNK" + prof.read_bytes()[4:])
     assert load_result(tmp_path, "k", grid) is None
 
 
-def test_version_1_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
+def test_format_2_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
     s, n, tol = 1.5, 0.2, 1e-9
     grid = SpectralGrid(48.0, 128)
     key = cache_key(s, n, grid.length, grid.points, tol)
-    old = _stored_solve(grid, np.nan)
-    # version 1: magic, version, L, M, s, N, beta, a reserved flag, a multiplier
-    # flag and the multiplier, the profile values, and the other scalars in a JSON sidecar
-    header = struct.pack("<4sIdQdddIId", b"FNLS", 1, grid.length, grid.points, s, n, 0.0, 0, 1, old.multiplier)
+    old = _stored_solve(grid)
+    # format 2: magic, version, L, M, multiplier, residual, energy, iterations,
+    # converged and a stabilization factor, then the profile's grid values
+    header = struct.pack("<4sIdQdddIId", b"FNLS", 2, grid.length, grid.points, old.multiplier,
+                         old.residual, old.energy, old.iterations, old.converged, 1.0)
     (tmp_path / f"{key}.prof").write_bytes(header + old.profile.values.astype("<c16").tobytes())
-    (tmp_path / f"{key}.json").write_text(json.dumps(
-        {"multiplier": old.multiplier, "residual": old.residual, "energy": old.energy,
-         "iterations": old.iterations, "converged": old.converged, "stabilization": None}))
     assert load_result(tmp_path, key, grid) is None
-    fresh = _stored_solve(grid, 1.0)
+    fresh = replace(old, multiplier=0.0493)
     got, hit = cached_solve(tmp_path, s, n, grid, tol, lambda: fresh)
     assert got is fresh and not hit
-    assert load_result(tmp_path, key, grid).stabilization == 1.0
-    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.prof"]  # the sidecar goes too
+    assert load_result(tmp_path, key, grid).multiplier == 0.0493
 
 
 def test_each_solve_is_one_file_named_by_its_key(tmp_path):
@@ -449,7 +444,7 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
     assert cache_key(s, n, length, points, tol) != old_key
 
     def result(theta):
-        return SolveResult(local_ground_state(s, 0.05, grid), theta, 0.0, 0.0, 1, True)
+        return SolveResult(grid, fft(local_ground_state(s, 0.05, grid).values), theta, 0.0, 0.0, 1, True)
 
     store_result(tmp_path, old_key, result(1.0))
     assert load_result(tmp_path, old_key, grid).multiplier == 1.0
@@ -460,13 +455,16 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
 def test_cache_key_digest_is_stable():
     # the digest of the entries written by the Newton-MINRES solver on DFT
     # coefficients with the closed-form lambda(s), the start from the coarse
-    # grid of spacing 1/8, the finish from the last residual's nonlinearity
-    # and only DFT coefficients handed between its levels and steps
-    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "968c5d25919eeb74a8b306c8"
+    # grid of spacing 1/8, the Petviashvili hand-off on DFT coefficients and
+    # the finish from the last residual's nonlinearity
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "f312e266962a0cdb57697bfa"
 
 
-def test_cache_replay_identical(tmp_path):
-    config = fast_config("solve", tmp_path)
+@pytest.mark.parametrize("command", ["solve", "linearize"])
+def test_cache_replay_identical(tmp_path, command):
+    # a warm run reads the coefficients the cold one solved for: the profile and the
+    # linearization are formed from the same bits
+    config = fast_config(command, tmp_path)
     first = _emit_bytes(config)
     cache_files = set(Path(config.cache_dir).iterdir())
     assert cache_files  # solves were stored
@@ -624,8 +622,8 @@ def test_newton_step_out_of_the_positive_cone_exits_3_with_one_line(tmp_path, ca
 
 def test_unconverged_solve_fails_linearize_with_one_line(tmp_path, capsys, monkeypatch):
     def unconverged(grid, params, tol):
-        return SolveResult(local_ground_state(params.s, params.lam, grid), params.lam, 1e-3,
-                           0.0, 1, False)
+        return SolveResult(grid, fft(local_ground_state(params.s, params.lam, grid).values), params.lam,
+                           1e-3, 0.0, 1, False)
 
     monkeypatch.setattr(cli, "petviashvili_mass_constrained", unconverged)
     code = main(["linearize", "--s-list", "1.3", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512",

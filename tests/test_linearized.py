@@ -74,7 +74,7 @@ def dense_spectrum10(op10):
 
 def test_build_requires_converged(lin_solve):
     res = lin_solve["result"]
-    broken = SolveResult(res.profile, res.multiplier, 1.0, res.energy, 1, False)
+    broken = SolveResult(res.grid, res.coefficients, res.multiplier, 1.0, res.energy, 1, False)
     with pytest.raises(RuntimeError, match=r"converged solve \(residual 1\.000e\+00\)"):
         build_linearized(broken, lin_solve["params"])
 

@@ -24,6 +24,7 @@ from oracles import (
     lp_norm,
     quadratic_form,
     secant_mass_constrained,
+    stabilization_factor,
 )
 
 
@@ -123,20 +124,20 @@ def test_lambda_rejects_local_case():
 def test_petviashvili_quintic_soliton():
     """sigma = |xi|^2, theta = 1, p = 5 -> the quintic soliton, 1e-8 Linf."""
     grid = SpectralGrid(64.0, 4096)
-    init = Profile(grid, np.exp(-grid.x**2))
+    init = fft(np.exp(-grid.x**2))
     res = petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-12)
     oracle = local_ground_state(2.0, 1.0, grid)
     fixed = gauge_fix(res.profile)
     assert np.max(np.abs(fixed.values - oracle.values)) <= 1e-8
     assert res.converged
-    assert abs(res.stabilization - 1.0) <= 1e-10
+    assert abs(stabilization_factor(res, grid.xi**2, 5.0) - 1.0) <= 1e-10
 
 
 def test_petviashvili_local_fractional_multiplier(lam15):
     """sigma = |xi|^2 at theta = lambda(s) reproduces the closed form."""
     lam = lam15["lam"]
     grid = SpectralGrid(512.0, 8192)  # wide torus: decay rate sqrt(lam) ~ 0.22
-    init = Profile(grid, np.exp(-((grid.x / 4.0) ** 2)))
+    init = fft(np.exp(-((grid.x / 4.0) ** 2)))
     res = petviashvili_solve(grid, grid.xi**2, lam, 4.0, init, tol=1e-11)
     oracle = local_ground_state(1.5, lam, grid)
     fixed = gauge_fix(res.profile)
@@ -170,7 +171,7 @@ def test_petviashvili_one_padded_nonlinearity_per_iteration(monkeypatch):
 
     monkeypatch.setattr(solvers, "pad_evaluate", counting)
     grid = SpectralGrid(64.0, 1024)
-    init = Profile(grid, np.exp(-grid.x**2))
+    init = fft(np.exp(-grid.x**2))
     res = petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-10)
     assert res.converged
     assert len(calls) == res.iterations + 1
@@ -179,7 +180,7 @@ def test_petviashvili_one_padded_nonlinearity_per_iteration(monkeypatch):
 def test_petviashvili_iteration_makes_two_fine_grid_transforms(monkeypatch):
     """Each iteration pads once: one inverse and one forward transform at 2M, none at M."""
     grid = SpectralGrid(64.0, 1024)
-    init = Profile(grid, np.exp(-grid.x**2))
+    init = fft(np.exp(-grid.x**2))
     lengths = count_transforms(monkeypatch)
     counts = []
     for tol in (1e-4, 1e-10):
@@ -194,7 +195,7 @@ def test_petviashvili_iteration_makes_two_fine_grid_transforms(monkeypatch):
 
 def test_petviashvili_requires_positive_denominator():
     grid = SpectralGrid(64.0, 256)
-    init = Profile(grid, np.exp(-grid.x**2))
+    init = fft(np.exp(-grid.x**2))
     with pytest.raises(ValueError, match="positive"):
         petviashvili_solve(grid, grid.xi**2, -1.0, 5.0, init)
 
@@ -202,13 +203,13 @@ def test_petviashvili_requires_positive_denominator():
 def test_petviashvili_zero_init_rejected():
     grid = SpectralGrid(64.0, 256)
     with pytest.raises(ValueError, match="nonzero"):
-        petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, Profile(grid, np.zeros(256)))
+        petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, np.zeros(256, dtype=complex))
 
 
 def test_petviashvili_max_iter_error(monkeypatch):
     monkeypatch.setattr(solvers, "_PETVIASHVILI_MAX_ITER", 3)
     grid = SpectralGrid(64.0, 256)
-    init = Profile(grid, np.exp(-grid.x**2))
+    init = fft(np.exp(-grid.x**2))
     with pytest.raises(ConvergenceError, match="did not reach tol=1e-12 in 3 iterations"):
         petviashvili_solve(grid, grid.xi**2, 1.0, 5.0, init, tol=1e-12)
 
@@ -362,10 +363,11 @@ def test_low_s_smoke_solve():
     assert abs(res.multiplier - lam) <= 0.05 * lam
 
 
-def test_petviashvili_stabilization_at_convergence(petviashvili_path):
+def test_petviashvili_stabilization_at_convergence(petviashvili_path, grid_main):
     """|M - 1| <= 1e-10 on every converged mass-constrained solve."""
-    for res in petviashvili_path.values():
-        assert abs(res.stabilization - 1.0) <= 1e-10
+    for n, res in petviashvili_path.items():
+        sig = symbol_nN(grid_main.xi, ModelParams(S_DEFAULT, n))
+        assert abs(stabilization_factor(res, sig, 2 * S_DEFAULT + 1) - 1.0) <= 1e-10
 
 
 def test_petviashvili_degenerate_symbol_reaches_constant_solution(monkeypatch):
@@ -377,10 +379,10 @@ def test_petviashvili_degenerate_symbol_reaches_constant_solution(monkeypatch):
     """
     monkeypatch.setattr(solvers, "_PETVIASHVILI_MAX_ITER", 500)
     grid = SpectralGrid(64.0, 256)
-    init = Profile(grid, np.exp(-grid.x**2))
+    init = fft(np.exp(-grid.x**2))
     res = petviashvili_solve(grid, grid.xi**2, 1e-30, 5.0, init, tol=1e-12)
     assert res.converged
-    assert abs(res.stabilization - 1.0) <= 1e-10
+    assert abs(stabilization_factor(res, grid.xi**2, 5.0) - 1.0) <= 1e-10
     assert np.ptp(np.abs(res.profile.values)) == 0.0  # the constant solution
     assert np.mean(np.abs(res.profile.values)) == pytest.approx((1e-30) ** 0.25, rel=1e-10)
 
@@ -402,9 +404,10 @@ def test_newton_matches_secant_oracle(grid_desk, s, n, start):
     init = _th3_start(grid_desk) if start == "random" else None
     newton = petviashvili_mass_constrained(grid_desk, params, init=init)
     oracle = secant_mass_constrained(grid_desk, params, init=init)
+    sig = symbol_nN(grid_desk.xi, params)
     for res in (newton, oracle):
         assert res.converged
-        assert abs(res.stabilization - 1.0) <= 1e-10
+        assert abs(stabilization_factor(res, sig, 2 * s + 1) - 1.0) <= 1e-10
     assert abs(newton.multiplier - oracle.multiplier) <= 1e-9 * abs(oracle.multiplier)
     a = gauge_fix(newton.profile).values
     b = gauge_fix(oracle.profile).values
@@ -436,13 +439,13 @@ def test_newton_history_per_step(grid_desk):
 
 def test_mass_constrained_solve_finishes_with_one_padded_nonlinearity(monkeypatch):
     # on the README grid the padded coarse solve meets the stop rule at once: the
-    # requested grid sees the restriction of the start and the profile's transform
-    # (length M) and the residual check's padded nonlinearity (length 2M), no more
+    # requested grid sees the restriction of the start (length M) and the residual
+    # check's padded nonlinearity (length 2M), no more; the result is coefficients
     grid = SpectralGrid(256.0, 16384)
     lengths = count_transforms(monkeypatch)
     res = petviashvili_mass_constrained(grid, ModelParams(1.5, 0.1))
     assert res.converged
-    assert (lengths.count(grid.points), lengths.count(2 * grid.points)) == (2, 2)
+    assert (lengths.count(grid.points), lengths.count(2 * grid.points)) == (1, 2)
 
 
 @pytest.mark.parametrize(
@@ -453,9 +456,10 @@ def test_mass_constrained_solve_finishes_with_one_padded_nonlinearity(monkeypatc
     ],
 )
 def test_a_solve_forms_profiles_only_at_its_ends_and_hand_offs(monkeypatch, s, n, grid_spec, levels, path):
-    # a solve forms profiles only at its ends and around each Petviashvili hand-off, and n_N
-    # once per grid level it enters: the coarse level and each Newton step's linearization
-    # take the DFT coefficients and symbol values the solver holds
+    # a solve forms a profile only for its default start, and n_N once per grid level it
+    # enters: the coarse level, the Petviashvili hand-offs and each Newton step's
+    # linearization take the DFT coefficients and symbol values the solver holds, and the
+    # result is coefficients, whose profile is formed when it is read
     profiles, symbols = [], []
     post_init = Profile.__post_init__
 
@@ -473,10 +477,9 @@ def test_a_solve_forms_profiles_only_at_its_ends_and_hand_offs(monkeypatch, s, n
     res = petviashvili_mass_constrained(SpectralGrid(*grid_spec), ModelParams(s, n))
     assert res.converged
     assert set(res.history["points"]) == (set(levels) if path == "coarse start" else {levels[1]})
-    # the start, a profile into and out of each hand-off, the result
-    handoffs = [levels[0]] * 2 + ([levels[1]] * 2 if path == "fallback" else [])
-    assert profiles == [levels[1], *handoffs, levels[1]]
+    assert profiles == [levels[1]]
     assert sorted(symbols) == list(levels)
+    assert res.profile.grid.points == levels[1] and profiles == [levels[1]] * 2
 
 
 def _rayleigh_multiplier(grid, values, sig, p):
