@@ -385,19 +385,21 @@ def test_cache_entry_with_a_wrong_grid_size_is_recomputed(tmp_path, points):
     _assert_rerun_recomputes(tmp_path, lambda stored: stored[:16] + points.to_bytes(8, "little") + stored[24:])
 
 
-def _stored_solve(grid):
-    return SolveResult(grid, fft(local_ground_state(1.5, 0.05, grid).values), 0.0492, 3.5e-12, -0.125, 21, True)
+def _stored_solve(grid, residual=3.5e-12):
+    return SolveResult(grid, fft(local_ground_state(1.5, 0.05, grid).values), 0.0492, residual, -0.125, 21, True)
 
 
-def test_cache_entry_round_trip_keeps_every_field(tmp_path):
+@pytest.mark.parametrize("residual", [np.nan, 1.0000003])
+def test_cache_entry_round_trip_keeps_every_field(tmp_path, residual):
+    # a NaN residual and one just off a round number both come back bit for bit
     grid = SpectralGrid(48.0, 128)
-    result = _stored_solve(grid)
+    result = _stored_solve(grid, residual)
     store_result(tmp_path, "k", result)
     back = load_result(tmp_path, "k", grid)
     assert back.grid is grid
     for f in fields(SolveResult):
         if f.name not in ("grid", "history"):  # the solver's per-iterate log is not stored
-            assert np.array_equal(getattr(back, f.name), getattr(result, f.name)), f.name
+            assert np.array_equal(getattr(back, f.name), getattr(result, f.name), equal_nan=True), f.name
             assert type(getattr(back, f.name)) is type(getattr(result, f.name)), f.name
 
 
