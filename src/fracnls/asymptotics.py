@@ -245,10 +245,12 @@ class _KernelTail:
 
     The residue part A e^{i|w|rho/kappa} (conjugated for w < 0) has a closed
     form that `far_field_reconstruction` sums by running prefix sums.  The
-    branch-cut part is tabulated as modulus/phase of the Laplace factor on a
-    log grid, interpolated by one two-column cubic spline (one interval
-    search per call serves both columns) and evaluated per pair by
-    `branch_cut`, its phase e^{-i|w|/kappa} left unfactored.
+    branch-cut part is tabulated as log-modulus/phase of the Laplace factor
+    on a log grid and interpolated by one two-column cubic spline (one
+    interval search per call serves both columns); `branch_cut` is the one
+    definition of its pair kernel.  `branch_cut_bound` bounds its modulus:
+    |pref| e^{largest tabulated log-modulus}, doubled as a margin for the
+    spline between knots.
     """
 
     def __init__(self, params: ModelParams, theta: float, x_min: float, x_max: float):
@@ -265,6 +267,7 @@ class _KernelTail:
         table = np.stack([np.log(np.abs(vals)), np.unwrap(np.angle(vals))], axis=-1)
         self._mod_arg = CubicSpline(logx, table)  # columns: log-modulus, unwrapped phase
         self._range = (xs[0], xs[-1])
+        self.branch_cut_bound = 2.0 * abs(self.pref) * math.exp(float(np.max(table[:, 0])))
 
     @classmethod
     def covering(cls, grid, params: ModelParams, theta: float, x_points: np.ndarray) -> _KernelTail:
@@ -275,10 +278,13 @@ class _KernelTail:
         return cls(params, theta, max(w_min * 0.5, 1e-8), w_max)
 
     def branch_cut(self, w: np.ndarray) -> np.ndarray:
-        ax = np.clip(np.abs(w), self._range[0], self._range[1])  # held at the table ends
+        """The branch-cut part of m_N(w): pref i e^{logmod(|w|) + i(phase(|w|) - |w|/kappa)}, conjugated for w < 0.
+
+        One complex exponential per separation; |w| is held at the table ends.
+        """
+        ax = np.clip(np.abs(w), self._range[0], self._range[1])
         mod_arg = self._mod_arg(np.log(ax))
-        lap = np.exp(mod_arg[..., 0] + 1j * mod_arg[..., 1])
-        out = self.pref * 1j * np.exp(-1j * ax / self.kappa) * lap
+        out = self.pref * 1j * np.exp(mod_arg[..., 0] + 1j * (mod_arg[..., 1] - ax / self.kappa))
         return np.where(w >= 0, out, np.conj(out))
 
 
@@ -300,6 +306,24 @@ def _one_sided_sums(rate: complex, y: np.ndarray, g: np.ndarray, x: np.ndarray, 
     return out
 
 
+def _branch_cut_windows(kern: _KernelTail, y: np.ndarray, g: np.ndarray, xs: np.ndarray) -> tuple:
+    """Per abscissa, the grid window [j0, j1) outside of which the branch-cut sum may be dropped.
+
+    A tail is dropped only if its |g|-mass times `kern.branch_cut_bound` is
+    at most 2^-54 |B(x - y_peak)| |g_peak|, half a unit roundoff of the term
+    at the peak of |g|, which the window therefore keeps.  The two tails
+    together move the sum by at most one unit roundoff of a kept term,
+    inside the rounding error of the full sum.  Found by `searchsorted` on
+    the prefix sums of |g| from each end.
+    """
+    mag = np.abs(g)
+    peak = int(np.argmax(mag))
+    budget = 2.0**-54 * np.abs(kern.branch_cut(xs - y[peak])) * mag[peak] / kern.branch_cut_bound
+    j0 = np.searchsorted(np.cumsum(mag), budget, side="right")
+    j1 = len(y) - np.searchsorted(np.cumsum(mag[::-1]), budget, side="right")
+    return j0, j1
+
+
 def far_field_reconstruction(fixed: Profile, kern: _KernelTail, x_points: np.ndarray) -> np.ndarray:
     """Reconstruct the profile beyond the torus through the kernel convolution.
 
@@ -312,10 +336,13 @@ def far_field_reconstruction(fixed: Profile, kern: _KernelTail, x_points: np.nda
 
     The residue part is summed by prefix sums, forward over y <= x and
     backward over y > x: one pass over the grid per side serves all
-    abscissae.  The branch-cut part is summed per pair, its phase
-    e^{-i(x-y)/kappa} unfactored.  Far from the profile's support that sum
-    cancels by many orders (about 13 past x ~ 300 at s = 1.5 on the README
-    grid) and the values are rounding noise.
+    abscissae.  The branch-cut part is summed over the nonlinearity's
+    numerical support only, one contiguous window per abscissa (see
+    `_branch_cut_windows`): the dropped tails move it by at most one unit
+    roundoff of its largest kept term.  Far from the profile's support the
+    pair sum cancels by many orders (about 13 past x ~ 300 at s = 1.5 on
+    the README grid; at s <= 1.4, to within a few thousand rounding units
+    at most decay-bound abscissae), and the values keep few or no digits.
     """
     x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
     y = fixed.grid.x
@@ -327,8 +354,8 @@ def far_field_reconstruction(fixed: Profile, kern: _KernelTail, x_points: np.nda
     residue = np.empty(x_points.shape, dtype=complex)
     residue[order] = kern.residue_amp * forward + np.conj(kern.residue_amp) * backward
     out = np.empty(x_points.shape, dtype=complex)
-    for i, x in enumerate(x_points):
-        out[i] = fixed.grid.h / SQRT_2PI * (np.sum(kern.branch_cut(x - y) * g) + residue[i])
+    for i, (x, j0, j1) in enumerate(zip(x_points, *_branch_cut_windows(kern, y, g, x_points))):
+        out[i] = fixed.grid.h / SQRT_2PI * (np.sum(kern.branch_cut(x - y[j0:j1]) * g[j0:j1]) + residue[i])
     return out
 
 
@@ -425,6 +452,12 @@ def decay_bound_check(fixed: Profile, params: ModelParams, x_far: np.ndarray, fa
     C always exists for finite samples, and its N-uniformity is the
     assertion made by the acceptance suite.  Reports C_min with its grid
     and far parts C_grid and C_far.
+
+    On the README grid (L = 256, M = 16384) at s <= 1.4, C_far is four or
+    more orders below C_grid, and most of its reconstructions sit within a
+    few thousand rounding units of the pair terms they sum: C_min is
+    C_grid.  At s = 1.5 C_far agrees with C_grid to 4-9 digits and can be
+    C_min.
     """
     s = params.s
     lam = params.lam

@@ -17,9 +17,10 @@ from fracnls.asymptotics import (
 )
 from fracnls.asymptotics_roots import f11_on_curve, find_root_translated, radius_of_angle
 from fracnls.renorm import gauge_fix
+from fracnls.solvers import petviashvili_mass_constrained
 from fracnls.spectral import Profile, SpectralGrid
 from fracnls.symbols import ModelParams, kernel_shift
-from conftest import S_DEFAULT
+from conftest import S_DEFAULT, SOLVE_TOL
 from oracles import in_region, window_failure
 
 
@@ -156,19 +157,33 @@ def test_reconstruction_matches_grid(petviashvili_path, grid_main):
         assert abs(rec - fixed.values[i]) <= 1e-6 * abs(fixed.values[i])
 
 
-def fsum_reconstruction(fixed, kern, x):
-    """The convolution at x as an exactly rounded sum of the per-pair kernel terms."""
-    grid = fixed.grid
-    w = x - grid.x
+def pair_terms(fixed, kern, x):
+    """The per-pair kernel terms m_N(x - y_j) g_j of the convolution at x, over the whole grid."""
+    w = x - fixed.grid.x
     residue = kern.residue_amp * np.exp(kern.residue_rate * np.abs(w))
     kernel = np.where(w >= 0, residue, np.conj(residue)) + kern.branch_cut(w)
-    terms = kernel * np.abs(fixed.values) ** (2.0 * kern.s) * fixed.values
-    return complex(math.fsum(terms.real), math.fsum(terms.imag)) * grid.h / math.sqrt(2.0 * math.pi)
+    return kernel * np.abs(fixed.values) ** (2.0 * kern.s) * fixed.values
+
+
+def fsum_reconstruction(fixed, kern, x):
+    """The convolution at x as an exactly rounded sum of the per-pair kernel terms."""
+    terms = pair_terms(fixed, kern, x)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)) * fixed.grid.h / math.sqrt(2.0 * math.pi)
+
+
+def pairwise_rounding_bound(fixed, kern, x):
+    """(log2 M + 2) u (h/sqrt(2 pi)) sum_j |term_j|: the rounding error a pairwise sum of the pair terms may make.
+
+    u = 2^-53 is the unit roundoff (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 4.2).
+    """
+    scale = np.sum(np.abs(pair_terms(fixed, kern, x))) * fixed.grid.h / math.sqrt(2.0 * math.pi)
+    return (math.log2(fixed.grid.points) + 2.0) * 2.0**-53 * scale
 
 
 @pytest.mark.parametrize("n", [0.2, 0.1, 0.05])
 def test_prefix_sum_reconstruction_matches_exact_pair_sum(petviashvili_path, grid_main, n):
-    """Prefix-summed residue part plus per-pair branch cut equals fsum of the pairs.
+    """Prefix-summed residue part plus windowed branch cut equals fsum of all the pairs.
 
     The decay-bound abscissae of tail_fit, and one grid node inside the
     torus, where the pair with x - y = 0 goes on the y <= x side.
@@ -184,6 +199,82 @@ def test_prefix_sum_reconstruction_matches_exact_pair_sum(petviashvili_path, gri
         for x, r in zip(xs, rec):
             ref = fsum_reconstruction(fixed, kern, x)
             assert abs(r - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.fixture(scope="module")
+def solves_by_s(petviashvili_path, grid_main):
+    """Solves at the benchmark's s and the README verify-th4 masses on the main grid."""
+    out = {(S_DEFAULT, n): petviashvili_path[n] for n in (0.2, 0.1, 0.05)}
+    for s in (1.3, 1.4):
+        for n in (0.2, 0.1, 0.05):
+            out[s, n] = petviashvili_mass_constrained(grid_main, ModelParams(s, n), tol=SOLVE_TOL)
+    return out
+
+
+@pytest.mark.parametrize("s", [1.3, 1.4, 1.5])
+def test_reconstruction_within_pairwise_rounding_of_exact_pair_sum(solves_by_s, grid_main, s):
+    """At the decay-bound abscissae the reconstruction is the fsum of all M pairs to pairwise-sum rounding.
+
+    At s <= 1.4 the pair terms cancel by up to 14 orders there, so only an
+    error bound scaled by sum_j |term_j| (not by the result) says anything.
+    """
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    for n in (0.2, 0.1, 0.05):
+        params, res = ModelParams(s, n), solves_by_s[s, n]
+        fixed = gauge_fix(res.profile)
+        kern = asymptotics._KernelTail.covering(grid_main, params, res.multiplier, x_bound)
+        rec = far_field_reconstruction(fixed, kern, x_bound)
+        for x, r in zip(x_bound, rec):
+            assert abs(r - fsum_reconstruction(fixed, kern, x)) <= pairwise_rounding_bound(fixed, kern, x)
+
+
+def test_branch_cut_window_keeps_a_far_bump(grid_main, lam15):
+    """A second bump of the nonlinearity far from its peak stays inside every window.
+
+    The bump sits at y = -70 on the side away from the decay-bound
+    abscissae and is a few grid spacings wide, so the oscillating branch
+    cut does not cancel over it: its share of the convolution is far above
+    the pairwise rounding bound, and a window that dropped it would miss
+    the fsum of all the pairs by more than that bound.
+    """
+    params = ModelParams(S_DEFAULT, 0.2)
+    x = grid_main.x
+    bump = 0.1 * np.exp(-0.5 * ((x + 70.0) / grid_main.h) ** 2)
+    fixed = Profile(grid_main, np.cosh(x) ** (-1.0 / S_DEFAULT) + bump + 0j)
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    kern = asymptotics._KernelTail.covering(grid_main, params, lam15["lam"], x_bound)
+    g = np.abs(fixed.values) ** (2.0 * S_DEFAULT) * fixed.values
+    j0, j1 = asymptotics._branch_cut_windows(kern, x, g, x_bound)
+    i_bump = int(np.argmin(np.abs(x + 70.0)))
+    assert np.all(j0 <= i_bump) and np.all(i_bump < j1)
+    # each dropped tail's |g|-mass times the |B| bound is within half a unit
+    # roundoff of the peak term, and one more grid point would break that
+    mag, peak = np.abs(g), int(np.argmax(np.abs(g)))
+    for xm, lo, hi in zip(x_bound, j0, j1):
+        budget = 2.0**-54 * abs(kern.branch_cut(xm - x[peak])) * mag[peak]
+        assert math.fsum(mag[:lo]) * kern.branch_cut_bound <= budget * (1.0 + 1e-12)
+        assert math.fsum(mag[hi:]) * kern.branch_cut_bound <= budget * (1.0 + 1e-12)
+        assert math.fsum(mag[: lo + 1]) * kern.branch_cut_bound > budget
+        assert math.fsum(mag[hi - 1 :]) * kern.branch_cut_bound > budget
+    rec = far_field_reconstruction(fixed, kern, x_bound)
+    for xm, r in zip(x_bound, rec):
+        bound = pairwise_rounding_bound(fixed, kern, xm)
+        assert abs(r - fsum_reconstruction(fixed, kern, xm)) <= bound
+        near_bump = np.abs(x + 70.0) <= 10.0 * grid_main.h
+        bump_share = np.sum(kern.branch_cut(xm - x[near_bump]) * g[near_bump]) * grid_main.h / math.sqrt(2.0 * math.pi)
+        assert abs(bump_share) > 100.0 * bound
+
+
+@pytest.mark.parametrize("s", [1.3, 1.4, 1.5])
+def test_branch_cut_bound_holds_across_the_table(grid_main, s):
+    """|branch_cut| on a dense sample of |w| over the table never exceeds `branch_cut_bound`."""
+    from fracnls.symbols import lambda_of_s
+
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    for n in (0.2, 0.1, 0.05):
+        kern = asymptotics._KernelTail.covering(grid_main, ModelParams(s, n), lambda_of_s(s)[1], x_bound)
+        w = np.geomspace(*kern._range, 200_001)
+        assert np.max(np.abs(kern.branch_cut(np.concatenate([w, -w])))) <= kern.branch_cut_bound
 
 
 # -- tail fits ---------------------------------------------------------------------
@@ -229,6 +320,22 @@ def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
     own_kern = asymptotics._KernelTail.covering(grid, params, res.multiplier, x_bound)
     own = decay_bound_check(fixed, params, x_bound, reconstruct(fixed, own_kern, x_bound))
     assert fit.decay_bound == own
+
+
+def test_far_field_sets_the_decay_bound_at_s_15(fits, petviashvili_path):
+    """At s = 1.5 the far field reaches C_grid, and C_far is the fsum oracle's.
+
+    A wrong far field would otherwise hide under C_grid in C_min.
+    """
+    for n, fit in fits.items():
+        rep = fit.decay_bound
+        assert rep["C_far"] == pytest.approx(rep["C_grid"], rel=1e-3)
+        res, params = petviashvili_path[n], ModelParams(S_DEFAULT, n)
+        fixed = gauge_fix(res.profile)
+        x_bound = np.geomspace(fixed.grid.length / 3.0, fixed.grid.length / 1.5, 12)
+        kern = asymptotics._KernelTail.covering(fixed.grid, params, res.multiplier, x_bound)
+        oracle = np.array([fsum_reconstruction(fixed, kern, x) for x in x_bound])
+        assert rep["C_far"] == pytest.approx(decay_bound_check(fixed, params, x_bound, oracle)["C_far"], rel=1e-13)
 
 
 def test_tail_rate(fit01):
