@@ -207,7 +207,7 @@ class LinearizedReport:
     coercivity: float  # smallest |ev| outside the kernel pair
     norm_estimate: float
     threshold: float
-    iterations: int  # rows of LOBPCG's residual history, start and final Rayleigh-Ritz included
+    iterations: int  # rows of LOBPCG's residual histories summed over its calls, each call's start and final Rayleigh-Ritz included
 
 
 def _operator(n: int, action):
@@ -221,7 +221,10 @@ _BLOCK = 8  # LOBPCG block width; the lowest _KEEP of its eigenpairs are reporte
 _KEEP = 6
 _COARSE_POINTS = 128  # grid of the start block's dense eigensolve (a 256 x 256 matrix)
 _EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
-_EIG_MAXITER = 400  # README grid: 6, 30, 165, 193 iterations at s = 1.5, 1.4, 1.3, 1.2
+_EIG_CHUNK = 40  # lobpcg iterations per call between checks of the kept residuals
+# cap on the maxiter summed over the calls; README grid: 4, 25, 86, 172
+# iterations at s = 1.5, 1.4, 1.3, 1.2, while s = 1.1 ends at the cap
+_EIG_MAXITER = 400
 _KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
 _MINRES_MAXITER = 1000
 
@@ -232,8 +235,9 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
     The coarse grid has the same length and _COARSE_POINTS points (op's own
     grid when that is no finer); its profile's coefficients are op's,
     truncated, at the same theta.  The coarse matrix is the stacked
-    operator applied to the identity, and its eigenvectors, stacked DFT
-    coefficients, are zero-padded to op's grid in coefficient space.
+    operator applied to the identity; only its _BLOCK lowest eigenvectors
+    are computed, and these stacked DFT coefficients are zero-padded to
+    op's grid in coefficient space.
     """
     factor = max(op.grid.points // _COARSE_POINTS, 1)
     coarse = op
@@ -241,8 +245,10 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
         grid = SpectralGrid(op.grid.length, op.grid.points // factor)
         coeffs = truncate_coefficients(op.coefficients, grid.points) / factor
         coarse = LinearizedOperator.at(op.params, grid, coeffs, symbol_nN(grid.xi, op.params), op.theta)
-    _, vecs = np.linalg.eigh(coarse.apply_stacked(np.eye(2 * coarse.grid.points)))
-    return _stack(pad_coefficients(_unstack(vecs[:, :_BLOCK]), factor))
+    from scipy.linalg import eigh
+
+    _, vecs = eigh(coarse.apply_stacked(np.eye(2 * coarse.grid.points)), subset_by_index=[0, _BLOCK - 1])
+    return _stack(pad_coefficients(_unstack(vecs), factor))
 
 
 def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
@@ -253,13 +259,22 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     from the lowest eigenvectors of the same linearization on a grid of
     _COARSE_POINTS points (_coarse_start).  The start is deterministic, so
     reruns are bitwise identical, and exact when op's grid is no finer.
+    The six lowest eigenpairs must reach residual _EIG_TOL times the
+    operator-norm bound.  scipy's lobpcg stops only when every block column
+    does, so it runs in calls of _EIG_CHUNK iterations, each from the block
+    the last one returned, at that bound as its tolerance.  After each call
+    the six kept residuals are recomputed, and the loop stops once all of
+    them pass: the two spare columns at the edge of the eigenvalue cluster
+    no longer set the count, and a locked column that drifted past the
+    bound costs one more call.  The maxiter of the calls sums to at most
+    _EIG_MAXITER.
     Exactly two eigenvalues are expected below _KERNEL_REL_THRESHOLD times
-    the operator-norm bound; their eigenspace is compared against
-    span{iR, dR/dx} through orthogonal projections.  The six lowest eigenpairs must reach residual
-    _EIG_TOL times that bound, and the highest of them must lie above the
-    threshold: the unseen spectrum then lies above both the threshold and
-    the coercivity, so near_zero and coercivity hold for the whole spectrum.
-    Either failure raises RuntimeError.
+    the norm bound; their eigenspace is compared against span{iR, dR/dx}
+    through orthogonal projections.  The highest of the six must lie above
+    the threshold: the unseen spectrum then lies above both the threshold
+    and the coercivity, so near_zero and coercivity hold for the whole
+    spectrum.  Either failure, or kept residuals above the bound at the
+    cap, raises RuntimeError.
     """
     from scipy.sparse.linalg import lobpcg
 
@@ -267,27 +282,34 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     # operator-norm bound max(n_N + theta) + ||v1||_inf + ||w||_inf
     norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
     threshold = _KERNEL_REL_THRESHOLD * norm_est
+    bound = _EIG_TOL * norm_est
+    block = _coarse_start(op)
+    iterations = 0
     with warnings.catch_warnings():  # convergence is checked below, not by lobpcg's warning
         warnings.simplefilter("ignore", UserWarning)
-        evals, evecs, *history = lobpcg(
-            _operator(n2, op.apply_stacked),
-            _coarse_start(op),
-            M=_operator(n2, op.solve_symbol_stacked),
-            # a tenth of the acceptance residual: lobpcg locks a column at its
-            # own tol, and a locked residual can drift slightly past it
-            tol=0.1 * _EIG_TOL * norm_est,
-            maxiter=_EIG_MAXITER,
-            largest=False,
-            retResidualNormsHistory=True,
-        )
-    keep = np.argsort(evals)[:_KEEP]
-    evals, evecs = evals[keep], evecs[:, keep]
-    residual = float(np.max(np.linalg.norm(op.apply_stacked(evecs) - evecs * evals, axis=0)))
-    if residual > _EIG_TOL * norm_est:
-        raise RuntimeError(
-            f"LOBPCG did not converge: eigen-residual {residual:.3e} above "
-            f"{_EIG_TOL:g} x norm bound {norm_est:.6g} within {_EIG_MAXITER} iterations"
-        )
+        for done in range(0, _EIG_MAXITER, _EIG_CHUNK):
+            evals, block, *history = lobpcg(
+                _operator(n2, op.apply_stacked),
+                block,
+                M=_operator(n2, op.solve_symbol_stacked),
+                tol=bound,
+                maxiter=min(_EIG_CHUNK, _EIG_MAXITER - done),
+                largest=False,
+                retResidualNormsHistory=True,
+            )
+            # below 5 x _BLOCK unknowns lobpcg solves densely and keeps no history
+            iterations += len(history[0]) if history else 0
+            keep = np.argsort(evals)[:_KEEP]
+            evecs = block[:, keep]
+            residual = float(np.max(np.linalg.norm(op.apply_stacked(evecs) - evecs * evals[keep], axis=0)))
+            if residual <= bound:
+                break
+        else:
+            raise RuntimeError(
+                f"LOBPCG did not converge: eigen-residual {residual:.3e} above "
+                f"{_EIG_TOL:g} x norm bound {norm_est:.6g} within {_EIG_MAXITER} iterations"
+            )
+    evals = evals[keep]
     order = np.argsort(np.abs(evals))
     kernel_pair = order[:2]
     coercivity = float(np.min(np.abs(evals[order[2:]])))
@@ -309,8 +331,7 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
         coercivity=coercivity,
         norm_estimate=norm_est,
         threshold=threshold,
-        # below 5 x _BLOCK unknowns lobpcg solves densely and keeps no history
-        iterations=len(history[0]) if history else 0,
+        iterations=iterations,
     )
 
 

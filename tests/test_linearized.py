@@ -250,6 +250,39 @@ def test_coarse_start_halves_readme_grid_iterations():
     assert 0 < report.iterations <= 56
 
 
+@pytest.mark.parametrize("s,most", [(1.3, 103), (1.2, 200)])
+def test_readme_grid_iterations_stop_on_kept_pairs(s, most):
+    # the whole 8-column block, held to a tenth of the bound, took 164 and
+    # 384; the six kept pairs stopping each 40-iteration call take 86 and 172
+    report = kernel_diagnostics(_linearized_at(s, 0.1, 128.0, 1024))
+    assert 0 < report.iterations <= most
+
+
+def test_kept_residuals_end_within_bound_on_fine_grid(monkeypatch):
+    # lobpcg locks a column at its tolerance, now the acceptance bound, and
+    # a locked residual can drift past it; the last call's kept pairs, which
+    # the report reads, must still be within the bound
+    calls = _spy(monkeypatch, "lobpcg")
+    op = _linearized_at(1.3, 0.1, 128.0, 2048)
+    report = kernel_diagnostics(op)
+    evals, block = calls[-1][2][:2]
+    keep = np.argsort(evals)[:6]
+    evecs = block[:, keep]
+    residuals = np.linalg.norm(op.apply_stacked(evecs) - evecs * evals[keep], axis=0)
+    assert np.all(residuals <= linearized._EIG_TOL * report.norm_estimate)
+    assert np.array_equal(report.eigenvalues, evals[keep])
+
+
+def test_kernel_diagnostics_stops_at_the_iteration_cap(monkeypatch):
+    # 50 is not a multiple of the 40-iteration call; this grid needs 86
+    calls = _spy(monkeypatch, "lobpcg")
+    monkeypatch.setattr(linearized, "_EIG_MAXITER", 50)
+    op = _linearized_at(1.3, 0.1, 128.0, 1024)
+    with pytest.raises(RuntimeError, match=r"LOBPCG did not converge: .* within 50 iterations"):
+        kernel_diagnostics(op)
+    assert sum(kwargs["maxiter"] for _, kwargs, _ in calls) == 50
+
+
 def test_kernel_diagnostics_bitwise_repeatable(op10, report10):
     again = kernel_diagnostics(op10)
     for name in ("eigenvalues", "near_zero", "correlations"):
@@ -410,15 +443,16 @@ def test_stability_constant_uniform_in_N(lin_solve):
 # -- Krylov operators on stacked DFT coefficients --------------------------------
 
 def _spy(monkeypatch, name):
-    """Record the operators and preconditioners handed to scipy.sparse.linalg.<name>."""
+    """Record the operator, keyword arguments and result of each call to scipy.sparse.linalg.<name>."""
     import scipy.sparse.linalg as spla
 
     seen = []
     real = getattr(spla, name)
 
     def spy(a, *args, **kwargs):
-        seen.append((a, kwargs["M"]))
-        return real(a, *args, **kwargs)
+        out = real(a, *args, **kwargs)
+        seen.append((a, kwargs, out))
+        return out
 
     monkeypatch.setattr(spla, name, spy)
     return seen
@@ -440,7 +474,8 @@ def test_bordered_matrix_is_symmetric(op10, monkeypatch):
     seen = _spy(monkeypatch, "minres")
     rng = np.random.default_rng(31)
     bordered_solve(op10, *_newton_rhs(op10, rng), 1e-6)
-    ((a, m),) = seen
+    ((a, kwargs, _),) = seen
+    m = kwargs["M"]
     _assert_symmetric(a.matvec, a.shape[0], rng)
     _assert_symmetric(m.matvec, m.shape[0], rng)
     x = rng.standard_normal(m.shape[0])
@@ -450,7 +485,7 @@ def test_bordered_matrix_is_symmetric(op10, monkeypatch):
 def test_kernel_diagnostics_operator_is_symmetric(op10, monkeypatch):
     seen = _spy(monkeypatch, "lobpcg")
     kernel_diagnostics(op10)
-    ((a, _),) = seen
+    ((a, _, _),) = seen
     _assert_symmetric(a.matvec, a.shape[0], np.random.default_rng(37))
 
 
