@@ -241,19 +241,20 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
 
 
 class _KernelTail:
-    """The kernel m_N(w) split for convolution sums over the grid.
+    """The kernel m_N(w) on the separations between some abscissae and the torus.
 
-    The residue part A e^{i|w|rho/kappa} (conjugated for w < 0) has a closed
-    form that `far_field_reconstruction` sums by running prefix sums.  The
-    branch-cut part is tabulated as log-modulus/phase of the Laplace factor
-    on a log grid and interpolated by one two-column cubic spline (one
-    interval search per call serves both columns); `branch_cut` is the one
-    definition of its pair kernel.  `branch_cut_bound` bounds its modulus:
-    |pref| e^{largest tabulated log-modulus}, doubled as a margin for the
-    spline between knots.
+    m_N(w) is the closed-form residue part A e^{i|w|rho/kappa} plus the
+    branch-cut part, conjugated for w < 0 (`__call__`, the one definition
+    of the pair kernel).  The branch-cut part is tabulated as the
+    log-modulus/phase of its Laplace factor on a log grid of |w| spanning
+    every separation between `x_points` and the torus of `grid`, and
+    interpolated by one two-column cubic spline (one interval search per
+    call serves both columns).  `bound` bounds |m_N|: |pref| e^{largest
+    tabulated log-modulus}, doubled as a margin for the spline between
+    knots, plus |A|, since |e^{i|w|rho/kappa}| <= 1.
     """
 
-    def __init__(self, params: ModelParams, theta: float, x_min: float, x_max: float):
+    def __init__(self, params: ModelParams, theta: float, grid, x_points: np.ndarray):
         from scipy.interpolate import CubicSpline  # loaded on first use: only verify-th4 builds a table
 
         self.s = params.s
@@ -261,101 +262,72 @@ class _KernelTail:
         self.pref, root, damp = residue_data(params, theta)
         self.residue_amp = self.pref * 2.0 * np.pi * 1j / damp
         self.residue_rate = 1j * root / self.kappa  # Re < 0: the residue part decays in |w|
-        xs = np.geomspace(max(x_min, 1e-8), x_max, 160)
-        vals = laplace_transform(params.s, kernel_shift(params, theta), xs / self.kappa)
-        logx = np.log(xs)
-        table = np.stack([np.log(np.abs(vals)), np.unwrap(np.angle(vals))], axis=-1)
-        self._mod_arg = CubicSpline(logx, table)  # columns: log-modulus, unwrapped phase
-        self._range = (xs[0], xs[-1])
-        self.branch_cut_bound = 2.0 * abs(self.pref) * math.exp(float(np.max(table[:, 0])))
-
-    @classmethod
-    def covering(cls, grid, params: ModelParams, theta: float, x_points: np.ndarray) -> _KernelTail:
-        """The table for every separation x - y between `x_points` and the torus."""
         ax = np.abs(np.asarray(x_points, dtype=float))
         w_min = max(float(np.min(ax)) - grid.length / 2.0, 1e-6)
-        w_max = float(np.max(ax)) + grid.length / 2.0 + 1.0
-        return cls(params, theta, max(w_min * 0.5, 1e-8), w_max)
+        xs = np.geomspace(max(w_min * 0.5, 1e-8), float(np.max(ax)) + grid.length / 2.0 + 1.0, 160)
+        vals = laplace_transform(params.s, kernel_shift(params, theta), xs / self.kappa)
+        table = np.stack([np.log(np.abs(vals)), np.unwrap(np.angle(vals))], axis=-1)
+        self._mod_arg = CubicSpline(np.log(xs), table)  # columns: log-modulus, unwrapped phase
+        self._range = (xs[0], xs[-1])
+        self.bound = 2.0 * abs(self.pref) * math.exp(float(np.max(table[:, 0]))) + abs(self.residue_amp)
 
-    def branch_cut(self, w: np.ndarray) -> np.ndarray:
-        """The branch-cut part of m_N(w): pref i e^{logmod(|w|) + i(phase(|w|) - |w|/kappa)}, conjugated for w < 0.
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """m_N(w) = A e^{rate |w|} + pref i e^{logmod(|w|) + i(phase(|w|) - |w|/kappa)}, conjugated for w < 0.
 
-        One complex exponential per separation; |w| is held at the table ends.
+        The branch-cut part holds |w| at the table ends.
         """
-        ax = np.clip(np.abs(w), self._range[0], self._range[1])
-        mod_arg = self._mod_arg(np.log(ax))
-        out = self.pref * 1j * np.exp(mod_arg[..., 0] + 1j * (mod_arg[..., 1] - ax / self.kappa))
+        ax = np.abs(w)
+        cut = np.clip(ax, self._range[0], self._range[1])
+        mod_arg = self._mod_arg(np.log(cut))
+        out = self.residue_amp * np.exp(self.residue_rate * ax)
+        out += self.pref * 1j * np.exp(mod_arg[..., 0] + 1j * (mod_arg[..., 1] - cut / self.kappa))
         return np.where(w >= 0, out, np.conj(out))
 
 
-def _one_sided_sums(rate: complex, y: np.ndarray, g: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
-    """sum_{y_j <= x_m} e^{rate (x_m - y_j)} g_j for ascending y and x (y_j < x_m with side="left").
+def _support_windows(kern: _KernelTail, y: np.ndarray, g: np.ndarray, xs: np.ndarray) -> tuple:
+    """Per abscissa, the grid window [j0, j1) outside of which the convolution's pair terms may be dropped.
 
-    A prefix sum carried from one abscissa to the next: each grid point
-    enters once, at the first abscissa at or above it, and the running sum
-    is moved on by e^{rate (x_m - x_{m-1})}.  With Re rate < 0 no factor
-    exceeds 1 in modulus, so nothing overflows however long the torus is
-    (the unscaled e^{-rate y_j} would overflow once -Re rate L/2 > 709).
-    """
-    ends = np.searchsorted(y, x, side=side)
-    out = np.empty(len(x), dtype=complex)
-    acc, start, prev = 0j, 0, x[0]
-    for m, (xm, end) in enumerate(zip(x, ends)):
-        acc = acc * np.exp(rate * (xm - prev)) + np.sum(np.exp(rate * (xm - y[start:end])) * g[start:end])
-        out[m], start, prev = acc, end, xm
-    return out
-
-
-def _branch_cut_windows(kern: _KernelTail, y: np.ndarray, g: np.ndarray, xs: np.ndarray) -> tuple:
-    """Per abscissa, the grid window [j0, j1) outside of which the branch-cut sum may be dropped.
-
-    A tail is dropped only if its |g|-mass times `kern.branch_cut_bound` is
-    at most 2^-54 |B(x - y_peak)| |g_peak|, half a unit roundoff of the term
-    at the peak of |g|, which the window therefore keeps.  The two tails
+    A tail is dropped only if its |g|-mass times `kern.bound` is at most
+    2^-54 |m_N(x - y_peak)| |g_peak|, half a unit roundoff of the term at
+    the peak of |g|, which the window therefore keeps.  The two tails
     together move the sum by at most one unit roundoff of a kept term,
     inside the rounding error of the full sum.  Found by `searchsorted` on
     the prefix sums of |g| from each end.
     """
     mag = np.abs(g)
     peak = int(np.argmax(mag))
-    budget = 2.0**-54 * np.abs(kern.branch_cut(xs - y[peak])) * mag[peak] / kern.branch_cut_bound
+    budget = 2.0**-54 * np.abs(kern(xs - y[peak])) * mag[peak] / kern.bound
     j0 = np.searchsorted(np.cumsum(mag), budget, side="right")
     j1 = len(y) - np.searchsorted(np.cumsum(mag[::-1]), budget, side="right")
     return j0, j1
 
 
-def far_field_reconstruction(fixed: Profile, kern: _KernelTail, x_points: np.ndarray) -> np.ndarray:
+def far_field_reconstruction(fixed: Profile, params: ModelParams, theta: float, x_points: np.ndarray) -> np.ndarray:
     """Reconstruct the profile beyond the torus through the kernel convolution.
 
     R(x) = (1/sqrt(2 pi)) integral m_N(x - y) (|R|^{2s} R)(y) dy with the
-    kernel table `kern` (which must cover every |x - y|, see
-    `_KernelTail.covering`) and the grid-supported nonlinearity of the
-    gauge-fixed profile `fixed` (trapezoid rule); the nonlinearity decays
+    kernel m_N at multiplier theta (one `_KernelTail` spanning every
+    |x - y|) and the grid-supported nonlinearity of the gauge-fixed
+    profile `fixed` (trapezoid rule); the nonlinearity decays
     exponentially, so the torus truncation is controlled.  Valid for |x|
     beyond the torus where grid values are periodization-contaminated.
 
-    The residue part is summed by prefix sums, forward over y <= x and
-    backward over y > x: one pass over the grid per side serves all
-    abscissae.  The branch-cut part is summed over the nonlinearity's
-    numerical support only, one contiguous window per abscissa (see
-    `_branch_cut_windows`): the dropped tails move it by at most one unit
-    roundoff of its largest kept term.  Far from the profile's support the
-    pair sum cancels by many orders (about 13 past x ~ 300 at s = 1.5 on
-    the README grid; at s <= 1.4, to within a few thousand rounding units
-    at most decay-bound abscissae), and the values keep few or no digits.
+    One sum of the whole kernel's pair terms m_N(x - y_j) g_j per
+    abscissa, residue and branch cut together, over the nonlinearity's
+    numerical support only: one contiguous window per abscissa (see
+    `_support_windows`), whose dropped tails move the sum by at most one
+    unit roundoff of its largest kept term.  Far from the profile's
+    support the pair terms cancel by many orders (about 13 past x ~ 300
+    at s = 1.5 on the README grid; at s = 1.3, N <= 0.1 at the decay-bound
+    points too), and the values keep few or no digits.
     """
     x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
+    kern = _KernelTail(params, theta, fixed.grid, x_points)
     y = fixed.grid.x
-    g = np.abs(fixed.values) ** (2.0 * kern.s) * fixed.values
-    order = np.argsort(x_points)
-    xs = x_points[order]
-    forward = _one_sided_sums(kern.residue_rate, y, g, xs, "right")
-    backward = _one_sided_sums(np.conj(kern.residue_rate), -y[::-1], g[::-1], -xs[::-1], "left")[::-1]
-    residue = np.empty(x_points.shape, dtype=complex)
-    residue[order] = kern.residue_amp * forward + np.conj(kern.residue_amp) * backward
+    g = np.abs(fixed.values) ** (2.0 * params.s) * fixed.values
     out = np.empty(x_points.shape, dtype=complex)
-    for i, (x, j0, j1) in enumerate(zip(x_points, *_branch_cut_windows(kern, y, g, x_points))):
-        out[i] = fixed.grid.h / SQRT_2PI * (np.sum(kern.branch_cut(x - y[j0:j1]) * g[j0:j1]) + residue[i])
+    for i, (x, j0, j1) in enumerate(zip(x_points, *_support_windows(kern, y, g, x_points))):
+        out[i] = fixed.grid.h / SQRT_2PI * np.sum(kern(x - y[j0:j1]) * g[j0:j1])
     return out
 
 
@@ -368,8 +340,9 @@ class TailFit:
     (the oscillatory factor of its coefficient treated as constant across
     the convolution); the honest reconstruction there is oscillation-damped
     far below that model term, and no record reads it, so the fit does not
-    make it.  `decay_bound` reports the uniform decay bound on the
-    reconstruction at the decay-bound points, made with the fit.
+    make it.  `decay_bound` reports the uniform decay bound with the far
+    field reconstructed at the decay-bound points alone, by the one
+    windowed sum of the whole kernel, made with the fit.
     """
 
     exp_rate: float
@@ -427,7 +400,6 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
 
     alg_term = kernel_pointwise(xs_far, params, result.multiplier, parts=True)[2] * g_int / SQRT_2PI
     alg_exponent, alg_coefficient, alg_resid = _log_linear_fit(np.log(xs_far), alg_term, "alg_exponent")
-    kern = _KernelTail.covering(grid, params, result.multiplier, x_bound)
 
     return TailFit(
         exp_rate=exp_rate,
@@ -439,7 +411,9 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
         window_far=(float(xs_far[0]), float(xs_far[-1])),
         exp_fit_residual=exp_resid,
         alg_fit_residual=alg_resid,
-        decay_bound=decay_bound_check(fixed, params, x_bound, far_field_reconstruction(fixed, kern, x_bound)),
+        decay_bound=decay_bound_check(
+            fixed, params, x_bound, far_field_reconstruction(fixed, params, result.multiplier, x_bound)
+        ),
     )
 
 
@@ -453,11 +427,14 @@ def decay_bound_check(fixed: Profile, params: ModelParams, x_far: np.ndarray, fa
     assertion made by the acceptance suite.  Reports C_min with its grid
     and far parts C_grid and C_far.
 
-    On the README grid (L = 256, M = 16384) at s <= 1.4, C_far is four or
-    more orders below C_grid, and most of its reconstructions sit within a
-    few thousand rounding units of the pair terms they sum: C_min is
-    C_grid.  At s = 1.5 C_far agrees with C_grid to 4-9 digits and can be
-    C_min.
+    On the README grid (L = 256, M = 16384) the far part, whose
+    reconstruction carries the kernel's branch cut, sets C_min at
+    s = 1.2, N >= 0.44 (C_far 5.1706 against C_grid 5.0345 at N = 0.48;
+    the residue part alone gives about 1e-13).  At s = 1.5, N <= 0.2
+    C_far agrees with C_grid to 4-9 digits and can be C_min.  Elsewhere it
+    stays below: at s = 1.3, N = 0.4 C_far is 0.126 against a C_grid of
+    2.45, and at s = 1.3, N <= 0.1 it is about 1e-12, the rounding floor of
+    its pair sums, with no digit kept.
     """
     s = params.s
     lam = params.lam

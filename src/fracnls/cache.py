@@ -47,7 +47,10 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             "tol": repr(float(tol)),
             # the mass-constrained algorithm: entries of another algorithm
             # differ in the last digits and must miss
-            "solver": "newton-minres-dft/closed-form-lambda/coarse-start-1/8/petviashvili-dft-hand-off/parseval-finish",
+            "solver": (
+                "newton-minres-dft/closed-form-lambda/coarse-start-min(1/8,0.5/sqrt(lambda))"
+                "/petviashvili-dft-hand-off/parseval-finish"
+            ),
         },
         sort_keys=True,
     )

@@ -2,28 +2,28 @@
 
 A Petviashvili fixed-point iteration solves at a fixed multiplier; with the
 mass constrained, Newton-MINRES steps on the profile and the multiplier
-take over, started from the same solve on the coarse grid of spacing 1/8
-when the requested grid is finer (mesh sequencing), else from a
-Petviashvili hand-off.  The solvers operate on the renormalized problem,
-where profiles have O(1) width; the exact rescalings to the other
-formulations are test helpers (tests/drift.py).  Both iterate in Fourier
-space, on the raw DFT coefficients u_hat = fft(u): the symbol acts
-diagonally there; residuals, masses and pairings are sums over the
+take over, started from the same solve on the coarse grid of spacing
+min(1/8, 0.5/sqrt(lambda(s))) when the requested grid is finer (mesh
+sequencing), else from a Petviashvili hand-off.  The solvers operate on the
+renormalized problem, where profiles have O(1) width; the exact rescalings
+to the other formulations are test helpers (tests/drift.py).  Both iterate
+in Fourier space, on the raw DFT coefficients u_hat = fft(u): the symbol
+acts diagonally there; residuals, masses and pairings are sums over the
 coefficients (Parseval, sum |u|^2 = sum |u_hat|^2 / M); the padded
 nonlinearity maps coefficients to coefficients; and a Newton correction is
-added to u_hat as it comes out of the Krylov solve, with no transform.
-A solve's result is its coefficients: the Petviashvili iteration takes and
+added to u_hat as it comes out of the Krylov solve, with no transform.  A
+solve's result is its coefficients: the Petviashvili iteration takes and
 returns them, a mass-constrained solve hands them from its start to the
-coarse level, to the hand-off, to the Newton steps and from each step,
-with the symbol values, to its linearization, and a SolveResult holds
-them.  Grid values are formed only where a pointwise potential needs
-them, and where a caller reads SolveResult.profile.  A solve ends from
-the nonlinearity its last residual check padded: the energy is a
-coefficient sum (integral |u|^{p+1} = (h/M) Re sum w_hat conj(u_hat)),
-and the mass renormalization by c scales that nonlinearity by c^p, so the
-finish makes no transform.  The secant loop on the multiplier, the
-mass-projected descent and the energy functional on grid values that
-cross-check them are test oracles in tests/oracles.py.
+coarse level, to the hand-off, to the Newton steps and from each step, with
+the symbol values, to its linearization, and a SolveResult holds them.
+Grid values are formed only where a pointwise potential needs them, and
+where a caller reads SolveResult.profile.  A solve ends from the
+nonlinearity its last residual check padded: the energy is a coefficient
+sum (integral |u|^{p+1} = (h/M) Re sum w_hat conj(u_hat)), and the mass
+renormalization by c scales that nonlinearity by c^p, so the finish makes
+no transform.  The secant loop on the multiplier, the mass-projected
+descent and the energy functional on grid values that cross-check them are
+test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -191,15 +191,21 @@ _FORCING_FACTOR = 0.1
 _NEWTON_MAX_STEPS = 10
 _MASS_TOL = 1e-11  # relative mass error at which the mass-constrained solve stops
 _COARSE_SPACING = 1.0 / 8.0  # largest spacing of the coarse level the Newton steps start from
+# and at most this fraction of the core width 1/sqrt(lambda(s)): at s <= 1.1, where
+# lambda(s) > 16, spacing 1/8 under-resolves the core and the coarse level fails
+_COARSE_CORE_FRACTION = 0.5
 
 
-def _coarse_factor(grid: SpectralGrid) -> int:
-    """M over the points of the coarsest grid of length L whose spacing is at most _COARSE_SPACING.
+def _coarse_factor(grid: SpectralGrid, lam: float) -> int:
+    """M over the points of the coarsest grid of length L whose spacing is at most the coarse spacing.
 
-    1 when there is none coarser; a grid keeps SpectralGrid's least 16 points.
+    The coarse spacing is min(_COARSE_SPACING, _COARSE_CORE_FRACTION /
+    sqrt(lam)).  1 when there is none coarser; a grid keeps SpectralGrid's
+    least 16 points.
     """
+    spacing = min(_COARSE_SPACING, _COARSE_CORE_FRACTION / math.sqrt(lam))
     factor = 1
-    while grid.points // (2 * factor) >= 16 and 2 * factor * grid.h <= _COARSE_SPACING:
+    while grid.points // (2 * factor) >= 16 and 2 * factor * grid.h <= spacing:
         factor *= 2
     return factor
 
@@ -217,7 +223,8 @@ def petviashvili_mass_constrained(
     the DFT coefficients of R.  They start from a coarse level when the
     grid has one (mesh sequencing, Knoll & Keyes 2004, section 3): the
     coefficients of init are truncated to the coarsest grid of the same
-    length whose spacing is at most _COARSE_SPACING, solved there at the
+    length whose spacing is at most min(_COARSE_SPACING,
+    _COARSE_CORE_FRACTION / sqrt(lambda(s))), solved there at the
     same tol, renormalized to the target mass, and zero-padded back with
     their Rayleigh multiplier.  The profile's core is O(1) wide, so the
     padded coarse solve usually meets the stop rule on the requested grid
@@ -251,7 +258,7 @@ def _sequenced_newton(grid, params, uh, tol):
     """From uh: n_N on grid, the last Newton iterate and its padded nonlinearity, the iterations and the log."""
     p = 2.0 * params.s + 1.0
     sig = symbol_nN(grid.xi, params)
-    factor = _coarse_factor(grid)
+    factor = _coarse_factor(grid, params.lam)
     start = None
     if factor > 1:
         coarse = SpectralGrid(grid.length, grid.points // factor)

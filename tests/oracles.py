@@ -21,6 +21,9 @@ test reads:
   QUADPACK on the real axis (the package deforms the contour);
 - `kernel_grid_samples`: the periodized kernel m_N sampled on a grid by the
   inverse transform of its symbol;
+- `far_field_exact`: the far-field convolution of a profile's
+  nonlinearity with m_N by `kernel_pointwise` on every grid pair, summed
+  exactly (the package sums an interpolated kernel over a window);
 - `symbol_n_where` and `n_series_out_of_place`: the symbol n with its
   small-argument series run on the whole array and chosen by np.where, by
   an out-of-place Horner loop (the package runs the series in place, on
@@ -81,7 +84,7 @@ from fracnls.spectral import (
     pad_coefficients,
     truncate_coefficients,
 )
-from fracnls.symbols import ModelParams, symbol_n, symbol_nN
+from fracnls.symbols import ModelParams, kernel_pointwise, symbol_n, symbol_nN
 from drift import scale_R_to_S
 
 _SECANT_TOL = 1e-10  # residual of each Petviashvili solve in the secant oracle
@@ -414,6 +417,22 @@ def kernel_grid_samples(grid: SpectralGrid, params: ModelParams, theta: float) -
     # sampling Finv(sigma) on the nodes is the Riemann sum over the lattice,
     # i.e. exactly the normalized inverse with sigma as the coefficients
     return grid.from_fourier_coefficients(1.0 / symbol), symbol
+
+
+def far_field_exact(fixed: Profile, params: ModelParams, theta: float, x_points: np.ndarray) -> np.ndarray:
+    """The far field (1/sqrt(2 pi)) h sum_j m_N(x - y_j) g_j, g = |R|^{2s} R, over the whole grid.
+
+    Each pair's kernel is `kernel_pointwise`, the contour evaluator, not
+    the package's interpolated table, and each abscissa's M terms are
+    summed by an exactly rounded `math.fsum`.
+    """
+    y = fixed.grid.x
+    g = np.abs(fixed.values) ** (2.0 * params.s) * fixed.values
+    out = []
+    for x in np.atleast_1d(np.asarray(x_points, dtype=float)):
+        terms = kernel_pointwise(x - y, params, theta) * g
+        out.append(complex(math.fsum(terms.real), math.fsum(terms.imag)) * fixed.grid.h / SQRT_2PI)
+    return np.array(out)
 
 
 # -- the linearization ----------------------------------------------------------

@@ -44,10 +44,11 @@ def sweep() -> list:
         grid = SpectralGrid(length, m)
         for s in S_VALUES:
             for n in N_VALUES:
-                point = {"L": length, "M": m, "s": s, "N": n, "coarse": solvers._coarse_factor(grid) > 1}
+                params = ModelParams(s, n)
+                point = {"L": length, "M": m, "s": s, "N": n, "coarse": solvers._coarse_factor(grid, params.lam) > 1}
                 start = time.perf_counter()
                 try:
-                    res = solvers.petviashvili_mass_constrained(grid, ModelParams(s, n))
+                    res = solvers.petviashvili_mass_constrained(grid, params)
                 except Exception as exc:  # every failure is a measured outcome
                     point.update(converged=False, error=f"{type(exc).__name__}: {exc}", theta=None,
                                  levels=None, iterations=None)

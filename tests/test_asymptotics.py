@@ -21,7 +21,7 @@ from fracnls.solvers import petviashvili_mass_constrained
 from fracnls.spectral import Profile, SpectralGrid
 from fracnls.symbols import ModelParams, kernel_shift
 from conftest import S_DEFAULT, SOLVE_TOL
-from oracles import in_region, window_failure
+from oracles import far_field_exact, in_region, window_failure
 
 
 # -- roots of f1 ---------------------------------------------------------------
@@ -152,17 +152,13 @@ def test_reconstruction_matches_grid(petviashvili_path, grid_main):
     for x0 in (40.0, 56.0):
         i = int(np.argmin(np.abs(grid_main.x - x0)))
         x = np.array([grid_main.x[i]])
-        kern = asymptotics._KernelTail.covering(grid_main, params, res.multiplier, x)
-        rec = far_field_reconstruction(fixed, kern, x)[0]
+        rec = far_field_reconstruction(fixed, params, res.multiplier, x)[0]
         assert abs(rec - fixed.values[i]) <= 1e-6 * abs(fixed.values[i])
 
 
 def pair_terms(fixed, kern, x):
     """The per-pair kernel terms m_N(x - y_j) g_j of the convolution at x, over the whole grid."""
-    w = x - fixed.grid.x
-    residue = kern.residue_amp * np.exp(kern.residue_rate * np.abs(w))
-    kernel = np.where(w >= 0, residue, np.conj(residue)) + kern.branch_cut(w)
-    return kernel * np.abs(fixed.values) ** (2.0 * kern.s) * fixed.values
+    return kern(x - fixed.grid.x) * np.abs(fixed.values) ** (2.0 * kern.s) * fixed.values
 
 
 def fsum_reconstruction(fixed, kern, x):
@@ -181,26 +177,6 @@ def pairwise_rounding_bound(fixed, kern, x):
     return (math.log2(fixed.grid.points) + 2.0) * 2.0**-53 * scale
 
 
-@pytest.mark.parametrize("n", [0.2, 0.1, 0.05])
-def test_prefix_sum_reconstruction_matches_exact_pair_sum(petviashvili_path, grid_main, n):
-    """Prefix-summed residue part plus windowed branch cut equals fsum of all the pairs.
-
-    The decay-bound abscissae of tail_fit, and one grid node inside the
-    torus, where the pair with x - y = 0 goes on the y <= x side.
-    """
-    params = ModelParams(S_DEFAULT, n)
-    res = petviashvili_path[n]
-    fixed = gauge_fix(res.profile)
-    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
-    x_node = grid_main.x[int(np.argmin(np.abs(grid_main.x - 40.0)))]
-    for xs in (x_bound, np.array([x_node])):
-        kern = asymptotics._KernelTail.covering(grid_main, params, res.multiplier, xs)
-        rec = far_field_reconstruction(fixed, kern, xs)
-        for x, r in zip(xs, rec):
-            ref = fsum_reconstruction(fixed, kern, x)
-            assert abs(r - ref) <= 1e-13 * abs(ref)
-
-
 @pytest.fixture(scope="module")
 def solves_by_s(petviashvili_path, grid_main):
     """Solves at the benchmark's s and the README verify-th4 masses on the main grid."""
@@ -213,19 +189,31 @@ def solves_by_s(petviashvili_path, grid_main):
 
 @pytest.mark.parametrize("s", [1.3, 1.4, 1.5])
 def test_reconstruction_within_pairwise_rounding_of_exact_pair_sum(solves_by_s, grid_main, s):
-    """At the decay-bound abscissae the reconstruction is the fsum of all M pairs to pairwise-sum rounding.
+    """At the decay-bound abscissae the windowed sum is the fsum of all M pairs to pairwise-sum rounding.
 
     At s <= 1.4 the pair terms cancel by up to 14 orders there, so only an
     error bound scaled by sum_j |term_j| (not by the result) says anything.
+    At s = 1.5, where they do not, it is also the fsum to 1e-13 relative,
+    there and at one grid node inside the torus, where the pair with
+    x - y = 0 takes the w >= 0 branch.
     """
     x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    x_node = grid_main.x[int(np.argmin(np.abs(grid_main.x - 40.0)))]
     for n in (0.2, 0.1, 0.05):
         params, res = ModelParams(s, n), solves_by_s[s, n]
         fixed = gauge_fix(res.profile)
-        kern = asymptotics._KernelTail.covering(grid_main, params, res.multiplier, x_bound)
-        rec = far_field_reconstruction(fixed, kern, x_bound)
+        kern = asymptotics._KernelTail(params, res.multiplier, grid_main, x_bound)
+        rec = far_field_reconstruction(fixed, params, res.multiplier, x_bound)
         for x, r in zip(x_bound, rec):
-            assert abs(r - fsum_reconstruction(fixed, kern, x)) <= pairwise_rounding_bound(fixed, kern, x)
+            ref = fsum_reconstruction(fixed, kern, x)
+            assert abs(r - ref) <= pairwise_rounding_bound(fixed, kern, x)
+            if s == S_DEFAULT:
+                assert abs(r - ref) <= 1e-13 * abs(ref)
+        if s == S_DEFAULT:
+            node_kern = asymptotics._KernelTail(params, res.multiplier, grid_main, np.array([x_node]))
+            (r,) = far_field_reconstruction(fixed, params, res.multiplier, np.array([x_node]))
+            ref = fsum_reconstruction(fixed, node_kern, x_node)
+            assert abs(r - ref) <= 1e-13 * abs(ref)
 
 
 def test_branch_cut_window_keeps_a_far_bump(grid_main, lam15):
@@ -242,39 +230,56 @@ def test_branch_cut_window_keeps_a_far_bump(grid_main, lam15):
     bump = 0.1 * np.exp(-0.5 * ((x + 70.0) / grid_main.h) ** 2)
     fixed = Profile(grid_main, np.cosh(x) ** (-1.0 / S_DEFAULT) + bump + 0j)
     x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
-    kern = asymptotics._KernelTail.covering(grid_main, params, lam15["lam"], x_bound)
+    kern = asymptotics._KernelTail(params, lam15["lam"], grid_main, x_bound)
     g = np.abs(fixed.values) ** (2.0 * S_DEFAULT) * fixed.values
-    j0, j1 = asymptotics._branch_cut_windows(kern, x, g, x_bound)
+    j0, j1 = asymptotics._support_windows(kern, x, g, x_bound)
     i_bump = int(np.argmin(np.abs(x + 70.0)))
     assert np.all(j0 <= i_bump) and np.all(i_bump < j1)
-    # each dropped tail's |g|-mass times the |B| bound is within half a unit
+    # each dropped tail's |g|-mass times the |m_N| bound is within half a unit
     # roundoff of the peak term, and one more grid point would break that
     mag, peak = np.abs(g), int(np.argmax(np.abs(g)))
     for xm, lo, hi in zip(x_bound, j0, j1):
-        budget = 2.0**-54 * abs(kern.branch_cut(xm - x[peak])) * mag[peak]
-        assert math.fsum(mag[:lo]) * kern.branch_cut_bound <= budget * (1.0 + 1e-12)
-        assert math.fsum(mag[hi:]) * kern.branch_cut_bound <= budget * (1.0 + 1e-12)
-        assert math.fsum(mag[: lo + 1]) * kern.branch_cut_bound > budget
-        assert math.fsum(mag[hi - 1 :]) * kern.branch_cut_bound > budget
-    rec = far_field_reconstruction(fixed, kern, x_bound)
+        budget = 2.0**-54 * abs(kern(xm - x[peak])) * mag[peak]
+        assert math.fsum(mag[:lo]) * kern.bound <= budget * (1.0 + 1e-12)
+        assert math.fsum(mag[hi:]) * kern.bound <= budget * (1.0 + 1e-12)
+        assert math.fsum(mag[: lo + 1]) * kern.bound > budget
+        assert math.fsum(mag[hi - 1 :]) * kern.bound > budget
+    rec = far_field_reconstruction(fixed, params, lam15["lam"], x_bound)
     for xm, r in zip(x_bound, rec):
         bound = pairwise_rounding_bound(fixed, kern, xm)
         assert abs(r - fsum_reconstruction(fixed, kern, xm)) <= bound
         near_bump = np.abs(x + 70.0) <= 10.0 * grid_main.h
-        bump_share = np.sum(kern.branch_cut(xm - x[near_bump]) * g[near_bump]) * grid_main.h / math.sqrt(2.0 * math.pi)
+        bump_share = np.sum(kern(xm - x[near_bump]) * g[near_bump]) * grid_main.h / math.sqrt(2.0 * math.pi)
         assert abs(bump_share) > 100.0 * bound
 
 
 @pytest.mark.parametrize("s", [1.3, 1.4, 1.5])
 def test_branch_cut_bound_holds_across_the_table(grid_main, s):
-    """|branch_cut| on a dense sample of |w| over the table never exceeds `branch_cut_bound`."""
+    """|m_N| on a dense sample of |w| over the branch-cut table never exceeds the kernel's `bound`."""
     from fracnls.symbols import lambda_of_s
 
     x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
     for n in (0.2, 0.1, 0.05):
-        kern = asymptotics._KernelTail.covering(grid_main, ModelParams(s, n), lambda_of_s(s)[1], x_bound)
+        kern = asymptotics._KernelTail(ModelParams(s, n), lambda_of_s(s)[1], grid_main, x_bound)
         w = np.geomspace(*kern._range, 200_001)
-        assert np.max(np.abs(kern.branch_cut(np.concatenate([w, -w])))) <= kern.branch_cut_bound
+        assert np.max(np.abs(kern(np.concatenate([w, -w])))) <= kern.bound
+
+
+def test_branch_cut_sets_the_decay_bound_at_s_12(grid_main):
+    """At s = 1.2, N = 0.48 the far field, branch cut included, sets C_min.
+
+    There the residue part alone stays below C_grid, so a far field that
+    dropped the tabulated branch cut would lower C_min; C_far is the
+    exact pair sum's over `kernel_pointwise` to the table's accuracy.
+    """
+    params = ModelParams(1.2, 0.48)
+    res = petviashvili_mass_constrained(grid_main, params)
+    fixed = gauge_fix(res.profile)
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    rep = decay_bound_check(fixed, params, x_bound, far_field_reconstruction(fixed, params, res.multiplier, x_bound))
+    exact = decay_bound_check(fixed, params, x_bound, far_field_exact(fixed, params, res.multiplier, x_bound))
+    assert rep["C_far"] > rep["C_grid"]
+    assert rep["C_far"] == pytest.approx(exact["C_far"], rel=1e-8)
 
 
 # -- tail fits ---------------------------------------------------------------------
@@ -301,9 +306,9 @@ def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
         builds.append(args)
         build(self, *args)
 
-    def counting_reconstruct(fixed, kern, x_points):
-        reconstructed.append((kern, len(x_points)))
-        return reconstruct(fixed, kern, x_points)
+    def counting_reconstruct(fixed, params, theta, x_points):
+        reconstructed.append(len(x_points))
+        return reconstruct(fixed, params, theta, x_points)
 
     monkeypatch.setattr(asymptotics._KernelTail, "__init__", counting_build)
     monkeypatch.setattr(asymptotics, "far_field_reconstruction", counting_reconstruct)
@@ -311,14 +316,13 @@ def test_tail_fit_reconstructs_once(petviashvili_path, local_R, monkeypatch):
     res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.1)
     fit = tail_fit(res, local_R, params)
     assert len(builds) == 1
-    assert [n for _, n in reconstructed] == [12]
+    assert reconstructed == [12]
     assert find_root_translated.cache_info().misses == 1
     # the one table is the one made for the decay-bound points alone
     grid = res.profile.grid
     x_bound = np.geomspace(grid.length / 3.0, grid.length / 1.5, 12)
     fixed = gauge_fix(res.profile)
-    own_kern = asymptotics._KernelTail.covering(grid, params, res.multiplier, x_bound)
-    own = decay_bound_check(fixed, params, x_bound, reconstruct(fixed, own_kern, x_bound))
+    own = decay_bound_check(fixed, params, x_bound, reconstruct(fixed, params, res.multiplier, x_bound))
     assert fit.decay_bound == own
 
 
@@ -333,7 +337,7 @@ def test_far_field_sets_the_decay_bound_at_s_15(fits, petviashvili_path):
         res, params = petviashvili_path[n], ModelParams(S_DEFAULT, n)
         fixed = gauge_fix(res.profile)
         x_bound = np.geomspace(fixed.grid.length / 3.0, fixed.grid.length / 1.5, 12)
-        kern = asymptotics._KernelTail.covering(fixed.grid, params, res.multiplier, x_bound)
+        kern = asymptotics._KernelTail(params, res.multiplier, fixed.grid, x_bound)
         oracle = np.array([fsum_reconstruction(fixed, kern, x) for x in x_bound])
         assert rep["C_far"] == pytest.approx(decay_bound_check(fixed, params, x_bound, oracle)["C_far"], rel=1e-13)
 
@@ -369,8 +373,7 @@ def test_tail_honest_remainder_is_oscillation_damped(fit01, petviashvili_path):
     res, params = petviashvili_path[0.1], ModelParams(S_DEFAULT, 0.1)
     fixed = gauge_fix(res.profile)
     xs_far = np.geomspace(*fit01.window_far, 24)
-    kern = asymptotics._KernelTail.covering(fixed.grid, params, res.multiplier, xs_far)
-    rec = far_field_reconstruction(fixed, kern, xs_far)
+    rec = far_field_reconstruction(fixed, params, res.multiplier, xs_far)
     remainder = np.max(np.abs(rec - fit01.exp_amplitude * np.exp(-fit01.exp_rate * xs_far)))
     model_at_window = fit01.alg_coefficient * fit01.window_far[0] ** (-fit01.alg_exponent)
     assert remainder <= 1e-4 * model_at_window

@@ -457,9 +457,9 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
 def test_cache_key_digest_is_stable():
     # the digest of the entries written by the Newton-MINRES solver on DFT
     # coefficients with the closed-form lambda(s), the start from the coarse
-    # grid of spacing 1/8, the Petviashvili hand-off on DFT coefficients and
-    # the finish from the last residual's nonlinearity
-    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "f312e266962a0cdb57697bfa"
+    # grid of spacing min(1/8, 0.5/sqrt(lambda(s))), the Petviashvili hand-off
+    # on DFT coefficients and the finish from the last residual's nonlinearity
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "540933aa96770e93382bd1b9"
 
 
 @pytest.mark.parametrize("command", ["solve", "linearize"])

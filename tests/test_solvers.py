@@ -1,5 +1,7 @@
 """Ground-state solvers against closed-form oracles and each other."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -422,7 +424,7 @@ def test_newton_converges_below_the_regrid_roundoff_floor(grid_desk):
 
 
 def test_newton_history_per_step(grid_desk):
-    # two levels: the coarse grid of spacing 1/8 (512 points), then the requested one
+    # two levels: the coarse grid of spacing 1/8 at s = 1.5 (512 points), then the requested one
     res = petviashvili_mass_constrained(grid_desk, ModelParams(1.5, 0.1))
     hist = res.history
     points = hist["points"]
@@ -452,7 +454,8 @@ def test_mass_constrained_solve_finishes_with_one_padded_nonlinearity(monkeypatc
     "s,n,grid_spec,levels,path",
     [
         (1.5, 0.1, (256.0, 16384), (2048, 16384), "coarse start"),
-        (1.1, 0.05, (64.0, 4096), (512, 4096), "fallback"),  # the coarse level fails; the fine hand-off converges
+        (1.1, 0.05, (64.0, 4096), (1024, 4096), "coarse start"),  # spacing 1/16: half the core width
+        (1.2, 2.0, (64.0, 4096), (512, 4096), "fallback"),  # the coarse level fails; the fine hand-off converges
     ],
 )
 def test_a_solve_forms_profiles_only_at_its_ends_and_hand_offs(monkeypatch, s, n, grid_spec, levels, path):
@@ -528,8 +531,9 @@ def test_petviashvili_energy_matches_the_energy_functional(monkeypatch):
     "s,n,grid_spec,path",
     [
         (1.3, 0.1, (64.0, 4096), "no fine step"),
-        (1.1, 0.05, (64.0, 4096), "fallback"),  # the coarse solve fails; the fine hand-off converges
+        (1.1, 0.05, (64.0, 4096), "coarse start"),  # spacing 1/16: half the core width; two fine steps
         (1.5, 2.4, (256.0, 16384), "no fine step"),  # the largest mass the README grid solves at s = 1.5
+        (1.2, 2.0, (64.0, 4096), "fallback"),  # the coarse solve fails; the fine hand-off converges
     ],
 )
 def test_coarse_start_matches_the_fine_handoff(monkeypatch, s, n, grid_spec, path):
@@ -545,7 +549,10 @@ def test_coarse_start_matches_the_fine_handoff(monkeypatch, s, n, grid_spec, pat
     if path == "fallback":
         assert set(points) == {grid.points} and sequenced.multiplier == fine.multiplier  # the same path
     else:
-        assert points[0] == 8 * grid.length and points.count(grid.points) == 1  # spacing 1/8
+        # the coarsest power-of-two level whose spacing is within min(1/8, half the core width)
+        spacing = grid.length / points[0]
+        assert spacing <= min(1.0 / 8.0, 0.5 / math.sqrt(params.lam)) < 2.0 * spacing
+        assert (points.count(grid.points) == 1) == (path == "no fine step")
     assert abs(sequenced.multiplier - fine.multiplier) <= 1e-9 * abs(fine.multiplier)
     a = gauge_fix(sequenced.profile).values
     b = gauge_fix(fine.profile).values
