@@ -177,6 +177,26 @@ def pairwise_rounding_bound(fixed, kern, x):
     return (math.log2(fixed.grid.points) + 2.0) * 2.0**-53 * scale
 
 
+@pytest.mark.parametrize("n", [0.2, 0.1, 0.05])
+def test_prefix_sum_reconstruction_matches_exact_pair_sum(petviashvili_path, grid_main, n):
+    """The windowed sum of the whole kernel m_N equals fsum of all the pairs to 1e-13.
+
+    The decay-bound abscissae of tail_fit, and one grid node inside the
+    torus, where the pair with x - y = 0 takes the w >= 0 branch.
+    """
+    params = ModelParams(S_DEFAULT, n)
+    res = petviashvili_path[n]
+    fixed = gauge_fix(res.profile)
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    x_node = grid_main.x[int(np.argmin(np.abs(grid_main.x - 40.0)))]
+    for xs in (x_bound, np.array([x_node])):
+        kern = asymptotics._KernelTail(params, res.multiplier, grid_main, xs)
+        rec = far_field_reconstruction(fixed, params, res.multiplier, xs)
+        for x, r in zip(xs, rec):
+            ref = fsum_reconstruction(fixed, kern, x)
+            assert abs(r - ref) <= 1e-13 * abs(ref)
+
+
 @pytest.fixture(scope="module")
 def solves_by_s(petviashvili_path, grid_main):
     """Solves at the benchmark's s and the README verify-th4 masses on the main grid."""
@@ -193,27 +213,15 @@ def test_reconstruction_within_pairwise_rounding_of_exact_pair_sum(solves_by_s, 
 
     At s <= 1.4 the pair terms cancel by up to 14 orders there, so only an
     error bound scaled by sum_j |term_j| (not by the result) says anything.
-    At s = 1.5, where they do not, it is also the fsum to 1e-13 relative,
-    there and at one grid node inside the torus, where the pair with
-    x - y = 0 takes the w >= 0 branch.
     """
     x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
-    x_node = grid_main.x[int(np.argmin(np.abs(grid_main.x - 40.0)))]
     for n in (0.2, 0.1, 0.05):
         params, res = ModelParams(s, n), solves_by_s[s, n]
         fixed = gauge_fix(res.profile)
         kern = asymptotics._KernelTail(params, res.multiplier, grid_main, x_bound)
         rec = far_field_reconstruction(fixed, params, res.multiplier, x_bound)
         for x, r in zip(x_bound, rec):
-            ref = fsum_reconstruction(fixed, kern, x)
-            assert abs(r - ref) <= pairwise_rounding_bound(fixed, kern, x)
-            if s == S_DEFAULT:
-                assert abs(r - ref) <= 1e-13 * abs(ref)
-        if s == S_DEFAULT:
-            node_kern = asymptotics._KernelTail(params, res.multiplier, grid_main, np.array([x_node]))
-            (r,) = far_field_reconstruction(fixed, params, res.multiplier, np.array([x_node]))
-            ref = fsum_reconstruction(fixed, node_kern, x_node)
-            assert abs(r - ref) <= 1e-13 * abs(ref)
+            assert abs(r - fsum_reconstruction(fixed, kern, x)) <= pairwise_rounding_bound(fixed, kern, x)
 
 
 def test_branch_cut_window_keeps_a_far_bump(grid_main, lam15):
