@@ -1,10 +1,9 @@
 """Numerical verification of the spatial-asymptotics machinery.
 
-The complex root of the continued symbol and its polar parametrization, the
-rootlessness of the second branch (sampled and by the argument principle),
-the two-scale kernel expansion against its predicted constants, far-field
-reconstruction of solved profiles through the kernel convolution, tail
-fitting, and the uniform decay bound.
+The complex root of the continued symbol, the rootlessness of the second
+branch by the argument principle, the two-scale kernel expansion against
+its predicted constants, far-field reconstruction of solved profiles
+through the kernel convolution, tail fitting, and the uniform decay bound.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics_roots import RootBracketError, find_root_translated, n_analytic
+from .asymptotics_roots import RootBracketError, find_root_translated, translated_value
 from .renorm import gauge_fix
 from .spectral import SQRT_2PI, Profile
 from .solvers import SolveResult
@@ -44,16 +43,10 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # log of the largest finite doub
 
 @dataclass
 class RootResult:
-    """A root of the continued symbol branch f1 with its polar data.
-
-    The polar angle/radius parametrize the proof's translated variable
-    y + 1 = r e^{+-i phi}; the stored root is in the original variable.
-    """
+    """A root of the continued symbol branch f1, in the original variable, with |f1(y)|."""
 
     sign: str
     y: complex
-    phi: float
-    r: float
     residual: float
 
 
@@ -72,17 +65,9 @@ def find_root_f1(sign: str, params: ModelParams, theta: float) -> RootResult:
     s = params.s
     c = kernel_shift(params, theta)
     y_t = find_root_translated(s, c)
-    y = y_t - 1.0
     if sign == "-":
-        y = np.conj(y)  # phi and r below read |angle| and modulus, the same for both signs
-    res = abs(n_analytic(y, s) + c)
-    return RootResult(
-        sign=sign,
-        y=complex(y),
-        phi=abs(float(np.angle(y_t))),
-        r=float(np.abs(y_t)),
-        residual=float(res),
-    )
+        y_t = np.conj(y_t)
+    return RootResult(sign=sign, y=complex(y_t - 1.0), residual=float(abs(translated_value(y_t, s, c))))
 
 
 def _winding_number(path_values: np.ndarray) -> int:
@@ -91,19 +76,15 @@ def _winding_number(path_values: np.ndarray) -> int:
     return int(round((ang[-1] - ang[0]) / (2.0 * np.pi)))
 
 
-_F2_BOX = 10.0  # side of the sampled quarter box
-_F2_SAMPLES = 2000  # samples per box edge and along the real axis
+_F2_BOX = 10.0  # side of the quarter box
+_F2_SAMPLES = 2000  # samples per box edge
 
 
-def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> dict:
-    """Confirm f2 has no roots in its quarter region.
+def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> int:
+    """The winding of f2 about 0 on the boundary of its quarter box: 0 when f2 has no root there.
 
-    Reproduces the sign argument on a dense polar sampling of the translated
-    function y^s + s y + s - 1 + shift (imaginary part bounded away from 0
-    off the real axis, real part positive on it) and runs an
-    argument-principle winding count on the boundary of the quarter box.
-    The report carries the winding (a nonzero one is for the caller's check
-    to fail), the smallest f2 on the axis and the smallest |Im f2| off it.
+    The argument principle on the translated function y^s + s y + s - 1 +
+    shift; a nonzero winding is for the caller's check to fail.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -114,17 +95,6 @@ def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> dict:
             f"constant term s - 1 + shift = {s - 1 + c:.3e} must stay positive"
         )
     sgn = 1.0 if sign == "+" else -1.0
-    # on-axis positivity
-    r_ax = np.linspace(0.0, _F2_BOX, _F2_SAMPLES)
-    on_axis = r_ax**s + s * r_ax + s - 1.0 + c
-    on_axis_min = float(np.min(on_axis))
-    # off-axis |Im f2| = r^s sin(s phi) + s r sin(phi) at y = r e^{+-i phi},
-    # sampled on the polar grid; the lower sign flips only the sign of Im f2
-    phi = np.linspace(1e-3, np.pi / 2.0, 120)
-    r = np.linspace(1e-3, _F2_BOX, 200)
-    rr, pp = np.meshgrid(r, phi)
-    off_axis_min = float(np.min(rr**s * np.sin(s * pp) + s * rr * np.sin(pp)))
-    # winding along the boundary of the quarter box
     t = np.linspace(0.0, 1.0, _F2_SAMPLES)
     edge1 = _F2_BOX * t  # 0 -> box on the real axis
     edge2 = _F2_BOX + 1j * sgn * _F2_BOX * t  # up the right edge
@@ -136,11 +106,7 @@ def verify_f2_rootless(sign: str, params: ModelParams, theta: float) -> dict:
     vals = path**s + s * path + s - 1.0 + c
     if np.any(np.abs(vals) == 0.0):
         raise RuntimeError("f2 vanished on the contour; sampling hit a root")
-    return {
-        "winding": _winding_number(vals),
-        "on_axis_min": on_axis_min,
-        "off_axis_min": off_axis_min,
-    }
+    return _winding_number(vals)
 
 
 def _crossover(c1: float, rate: float, alg_coeff: float, power: float) -> float:

@@ -65,20 +65,18 @@ def radius_of_angle(phi: float, s: float) -> float:
     return (s * np.sin(phi) / np.sin(s * phi)) ** (1.0 / (s - 1.0))
 
 
+def translated_value(y: complex, s: float, c: float) -> complex:
+    """y^s - s y + s - 1 + c, evaluated as n(y - 1) + c for stability near y = 1."""
+    return n_analytic(complex(y) - 1.0, s) + c
+
+
 def f11_on_curve(phi: float, s: float, c: float) -> float:
     """Real part of the translated symbol at angle phi on the zero-imaginary curve.
 
     Evaluated through the stable series form n(y - 1) + c; the direct trig
     expression cancels to O(phi^2) and drowns small shifts in roundoff.
     """
-    r = radius_of_angle(phi, s)
-    y = r * np.exp(1j * phi)
-    return n_analytic(y - 1.0, s).real + c
-
-
-def translated_value(y: complex, s: float, c: float) -> complex:
-    """y^s - s y + s - 1 + c, evaluated as n(y - 1) + c for stability near y = 1."""
-    return n_analytic(complex(y) - 1.0, s) + c
+    return translated_value(radius_of_angle(phi, s) * np.exp(1j * phi), s, c).real
 
 
 @lru_cache(maxsize=128)

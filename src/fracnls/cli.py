@@ -16,6 +16,7 @@ import csv
 import ctypes
 import functools
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -221,9 +222,9 @@ def kernel_checks(params: ModelParams, rep: dict) -> dict:
     }
 
 
-def root_checks(root, f2: dict) -> dict:
+def root_checks(root, winding: int) -> dict:
     """The root of f1 solves its equation, and f2 winds zero times on its contour."""
-    return {"root_residual": _check(root.residual, 1e-12), "winding": _check(float(abs(f2["winding"])), 0.0)}
+    return {"root_residual": _check(root.residual, 1e-12), "winding": _check(float(abs(winding)), 0.0)}
 
 
 def torus_edge_check(q: Profile) -> dict:
@@ -368,15 +369,15 @@ def _kernel_stage(config: RunConfig, s: float, n: float) -> dict:
     params = ModelParams(s, n)
     rep = kernel_expansion_check(params, lam)
     root = find_root_f1("+", params, lam)
-    f2 = verify_f2_rootless("+", params, lam)
+    winding = verify_f2_rootless("+", params, lam)
     return {
         "exp_window_deviation": rep["exp_window_deviation"],
         "alg_exponent": rep["alg_exponent"],
         "envelope_ratio": rep["envelope_ratio"],
         "oscillation_frequency": rep["oscillation_frequency"],
         "root": repr(root.y),
-        "winding": f2["winding"],
-        "checks": {**kernel_checks(params, rep), **root_checks(root, f2)},
+        "winding": winding,
+        "checks": {**kernel_checks(params, rep), **root_checks(root, winding)},
     }
 
 
@@ -595,8 +596,36 @@ def _keep_heap() -> None:
     mallopt(-1, 4 << 20)  # M_TRIM_THRESHOLD: keep up to 4 MiB of free heap top
 
 
+# (package, its wheel's bundled OpenBLAS, that copy's thread-count setter)
+_OPENBLAS_COPIES = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread, once per process, so records do not depend on the CPU count.
+
+    numpy and scipy each bundle an OpenBLAS, and `import fracnls.cli` loads
+    both; each reads OPENBLAS_NUM_THREADS as it loads, too early for `main`
+    to set it, and by default splits its products over every CPU, which
+    moves eigenvalues and residuals in their last digits.  Each copy's own
+    setter takes effect at once, and worker processes forked afterwards
+    inherit it.  A no-op where a copy or its setter is absent.
+    """
+    for package, pattern, setter in _OPENBLAS_COPIES:
+        libs = Path(importlib.import_module(package).__file__).parents[1] / f"{package}.libs"
+        for path in libs.glob(pattern):
+            try:
+                getattr(ctypes.CDLL(str(path)), setter)(1)
+            except (OSError, AttributeError):
+                continue
+
+
 def main(argv=None) -> int:
     _keep_heap()
+    _one_blas_thread()
     try:
         config = build_config(make_parser().parse_args(argv))
     except (ConfigError, ValueError) as exc:

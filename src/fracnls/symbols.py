@@ -138,21 +138,17 @@ def kernel_constants(params: ModelParams) -> dict:
 # -- pointwise evaluator -----------------------------------------------------
 
 
-def _vertical_integrand_factory(s: float, c: float):
+def _branch_cut_integrand(t, s: float, c: float):
+    """1/fa(t) - 1/fb(t) on the vertical branch cut, fa, fb = (+-i)^s t^s - i s t + s - 1 + c.
+
+    Written as (fb - fa)/(fa fb) to avoid cancellation.
+    """
     ipow = np.exp(1j * np.pi * s / 2.0)  # i^s
     impow = np.exp(-1j * np.pi * s / 2.0)  # (-i)^s
-
-    def fa(t):
-        return ipow * t**s - 1j * s * t + s - 1.0 + c
-
-    def fb(t):
-        return impow * t**s - 1j * s * t + s - 1.0 + c
-
-    def diff(t):
-        # 1/fa - 1/fb, written to avoid cancellation: (fb - fa)/(fa fb)
-        return (impow - ipow) * t**s / (fa(t) * fb(t))
-
-    return diff
+    ts = t**s
+    fa = ipow * ts - 1j * s * t + s - 1.0 + c
+    fb = impow * ts - 1j * s * t + s - 1.0 + c
+    return (impow - ipow) * ts / (fa * fb)
 
 
 # trapezoid rule in u = log t: nodes umin + h k, k = 0..n-1, reaching
@@ -164,7 +160,7 @@ _LAPLACE_BLOCK = 8192  # nodes x abscissae per block of the exponential table
 
 
 def laplace_transform(s: float, c: float, X) -> np.ndarray:
-    """integral_0^inf e^{-X t} diff(t) dt for every X > 0, diff the branch-cut integrand.
+    """integral_0^inf e^{-X t} diff(t) dt for every X > 0, diff the `_branch_cut_integrand`.
 
     After t = e^u the integrand is analytic in a strip around the real u-axis
     and decays at both ends, so the plain trapezoid rule converges like
@@ -183,7 +179,7 @@ def laplace_transform(s: float, c: float, X) -> np.ndarray:
     x_lo = min(float(X.min()), _LAPLACE_X_FLOOR)
     n = int(math.ceil((math.log(45.0 / x_lo) + 0.5 - _LAPLACE_UMIN) / h)) + 1
     t = np.exp(_LAPLACE_UMIN + h * np.arange(n))
-    weights = h * t * _vertical_integrand_factory(s, c)(t)
+    weights = h * t * _branch_cut_integrand(t, s, c)
     flat = X.ravel()
     out = np.empty(flat.shape, dtype=complex)
     rows = max(1, _LAPLACE_BLOCK // n)

@@ -61,11 +61,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import circulant
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import minres
 
 from fracnls.asymptotics import RootResult, TailFit
 from fracnls.asymptotics_roots import binomial_tail_coeffs
-from fracnls.linearized import LinearizedOperator
+from fracnls.linearized import LinearizedOperator, _operator, _raw, _unitary
 from fracnls.solvers import (
     _MASS_TOL,
     ConvergenceError,
@@ -472,22 +472,6 @@ def local_dense(op: LocalOperator) -> np.ndarray:
     """The real M x M matrix of a local-limit operator L+ or L-."""
     col = ifft(op.grid.xi**2 + op.lam).real
     return circulant(col) - np.diag(op.potential)
-
-
-def _unitary(coeffs: np.ndarray) -> np.ndarray:
-    """Stacked unitary DFT coefficients fft(f)/sqrt(M), (Re, Im), from raw ones: the MINRES coordinates."""
-    return np.concatenate([coeffs.real, coeffs.imag]) / math.sqrt(coeffs.shape[0])
-
-
-def _raw(vec: np.ndarray) -> np.ndarray:
-    """Raw DFT coefficients from stacked unitary ones, the inverse of _unitary."""
-    m = vec.shape[0] // 2
-    return (vec[:m] + 1j * vec[m:]) * math.sqrt(m)
-
-
-def _operator(n: int, apply) -> LinearOperator:
-    """The real n x n LinearOperator of `apply`."""
-    return LinearOperator((n, n), matvec=apply, dtype=float)
 
 
 def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, dict]:

@@ -8,8 +8,10 @@ tol, at each of the 210 points of the grids (L, M) in GRIDS, s in
 {1.1, ..., 1.7} and N in {0.01, 0.05, 0.4, 1, 2, 2.4}, and writes one JSON
 entry per point: whether it converged or the error message, theta, the
 grid levels it solved on (in the order of the solve's history), its
-iterations, its wall time, and whether its grid has a coarser level.  It
-takes a few seconds on 2 vCPUs.  Run it with the tree to measure on the
+iterations, its wall time, and whether its grid has a coarser level.  Each
+point is solved three times: the outcome, theta, levels and iterations
+are the first solve's, the wall time the best of the three.  It takes
+about 13 s on 2 vCPUs.  Run it with the tree to measure on the
 path (`PYTHONPATH=src`, or `pip install -e .`).
 
 `compare` pairs the points of two such files and prints how many converge
@@ -31,6 +33,17 @@ from pathlib import Path
 GRIDS = ((64.0, 4096), (256.0, 16384), (256.0, 4096), (128.0, 1024), (32.0, 1024))
 S_VALUES = (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7)
 N_VALUES = (0.01, 0.05, 0.4, 1.0, 2.0, 2.4)
+REPEATS = 3  # a point's time is the best of this many solves; one time moves by up to 10% between runs
+
+
+def _outcome(solvers, grid, params) -> dict:
+    """Whether the solve converged or its error, with theta, the grid levels and the iterations."""
+    try:
+        res = solvers.petviashvili_mass_constrained(grid, params)
+    except Exception as exc:  # every failure is a measured outcome
+        return dict(converged=False, error=f"{type(exc).__name__}: {exc}", theta=None, levels=None, iterations=None)
+    return dict(converged=res.converged, error=None, theta=res.multiplier,
+                levels=list(dict.fromkeys(res.history["points"])), iterations=res.iterations)
 
 
 def sweep() -> list:
@@ -46,16 +59,12 @@ def sweep() -> list:
             for n in N_VALUES:
                 params = ModelParams(s, n)
                 point = {"L": length, "M": m, "s": s, "N": n, "coarse": solvers._coarse_factor(grid, params.lam) > 1}
-                start = time.perf_counter()
-                try:
-                    res = solvers.petviashvili_mass_constrained(grid, params)
-                except Exception as exc:  # every failure is a measured outcome
-                    point.update(converged=False, error=f"{type(exc).__name__}: {exc}", theta=None,
-                                 levels=None, iterations=None)
-                else:
-                    point.update(converged=res.converged, error=None, theta=res.multiplier,
-                                 levels=list(dict.fromkeys(res.history["points"])), iterations=res.iterations)
-                point["seconds"] = time.perf_counter() - start
+                outcomes, seconds = [], []
+                for _ in range(REPEATS):
+                    start = time.perf_counter()
+                    outcomes.append(_outcome(solvers, grid, params))
+                    seconds.append(time.perf_counter() - start)
+                point.update(outcomes[0], seconds=min(seconds))
                 points.append(point)
     return points
 

@@ -267,9 +267,8 @@ def test_criterion_08_root_system(lam15):
         for sign in ("+", "-"):
             ratios.append(abs(find_root_f1(sign, p, lam).y) / kappa)
     spread = max(ratios) / min(ratios)
-    f2s = [verify_f2_rootless(sign, p_mid, lam) for sign in ("+", "-")]
-    windings = [f2["winding"] for f2 in f2s]
-    shared = all(holds(root_checks(root, f2), root_residual=1e-12, winding=0.0) for f2 in f2s)
+    windings = [verify_f2_rootless(sign, p_mid, lam) for sign in ("+", "-")]
+    shared = all(holds(root_checks(root, w), root_residual=1e-12, winding=0.0) for w in windings)
     ok = shared and limit_err <= 1e-2 and spread <= 1.5
     report(
         8, ok,

@@ -15,7 +15,7 @@ from fracnls.asymptotics import (
     tail_fit,
     verify_f2_rootless,
 )
-from fracnls.asymptotics_roots import f11_on_curve, find_root_translated, radius_of_angle
+from fracnls.asymptotics_roots import f11_on_curve, find_root_translated, radius_of_angle, translated_value
 from fracnls.renorm import gauge_fix
 from fracnls.solvers import petviashvili_mass_constrained
 from fracnls.spectral import Profile, SpectralGrid
@@ -30,8 +30,8 @@ def test_root_residual_and_region(lam15):
     p = ModelParams(S_DEFAULT, 0.1)
     root = find_root_f1("+", p, lam15["lam"])
     assert in_region(root)
-    assert 0.0 < root.phi < np.pi / 2.0
-    assert root.r == pytest.approx(abs(root.y + 1.0), rel=1e-12)
+    assert root.residual <= 1e-12
+    assert 0.0 < np.angle(root.y + 1.0) < np.pi / 2.0  # the translated root's open quadrant
 
 
 def test_root_conjugate_symmetry(lam15):
@@ -76,11 +76,14 @@ def test_root_smoke_other_s(s):
 # -- rootlessness of f2 ----------------------------------------------------------
 
 def test_f2_rootless_winding(lam15):
-    """f2 stays off zero on the axis and off it, by the same margins in both
-    half-planes (the winding is criterion 08's)."""
-    plus, minus = (verify_f2_rootless(sign, ModelParams(S_DEFAULT, 0.1), lam15["lam"]) for sign in "+-")
-    assert plus["on_axis_min"] == minus["on_axis_min"] > 0.0
-    assert plus["off_axis_min"] == minus["off_axis_min"] > 0.0
+    """f2 winds zero times in both half-planes (criterion 08's windings), and
+    the same count finds the one root of the translated f1 on a circle around it."""
+    p = ModelParams(S_DEFAULT, 0.1)
+    assert [verify_f2_rootless(sign, p, lam15["lam"]) for sign in "+-"] == [0, 0]
+    c = kernel_shift(p, lam15["lam"])
+    y = find_root_translated(S_DEFAULT, c)
+    circle = y + 0.5 * y.imag * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 400))
+    assert asymptotics._winding_number(np.array([translated_value(z, S_DEFAULT, c) for z in circle])) == 1
 
 
 @pytest.mark.parametrize("s", [1.2, 1.8])
@@ -88,8 +91,7 @@ def test_f2_rootless_smoke(s):
     from fracnls.symbols import lambda_of_s
 
     _, lam = lambda_of_s(s)
-    rep = verify_f2_rootless("+", ModelParams(s, 0.1), lam)
-    assert rep["winding"] == 0
+    assert verify_f2_rootless("+", ModelParams(s, 0.1), lam) == 0
 
 
 def test_f2_precondition():

@@ -5,7 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -323,6 +326,44 @@ def test_record_bytes_independent_of_deployment(tmp_path):
     serial = records("1", "a")
     assert records("2", "b") == serial
     assert sorted(p.suffix for p in serial if p.parent == Path(".")) == [".csv", ".json"]
+
+
+# LOBPCG (linearize) and the Newton steps' MINRES (verify-th2) run on BLAS; on a
+# 2-vCPU host, two BLAS threads moved eigenvalues by up to 4.7e-15 and the
+# residual by 4.6e-16 relative against one
+_BLAS_COMMANDS = (
+    ["linearize", "--s-list", "1.2,1.3", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "1024"],
+    ["verify-th2", "--s-list", "1.5", "--n-list", "0.2,0.1", "--grid-l", "256", "--grid-m", "16384"],
+)
+
+
+def test_record_bytes_independent_of_blas_threads(tmp_path):
+    """One interpreter per OPENBLAS_NUM_THREADS (unset, 1, 2; and 2 with two workers) writes the same records.
+
+    The variable is read as each OpenBLAS copy loads, before `main` runs, so
+    only a fresh interpreter shows what it does.
+    """
+    script = "import json, sys\nfrom fracnls.cli import main\nsys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+    src = str(Path(cli.__file__).parents[1])
+
+    def records(threads, workers, tag):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"out-{tag}"
+        runs = [cmd + ["--workers", workers, "--cache-dir", str(tmp_path / f"cache-{tag}"), "--output-dir", str(out)]
+                for cmd in _BLAS_COMMANDS]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix in (".csv", ".json")
+                and not p.name.endswith(".meta.json")}
+
+    unset = records(None, "1", "unset")
+    assert sorted(Path(name).suffix for name in unset) == [".csv", ".csv", ".json", ".json"]
+    for threads, workers in (("1", "1"), ("2", "1"), ("2", "2")):
+        assert records(threads, workers, f"{threads}-{workers}") == unset, (threads, workers)
 
 
 @pytest.mark.parametrize("n_list,pool_size", [((0.2, 0.1), 2), ((0.2,), None)])
