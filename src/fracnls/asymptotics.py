@@ -15,7 +15,7 @@ import numpy as np
 
 from .asymptotics_roots import RootBracketError, find_root_translated, translated_value
 from .renorm import gauge_fix
-from .spectral import SQRT_2PI, Profile
+from .spectral import SQRT_2PI, Profile, UnresolvedError
 from .solvers import SolveResult
 from .symbols import (
     ModelParams,
@@ -162,7 +162,9 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
     dominates the algebraic one by >= 10x.  Far window: envelope power and
     coefficient of the residual after removing the exponential part, plus
     the oscillation frequency from the residual's phase slope (expected
-    1/kappa).  Windows are derived from the model constants before fitting.
+    1/kappa).  Windows are derived from the model constants before fitting;
+    where they cannot be separated (N too large) the point is refused with
+    UnresolvedError before any kernel evaluation.
     """
     s = params.s
     lam = params.lam
@@ -177,7 +179,7 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
     x_dom = _crossover(c1, rate, 100.0 * alg, power)
     x_lo = 1.0 / rate
     if x_dom <= x_lo:
-        raise RuntimeError(
+        raise UnresolvedError(
             f"windows cannot be separated: exponential dominance ends at {x_dom:.3g} "
             f"before one decay length {x_lo:.3g} (N too large)"
         )
@@ -339,7 +341,8 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     moment (the local Green's function of -d^2/dx^2 + lam is
     e^{-sqrt(lam)|x|}/(2 sqrt(lam)), which pins the bookkeeping).  The
     decay-bound points are the only abscissae reconstructed, through one
-    kernel-tail table.
+    kernel-tail table.  An exponential window of fewer than 20 grid samples
+    is a grid that does not resolve the point: UnresolvedError.
     """
     s = params.s
     lam = params.lam
@@ -355,7 +358,7 @@ def tail_fit(result: SolveResult, local_r: Profile, params: ModelParams) -> Tail
     x_lo = 2.0 / rate_model
     mask = (grid.x >= x_lo) & (grid.x <= x_hi)
     if np.count_nonzero(mask) < 20:
-        raise RuntimeError("exponential window has fewer than 20 grid samples")
+        raise UnresolvedError("exponential window has fewer than 20 grid samples")
     exp_rate, exp_amp, exp_resid = _log_linear_fit(grid.x[mask], fixed.values[mask], "exp_rate, exp_amplitude")
 
     # far window: the frozen-phase algebraic term of the convolution,

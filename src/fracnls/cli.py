@@ -4,9 +4,11 @@ Subcommands map one-to-one to the verification pipelines; every pass/fail
 entry carries the measured value and its threshold.  Each command is a
 stage applied to every (s, N) point, plus an optional per-s summary; the
 points run in-process or on a worker pool with the same result.  Identical
-configurations reproduce byte-identical CSV/JSON (timings live in a
-separate metadata file), serial and parallel runs produce identical
-records, and cached solves replay exactly.
+configurations reproduce byte-identical CSV/JSON (timings and the
+points' solver statistics live in a separate metadata file), serial and
+parallel runs produce identical records, and cached solves replay exactly.
+A point that the settings cannot resolve is refused: its error is
+recorded, and the run exits as on a configuration error.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .cache import cached_solve, default_cache_dir
 from .linearized import build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
 from .solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
-from .spectral import Profile, SpectralGrid
+from .spectral import Profile, SpectralGrid, UnresolvedError
 from .symbols import ModelParams, lambda_of_s
 
 EXIT_OK = 0
@@ -132,6 +134,7 @@ class RunRecord:
     config: dict
     points: list
     timings: dict  # emitted to the metadata file only
+    meta: list = field(default_factory=list)  # per point: solver statistics, refusal; metadata file only
 
     def any_failure(self) -> bool:
         for pt in self.points:
@@ -144,6 +147,9 @@ class RunRecord:
 
     def any_solver_error(self) -> bool:
         return any(pt.get("error") for pt in self.points)
+
+    def any_refusal(self) -> bool:
+        return any(m.get("refused") for m in self.meta)
 
 
 def _check(value: float, threshold: float, mode: str = "le") -> dict:
@@ -361,6 +367,7 @@ def _linearize_stage(config: RunConfig, s: float, n: float) -> dict:
         "correlations": list(rep.correlations),
         "coercivity": rep.coercivity,
         "checks": linearized_checks(rep),
+        "meta": {"lobpcg_iterations": rep.iterations, "kernel_residual_ratio": rep.kernel_residual_ratio},
     }
 
 
@@ -396,7 +403,7 @@ def _gn_constant_stage(config: RunConfig, s: float, n: None) -> dict:
 
 @dataclass(frozen=True)
 class Pipeline:
-    stage: Callable  # (config, s, N) -> the point's fields and checks
+    stage: Callable  # (config, s, N) -> the point's fields and checks, and optionally its "meta"
     masses: str  # "ascending" or "descending" N per s, or "none": one point per s with N = None
     summary: Callable | None = None  # (s, that s's points) -> summary points appended after them
 
@@ -413,15 +420,25 @@ PIPELINES = {
 COMMANDS = tuple(PIPELINES)
 
 
-def _run_point(job) -> dict:
-    """One point of the command's pipeline; a solver or check failure becomes its error."""
+def _run_point(job) -> tuple:
+    """One point of the command's pipeline and its metadata.
+
+    A solver or check failure becomes the point's error; a point that the
+    settings cannot resolve (UnresolvedError) is also marked refused in
+    the metadata.
+    """
     config, s, n = job
-    pt = _point(s, n)
+    pt, meta = _point(s, n), {}
     try:
-        pt.update(PIPELINES[config.command].stage(config, s, n))
+        out = PIPELINES[config.command].stage(config, s, n)
+    except UnresolvedError as exc:
+        pt["error"], meta = str(exc), {"refused": True}
     except RuntimeError as exc:
         pt["error"] = str(exc)
-    return pt
+    else:
+        meta = out.pop("meta", {})
+        pt.update(out)
+    return pt, meta
 
 
 def run(config: RunConfig) -> RunRecord:
@@ -443,11 +460,12 @@ def run(config: RunConfig) -> RunRecord:
         results = list(map(_run_point, jobs))
     points = []
     for i, s in enumerate(s_values):
-        own = results[i * len(masses):(i + 1) * len(masses)]
+        own = [pt for pt, _ in results[i * len(masses):(i + 1) * len(masses)]]
         points += own
         if pipeline.summary is not None:
             points += pipeline.summary(s, own)
-    return RunRecord(config=config.echo(), points=points, timings={"wall_seconds": time.time() - t0})
+    meta = [{"s": pt["s"], "N": pt["N"], **m} for pt, m in results if m]
+    return RunRecord(config=config.echo(), points=points, timings={"wall_seconds": time.time() - t0}, meta=meta)
 
 
 CSV_COLUMNS = (
@@ -470,7 +488,8 @@ def emit_outputs(record: RunRecord, config: RunConfig) -> list:
     """Write the CSV/JSON record, per-profile plot data, and the metadata file.
 
     File names derive from the config hash, so identical configurations
-    overwrite identically; timestamps live only in the metadata file.
+    overwrite identically; timestamps and the points' metadata live only in
+    the metadata file.
     """
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -497,7 +516,7 @@ def emit_outputs(record: RunRecord, config: RunConfig) -> list:
     written.append(json_path)
 
     meta_path = outdir / f"{stem}.meta.json"
-    meta_path.write_text(json.dumps({"timings": record.timings, "written_at": time.time()}))
+    meta_path.write_text(json.dumps({"timings": record.timings, "points": record.meta, "written_at": time.time()}))
     written.append(meta_path)
     return written
 
@@ -643,6 +662,8 @@ def main(argv=None) -> int:
         for name, chk in pt.get("checks", {}).items():
             status = "pass" if chk["pass"] else "FAIL"
             print(f"{label}: {name} = {chk['value']:.6g} (threshold {chk['threshold']:.6g}) {status}")
+    if record.any_refusal():
+        return EXIT_CONFIG_ERROR
     if record.any_solver_error():
         return EXIT_SOLVER_FAILURE
     if record.any_failure():

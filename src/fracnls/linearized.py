@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spectral import SpectralGrid, fft, ifft, pad_coefficients, truncate_coefficients
+from .spectral import SpectralGrid, UnresolvedError, fft, ifft, pad_coefficients, truncate_coefficients
 from .symbols import ModelParams, symbol_nN
 
 if TYPE_CHECKING:  # solvers builds its Newton steps on this module
@@ -201,13 +201,14 @@ def build_linearized(result: SolveResult, params: ModelParams) -> LinearizedOper
 
 @dataclass
 class LinearizedReport:
-    eigenvalues: np.ndarray  # six lowest, ascending
+    eigenvalues: np.ndarray  # the discrete ones, below theta, ascending
     near_zero: np.ndarray  # eigenvalues with |ev| below the kernel threshold
     correlations: tuple  # projection of (iR, dR) onto the near-zero eigenspace
-    coercivity: float  # smallest |ev| outside the kernel pair
+    coercivity: float  # min(theta, smallest discrete |ev| outside the kernel pair)
     norm_estimate: float
     threshold: float
     iterations: int  # rows of LOBPCG's residual histories summed over its calls, each call's start and final Rayleigh-Ritz included
+    kernel_residual_ratio: float  # max of ||L v|| / ||v|| over v in {iR, dR/dx}, over the threshold
 
 
 def _operator(n: int, action):
@@ -217,15 +218,19 @@ def _operator(n: int, action):
     return LinearOperator((n, n), matvec=action, matmat=action, dtype=float)
 
 
-_BLOCK = 8  # LOBPCG block width; the lowest _KEEP of its eigenpairs are reported
-_KEEP = 6
+_BLOCK = 8  # LOBPCG block width
 _COARSE_POINTS = 128  # grid of the start block's dense eigensolve (a 256 x 256 matrix)
 _EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
-_EIG_CHUNK = 40  # lobpcg iterations per call between checks of the kept residuals
-# cap on the maxiter summed over the calls; README grid: 4, 25, 86, 172
-# iterations at s = 1.5, 1.4, 1.3, 1.2, while s = 1.1 ends at the cap
+_EIG_CHUNK = 15  # lobpcg iterations per call between checks of the discrete pairs' residuals
+# cap on the maxiter summed over the calls; README grid: 4, 18, 18 iterations
+# at s = 1.5, 1.4, 1.3; 18 at s = 1.2 on M = 2048 and 33 at s = 1.1 on M = 4096
 _EIG_MAXITER = 400
 _KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
+# iR and dR/dx must be annihilated to below this times the kernel threshold;
+# resolved grids read at most 4e-6 (s = 1.3, README grid), unresolved ones 0.5 and more
+_RESOLVED_REL = 1e-3
+# the ratio of iR fell at least 1.2e3-fold per doubling of M (L = 128, s = 1.1 to 1.3)
+_FALL_PER_DOUBLING = 1e3
 _MINRES_MAXITER = 1000
 
 
@@ -251,30 +256,54 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
     return _stack(pad_coefficients(_unstack(vecs), factor))
 
 
-def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
-    """Lowest eigenpairs of the symmetric form: kernel pair, correlations, coercivity.
+def _resolution_guard(op: LinearizedOperator, threshold: float) -> float:
+    """max ||L v|| / ||v|| over v in {iR, dR/dx}, over the kernel threshold; above _RESOLVED_REL, UnresolvedError.
 
-    LOBPCG (Knyazev 2001) on the stacked DFT coefficients, preconditioned by the
+    The one-line refusal names a finer grid where iR is not annihilated,
+    and a longer torus where only dR/dx is not: the solve is then the
+    spatially constant state, whose dR/dx is roundoff.
+    """
+    block = np.stack(op.kernel_coefficients(), axis=1)
+    ratios = np.linalg.norm(op.apply_coefficients(block), axis=0) / np.linalg.norm(block, axis=0) / threshold
+    ratio = float(np.max(ratios))
+    if ratio <= _RESOLVED_REL:
+        return ratio
+    length, points = op.grid.length, op.grid.points
+    if ratios[0] > _RESOLVED_REL:
+        doublings = max(1, math.ceil(math.log(ratios[0] / _RESOLVED_REL, _FALL_PER_DOUBLING)))
+        remedy = f"refine the grid: --grid-l {length:g} --grid-m {points << doublings}"
+    else:
+        remedy = "the solve is the spatially constant state: lengthen the torus"
+    raise UnresolvedError(
+        f"the grid (L = {length:g}, M = {points}) does not resolve s = {op.params.s:g}, N = {op.params.N:g}: "
+        f"kernel residual of iR, dR/dx is {ratio:.3g} x the kernel threshold (limit {_RESOLVED_REL:g}); {remedy}"
+    )
+
+
+def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
+    """The discrete eigenpairs, below theta: kernel pair, correlations, coercivity.
+
+    An unresolved grid is refused first (_resolution_guard).  LOBPCG
+    (Knyazev 2001) on the stacked DFT coefficients, preconditioned by the
     exact inverse symbol 1/(n_N + theta), which is positive, and started
     from the lowest eigenvectors of the same linearization on a grid of
     _COARSE_POINTS points (_coarse_start).  The start is deterministic, so
     reruns are bitwise identical, and exact when op's grid is no finer.
-    The six lowest eigenpairs must reach residual _EIG_TOL times the
+    On the line the essential spectrum is [theta, oo) (Weyl); only the
+    Ritz pairs below theta must reach residual _EIG_TOL times the
     operator-norm bound.  scipy's lobpcg stops only when every block column
     does, so it runs in calls of _EIG_CHUNK iterations, each from the block
-    the last one returned, at that bound as its tolerance.  After each call
-    the six kept residuals are recomputed, and the loop stops once all of
-    them pass: the two spare columns at the edge of the eigenvalue cluster
-    no longer set the count, and a locked column that drifted past the
-    bound costs one more call.  The maxiter of the calls sums to at most
-    _EIG_MAXITER.
+    the last one returned, at that bound as its tolerance, until those
+    pairs pass: the torus's continuum just above theta no longer sets the
+    count.  The maxiter of the calls sums to at most _EIG_MAXITER.
     Exactly two eigenvalues are expected below _KERNEL_REL_THRESHOLD times
     the norm bound; their eigenspace is compared against span{iR, dR/dx}
-    through orthogonal projections.  The highest of the six must lie above
-    the threshold: the unseen spectrum then lies above both the threshold
-    and the coercivity, so near_zero and coercivity hold for the whole
-    spectrum.  Either failure, or kept residuals above the bound at the
-    cap, raises RuntimeError.
+    through orthogonal projections.  Some Ritz value must reach theta, and
+    theta must lie above the threshold: Ritz values bound eigenvalues from
+    above, so, as far as LOBPCG found the lowest ones, the unseen spectrum
+    starts at or above theta, and near_zero and coercivity hold for the
+    whole spectrum.  Either failure, or discrete residuals above the bound
+    at the cap, raises RuntimeError.
     """
     from scipy.sparse.linalg import lobpcg
 
@@ -282,6 +311,7 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     # operator-norm bound max(n_N + theta) + ||v1||_inf + ||w||_inf
     norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
     threshold = _KERNEL_REL_THRESHOLD * norm_est
+    kernel_residual_ratio = _resolution_guard(op, threshold)
     bound = _EIG_TOL * norm_est
     block = _coarse_start(op)
     iterations = 0
@@ -299,9 +329,11 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
             )
             # below 5 x _BLOCK unknowns lobpcg solves densely and keeps no history
             iterations += len(history[0]) if history else 0
-            keep = np.argsort(evals)[:_KEEP]
-            evecs = block[:, keep]
-            residual = float(np.max(np.linalg.norm(op.apply_stacked(evecs) - evecs * evals[keep], axis=0)))
+            order = np.argsort(evals)
+            discrete = order[evals[order] < op.theta]
+            evecs = block[:, discrete]
+            residual = float(np.max(np.linalg.norm(op.apply_stacked(evecs) - evecs * evals[discrete], axis=0),
+                                    initial=0.0))
             if residual <= bound:
                 break
         else:
@@ -309,15 +341,15 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
                 f"LOBPCG did not converge: eigen-residual {residual:.3e} above "
                 f"{_EIG_TOL:g} x norm bound {norm_est:.6g} within {_EIG_MAXITER} iterations"
             )
-    evals = evals[keep]
+    if not (np.max(evals) >= op.theta > threshold):
+        raise RuntimeError(
+            f"the {_BLOCK} lowest Ritz values do not reach past the kernel pair "
+            f"(highest {np.max(evals):.6g}, theta {op.theta:.6g}, threshold {threshold:.6g})"
+        )
+    evals = evals[discrete]
     order = np.argsort(np.abs(evals))
     kernel_pair = order[:2]
-    coercivity = float(np.min(np.abs(evals[order[2:]])))
-    if not (evals[-1] > threshold and evals[-1] >= coercivity):
-        raise RuntimeError(
-            f"the {_KEEP} lowest eigenvalues do not reach past the kernel pair "
-            f"(highest {evals[-1]:.6g}, threshold {threshold:.6g})"
-        )
+    coercivity = float(np.min(np.abs(evals[order[2:]]), initial=op.theta))
     basis = evecs[:, kernel_pair]
     correlations = []
     for cand in op.kernel_coefficients():
@@ -332,6 +364,7 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
         norm_estimate=norm_est,
         threshold=threshold,
         iterations=iterations,
+        kernel_residual_ratio=kernel_residual_ratio,
     )
 
 

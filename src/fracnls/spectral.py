@@ -33,6 +33,10 @@ class GridError(ValueError):
     """Invalid grid construction or mismatched grids."""
 
 
+class UnresolvedError(RuntimeError):
+    """A point that the run's settings cannot resolve: a configuration error, not a solver failure."""
+
+
 class SpectralGrid:
     """Uniform periodic grid on [-L/2, L/2) with the symmetric frequency lattice.
 

@@ -8,10 +8,10 @@ tol, at each of the 210 points of the grids (L, M) in GRIDS, s in
 {1.1, ..., 1.7} and N in {0.01, 0.05, 0.4, 1, 2, 2.4}, and writes one JSON
 entry per point: whether it converged or the error message, theta, the
 grid levels it solved on (in the order of the solve's history), its
-iterations, its wall time, and whether its grid has a coarser level.  Each
-point is solved three times: the outcome, theta, levels and iterations
-are the first solve's, the wall time the best of the three.  It takes
-about 13 s on 2 vCPUs.  Run it with the tree to measure on the
+iterations, its wall time, and whether its grid has a coarser level.  The
+sweep runs three whole passes, so each point is solved three times, far
+apart: the outcome, theta, levels and iterations are the first pass's,
+the wall time the best of the three.  It takes about 13 s on 2 vCPUs.  Run it with the tree to measure on the
 path (`PYTHONPATH=src`, or `pip install -e .`).
 
 `compare` pairs the points of two such files and prints how many converge
@@ -33,7 +33,9 @@ from pathlib import Path
 GRIDS = ((64.0, 4096), (256.0, 16384), (256.0, 4096), (128.0, 1024), (32.0, 1024))
 S_VALUES = (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7)
 N_VALUES = (0.01, 0.05, 0.4, 1.0, 2.0, 2.4)
-REPEATS = 3  # a point's time is the best of this many solves; one time moves by up to 10% between runs
+# a point's time is the best of this many passes; a host's slow phases outlast
+# a point's solves, so back-to-back repeats moved per-point times by a median of 38%
+REPEATS = 3
 
 
 def _outcome(solvers, grid, params) -> dict:
@@ -52,20 +54,18 @@ def sweep() -> list:
     from fracnls.spectral import SpectralGrid
     from fracnls.symbols import ModelParams
 
+    cases = [(SpectralGrid(length, m), ModelParams(s, n)) for length, m in GRIDS for s in S_VALUES for n in N_VALUES]
     points = []
-    for length, m in GRIDS:
-        grid = SpectralGrid(length, m)
-        for s in S_VALUES:
-            for n in N_VALUES:
-                params = ModelParams(s, n)
-                point = {"L": length, "M": m, "s": s, "N": n, "coarse": solvers._coarse_factor(grid, params.lam) > 1}
-                outcomes, seconds = [], []
-                for _ in range(REPEATS):
-                    start = time.perf_counter()
-                    outcomes.append(_outcome(solvers, grid, params))
-                    seconds.append(time.perf_counter() - start)
-                point.update(outcomes[0], seconds=min(seconds))
-                points.append(point)
+    for repeat in range(REPEATS):
+        for i, (grid, params) in enumerate(cases):
+            start = time.perf_counter()
+            outcome = _outcome(solvers, grid, params)
+            seconds = time.perf_counter() - start
+            if repeat == 0:
+                points.append({"L": grid.length, "M": grid.points, "s": params.s, "N": params.N,
+                               "coarse": solvers._coarse_factor(grid, params.lam) > 1, **outcome, "seconds": seconds})
+            else:
+                points[i]["seconds"] = min(points[i]["seconds"], seconds)
     return points
 
 

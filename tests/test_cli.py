@@ -330,9 +330,11 @@ def test_record_bytes_independent_of_deployment(tmp_path):
 
 # LOBPCG (linearize) and the Newton steps' MINRES (verify-th2) run on BLAS; on a
 # 2-vCPU host, two BLAS threads moved eigenvalues by up to 4.7e-15 and the
-# residual by 4.6e-16 relative against one
+# residual by 4.6e-16 relative against one.  s = 1.2 runs on M = 2048, the
+# grid that resolves it, so LOBPCG runs there too
 _BLAS_COMMANDS = (
-    ["linearize", "--s-list", "1.2,1.3", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "1024"],
+    ["linearize", "--s-list", "1.3", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "1024"],
+    ["linearize", "--s-list", "1.2", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "2048"],
     ["verify-th2", "--s-list", "1.5", "--n-list", "0.2,0.1", "--grid-l", "256", "--grid-m", "16384"],
 )
 
@@ -361,7 +363,7 @@ def test_record_bytes_independent_of_blas_threads(tmp_path):
                 and not p.name.endswith(".meta.json")}
 
     unset = records(None, "1", "unset")
-    assert sorted(Path(name).suffix for name in unset) == [".csv", ".csv", ".json", ".json"]
+    assert sorted(Path(name).suffix for name in unset) == [".csv"] * 3 + [".json"] * 3
     for threads, workers in (("1", "1"), ("2", "1"), ("2", "2")):
         assert records(threads, workers, f"{threads}-{workers}") == unset, (threads, workers)
 
@@ -565,17 +567,72 @@ def test_heap_setting_is_once_per_process_and_optional(tmp_path, monkeypatch, li
 
 
 def test_solver_failure_exit(tmp_path):
-    # kernel windows cannot separate at this mass: recorded error, exit 3
+    # the nine oscillation abscissae round to fewer points: recorded error, exit 3
     code = main(
         [
             "kernel",
-            "--s-list", "1.5",
-            "--n-list", "1.8",
+            "--s-list", "1.79",
+            "--n-list", "0.05",
             "--cache-dir", str(tmp_path / "cache"),
             "--output-dir", str(tmp_path / "out"),
         ]
     )
     assert code == EXIT_SOLVER_FAILURE
+
+
+@pytest.mark.parametrize(
+    "argv,refused",
+    [
+        # the kernel's exponential window ends before one decay length
+        (["kernel", "--s-list", "1.5", "--n-list", "1.8"], {1.8: "windows cannot be separated"}),
+        (["kernel", "--s-list", "1.2", "--n-list", "0.2,0.1"], {0.2: "windows cannot be separated"}),
+        (["verify-th4", "--s-list", "1.1", "--n-list", "0.2"], {0.2: "fewer than 20 grid samples"}),
+        # the README linearize grid does not resolve s = 1.1 and 1.2: refused, never exit 1 or 3
+        (["linearize", "--s-list", "1.1,1.2,1.5", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "1024"],
+         {0.1: "does not resolve"}),
+    ],
+)
+def test_unresolved_points_are_refused_with_exit_2_and_one_line(tmp_path, capsys, argv, refused):
+    code = main(argv + ["--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    errors = [line for line in out.splitlines() if "ERROR" in line]
+    points = _record(tmp_path / "out", argv[0])["points"]
+    failed = [pt for pt in points if pt["error"]]
+    assert len(errors) == len(failed) >= 1
+    for pt, line in zip(failed, errors):
+        assert refused[pt["N"]] in pt["error"] and "\n" not in pt["error"] and pt["error"] in line
+    assert "FAIL" not in out and "Traceback" not in out + err
+    (meta,) = Path(tmp_path / "out").glob("*.meta.json")
+    assert [(m["s"], m["N"]) for m in json.loads(meta.read_text())["points"] if m.get("refused")] == [
+        (pt["s"], pt["N"]) for pt in failed]
+
+
+def test_linearize_unresolved_grid_names_one_that_resolves(tmp_path, capsys):
+    code = main(["linearize", "--s-list", "1.1,1.2", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "1024",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    out, _ = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    suggested = [line.rsplit("--grid-m ", 1)[1] for line in out.splitlines() if "ERROR" in line]
+    assert suggested == ["4096", "2048"]
+    code = main(["linearize", "--s-list", "1.2", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "2048",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_OK
+
+
+def test_linearize_solver_statistics_go_to_the_metadata_file_only(tmp_path):
+    config = fast_config("linearize", tmp_path, s_list=(1.3, 1.5), n_list=(0.1,))
+    paths = emit_outputs(run(config), config)
+    meta = json.loads(next(p for p in paths if p.name.endswith(".meta.json")).read_text())
+    assert [(m["s"], m["N"]) for m in meta["points"]] == [(1.3, 0.1), (1.5, 0.1)]
+    for m in meta["points"]:
+        assert 0 < m["lobpcg_iterations"] <= 50
+        assert 0.0 < m["kernel_residual_ratio"] <= 1e-3
+        assert "refused" not in m
+    for p in paths:
+        if not p.name.endswith(".meta.json"):
+            text = p.read_text()
+            assert "lobpcg_iterations" not in text and "kernel_residual_ratio" not in text and "refused" not in text
 
 
 def test_newton_failure_exits_3_with_one_line(tmp_path, capsys):
@@ -774,7 +831,9 @@ def test_random_configurations_exit_with_a_code_and_write_strict_records(argv):
             code = main(argv + ["--cache-dir", f"{tmp}/cache", "--output-dir", f"{tmp}/out"])
         assert code in (EXIT_OK, EXIT_CRITERION_FAIL, EXIT_CONFIG_ERROR, EXIT_SOLVER_FAILURE)
         records = [p for p in Path(tmp, "out").glob("*.json") if not p.name.endswith(".meta.json")]
-        if code == EXIT_CONFIG_ERROR:
+        refused = [m for p in Path(tmp, "out").glob("*.meta.json") for m in json.loads(p.read_text())["points"]
+                   if m.get("refused")]
+        if code == EXIT_CONFIG_ERROR and not refused:  # refused before any point ran
             assert records == []
             return
         (record,) = records
@@ -784,4 +843,6 @@ def test_random_configurations_exit_with_a_code_and_write_strict_records(argv):
     failed = [pt for pt in payload["points"] if pt["error"]]
     error_lines = [line for line in out.getvalue().splitlines() if ": ERROR " in line]
     assert len(error_lines) == len(failed)
-    assert (code == EXIT_SOLVER_FAILURE) == bool(failed)
+    # a refused point is an error that exits 2; any other error exits 3
+    assert (code == EXIT_CONFIG_ERROR) == bool(refused)
+    assert (code in (EXIT_CONFIG_ERROR, EXIT_SOLVER_FAILURE)) == bool(failed)

@@ -20,7 +20,7 @@ from fracnls.solvers import (
     local_ground_state,
     petviashvili_mass_constrained,
 )
-from fracnls.spectral import Profile, SpectralGrid, fft, ifft
+from fracnls.spectral import Profile, SpectralGrid, UnresolvedError, fft, ifft
 from fracnls.symbols import ModelParams
 from conftest import S_DEFAULT, count_transforms, smooth_random_profile
 import oracles
@@ -197,15 +197,24 @@ def test_kernel_diagnostics_two_dimensional(report10):
     assert np.all(np.diff(report10.eigenvalues) >= 0)
 
 
+def _assert_discrete_spectrum(op, report, evals):
+    """The dense spectrum below theta is exactly the reported eigenvalues, and the next one reaches theta."""
+    below = evals[evals < op.theta]
+    assert below.shape == report.eigenvalues.shape
+    assert np.max(np.abs(report.eigenvalues - below)) <= 1e-10
+    assert evals[below.size] >= op.theta
+
+
 def _assert_matches_dense(op, report, evals, evecs):
-    assert np.max(np.abs(report.eigenvalues - evals[:6])) <= 1e-10
+    _assert_discrete_spectrum(op, report, evals)
     order = np.argsort(np.abs(evals))
     assert len(report.near_zero) == int(np.sum(np.abs(evals) <= report.threshold))
     basis = evecs[:, order[:2]]
     for cand, corr in zip((ifft(c) for c in op.kernel_coefficients()), report.correlations):
         v = _stack(cand) / np.linalg.norm(_stack(cand))
         assert corr == pytest.approx(float(np.linalg.norm(basis.T @ v)), abs=1e-8)
-    assert report.coercivity == pytest.approx(float(np.min(np.abs(evals[order[2:]]))), abs=1e-10)
+    # coercivity is min(theta, the smallest |ev| outside the kernel pair)
+    assert report.coercivity == pytest.approx(min(op.theta, float(np.min(np.abs(evals[order[2:]])))), abs=1e-10)
     # the norm bound dominates the spectrum it replaces as the threshold scale
     assert report.norm_estimate >= np.max(np.abs(evals))
 
@@ -220,9 +229,18 @@ def _linearized_at(s, n, length, points):
     return build_linearized(petviashvili_mass_constrained(grid, params, tol=1e-10), params)
 
 
+@pytest.mark.parametrize("s,length,points", [(1.3, 64.0, 512), (1.3, 128.0, 1024), (1.5, 64.0, 512),
+                                             (1.5, 128.0, 1024)])
+def test_discrete_spectrum_matches_dense_oracle(s, length, points):
+    # the pairs below theta, the line's continuum edge, are the whole report
+    op = _linearized_at(s, 0.1, length, points)
+    _assert_discrete_spectrum(op, kernel_diagnostics(op), eigh(op.dense(), eigvals_only=True))
+
+
 def test_coarse_start_matches_dense_oracle_in_tight_cluster():
-    # at s = 1.3 eigenvalues 4-8 lie within 2e-2 of each other, just above
-    # theta: a start that missed one would converge to the next, 4e-4 away
+    # at s = 1.3 eigenvalues 4-8, the torus's continuum, lie within 2e-2 of
+    # each other just above theta: the discrete pairs below it must still
+    # be the dense ones, with the kernel pair and coercivity
     op = _linearized_at(1.3, 0.1, 64.0, 512)
     report = kernel_diagnostics(op)
     evals, evecs = eigh(op.dense())
@@ -236,12 +254,34 @@ def test_coarse_start_matches_dense_oracle_in_tight_cluster():
     # step; below 5 x 8 unknowns lobpcg solves densely and keeps no history
     [((64.0, 128), 2), ((16.0, 16), 0)],
 )
-def test_coarse_start_is_exact_on_coarse_grids(grid_spec, iterations):
+def test_coarse_start_is_exact_on_coarse_grids(grid_spec, iterations, monkeypatch):
+    # the 16-point grid holds the spatially constant state, which the
+    # resolution guard refuses; lifted here, it reaches lobpcg's dense path
+    monkeypatch.setattr(linearized, "_RESOLVED_REL", np.inf)
     op = _linearized_at(1.5, 0.1, *grid_spec)
     report = kernel_diagnostics(op)
     assert report.iterations == iterations
     evals = eigh(op.dense(), eigvals_only=True)
-    assert np.max(np.abs(report.eigenvalues - evals[:6])) <= 1e-12 * report.norm_estimate
+    below = evals[evals < op.theta]
+    assert below.shape == report.eigenvalues.shape
+    assert np.max(np.abs(report.eigenvalues - below)) <= 1e-12 * report.norm_estimate
+
+
+@pytest.mark.parametrize("s,length,points,hint", [(1.2, 128.0, 1024, "--grid-m 2048"),
+                                                  (1.5, 16.0, 16, "lengthen the torus")])
+def test_resolution_guard_refuses_before_lobpcg(monkeypatch, s, length, points, hint):
+    # s = 1.2 on the README grid annihilates dR/dx only to 1.5 x the kernel
+    # threshold; the 16-point grid holds the constant state, whose dR/dx is roundoff
+    calls = _spy(monkeypatch, "lobpcg")
+    with pytest.raises(UnresolvedError, match=r"does not resolve .* kernel residual of iR, dR/dx is .* x the kernel "
+                                              r"threshold \(limit 0\.001\); .*" + hint):
+        kernel_diagnostics(_linearized_at(s, 0.1, length, points))
+    assert calls == []
+
+
+def test_kernel_residual_ratio_on_the_readme_grid(report10):
+    # s = 1.5 annihilates the symmetry directions far below the guard's 1e-3
+    assert 0.0 < report10.kernel_residual_ratio <= 1e-9
 
 
 def test_coarse_start_halves_readme_grid_iterations():
@@ -250,23 +290,25 @@ def test_coarse_start_halves_readme_grid_iterations():
     assert 0 < report.iterations <= 56
 
 
-@pytest.mark.parametrize("s,most", [(1.3, 103), (1.2, 200)])
-def test_readme_grid_iterations_stop_on_kept_pairs(s, most):
-    # the whole 8-column block, held to a tenth of the bound, took 164 and
-    # 384; the six kept pairs stopping each 40-iteration call take 86 and 172
-    report = kernel_diagnostics(_linearized_at(s, 0.1, 128.0, 1024))
-    assert 0 < report.iterations <= most
+@pytest.mark.parametrize("s,points", [(1.5, 1024), (1.4, 1024), (1.3, 1024), (1.2, 2048), (1.1, 4096)])
+def test_resolved_grid_iterations_stop_on_discrete_pairs(s, points):
+    # L = 128 at the spacing that resolves each s; the six lowest pairs
+    # took 4, 25 and 86 iterations at s = 1.5, 1.4, 1.3 on M = 1024, and
+    # s = 1.1 ended at the cap; the discrete pairs below theta take 4 to 33
+    report = kernel_diagnostics(_linearized_at(s, 0.1, 128.0, points))
+    assert 0 < report.iterations <= 50
 
 
 def test_kept_residuals_end_within_bound_on_fine_grid(monkeypatch):
     # lobpcg locks a column at its tolerance, now the acceptance bound, and
-    # a locked residual can drift past it; the last call's kept pairs, which
-    # the report reads, must still be within the bound
+    # a locked residual can drift past it; the last call's pairs below
+    # theta, which the report reads, must still be within the bound
     calls = _spy(monkeypatch, "lobpcg")
     op = _linearized_at(1.3, 0.1, 128.0, 2048)
     report = kernel_diagnostics(op)
     evals, block = calls[-1][2][:2]
-    keep = np.argsort(evals)[:6]
+    keep = np.argsort(evals)[:report.eigenvalues.size]
+    assert np.all(evals[keep] < op.theta) and np.sum(evals < op.theta) == keep.size
     evecs = block[:, keep]
     residuals = np.linalg.norm(op.apply_stacked(evecs) - evecs * evals[keep], axis=0)
     assert np.all(residuals <= linearized._EIG_TOL * report.norm_estimate)
@@ -274,20 +316,21 @@ def test_kept_residuals_end_within_bound_on_fine_grid(monkeypatch):
 
 
 def test_kernel_diagnostics_stops_at_the_iteration_cap(monkeypatch):
-    # 50 is not a multiple of the 40-iteration call; this grid needs 86
+    # a cap of 10 in calls of 4 is not a multiple of the call; this grid needs 18
     calls = _spy(monkeypatch, "lobpcg")
-    monkeypatch.setattr(linearized, "_EIG_MAXITER", 50)
+    monkeypatch.setattr(linearized, "_EIG_CHUNK", 4)
+    monkeypatch.setattr(linearized, "_EIG_MAXITER", 10)
     op = _linearized_at(1.3, 0.1, 128.0, 1024)
-    with pytest.raises(RuntimeError, match=r"LOBPCG did not converge: .* within 50 iterations"):
+    with pytest.raises(RuntimeError, match=r"LOBPCG did not converge: .* within 10 iterations"):
         kernel_diagnostics(op)
-    assert sum(kwargs["maxiter"] for _, kwargs, _ in calls) == 50
+    assert [kwargs["maxiter"] for _, kwargs, _ in calls] == [4, 4, 2]
 
 
 def test_kernel_diagnostics_bitwise_repeatable(op10, report10):
     again = kernel_diagnostics(op10)
     for name in ("eigenvalues", "near_zero", "correlations"):
         assert np.array_equal(getattr(again, name), getattr(report10, name))
-    for name in ("coercivity", "norm_estimate", "threshold", "iterations"):
+    for name in ("coercivity", "norm_estimate", "threshold", "iterations", "kernel_residual_ratio"):
         assert getattr(again, name) == getattr(report10, name)
 
 
@@ -300,10 +343,10 @@ def test_kernel_diagnostics_rejects_unconverged(op10, monkeypatch):
 
 
 def test_kernel_diagnostics_requires_spectrum_past_kernel(op10, monkeypatch):
-    # the three lowest eigenvalues end inside the kernel pair, so the unseen
-    # spectrum could still hold near-zero eigenvalues
-    monkeypatch.setattr(linearized, "_KEEP", 3)
-    with pytest.raises(RuntimeError, match="do not reach past the kernel pair"):
+    # a block of three holds only the discrete pairs: no Ritz value reaches
+    # theta, so the unseen spectrum could still hold near-zero eigenvalues
+    monkeypatch.setattr(linearized, "_BLOCK", 3)
+    with pytest.raises(RuntimeError, match="3 lowest Ritz values do not reach past the kernel pair"):
         kernel_diagnostics(op10)
 
 

@@ -1,9 +1,11 @@
 """The two comparison tools, `record_diff.py` and `sweep.py compare`, on small hand-made inputs."""
 
 import json
+from types import SimpleNamespace
 
 import record_diff
 import sweep
+from fracnls import solvers
 
 
 def test_record_diff_reports_a_changed_field_and_one_sided_keys(tmp_path, capsys):
@@ -65,3 +67,26 @@ def test_sweep_compare_reports_outcome_levels_and_times(tmp_path, capsys):
         "| converged through the fallback | 1 | 0.25 | 0.20 |\n"
         "| all | 3 | 0.85 | 0.90 |\n"
     )
+
+
+def test_sweep_times_whole_passes_and_keeps_the_best_per_point(monkeypatch):
+    # each solve advances a fake clock by its scripted duration
+    durations = iter([3.0, 5.0, 1.0, 4.0, 2.0, 6.0])
+    clock, calls = [0.0], []
+
+    def solve(grid, params):
+        calls.append(params.N)
+        clock[0] += next(durations)
+        return SimpleNamespace(converged=True, multiplier=params.N, history={"points": [grid.points]},
+                               iterations=len(calls))
+
+    monkeypatch.setattr(sweep, "GRIDS", ((64.0, 512),))
+    monkeypatch.setattr(sweep, "S_VALUES", (1.5,))
+    monkeypatch.setattr(sweep, "N_VALUES", (0.1, 0.2))
+    monkeypatch.setattr(sweep.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(solvers, "petviashvili_mass_constrained", solve)
+    points = sweep.sweep()
+    assert calls == [0.1, 0.2] * 3  # three whole passes, not three solves in a row
+    assert [(p["N"], p["seconds"], p["iterations"]) for p in points] == [(0.1, 1.0, 1), (0.2, 4.0, 2)]
+    assert list(points[0]) == ["L", "M", "s", "N", "coarse", "converged", "error", "theta", "levels", "iterations",
+                               "seconds"]
