@@ -184,7 +184,10 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
             f"before one decay length {x_lo:.3g} (N too large)"
         )
     xs_exp = np.geomspace(x_lo, x_dom, 25)
-    dev_exp = np.abs(kernel_pointwise(xs_exp, params, theta)) / (c1 * np.exp(-rate * xs_exp)) - 1.0
+    model = c1 * np.exp(-rate * xs_exp)
+    if zeros := int(np.count_nonzero(model == 0.0)):  # the window's far end is past the float range (tiny N)
+        raise RuntimeError(f"exp_window_deviation: {zeros} of the 25 samples of the exponential model are zero")
+    dev_exp = np.abs(kernel_pointwise(xs_exp, params, theta)) / model - 1.0
     exp_window_dev = float(np.max(np.abs(dev_exp)))
 
     xs_far = np.geomspace(3.0 * x_cross, 10.0 * x_cross, 30)
@@ -225,7 +228,6 @@ class _KernelTail:
     def __init__(self, params: ModelParams, theta: float, grid, x_points: np.ndarray):
         from scipy.interpolate import CubicSpline  # loaded on first use: only verify-th4 builds a table
 
-        self.s = params.s
         self.kappa = params.kappa
         self.pref, root, damp = residue_data(params, theta)
         self.residue_amp = self.pref * 2.0 * np.pi * 1j / damp

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import find_root_f1, kernel_expansion_check, tail_fit, verify_f2_rootless
 from .cache import cached_solve, default_cache_dir
-from .linearized import build_linearized, kernel_diagnostics
+from .linearized import CONSTANT_STATE_REMEDY, build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
 from .solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
 from .spectral import Profile, SpectralGrid, UnresolvedError
@@ -49,6 +49,16 @@ EXIT_SOLVER_FAILURE = 3
 # at s = 1.8 the decay length 1/sqrt(lambda(s)) is 2610, so a resolved torus
 # is of order 1e5 long; nearer s = 2, lambda(s) and kappa underflow
 _S_SOLVABLE_MAX = 1.8
+
+
+def _smallest_mass(s: float) -> float:
+    """The least mass at s whose kappa^2 = N^{2s/(2-s)} is a normal double, rounded up to three digits.
+
+    Below it kappa^2 is subnormal, where n_N loses digits, and then 0, where
+    the symbol n_N and the kernel shift are undefined.
+    """
+    exact = sys.float_info.min ** ((2.0 - s) / (2.0 * s))
+    return float(f"{exact * 1.006:.3g}")  # .3g moves it by at most 5e-3, so it rounds up
 
 
 class ConfigError(ValueError):
@@ -93,14 +103,21 @@ class RunConfig:
             raise ConfigError("masses in the N-list must be positive and finite")
         if any(not (1.0 < s < 2.0 or (s == 2.0 and self.command == "gn-constant")) for s in self.s_list):
             raise ConfigError("s values must lie in (1, 2); gn-constant also accepts 2 for validation")
-        s = max(self.s_list)
-        if self.command != "gn-constant" and s >= _S_SOLVABLE_MAX:
-            lam = lambda_of_s(s)[1]  # underflows to 0 near s = 2
-            decay = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf
-            raise ConfigError(
-                f"s = {s:g} is past desk scale: the profile decays over 1/sqrt(lambda(s)) = {decay:.3g}; "
-                f"commands other than gn-constant need s < {_S_SOLVABLE_MAX:g}"
-            )
+        if self.command != "gn-constant":
+            s = max(self.s_list)
+            if s >= _S_SOLVABLE_MAX:
+                lam = lambda_of_s(s)[1]  # underflows to 0 near s = 2
+                decay = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf
+                raise ConfigError(
+                    f"s = {s:g} is past desk scale: the profile decays over 1/sqrt(lambda(s)) = {decay:.3g}; "
+                    f"commands other than gn-constant need s < {_S_SOLVABLE_MAX:g}"
+                )
+            n, n_min = min(self.n_list), _smallest_mass(s)  # the smallest mass grows with s
+            if n < n_min:
+                raise ConfigError(
+                    f"N = {n:g} is below the smallest mass at s = {s:g}, {n_min:g}: "
+                    f"kappa^2 = N^(2s/(2-s)) would underflow the smallest normal double"
+                )
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
         if self.workers < 1:
@@ -243,6 +260,27 @@ def torus_edge_check(q: Profile) -> dict:
     return {"torus_edge": _check(a[np.abs(q.grid.x) > 0.45 * q.grid.length].max() / a.max(), 1e-3)}
 
 
+# 1 - min|R| / max|R| of a spatially constant solve: 5e-11 and less (s = 1.7 on
+# 128/1024 and 256/16384, s = 1.5 on 16/16); of resolved ones 0.997 and more
+_CONSTANT_STATE_SPREAD = 1e-6
+
+
+def constant_state_guard(profile: Profile, params: ModelParams) -> None:
+    """Refuse (UnresolvedError) a solve that is the spatially constant state, which no torus limit reads.
+
+    Such a solve has 1 - min|R| / max|R| at most _CONSTANT_STATE_SPREAD:
+    the torus is too short to hold the wave.
+    """
+    a = np.abs(profile.values)
+    spread = float(1.0 - a.min() / a.max())
+    if spread <= _CONSTANT_STATE_SPREAD:
+        grid = profile.grid
+        raise UnresolvedError(
+            f"the grid (L = {grid.length:g}, M = {grid.points}) does not resolve s = {params.s:g}, N = {params.N:g}: "
+            f"1 - min|R|/max|R| is {spread:.3g} (limit {_CONSTANT_STATE_SPREAD:g}); {CONSTANT_STATE_REMEDY}"
+        )
+
+
 def quintic_mass_check(mass: float) -> dict:
     """At s = 2 the ground-state mass is the quintic soliton's pi sqrt(3) / 2."""
     return {"quintic_mass": _check(abs(mass - np.pi * np.sqrt(3.0) / 2.0), 1e-6)}
@@ -301,8 +339,10 @@ def _solve_stage(config: RunConfig, s: float, n: float) -> dict:
 
 def _th2_stage(config: RunConfig, s: float, n: float) -> dict:
     lam, base = _local_limit(config, s)
-    result, _ = _solution(config, s, n)
-    fixed = gauge_fix(result.profile)
+    result, params = _solution(config, s, n)
+    profile = result.profile
+    constant_state_guard(profile, params)
+    fixed = gauge_fix(profile)
     return {
         **_solve_fields(result, lam),
         "profile_distance": profile_distance(fixed, base),

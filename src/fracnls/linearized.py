@@ -18,7 +18,7 @@ Eigenanalysis, the two symmetry null directions, coercivity diagnostics
 and the bordered solve of the solver's Newton steps live here.  Both run
 matrix-free (LOBPCG and MINRES, preconditioned by the inverse of the
 positive symbol); LOBPCG starts from the lowest eigenvectors of the same
-linearization on a coarse grid, zero-padded in coefficient space.  The
+linearization on a coarse grid, resampled in coefficient space.  The
 dense matrix, on grid values, is a small-grid test oracle.  The constrained
 linear solve of the uniqueness argument and the local-limit operators L+/L-
 are test oracles in tests/oracles.py.  scipy.sparse.linalg is imported
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spectral import SpectralGrid, UnresolvedError, fft, ifft, pad_coefficients, truncate_coefficients
+from .spectral import SpectralGrid, UnresolvedError, fft, ifft, resample
 from .symbols import ModelParams, symbol_nN
 
 if TYPE_CHECKING:  # solvers builds its Newton steps on this module
@@ -232,28 +232,30 @@ _RESOLVED_REL = 1e-3
 # the ratio of iR fell at least 1.2e3-fold per doubling of M (L = 128, s = 1.1 to 1.3)
 _FALL_PER_DOUBLING = 1e3
 _MINRES_MAXITER = 1000
+# the one-line remedy of every refusal whose solve is the spatially constant state
+CONSTANT_STATE_REMEDY = "the solve is the spatially constant state: lengthen the torus"
 
 
 def _coarse_start(op: LinearizedOperator) -> np.ndarray:
     """The _BLOCK lowest eigenvectors of the same linearization on a coarse grid, on op's grid.
 
-    The coarse grid has the same length and _COARSE_POINTS points (op's own
-    grid when that is no finer); its profile's coefficients are op's,
-    truncated, at the same theta.  The coarse matrix is the stacked
+    The coarse grid has the same length and min(M, _COARSE_POINTS) points
+    (op itself when that is M); its profile's coefficients are op's,
+    resampled, at the same theta.  The coarse matrix is the stacked
     operator applied to the identity; only its _BLOCK lowest eigenvectors
-    are computed, and these stacked DFT coefficients are zero-padded to
-    op's grid in coefficient space.
+    are computed, and these stacked DFT coefficients are resampled to op's
+    grid.
     """
-    factor = max(op.grid.points // _COARSE_POINTS, 1)
+    points = min(op.grid.points, _COARSE_POINTS)
     coarse = op
-    if factor > 1:
-        grid = SpectralGrid(op.grid.length, op.grid.points // factor)
-        coeffs = truncate_coefficients(op.coefficients, grid.points) / factor
-        coarse = LinearizedOperator.at(op.params, grid, coeffs, symbol_nN(grid.xi, op.params), op.theta)
+    if points < op.grid.points:
+        grid = SpectralGrid(op.grid.length, points)
+        coarse = LinearizedOperator.at(op.params, grid, resample(op.coefficients, points),
+                                       symbol_nN(grid.xi, op.params), op.theta)
     from scipy.linalg import eigh
 
-    _, vecs = eigh(coarse.apply_stacked(np.eye(2 * coarse.grid.points)), subset_by_index=[0, _BLOCK - 1])
-    return _stack(pad_coefficients(_unstack(vecs), factor))
+    _, vecs = eigh(coarse.apply_stacked(np.eye(2 * points)), subset_by_index=[0, _BLOCK - 1])
+    return _stack(resample(_unstack(vecs), op.grid.points))
 
 
 def _resolution_guard(op: LinearizedOperator, threshold: float) -> float:
@@ -273,7 +275,7 @@ def _resolution_guard(op: LinearizedOperator, threshold: float) -> float:
         doublings = max(1, math.ceil(math.log(ratios[0] / _RESOLVED_REL, _FALL_PER_DOUBLING)))
         remedy = f"refine the grid: --grid-l {length:g} --grid-m {points << doublings}"
     else:
-        remedy = "the solve is the spatially constant state: lengthen the torus"
+        remedy = CONSTANT_STATE_REMEDY
     raise UnresolvedError(
         f"the grid (L = {length:g}, M = {points}) does not resolve s = {op.params.s:g}, N = {op.params.N:g}: "
         f"kernel residual of iR, dR/dx is {ratio:.3g} x the kernel threshold (limit {_RESOLVED_REL:g}); {remedy}"

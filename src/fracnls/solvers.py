@@ -35,15 +35,7 @@ import numpy as np
 
 from .linearized import LinearizedOperator, bordered_solve
 from .renorm import gauge_fix
-from .spectral import (
-    Profile,
-    SpectralGrid,
-    fft,
-    ifft,
-    pad_coefficients,
-    pad_evaluate,
-    truncate_coefficients,
-)
+from .spectral import Profile, SpectralGrid, fft, ifft, pad_evaluate, resample
 from .symbols import ModelParams, symbol_nN
 
 __all__ = [
@@ -196,18 +188,18 @@ _COARSE_SPACING = 1.0 / 8.0  # largest spacing of the coarse level the Newton st
 _COARSE_CORE_FRACTION = 0.5
 
 
-def _coarse_factor(grid: SpectralGrid, lam: float) -> int:
-    """M over the points of the coarsest grid of length L whose spacing is at most the coarse spacing.
+def _coarse_points(grid: SpectralGrid, lam: float) -> int:
+    """The points of the coarsest grid of length L whose spacing is at most the coarse spacing.
 
     The coarse spacing is min(_COARSE_SPACING, _COARSE_CORE_FRACTION /
-    sqrt(lam)).  1 when there is none coarser; a grid keeps SpectralGrid's
-    least 16 points.
+    sqrt(lam)).  grid.points when there is none coarser; a grid keeps
+    SpectralGrid's least 16 points.
     """
     spacing = min(_COARSE_SPACING, _COARSE_CORE_FRACTION / math.sqrt(lam))
-    factor = 1
-    while grid.points // (2 * factor) >= 16 and 2 * factor * grid.h <= spacing:
-        factor *= 2
-    return factor
+    points = grid.points
+    while points // 2 >= 16 and grid.length / (points // 2) <= spacing:
+        points //= 2
+    return points
 
 
 def petviashvili_mass_constrained(
@@ -222,13 +214,13 @@ def petviashvili_mass_constrained(
     (sum |R|^2 - s0/h)/2) enforce both equations (Knoll & Keyes 2004), on
     the DFT coefficients of R.  They start from a coarse level when the
     grid has one (mesh sequencing, Knoll & Keyes 2004, section 3): the
-    coefficients of init are truncated to the coarsest grid of the same
+    coefficients of init are resampled to the coarsest grid of the same
     length whose spacing is at most min(_COARSE_SPACING,
-    _COARSE_CORE_FRACTION / sqrt(lambda(s))), solved there at the
-    same tol, renormalized to the target mass, and zero-padded back with
-    their Rayleigh multiplier.  The profile's core is O(1) wide, so the
-    padded coarse solve usually meets the stop rule on the requested grid
-    at once; the grid's length holds the algebraic tail.  Without a
+    _COARSE_CORE_FRACTION / sqrt(lambda(s))) (_coarse_points), solved
+    there at the same tol, renormalized to the target mass, and resampled
+    back with their Rayleigh multiplier.  The profile's core is O(1) wide,
+    so the resampled coarse solve usually meets the stop rule on the
+    requested grid at once; the grid's length holds the algebraic tail.  Without a
     coarser grid, or when the coarse solve raises ConvergenceError, one
     Petviashvili solve at theta = lambda(s) to residual _HANDOFF_TOL
     brings the start into the ground-state basin instead.  Each step
@@ -258,12 +250,12 @@ def _sequenced_newton(grid, params, uh, tol):
     """From uh: n_N on grid, the last Newton iterate and its padded nonlinearity, the iterations and the log."""
     p = 2.0 * params.s + 1.0
     sig = symbol_nN(grid.xi, params)
-    factor = _coarse_factor(grid, params.lam)
+    points = _coarse_points(grid, params.lam)
     start = None
-    if factor > 1:
-        coarse = SpectralGrid(grid.length, grid.points // factor)
+    if points < grid.points:
+        coarse = SpectralGrid(grid.length, points)
         try:
-            start = _sequenced_newton(coarse, params, truncate_coefficients(uh, coarse.points) / factor, tol)
+            start = _sequenced_newton(coarse, params, resample(uh, points), tol)
         except ConvergenceError:
             pass  # the hand-off below starts the requested grid instead
     if start is None:
@@ -272,7 +264,7 @@ def _sequenced_newton(grid, params, uh, tol):
     else:
         coarse_sig, coarse_uh, coarse_wh, iterations, history = start
         coarse_uh, _, theta, _ = _renormalized(coarse, coarse_sig, p, params.s0, coarse_uh, coarse_wh)
-        uh = factor * pad_coefficients(coarse_uh, factor)
+        uh = resample(coarse_uh, grid.points)
     uh, wh, log = _newton_steps(grid, params, sig, p, uh, theta, tol)
     log["points"] = [grid.points] * len(log["theta"])
     for key, value in log.items():

@@ -1,20 +1,20 @@
 """Periodic Fourier pseudospectral discretization of the line.
 
-Grids, transforms, translation, and the zero padding and truncation of
-raw DFT coefficients used by every other module.  The Fourier convention
-is fixed once, here: the forward transform carries the kernel
-e^{-i xi x}/sqrt(2 pi), so spectral constants derived in that convention
-apply verbatim.  The trapezoid rule on the periodic grid is the single
-quadrature used for masses and energies.  The quadratic form and zero
-padding and Fourier restriction of grid values, symbol values checked
-finite, multiplier application, L^p and Sobolev norms, the derivative and
-spectral refinement, which only tests read, are test oracles in
-tests/oracles.py.  The solvers and the linearization iterate on raw DFT
-coefficients (`fft` of the grid values) and take symbols as arrays of
-their values on the grid frequencies; the padded nonlinearity
-`pad_evaluate` maps such coefficients to coefficients, so each
-application costs one inverse and one forward transform on the twice
-finer grid.
+Grids, transforms, translation, and the resampling of raw DFT
+coefficients between grids of one torus (`resample`) used by every other
+module.  The Fourier convention is fixed once, here: the forward
+transform carries the kernel e^{-i xi x}/sqrt(2 pi), so spectral
+constants derived in that convention apply verbatim.  The trapezoid rule
+on the periodic grid is the single quadrature used for masses and
+energies.  The quadratic form and zero padding and Fourier restriction
+of grid values, symbol values checked finite, multiplier application,
+L^p and Sobolev norms, the derivative and spectral refinement, which
+only tests read, are test oracles in tests/oracles.py.  The solvers and
+the linearization iterate on raw DFT coefficients (`fft` of the grid
+values) and take symbols as arrays of their values on the grid
+frequencies; the padded nonlinearity `pad_evaluate` maps such
+coefficients to coefficients, so each application costs one inverse and
+one forward transform on the twice finer grid.
 """
 
 from __future__ import annotations
@@ -114,22 +114,22 @@ def translate(u: Profile, a: float) -> Profile:
     return Profile(u.grid, ifft(fft(u.values) * shift))
 
 
-def pad_coefficients(coeffs: np.ndarray, factor: int) -> np.ndarray:
-    """Raw DFT coefficients (along axis 0) zero-padded above the source Nyquist mode.
+def resample(coeffs: np.ndarray, points: int) -> np.ndarray:
+    """Raw DFT coefficients (along axis 0) of the same band-limited field on `points` points of the torus.
 
-    The inverse transform of the result, times factor, samples the
-    band-limited interpolant on a factor-times finer grid.
+    The modes -n/2, ..., n/2 - 1 with n = min(M, points) are kept, a finer
+    grid's others are zero, and the scale points/M makes the inverse
+    transform sample the same field.  Grid sizes are powers of two, so the
+    scale is exact, and resampling to a finer grid and back returns the
+    input bitwise.
     """
     m = coeffs.shape[0]
-    padded = np.zeros((factor * m,) + coeffs.shape[1:], dtype=complex)
-    padded[: m // 2] = coeffs[: m // 2]
-    padded[-m // 2 :] = coeffs[-m // 2 :]
-    return padded
-
-
-def truncate_coefficients(coeffs: np.ndarray, points: int) -> np.ndarray:
-    """The lowest `points` modes of raw DFT coefficients, coarse Nyquist included: pad_coefficients' left inverse."""
-    return np.concatenate([coeffs[: points // 2], coeffs[-points // 2 :]])
+    half = min(m, points) // 2
+    kept = np.zeros((points,) + coeffs.shape[1:], dtype=complex)
+    kept[:half] = coeffs[:half]
+    kept[-half:] = coeffs[-half:]
+    kept *= points / m
+    return kept
 
 
 def pad_evaluate(coeffs: np.ndarray, fn) -> np.ndarray:
@@ -141,4 +141,4 @@ def pad_evaluate(coeffs: np.ndarray, fn) -> np.ndarray:
     the padding isometry, so gradients of padded energies stay consistent.
     """
     m = coeffs.shape[0]
-    return 0.5 * truncate_coefficients(fft(fn(2.0 * ifft(pad_coefficients(coeffs, 2)))), m)
+    return resample(fft(fn(ifft(resample(coeffs, 2 * m)))), m)

@@ -42,7 +42,10 @@ test reads:
   `apply_multiplier`, `derivative`, `lp_norm`, `sobolev_norm` and
   `spectral_refine`: the quadratic form, symbol values checked finite,
   Fourier multipliers, norms, zero padding, Fourier restriction and
-  spectral refinement on grid values;
+  spectral refinement on grid values, the last three through `resample`;
+- `pad_evaluate_composition`: the padded nonlinearity with each
+  grid-point scale applied by hand (`pad_evaluate` scales through
+  `resample`);
 - `spectral_interpolate`: the band-limited interpolant summed directly
   as a Fourier series (the package translates by a spectral phase), from
   the continuum-normalized coefficients of `fourier_coefficients`.
@@ -81,8 +84,7 @@ from fracnls.spectral import (
     SpectralGrid,
     fft,
     ifft,
-    pad_coefficients,
-    truncate_coefficients,
+    resample,
 )
 from fracnls.symbols import ModelParams, kernel_pointwise, symbol_n, symbol_nN
 from drift import scale_R_to_S
@@ -556,19 +558,35 @@ def derivative(u: Profile) -> Profile:
 def zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
     """Samples of the band-limited interpolant on a factor-times finer grid.
 
-    The spectrum is zero-padded above the source Nyquist; the scaling keeps
-    the sampled values, so band-limited fields are reproduced exactly.
+    The spectrum is zero-padded above the source Nyquist (`resample`), so
+    band-limited fields are reproduced exactly.
     """
-    return ifft(pad_coefficients(fft(values), factor)) * factor
+    return ifft(resample(fft(values), factor * values.shape[0]))
 
 
 def fourier_restrict(values: np.ndarray, factor: int) -> np.ndarray:
     """Samples of the lowest modes on a factor-times coarser grid.
 
-    The modes pad_coefficients keeps, coarse Nyquist included, are kept and
-    the rest dropped, so this is the exact left inverse of zero padding.
+    The modes that zero padding keeps, coarse Nyquist included, are kept
+    and the rest dropped (`resample`), so this is the exact left inverse of
+    zero padding.
     """
-    return ifft(truncate_coefficients(fft(values), values.shape[0] // factor)) / factor
+    return ifft(resample(fft(values), values.shape[0] // factor))
+
+
+def pad_evaluate_composition(coeffs: np.ndarray, fn) -> np.ndarray:
+    """`pad_evaluate` as the composition it replaced, with each grid-point ratio applied by hand.
+
+    The coefficients are zero-padded to 2M modes, their inverse transform
+    doubled, fn applied there, and the lowest M modes of the forward
+    transform halved: 0.5 * truncate(fft(fn(2 * ifft(pad(coeffs))))).
+    """
+    m = coeffs.shape[0]
+    padded = np.zeros(2 * m, dtype=complex)
+    padded[: m // 2] = coeffs[: m // 2]
+    padded[-m // 2 :] = coeffs[-m // 2 :]
+    full = fft(fn(2.0 * ifft(padded)))
+    return 0.5 * np.concatenate([full[: m // 2], full[-m // 2 :]])
 
 
 def spectral_refine(u: Profile, factor: int) -> Profile:

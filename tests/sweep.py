@@ -63,7 +63,7 @@ def sweep() -> list:
             seconds = time.perf_counter() - start
             if repeat == 0:
                 points.append({"L": grid.length, "M": grid.points, "s": params.s, "N": params.N,
-                               "coarse": solvers._coarse_factor(grid, params.lam) > 1, **outcome, "seconds": seconds})
+                               "coarse": solvers._coarse_points(grid, params.lam) < grid.points, **outcome, "seconds": seconds})
             else:
                 points[i]["seconds"] = min(points[i]["seconds"], seconds)
     return points

@@ -158,24 +158,24 @@ def test_reconstruction_matches_grid(petviashvili_path, grid_main):
         assert abs(rec - fixed.values[i]) <= 1e-6 * abs(fixed.values[i])
 
 
-def pair_terms(fixed, kern, x):
-    """The per-pair kernel terms m_N(x - y_j) g_j of the convolution at x, over the whole grid."""
-    return kern(x - fixed.grid.x) * np.abs(fixed.values) ** (2.0 * kern.s) * fixed.values
+def pair_terms(fixed, s, kern, x):
+    """The per-pair kernel terms m_N(x - y_j) g_j, g = |R|^{2s} R, of the convolution at x, over the whole grid."""
+    return kern(x - fixed.grid.x) * np.abs(fixed.values) ** (2.0 * s) * fixed.values
 
 
-def fsum_reconstruction(fixed, kern, x):
+def fsum_reconstruction(fixed, s, kern, x):
     """The convolution at x as an exactly rounded sum of the per-pair kernel terms."""
-    terms = pair_terms(fixed, kern, x)
+    terms = pair_terms(fixed, s, kern, x)
     return complex(math.fsum(terms.real), math.fsum(terms.imag)) * fixed.grid.h / math.sqrt(2.0 * math.pi)
 
 
-def pairwise_rounding_bound(fixed, kern, x):
+def pairwise_rounding_bound(fixed, s, kern, x):
     """(log2 M + 2) u (h/sqrt(2 pi)) sum_j |term_j|: the rounding error a pairwise sum of the pair terms may make.
 
     u = 2^-53 is the unit roundoff (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., section 4.2).
     """
-    scale = np.sum(np.abs(pair_terms(fixed, kern, x))) * fixed.grid.h / math.sqrt(2.0 * math.pi)
+    scale = np.sum(np.abs(pair_terms(fixed, s, kern, x))) * fixed.grid.h / math.sqrt(2.0 * math.pi)
     return (math.log2(fixed.grid.points) + 2.0) * 2.0**-53 * scale
 
 
@@ -195,7 +195,7 @@ def test_prefix_sum_reconstruction_matches_exact_pair_sum(petviashvili_path, gri
         kern = asymptotics._KernelTail(params, res.multiplier, grid_main, xs)
         rec = far_field_reconstruction(fixed, params, res.multiplier, xs)
         for x, r in zip(xs, rec):
-            ref = fsum_reconstruction(fixed, kern, x)
+            ref = fsum_reconstruction(fixed, params.s, kern, x)
             assert abs(r - ref) <= 1e-13 * abs(ref)
 
 
@@ -223,7 +223,8 @@ def test_reconstruction_within_pairwise_rounding_of_exact_pair_sum(solves_by_s, 
         kern = asymptotics._KernelTail(params, res.multiplier, grid_main, x_bound)
         rec = far_field_reconstruction(fixed, params, res.multiplier, x_bound)
         for x, r in zip(x_bound, rec):
-            assert abs(r - fsum_reconstruction(fixed, kern, x)) <= pairwise_rounding_bound(fixed, kern, x)
+            exact = fsum_reconstruction(fixed, params.s, kern, x)
+            assert abs(r - exact) <= pairwise_rounding_bound(fixed, params.s, kern, x)
 
 
 def test_branch_cut_window_keeps_a_far_bump(grid_main, lam15):
@@ -256,8 +257,8 @@ def test_branch_cut_window_keeps_a_far_bump(grid_main, lam15):
         assert math.fsum(mag[hi - 1 :]) * kern.bound > budget
     rec = far_field_reconstruction(fixed, params, lam15["lam"], x_bound)
     for xm, r in zip(x_bound, rec):
-        bound = pairwise_rounding_bound(fixed, kern, xm)
-        assert abs(r - fsum_reconstruction(fixed, kern, xm)) <= bound
+        bound = pairwise_rounding_bound(fixed, params.s, kern, xm)
+        assert abs(r - fsum_reconstruction(fixed, params.s, kern, xm)) <= bound
         near_bump = np.abs(x + 70.0) <= 10.0 * grid_main.h
         bump_share = np.sum(kern(xm - x[near_bump]) * g[near_bump]) * grid_main.h / math.sqrt(2.0 * math.pi)
         assert abs(bump_share) > 100.0 * bound
@@ -348,7 +349,7 @@ def test_far_field_sets_the_decay_bound_at_s_15(fits, petviashvili_path):
         fixed = gauge_fix(res.profile)
         x_bound = np.geomspace(fixed.grid.length / 3.0, fixed.grid.length / 1.5, 12)
         kern = asymptotics._KernelTail(params, res.multiplier, fixed.grid, x_bound)
-        oracle = np.array([fsum_reconstruction(fixed, kern, x) for x in x_bound])
+        oracle = np.array([fsum_reconstruction(fixed, params.s, kern, x) for x in x_bound])
         assert rep["C_far"] == pytest.approx(decay_bound_check(fixed, params, x_bound, oracle)["C_far"], rel=1e-13)
 
 

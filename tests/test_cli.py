@@ -39,6 +39,7 @@ from fracnls.cli import (
 )
 from fracnls.solvers import SolveResult, local_ground_state
 from fracnls.spectral import SpectralGrid, fft
+from fracnls.symbols import ModelParams
 
 FAST_GRID = {"grid_l": 64.0, "grid_m": 512, "tol": 1e-9}
 
@@ -117,6 +118,32 @@ def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert named in err
+
+
+def test_masses_whose_kappa_squared_underflows_are_refused_and_the_rest_run(tmp_path, capsys):
+    # where kappa^2 = N^{2s/(2-s)} is subnormal n_N loses digits, and where it is 0
+    # the symbol and the kernel shift are undefined: such a mass is one configuration error
+    decades = [10.0**-k for k in range(10, 301)]
+    dirs = ["--grid-l", "32", "--grid-m", "256", "--inits", "2",
+            "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
+    for s in (1.1, 1.3, 1.5, 1.7):
+        normal = [n for n in decades if ModelParams(s, n).kappa ** 2 >= sys.float_info.min]
+        refused = decades[len(normal):]
+        assert normal == decades[: len(normal)] and refused
+        for command in (c for c in cli.COMMANDS if c != "gn-constant"):
+            # every tenth normal decade and the smallest in one run: no run raises
+            ran = sorted(set(normal[::10]) | {normal[-1]})
+            code = main([command, "--s-list", repr(s), "--n-list", ",".join(map(repr, ran)), *dirs])
+            assert code in (EXIT_OK, EXIT_CRITERION_FAIL, EXIT_CONFIG_ERROR, EXIT_SOLVER_FAILURE)
+            assert "configuration error" not in capsys.readouterr().err
+            for n in refused[::10]:
+                assert main([command, "--s-list", repr(s), "--n-list", repr(n), *dirs]) == EXIT_CONFIG_ERROR
+                err = capsys.readouterr().err
+                assert err.startswith("configuration error:") and err.count("\n") == 1
+                # the smallest mass it names is accepted, and its kappa^2 is normal
+                named = float(err.split(f"smallest mass at s = {s:g}, ", 1)[1].split(":", 1)[0])
+                assert ModelParams(s, named).kappa ** 2 >= sys.float_info.min > ModelParams(s, 0.98 * named).kappa ** 2
+                RunConfig(command, s_list=(s,), n_list=(named,), cache_dir=str(tmp_path / "cache"))
 
 
 # one text per setting, with the value it must parse to
@@ -590,6 +617,11 @@ def test_solver_failure_exit(tmp_path):
         # the README linearize grid does not resolve s = 1.1 and 1.2: refused, never exit 1 or 3
         (["linearize", "--s-list", "1.1,1.2,1.5", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "1024"],
          {0.1: "does not resolve"}),
+        # these tori hold only the spatially constant state, whose limit verify-th2 would judge
+        (["verify-th2", "--s-list", "1.5", "--n-list", "0.2,0.1", "--grid-l", "16", "--grid-m", "16"],
+         dict.fromkeys((0.2, 0.1), "1 - min|R|/max|R| is")),
+        (["verify-th2", "--s-list", "1.7", "--n-list", "0.2,0.1", "--grid-l", "128", "--grid-m", "1024"],
+         dict.fromkeys((0.2, 0.1), "the solve is the spatially constant state: lengthen the torus")),
     ],
 )
 def test_unresolved_points_are_refused_with_exit_2_and_one_line(tmp_path, capsys, argv, refused):
@@ -606,6 +638,17 @@ def test_unresolved_points_are_refused_with_exit_2_and_one_line(tmp_path, capsys
     (meta,) = Path(tmp_path / "out").glob("*.meta.json")
     assert [(m["s"], m["N"]) for m in json.loads(meta.read_text())["points"] if m.get("refused")] == [
         (pt["s"], pt["N"]) for pt in failed]
+
+
+def test_constant_state_guard_sits_orders_of_magnitude_from_resolved_solves(monkeypatch):
+    # resolved solves read 1 - min|R|/max|R| of 0.997 and more, constant ones 5e-11 and less:
+    # the guard passes the resolved s = 1.5 solve even at a limit of 0.99
+    from fracnls.solvers import petviashvili_mass_constrained
+
+    params = ModelParams(1.5, 0.1)
+    profile = petviashvili_mass_constrained(SpectralGrid(64.0, 512), params).profile
+    monkeypatch.setattr(cli, "_CONSTANT_STATE_SPREAD", 0.99)
+    cli.constant_state_guard(profile, params)
 
 
 def test_linearize_unresolved_grid_names_one_that_resolves(tmp_path, capsys):

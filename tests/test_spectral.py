@@ -16,6 +16,8 @@ from fracnls.spectral import (
     SpectralGrid,
     fft,
     ifft,
+    pad_evaluate,
+    resample,
     translate,
 )
 from conftest import smooth_random_profile
@@ -24,6 +26,7 @@ from oracles import (
     fourier_coefficients,
     fourier_restrict,
     lp_norm,
+    pad_evaluate_composition,
     quadratic_form,
     sobolev_norm,
     spectral_interpolate,
@@ -272,11 +275,42 @@ def test_fourier_restrict_drops_modes_above_coarse_nyquist():
     assert np.max(np.abs(coarse - low[::4])) <= 1e-14
 
 
+@pytest.mark.parametrize("points", [32, 64, 256])
+def test_resample_to_a_finer_grid_and_back_is_bitwise(points):
+    m = 32
+    rng = np.random.default_rng(18)
+    vector = rng.standard_normal(m) + 1j * rng.standard_normal(m)  # every mode, Nyquist included
+    block = rng.standard_normal((m, 8)) + 1j * rng.standard_normal((m, 8))
+    for coeffs in (vector, block):
+        fine = resample(coeffs, points)
+        assert fine.shape == (points,) + coeffs.shape[1:]
+        assert _same_bits(resample(fine, m), coeffs)
+
+
+def test_resampled_coefficients_sample_the_band_limited_interpolant():
+    grid = SpectralGrid(32.0, 128)
+    rng = np.random.default_rng(19)
+    u = smooth_random_profile(grid, rng)
+    k = np.abs(np.fft.fftfreq(grid.points, d=1.0 / grid.points))
+    below = Profile(grid, ifft(np.where(k < 16, fft(u.values), 0.0)))  # below the Nyquist mode of 32 points
+    for field, points in ((u, 512), (below, 32)):
+        target = SpectralGrid(grid.length, points)
+        values = ifft(resample(fft(field.values), points))
+        oracle = spectral_interpolate(field, target.x)
+        assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(np.abs(field.values))
+
+
+def test_pad_evaluate_is_bitwise_the_hand_scaled_composition():
+    rng = np.random.default_rng(24)
+    for m in (16, 512, 4096):
+        coeffs = m * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        for fn in (lambda v: v * v, lambda v: np.abs(v) ** 3.0 * v):
+            assert _same_bits(pad_evaluate(coeffs, fn), pad_evaluate_composition(coeffs, fn))
+
+
 def test_pad_evaluate_squares_band_limited_field_exactly():
     """A field band-limited to |k| < M/4 has its square inside the band;
     a field filling the band gets the truncated, unaliased square."""
-    from fracnls.spectral import pad_evaluate
-
     m = 256
     k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
     rng = np.random.default_rng(22)
@@ -298,8 +332,6 @@ def test_pad_evaluate_squares_band_limited_field_exactly():
 
 def test_pad_evaluate_matches_the_grid_value_composition():
     """On coefficients, pad_evaluate is fft of the padded grid-value evaluation, to roundoff."""
-    from fracnls.spectral import pad_evaluate
-
     m = 512
     rng = np.random.default_rng(23)
     for fn in (lambda v: v * v, lambda v: np.abs(v) ** 3.0 * v):
