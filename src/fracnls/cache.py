@@ -48,7 +48,7 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
             # the mass-constrained algorithm: entries of another algorithm
             # differ in the last digits and must miss
             "solver": (
-                "newton-minres-dft/closed-form-lambda/coarse-start-min(1/8,0.5/sqrt(lambda))"
+                "newton-numpy-minres-dft/closed-form-lambda/coarse-start-min(1/8,0.5/sqrt(lambda))"
                 "/petviashvili-dft-hand-off/parseval-finish"
             ),
         },

@@ -18,7 +18,7 @@ import csv
 import ctypes
 import functools
 import hashlib
-import importlib
+import importlib.util
 import itertools
 import json
 import math
@@ -51,13 +51,17 @@ EXIT_SOLVER_FAILURE = 3
 _S_SOLVABLE_MAX = 1.8
 
 
-def _smallest_mass(s: float) -> float:
-    """The least mass at s whose kappa^2 = N^{2s/(2-s)} is a normal double, rounded up to three digits.
+def _smallest_mass(s: float, length: float) -> float:
+    """The least mass at s whose n(kappa xi_1) and s(s-1)/2 kappa^2 are normal doubles, rounded up to three digits.
 
-    Below it kappa^2 is subnormal, where n_N loses digits, and then 0, where
-    the symbol n_N and the kernel shift are undefined.
+    n_N(xi) = n(kappa xi) / (s(s-1)/2 kappa^2), kappa^2 = N^{2s/(2-s)}, and
+    n(kappa xi) ~ s(s-1)/2 (kappa xi)^2 is smallest at xi_1 = 2 pi/L, the
+    lowest nonzero mode of the torus of length L.  Below this mass either
+    is subnormal, where n_N loses digits on the lowest modes, and then 0,
+    where the symbol n_N and the kernel shift are undefined.
     """
-    exact = sys.float_info.min ** ((2.0 - s) / (2.0 * s))
+    lowest = s * (s - 1.0) / 2.0 * min(1.0, 2.0 * math.pi / length) ** 2
+    exact = (sys.float_info.min / lowest) ** ((2.0 - s) / (2.0 * s))
     return float(f"{exact * 1.006:.3g}")  # .3g moves it by at most 5e-3, so it rounds up
 
 
@@ -112,12 +116,6 @@ class RunConfig:
                     f"s = {s:g} is past desk scale: the profile decays over 1/sqrt(lambda(s)) = {decay:.3g}; "
                     f"commands other than gn-constant need s < {_S_SOLVABLE_MAX:g}"
                 )
-            n, n_min = min(self.n_list), _smallest_mass(s)  # the smallest mass grows with s
-            if n < n_min:
-                raise ConfigError(
-                    f"N = {n:g} is below the smallest mass at s = {s:g}, {n_min:g}: "
-                    f"kappa^2 = N^(2s/(2-s)) would underflow the smallest normal double"
-                )
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
         if self.workers < 1:
@@ -129,6 +127,14 @@ class RunConfig:
         # not a field: the grid derives from grid_l and grid_m, and building
         # it here turns a bad size into a configuration error
         self.grid = SpectralGrid(self.grid_l, self.grid_m)
+        if self.command != "gn-constant":
+            s, n = max(self.s_list), min(self.n_list)  # the smallest mass grows with s
+            n_min = _smallest_mass(s, self.grid_l)
+            if n < n_min:
+                raise ConfigError(
+                    f"N = {n:g} is below the smallest mass at s = {s:g} on L = {self.grid_l:g}, {n_min:g}: "
+                    f"n(kappa 2 pi/L) at the lowest mode, kappa^2 = N^(2s/(2-s)), would underflow the smallest normal double"
+                )
 
     def echo(self) -> dict:
         """The settings that decide results: the record's config and the hash input."""
@@ -562,12 +568,15 @@ def emit_outputs(record: RunRecord, config: RunConfig) -> list:
 
 
 def emit_profile_plotdata(profile: Profile, path) -> None:
-    """(x, Re, Im, abs) rows, one per grid point."""
+    """(x, Re, Im, abs) rows, one per grid point, in np.savetxt's bytes.
+
+    One % format over the raveled rows, where np.savetxt formats row by row.
+    """
     data = np.column_stack(
         [profile.grid.x, profile.values.real, profile.values.imag, np.abs(profile.values)]
     )
-    header = "x re im abs"
-    np.savetxt(path, data, header=header, comments="# ")
+    row = " ".join(["%.18e"] * data.shape[1]) + "\n"
+    Path(path).write_text("# x re im abs\n" + (row * data.shape[0]) % tuple(data.ravel().tolist()), encoding="latin1")
 
 
 def load_config_file(path) -> dict:
@@ -666,15 +675,21 @@ _OPENBLAS_COPIES = (
 def _one_blas_thread() -> None:
     """Run BLAS on one thread, once per process, so records do not depend on the CPU count.
 
-    numpy and scipy each bundle an OpenBLAS, and `import fracnls.cli` loads
-    both; each reads OPENBLAS_NUM_THREADS as it loads, too early for `main`
-    to set it, and by default splits its products over every CPU, which
-    moves eigenvalues and residuals in their last digits.  Each copy's own
-    setter takes effect at once, and worker processes forked afterwards
-    inherit it.  A no-op where a copy or its setter is absent.
+    numpy and scipy each bundle an OpenBLAS; each reads OPENBLAS_NUM_THREADS
+    as it loads, too early for `main` to set it, and by default splits its
+    products over every CPU, which moves eigenvalues and residuals in their
+    last digits.  Each copy's own setter takes effect at once, and worker
+    processes forked afterwards inherit it.  The copies are found through
+    the packages' import specs, which import nothing: pinning scipy's copy
+    loads only the library, which scipy's extensions reuse when a command
+    (linearize, verify-th4) imports them later.  A no-op where a package, a
+    copy or its setter is absent.
     """
     for package, pattern, setter in _OPENBLAS_COPIES:
-        libs = Path(importlib.import_module(package).__file__).parents[1] / f"{package}.libs"
+        spec = importlib.util.find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        libs = Path(spec.origin).parents[1] / f"{package}.libs"
         for path in libs.glob(pattern):
             try:
                 getattr(ctypes.CDLL(str(path)), setter)(1)

@@ -18,11 +18,14 @@ Eigenanalysis, the two symmetry null directions, coercivity diagnostics
 and the bordered solve of the solver's Newton steps live here.  Both run
 matrix-free (LOBPCG and MINRES, preconditioned by the inverse of the
 positive symbol); LOBPCG starts from the lowest eigenvectors of the same
-linearization on a coarse grid, resampled in coefficient space.  The
-dense matrix, on grid values, is a small-grid test oracle.  The constrained
-linear solve of the uniqueness argument and the local-limit operators L+/L-
-are test oracles in tests/oracles.py.  scipy.sparse.linalg is imported
-where it runs, so processes that never need it skip loading it.
+linearization on a coarse grid, resampled in coefficient space.  MINRES is
+this module's own loop in numpy (_minres), on complex coefficients; only
+the eigenanalysis imports SciPy (scipy.sparse.linalg for LOBPCG,
+scipy.linalg for the coarse start), where it runs, so a process that only
+solves loads no SciPy.  The dense matrix, on grid values, is a small-grid
+test oracle.  The constrained linear solve of the uniqueness argument, the
+local-limit operators L+/L- and the Newton step by SciPy's MINRES are test
+oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -62,20 +65,9 @@ def _unstack(vec: np.ndarray) -> np.ndarray:
     return vec[:m] + 1j * vec[m:]
 
 
-def _unitary(coeffs: np.ndarray) -> np.ndarray:
-    """Stacked unitary DFT coefficients fft(f)/sqrt(M) from raw ones: the MINRES coordinates.
-
-    They are an orthogonal image of the stacked grid values, so MINRES's
-    norms read as on grid values.  That matters for its stopping test:
-    SciPy's estimate of the operator norm includes the right-hand side's
-    preconditioned norm, which raw coefficients would inflate by sqrt(M).
-    """
-    return _stack(coeffs) / math.sqrt(coeffs.shape[0])
-
-
-def _raw(vec: np.ndarray) -> np.ndarray:
-    """Raw DFT coefficients from stacked unitary ones, the inverse of _unitary."""
-    return _unstack(vec) * math.sqrt(vec.shape[0] // 2)
+def _pairing(a: np.ndarray, b: np.ndarray) -> float:
+    """The real pairing Re<a, b> of two complex vectors, the stacked coordinates' inner product."""
+    return float(a.view(float) @ b.view(float))
 
 
 def _along_rows(grid_field: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -165,15 +157,17 @@ class LinearizedOperator:
         return 1j * self.coefficients, 1j * self.grid.xi * self.coefficients
 
     def complement_projector(self):
-        """The orthogonal projector onto the complement of span{iR, dR/dx}, on stacked DFT coefficients.
+        """The orthogonal projector onto the complement of span{iR, dR/dx}, on complex DFT coefficients.
 
+        Orthogonal in the real pairing Re<a, b>, which the stacked
+        coordinates carry, and the same on raw and on unitary coefficients.
         The two directions are not mutually orthogonal (the complex profile
         carries momentum), so they are orthonormalized by QR.  A pair that
         is linearly dependent, as at a collapsed (spatially constant or
         vanishing) profile, leaves no well-defined complement and raises
         numpy.linalg.LinAlgError.
         """
-        cmat = np.stack([_stack(c) for c in self.kernel_coefficients()], axis=1)
+        cmat = np.stack([c.view(float) for c in self.kernel_coefficients()], axis=1)
         basis, tri = np.linalg.qr(cmat)
         diag = np.abs(np.diag(tri))
         ratio = diag.min() / diag.max() if diag.max() > 0.0 else 0.0
@@ -181,9 +175,11 @@ class LinearizedOperator:
             raise np.linalg.LinAlgError(
                 f"its symmetry directions iR and dR/dx are linearly dependent (QR diagonal ratio {ratio:.1e})"
             )
+        rows = np.ascontiguousarray(basis.T)  # the orthonormal pair, as real vectors and as complex ones
+        directions = rows.view(complex)
 
-        def project(vec):
-            return vec - basis @ (basis.T @ vec)
+        def project(coeffs):
+            return coeffs - (rows @ coeffs.view(float)) @ directions
 
         return project
 
@@ -295,9 +291,13 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     Ritz pairs below theta must reach residual _EIG_TOL times the
     operator-norm bound.  scipy's lobpcg stops only when every block column
     does, so it runs in calls of _EIG_CHUNK iterations, each from the block
-    the last one returned, at that bound as its tolerance, until those
-    pairs pass: the torus's continuum just above theta no longer sets the
-    count.  The maxiter of the calls sums to at most _EIG_MAXITER.
+    the last one returned, until those pairs pass: the torus's continuum
+    just above theta no longer sets the count.  Its tolerance is a quarter
+    of the bound: lobpcg locks a column at its tolerance, and the later
+    Rayleigh-Ritz steps move a locked residual; at the bound itself, the
+    kernel pair at s = 1.3 (L = 128, M = 1024) passed after 18, 36 or 53
+    iterations as R moved by 2e-16, and after 18 at a quarter of it.  The
+    maxiter of the calls sums to at most _EIG_MAXITER.
     Exactly two eigenvalues are expected below _KERNEL_REL_THRESHOLD times
     the norm bound; their eigenspace is compared against span{iR, dR/dx}
     through orthogonal projections.  Some Ritz value must reach theta, and
@@ -324,7 +324,7 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
                 _operator(n2, op.apply_stacked),
                 block,
                 M=_operator(n2, op.solve_symbol_stacked),
-                tol=bound,
+                tol=bound / 4.0,  # a locked column's residual drifts in the Rayleigh-Ritz steps; stay clear of the bound
                 maxiter=min(_EIG_CHUNK, _EIG_MAXITER - done),
                 largest=False,
                 retResidualNormsHistory=True,
@@ -370,16 +370,82 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     )
 
 
+def _minres(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
+    """Preconditioned MINRES (Paige & Saunders 1975) from x = 0: (x, converged, iterations).
+
+    matvec is symmetric and psolve positive in the real pairing of the
+    complex vectors (_pairing).  These are the recurrences and stopping
+    tests of scipy.sparse.linalg.minres: success once ||r|| / (||A|| ||x||)
+    or ||A r|| / (||A|| ||r||) reaches rtol (or roundoff, 1 + test <= 1),
+    the condition estimate reaches 0.1/eps, ||A|| ||x|| eps reaches the
+    preconditioned right-hand side's norm, or the first Lanczos step ends
+    the Krylov space; failure at maxiter iterations.  An indefinite
+    preconditioner raises ValueError, from the square root, as SciPy's does.
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros_like(b)
+    y = psolve(b)
+    beta1 = _pairing(b, y)
+    if beta1 == 0.0:
+        return x, True, 0
+    beta1 = math.sqrt(beta1)
+    r1 = r2 = b
+    w, w1, w2 = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    beta, oldb, dbar, epsln, phibar = beta1, 0.0, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, np.inf, -1.0, 0.0
+    for itn in range(1, maxiter + 1):
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = _pairing(v, y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = psolve(r2)
+        oldb, beta = beta, math.sqrt(_pairing(r2, y))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # the previous rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2, w = w2, w, w1  # the new direction overwrites the oldest one
+        np.subtract(v, np.multiply(oldeps, w1, out=w), out=w)
+        w -= delta * w2
+        w *= 1.0 / gamma
+        x += phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(_pairing(x, x))
+        test = min(phibar / (anorm * ynorm) if ynorm > 0.0 else math.inf, root / anorm)
+        if (test <= max(rtol, 0.5 * eps) or gmax / gmin >= 0.1 / eps or anorm * ynorm * eps >= beta1
+                or (itn == 1 and beta / beta1 <= 10.0 * eps)):
+            return x, True, itn
+    return x, False, maxiter
+
+
 def bordered_solve(op: LinearizedOperator, fh: np.ndarray, mass_residual: float, rtol: float):
     """The Newton step (du_hat or None, dtheta, MINRES iterations) at op's profile R and multiplier.
 
     fh and du_hat are the raw DFT coefficients of the residual f and of the
     step.  Solves L du + dtheta R = -f, R^T du = -mass_residual (the real
-    pairing) on stacked unitary DFT coefficients (_unitary): MINRES on the
-    symmetric bordered matrix [[L, R], [R^T, 0]], preconditioned by the
-    positive diag(1/(n_N + theta), 1/(R^T (n_N + theta)^{-1} R)); the
-    symbol is diagonal there, so each iteration applies L once, two
-    transforms, and the preconditioner is a division.
+    pairing) on the unitary DFT coefficients fft(.)/sqrt(M), complex, and the
+    border scalar, with the inner product Re<a, b> + alpha beta: an
+    orthogonal image of the stacked grid values, so MINRES's norms read as
+    on grid values (its estimate of the operator norm includes the
+    right-hand side's preconditioned norm, which raw coefficients would
+    inflate by sqrt(M)).  MINRES (_minres, in numpy) runs on the symmetric
+    bordered matrix [[L, R], [R^T, 0]], preconditioned by the positive
+    diag(1/(n_N + theta), 1/(R^T (n_N + theta)^{-1} R)); the symbol is
+    diagonal there, so each iteration applies L once, two transforms, and
+    the preconditioner is a division.  It imports no SciPy: in this module
+    only kernel_diagnostics does (scipy.sparse.linalg for LOBPCG,
+    scipy.linalg for its coarse start).
     du_hat is None when MINRES fails to reach rtol in _MINRES_MAXITER iterations.
     A rank-deficient symmetry pair raises numpy.linalg.LinAlgError
     (complement_projector).
@@ -391,33 +457,26 @@ def bordered_solve(op: LinearizedOperator, fh: np.ndarray, mass_residual: float,
     the iterates stay on their orthogonal complement (complement_projector);
     neither direction changes the solution.
     """
-    from scipy.sparse.linalg import minres
-
-    rhs = -np.append(_unitary(fh), mass_residual)
-    r = _unitary(op.coefficients)
-    n = rhs.size
+    scale = math.sqrt(op.grid.points)
+    r = op.coefficients / scale
     project = op.complement_projector()
-    schur = float(r @ op.solve_symbol_stacked(r))
+    schur = _pairing(r, r / op.symbol)
 
     def matvec(x):
         v = project(x[:-1])
-        return np.append(project(op.apply_stacked(v) + x[-1] * r), r @ v)
+        out = np.empty_like(x)
+        out[:-1] = project(op.apply_coefficients(v) + x[-1].real * r)
+        out[-1] = _pairing(r, v)
+        return out
 
     def precond(x):
-        return np.append(project(op.solve_symbol_stacked(project(x[:-1]))), x[-1] / schur)
+        out = np.empty_like(x)
+        out[:-1] = project(project(x[:-1]) / op.symbol)
+        out[-1] = x[-1] / schur
+        return out
 
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    sol, status = minres(
-        _operator(n, matvec),
-        np.append(project(rhs[:-1]), rhs[-1]),
-        rtol=rtol,
-        maxiter=_MINRES_MAXITER,
-        M=_operator(n, precond),
-        callback=count,
-    )
-    return (_raw(sol[:-1]) if status == 0 else None), float(sol[-1]), iters
+    rhs = np.empty(r.size + 1, dtype=complex)
+    rhs[:-1] = project(fh / -scale)
+    rhs[-1] = -mass_residual
+    sol, converged, iters = _minres(matvec, precond, rhs, rtol, _MINRES_MAXITER)
+    return (sol[:-1] * scale if converged else None), float(sol[-1].real), iters

@@ -14,7 +14,8 @@ the linearization iterate on raw DFT coefficients (`fft` of the grid
 values) and take symbols as arrays of their values on the grid
 frequencies; the padded nonlinearity `pad_evaluate` maps such
 coefficients to coefficients, so each application costs one inverse and
-one forward transform on the twice finer grid.
+one forward transform on the twice finer grid.  The transforms are
+numpy.fft's (`fft`, `ifft`), so this module loads no SciPy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -78,16 +78,19 @@ class SpectralGrid:
 def fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Raw index-space DFT along `axis` (no normalization); the one transform backend.
 
-    scipy.fft wraps the same pocketfft as numpy.fft and returns the same
-    bits on complex input.  Real input is promoted to complex first, as
-    numpy does, because scipy's real-input path rounds differently.
+    numpy.fft, so a process that only solves loads no SciPy.  It wraps the
+    same pocketfft as scipy.fft and returned the same bits on complex
+    input, on 1-D vectors and on (M, k) blocks along axis 0, for M = 16 to
+    65536 and k in {2, 8, 256} (numpy 2.4, SciPy 1.17).  Real input is
+    promoted to complex first, because scipy's real-input path rounds
+    differently, so records do not depend on which backend a caller used.
     """
-    return scipy.fft.fft(np.asarray(values, dtype=complex), axis=axis)
+    return np.fft.fft(np.asarray(values, dtype=complex), axis=axis)
 
 
 def ifft(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Inverse of :func:`fft` (1/M normalization), with the same backend and promotion."""
-    return scipy.fft.ifft(np.asarray(coeffs, dtype=complex), axis=axis)
+    return np.fft.ifft(np.asarray(coeffs, dtype=complex), axis=axis)
 
 
 @dataclass

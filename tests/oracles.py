@@ -38,6 +38,8 @@ test reads:
   its coefficients (the package applies it to coefficients only);
 - `constrained_solve`: L f = F on the complement of span{iR, dR/dx} by
   MINRES, the stability quotient of the uniqueness argument;
+- `bordered_solve_stacked`: the Newton step by scipy's MINRES on stacked
+  real coordinates (the package runs its own MINRES on complex ones);
 - `quadratic_form`, `zero_pad`, `fourier_restrict`, `multiplier_values`,
   `apply_multiplier`, `derivative`, `lp_norm`, `sobolev_norm` and
   `spectral_refine`: the quadratic form, symbol values checked finite,
@@ -68,7 +70,8 @@ from scipy.sparse.linalg import minres
 
 from fracnls.asymptotics import RootResult, TailFit
 from fracnls.asymptotics_roots import binomial_tail_coeffs
-from fracnls.linearized import LinearizedOperator, _operator, _raw, _unitary
+from fracnls import linearized
+from fracnls.linearized import LinearizedOperator, _operator, _stack, _unstack
 from fracnls.solvers import (
     _MASS_TOL,
     ConvergenceError,
@@ -476,6 +479,59 @@ def local_dense(op: LocalOperator) -> np.ndarray:
     return circulant(col) - np.diag(op.potential)
 
 
+def _unitary(coeffs: np.ndarray) -> np.ndarray:
+    """Stacked unitary DFT coefficients fft(f)/sqrt(M) from raw ones: an orthogonal image of stacked grid values."""
+    return _stack(coeffs) / math.sqrt(coeffs.shape[0])
+
+
+def _raw(vec: np.ndarray) -> np.ndarray:
+    """Raw DFT coefficients from stacked unitary ones, the inverse of _unitary."""
+    return _unstack(vec) * math.sqrt(vec.shape[0] // 2)
+
+
+def bordered_solve_stacked(op: LinearizedOperator, fh: np.ndarray, mass_residual: float, rtol: float):
+    """The Newton step of `linearized.bordered_solve` by scipy's MINRES on stacked real coordinates.
+
+    The same bordered system, projections and preconditioner, on the
+    stacked unitary DFT coefficients (_unitary) and the border scalar,
+    through LinearOperators on 2M + 1 reals: (du_hat or None, dtheta,
+    MINRES iterations), capped at the package's MINRES cap.  The projector
+    is its own: QR of the two stacked directions, without the rank check.
+    """
+    rhs = -np.append(_unitary(fh), mass_residual)
+    r = _unitary(op.coefficients)
+    n = rhs.size
+    basis, _ = np.linalg.qr(np.stack([_unitary(c) for c in op.kernel_coefficients()], axis=1))
+
+    def project(vec):
+        return vec - basis @ (basis.T @ vec)
+
+    schur = float(r @ op.solve_symbol_stacked(r))
+
+    def matvec(x):
+        v = project(x[:-1])
+        return np.append(project(op.apply_stacked(v) + x[-1] * r), r @ v)
+
+    def precond(x):
+        return np.append(project(op.solve_symbol_stacked(project(x[:-1]))), x[-1] / schur)
+
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    sol, status = minres(
+        _operator(n, matvec),
+        np.append(project(rhs[:-1]), rhs[-1]),
+        rtol=rtol,
+        maxiter=linearized._MINRES_MAXITER,
+        M=_operator(n, precond),
+        callback=count,
+    )
+    return (_raw(sol[:-1]) if status == 0 else None), float(sol[-1]), iters
+
+
 def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, dict]:
     """Solve L f = F on the orthogonal complement of span{iR, dR/dx}.
 
@@ -490,7 +546,11 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
     grid = op.grid
     c1, c2 = (_unitary(c) for c in op.kernel_coefficients())
     raw = _unitary(fft(rhs.values))
-    project = op.complement_projector()
+    complement = op.complement_projector()
+
+    def project(vec):
+        return _stack(complement(_unstack(vec)))
+
     f_vec = project(raw)
     info = {"projected": bool(np.linalg.norm(raw - f_vec) > _OVERLAP_TOL * np.linalg.norm(raw))}
     n2 = f_vec.size

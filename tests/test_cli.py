@@ -38,8 +38,8 @@ from fracnls.cli import (
     run,
 )
 from fracnls.solvers import SolveResult, local_ground_state
-from fracnls.spectral import SpectralGrid, fft
-from fracnls.symbols import ModelParams
+from fracnls.spectral import Profile, SpectralGrid, fft
+from fracnls.symbols import ModelParams, symbol_nN
 
 FAST_GRID = {"grid_l": 64.0, "grid_m": 512, "tol": 1e-9}
 
@@ -120,14 +120,20 @@ def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
     assert named in err
 
 
+def _lowest_mode_n(s: float, n: float, length: float) -> float:
+    """n(kappa xi_1) to leading order, s(s-1)/2 (kappa 2 pi/L)^2, at a torus's lowest nonzero mode (L > 2 pi)."""
+    return s * (s - 1.0) / 2.0 * (ModelParams(s, n).kappa * 2.0 * np.pi / length) ** 2
+
+
 def test_masses_whose_kappa_squared_underflows_are_refused_and_the_rest_run(tmp_path, capsys):
-    # where kappa^2 = N^{2s/(2-s)} is subnormal n_N loses digits, and where it is 0
-    # the symbol and the kernel shift are undefined: such a mass is one configuration error
+    # where n(kappa xi_1) at the lowest mode xi_1 = 2 pi/L is subnormal n_N
+    # loses digits there, and where it is 0 the symbol and the kernel shift
+    # are undefined: such a mass is one configuration error
     decades = [10.0**-k for k in range(10, 301)]
     dirs = ["--grid-l", "32", "--grid-m", "256", "--inits", "2",
             "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
     for s in (1.1, 1.3, 1.5, 1.7):
-        normal = [n for n in decades if ModelParams(s, n).kappa ** 2 >= sys.float_info.min]
+        normal = [n for n in decades if _lowest_mode_n(s, n, 32.0) >= sys.float_info.min]
         refused = decades[len(normal):]
         assert normal == decades[: len(normal)] and refused
         for command in (c for c in cli.COMMANDS if c != "gn-constant"):
@@ -140,10 +146,34 @@ def test_masses_whose_kappa_squared_underflows_are_refused_and_the_rest_run(tmp_
                 assert main([command, "--s-list", repr(s), "--n-list", repr(n), *dirs]) == EXIT_CONFIG_ERROR
                 err = capsys.readouterr().err
                 assert err.startswith("configuration error:") and err.count("\n") == 1
-                # the smallest mass it names is accepted, and its kappa^2 is normal
-                named = float(err.split(f"smallest mass at s = {s:g}, ", 1)[1].split(":", 1)[0])
-                assert ModelParams(s, named).kappa ** 2 >= sys.float_info.min > ModelParams(s, 0.98 * named).kappa ** 2
-                RunConfig(command, s_list=(s,), n_list=(named,), cache_dir=str(tmp_path / "cache"))
+                # the smallest mass it names is accepted, and its n(kappa xi_1) is normal
+                named = float(err.split(f"smallest mass at s = {s:g} on L = 32, ", 1)[1].split(":", 1)[0])
+                assert _lowest_mode_n(s, named, 32.0) >= sys.float_info.min > _lowest_mode_n(s, 0.98 * named, 32.0)
+                RunConfig(command, s_list=(s,), n_list=(named,), grid_l=32.0, grid_m=256,
+                          cache_dir=str(tmp_path / "cache"))
+
+
+def test_smallest_mass_keeps_the_lowest_mode_of_the_symbol_exact(tmp_path, capsys):
+    # at s = 1.1 on (64, 4096) a bound on kappa^2 alone accepted N = 1.4e-126,
+    # where n(kappa xi_1) is subnormal and n_N/xi^2 - 1 reads 8e-14 at the
+    # first mode; the bound on n(kappa xi_1) names a mass above which the
+    # symbol is exact to rounding and below which the run is refused
+    grid = SpectralGrid(64.0, 4096)
+    xi = grid.xi[1:4]
+
+    def error(n):
+        return np.max(np.abs(symbol_nN(xi, ModelParams(1.1, n)) / xi**2 - 1.0))
+
+    dirs = ["--grid-l", "64", "--grid-m", "4096",
+            "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
+    assert main(["solve", "--s-list", "1.1", "--n-list", "1.4e-126", *dirs]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1 and " on L = 64, " in err
+    named = float(err.split("smallest mass at s = 1.1 on L = 64, ", 1)[1].split(":", 1)[0])
+    assert error(1.4e-126) > 1e-14 and error(named) <= 4.5e-16
+    RunConfig("solve", s_list=(1.1,), n_list=(named,), grid_l=64.0, grid_m=4096, cache_dir=str(tmp_path / "cache"))
+    assert main(["solve", "--s-list", "1.1", "--n-list", repr(0.99 * named), *dirs]) == EXIT_CONFIG_ERROR
+    assert f"smallest mass at s = 1.1 on L = 64, {named:g}:" in capsys.readouterr().err
 
 
 # one text per setting, with the value it must parse to
@@ -293,14 +323,26 @@ def test_csv_cells_of_numpy_scalars_parse_as_floats(tmp_path):
 
 
 def test_plotdata_row_count(solve_record, tmp_path):
-    from fracnls.spectral import Profile, SpectralGrid
-
     grid = SpectralGrid(64.0, 512)
     prof = Profile(grid, np.exp(-grid.x**2).astype(complex))
     path = tmp_path / "plot.dat"
     emit_profile_plotdata(prof, path)
     data = np.loadtxt(path)
     assert data.shape == (512, 4)
+
+
+def test_plotdata_bytes_are_savetxt_bytes(tmp_path):
+    # one format call over all rows writes what np.savetxt writes row by row,
+    # on a README grid, for a profile that holds -0.0, subnormal and tiny values
+    grid = SpectralGrid(64.0, 4096)
+    values = np.exp(-(grid.x**2)) * np.exp(1j * grid.x)
+    values[::7] = -0.0
+    values[1::11] = complex(1e-300, -5e-324)
+    values[2] = complex(-0.0, 1e-310)
+    emit_profile_plotdata(Profile(grid, values), tmp_path / "plot.dat")
+    data = np.column_stack([grid.x, values.real, values.imag, np.abs(values)])
+    np.savetxt(tmp_path / "savetxt.dat", data, header="x re im abs", comments="# ")
+    assert (tmp_path / "plot.dat").read_bytes() == (tmp_path / "savetxt.dat").read_bytes()
 
 
 def test_metadata_file_separate(solve_record):
@@ -525,11 +567,12 @@ def test_secant_solver_entry_is_a_miss(tmp_path):
 
 
 def test_cache_key_digest_is_stable():
-    # the digest of the entries written by the Newton-MINRES solver on DFT
-    # coefficients with the closed-form lambda(s), the start from the coarse
-    # grid of spacing min(1/8, 0.5/sqrt(lambda(s))), the Petviashvili hand-off
-    # on DFT coefficients and the finish from the last residual's nonlinearity
-    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "540933aa96770e93382bd1b9"
+    # the digest of the entries written by the Newton-MINRES solver (numpy's
+    # loop on complex DFT coefficients) with the closed-form lambda(s), the
+    # start from the coarse grid of spacing min(1/8, 0.5/sqrt(lambda(s))), the
+    # Petviashvili hand-off on DFT coefficients and the finish from the last
+    # residual's nonlinearity
+    assert cache_key(1.5, 0.2, 64.0, 512, 1e-9) == "cb137c19341646de559c3ae6"
 
 
 @pytest.mark.parametrize("command", ["solve", "linearize"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from fracnls import linearized
+from fracnls import linearized, solvers
 from fracnls.linearized import (
     DENSE_MAX_POINTS,
     LinearizedOperator,
@@ -513,16 +513,37 @@ def _newton_rhs(op, rng):
 
 
 def test_bordered_matrix_is_symmetric(op10, monkeypatch):
-    # MINRES needs a symmetric matrix and a symmetric positive preconditioner
-    seen = _spy(monkeypatch, "minres")
+    # MINRES needs a symmetric matrix and a symmetric positive preconditioner,
+    # in its inner product Re<a, b> + alpha beta on (unitary coefficients, border)
+    seen = []
+    real = linearized._minres
+
+    def spy(matvec, psolve, b, *args):
+        seen.append((matvec, psolve, b))
+        return real(matvec, psolve, b, *args)
+
+    monkeypatch.setattr(linearized, "_minres", spy)
     rng = np.random.default_rng(31)
     bordered_solve(op10, *_newton_rhs(op10, rng), 1e-6)
-    ((a, kwargs, _),) = seen
-    m = kwargs["M"]
-    _assert_symmetric(a.matvec, a.shape[0], rng)
-    _assert_symmetric(m.matvec, m.shape[0], rng)
-    x = rng.standard_normal(m.shape[0])
-    assert x @ m.matvec(x) > 0.0
+    ((matvec, psolve, b),) = seen
+    assert b.shape == (op10.grid.points + 1,) and b[-1].imag == 0.0
+
+    def vectors():
+        x = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
+        x[-1] = x[-1].real
+        return x
+
+    def pairing(x, y):
+        return float(np.real(np.vdot(x, y)))
+
+    for action in (matvec, psolve):
+        for _ in range(10):
+            x, y = vectors(), vectors()
+            xay, yax = pairing(x, action(y)), pairing(y, action(x))
+            assert abs(xay - yax) <= 1e-12 * max(abs(xay), abs(yax))
+            assert action(x)[-1].imag == 0.0
+    x = vectors()
+    assert pairing(x, psolve(x)) > 0.0
 
 
 def test_kernel_diagnostics_operator_is_symmetric(op10, monkeypatch):
@@ -546,3 +567,32 @@ def test_bordered_minres_iteration_makes_two_transforms(op10, monkeypatch):
     assert it1 > it0
     assert m1 - m0 == all1 - all0 == 2 * (it1 - it0)
 
+
+@pytest.mark.parametrize("s", [1.3, 1.5])
+@pytest.mark.parametrize("grid_spec", [(256.0, 16384), (64.0, 4096)])
+def test_bordered_solve_matches_scipy_minres_oracle(monkeypatch, s, grid_spec):
+    # the Newton steps of a solve, each by the numpy loop and by scipy's
+    # minres on stacked reals (oracles.bordered_solve_stacked): the same
+    # Krylov process in exact arithmetic, so the iteration counts agree to
+    # one.  SciPy's stop test is relative to ||A|| ||x||, so either step may
+    # lie a few rtol from the exact one (up to 5 rtol here, against a step
+    # solved to 1e-15); the loop's lies no farther than SciPy's, to within rtol
+    steps = []
+    real = solvers.bordered_solve
+
+    def spy(op, fh, mass_residual, rtol):
+        out = real(op, fh, mass_residual, rtol)
+        steps.append((op, fh, mass_residual, rtol, out))
+        return out
+
+    monkeypatch.setattr(solvers, "bordered_solve", spy)
+    petviashvili_mass_constrained(SpectralGrid(*grid_spec), ModelParams(s, 0.1), tol=1e-10)
+    assert len(steps) >= 2
+    for op, fh, mass_residual, rtol, (du, dtheta, iters) in steps:
+        du_o, dtheta_o, iters_o = oracles.bordered_solve_stacked(op, fh, mass_residual, rtol)
+        du_x, dtheta_x, _ = oracles.bordered_solve_stacked(op, fh, mass_residual, 1e-15)
+        assert du is not None and du_o is not None and du_x is not None
+        assert abs(iters - iters_o) <= 1
+        norm = np.linalg.norm
+        assert norm(du - du_x) <= norm(du_o - du_x) + rtol * norm(du_x)
+        assert abs(dtheta - dtheta_x) <= abs(dtheta_o - dtheta_x) + rtol * abs(dtheta_x)

@@ -2,15 +2,19 @@
 and by a caller outside the tests unless it is a listed entry point; every
 function, class and method of the package is reachable by name from the
 CLI's entry point unless it is a listed exception; no module of the package
-calls a dense test oracle or imports another module's private name; and
-importing the CLI loads none of the scipy submodules that only some
-commands use."""
+calls a dense test oracle or imports another module's private name; no
+module imports at import time the scipy submodules that only some commands
+use; and importing the CLI, or running a command that only solves, loads
+no scipy module at all."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+import scipy
 
 import fracnls
 
@@ -414,21 +418,54 @@ def test_import_scan_skips_function_bodies_only():
     assert [_is_under(n, LAZY_SCIPY) for _, n in names] == [False, True, True, True, True]
 
 
-def _lazy_modules_loaded_by(statement: str) -> list:
-    """The lazy scipy submodules, and scipy.optimize, in sys.modules after running `statement` afresh."""
+def _scipy_modules_loaded_by(statement: str) -> list:
+    """The scipy modules in sys.modules after running `statement` in a fresh interpreter."""
     probe = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
     path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
-    return [name for name in out.split() if _is_under(name, LAZY_SCIPY + ("scipy.optimize",))]
+    return [name for name in out.splitlines()[-1].split() if _is_under(name, ("scipy",))]
 
 
-def test_cli_import_loads_no_lazy_scipy_submodule():
-    assert _lazy_modules_loaded_by("import fracnls.cli") == []
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_loaded_by("import fracnls.cli") == []
 
 
 def test_module_probe_sees_a_loaded_submodule():
-    loaded = _lazy_modules_loaded_by("import scipy.interpolate")
+    loaded = _scipy_modules_loaded_by("import scipy.interpolate")
     assert "scipy.interpolate" in loaded and "scipy.linalg" in loaded
+
+
+_SMALL_GRID = ("--n-list", "0.1", "--grid-l", "32", "--grid-m", "256")
+
+
+@pytest.mark.parametrize(
+    "argv, subpackages",
+    [
+        # the commands that only solve: no scipy module at all
+        (("solve", *_SMALL_GRID), set()),
+        (("verify-th2", *_SMALL_GRID), set()),
+        (("verify-th3", *_SMALL_GRID, "--inits", "2"), set()),
+        (("kernel", "--n-list", "0.1"), set()),
+        (("gn-constant", "--grid-l", "32", "--grid-m", "256"), set()),
+        # LOBPCG and the coarse start's eigh
+        (("linearize", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512"), {"linalg", "sparse"}),
+        # scipy.interpolate's CubicSpline, which loads these itself
+        (
+            ("verify-th4", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "1024"),
+            {"constants", "fft", "interpolate", "linalg", "optimize", "sparse", "spatial", "special"},
+        ),
+    ],
+    ids=["solve", "verify-th2", "verify-th3", "kernel", "gn-constant", "linearize", "verify-th4"],
+)
+def test_command_loads_only_its_scipy_subpackages(tmp_path, argv, subpackages):
+    # a cold run in a fresh interpreter: its public scipy subpackages, and
+    # for the solve-only commands no scipy module at all
+    argv = [*argv, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
+    loaded = _scipy_modules_loaded_by(f"from fracnls.cli import main\nassert main({argv!r}) in (0, 1)")
+    if not subpackages:
+        assert loaded == []
+    public = set(scipy.__all__)
+    assert {name.split(".")[1] for name in loaded if name.count(".") == 1} & public == subpackages

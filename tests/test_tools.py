@@ -1,10 +1,14 @@
-"""The two comparison tools, `record_diff.py` and `sweep.py compare`, on small hand-made inputs."""
+"""The measuring tools, `record_diff.py`, `sweep.py` and `readme_wall.py`, on small hand-made inputs."""
 
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
+import readme_wall
 import record_diff
 import sweep
+import fracnls
 from fracnls import solvers
 
 
@@ -90,3 +94,25 @@ def test_sweep_times_whole_passes_and_keeps_the_best_per_point(monkeypatch):
     assert [(p["N"], p["seconds"], p["iterations"]) for p in points] == [(0.1, 1.0, 1), (0.2, 4.0, 2)]
     assert list(points[0]) == ["L", "M", "s", "N", "coarse", "converged", "error", "theta", "levels", "iterations",
                                "seconds"]
+
+
+def test_readme_wall_times_the_readme_commands():
+    # COMMANDS are the README's CLI block, without the comments
+    readme = (Path(fracnls.__file__).parents[2] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    listed = [" ".join(line.split("#", 1)[0].split()[1:]) for line in block.splitlines()]
+    assert list(readme_wall.COMMANDS) == listed
+
+
+def test_readme_wall_reports_wall_exit_and_stage_per_state(monkeypatch, capsys):
+    src = str(Path(fracnls.__file__).parents[1])
+    monkeypatch.setattr(readme_wall, "COMMANDS", ("kernel --s-list 1.5 --n-list 0.2",))
+    assert readme_wall.main(["--repeats", "1", src]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"| row | state | wall s {src} | exit {src} | stage s {src} |"
+    number = r"\d+\.\d{3}"
+    assert re.fullmatch(rf"\| `import fracnls.cli` \|  \| {number} \| 0 \|  \|", lines[2])
+    for line, state in zip(lines[3:], ("cold", "warm")):
+        assert re.fullmatch(rf"\| `kernel --s-list 1.5 --n-list 0.2` \| {state} \| {number} \| 0 \| {number} \|", line)
+    assert len(lines) == 5
+    assert readme_wall.main(["--repeats", "0"]) == readme_wall.main(["--bogus"]) == 2
