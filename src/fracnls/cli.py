@@ -667,7 +667,6 @@ def _keep_heap() -> None:
 # (package, its wheel's bundled OpenBLAS, that copy's thread-count setter)
 _OPENBLAS_COPIES = (
     ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
 )
 
 
@@ -675,15 +674,13 @@ _OPENBLAS_COPIES = (
 def _one_blas_thread() -> None:
     """Run BLAS on one thread, once per process, so records do not depend on the CPU count.
 
-    numpy and scipy each bundle an OpenBLAS; each reads OPENBLAS_NUM_THREADS
-    as it loads, too early for `main` to set it, and by default splits its
-    products over every CPU, which moves eigenvalues and residuals in their
-    last digits.  Each copy's own setter takes effect at once, and worker
-    processes forked afterwards inherit it.  The copies are found through
-    the packages' import specs, which import nothing: pinning scipy's copy
-    loads only the library, which scipy's extensions reuse when a command
-    (linearize, verify-th4) imports them later.  A no-op where a package, a
-    copy or its setter is absent.
+    numpy bundles an OpenBLAS that reads OPENBLAS_NUM_THREADS as it loads,
+    too early for `main` to set it, and by default splits its products over
+    every CPU, which moves eigenvalues and residuals in their last digits.
+    The copy's own setter takes effect at once, and worker processes forked
+    afterwards inherit it.  The copy is found through the package's import
+    spec.  No command loads SciPy, so SciPy's own OpenBLAS is left alone.
+    A no-op where the package, the copy or its setter is absent.
     """
     for package, pattern, setter in _OPENBLAS_COPIES:
         spec = importlib.util.find_spec(package)

@@ -1,10 +1,11 @@
 """Linearized operator around a converged minimizer and its kernel structure.
 
 The conjugation term makes the linearization real-linear but not
-complex-linear, so the operator is represented on stacked real
-coordinates, where it is a real symmetric operator.  The Krylov solves use
-the stacked raw DFT coefficients (Re f_hat, Im f_hat), f_hat = fft(f):
-there the symbol n_N + theta is diagonal, so the operator is
+complex-linear: it is a real symmetric operator on the stacked real
+coordinates (Re f, Im f), whose inner product is the real pairing
+Re<a, b> of the complex fields.  The Krylov solves use the raw DFT
+coefficients f_hat = fft(f), complex, with that pairing: there the symbol
+n_N + theta is diagonal, so the operator is
 S f_hat - fft(v1 g + w conj g) with g = ifft(f_hat), two transforms per
 application, and the preconditioner 1/(n_N + theta) is a plain division.
 The raw DFT is sqrt(M) times a unitary map, which acts on stacked
@@ -18,20 +19,19 @@ Eigenanalysis, the two symmetry null directions, coercivity diagnostics
 and the bordered solve of the solver's Newton steps live here.  Both run
 matrix-free (LOBPCG and MINRES, preconditioned by the inverse of the
 positive symbol); LOBPCG starts from the lowest eigenvectors of the same
-linearization on a coarse grid, resampled in coefficient space.  MINRES is
-this module's own loop in numpy (_minres), on complex coefficients; only
-the eigenanalysis imports SciPy (scipy.sparse.linalg for LOBPCG,
-scipy.linalg for the coarse start), where it runs, so a process that only
-solves loads no SciPy.  The dense matrix, on grid values, is a small-grid
-test oracle.  The constrained linear solve of the uniqueness argument, the
-local-limit operators L+/L- and the Newton step by SciPy's MINRES are test
-oracles in tests/oracles.py.
+linearization on a coarse grid, resampled in coefficient space.  Both are
+this module's own loops in numpy (_lobpcg, _minres), on complex
+coefficients with the real pairing, and the coarse start is a
+numpy.linalg.eigh of the stacked coarse matrix: the module imports no
+SciPy.  The dense matrix, on grid values, is a small-grid test oracle.
+The constrained linear solve of the uniqueness argument, the local-limit
+operators L+/L-, and the Newton step and the eigenanalysis by SciPy's
+MINRES and LOBPCG are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -70,11 +70,6 @@ def _pairing(a: np.ndarray, b: np.ndarray) -> float:
     return float(a.view(float) @ b.view(float))
 
 
-def _along_rows(grid_field: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A grid field shaped to scale a single field or each column of a block."""
-    return grid_field.reshape((-1,) + (1,) * (values.ndim - 1))
-
-
 @dataclass
 class LinearizedOperator:
     """L f = n_N(D) f + theta f - (s+1)|R|^{2s} f - s |R|^{2s-2} R^2 conj(f)."""
@@ -108,23 +103,18 @@ class LinearizedOperator:
         )
 
     def apply_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
-        """L on raw DFT coefficients, of one field or of each column of an (M, k) block.
+        """L on raw DFT coefficients, of one field or of each row of a (k, M) block.
 
         The symbol acts diagonally; the potentials act on the grid values
         g = ifft(coeffs), so one application costs one inverse and one
         forward transform.
         """
-        g = ifft(coeffs, axis=0)
-        pointwise = _along_rows(self.v1, g) * g + _along_rows(self.w, g) * np.conj(g)
-        return _along_rows(self.symbol, coeffs) * coeffs - fft(pointwise, axis=0)
+        g = ifft(coeffs)
+        return self.symbol * coeffs - fft(self.v1 * g + self.w * np.conj(g))
 
     def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
         """L on stacked DFT coefficients (vector or block of columns)."""
-        return _stack(self.apply_coefficients(_unstack(vec)))
-
-    def solve_symbol_stacked(self, vec: np.ndarray) -> np.ndarray:
-        """The preconditioner 1/(n_N + theta) on stacked DFT coefficients (vector or block)."""
-        return vec / _along_rows(np.concatenate([self.symbol, self.symbol]), vec)
+        return _stack(self.apply_coefficients(_unstack(vec).T).T)
 
     def dense(self) -> np.ndarray:
         """Real symmetric 2M x 2M matrix on stacked (Re, Im) coordinates.
@@ -203,23 +193,15 @@ class LinearizedReport:
     coercivity: float  # min(theta, smallest discrete |ev| outside the kernel pair)
     norm_estimate: float
     threshold: float
-    iterations: int  # rows of LOBPCG's residual histories summed over its calls, each call's start and final Rayleigh-Ritz included
+    iterations: int  # LOBPCG iterations after the start block's Rayleigh-Ritz step
     kernel_residual_ratio: float  # max of ||L v|| / ||v|| over v in {iR, dR/dx}, over the threshold
-
-
-def _operator(n: int, action):
-    """The real n x n LinearOperator of `action`; LOBPCG also applies it to blocks of columns."""
-    from scipy.sparse.linalg import LinearOperator
-
-    return LinearOperator((n, n), matvec=action, matmat=action, dtype=float)
 
 
 _BLOCK = 8  # LOBPCG block width
 _COARSE_POINTS = 128  # grid of the start block's dense eigensolve (a 256 x 256 matrix)
 _EIG_TOL = 1e-10  # eigen-residual bound, relative to the operator-norm bound
-_EIG_CHUNK = 15  # lobpcg iterations per call between checks of the discrete pairs' residuals
-# cap on the maxiter summed over the calls; README grid: 4, 18, 18 iterations
-# at s = 1.5, 1.4, 1.3; 18 at s = 1.2 on M = 2048 and 33 at s = 1.1 on M = 4096
+# iteration cap; README grid: 2, 14, 16 iterations at s = 1.5, 1.4, 1.3;
+# 15 at s = 1.2 on M = 2048 and 16 at s = 1.1 on M = 4096
 _EIG_MAXITER = 400
 _KERNEL_REL_THRESHOLD = 1e-6  # kernel eigenvalues lie below this times the norm bound
 # iR and dR/dx must be annihilated to below this times the kernel threshold;
@@ -238,9 +220,9 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
     The coarse grid has the same length and min(M, _COARSE_POINTS) points
     (op itself when that is M); its profile's coefficients are op's,
     resampled, at the same theta.  The coarse matrix is the stacked
-    operator applied to the identity; only its _BLOCK lowest eigenvectors
-    are computed, and these stacked DFT coefficients are resampled to op's
-    grid.
+    operator applied to the identity; its _BLOCK lowest eigenvectors, as
+    complex DFT coefficients, are resampled to op's grid: the rows of the
+    start block.
     """
     points = min(op.grid.points, _COARSE_POINTS)
     coarse = op
@@ -248,10 +230,8 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
         grid = SpectralGrid(op.grid.length, points)
         coarse = LinearizedOperator.at(op.params, grid, resample(op.coefficients, points),
                                        symbol_nN(grid.xi, op.params), op.theta)
-    from scipy.linalg import eigh
-
-    _, vecs = eigh(coarse.apply_stacked(np.eye(2 * points)), subset_by_index=[0, _BLOCK - 1])
-    return _stack(resample(_unstack(vecs), op.grid.points))
+    _, vecs = np.linalg.eigh(coarse.apply_stacked(np.eye(2 * points)))
+    return resample(_unstack(vecs[:, :_BLOCK]), op.grid.points).T.copy()
 
 
 def _resolution_guard(op: LinearizedOperator, threshold: float) -> float:
@@ -261,8 +241,8 @@ def _resolution_guard(op: LinearizedOperator, threshold: float) -> float:
     and a longer torus where only dR/dx is not: the solve is then the
     spatially constant state, whose dR/dx is roundoff.
     """
-    block = np.stack(op.kernel_coefficients(), axis=1)
-    ratios = np.linalg.norm(op.apply_coefficients(block), axis=0) / np.linalg.norm(block, axis=0) / threshold
+    block = np.stack(op.kernel_coefficients())
+    ratios = np.linalg.norm(op.apply_coefficients(block), axis=1) / np.linalg.norm(block, axis=1) / threshold
     ratio = float(np.max(ratios))
     if ratio <= _RESOLVED_REL:
         return ratio
@@ -282,22 +262,15 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     """The discrete eigenpairs, below theta: kernel pair, correlations, coercivity.
 
     An unresolved grid is refused first (_resolution_guard).  LOBPCG
-    (Knyazev 2001) on the stacked DFT coefficients, preconditioned by the
-    exact inverse symbol 1/(n_N + theta), which is positive, and started
-    from the lowest eigenvectors of the same linearization on a grid of
+    (_lobpcg) on the complex DFT coefficients, preconditioned by the exact
+    inverse symbol 1/(n_N + theta), which is positive, and started from the
+    lowest eigenvectors of the same linearization on a grid of
     _COARSE_POINTS points (_coarse_start).  The start is deterministic, so
     reruns are bitwise identical, and exact when op's grid is no finer.
-    On the line the essential spectrum is [theta, oo) (Weyl); only the
-    Ritz pairs below theta must reach residual _EIG_TOL times the
-    operator-norm bound.  scipy's lobpcg stops only when every block column
-    does, so it runs in calls of _EIG_CHUNK iterations, each from the block
-    the last one returned, until those pairs pass: the torus's continuum
-    just above theta no longer sets the count.  Its tolerance is a quarter
-    of the bound: lobpcg locks a column at its tolerance, and the later
-    Rayleigh-Ritz steps move a locked residual; at the bound itself, the
-    kernel pair at s = 1.3 (L = 128, M = 1024) passed after 18, 36 or 53
-    iterations as R moved by 2e-16, and after 18 at a quarter of it.  The
-    maxiter of the calls sums to at most _EIG_MAXITER.
+    On the line the essential spectrum is [theta, oo) (Weyl); LOBPCG stops
+    once the Ritz pairs below theta reach residual _EIG_TOL times the
+    operator-norm bound, so the torus's continuum just above theta does not
+    set the count, or after _EIG_MAXITER iterations.
     Exactly two eigenvalues are expected below _KERNEL_REL_THRESHOLD times
     the norm bound; their eigenspace is compared against span{iR, dR/dx}
     through orthogonal projections.  Some Ritz value must reach theta, and
@@ -307,67 +280,91 @@ def kernel_diagnostics(op: LinearizedOperator) -> LinearizedReport:
     whole spectrum.  Either failure, or discrete residuals above the bound
     at the cap, raises RuntimeError.
     """
-    from scipy.sparse.linalg import lobpcg
-
-    n2 = 2 * op.grid.points
     # operator-norm bound max(n_N + theta) + ||v1||_inf + ||w||_inf
     norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
     threshold = _KERNEL_REL_THRESHOLD * norm_est
     kernel_residual_ratio = _resolution_guard(op, threshold)
     bound = _EIG_TOL * norm_est
-    block = _coarse_start(op)
-    iterations = 0
-    with warnings.catch_warnings():  # convergence is checked below, not by lobpcg's warning
-        warnings.simplefilter("ignore", UserWarning)
-        for done in range(0, _EIG_MAXITER, _EIG_CHUNK):
-            evals, block, *history = lobpcg(
-                _operator(n2, op.apply_stacked),
-                block,
-                M=_operator(n2, op.solve_symbol_stacked),
-                tol=bound / 4.0,  # a locked column's residual drifts in the Rayleigh-Ritz steps; stay clear of the bound
-                maxiter=min(_EIG_CHUNK, _EIG_MAXITER - done),
-                largest=False,
-                retResidualNormsHistory=True,
-            )
-            # below 5 x _BLOCK unknowns lobpcg solves densely and keeps no history
-            iterations += len(history[0]) if history else 0
-            order = np.argsort(evals)
-            discrete = order[evals[order] < op.theta]
-            evecs = block[:, discrete]
-            residual = float(np.max(np.linalg.norm(op.apply_stacked(evecs) - evecs * evals[discrete], axis=0),
-                                    initial=0.0))
-            if residual <= bound:
-                break
-        else:
-            raise RuntimeError(
-                f"LOBPCG did not converge: eigen-residual {residual:.3e} above "
-                f"{_EIG_TOL:g} x norm bound {norm_est:.6g} within {_EIG_MAXITER} iterations"
-            )
+    evals, evecs, residual, iterations = _lobpcg(
+        op.apply_coefficients, lambda rows: rows / op.symbol, _coarse_start(op), op.theta, bound, _EIG_MAXITER
+    )
+    if residual > bound:
+        raise RuntimeError(
+            f"LOBPCG did not converge: eigen-residual {residual:.3e} above "
+            f"{_EIG_TOL:g} x norm bound {norm_est:.6g} within {_EIG_MAXITER} iterations"
+        )
     if not (np.max(evals) >= op.theta > threshold):
         raise RuntimeError(
             f"the {_BLOCK} lowest Ritz values do not reach past the kernel pair "
             f"(highest {np.max(evals):.6g}, theta {op.theta:.6g}, threshold {threshold:.6g})"
         )
-    evals = evals[discrete]
+    discrete = evals < op.theta
+    evals, evecs = evals[discrete], evecs[discrete]
     order = np.argsort(np.abs(evals))
     kernel_pair = order[:2]
     coercivity = float(np.min(np.abs(evals[order[2:]]), initial=op.theta))
-    basis = evecs[:, kernel_pair]
-    correlations = []
-    for cand in op.kernel_coefficients():
-        v = _stack(cand)
-        v = v / np.linalg.norm(v)
-        correlations.append(float(np.linalg.norm(basis.T @ v)))
+    correlations = tuple(float(np.linalg.norm(_gram(evecs[kernel_pair], cand[None])) / np.linalg.norm(cand))
+                         for cand in op.kernel_coefficients())
     return LinearizedReport(
         eigenvalues=evals,
         near_zero=evals[order][np.abs(evals[order]) <= threshold],
-        correlations=tuple(correlations),
+        correlations=correlations,
         coercivity=coercivity,
         norm_estimate=norm_est,
         threshold=threshold,
         iterations=iterations,
         kernel_residual_ratio=kernel_residual_ratio,
     )
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The real pairings Re<a_i, b_j> (_pairing) of the rows of two complex blocks, by one real product."""
+    return a.view(float) @ b.view(float).T
+
+
+def _mix(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows sum_j coef[i, j] rows[j] of a complex block, coef real, by one real product."""
+    return (coef @ rows.view(float)).view(complex)
+
+
+def _orthonormal(rows: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C^-1 rows and C^-1 image, C the Cholesky factor of the rows' Gram matrix (numpy.linalg.LinAlgError if singular)."""
+    inverse = np.linalg.inv(np.linalg.cholesky(_gram(rows, rows)))
+    return _mix(inverse, rows), _mix(inverse, image)
+
+
+def _lobpcg(matvec, psolve, x: np.ndarray, theta: float, tol: float, maxiter: int):
+    """LOBPCG (Knyazev 2001) from the block x: (Ritz values ascending, Ritz vectors, residual, iterations).
+
+    A block is a C-contiguous array of complex rows, such as DFT
+    coefficients; matvec is symmetric and psolve positive in their real
+    pairing (_pairing), and both map a block to a block.  Each iteration
+    orthonormalizes [X, W, P] by Cholesky, X the Ritz vectors, W their
+    preconditioned residuals and P the last step (dropping P when the Gram
+    matrix is numerically singular), and takes the Rayleigh-Ritz pairs of
+    their span by numpy.linalg.eigh.  It stops once the Ritz pairs below
+    theta reach residual tol, or at maxiter iterations; residual is the
+    largest of theirs (0 when none lies below theta).
+    """
+    k = x.shape[0]
+    basis, image = _orthonormal(x, matvec(x))
+    p = None
+    for iteration in range(maxiter + 1):
+        evals, coef = np.linalg.eigh(_gram(basis, image))
+        evals, coef = evals[:k], coef[:, :k].T
+        x, ax = _mix(coef, basis), _mix(coef, image)
+        if iteration:
+            p = (_mix(coef[:, k:], basis[k:]), _mix(coef[:, k:], image[k:]))
+        r = ax - evals[:, None] * x
+        residual = float(np.max(np.linalg.norm(r[evals < theta], axis=1), initial=0.0))
+        if residual <= tol or iteration == maxiter:
+            return evals, x, residual, iteration
+        w = psolve(r)
+        blocks = [(x, ax), (w, matvec(w))] + ([p] if p is not None else [])
+        try:
+            basis, image = _orthonormal(*map(np.concatenate, zip(*blocks)))
+        except np.linalg.LinAlgError:  # P nearly in span[X, W]: restart without it
+            basis, image = _orthonormal(*map(np.concatenate, zip(*blocks[:2])))
 
 
 def _minres(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int):
@@ -443,9 +440,7 @@ def bordered_solve(op: LinearizedOperator, fh: np.ndarray, mass_residual: float,
     bordered matrix [[L, R], [R^T, 0]], preconditioned by the positive
     diag(1/(n_N + theta), 1/(R^T (n_N + theta)^{-1} R)); the symbol is
     diagonal there, so each iteration applies L once, two transforms, and
-    the preconditioner is a division.  It imports no SciPy: in this module
-    only kernel_diagnostics does (scipy.sparse.linalg for LOBPCG,
-    scipy.linalg for its coarse start).
+    the preconditioner is a division.
     du_hat is None when MINRES fails to reach rtol in _MINRES_MAXITER iterations.
     A rank-deficient symmetry pair raises numpy.linalg.LinAlgError
     (complement_projector).

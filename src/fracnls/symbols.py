@@ -159,7 +159,7 @@ _LAPLACE_X_FLOOR = 1e-8
 _LAPLACE_BLOCK = 8192  # nodes x abscissae per block of the exponential table
 
 
-def laplace_transform(s: float, c: float, X) -> np.ndarray:
+def laplace_transform(s: float, c: float, X, *, derivatives: int = 0):
     """integral_0^inf e^{-X t} diff(t) dt for every X > 0, diff the `_branch_cut_integrand`.
 
     After t = e^u the integrand is analytic in a strip around the real u-axis
@@ -170,6 +170,10 @@ def laplace_transform(s: float, c: float, X) -> np.ndarray:
     smaller of 0.2 and the one that keeps the aliasing error near 1e-15.
     All X >= 1e-8 share one node set, so a value does not depend on the
     other abscissae of the call (for one s, c); smaller X extend it upwards.
+
+    With derivatives=k > 0, returns the transform and its first k
+    X-derivatives as a tuple: the j-th is the same rule on the same
+    exponentials with the weights times (-t)^j.
     """
     X = np.asarray(X, dtype=float)
     if np.any(~(X > 0.0)):
@@ -180,15 +184,20 @@ def laplace_transform(s: float, c: float, X) -> np.ndarray:
     n = int(math.ceil((math.log(45.0 / x_lo) + 0.5 - _LAPLACE_UMIN) / h)) + 1
     t = np.exp(_LAPLACE_UMIN + h * np.arange(n))
     weights = h * t * _branch_cut_integrand(t, s, c)
+    weight_rows = [weights]
+    for _ in range(derivatives):
+        weight_rows.append(-t * weight_rows[-1])
     flat = X.ravel()
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.empty((len(weight_rows),) + flat.shape, dtype=complex)
     rows = max(1, _LAPLACE_BLOCK // n)
     for i in range(0, flat.size, rows):
         # e^{-X t} underflows to 0 silently; a clamp at 746 would only leave subnormals
         decay = np.exp(np.multiply.outer(flat[i : i + rows], -t))
-        # a row sum runs over the nodes alone, whatever the block height
-        out[i : i + rows] = (decay * weights).sum(axis=1)
-    return out.reshape(X.shape)
+        for k, row_weights in enumerate(weight_rows):
+            # a row sum runs over the nodes alone, whatever the block height
+            out[k, i : i + rows] = (decay * row_weights).sum(axis=1)
+    out = out.reshape((len(weight_rows),) + X.shape)
+    return tuple(out[k, ...] for k in range(len(weight_rows))) if derivatives else out[0, ...]
 
 
 def _laplace_quad(func, X: float) -> complex:

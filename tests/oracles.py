@@ -24,6 +24,9 @@ test reads:
 - `far_field_exact`: the far-field convolution of a profile's
   nonlinearity with m_N by `kernel_pointwise` on every grid pair, summed
   exactly (the package sums an interpolated kernel over a window);
+- `KernelTailSpline`: the kernel tail with scipy's not-a-knot
+  `CubicSpline` through the same table (the package interpolates it by
+  the quintic Hermite rule on the Laplace rule's exact derivatives);
 - `symbol_n_where` and `n_series_out_of_place`: the symbol n with its
   small-argument series run on the whole array and chosen by np.where, by
   an out-of-place Horner loop (the package runs the series in place, on
@@ -40,6 +43,8 @@ test reads:
   MINRES, the stability quotient of the uniqueness argument;
 - `bordered_solve_stacked`: the Newton step by scipy's MINRES on stacked
   real coordinates (the package runs its own MINRES on complex ones);
+- `lobpcg_stacked`: the discrete eigenvalues by scipy's LOBPCG on stacked
+  real coordinates (the package runs its own LOBPCG on complex ones);
 - `quadratic_form`, `zero_pad`, `fourier_restrict`, `multiplier_values`,
   `apply_multiplier`, `derivative`, `lp_norm`, `sobolev_norm` and
   `spectral_refine`: the quadratic form, symbol values checked finite,
@@ -65,13 +70,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.interpolate import CubicSpline
 from scipy.linalg import circulant
-from scipy.sparse.linalg import minres
+from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
-from fracnls.asymptotics import RootResult, TailFit
+from fracnls.asymptotics import RootResult, TailFit, _KernelTail
 from fracnls.asymptotics_roots import binomial_tail_coeffs
 from fracnls import linearized
-from fracnls.linearized import LinearizedOperator, _operator, _stack, _unstack
+from fracnls.linearized import LinearizedOperator, _coarse_start, _stack, _unstack
 from fracnls.solvers import (
     _MASS_TOL,
     ConvergenceError,
@@ -440,6 +446,28 @@ def far_field_exact(fixed: Profile, params: ModelParams, theta: float, x_points:
     return np.array(out)
 
 
+class KernelTailSpline(_KernelTail):
+    """`asymptotics._KernelTail` with scipy's not-a-knot CubicSpline through its table of q = log F.
+
+    The same 160 knots, knot values, clamp and bound; log-modulus and
+    unwrapped phase are one two-column spline in log|w|, whose slopes at
+    the knots come from the linear solve of the spline, not from the
+    Laplace rule.  The knot values are read back from the package's
+    quintics: each interval's at tau = 0, and the last one's at tau = 1.
+    """
+
+    def __init__(self, params: ModelParams, theta: float, grid, x_points: np.ndarray):
+        super().__init__(params, theta, grid, x_points)
+        coefficients = self._coefficients
+        knots = self._start + self._step * np.arange(coefficients.shape[1] + 1)
+        values = np.append(coefficients[0], coefficients[:, -1].sum())
+        self._spline = CubicSpline(knots, np.stack([values.real, values.imag], axis=-1))
+
+    def _log_factor(self, u: np.ndarray) -> np.ndarray:
+        mod_arg = self._spline(u)
+        return mod_arg[..., 0] + 1j * mod_arg[..., 1]
+
+
 # -- the linearization ----------------------------------------------------------
 
 
@@ -489,6 +517,55 @@ def _raw(vec: np.ndarray) -> np.ndarray:
     return _unstack(vec) * math.sqrt(vec.shape[0] // 2)
 
 
+def _operator(n: int, action) -> LinearOperator:
+    """The real n x n LinearOperator of `action`, which also takes blocks of columns."""
+    return LinearOperator((n, n), matvec=action, matmat=action, dtype=float)
+
+
+def _solve_symbol_stacked(op: LinearizedOperator, vec: np.ndarray) -> np.ndarray:
+    """The preconditioner 1/(n_N + theta) on stacked DFT coefficients (vector or block)."""
+    symbol = np.concatenate([op.symbol, op.symbol])
+    return vec / symbol.reshape((-1,) + (1,) * (vec.ndim - 1))
+
+
+_LOBPCG_CHUNK = 15  # scipy lobpcg iterations per call between checks of the discrete pairs
+
+
+def lobpcg_stacked(op: LinearizedOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The Ritz pairs below theta by scipy's lobpcg on stacked DFT coefficients: (values ascending, vectors).
+
+    The package's start block (`_coarse_start`), preconditioner and
+    residual bound.  scipy's lobpcg stops only when every block column
+    converges, so it runs in calls of _LOBPCG_CHUNK iterations, each from
+    the block the last one returned, until the pairs below theta pass the
+    bound; its tolerance is a quarter of the bound, since it locks a column
+    at its tolerance and later Rayleigh-Ritz steps move a locked residual.
+    A failure within the package's iteration cap raises RuntimeError.
+    """
+    n2 = 2 * op.grid.points
+    norm_est = float(np.max(op.symbol) + np.max(np.abs(op.v1)) + np.max(np.abs(op.w)))
+    bound = linearized._EIG_TOL * norm_est
+    block = _stack(_coarse_start(op).T)
+    with warnings.catch_warnings():  # convergence is checked here, not by lobpcg's warning
+        warnings.simplefilter("ignore", UserWarning)
+        for done in range(0, linearized._EIG_MAXITER, _LOBPCG_CHUNK):
+            evals, block = lobpcg(
+                _operator(n2, op.apply_stacked),
+                block,
+                M=_operator(n2, lambda v: _solve_symbol_stacked(op, v)),
+                tol=bound / 4.0,
+                maxiter=min(_LOBPCG_CHUNK, linearized._EIG_MAXITER - done),
+                largest=False,
+            )
+            order = np.argsort(evals)
+            discrete = order[evals[order] < op.theta]
+            evecs = block[:, discrete]
+            residuals = np.linalg.norm(op.apply_stacked(evecs) - evecs * evals[discrete], axis=0)
+            if np.all(residuals <= bound):
+                return evals[discrete], evecs
+    raise RuntimeError("scipy's lobpcg did not converge within the package's iteration cap")
+
+
 def bordered_solve_stacked(op: LinearizedOperator, fh: np.ndarray, mass_residual: float, rtol: float):
     """The Newton step of `linearized.bordered_solve` by scipy's MINRES on stacked real coordinates.
 
@@ -506,14 +583,14 @@ def bordered_solve_stacked(op: LinearizedOperator, fh: np.ndarray, mass_residual
     def project(vec):
         return vec - basis @ (basis.T @ vec)
 
-    schur = float(r @ op.solve_symbol_stacked(r))
+    schur = float(r @ _solve_symbol_stacked(op, r))
 
     def matvec(x):
         v = project(x[:-1])
         return np.append(project(op.apply_stacked(v) + x[-1] * r), r @ v)
 
     def precond(x):
-        return np.append(project(op.solve_symbol_stacked(project(x[:-1]))), x[-1] / schur)
+        return np.append(project(_solve_symbol_stacked(op, project(x[:-1]))), x[-1] / schur)
 
     iters = 0
 
@@ -559,7 +636,7 @@ def constrained_solve(op: LinearizedOperator, rhs: Profile) -> tuple[Profile, di
         f_vec,
         rtol=_MINRES_RTOL,
         maxiter=_MINRES_MAXITER,
-        M=_operator(n2, lambda v: project(op.solve_symbol_stacked(project(v)))),
+        M=_operator(n2, lambda v: project(_solve_symbol_stacked(op, project(v)))),
     )
     if status != 0:
         raise RuntimeError(f"MINRES on the constrained complement did not converge (status {status})")

@@ -19,9 +19,9 @@ from fracnls.asymptotics_roots import f11_on_curve, find_root_translated, radius
 from fracnls.renorm import gauge_fix
 from fracnls.solvers import petviashvili_mass_constrained
 from fracnls.spectral import Profile, SpectralGrid
-from fracnls.symbols import ModelParams, kernel_shift
+from fracnls.symbols import ModelParams, kernel_shift, lambda_of_s, laplace_transform
 from conftest import S_DEFAULT, SOLVE_TOL
-from oracles import far_field_exact, in_region, window_failure
+from oracles import KernelTailSpline, far_field_exact, in_region, window_failure
 
 
 # -- roots of f1 ---------------------------------------------------------------
@@ -274,6 +274,57 @@ def test_branch_cut_bound_holds_across_the_table(grid_main, s):
         kern = asymptotics._KernelTail(ModelParams(s, n), lambda_of_s(s)[1], grid_main, x_bound)
         w = np.geomspace(*kern._range, 200_001)
         assert np.max(np.abs(kern(np.concatenate([w, -w])))) <= kern.bound
+
+
+@pytest.mark.parametrize("s,n", [(1.5, 0.1), (1.3, 0.1), (1.2, 0.48)])
+def test_hermite_table_matches_the_spline_oracle(grid_main, s, n):
+    """At the table's interval midpoints the Hermite rule is closer to the Laplace rule than the spline.
+
+    Both interpolate the same 160 knots of log F; the Hermite rule with the
+    Laplace rule's exact first and second derivatives, scipy's not-a-knot
+    CubicSpline (oracles.KernelTailSpline) with the slopes of its own
+    linear solve.
+    """
+    params, theta = ModelParams(s, n), lambda_of_s(s)[1]
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    kern = asymptotics._KernelTail(params, theta, grid_main, x_bound)
+    spline = KernelTailSpline(params, theta, grid_main, x_bound)
+    mid = kern._start + kern._step * (np.arange(kern._coefficients.shape[1]) + 0.5)
+    exact = laplace_transform(s, kernel_shift(params, theta), np.exp(mid) / params.kappa)
+    hermite_error = np.max(np.abs(np.exp(kern._log_factor(mid)) / exact - 1.0))
+    spline_error = np.max(np.abs(np.exp(spline._log_factor(mid)) / exact - 1.0))
+    assert hermite_error <= 1e-3 * spline_error and spline_error <= 3e-7
+
+
+@pytest.mark.parametrize("s", [1.1, 1.3, 1.5])
+def test_hermite_overshoot_stays_inside_the_bound_margin(grid_main, s):
+    """The doubling in `bound` covers the Hermite interpolant of the log-modulus between knots.
+
+    On an interval of width h it exceeds the larger knot value by at most
+    (16/81) h (|m0| + |m1|) + (54/3125) h^2 (|c0| + |c1|), m and c the
+    knot slopes and second derivatives, read here from each interval's
+    quintic at tau = 0 and 1; that must stay below log 2.
+    """
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    powers = np.arange(6)[:, None]
+    for n in (0.48, 0.2, 0.05):
+        kern = asymptotics._KernelTail(ModelParams(s, n), lambda_of_s(s)[1], grid_main, x_bound)
+        coef = kern._coefficients.real  # the log-modulus's quintics, in tau
+        h_slopes = np.abs(coef[1]) + np.abs(np.sum(powers * coef, axis=0))
+        h2_second = np.abs(2.0 * coef[2]) + np.abs(np.sum(powers * (powers - 1) * coef, axis=0))
+        excess = 16.0 / 81.0 * h_slopes + 54.0 / 3125.0 * h2_second
+        assert np.max(excess) <= 0.15 < math.log(2.0)
+
+
+def test_far_field_matches_the_exact_pair_sum_at_s_12(grid_main):
+    """At s = 1.2, N = 0.48, where the branch cut sets C_min, C_far is the exact pair sum's to 1e-9 relative."""
+    params = ModelParams(1.2, 0.48)
+    res = petviashvili_mass_constrained(grid_main, params)
+    fixed = gauge_fix(res.profile)
+    x_bound = np.geomspace(grid_main.length / 3.0, grid_main.length / 1.5, 12)
+    rep = decay_bound_check(fixed, params, x_bound, far_field_reconstruction(fixed, params, res.multiplier, x_bound))
+    exact = decay_bound_check(fixed, params, x_bound, far_field_exact(fixed, params, res.multiplier, x_bound))
+    assert rep["C_far"] == pytest.approx(exact["C_far"], rel=1e-9)
 
 
 def test_branch_cut_sets_the_decay_bound_at_s_12(grid_main):

@@ -712,9 +712,12 @@ def test_linearize_solver_statistics_go_to_the_metadata_file_only(tmp_path):
     meta = json.loads(next(p for p in paths if p.name.endswith(".meta.json")).read_text())
     assert [(m["s"], m["N"]) for m in meta["points"]] == [(1.3, 0.1), (1.5, 0.1)]
     for m in meta["points"]:
-        assert 0 < m["lobpcg_iterations"] <= 50
+        assert 0 <= m["lobpcg_iterations"] <= 50
         assert 0.0 < m["kernel_residual_ratio"] <= 1e-3
         assert "refused" not in m
+    # LOBPCG iterations after the start: at s = 1.5 the coarse start already
+    # meets the bound on this grid, at s = 1.3 it takes steps
+    assert [m["lobpcg_iterations"] > 0 for m in meta["points"]] == [True, False]
     for p in paths:
         if not p.name.endswith(".meta.json"):
             text = p.read_text()

@@ -21,7 +21,7 @@ from fracnls.solvers import (
     petviashvili_mass_constrained,
 )
 from fracnls.spectral import Profile, SpectralGrid, UnresolvedError, fft, ifft
-from fracnls.symbols import ModelParams
+from fracnls.symbols import ModelParams, symbol_nN
 from conftest import S_DEFAULT, count_transforms, smooth_random_profile
 import oracles
 from oracles import apply, constrained_solve, derivative, local_dense, local_limit_operators
@@ -232,9 +232,28 @@ def _linearized_at(s, n, length, points):
 @pytest.mark.parametrize("s,length,points", [(1.3, 64.0, 512), (1.3, 128.0, 1024), (1.5, 64.0, 512),
                                              (1.5, 128.0, 1024)])
 def test_discrete_spectrum_matches_dense_oracle(s, length, points):
-    # the pairs below theta, the line's continuum edge, are the whole report
+    # the pairs below theta, the line's continuum edge, are the whole report,
+    # with the kernel pair's correlations and coercivity
     op = _linearized_at(s, 0.1, length, points)
-    _assert_discrete_spectrum(op, kernel_diagnostics(op), eigh(op.dense(), eigvals_only=True))
+    _assert_matches_dense(op, kernel_diagnostics(op), *eigh(op.dense()))
+
+
+@pytest.mark.parametrize("s,length,points", [(1.3, 128.0, 1024), (1.4, 128.0, 1024), (1.5, 128.0, 1024),
+                                             (1.2, 128.0, 2048)])
+def test_discrete_spectrum_matches_scipy_lobpcg_oracle(s, length, points):
+    # scipy's lobpcg on stacked reals from the same start, to the same bound
+    # (oracles.lobpcg_stacked): the same eigenvalues, and eigenvectors that
+    # span the same eigenspace of the kernel pair
+    op = _linearized_at(s, 0.1, length, points)
+    report = kernel_diagnostics(op)
+    evals, evecs = oracles.lobpcg_stacked(op)
+    assert evals.shape == report.eigenvalues.shape
+    assert np.max(np.abs(report.eigenvalues - evals)) <= 1e-12 * report.norm_estimate
+    order = np.argsort(np.abs(evals))
+    basis = evecs[:, order[:2]]
+    for cand, corr in zip(op.kernel_coefficients(), report.correlations):
+        v = _stack(cand) / np.linalg.norm(cand)
+        assert corr == pytest.approx(float(np.linalg.norm(basis.T @ v)), abs=1e-8)
 
 
 def test_coarse_start_matches_dense_oracle_in_tight_cluster():
@@ -250,13 +269,13 @@ def test_coarse_start_matches_dense_oracle_in_tight_cluster():
 
 @pytest.mark.parametrize(
     "grid_spec,iterations",
-    # 2 history rows: the start's residuals already pass, so LOBPCG takes no
-    # step; below 5 x 8 unknowns lobpcg solves densely and keeps no history
-    [((64.0, 128), 2), ((16.0, 16), 0)],
+    # the start's residuals already pass, so LOBPCG takes no step
+    [((64.0, 128), 0), ((16.0, 16), 0)],
 )
 def test_coarse_start_is_exact_on_coarse_grids(grid_spec, iterations, monkeypatch):
     # the 16-point grid holds the spatially constant state, which the
-    # resolution guard refuses; lifted here, it reaches lobpcg's dense path
+    # resolution guard refuses; lifted here, its 32 unknowns take the
+    # block of 8 as any grid does
     monkeypatch.setattr(linearized, "_RESOLVED_REL", np.inf)
     op = _linearized_at(1.5, 0.1, *grid_spec)
     report = kernel_diagnostics(op)
@@ -272,7 +291,7 @@ def test_coarse_start_is_exact_on_coarse_grids(grid_spec, iterations, monkeypatc
 def test_resolution_guard_refuses_before_lobpcg(monkeypatch, s, length, points, hint):
     # s = 1.2 on the README grid annihilates dR/dx only to 1.5 x the kernel
     # threshold; the 16-point grid holds the constant state, whose dR/dx is roundoff
-    calls = _spy(monkeypatch, "lobpcg")
+    calls = _spy(monkeypatch)
     with pytest.raises(UnresolvedError, match=r"does not resolve .* kernel residual of iR, dR/dx is .* x the kernel "
                                               r"threshold \(limit 0\.001\); .*" + hint):
         kernel_diagnostics(_linearized_at(s, 0.1, length, points))
@@ -294,36 +313,51 @@ def test_coarse_start_halves_readme_grid_iterations():
 def test_resolved_grid_iterations_stop_on_discrete_pairs(s, points):
     # L = 128 at the spacing that resolves each s; the six lowest pairs
     # took 4, 25 and 86 iterations at s = 1.5, 1.4, 1.3 on M = 1024, and
-    # s = 1.1 ended at the cap; the discrete pairs below theta take 4 to 33
+    # s = 1.1 ended at the cap; the discrete pairs below theta take 2 to 16
     report = kernel_diagnostics(_linearized_at(s, 0.1, 128.0, points))
     assert 0 < report.iterations <= 50
 
 
+def test_iterations_stable_under_roundoff_moves_of_the_profile():
+    # R moved by 2e-16 (relative) eight times on the README grid at s = 1.3:
+    # the stop test sits at the bound itself, and no locked column drifts
+    grid, params = SpectralGrid(128.0, 1024), ModelParams(1.3, 0.1)
+    res = petviashvili_mass_constrained(grid, params, tol=1e-10)
+    counts = set()
+    for seed in range(8):
+        noise = np.random.default_rng(seed).standard_normal(grid.points)
+        moved = res.coefficients * (1.0 + 2e-16 * noise)
+        op = LinearizedOperator.at(params, grid, moved, symbol_nN(grid.xi, params), res.multiplier)
+        counts.add(kernel_diagnostics(op).iterations)
+    assert len(counts) == 1
+
+
 def test_kept_residuals_end_within_bound_on_fine_grid(monkeypatch):
-    # lobpcg locks a column at its tolerance, now the acceptance bound, and
-    # a locked residual can drift past it; the last call's pairs below
-    # theta, which the report reads, must still be within the bound
-    calls = _spy(monkeypatch, "lobpcg")
+    # the stop test reads residuals that LOBPCG updates by its recurrences;
+    # the pairs below theta, recomputed from scratch, must be within the
+    # bound too, and be the ones the report reads
+    calls = _spy(monkeypatch)
     op = _linearized_at(1.3, 0.1, 128.0, 2048)
     report = kernel_diagnostics(op)
-    evals, block = calls[-1][2][:2]
-    keep = np.argsort(evals)[:report.eigenvalues.size]
-    assert np.all(evals[keep] < op.theta) and np.sum(evals < op.theta) == keep.size
-    evecs = block[:, keep]
-    residuals = np.linalg.norm(op.apply_stacked(evecs) - evecs * evals[keep], axis=0)
+    ((_, _, (evals, evecs, _, _)),) = calls
+    keep = np.flatnonzero(evals < op.theta)
+    assert np.array_equal(keep, np.arange(report.eigenvalues.size))
+    evecs = evecs[keep]  # the Ritz vectors are rows
+    residuals = np.linalg.norm(op.apply_coefficients(evecs) - evals[keep, None] * evecs, axis=1)
     assert np.all(residuals <= linearized._EIG_TOL * report.norm_estimate)
     assert np.array_equal(report.eigenvalues, evals[keep])
+    assert np.max(np.abs(np.real(evecs.conj() @ evecs.T) - np.eye(keep.size))) <= 1e-12
 
 
 def test_kernel_diagnostics_stops_at_the_iteration_cap(monkeypatch):
-    # a cap of 10 in calls of 4 is not a multiple of the call; this grid needs 18
-    calls = _spy(monkeypatch, "lobpcg")
-    monkeypatch.setattr(linearized, "_EIG_CHUNK", 4)
+    # this grid needs 16
+    calls = _spy(monkeypatch)
     monkeypatch.setattr(linearized, "_EIG_MAXITER", 10)
     op = _linearized_at(1.3, 0.1, 128.0, 1024)
     with pytest.raises(RuntimeError, match=r"LOBPCG did not converge: .* within 10 iterations"):
         kernel_diagnostics(op)
-    assert [kwargs["maxiter"] for _, kwargs, _ in calls] == [4, 4, 2]
+    ((_, _, (_, _, _, iterations)),) = calls
+    assert iterations == 10
 
 
 def test_kernel_diagnostics_bitwise_repeatable(op10, report10):
@@ -485,19 +519,17 @@ def test_stability_constant_uniform_in_N(lin_solve):
 
 # -- Krylov operators on stacked DFT coefficients --------------------------------
 
-def _spy(monkeypatch, name):
-    """Record the operator, keyword arguments and result of each call to scipy.sparse.linalg.<name>."""
-    import scipy.sparse.linalg as spla
-
+def _spy(monkeypatch):
+    """Record the operator, preconditioner and result of each call to linearized._lobpcg."""
     seen = []
-    real = getattr(spla, name)
+    real = linearized._lobpcg
 
-    def spy(a, *args, **kwargs):
-        out = real(a, *args, **kwargs)
-        seen.append((a, kwargs, out))
+    def spy(matvec, psolve, *args):
+        out = real(matvec, psolve, *args)
+        seen.append((matvec, psolve, out))
         return out
 
-    monkeypatch.setattr(spla, name, spy)
+    monkeypatch.setattr(linearized, "_lobpcg", spy)
     return seen
 
 
@@ -547,10 +579,18 @@ def test_bordered_matrix_is_symmetric(op10, monkeypatch):
 
 
 def test_kernel_diagnostics_operator_is_symmetric(op10, monkeypatch):
-    seen = _spy(monkeypatch, "lobpcg")
+    # LOBPCG needs a symmetric operator and a symmetric positive
+    # preconditioner in the real pairing Re<a, b> of complex coefficients,
+    # each acting on a block of rows
+    seen = _spy(monkeypatch)
     kernel_diagnostics(op10)
-    ((a, _, _),) = seen
-    _assert_symmetric(a.matvec, a.shape[0], np.random.default_rng(37))
+    ((matvec, psolve, _),) = seen
+    rng = np.random.default_rng(37)
+    m = op10.grid.points
+    for action in (matvec, psolve):
+        _assert_symmetric(lambda v: _stack(action((v[:m] + 1j * v[m:])[None])[0]), 2 * m, rng)
+    x = rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m))
+    assert np.real(np.vdot(x, psolve(x))) > 0.0
 
 
 def test_bordered_minres_iteration_makes_two_transforms(op10, monkeypatch):

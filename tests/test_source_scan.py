@@ -3,9 +3,9 @@ and by a caller outside the tests unless it is a listed entry point; every
 function, class and method of the package is reachable by name from the
 CLI's entry point unless it is a listed exception; no module of the package
 calls a dense test oracle or imports another module's private name; no
-module imports at import time the scipy submodules that only some commands
-use; and importing the CLI, or running a command that only solves, loads
-no scipy module at all."""
+module imports scipy at import time, and only the QUADPACK oracle that the
+benchmark's tracer wraps imports it at all; and importing the CLI, or
+running any command, loads no scipy module."""
 
 import ast
 import os
@@ -418,6 +418,55 @@ def test_import_scan_skips_function_bodies_only():
     assert [_is_under(n, LAZY_SCIPY) for _, n in names] == [False, True, True, True, True]
 
 
+def _scipy_imports(tree: ast.Module) -> list:
+    """(enclosing function or None, dotted name) of every scipy import in a module, at any depth."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            found.extend((function, name) for name in names if _is_under(name, ("scipy",)))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_quadpack_oracle_imports_scipy():
+    # symbols._laplace_quad, the QUADPACK oracle the benchmark's tracer
+    # wraps in the package, loads scipy.integrate when called; no other
+    # package code names scipy, so no command path can load it again
+    hits = [
+        (path.stem, function, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, name in _scipy_imports(ast.parse(path.read_text()))
+    ]
+    assert hits == [("symbols", "_laplace_quad", "scipy.integrate.IntegrationWarning"),
+                    ("symbols", "_laplace_quad", "scipy.integrate.quad")]
+
+
+def test_scipy_import_scan_sees_every_depth():
+    source = ast.parse(
+        "import scipy\n"
+        "from numpy import fft\n"
+        "def f():\n"
+        "    if True:\n"
+        "        from scipy.linalg import eigh\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        import scipy.sparse, os\n"
+    )
+    assert _scipy_imports(source) == [(None, "scipy"), ("f", "scipy.linalg.eigh"), ("m", "scipy.sparse")]
+
+
 def _scipy_modules_loaded_by(statement: str) -> list:
     """The scipy modules in sys.modules after running `statement` in a fresh interpreter."""
     probe = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
@@ -444,25 +493,20 @@ _SMALL_GRID = ("--n-list", "0.1", "--grid-l", "32", "--grid-m", "256")
 @pytest.mark.parametrize(
     "argv, subpackages",
     [
-        # the commands that only solve: no scipy module at all
+        # no command loads a scipy module
         (("solve", *_SMALL_GRID), set()),
         (("verify-th2", *_SMALL_GRID), set()),
         (("verify-th3", *_SMALL_GRID, "--inits", "2"), set()),
         (("kernel", "--n-list", "0.1"), set()),
         (("gn-constant", "--grid-l", "32", "--grid-m", "256"), set()),
-        # LOBPCG and the coarse start's eigh
-        (("linearize", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512"), {"linalg", "sparse"}),
-        # scipy.interpolate's CubicSpline, which loads these itself
-        (
-            ("verify-th4", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "1024"),
-            {"constants", "fft", "interpolate", "linalg", "optimize", "sparse", "spatial", "special"},
-        ),
+        (("linearize", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512"), set()),
+        (("verify-th4", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "1024"), set()),
     ],
     ids=["solve", "verify-th2", "verify-th3", "kernel", "gn-constant", "linearize", "verify-th4"],
 )
 def test_command_loads_only_its_scipy_subpackages(tmp_path, argv, subpackages):
     # a cold run in a fresh interpreter: its public scipy subpackages, and
-    # for the solve-only commands no scipy module at all
+    # for a command that needs none no scipy module at all
     argv = [*argv, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
     loaded = _scipy_modules_loaded_by(f"from fracnls.cli import main\nassert main({argv!r}) in (0, 1)")
     if not subpackages:
