@@ -18,7 +18,6 @@ import csv
 import ctypes
 import functools
 import hashlib
-import importlib.util
 import itertools
 import json
 import math
@@ -664,12 +663,6 @@ def _keep_heap() -> None:
     mallopt(-1, 4 << 20)  # M_TRIM_THRESHOLD: keep up to 4 MiB of free heap top
 
 
-# (package, its wheel's bundled OpenBLAS, that copy's thread-count setter)
-_OPENBLAS_COPIES = (
-    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-)
-
-
 @functools.cache
 def _one_blas_thread() -> None:
     """Run BLAS on one thread, once per process, so records do not depend on the CPU count.
@@ -678,20 +671,15 @@ def _one_blas_thread() -> None:
     too early for `main` to set it, and by default splits its products over
     every CPU, which moves eigenvalues and residuals in their last digits.
     The copy's own setter takes effect at once, and worker processes forked
-    afterwards inherit it.  The copy is found through the package's import
-    spec.  No command loads SciPy, so SciPy's own OpenBLAS is left alone.
-    A no-op where the package, the copy or its setter is absent.
+    afterwards inherit it.  The copy lies in `numpy.libs` beside the numpy
+    package.  No command loads SciPy, so SciPy's own OpenBLAS is left alone.
+    A no-op where the copy or its setter is absent.
     """
-    for package, pattern, setter in _OPENBLAS_COPIES:
-        spec = importlib.util.find_spec(package)
-        if spec is None or spec.origin is None:
-            continue
-        libs = Path(spec.origin).parents[1] / f"{package}.libs"
-        for path in libs.glob(pattern):
-            try:
-                getattr(ctypes.CDLL(str(path)), setter)(1)
-            except (OSError, AttributeError):
-                continue
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_(1)
+        except (OSError, AttributeError):
+            pass
 
 
 def main(argv=None) -> int:

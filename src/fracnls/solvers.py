@@ -242,34 +242,31 @@ def petviashvili_mass_constrained(
     """
     if init is None:
         init = local_ground_state(params.s, params.lam, grid)
-    sig, uh, wh, iterations, history = _sequenced_newton(grid, params, fft(init.values), tol)
-    return _renormalized_result(grid, sig, 2.0 * params.s + 1.0, params.s0, uh, wh, tol, iterations, history)
+    return _sequenced_newton(grid, params, fft(init.values), tol)
 
 
-def _sequenced_newton(grid, params, uh, tol):
-    """From uh: n_N on grid, the last Newton iterate and its padded nonlinearity, the iterations and the log."""
+def _sequenced_newton(grid, params, uh, tol) -> SolveResult:
+    """The mass-constrained solve on grid from the coefficients uh, started from its coarse level's result."""
     p = 2.0 * params.s + 1.0
     sig = symbol_nN(grid.xi, params)
     points = _coarse_points(grid, params.lam)
     start = None
     if points < grid.points:
-        coarse = SpectralGrid(grid.length, points)
         try:
-            start = _sequenced_newton(coarse, params, resample(uh, points), tol)
+            start = _sequenced_newton(SpectralGrid(grid.length, points), params, resample(uh, points), tol)
         except ConvergenceError:
             pass  # the hand-off below starts the requested grid instead
     if start is None:
-        handoff = petviashvili_solve(grid, sig, params.lam, p, uh, tol=_HANDOFF_TOL)
-        uh, theta, iterations, history = handoff.coefficients, params.lam, handoff.iterations, {}
+        start = petviashvili_solve(grid, sig, params.lam, p, uh, tol=_HANDOFF_TOL)
+        uh, theta, history = start.coefficients, params.lam, {}
     else:
-        coarse_sig, coarse_uh, coarse_wh, iterations, history = start
-        coarse_uh, _, theta, _ = _renormalized(coarse, coarse_sig, p, params.s0, coarse_uh, coarse_wh)
-        uh = resample(coarse_uh, grid.points)
+        uh, theta, history = resample(start.coefficients, grid.points), start.multiplier, start.history
     uh, wh, log = _newton_steps(grid, params, sig, p, uh, theta, tol)
     log["points"] = [grid.points] * len(log["theta"])
     for key, value in log.items():
         history.setdefault(key, []).extend(value)
-    return sig, uh, wh, iterations + sum(log["minres_iterations"]), history
+    iterations = start.iterations + sum(log["minres_iterations"])
+    return _renormalized_result(grid, sig, p, params.s0, uh, wh, tol, iterations, history)
 
 
 def _newton_steps(grid, params, sig, p, uh, theta, tol):
@@ -327,12 +324,15 @@ def _newton_steps(grid, params, sig, p, uh, theta, tol):
             )
 
 
-def _renormalized(grid, sig, p, target, uh, wh):
-    """uh and its padded nonlinearity wh scaled by c > 0 to the target mass, the Rayleigh multiplier and its sums.
+def _renormalized_result(grid, sig, p, target, uh, wh, tol, iterations, history) -> SolveResult:
+    """The result at uh scaled by c > 0 to the target mass, with its Rayleigh multiplier, residual and Parseval energy.
 
-    |cu|^{p-1} cu = c^p |u|^{p-1} u, so wh is scaled, not padded again;
-    theta = <w - sigma(D)u, u> / <u, u>, the L2 pairing identity, from
-    sq = sum |u_hat|^2, quad = sum sigma |u_hat|^2, den = Re sum w_hat conj(u_hat).
+    |cu|^{p-1} cu = c^p |u|^{p-1} u, so the padded nonlinearity wh is
+    scaled, not padded again; theta = <w - sigma(D)u, u> / <u, u>, the L2
+    pairing identity, from sq = sum |u_hat|^2, quad = sum sigma |u_hat|^2,
+    den = Re sum w_hat conj(u_hat).  The result keeps the scaled
+    coefficients: transforming grid values back would add white roundoff
+    that n_N + theta lifts into a residual floor (1.2e-11 at s = 1.3, N = 0.1).
     """
     c = math.sqrt(grid.points * target / (grid.h * float(np.sum(np.abs(uh) ** 2))))
     uh = uh * c
@@ -340,17 +340,7 @@ def _renormalized(grid, sig, p, target, uh, wh):
     sq = float(np.sum(np.abs(uh) ** 2))
     quad = float(np.sum(sig * np.abs(uh) ** 2))
     den = float(np.real(np.sum(wh * np.conj(uh))))
-    return uh, wh, (den - quad) / sq, (sq, quad, den)
-
-
-def _renormalized_result(grid, sig, p, target, uh, wh, tol, iterations, history) -> SolveResult:
-    """The result at uh scaled to the target mass (_renormalized), with its residual and Parseval energy.
-
-    The result keeps the scaled coefficients: transforming grid values back
-    would add white roundoff that n_N + theta lifts into a residual floor
-    (1.2e-11 at s = 1.3, N = 0.1).
-    """
-    uh, wh, theta, (sq, quad, den) = _renormalized(grid, sig, p, target, uh, wh)
+    theta = (den - quad) / sq
     res = float(np.linalg.norm((sig + theta) * uh - wh) / math.sqrt(sq))
     return SolveResult(
         grid, uh, theta, res, _parseval_energy(grid, quad, den, p), iterations, res <= 10 * tol, history

@@ -75,22 +75,22 @@ class SpectralGrid:
         return (SQRT_2PI / self.h) * ifft(coeffs * np.conj(phase))
 
 
-def fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Raw index-space DFT along `axis` (no normalization); the one transform backend.
+def fft(values: np.ndarray) -> np.ndarray:
+    """Raw index-space DFT along the last axis (no normalization); the one transform backend.
 
     numpy.fft, so a process that only solves loads no SciPy.  It wraps the
     same pocketfft as scipy.fft and returned the same bits on complex
-    input, on 1-D vectors and on (M, k) blocks along axis 0, for M = 16 to
-    65536 and k in {2, 8, 256} (numpy 2.4, SciPy 1.17).  Real input is
-    promoted to complex first, because scipy's real-input path rounds
-    differently, so records do not depend on which backend a caller used.
+    input, on 1-D vectors for M = 16 to 65536 (numpy 2.4, SciPy 1.17).
+    Real input is promoted to complex first, because scipy's real-input
+    path rounds differently, so records do not depend on which backend a
+    caller used.
     """
-    return np.fft.fft(np.asarray(values, dtype=complex), axis=axis)
+    return np.fft.fft(np.asarray(values, dtype=complex))
 
 
-def ifft(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
+def ifft(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft` (1/M normalization), with the same backend and promotion."""
-    return np.fft.ifft(np.asarray(coeffs, dtype=complex), axis=axis)
+    return np.fft.ifft(np.asarray(coeffs, dtype=complex))
 
 
 @dataclass

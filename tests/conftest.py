@@ -101,9 +101,9 @@ def count_transforms(monkeypatch):
     originals = {name: getattr(spectral, name) for name in ("fft", "ifft")}
     for name, transform in originals.items():
 
-        def counted(values, axis=-1, _transform=transform):
-            lengths.append(np.shape(values)[axis])
-            return _transform(values, axis=axis)
+        def counted(values, _transform=transform):
+            lengths.append(np.shape(values)[-1])
+            return _transform(values)
 
         for module in (spectral, solvers, linearized):
             monkeypatch.setattr(module, name, counted)

@@ -84,12 +84,12 @@ def _compare_file(old: Path, new: Path, label: str, changes):
         _walk(json.loads(old.read_text()), json.loads(new.read_text()), label, changes)
 
 
+def _is_record(path: Path) -> bool:
+    return path.suffix == ".dat" or (path.suffix == ".json" and not path.name.endswith(".meta.json"))
+
+
 def _records(root: Path) -> set:
-    return {
-        p.relative_to(root)
-        for p in root.rglob("*")
-        if p.suffix == ".dat" or (p.suffix == ".json" and not p.name.endswith(".meta.json"))
-    }
+    return {p.relative_to(root) for p in root.rglob("*") if _is_record(p)}
 
 
 def diff(old: Path, new: Path) -> Changes:
@@ -121,10 +121,11 @@ def report(changes: Changes) -> str:
 
 
 def main(argv) -> int:
-    if len(argv) != 2 or not all(Path(a).exists() for a in argv):
+    paths = [Path(a) for a in argv]
+    if len(paths) != 2 or not all(p.exists() and (p.is_dir() or _is_record(p)) for p in paths):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    old, new = map(Path, argv)
+    old, new = paths
     if old.is_file() != new.is_file():
         print("OLD and NEW must both be files or both be directories", file=sys.stderr)
         return 2

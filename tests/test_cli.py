@@ -437,6 +437,31 @@ def test_record_bytes_independent_of_blas_threads(tmp_path):
         assert records(threads, workers, f"{threads}-{workers}") == unset, (threads, workers)
 
 
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="finds the loaded OpenBLAS in /proc/self/maps")
+def test_main_pins_numpys_openblas_to_one_thread():
+    """With OPENBLAS_NUM_THREADS=2, the OpenBLAS that numpy loaded reports 1 thread after `main`.
+
+    The copy is found among the loaded libraries, not by the CLI's file
+    pattern, so a renamed library or setter fails here instead of leaving
+    the pin a silent no-op.
+    """
+    script = (
+        "import ctypes, numpy\n"
+        "copies = sorted({line.split()[-1] for line in open('/proc/self/maps') if 'openblas' in line})\n"
+        "assert len(copies) == 1, copies\n"
+        "get = ctypes.CDLL(copies[0]).scipy_openblas_get_num_threads64_\n"
+        "before = get()\n"
+        "from fracnls.cli import main\n"
+        "main(['kernel', '--n-list', 'bogus'])\n"
+        "print(before, get())\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["2", "1"]
+
+
 @pytest.mark.parametrize("n_list,pool_size", [((0.2, 0.1), 2), ((0.2,), None)])
 def test_worker_pool_never_exceeds_the_points(tmp_path, monkeypatch, n_list, pool_size):
     import fracnls.cli as cli

@@ -1,11 +1,10 @@
-"""Source scans: every settable value of the package is set by some caller,
-and by a caller outside the tests unless it is a listed entry point; every
-function, class and method of the package is reachable by name from the
-CLI's entry point unless it is a listed exception; no module of the package
-calls a dense test oracle or imports another module's private name; no
-module imports scipy at import time, and only the QUADPACK oracle that the
-benchmark's tracer wraps imports it at all; and importing the CLI, or
-running any command, loads no scipy module."""
+"""Source scans: every settable value of the package is set by some call
+in the package or the benchmark, not by tests alone; every function, class
+and method of the package is reachable by name from the CLI's entry point
+unless it is a listed exception, so no command path names a dense test
+oracle; no module of the package imports another module's private name;
+only the QUADPACK oracle that the benchmark's tracer wraps imports scipy;
+and running any command loads no scipy module."""
 
 import ast
 import os
@@ -14,13 +13,11 @@ import sys
 from pathlib import Path
 
 import pytest
-import scipy
 
 import fracnls
 
 PACKAGE = Path(fracnls.__file__).parent
 ROOT = PACKAGE.parents[1]
-CALLER_DIRS = ("src", "tests", "perfbench")
 
 
 def _name(node) -> str | None:
@@ -76,15 +73,38 @@ def _defaulted_parameters(tree: ast.Module):
                 yield qualname, name, arg.arg, None
 
 
+def _foreign_names(tree: ast.Module) -> set:
+    """The names a module binds to modules outside fracnls and to their members: `np` for `import numpy as np`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update((a.asname or a.name).split(".")[0] for a in node.names if a.name.split(".")[0] != "fracnls")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] != "fracnls":
+            found.update(a.asname or a.name for a in node.names)
+    return found
+
+
+def _root(node) -> str | None:
+    """The name an attribute chain starts from: `np` for `np.fft.fft`; None for a call on another expression."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _settings(trees):
-    """callee name -> (keywords set, most positional arguments, whether a ** call sets all)."""
+    """callee name -> (keywords set, most positional arguments, whether a ** call sets all).
+
+    A call through a name its module binds outside fracnls (`np.fft.fft`)
+    sets nothing of the package's namesake (`spectral.fft`).
+    """
     found = {}
     for tree in trees:
+        foreign = _foreign_names(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = _name(node.func)
-            if name is None:
+            if name is None or _root(node.func) in foreign:
                 continue
             keywords, most, everything = found.setdefault(name, (set(), 0, False))
             keywords.update(kw.arg for kw in node.keywords if kw.arg is not None)
@@ -116,18 +136,9 @@ def dead_knobs(caller_dirs) -> list:
     return dead
 
 
-def test_every_defaulted_parameter_is_set_somewhere():
-    # a default that no caller overrides is a constant: write it as one
-    assert dead_knobs(CALLER_DIRS) == []
-
-
-# defaulted parameters that only tests set, each an entry point kept on purpose
-TEST_ONLY_KNOBS = {}
-
-
 def test_no_defaulted_parameter_is_set_by_tests_alone():
-    # a knob that only tests turn is a test-only constant: make it a module constant
-    assert sorted(dead_knobs(("src", "perfbench"))) == sorted(TEST_ONLY_KNOBS)
+    # a knob that only tests turn, or that no call turns, is a constant: make it a module constant
+    assert dead_knobs(("src", "perfbench")) == []
 
 
 def test_scan_sees_keyword_positional_and_class_calls():
@@ -153,7 +164,9 @@ def test_scan_sees_keyword_positional_and_class_calls():
         ("K.__init__", "K", "b", 1), ("K.m", "m", "c", 0), ("K.m", "m", "d", None),
         ("f", "f", "y", 1), ("f", "f", "z", 2),
     ]
-    calls = _settings([ast.parse("K(1, 2)\nf(1, z=3)\nobj.m(**opts)\nD(1, 2, d=3)\n")])
+    calls = _settings([ast.parse(
+        "import numpy as np\nK(1, 2)\nf(1, z=3)\nobj.m(**opts)\nD(1, 2, d=3)\nnp.fft.f(1, 2, y=4)\n"
+    )])
     assert calls["K"] == (set(), 2, False)
     assert calls["D"] == ({"d"}, 2, False)
     assert calls["f"] == ({"z"}, 1, False)
@@ -286,30 +299,6 @@ def test_reachability_scan_sees_methods_dunders_and_module_tables():
     ]
 
 
-def _dense_calls(tree: ast.Module) -> list:
-    """Line numbers of the `.dense(` calls in a module."""
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dense"
-    ]
-
-
-def test_no_module_calls_a_dense_oracle():
-    # the dense matrices are test oracles; the package runs matrix-free
-    calls = [
-        f"{path.stem}:{line}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line in _dense_calls(ast.parse(path.read_text()))
-    ]
-    assert calls == []
-
-
-def test_dense_scan_sees_method_calls_only():
-    source = ast.parse("def dense(self):\n    pass\nm = op.dense()\nf = op.dense\nn = f()\n")
-    assert _dense_calls(source) == [3]
-
-
 def _private_imports(tree: ast.Module) -> list:
     """(line, "module.name") of the underscore names imported from the package.
 
@@ -354,70 +343,6 @@ def test_private_import_scan_sees_package_imports_only():
     ]
 
 
-# loaded by the functions that use them, never at import
-LAZY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.sparse")
-
-
-def _is_under(name: str, packages) -> bool:
-    return any(name == p or name.startswith(p + ".") for p in packages)
-
-
-def _import_time_imports(tree: ast.Module) -> list:
-    """(line, dotted name) of the imports that run when a module is imported.
-
-    Function bodies are skipped; class bodies and conditional blocks run at
-    import and are scanned.  `from a import b` gives "a.b".
-    """
-    found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                found.extend((child.lineno, alias.name) for alias in child.names)
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                found.extend((child.lineno, f"{child.module}.{alias.name}") for alias in child.names)
-            visit(child)
-
-    visit(tree)
-    return found
-
-
-def test_no_module_imports_a_lazy_scipy_submodule_at_import():
-    # commands that never integrate, interpolate or solve a linear system
-    # should not pay for loading the code that does
-    hits = [
-        f"{path.stem}:{line} {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line, name in _import_time_imports(ast.parse(path.read_text()))
-        if _is_under(name, LAZY_SCIPY)
-    ]
-    assert hits == []
-
-
-def test_import_scan_skips_function_bodies_only():
-    source = ast.parse(
-        "import scipy.fft\n"
-        "from scipy.sparse.linalg import minres\n"
-        "from scipy import linalg\n"
-        "def f():\n"
-        "    from scipy.integrate import quad\n"
-        "class K:\n"
-        "    import scipy.interpolate\n"
-        "    def m(self):\n"
-        "        import scipy.linalg\n"
-        "if True:\n"
-        "    import scipy.sparse\n"
-    )
-    names = _import_time_imports(source)
-    assert names == [
-        (1, "scipy.fft"), (2, "scipy.sparse.linalg.minres"), (3, "scipy.linalg"),
-        (7, "scipy.interpolate"), (11, "scipy.sparse"),
-    ]
-    assert [_is_under(n, LAZY_SCIPY) for _, n in names] == [False, True, True, True, True]
-
-
 def _scipy_imports(tree: ast.Module) -> list:
     """(enclosing function or None, dotted name) of every scipy import in a module, at any depth."""
     found = []
@@ -433,7 +358,7 @@ def _scipy_imports(tree: ast.Module) -> list:
                 names = [f"{child.module}.{alias.name}" for alias in child.names]
             else:
                 names = []
-            found.extend((function, name) for name in names if _is_under(name, ("scipy",)))
+            found.extend((function, name) for name in names if name.split(".")[0] == "scipy")
             visit(child, function)
 
     visit(tree, None)
@@ -475,11 +400,7 @@ def _scipy_modules_loaded_by(statement: str) -> list:
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
-    return [name for name in out.splitlines()[-1].split() if _is_under(name, ("scipy",))]
-
-
-def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_loaded_by("import fracnls.cli") == []
+    return [name for name in out.splitlines()[-1].split() if name.split(".")[0] == "scipy"]
 
 
 def test_module_probe_sees_a_loaded_submodule():
@@ -491,25 +412,19 @@ _SMALL_GRID = ("--n-list", "0.1", "--grid-l", "32", "--grid-m", "256")
 
 
 @pytest.mark.parametrize(
-    "argv, subpackages",
+    "argv",
     [
-        # no command loads a scipy module
-        (("solve", *_SMALL_GRID), set()),
-        (("verify-th2", *_SMALL_GRID), set()),
-        (("verify-th3", *_SMALL_GRID, "--inits", "2"), set()),
-        (("kernel", "--n-list", "0.1"), set()),
-        (("gn-constant", "--grid-l", "32", "--grid-m", "256"), set()),
-        (("linearize", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512"), set()),
-        (("verify-th4", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "1024"), set()),
+        ("solve", *_SMALL_GRID),
+        ("verify-th2", *_SMALL_GRID),
+        ("verify-th3", *_SMALL_GRID, "--inits", "2"),
+        ("kernel", "--n-list", "0.1"),
+        ("gn-constant", "--grid-l", "32", "--grid-m", "256"),
+        ("linearize", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512"),
+        ("verify-th4", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "1024"),
     ],
     ids=["solve", "verify-th2", "verify-th3", "kernel", "gn-constant", "linearize", "verify-th4"],
 )
-def test_command_loads_only_its_scipy_subpackages(tmp_path, argv, subpackages):
-    # a cold run in a fresh interpreter: its public scipy subpackages, and
-    # for a command that needs none no scipy module at all
+def test_command_loads_only_its_scipy_subpackages(tmp_path, argv):
+    # a cold run in a fresh interpreter, which imports the CLI first: no command loads a scipy module
     argv = [*argv, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
-    loaded = _scipy_modules_loaded_by(f"from fracnls.cli import main\nassert main({argv!r}) in (0, 1)")
-    if not subpackages:
-        assert loaded == []
-    public = set(scipy.__all__)
-    assert {name.split(".")[1] for name in loaded if name.count(".") == 1} & public == subpackages
+    assert _scipy_modules_loaded_by(f"from fracnls.cli import main\nassert main({argv!r}) in (0, 1)") == []

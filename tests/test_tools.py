@@ -35,6 +35,17 @@ def test_record_diff_reports_a_changed_field_and_one_sided_keys(tmp_path, capsys
     )
 
 
+def test_record_diff_refuses_files_that_are_not_records(tmp_path, capsys):
+    # a CSV record or a metadata file is a usage error: one line, exit 2, no traceback
+    for name in ("kernel-0123abcd.csv", "kernel-0123abcd.meta.json"):
+        old, new = tmp_path / "old" / name, tmp_path / "new" / name
+        for path in (old, new):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("s,N\n1.5,0.1\n")
+        assert record_diff.main([str(old), str(new)]) == 2
+        assert capsys.readouterr().err == "python tests/record_diff.py OLD NEW\n"
+
+
 def _point(L, M, s, N, coarse, seconds, levels=None, theta=None, iterations=None, error=None):
     return {"L": L, "M": M, "s": s, "N": N, "coarse": coarse, "converged": error is None, "error": error,
             "theta": theta, "levels": levels, "iterations": iterations, "seconds": seconds}
