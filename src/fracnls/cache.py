@@ -61,15 +61,19 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_ENV, Path.home() / ".cache" / "fracnls"))
 
 
-def _write_atomically(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temporary name beside ``path``, then rename it over ``path``.
+def write_atomically(path: Path, chunks) -> None:
+    """Write the byte chunks ``chunks`` in turn to a temporary name, then rename it over ``path``.
 
-    Readers see the old file or the new one, never a partial write.  The
-    process id keeps two concurrent runs from sharing a temporary file.
+    Readers see the old file or the new one, never a partial write, and a
+    writer that fails midway leaves the old file.  The process id keeps two
+    concurrent runs from sharing a temporary file.  Cache entries and the
+    CLI's plot files are written this way.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -92,7 +96,7 @@ def store_result(cache_dir, key: str, result: SolveResult) -> None:
         result.converged,
     )
     coefficients = np.ascontiguousarray(result.coefficients, dtype="<c16")
-    _write_atomically(cache_dir / f"{key}.prof", header + coefficients.tobytes())
+    write_atomically(cache_dir / f"{key}.prof", (header, coefficients))
 
 
 def load_result(cache_dir, key: str, grid: SpectralGrid) -> SolveResult | None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import find_root_f1, kernel_expansion_check, tail_fit, verify_f2_rootless
-from .cache import cached_solve, default_cache_dir
+from .cache import cached_solve, default_cache_dir, write_atomically
 from .linearized import CONSTANT_STATE_REMEDY, build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
 from .solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
@@ -566,16 +566,145 @@ def emit_outputs(record: RunRecord, config: RunConfig) -> list:
     return written
 
 
+# Plot files hold np.savetxt's bytes: each cell is '%.18e' % v, 19 correctly
+# rounded significant digits.  Python reaches those through dtoa's bignum
+# path, about 0.5 us a cell; _format_rows gets the same digits from one
+# double-double product per cell, v times 10^(18-k) from a table of powers of
+# ten, and hands Python only the cells it cannot settle (Gay 1990; Adams,
+# OOPSLA 2019).
+_PLOT_HEADER = b"# x re im abs\n"
+_PLOT_CHUNK_ROWS = 2048  # rows formatted and written at a time: the writer's memory is bounded by this, not by M
+_POW10_MIN, _POW10_MAX = 18 - 308, 18 + 324  # the 10^(18-k) that finite doubles need, k from 308 down to -324
+# a product this close to a half may be an exact tie or misrounded; its error is below 2^-40
+_TIE_BAND = 2.0**-30
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+_SEPARATORS = np.array([ord(" ") << 8] * 3 + [ord("\n") << 8], dtype="<u4")  # after each cell of a row: its last word's second byte
+
+
+def _packed(texts) -> np.ndarray:
+    """Four-character ASCII strings as little-endian 32-bit words, one word per string."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype="<u4")
+
+
+@functools.cache
+def _format_tables() -> tuple:
+    """Tables for _format_rows, built on the first plot file a process writes.
+
+    10^p = (hi + lo) 2^E for p in [_POW10_MIN, _POW10_MAX], from a 106-bit
+    integer rounding of 10^p 2^(105-E) with 1 <= hi < 2, so hi + lo is within
+    2^-106 of 10^p 2^-E; hi's Dekker halves; the words "d.dd" for 0..999 and
+    "dddd" for 0..9999; and per decimal exponent k from -324 to 308 two words,
+    "e+ddd" but its last digit (a NUL for the hundreds of a two-digit
+    exponent), and that digit.
+    """
+    hi, lo, scale = [], [], []
+    for p in range(_POW10_MIN, _POW10_MAX + 1):
+        if p >= 0:
+            exponent = (10**p).bit_length() - 1
+            shift = exponent - 105
+            t = 10**p << -shift if shift <= 0 else (10**p + (1 << (shift - 1))) >> shift
+        else:
+            exponent = -(10**-p).bit_length()
+            t = ((1 << (106 - exponent)) + 10**-p) // (2 * 10**-p)
+        if t >> 106:
+            t, exponent = t >> 1, exponent + 1
+        hi.append((t >> 53) * 2.0**-52)
+        lo.append((t & ((1 << 53) - 1)) * 2.0**-105)
+        scale.append(exponent)
+    hi = np.array(hi)
+    split = _SPLIT * hi
+    hi_head = split - (split - hi)
+    exponents = [f"e{k:+03d}" for k in range(-324, 309)]
+    return (
+        hi, hi_head, hi - hi_head, np.array(lo), np.array(scale),
+        _packed(f"{j // 100}.{j % 100:02d}" for j in range(1000)),
+        _packed(f"{j:04d}" for j in range(10000)),
+        _packed(e[:4] if len(e) == 5 else e[:2] + "\0" + e[2] for e in exponents),
+        _packed(e[-1] + "\0\0\0" for e in exponents),
+    )
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The rows of ``rows`` (r, 4) as np.savetxt writes them: '%.18e' cells, a space between, a newline after.
+
+    Each cell is eight words, NUL padded: the sign, "d.dd", four "dddd", the
+    exponent.  The 19 digits D = round(|v| 10^(18-k)) with k = floor(log10|v|)
+    come from the double-double product of |v|'s mantissa and the table's
+    10^(18-k).  Python's % formats the cells that are not finite, whose
+    decade estimate was off, whose digits carry to 10^19, or whose product
+    lies within _TIE_BAND of a half; zeros are D = 0, k = 0.
+    """
+    hi, hi_head, hi_tail, lo, scale, lead, quad, exp_head, exp_last = _format_tables()
+    v = rows.ravel()
+    a = np.abs(v)
+    zero = a == 0.0
+    normal = np.isfinite(a) & ~zero
+    a[~normal] = 1.0  # so k = 0 for zeros
+    k = np.floor(np.log10(a)).astype(np.int64)
+    p = (18 - _POW10_MIN) - k
+    # |v| 10^(18-k) = m (hi + lo) 2^(e + E) with m in [0.5, 1): Dekker's two-product of m and hi, then m lo
+    m, e = np.frexp(a)
+    split = _SPLIT * m
+    m_head = split - (split - m)
+    m_tail = m - m_head
+    head_p, tail_p = hi_head[p], hi_tail[p]
+    high = m * hi[p]
+    low = ((m_head * head_p - high) + m_head * tail_p + m_tail * head_p) + m_tail * tail_p + m * lo[p]
+    total = high + low
+    low -= total - high
+    e += scale[p]
+    high = np.ldexp(total, e)  # an integer: at least 2^53 when the decade is right
+    low = np.ldexp(low, e)
+    floor = np.floor(low)
+    low -= floor
+    fallback = ~normal | (high < 1e18) | (high > 1e19) | (np.abs(low - 0.5) < _TIE_BAND)
+    high[fallback] = 1e18
+    digits = high.astype(np.uint64) + floor.astype(np.int64).view(np.uint64)
+    fallback |= digits < 10**18
+    digits += low > 0.5
+    fallback |= digits >= 10**19
+    fallback &= ~zero
+    digits[zero] = 0
+
+    words = np.empty((v.size, 8), dtype="<u4")
+    words[:, 0] = np.signbit(v) * np.uint32(ord("-") << 24)
+    top = digits // np.uint64(10**16)
+    words[:, 1] = lead[top]
+    digits -= top * np.uint64(10**16)
+    upper = digits // np.uint64(10**8)
+    lower = (digits - upper * np.uint64(10**8)).astype(np.int64)
+    upper = upper.astype(np.int64)
+    words[:, 2] = quad[upper // 10000]
+    words[:, 3] = quad[upper % 10000]
+    words[:, 4] = quad[lower // 10000]
+    words[:, 5] = quad[lower % 10000]
+    words[:, 6] = exp_head[k + 324]
+    words[:, 7] = exp_last[k + 324]
+    words.reshape(-1, 4, 8)[:, :, 7] |= _SEPARATORS
+    cells = words.view(np.uint8)
+    for i in np.flatnonzero(fallback):
+        text = np.frombuffer(("%.18e" % v[i]).encode("ascii"), dtype=np.uint8)
+        cells[i, :29] = 0
+        cells[i, 29 - text.size : 29] = text
+        cells[i, 30:] = 0
+    return cells[cells != 0].tobytes()
+
+
 def emit_profile_plotdata(profile: Profile, path) -> None:
     """(x, Re, Im, abs) rows, one per grid point, in np.savetxt's bytes.
 
-    One % format over the raveled rows, where np.savetxt formats row by row.
+    The header line, then _PLOT_CHUNK_ROWS rows at a time from _format_rows,
+    streamed to a temporary file that replaces ``path`` once complete.
     """
-    data = np.column_stack(
-        [profile.grid.x, profile.values.real, profile.values.imag, np.abs(profile.values)]
-    )
-    row = " ".join(["%.18e"] * data.shape[1]) + "\n"
-    Path(path).write_text("# x re im abs\n" + (row * data.shape[0]) % tuple(data.ravel().tolist()), encoding="latin1")
+    x, values = profile.grid.x, profile.values
+
+    def chunks():
+        yield _PLOT_HEADER
+        for start in range(0, values.size, _PLOT_CHUNK_ROWS):
+            part = values[start : start + _PLOT_CHUNK_ROWS]
+            yield _format_rows(np.column_stack([x[start : start + part.size], part.real, part.imag, np.abs(part)]))
+
+    write_atomically(Path(path), chunks())
 
 
 def load_config_file(path) -> dict:

@@ -332,17 +332,155 @@ def test_plotdata_row_count(solve_record, tmp_path):
 
 
 def test_plotdata_bytes_are_savetxt_bytes(tmp_path):
-    # one format call over all rows writes what np.savetxt writes row by row,
-    # on a README grid, for a profile that holds -0.0, subnormal and tiny values
-    grid = SpectralGrid(64.0, 4096)
-    values = np.exp(-(grid.x**2)) * np.exp(1j * grid.x)
-    values[::7] = -0.0
-    values[1::11] = complex(1e-300, -5e-324)
-    values[2] = complex(-0.0, 1e-310)
-    emit_profile_plotdata(Profile(grid, values), tmp_path / "plot.dat")
-    data = np.column_stack([grid.x, values.real, values.imag, np.abs(values)])
-    np.savetxt(tmp_path / "savetxt.dat", data, header="x re im abs", comments="# ")
-    assert (tmp_path / "plot.dat").read_bytes() == (tmp_path / "savetxt.dat").read_bytes()
+    # the chunked writer writes what np.savetxt writes row by row, on a README
+    # grid and on a row count whose last chunk is partial, for a profile that
+    # holds -0.0, subnormal and tiny values
+    readme_grid = SpectralGrid(64.0, 4096)
+    straddling = SimpleNamespace(x=np.linspace(-40.0, 40.0, 2 * cli._PLOT_CHUNK_ROWS + 37, endpoint=False))
+    for grid in (readme_grid, straddling):
+        values = np.exp(-(grid.x**2)) * np.exp(1j * grid.x)
+        values[::7] = -0.0
+        values[1::11] = complex(1e-300, -5e-324)
+        values[2] = complex(-0.0, 1e-310)
+        emit_profile_plotdata(SimpleNamespace(grid=grid, values=values), tmp_path / "plot.dat")
+        data = np.column_stack([grid.x, values.real, values.imag, np.abs(values)])
+        np.savetxt(tmp_path / "savetxt.dat", data, header="x re im abs", comments="# ")
+        assert (tmp_path / "plot.dat").read_bytes() == (tmp_path / "savetxt.dat").read_bytes()
+
+
+def _as_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _tie(exponent: int, odd: int) -> float:
+    """odd 2^-exponent, whose decimal expansion has exactly 20 significant digits, the last a 5."""
+    value = odd * 2.0**-exponent
+    digits = str(odd * 5**exponent)
+    assert len(digits) == 20 and digits[-1] == "5" and value == odd / 2**exponent
+    return value
+
+
+def _ties():
+    # odd 5^e has 20 digits for odd in [10^19/5^e, 10^20/5^e), and odd 2^-e is a double when odd < 2^53
+    def odd_in(e):
+        low, high = -(-(10**19) // 5**e), min(10**20 // 5**e, 2**53)
+        return st.integers(low // 2, (high - 1) // 2).map(lambda j: 2 * j + 1).filter(lambda o: low <= o < high)
+
+    return st.integers(5, 28).flatmap(lambda e: odd_in(e).map(lambda o: _tie(e, o)))
+
+
+def _one_ulp_from(value: float, step: int) -> float:
+    return float(np.nextafter(value, step * np.inf)) if step else value
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+_CELLS = {
+    "finite-bits": st.integers(0, 2**64 - 1).map(_as_float).filter(np.isfinite),
+    "zero-and-subnormal": st.builds(lambda sign, m: sign * m * 2.0**-1074, _SIGN, st.integers(0, 2**52 - 1)),
+    "power-of-ten": st.builds(
+        lambda sign, j, step: sign * _one_ulp_from(float(f"1e{j}"), step),
+        _SIGN, st.integers(-323, 308), st.sampled_from([-1, 0, 1]),
+    ),
+    "tie": st.builds(lambda sign, v: sign * v, _SIGN, _ties()),
+    # 19 nines and a digit from 5 up: the nearest double, or one ulp either side
+    "next-decade": st.builds(
+        lambda sign, j, d, step: sign * _one_ulp_from(float(f"9.99999999999999999{d}e{j}"), step),
+        _SIGN, st.integers(-320, 307), st.integers(5, 9), st.sampled_from([-1, 0, 1]),
+    ),
+    "not-finite": st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CELLS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_plot_formatter_writes_pythons_bytes(kind, data):
+    # the vectorized formatter against the oracle it replaces, '%.18e' % v per cell
+    values = data.draw(st.lists(_CELLS[kind], min_size=1, max_size=40))
+    values += [0.0] * (-len(values) % 4)
+    rows = np.array(values).reshape(-1, 4)
+    expected = "".join(" ".join("%.18e" % v for v in row) + "\n" for row in rows.tolist())
+    assert cli._format_rows(rows) == expected.encode("ascii")
+
+
+def test_plot_formatter_rounds_exact_ties_to_even():
+    # 1000001/2^20 = 0.95367527008056640625 and 1000003/2^20 = 0.95367717742919921875
+    # end in an exact 5 at the 20th significant digit: one rounds down to an even digit, one up
+    assert "%.18e" % _tie(20, 1000001) == "9.536752700805664062e-01"
+    assert "%.18e" % _tie(20, 1000003) == "9.536771774291992188e-01"
+    rows = np.array([[_tie(20, 1000001), -_tie(20, 1000003), 5e-324, -0.0]])
+    assert cli._format_rows(rows) == ("%.18e %.18e %.18e %.18e\n" % tuple(rows[0])).encode()
+
+
+def test_plot_file_replaces_the_old_one_only_when_complete(tmp_path, monkeypatch):
+    # a writer that fails midway leaves the previous plot file and no temporary file behind
+    path = tmp_path / "plot.dat"
+    path.write_bytes(b"previous\n")
+    grid = SpectralGrid(64.0, 4 * cli._PLOT_CHUNK_ROWS)
+    calls = []
+
+    def failing(rows):
+        calls.append(rows.shape)
+        if len(calls) == 2:
+            raise RuntimeError("formatter failed")
+        return b""
+
+    monkeypatch.setattr(cli, "_format_rows", failing)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        emit_profile_plotdata(Profile(grid, np.ones(grid.points)), path)
+    assert path.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plot.dat"]
+
+
+_PLOT_RSS_PROBE = """
+import resource, sys
+import numpy as np
+from fracnls.cli import emit_profile_plotdata
+from fracnls.spectral import Profile, SpectralGrid
+
+grid = SpectralGrid(4096.0, 2**18)
+profile = Profile(grid, np.exp(-grid.x**2 / 1e4) * np.exp(1j * grid.x))
+small = SpectralGrid(64.0, 16)
+emit_profile_plotdata(Profile(small, np.ones(16)), sys.argv[1])  # the formatter's tables, built once
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+emit_profile_plotdata(profile, sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_plot_writer_memory_is_bounded_by_the_chunk(tmp_path):
+    # a 2^18-row plot file raises the peak RSS by at most 16 MiB: the profile
+    # itself is 4 MiB, the formatted file 27 MiB, and a writer that formats
+    # the whole file at once peaks about 87 MiB higher
+    path = tmp_path / "plot.dat"
+    out = subprocess.run(
+        [sys.executable, "-c", _PLOT_RSS_PROBE, str(path)], capture_output=True, text=True, check=True,
+    ).stdout
+    assert int(out) <= 16 * 1024  # ru_maxrss counts KiB on Linux
+    assert path.read_bytes().count(b"\n") == 1 + 2**18
+
+
+_TABLES_PROBE = """
+import sys
+from fracnls import cli
+small = ["--n-list", "0.1", "--grid-l", "32", "--grid-m", "256", "--cache-dir", sys.argv[1], "--output-dir", sys.argv[2]]
+built = [cli._format_tables.cache_info().currsize]
+assert cli.main(["verify-th2", *small]) in (cli.EXIT_OK, cli.EXIT_CRITERION_FAIL)
+built.append(cli._format_tables.cache_info().currsize)
+assert cli.main(["solve", *small]) == cli.EXIT_OK
+built.append(cli._format_tables.cache_info().currsize)
+print(built)
+"""
+
+
+def test_a_command_without_plot_files_builds_no_formatter_tables(tmp_path):
+    # a fresh interpreter: the tables are built on the first plot file a
+    # process writes, neither at import nor by a command that writes none
+    out = subprocess.run(
+        [sys.executable, "-c", _TABLES_PROBE, str(tmp_path / "cache"), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[0, 0, 1]"
 
 
 def test_metadata_file_separate(solve_record):
