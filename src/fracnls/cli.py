@@ -637,9 +637,9 @@ def _format_rows(rows: np.ndarray) -> bytes:
     hi, hi_head, hi_tail, lo, scale, lead, quad, exp_head, exp_last = _format_tables()
     v = rows.ravel()
     a = np.abs(v)
+    finite = np.isfinite(a)
     zero = a == 0.0
-    normal = np.isfinite(a) & ~zero
-    a[~normal] = 1.0  # so k = 0 for zeros
+    a[~finite | zero] = 1.0  # so k = 0 for zeros
     k = np.floor(np.log10(a)).astype(np.int64)
     p = (18 - _POW10_MIN) - k
     # |v| 10^(18-k) = m (hi + lo) 2^(e + E) with m in [0.5, 1): Dekker's two-product of m and hi, then m lo
@@ -657,13 +657,12 @@ def _format_rows(rows: np.ndarray) -> bytes:
     low = np.ldexp(low, e)
     floor = np.floor(low)
     low -= floor
-    fallback = ~normal | (high < 1e18) | (high > 1e19) | (np.abs(low - 0.5) < _TIE_BAND)
+    fallback = ~finite | (high < 1e18) | (high > 1e19) | (np.abs(low - 0.5) < _TIE_BAND)
     high[fallback] = 1e18
     digits = high.astype(np.uint64) + floor.astype(np.int64).view(np.uint64)
     fallback |= digits < 10**18
     digits += low > 0.5
     fallback |= digits >= 10**19
-    fallback &= ~zero
     digits[zero] = 0
 
     words = np.empty((v.size, 8), dtype="<u4")
@@ -701,8 +700,9 @@ def emit_profile_plotdata(profile: Profile, path) -> None:
     def chunks():
         yield _PLOT_HEADER
         for start in range(0, values.size, _PLOT_CHUNK_ROWS):
-            part = values[start : start + _PLOT_CHUNK_ROWS]
-            yield _format_rows(np.column_stack([x[start : start + part.size], part.real, part.imag, np.abs(part)]))
+            rows = slice(start, start + _PLOT_CHUNK_ROWS)
+            part = values[rows]
+            yield _format_rows(np.column_stack([x[rows], part.real, part.imag, np.abs(part)]))
 
     write_atomically(Path(path), chunks())
 

@@ -364,7 +364,7 @@ def _ties():
     # odd 5^e has 20 digits for odd in [10^19/5^e, 10^20/5^e), and odd 2^-e is a double when odd < 2^53
     def odd_in(e):
         low, high = -(-(10**19) // 5**e), min(10**20 // 5**e, 2**53)
-        return st.integers(low // 2, (high - 1) // 2).map(lambda j: 2 * j + 1).filter(lambda o: low <= o < high)
+        return st.integers(low // 2, (high - 2) // 2).map(lambda j: 2 * j + 1)
 
     return st.integers(5, 28).flatmap(lambda e: odd_in(e).map(lambda o: _tie(e, o)))
 
