@@ -432,6 +432,15 @@ def test_plot_file_replaces_the_old_one_only_when_complete(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plot.dat"]
 
 
+def _fresh_interpreter(script: str, *args: str) -> str:
+    """Standard output of ``script`` run with ``args`` in a new interpreter that imports this fracnls."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 _PLOT_RSS_PROBE = """
 import resource, sys
 import numpy as np
@@ -453,9 +462,7 @@ def test_plot_writer_memory_is_bounded_by_the_chunk(tmp_path):
     # itself is 4 MiB, the formatted file 27 MiB, and a writer that formats
     # the whole file at once peaks about 87 MiB higher
     path = tmp_path / "plot.dat"
-    out = subprocess.run(
-        [sys.executable, "-c", _PLOT_RSS_PROBE, str(path)], capture_output=True, text=True, check=True,
-    ).stdout
+    out = _fresh_interpreter(_PLOT_RSS_PROBE, str(path))
     assert int(out) <= 16 * 1024  # ru_maxrss counts KiB on Linux
     assert path.read_bytes().count(b"\n") == 1 + 2**18
 
@@ -476,10 +483,7 @@ print(built)
 def test_a_command_without_plot_files_builds_no_formatter_tables(tmp_path):
     # a fresh interpreter: the tables are built on the first plot file a
     # process writes, neither at import nor by a command that writes none
-    out = subprocess.run(
-        [sys.executable, "-c", _TABLES_PROBE, str(tmp_path / "cache"), str(tmp_path / "out")],
-        capture_output=True, text=True, check=True,
-    ).stdout
+    out = _fresh_interpreter(_TABLES_PROBE, str(tmp_path / "cache"), str(tmp_path / "out"))
     assert out.splitlines()[-1] == "[0, 0, 1]"
 
 
