@@ -171,12 +171,13 @@ def kernel_expansion_check(params: ModelParams, theta: float) -> dict:
     kc = kernel_constants(params)
     c1 = kc["C1"]
     rate = math.sqrt(lam)
-    alg = kc["c2_envelope"] * kc["n_power"]
     power = s + 1.0
-    x_cross = _crossover(c1, rate, alg, power)
-    # dominance >= 100x keeps the neglected algebraic term at the 1% level,
-    # inside the 2% agreement target (a 10x window would admit 10% bias)
-    x_dom = _crossover(c1, rate, 100.0 * alg, power)
+    with np.errstate(over="ignore"):  # an infinite algebraic term dominates everywhere: refused below
+        alg = kc["c2_envelope"] * kc["n_power"]
+        x_cross = _crossover(c1, rate, alg, power)
+        # dominance >= 100x keeps the neglected algebraic term at the 1% level,
+        # inside the 2% agreement target (a 10x window would admit 10% bias)
+        x_dom = _crossover(c1, rate, 100.0 * alg, power)
     x_lo = 1.0 / rate
     if x_dom <= x_lo:
         raise UnresolvedError(

@@ -12,11 +12,12 @@ are written through a temporary file and renamed into place.  An entry is
 read back onto the caller's grid, and only when its size, magic, version,
 L and M all match; anything else (a crash, a truncated or corrupt file,
 an older format) is a miss that costs a recomputation, never a failed
-run.
+run; so is an entry that cannot be written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -115,11 +116,12 @@ def load_result(cache_dir, key: str, grid: SpectralGrid) -> SolveResult | None:
 
 
 def cached_solve(cache_dir, s, mass, grid, tol, compute):
-    """Return the cached SolveResult for this key, or compute and store it."""
+    """Return the cached SolveResult for this key, or compute and store it (when the entry can be written)."""
     key = cache_key(s, mass, grid.length, grid.points, tol)
     hit = load_result(cache_dir, key, grid)
     if hit is not None:
         return hit, True
     result = compute()
-    store_result(cache_dir, key, result)
+    with contextlib.suppress(OSError):
+        store_result(cache_dir, key, result)
     return result, False

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import find_root_f1, kernel_expansion_check, tail_fit, verify_f2_rootless
 from .cache import cached_solve, default_cache_dir, write_atomically
-from .linearized import CONSTANT_STATE_REMEDY, build_linearized, kernel_diagnostics
+from .linearized import build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
 from .solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
 from .spectral import Profile, SpectralGrid, UnresolvedError
@@ -50,22 +50,24 @@ EXIT_SOLVER_FAILURE = 3
 _S_SOLVABLE_MAX = 1.8
 
 
-def _smallest_mass(s: float, length: float) -> float:
-    """The least mass at s whose n(kappa xi_1) and s(s-1)/2 kappa^2 are normal doubles, rounded up to three digits.
+def _lowest_mode(s: float, length: float) -> float:
+    """s(s-1)/2 xi_1^2 at the lowest nonzero mode xi_1 = 2 pi/L of the torus of length L (xi_1 capped at 1)."""
+    return s * (s - 1.0) / 2.0 * min(1.0, 2.0 * math.pi / length) ** 2
+
+
+def _mass_range(s: float, length: float) -> tuple[float, float]:
+    """The least and the largest mass at s whose symbol and kernel constants are normal doubles, to three digits.
 
     n_N(xi) = n(kappa xi) / (s(s-1)/2 kappa^2), kappa^2 = N^{2s/(2-s)}, and
-    n(kappa xi) ~ s(s-1)/2 (kappa xi)^2 is smallest at xi_1 = 2 pi/L, the
-    lowest nonzero mode of the torus of length L.  Below this mass either
-    is subnormal, where n_N loses digits on the lowest modes, and then 0,
-    where the symbol n_N and the kernel shift are undefined.
+    n(kappa xi) ~ s(s-1)/2 (kappa xi)^2 is smallest at xi_1 (_lowest_mode).
+    Below the least mass either is subnormal, where n_N loses digits on the
+    lowest modes, and then 0, where n_N and the kernel shift are undefined.
+    Above the largest the kernel envelope's N^{s(2+s)/(2-s)} overflows.
     """
-    lowest = s * (s - 1.0) / 2.0 * min(1.0, 2.0 * math.pi / length) ** 2
-    exact = (sys.float_info.min / lowest) ** ((2.0 - s) / (2.0 * s))
-    return float(f"{exact * 1.006:.3g}")  # .3g moves it by at most 5e-3, so it rounds up
-
-
-class ConfigError(ValueError):
-    pass
+    least = (sys.float_info.min / _lowest_mode(s, length)) ** ((2.0 - s) / (2.0 * s))
+    largest = sys.float_info.max ** ((2.0 - s) / (s * (2.0 + s)))
+    # .3g moves a value by at most 5e-3, so both round inward
+    return float(f"{least * 1.006:.3g}"), float(f"{largest * 0.994:.3g}")
 
 
 def _setting(default, help: str, *, deployment: bool = False):
@@ -95,45 +97,48 @@ class RunConfig:
 
     def __post_init__(self):
         if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
+            raise ValueError(f"unknown command {self.command!r}")
         if not self.s_list or not self.n_list:
-            raise ConfigError("s-list and N-list must be nonempty")
+            raise ValueError("s-list and N-list must be nonempty")
         for name in ("s_list", "n_list"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
-                raise ConfigError(f"{_flag(name)} repeats a value: {values!r}")
+                raise ValueError(f"{_flag(name)} repeats a value: {values!r}")
         if not all(math.isfinite(n) and n > 0.0 for n in self.n_list):
-            raise ConfigError("masses in the N-list must be positive and finite")
+            raise ValueError("masses in the N-list must be positive and finite")
         if any(not (1.0 < s < 2.0 or (s == 2.0 and self.command == "gn-constant")) for s in self.s_list):
-            raise ConfigError("s values must lie in (1, 2); gn-constant also accepts 2 for validation")
-        if self.command != "gn-constant":
-            s = max(self.s_list)
-            if s >= _S_SOLVABLE_MAX:
-                lam = lambda_of_s(s)[1]  # underflows to 0 near s = 2
-                decay = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf
-                raise ConfigError(
-                    f"s = {s:g} is past desk scale: the profile decays over 1/sqrt(lambda(s)) = {decay:.3g}; "
-                    f"commands other than gn-constant need s < {_S_SOLVABLE_MAX:g}"
-                )
+            raise ValueError("s values must lie in (1, 2); gn-constant also accepts 2 for validation")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.inits < 2:
-            raise ConfigError(f"inits must be at least 2 to compare random starts pairwise, got {self.inits}")
+            raise ValueError(f"inits must be at least 2 to compare random starts pairwise, got {self.inits}")
         if not self.cache_dir:
             self.cache_dir = str(default_cache_dir())
         # not a field: the grid derives from grid_l and grid_m, and building
         # it here turns a bad size into a configuration error
         self.grid = SpectralGrid(self.grid_l, self.grid_m)
         if self.command != "gn-constant":
-            s, n = max(self.s_list), min(self.n_list)  # the smallest mass grows with s
-            n_min = _smallest_mass(s, self.grid_l)
-            if n < n_min:
-                raise ConfigError(
-                    f"N = {n:g} is below the smallest mass at s = {s:g} on L = {self.grid_l:g}, {n_min:g}: "
+            s = max(self.s_list)
+            if s >= _S_SOLVABLE_MAX:
+                lam = lambda_of_s(s)[1]  # underflows to 0 near s = 2
+                decay = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf
+                raise ValueError(
+                    f"s = {s:g} is past desk scale: the profile decays over 1/sqrt(lambda(s)) = {decay:.3g}; "
+                    f"commands other than gn-constant need s < {_S_SOLVABLE_MAX:g}"
+                )
+            if _lowest_mode(min(self.s_list), self.grid_l) < sys.float_info.min:  # _lowest_mode grows with s
+                raise ValueError(f"L = {self.grid_l:g} is too long: s(s-1)/2 (2 pi/L)^2 at the lowest mode underflows")
+            n_min, n_max = _mass_range(s, self.grid_l)  # the least mass grows with s, the largest falls
+            if min(self.n_list) < n_min:
+                raise ValueError(
+                    f"N = {min(self.n_list):g} is below the smallest mass at s = {s:g} on L = {self.grid_l:g}, {n_min:g}: "
                     f"n(kappa 2 pi/L) at the lowest mode, kappa^2 = N^(2s/(2-s)), would underflow the smallest normal double"
                 )
+            if max(self.n_list) > n_max:
+                raise ValueError(f"N = {max(self.n_list):g} is above the largest mass at s = {s:g}, {n_max:g}: "
+                                 f"the kernel envelope's N^(s(2+s)/(2-s)) would overflow")
 
     def echo(self) -> dict:
         """The settings that decide results: the record's config and the hash input."""
@@ -158,20 +163,15 @@ class RunRecord:
     timings: dict  # emitted to the metadata file only
     meta: list = field(default_factory=list)  # per point: solver statistics, refusal; metadata file only
 
-    def any_failure(self) -> bool:
-        for pt in self.points:
-            if pt.get("error"):
-                return True
-            for chk in pt.get("checks", {}).values():
-                if not chk["pass"]:
-                    return True
-        return False
-
-    def any_solver_error(self) -> bool:
-        return any(pt.get("error") for pt in self.points)
-
-    def any_refusal(self) -> bool:
-        return any(m.get("refused") for m in self.meta)
+    def exit_code(self) -> int:
+        """The gravest outcome: a refused point (2), a failed one (3), a failed check (1), else 0."""
+        if any(m.get("refused") for m in self.meta):
+            return EXIT_CONFIG_ERROR
+        if any(pt["error"] for pt in self.points):
+            return EXIT_SOLVER_FAILURE
+        if any(not chk["pass"] for pt in self.points for chk in pt["checks"].values()):
+            return EXIT_CRITERION_FAIL
+        return EXIT_OK
 
 
 def _check(value: float, threshold: float, mode: str = "le") -> dict:
@@ -274,7 +274,8 @@ def constant_state_guard(profile: Profile, params: ModelParams) -> None:
     """Refuse (UnresolvedError) a solve that is the spatially constant state, which no torus limit reads.
 
     Such a solve has 1 - min|R| / max|R| at most _CONSTANT_STATE_SPREAD:
-    the torus is too short to hold the wave.
+    the torus is too short to hold the wave.  The one detector of that
+    state: verify-th2 and linearize run it before reading their solve.
     """
     a = np.abs(profile.values)
     spread = float(1.0 - a.min() / a.max())
@@ -282,7 +283,8 @@ def constant_state_guard(profile: Profile, params: ModelParams) -> None:
         grid = profile.grid
         raise UnresolvedError(
             f"the grid (L = {grid.length:g}, M = {grid.points}) does not resolve s = {params.s:g}, N = {params.N:g}: "
-            f"1 - min|R|/max|R| is {spread:.3g} (limit {_CONSTANT_STATE_SPREAD:g}); {CONSTANT_STATE_REMEDY}"
+            f"1 - min|R|/max|R| is {spread:.3g} (limit {_CONSTANT_STATE_SPREAD:g}); "
+            "the solve is the spatially constant state: lengthen the torus"
         )
 
 
@@ -406,6 +408,7 @@ def _th4_summary(s: float, points: list) -> list:
 
 def _linearize_stage(config: RunConfig, s: float, n: float) -> dict:
     result, params = _solution(config, s, n)
+    constant_state_guard(result.profile, params)
     rep = kernel_diagnostics(build_linearized(result, params))
     return {
         "eigenvalues": [float(v) for v in rep.eigenvalues],
@@ -712,14 +715,14 @@ def load_config_file(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"--config: cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"--config: cannot read {path}: {exc.strerror or exc}") from None
     out = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"malformed config line: {raw!r}")
+            raise ValueError(f"malformed config line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         out[key.replace("-", "_")] = val
     return out
@@ -740,7 +743,7 @@ def _parse(name: str, text: str):
             return tuple(float(tok) for tok in text.split(",") if tok.strip())
         return kind(text)
     except ValueError:
-        raise ConfigError(f"{_flag(name)} expects {_EXPECTED[kind]}, got {text!r}") from None
+        raise ValueError(f"{_flag(name)} expects {_EXPECTED[kind]}, got {text!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -748,7 +751,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     merged = load_config_file(args.config) if args.config else {}
     for key in merged:
         if key not in SETTINGS:
-            raise ConfigError(f"unknown config key {key!r} (expected one of {tuple(SETTINGS)})")
+            raise ValueError(f"unknown config key {key!r} (expected one of {tuple(SETTINGS)})")
     merged.update({name: getattr(args, name) for name in SETTINGS if getattr(args, name) is not None})
     return RunConfig(command=args.command, **{name: _parse(name, text) for name, text in merged.items()})
 
@@ -757,7 +760,7 @@ class _Parser(argparse.ArgumentParser):
     """A bad command line is a configuration error: one line, exit code 2."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -816,7 +819,12 @@ def main(argv=None) -> int:
     _one_blas_thread()
     try:
         config = build_config(make_parser().parse_args(argv))
-    except (ConfigError, ValueError) as exc:
+        for name in ("output_dir", "cache_dir"):  # an unusable one is refused before any point runs
+            try:
+                Path(getattr(config, name)).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"{_flag(name)}: cannot create {getattr(config, name)}: {exc.strerror or exc}") from None
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     record = run(config)
@@ -831,13 +839,7 @@ def main(argv=None) -> int:
         for name, chk in pt.get("checks", {}).items():
             status = "pass" if chk["pass"] else "FAIL"
             print(f"{label}: {name} = {chk['value']:.6g} (threshold {chk['threshold']:.6g}) {status}")
-    if record.any_refusal():
-        return EXIT_CONFIG_ERROR
-    if record.any_solver_error():
-        return EXIT_SOLVER_FAILURE
-    if record.any_failure():
-        return EXIT_CRITERION_FAIL
-    return EXIT_OK
+    return record.exit_code()
 
 
 if __name__ == "__main__":

@@ -210,8 +210,6 @@ _RESOLVED_REL = 1e-3
 # the ratio of iR fell at least 1.2e3-fold per doubling of M (L = 128, s = 1.1 to 1.3)
 _FALL_PER_DOUBLING = 1e3
 _MINRES_MAXITER = 1000
-# the one-line remedy of every refusal whose solve is the spatially constant state
-CONSTANT_STATE_REMEDY = "the solve is the spatially constant state: lengthen the torus"
 
 
 def _coarse_start(op: LinearizedOperator) -> np.ndarray:
@@ -237,9 +235,10 @@ def _coarse_start(op: LinearizedOperator) -> np.ndarray:
 def _resolution_guard(op: LinearizedOperator, threshold: float) -> float:
     """max ||L v|| / ||v|| over v in {iR, dR/dx}, over the kernel threshold; above _RESOLVED_REL, UnresolvedError.
 
-    The one-line refusal names a finer grid where iR is not annihilated,
-    and a longer torus where only dR/dx is not: the solve is then the
-    spatially constant state, whose dR/dx is roundoff.
+    The one-line refusal names a finer grid: at least one doubling of M, and
+    as many as bring iR's ratio to the limit at _FALL_PER_DOUBLING each.  The
+    spatially constant state, whose dR/dx is roundoff, is refused before
+    (cli.constant_state_guard): no grid resolves it.
     """
     block = np.stack(op.kernel_coefficients())
     ratios = np.linalg.norm(op.apply_coefficients(block), axis=1) / np.linalg.norm(block, axis=1) / threshold
@@ -247,14 +246,11 @@ def _resolution_guard(op: LinearizedOperator, threshold: float) -> float:
     if ratio <= _RESOLVED_REL:
         return ratio
     length, points = op.grid.length, op.grid.points
-    if ratios[0] > _RESOLVED_REL:
-        doublings = max(1, math.ceil(math.log(ratios[0] / _RESOLVED_REL, _FALL_PER_DOUBLING)))
-        remedy = f"refine the grid: --grid-l {length:g} --grid-m {points << doublings}"
-    else:
-        remedy = CONSTANT_STATE_REMEDY
+    doublings = max(1, math.ceil(math.log(max(ratios[0], _RESOLVED_REL) / _RESOLVED_REL, _FALL_PER_DOUBLING)))
     raise UnresolvedError(
         f"the grid (L = {length:g}, M = {points}) does not resolve s = {op.params.s:g}, N = {op.params.N:g}: "
-        f"kernel residual of iR, dR/dx is {ratio:.3g} x the kernel threshold (limit {_RESOLVED_REL:g}); {remedy}"
+        f"kernel residual of iR, dR/dx is {ratio:.3g} x the kernel threshold (limit {_RESOLVED_REL:g}); "
+        f"refine the grid: --grid-l {length:g} --grid-m {points << doublings}"
     )
 
 

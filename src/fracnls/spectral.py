@@ -29,10 +29,6 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 MAX_POINTS = 2**20  # larger grids are refused before allocating (one complex grid array: 16 MiB)
 
 
-class GridError(ValueError):
-    """Invalid grid construction or mismatched grids."""
-
-
 class UnresolvedError(RuntimeError):
     """A point that the run's settings cannot resolve: a configuration error, not a solver failure."""
 
@@ -49,13 +45,13 @@ class SpectralGrid:
         length = float(length)
         points = int(points)
         if not np.isfinite(length) or length <= 0.0:
-            raise GridError(f"L must be positive, got {length}")
+            raise ValueError(f"L must be positive, got {length}")
         if points < 16:
-            raise GridError(f"M must be at least 16, got {points}")
+            raise ValueError(f"M must be at least 16, got {points}")
         if points > MAX_POINTS:
-            raise GridError(f"M must be at most {MAX_POINTS}, got {points}")
+            raise ValueError(f"M must be at most {MAX_POINTS}, got {points}")
         if points & (points - 1) != 0:
-            raise GridError(f"M must be a power of two, got {points}")
+            raise ValueError(f"M must be a power of two, got {points}")
         self.length = length
         self.points = points
         self.h = length / points
@@ -103,7 +99,7 @@ class Profile:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (self.grid.points,):
-            raise GridError(
+            raise ValueError(
                 f"profile has {self.values.shape} values on a grid of {self.grid.points} points"
             )
 

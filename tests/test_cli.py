@@ -26,7 +26,6 @@ from fracnls.cli import (
     EXIT_CRITERION_FAIL,
     EXIT_OK,
     EXIT_SOLVER_FAILURE,
-    ConfigError,
     RunConfig,
     RunRecord,
     build_config,
@@ -75,12 +74,12 @@ def csv_rows(text):
 # -- config -------------------------------------------------------------------
 
 def test_config_rejects_empty_lists(tmp_path):
-    with pytest.raises(ConfigError, match="nonempty"):
+    with pytest.raises(ValueError, match="nonempty"):
         fast_config("solve", tmp_path, n_list=())
 
 
 def test_config_rejects_unknown_command(tmp_path):
-    with pytest.raises(ConfigError, match="unknown command"):
+    with pytest.raises(ValueError, match="unknown command"):
         fast_config("explode", tmp_path)
 
 
@@ -105,11 +104,16 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
         (["--s-list", "1.5,1.95", "--grid-m", "256"], "s = 1.95 is past desk scale"),
         (["--s-list", "1.999", "--grid-m", "256"], "1/sqrt(lambda(s)) = inf"),
         (["--s-list", "1.5,1.5"], "--s-list repeats a value"), (["--n-list", "0.2,0.2"], "--n-list repeats a value"),
+        # past the float range: the kernel envelope N^(s(2+s)/(2-s)), and s(s-1)/2 (2 pi/L)^2 at the lowest mode
+        (["--n-list", "1e300"], "above the largest mass at s = 1.5, "),
+        (["--s-list", "1.2", "--n-list", "1e200"], "above the largest mass at s = 1.2, "),
+        (["--grid-l", "1e300"], "L = 1e+300 is too long"),
     ],
     ids=[
         "grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative", "n-list-inf",
         "workers", "grid-m-text", "workers-text", "s-list-text", "config-missing", "format",
         "grid-m-huge", "s-1.8", "s-1.95", "s-1.999", "s-list-repeated", "n-list-repeated",
+        "n-list-huge", "n-list-huge-s-1.2", "grid-l-huge",
     ],
 )
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
@@ -149,6 +153,41 @@ def test_masses_whose_kappa_squared_underflows_are_refused_and_the_rest_run(tmp_
                 # the smallest mass it names is accepted, and its n(kappa xi_1) is normal
                 named = float(err.split(f"smallest mass at s = {s:g} on L = 32, ", 1)[1].split(":", 1)[0])
                 assert _lowest_mode_n(s, named, 32.0) >= sys.float_info.min > _lowest_mode_n(s, 0.98 * named, 32.0)
+                RunConfig(command, s_list=(s,), n_list=(named,), grid_l=32.0, grid_m=256,
+                          cache_dir=str(tmp_path / "cache"))
+
+
+def _envelope_power(s: float, n: float) -> float:
+    """N^(s(2+s)/(2-s)), the kernel envelope's power of the mass; inf where it overflows."""
+    try:
+        return n ** (s * (2.0 + s) / (2.0 - s))
+    except OverflowError:
+        return np.inf
+
+
+def test_masses_whose_kernel_envelope_overflows_are_refused_and_the_rest_run(tmp_path, capsys):
+    # where N^(s(2+s)/(2-s)) overflows the kernel constants are not finite,
+    # and further up neither is kappa: such a mass is one configuration error
+    decades = [10.0**k for k in range(1, 301)]
+    dirs = ["--grid-l", "32", "--grid-m", "256", "--inits", "2",
+            "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
+    for s in (1.1, 1.3, 1.5, 1.7):
+        finite = [n for n in decades if np.isfinite(_envelope_power(s, n))]
+        refused = decades[len(finite):]
+        assert finite == decades[: len(finite)] and refused
+        for command in (c for c in cli.COMMANDS if c != "gn-constant"):
+            # every tenth finite decade and the largest in one run: no run raises
+            ran = sorted(set(finite[::10]) | {finite[-1]})
+            code = main([command, "--s-list", repr(s), "--n-list", ",".join(map(repr, ran)), *dirs])
+            assert code in (EXIT_OK, EXIT_CRITERION_FAIL, EXIT_CONFIG_ERROR, EXIT_SOLVER_FAILURE)
+            assert "configuration error" not in capsys.readouterr().err
+            for n in refused[::10]:
+                assert main([command, "--s-list", repr(s), "--n-list", repr(n), *dirs]) == EXIT_CONFIG_ERROR
+                err = capsys.readouterr().err
+                assert err.startswith("configuration error:") and err.count("\n") == 1
+                # the largest mass it names is accepted, and its envelope is finite
+                named = float(err.split(f"largest mass at s = {s:g}, ", 1)[1].split(":", 1)[0])
+                assert np.isfinite(_envelope_power(s, named)) and not np.isfinite(_envelope_power(s, 1.02 * named))
                 RunConfig(command, s_list=(s,), n_list=(named,), grid_l=32.0, grid_m=256,
                           cache_dir=str(tmp_path / "cache"))
 
@@ -232,7 +271,7 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_config_file_malformed(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a key value line\n")
-    with pytest.raises(ConfigError, match="malformed"):
+    with pytest.raises(ValueError, match="malformed"):
         load_config_file(cfg)
 
 
@@ -626,7 +665,7 @@ def test_worker_pool_never_exceeds_the_points(tmp_path, monkeypatch, n_list, poo
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     record = run(fast_config("solve", tmp_path, n_list=n_list, workers=5000))
     assert sizes == ([] if pool_size is None else [pool_size])
-    assert not record.any_failure()
+    assert record.exit_code() == EXIT_OK
 
 
 def test_uniqueness_point_independent_of_other_points(tmp_path):
@@ -759,6 +798,51 @@ def test_cache_replay_identical(tmp_path, command):
 
 # -- exit codes -------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        # a regular file, and a path under one: refused before the solve or the kernel points run
+        (["solve", "--grid-l", "32", "--grid-m", "256", "--output-dir", "{file}", "--cache-dir", "{tmp}/cache"],
+         "--output-dir"),
+        (["kernel", "--output-dir", "{file}/sub", "--cache-dir", "{tmp}/cache"], "--output-dir"),
+        (["solve", "--grid-l", "32", "--grid-m", "256", "--cache-dir", "{file}", "--output-dir", "{tmp}/out"],
+         "--cache-dir"),
+    ],
+    ids=["output-dir-file", "output-dir-under-file", "cache-dir-file"],
+)
+def test_an_unusable_directory_is_a_config_error_before_any_point(tmp_path, capsys, monkeypatch, argv, flag):
+    file = tmp_path / "file"
+    file.write_text("")
+    calls = []
+    monkeypatch.setattr(cli, "run", calls.append)
+    code = main([arg.format(file=file, tmp=tmp_path) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR and calls == [] and out == ""
+    assert err.startswith(f"configuration error: {flag}: cannot create {file}") and err.count("\n") == 1
+
+
+def test_an_unwritable_cache_entry_is_a_miss(tmp_path, capsys):
+    # a directory where the entry goes makes its rename fail: the run writes
+    # what a run on a clean cache writes, and exits as it does
+    argv = ["solve", "--s-list", "1.5", "--n-list", "0.2,0.1", "--grid-l", "32", "--grid-m", "256"]
+
+    def records(tag):
+        out = tmp_path / f"out-{tag}"
+        code = main(argv + ["--cache-dir", str(tmp_path / f"cache-{tag}"), "--output-dir", str(out)])
+        return code, {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                      if p.is_file() and not p.name.endswith(".meta.json")}
+
+    clean = records("clean")
+    for entry in (tmp_path / "cache-clean").iterdir():
+        (tmp_path / "cache-blocked" / entry.name).mkdir(parents=True)
+    assert records("blocked") == clean
+    assert clean[0] == EXIT_OK and len(clean[1]) == 4
+    assert sorted(p.name for p in (tmp_path / "cache-blocked").iterdir()) == sorted(
+        p.name for p in (tmp_path / "cache-clean").iterdir())
+    assert all(p.is_dir() and not any(p.iterdir()) for p in (tmp_path / "cache-blocked").iterdir())
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
 def test_main_roundtrip_ok(tmp_path):
     code = main(
         [
@@ -832,6 +916,15 @@ def test_solver_failure_exit(tmp_path):
          dict.fromkeys((0.2, 0.1), "1 - min|R|/max|R| is")),
         (["verify-th2", "--s-list", "1.7", "--n-list", "0.2,0.1", "--grid-l", "128", "--grid-m", "1024"],
          dict.fromkeys((0.2, 0.1), "the solve is the spatially constant state: lengthen the torus")),
+        # linearize reads the same detector before its diagnostics (1 - min|R|/max|R| of 3e-16 to 4.5e-12 here)
+        (["linearize", "--s-list", "1.7", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "1024"],
+         {0.1: "1 - min|R|/max|R| is"}),
+        (["linearize", "--s-list", "1.7", "--n-list", "0.1", "--grid-l", "256", "--grid-m", "2048"],
+         {0.1: "1 - min|R|/max|R| is"}),
+        (["linearize", "--s-list", "1.7", "--n-list", "0.2", "--grid-l", "256", "--grid-m", "16384"],
+         {0.2: "1 - min|R|/max|R| is"}),
+        *((["linearize", "--s-list", "1.5", "--n-list", "0.1", "--grid-l", length, "--grid-m", "16"],
+           {0.1: "the solve is the spatially constant state: lengthen the torus"}) for length in ("2", "4", "8", "16")),
     ],
 )
 def test_unresolved_points_are_refused_with_exit_2_and_one_line(tmp_path, capsys, argv, refused):
@@ -871,6 +964,11 @@ def test_linearize_unresolved_grid_names_one_that_resolves(tmp_path, capsys):
     code = main(["linearize", "--s-list", "1.2", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "2048",
                  "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
     assert code == EXIT_OK
+    # s = 1.1 on M = 2048 still annihilates iR only to 30 x the limit, and is sent on to M = 4096
+    code = main(["linearize", "--s-list", "1.1", "--n-list", "0.1", "--grid-l", "128", "--grid-m", "2048",
+                 "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().out.rstrip().endswith("refine the grid: --grid-l 128 --grid-m 4096")
 
 
 def test_linearize_solver_statistics_go_to_the_metadata_file_only(tmp_path):
@@ -1003,13 +1101,16 @@ def test_nonzero_winding_fails_its_check_with_exit_1(tmp_path, capsys, monkeypat
     assert "ERROR" not in out and "Traceback" not in out + err
 
 
-def test_any_failure_maps_to_exit_1():
-    record = RunRecord(
-        config={},
-        points=[{"s": 1.5, "checks": {"x": {"value": 2.0, "threshold": 1.0, "mode": "le", "pass": False}}, "error": None}],
-        timings={},
-    )
-    assert record.any_failure() and not record.any_solver_error()
+def test_exit_code_is_the_gravest_outcome():
+    # a refused point outranks a failed one, which outranks a failed check
+    passed = {"s": 1.5, "checks": {"x": {"value": 0.5, "threshold": 1.0, "mode": "le", "pass": True}}, "error": None}
+    failed_check = {**passed, "checks": {"x": {"value": 2.0, "threshold": 1.0, "mode": "le", "pass": False}}}
+    failed = {**passed, "checks": {}, "error": "solver failed"}
+    refused = {"s": 1.5, "N": 0.1, "refused": True}
+    cases = [([passed], [], EXIT_OK), ([passed, failed_check], [], EXIT_CRITERION_FAIL),
+             ([failed_check, failed], [], EXIT_SOLVER_FAILURE), ([failed_check, failed], [refused], EXIT_CONFIG_ERROR)]
+    for points, meta, code in cases:
+        assert RunRecord(config={}, points=points, timings={}, meta=meta).exit_code() == code
 
 
 def test_gn_constant_quintic_validation(tmp_path):
@@ -1046,7 +1147,7 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("grid-q = 12\n")
     args = make_parser().parse_args(["solve", "--config", str(cfg)])
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(ValueError, match="unknown config key"):
         build_config(args)
 
 

@@ -287,13 +287,13 @@ def test_coarse_start_is_exact_on_coarse_grids(grid_spec, iterations, monkeypatc
 
 
 @pytest.mark.parametrize("s,length,points,hint", [(1.2, 128.0, 1024, "--grid-m 2048"),
-                                                  (1.5, 16.0, 16, "lengthen the torus")])
+                                                  (1.5, 32.0, 16, "--grid-m 64")])
 def test_resolution_guard_refuses_before_lobpcg(monkeypatch, s, length, points, hint):
-    # s = 1.2 on the README grid annihilates dR/dx only to 1.5 x the kernel
-    # threshold; the 16-point grid holds the constant state, whose dR/dx is roundoff
+    # s = 1.2 on the README grid annihilates iR only to 73 and dR/dx to 1.5e3 x
+    # 1e-3 of the kernel threshold; 16 points on L = 32 leave iR at 2.1e5 x that
     calls = _spy(monkeypatch)
     with pytest.raises(UnresolvedError, match=r"does not resolve .* kernel residual of iR, dR/dx is .* x the kernel "
-                                              r"threshold \(limit 0\.001\); .*" + hint):
+                                              r"threshold \(limit 0\.001\); refine the grid: .*" + hint):
         kernel_diagnostics(_linearized_at(s, 0.1, length, points))
     assert calls == []
 

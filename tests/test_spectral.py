@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 import fracnls
 from fracnls.spectral import (
-    GridError,
     Profile,
     SpectralGrid,
     fft,
@@ -77,14 +76,14 @@ def test_grid_spacing():
 
 
 def test_grid_rejects_non_power_of_two():
-    with pytest.raises(GridError, match="power of two"):
+    with pytest.raises(ValueError, match="power of two"):
         SpectralGrid(64.0, 4095)
 
 
 def test_grid_rejects_bad_sizes():
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="L must be positive"):
         SpectralGrid(-1.0, 64)
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="M must be at least 16"):
         SpectralGrid(10.0, 8)
 
 
@@ -215,7 +214,7 @@ def test_norms_bundle():
 def test_norms_grid_mismatch():
     # values sampled on one grid do not make a profile on a grid of another size
     u = smooth_random_profile(SpectralGrid(32.0, 128), np.random.default_rng(0))
-    with pytest.raises(GridError, match="on a grid of 256 points"):
+    with pytest.raises(ValueError, match="on a grid of 256 points"):
         Profile(SpectralGrid(32.0, 256), u.values)
 
 
