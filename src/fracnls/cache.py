@@ -37,15 +37,17 @@ _FORMAT_VERSION = 3
 _HEADER = struct.Struct("<4sIdQdddII")
 
 
+def digest(payload: dict, length: int) -> str:
+    """The one content digest: ``length`` hex digits of the SHA-256 of ``payload`` as sorted JSON, floats by repr."""
+    text = json.dumps({k: repr(v) if isinstance(v, float) else v for k, v in payload.items()}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:length]
+
+
 def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> str:
-    payload = json.dumps(
+    return digest(
         {
             "version": __version__,
-            "s": repr(float(s)),
-            "N": repr(float(mass)),
-            "L": repr(float(length)),
-            "M": int(points),
-            "tol": repr(float(tol)),
+            "s": float(s), "N": float(mass), "L": float(length), "M": int(points), "tol": float(tol),
             # the mass-constrained algorithm: entries of another algorithm
             # differ in the last digits and must miss
             "solver": (
@@ -53,9 +55,8 @@ def cache_key(s: float, mass: float, length: float, points: int, tol: float) -> 
                 "/petviashvili-dft-hand-off/parseval-finish"
             ),
         },
-        sort_keys=True,
+        24,
     )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
 def default_cache_dir() -> Path:
@@ -67,9 +68,10 @@ def write_atomically(path: Path, chunks) -> None:
 
     Readers see the old file or the new one, never a partial write, and a
     writer that fails midway leaves the old file.  The process id keeps two
-    concurrent runs from sharing a temporary file.  Cache entries and the
-    CLI's plot files are written this way.
+    concurrent runs from sharing a temporary file.  It creates the parent
+    directory.  Every file the package writes is written this way.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as out:
@@ -82,8 +84,6 @@ def write_atomically(path: Path, chunks) -> None:
 
 
 def store_result(cache_dir, key: str, result: SolveResult) -> None:
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     grid = result.grid
     header = _HEADER.pack(
         _MAGIC,
@@ -97,7 +97,7 @@ def store_result(cache_dir, key: str, result: SolveResult) -> None:
         result.converged,
     )
     coefficients = np.ascontiguousarray(result.coefficients, dtype="<c16")
-    write_atomically(cache_dir / f"{key}.prof", (header, coefficients))
+    write_atomically(Path(cache_dir) / f"{key}.prof", (header, coefficients))
 
 
 def load_result(cache_dir, key: str, grid: SpectralGrid) -> SolveResult | None:

@@ -17,7 +17,7 @@ import argparse
 import csv
 import ctypes
 import functools
-import hashlib
+import io
 import itertools
 import json
 import math
@@ -32,12 +32,12 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import find_root_f1, kernel_expansion_check, tail_fit, verify_f2_rootless
-from .cache import cached_solve, default_cache_dir, write_atomically
+from .cache import cached_solve, default_cache_dir, digest, write_atomically
 from .linearized import build_linearized, kernel_diagnostics
 from .renorm import gauge_fix
 from .solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
 from .spectral import Profile, SpectralGrid, UnresolvedError
-from .symbols import ModelParams, lambda_of_s
+from .symbols import ModelParams, lambda_of_s, symbol_nN
 
 EXIT_OK = 0
 EXIT_CRITERION_FAIL = 1
@@ -48,6 +48,11 @@ EXIT_SOLVER_FAILURE = 3
 # at s = 1.8 the decay length 1/sqrt(lambda(s)) is 2610, so a resolved torus
 # is of order 1e5 long; nearer s = 2, lambda(s) and kappa underflow
 _S_SOLVABLE_MAX = 1.8
+
+# the relative error of gn-constant's mass threshold on L = 256 against
+# 1024/32768 is 6.8e-2, 3.5e-3 and 3.7e-5 at s = 1.1 at spacings 1/2, 1/4 and
+# 1/8, and no smaller at 1/16, where the torus length sets the error
+_GN_SPACING_MAX = 1.0 / 8.0
 
 
 def _lowest_mode(s: float, length: float) -> float:
@@ -119,6 +124,9 @@ class RunConfig:
         # not a field: the grid derives from grid_l and grid_m, and building
         # it here turns a bad size into a configuration error
         self.grid = SpectralGrid(self.grid_l, self.grid_m)
+        if self.command == "gn-constant" and self.grid_l / self.grid_m > _GN_SPACING_MAX:
+            raise ValueError(f"gn-constant needs a grid spacing L/M of at most 1/8 to resolve the ground state Q, "
+                             f"got L/M = {self.grid_l:g}/{self.grid_m} = {self.grid_l / self.grid_m:.3g}")
         if self.command != "gn-constant":
             s = max(self.s_list)
             if s >= _S_SOLVABLE_MAX:
@@ -139,6 +147,16 @@ class RunConfig:
             if max(self.n_list) > n_max:
                 raise ValueError(f"N = {max(self.n_list):g} is above the largest mass at s = {s:g}, {n_max:g}: "
                                  f"the kernel envelope's N^(s(2+s)/(2-s)) would overflow")
+        if self.command != "kernel":  # kernel reads no grid
+            xi = np.float64(math.pi * self.grid_m / self.grid_l)  # the highest frequency of the grid
+            with np.errstate(all="ignore"):  # an overflow is refused here, not warned about
+                if self.command == "gn-constant":
+                    top = [xi**s for s in self.s_list]
+                else:
+                    top = [symbol_nN(xi, ModelParams(s, n)) for s, n in itertools.product(self.s_list, self.n_list)]
+            if not np.all(np.isfinite(top)):
+                raise ValueError(f"L = {self.grid_l:g} is too short for M = {self.grid_m}: "
+                                 "the symbol at the highest frequency pi M/L overflows")
 
     def echo(self) -> dict:
         """The settings that decide results: the record's config and the hash input."""
@@ -146,11 +164,7 @@ class RunConfig:
 
     def config_hash(self) -> str:
         """Hash of the echoed settings: runs that differ only in deployment share their output identity."""
-        payload = json.dumps(
-            {k: (repr(v) if isinstance(v, float) else v) for k, v in self.echo().items()},
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return digest(self.echo(), 16)
 
 
 SETTINGS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
@@ -265,25 +279,29 @@ def torus_edge_check(q: Profile) -> dict:
     return {"torus_edge": _check(a[np.abs(q.grid.x) > 0.45 * q.grid.length].max() / a.max(), 1e-3)}
 
 
-# 1 - min|R| / max|R| of a spatially constant solve: 5e-11 and less (s = 1.7 on
-# 128/1024 and 256/16384, s = 1.5 on 16/16); of resolved ones 0.997 and more
+# 1 - min|R| / max|R| of a spatially constant solve: 5.1e-11 and less (s = 1.7
+# on 128/1024 and 256/16384, s = 1.5 on 16/16; the ground state Q on M = 256 with
+# L <= 2 at s = 1.5 and L <= 3 at s = 1.1, 1.9, 2); of resolved traveling waves
+# 0.997 and more, and of Q already on L = 4, 0.59 to 0.69
 _CONSTANT_STATE_SPREAD = 1e-6
 
 
-def constant_state_guard(profile: Profile, params: ModelParams) -> None:
+def constant_state_guard(profile: Profile, s: float, n: float | None) -> None:
     """Refuse (UnresolvedError) a solve that is the spatially constant state, which no torus limit reads.
 
     Such a solve has 1 - min|R| / max|R| at most _CONSTANT_STATE_SPREAD:
     the torus is too short to hold the wave.  The one detector of that
-    state: verify-th2 and linearize run it before reading their solve.
+    state: verify-th2 and linearize run it before reading their traveling
+    wave R, and gn-constant (n None) before reading its ground state Q.
     """
     a = np.abs(profile.values)
     spread = float(1.0 - a.min() / a.max())
     if spread <= _CONSTANT_STATE_SPREAD:
         grid = profile.grid
+        point, name = (f"s = {s:g}", "Q") if n is None else (f"s = {s:g}, N = {n:g}", "R")
         raise UnresolvedError(
-            f"the grid (L = {grid.length:g}, M = {grid.points}) does not resolve s = {params.s:g}, N = {params.N:g}: "
-            f"1 - min|R|/max|R| is {spread:.3g} (limit {_CONSTANT_STATE_SPREAD:g}); "
+            f"the grid (L = {grid.length:g}, M = {grid.points}) does not resolve {point}: "
+            f"1 - min|{name}|/max|{name}| is {spread:.3g} (limit {_CONSTANT_STATE_SPREAD:g}); "
             "the solve is the spatially constant state: lengthen the torus"
         )
 
@@ -329,9 +347,7 @@ def _solve_stage(config: RunConfig, s: float, n: float) -> dict:
     profile = result.profile
     # records carry the output-dir-relative path so their bytes do not
     # depend on where the run happened to live
-    plot_rel = Path(f"profiles-{config.config_hash()}")
-    (Path(config.output_dir) / plot_rel).mkdir(parents=True, exist_ok=True)
-    plot_file = plot_rel / f"profile-s{s:g}-N{n:g}.dat"
+    plot_file = Path(f"profiles-{config.config_hash()}") / f"profile-s{s:g}-N{n:g}.dat"
     emit_profile_plotdata(profile, Path(config.output_dir) / plot_file)
     return {
         **_solve_fields(result, lambda_of_s(s)[1]),
@@ -346,9 +362,9 @@ def _solve_stage(config: RunConfig, s: float, n: float) -> dict:
 
 def _th2_stage(config: RunConfig, s: float, n: float) -> dict:
     lam, base = _local_limit(config, s)
-    result, params = _solution(config, s, n)
+    result, _ = _solution(config, s, n)
     profile = result.profile
-    constant_state_guard(profile, params)
+    constant_state_guard(profile, s, n)
     fixed = gauge_fix(profile)
     return {
         **_solve_fields(result, lam),
@@ -408,7 +424,7 @@ def _th4_summary(s: float, points: list) -> list:
 
 def _linearize_stage(config: RunConfig, s: float, n: float) -> dict:
     result, params = _solution(config, s, n)
-    constant_state_guard(result.profile, params)
+    constant_state_guard(result.profile, s, n)
     rep = kernel_diagnostics(build_linearized(result, params))
     return {
         "eigenvalues": [float(v) for v in rep.eigenvalues],
@@ -438,6 +454,7 @@ def _kernel_stage(config: RunConfig, s: float, n: float) -> dict:
 
 def _gn_constant_stage(config: RunConfig, s: float, n: None) -> dict:
     q, c_s, mass = fractional_ground_state(s, config.grid)
+    constant_state_guard(q, s, None)
     if s == 2.0:
         checks = quintic_mass_check(mass)
     else:
@@ -533,40 +550,36 @@ def _csv_cell(value) -> str:
 
 
 def emit_outputs(record: RunRecord, config: RunConfig) -> list:
-    """Write the CSV/JSON record, per-profile plot data, and the metadata file.
+    """Write the CSV/JSON record and the metadata file, each through write_atomically.
 
     File names derive from the config hash, so identical configurations
     overwrite identically; timestamps and the points' metadata live only in
-    the metadata file.
+    the metadata file.  All three are rendered before any is written, so a
+    run that fails while rendering leaves the previous files.
     """
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{config.command}-{config.config_hash()}"
-    written = []
-
-    csv_path = outdir / f"{stem}.csv"
-    with csv_path.open("w", newline="") as fh:
-        # a cell with a comma (a solver error) is quoted; other rows keep their bytes
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS + ("pass_flags", "error"))
-        for pt in record.points:
-            chks = ";".join(
-                f"{name}:{'pass' if chk['pass'] else 'fail'}" for name, chk in pt.get("checks", {}).items()
-            )
-            writer.writerow([_csv_cell(pt.get(col)) for col in CSV_COLUMNS] + [chks, _csv_cell(pt.get("error"))])
-    written.append(csv_path)
-
-    json_path = outdir / f"{stem}.json"
-    json_path.write_text(
-        json.dumps({"version": __version__, "config": record.config, "points": record.points},
-                   sort_keys=True, indent=1)
-    )
-    written.append(json_path)
-
-    meta_path = outdir / f"{stem}.meta.json"
-    meta_path.write_text(json.dumps({"timings": record.timings, "points": record.meta, "written_at": time.time()}))
-    written.append(meta_path)
-    return written
+    table = io.StringIO()
+    # a cell with a comma (a solver error) is quoted; other rows keep their bytes
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS + ("pass_flags", "error"))
+    for pt in record.points:
+        chks = ";".join(
+            f"{name}:{'pass' if chk['pass'] else 'fail'}" for name, chk in pt.get("checks", {}).items()
+        )
+        writer.writerow([_csv_cell(pt.get(col)) for col in CSV_COLUMNS] + [chks, _csv_cell(pt.get("error"))])
+    files = {
+        outdir / f"{stem}.csv": table.getvalue(),
+        outdir / f"{stem}.json": json.dumps(
+            {"version": __version__, "config": record.config, "points": record.points}, sort_keys=True, indent=1
+        ),
+        outdir / f"{stem}.meta.json": json.dumps(
+            {"timings": record.timings, "points": record.meta, "written_at": time.time()}
+        ),
+    }
+    for path, text in files.items():
+        write_atomically(path, [text.encode()])
+    return list(files)
 
 
 # Plot files hold np.savetxt's bytes: each cell is '%.18e' % v, 19 correctly

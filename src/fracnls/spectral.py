@@ -52,6 +52,8 @@ class SpectralGrid:
             raise ValueError(f"M must be at most {MAX_POINTS}, got {points}")
         if points & (points - 1) != 0:
             raise ValueError(f"M must be a power of two, got {points}")
+        if not np.isfinite(np.pi * points / length):
+            raise ValueError(f"L = {length:g} is too short for M = {points}: the highest frequency pi M/L overflows")
         self.length = length
         self.points = points
         self.h = length / points

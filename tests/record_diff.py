@@ -10,8 +10,12 @@ many values changed; list positions are merged, so `points[].theta`
 covers every point of a record, and a plot file's columns are merged over
 the files of its directory.  Fields whose other values differ, and files,
 keys or list entries present on one side only, are listed after the
-table.  It states record changes and is not a gate: it exits 0 whatever
-it finds, and 2 on a usage error.
+table.  Last, every regular file of the two directories but the metadata
+files and temporaries (records, CSV files, plot files, cache `.prof`
+entries) is paired by relative path: the pairs whose bytes differ and the
+files on one side only are listed, and a count line ends the report.  It
+states record changes and is not a gate: it exits 0 whatever it finds,
+and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ class Changes:
     def __init__(self):
         self.numeric = {}  # field -> [values, changed, largest absolute, largest relative]
         self.other = []  # one line per non-numeric or structural difference
+        self.paired = 0  # files present on both sides
+        self.differing = []  # relative paths of the pairs whose bytes differ
+        self.one_sided = []  # one line per file present on one side only
 
     def number(self, field, old, new):
         row = self.numeric.setdefault(field, [0, 0, 0.0, 0.0])
@@ -88,20 +95,26 @@ def _is_record(path: Path) -> bool:
     return path.suffix == ".dat" or (path.suffix == ".json" and not path.name.endswith(".meta.json"))
 
 
-def _records(root: Path) -> set:
-    return {p.relative_to(root) for p in root.rglob("*") if _is_record(p)}
+def _files(root: Path) -> set:
+    """Every regular file under ``root`` but the metadata files and the writers' temporaries, by relative path."""
+    return {p.relative_to(root) for p in root.rglob("*")
+            if p.is_file() and not p.name.endswith((".meta.json", ".tmp"))}
 
 
 def diff(old: Path, new: Path) -> Changes:
     changes = Changes()
     if old.is_file() and new.is_file():
         _compare_file(old, new, _label(Path(old.name)), changes)
-        return changes
-    old_set, new_set = _records(old), _records(new)
-    for rel in sorted(old_set ^ new_set):
-        changes.other.append(f"{rel}: only in {'old' if rel in old_set else 'new'}")
-    for rel in sorted(old_set & new_set):
-        _compare_file(old / rel, new / rel, _label(rel), changes)
+        pairs = [(old, new, Path(old.name))]
+    else:
+        old_set, new_set = _files(old), _files(new)
+        changes.one_sided = [f"{rel}: only in {'old' if rel in old_set else 'new'}" for rel in sorted(old_set ^ new_set)]
+        pairs = [(old / rel, new / rel, rel) for rel in sorted(old_set & new_set)]
+        for a, b, rel in pairs:
+            if _is_record(rel):
+                _compare_file(a, b, _label(rel), changes)
+    changes.paired = len(pairs)
+    changes.differing = [rel for a, b, rel in pairs if a.read_bytes() != b.read_bytes()]
     return changes
 
 
@@ -117,6 +130,10 @@ def report(changes: Changes) -> str:
     if changes.other:
         lines.append("Other differences:")
         lines.extend(f"- {line}" for line in changes.other)
+    lines.extend(f"- {rel}: bytes differ" for rel in changes.differing)
+    lines.extend(f"- {line}" for line in changes.one_sided)
+    lines.append(f"{len(changes.differing)} of {changes.paired} paired files differ in bytes, "
+                 f"{len(changes.one_sided)} on one side only.")
     return "\n".join(lines)
 
 

@@ -108,16 +108,29 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
         (["--n-list", "1e300"], "above the largest mass at s = 1.5, "),
         (["--s-list", "1.2", "--n-list", "1e200"], "above the largest mass at s = 1.2, "),
         (["--grid-l", "1e300"], "L = 1e+300 is too long"),
+        # gn-constant spacing above 1/8 misreads the mass threshold (22.50, and 2.959 for 2.6085 with N = 2.7 below it)
+        (["gn-constant", "--s-list", "1.5", "--grid-l", "256", "--grid-m", "16"], "L/M of at most 1/8"),
+        (["gn-constant", "--s-list", "1.5", "--n-list", "2.7", "--grid-l", "256", "--grid-m", "256"],
+         "L/M = 256/256 = 1"),
+        (["gn-constant", "--grid-l", "1e200", "--grid-m", "256"], "L/M = 1e+200/256"),
+        # n_N, or gn-constant's |xi|^s, at the highest frequency pi M/L is not a finite double
+        (["--grid-l", "1e-300", "--grid-m", "256"], "L = 1e-300 is too short for M = 256"),
+        (["gn-constant", "--grid-l", "1e-300", "--grid-m", "256"], "L = 1e-300 is too short for M = 256"),
+        (["gn-constant", "--s-list", "1.9", "--grid-l", "1e-200", "--grid-m", "256"], "L = 1e-200 is too short"),
+        (["kernel", "--grid-l", "5e-324", "--grid-m", "256"], "the highest frequency pi M/L overflows"),
     ],
     ids=[
         "grid-m", "grid-l", "beta-list", "n-list", "inits", "tol-zero", "tol-negative", "n-list-inf",
         "workers", "grid-m-text", "workers-text", "s-list-text", "config-missing", "format",
         "grid-m-huge", "s-1.8", "s-1.95", "s-1.999", "s-list-repeated", "n-list-repeated",
-        "n-list-huge", "n-list-huge-s-1.2", "grid-l-huge",
+        "n-list-huge", "n-list-huge-s-1.2", "grid-l-huge", "gn-constant-coarse", "gn-constant-coarse-n-2.7",
+        "gn-constant-grid-l-huge", "grid-l-tiny", "gn-constant-grid-l-tiny", "gn-constant-s-1.9-grid-l-tiny",
+        "kernel-grid-l-subnormal",
     ],
 )
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
-    code = main(["solve", *flags, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path)])
+    argv = flags if flags[0] in cli.COMMANDS else ["solve", *flags]
+    code = main([*argv, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
@@ -469,6 +482,30 @@ def test_plot_file_replaces_the_old_one_only_when_complete(tmp_path, monkeypatch
         emit_profile_plotdata(Profile(grid, np.ones(grid.points)), path)
     assert path.read_bytes() == b"previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plot.dat"]
+
+
+def test_record_files_replace_the_old_ones_only_when_complete(tmp_path, monkeypatch):
+    # a second run whose CSV rendering fails midway leaves the first run's
+    # CSV, JSON and metadata files and no temporary file behind
+    argv = ["solve", "--s-list", "1.5", "--n-list", "0.2,0.1", "--grid-l", "32", "--grid-m", "256",
+            "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    first = {p: p.read_bytes() for p in (tmp_path / "out").glob("*") if p.is_file()}
+    assert sorted(p.suffixes[-1] for p in first) == [".csv", ".json", ".json"]
+    calls = []
+    cell = cli._csv_cell
+
+    def failing(value):
+        calls.append(value)
+        if len(calls) == 30:  # in the second point's row
+            raise RuntimeError("rendering failed")
+        return cell(value)
+
+    monkeypatch.setattr(cli, "_csv_cell", failing)
+    with pytest.raises(RuntimeError, match="rendering failed"):
+        main(argv)
+    assert {p: p.read_bytes() for p in first} == first
+    assert [p.name for p in (tmp_path / "out").rglob("*") if p.name.endswith(".tmp")] == []
 
 
 def _fresh_interpreter(script: str, *args: str) -> str:
@@ -925,6 +962,10 @@ def test_solver_failure_exit(tmp_path):
          {0.2: "1 - min|R|/max|R| is"}),
         *((["linearize", "--s-list", "1.5", "--n-list", "0.1", "--grid-l", length, "--grid-m", "16"],
            {0.1: "the solve is the spatially constant state: lengthen the torus"}) for length in ("2", "4", "8", "16")),
+        # gn-constant's ground state Q on the same detector (1 - min|Q|/max|Q| of 7e-13 and 0 here)
+        (["gn-constant", "--s-list", "1.5", "--grid-l", "2", "--grid-m", "256"], {None: "1 - min|Q|/max|Q| is"}),
+        (["gn-constant", "--s-list", "1.5", "--grid-l", "1e-200", "--grid-m", "256"],
+         {None: "the solve is the spatially constant state: lengthen the torus"}),
     ],
 )
 def test_unresolved_points_are_refused_with_exit_2_and_one_line(tmp_path, capsys, argv, refused):
@@ -951,7 +992,7 @@ def test_constant_state_guard_sits_orders_of_magnitude_from_resolved_solves(monk
     params = ModelParams(1.5, 0.1)
     profile = petviashvili_mass_constrained(SpectralGrid(64.0, 512), params).profile
     monkeypatch.setattr(cli, "_CONSTANT_STATE_SPREAD", 0.99)
-    cli.constant_state_guard(profile, params)
+    cli.constant_state_guard(profile, params.s, params.N)
 
 
 def test_linearize_unresolved_grid_names_one_that_resolves(tmp_path, capsys):

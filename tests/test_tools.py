@@ -32,7 +32,36 @@ def test_record_diff_reports_a_changed_field_and_one_sided_keys(tmp_path, capsys
         "Other differences:\n"
         "- kernel.added: only in new\n"
         "- kernel.gone: only in old\n"
+        "- kernel-0123abcd.json: bytes differ\n"
+        "1 of 1 paired files differ in bytes, 0 on one side only.\n"
     )
+
+
+def test_record_diff_pairs_every_file_by_its_bytes(tmp_path, capsys):
+    # CSV records, plot files and cache entries are paired by relative path;
+    # metadata files and temporaries are not compared
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "out/solve-0123abcd.json": ('{"theta": 1.0}', '{"theta": 1.0}'),
+        "out/solve-0123abcd.csv": ("theta\n1.0\n", "theta\n1.00\n"),
+        "out/solve-0123abcd.meta.json": ('{"seconds": 1}', '{"seconds": 2}'),
+        "out/profiles-0123abcd/profile-s1.5-N0.1.dat": ("# x re\n0.0 1.0\n", "# x re\n0.0 1.0\n"),
+        "cache/0123abcd.prof": ("FNLS1", "FNLS2"),
+        "cache/.0123abcd.prof.12.tmp": ("FNLS", ""),
+    }
+    for rel, texts in files.items():
+        for root, text in zip((old, new), texts):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+    (old / "cache" / "fedcba98.prof").write_text("FNLS")  # on one side only
+    assert record_diff.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "3 numeric fields unchanged, 0 changed.",
+        "- cache/0123abcd.prof: bytes differ",
+        "- out/solve-0123abcd.csv: bytes differ",
+        "- cache/fedcba98.prof: only in old",
+        "2 of 4 paired files differ in bytes, 1 on one side only.",
+    ]
 
 
 def test_record_diff_refuses_files_that_are_not_records(tmp_path, capsys):
