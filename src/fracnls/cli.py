@@ -23,7 +23,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -53,6 +52,18 @@ _S_SOLVABLE_MAX = 1.8
 # 1024/32768 is 6.8e-2, 3.5e-3 and 3.7e-5 at s = 1.1 at spacings 1/2, 1/4 and
 # 1/8, and no smaller at 1/16, where the torus length sets the error
 _GN_SPACING_MAX = 1.0 / 8.0
+
+
+def _constant_ground_state_length(s: float) -> float:
+    """L*_Q = 2 pi/(2s)^(1/s): the longest torus on which gn-constant's solve can end in the constant state.
+
+    Q = 1 solves |D|^s Q + Q = Q^{2s+1} on every torus, and its
+    linearization on the lowest mode 2 pi/L is (2 pi/L)^s - 2s, so Q = 1 is
+    stable exactly when L <= L*_Q: 3.068, 3.021 and 3.142 at s = 1.1, 1.5
+    and 2.  On M = 256 the solve found the constant state at 0.97 L*_Q and a
+    non-constant Q from 1.01 L*_Q up (s = 1.1 to 2).
+    """
+    return 2.0 * math.pi / (2.0 * s) ** (1.0 / s)
 
 
 def _lowest_mode(s: float, length: float) -> float:
@@ -157,6 +168,12 @@ class RunConfig:
             if not np.all(np.isfinite(top)):
                 raise ValueError(f"L = {self.grid_l:g} is too short for M = {self.grid_m}: "
                                  "the symbol at the highest frequency pi M/L overflows")
+        if self.command == "gn-constant":
+            s = max(self.s_list, key=_constant_ground_state_length)
+            shortest = _constant_ground_state_length(s)
+            if self.grid_l <= shortest:
+                raise ValueError(f"gn-constant needs a torus longer than L*_Q = 2 pi/(2s)^(1/s) = {shortest:.4g} "
+                                 f"at s = {s:g}, on which the constant state Q = 1 is stable; got L = {self.grid_l:g}")
 
     def echo(self) -> dict:
         """The settings that decide results: the record's config and the hash input."""
@@ -280,28 +297,27 @@ def torus_edge_check(q: Profile) -> dict:
 
 
 # 1 - min|R| / max|R| of a spatially constant solve: 5.1e-11 and less (s = 1.7
-# on 128/1024 and 256/16384, s = 1.5 on 16/16; the ground state Q on M = 256 with
-# L <= 2 at s = 1.5 and L <= 3 at s = 1.1, 1.9, 2); of resolved traveling waves
-# 0.997 and more, and of Q already on L = 4, 0.59 to 0.69
+# on 128/1024 and 256/16384, s = 1.5 on 16/16 and 16/1024, s = 1.3 on 3/256,
+# and every random start of verify-th3 there); of resolved traveling waves
+# 0.997 and more
 _CONSTANT_STATE_SPREAD = 1e-6
 
 
-def constant_state_guard(profile: Profile, s: float, n: float | None) -> None:
+def constant_state_guard(profile: Profile, s: float, n: float) -> None:
     """Refuse (UnresolvedError) a solve that is the spatially constant state, which no torus limit reads.
 
     Such a solve has 1 - min|R| / max|R| at most _CONSTANT_STATE_SPREAD:
     the torus is too short to hold the wave.  The one detector of that
-    state: verify-th2 and linearize run it before reading their traveling
-    wave R, and gn-constant (n None) before reading its ground state Q.
+    state: every command that solves for the traveling wave R (solve,
+    verify-th2, verify-th3 on each start, linearize) runs it before reading R.
     """
     a = np.abs(profile.values)
     spread = float(1.0 - a.min() / a.max())
     if spread <= _CONSTANT_STATE_SPREAD:
         grid = profile.grid
-        point, name = (f"s = {s:g}", "Q") if n is None else (f"s = {s:g}, N = {n:g}", "R")
         raise UnresolvedError(
-            f"the grid (L = {grid.length:g}, M = {grid.points}) does not resolve {point}: "
-            f"1 - min|{name}|/max|{name}| is {spread:.3g} (limit {_CONSTANT_STATE_SPREAD:g}); "
+            f"the grid (L = {grid.length:g}, M = {grid.points}) does not resolve s = {s:g}, N = {n:g}: "
+            f"1 - min|R|/max|R| is {spread:.3g} (limit {_CONSTANT_STATE_SPREAD:g}); "
             "the solve is the spatially constant state: lengthen the torus"
         )
 
@@ -345,6 +361,7 @@ def _local_limit(config: RunConfig, s: float):
 def _solve_stage(config: RunConfig, s: float, n: float) -> dict:
     result, params = _solution(config, s, n)
     profile = result.profile
+    constant_state_guard(profile, s, n)
     # records carry the output-dir-relative path so their bytes do not
     # depend on where the run happened to live
     plot_file = Path(f"profiles-{config.config_hash()}") / f"profile-s{s:g}-N{n:g}.dat"
@@ -394,8 +411,9 @@ def _th3_stage(config: RunConfig, s: float, n: float) -> dict:
         envelope = np.exp(-np.abs(grid.xi) * float(rng.uniform(1.0, 3.0)))
         coeffs = envelope * (rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points))
         init = Profile(grid, grid.from_fourier_coefficients(coeffs))
-        res = petviashvili_mass_constrained(grid, params, init=init, tol=config.tol)
-        fixed_profiles.append(gauge_fix(res.profile))
+        profile = petviashvili_mass_constrained(grid, params, init=init, tol=config.tol).profile
+        constant_state_guard(profile, s, n)
+        fixed_profiles.append(gauge_fix(profile))
     dmax = pairwise_distance_max(fixed_profiles)
     return {"pairwise_distance_max": dmax, "checks": uniqueness_check(dmax)}
 
@@ -454,7 +472,6 @@ def _kernel_stage(config: RunConfig, s: float, n: float) -> dict:
 
 def _gn_constant_stage(config: RunConfig, s: float, n: None) -> dict:
     q, c_s, mass = fractional_ground_state(s, config.grid)
-    constant_state_guard(q, s, None)
     if s == 2.0:
         checks = quintic_mass_check(mass)
     else:
@@ -519,6 +536,9 @@ def run(config: RunConfig) -> RunRecord:
     # the pool starts all its processes at once, so never more than the points
     workers = min(config.workers, len(jobs))
     if workers > 1:
+        # the pool's packages (multiprocessing, logging, socket, ...) load only for a run that starts one
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, jobs))
     else:

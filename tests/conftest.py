@@ -4,9 +4,15 @@ Everything heavy is session-scoped so the acceptance suite and the module
 tests reuse the same converged solves.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracnls
 from fracnls.solvers import fractional_ground_state, local_ground_state, petviashvili_mass_constrained
 from fracnls.spectral import SpectralGrid
 from fracnls.symbols import ModelParams, lambda_of_s
@@ -108,3 +114,19 @@ def count_transforms(monkeypatch):
         for module in (spectral, solvers, linearized):
             monkeypatch.setattr(module, name, counted)
     return lengths
+
+
+def fresh_interpreter(script: str, *args: str, env: dict | None = None, timeout: float = 120) -> str:
+    """Standard output of ``script`` run with ``args`` in a new interpreter that imports this checkout's fracnls.
+
+    ``env`` overrides variables of this process's environment (None unsets
+    one); this checkout's ``src`` goes first on PYTHONPATH.  A nonzero exit
+    fails the calling test with the interpreter's standard error.
+    """
+    environment = {name: value for name, value in {**os.environ, **(env or {})}.items() if value is not None}
+    src = str(Path(fracnls.__file__).parents[1])
+    environment["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environment.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=environment, capture_output=True, text=True,
+                          timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

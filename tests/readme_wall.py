@@ -2,7 +2,8 @@
 
     python tests/readme_wall.py [--repeats N] [SRC ...]
 
-Each command of the README's CLI block (COMMANDS) runs as
+Each command of the CLI block of the README.md one directory above this
+script (COMMANDS, read at import, comments stripped) runs as
 `python -m fracnls.cli ...` in a fresh process, first on an empty cache
 (cold) and then on the cache that run filled (warm), N times (default 5),
 each repetition with new cache and output directories.  The table gives
@@ -31,15 +32,16 @@ import tempfile
 import time
 from pathlib import Path
 
-COMMANDS = (
-    "solve --s-list 1.5 --n-list 0.4,0.2,0.1,0.05",
-    "verify-th2 --s-list 1.5 --n-list 0.4,0.2,0.1,0.05 --grid-l 256 --grid-m 16384",
-    "verify-th3 --s-list 1.5 --n-list 0.05 --inits 5",
-    "verify-th4 --s-list 1.5 --n-list 0.2,0.1,0.05 --grid-l 256 --grid-m 16384",
-    "linearize --s-list 1.5 --n-list 0.1 --grid-l 128 --grid-m 1024",
-    "kernel --s-list 1.5 --n-list 0.2",
-    "gn-constant --s-list 1.5 --grid-l 256 --grid-m 8192",
-)
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> tuple:
+    """The lines of the README's CLI block, each without its leading `fracnls` and its `#` comment."""
+    block = README.read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return tuple(" ".join(line.split("#", 1)[0].split()[1:]) for line in block.splitlines())
+
+
+COMMANDS = readme_commands()
 IMPORT = "import fracnls.cli"
 
 

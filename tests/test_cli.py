@@ -1,13 +1,12 @@
 """CLI runner: config handling, record emission, determinism, exit codes."""
 
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
 import io
 import json
-import os
 import struct
-import subprocess
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_interpreter
 from fracnls import __version__, asymptotics, cli
 from fracnls.cache import cache_key, cached_solve, load_result, store_result
 from fracnls.cli import (
@@ -117,6 +117,9 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
         (["--grid-l", "1e-300", "--grid-m", "256"], "L = 1e-300 is too short for M = 256"),
         (["gn-constant", "--grid-l", "1e-300", "--grid-m", "256"], "L = 1e-300 is too short for M = 256"),
         (["gn-constant", "--s-list", "1.9", "--grid-l", "1e-200", "--grid-m", "256"], "L = 1e-200 is too short"),
+        # gn-constant on a torus where Q = 1 is stable, which the solve finds (L = 2, 1e-200) or stalls near (L = 3)
+        *((["gn-constant", "--s-list", "1.5", "--grid-l", length, "--grid-m", "256"], "L*_Q = 2 pi/(2s)^(1/s) = 3.021")
+          for length in ("2", "1e-200", "3")),
         (["kernel", "--grid-l", "5e-324", "--grid-m", "256"], "the highest frequency pi M/L overflows"),
     ],
     ids=[
@@ -125,7 +128,7 @@ def test_empty_n_list_exits_with_config_error(tmp_path):
         "grid-m-huge", "s-1.8", "s-1.95", "s-1.999", "s-list-repeated", "n-list-repeated",
         "n-list-huge", "n-list-huge-s-1.2", "grid-l-huge", "gn-constant-coarse", "gn-constant-coarse-n-2.7",
         "gn-constant-grid-l-huge", "grid-l-tiny", "gn-constant-grid-l-tiny", "gn-constant-s-1.9-grid-l-tiny",
-        "kernel-grid-l-subnormal",
+        "gn-constant-grid-l-2", "gn-constant-grid-l-1e-200", "gn-constant-grid-l-3", "kernel-grid-l-subnormal",
     ],
 )
 def test_bad_flag_value_exits_with_config_error(tmp_path, capsys, flags, named):
@@ -508,15 +511,6 @@ def test_record_files_replace_the_old_ones_only_when_complete(tmp_path, monkeypa
     assert [p.name for p in (tmp_path / "out").rglob("*") if p.name.endswith(".tmp")] == []
 
 
-def _fresh_interpreter(script: str, *args: str) -> str:
-    """Standard output of ``script`` run with ``args`` in a new interpreter that imports this fracnls."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 _PLOT_RSS_PROBE = """
 import resource, sys
 import numpy as np
@@ -538,7 +532,7 @@ def test_plot_writer_memory_is_bounded_by_the_chunk(tmp_path):
     # itself is 4 MiB, the formatted file 27 MiB, and a writer that formats
     # the whole file at once peaks about 87 MiB higher
     path = tmp_path / "plot.dat"
-    out = _fresh_interpreter(_PLOT_RSS_PROBE, str(path))
+    out = fresh_interpreter(_PLOT_RSS_PROBE, str(path))
     assert int(out) <= 16 * 1024  # ru_maxrss counts KiB on Linux
     assert path.read_bytes().count(b"\n") == 1 + 2**18
 
@@ -559,7 +553,7 @@ print(built)
 def test_a_command_without_plot_files_builds_no_formatter_tables(tmp_path):
     # a fresh interpreter: the tables are built on the first plot file a
     # process writes, neither at import nor by a command that writes none
-    out = _fresh_interpreter(_TABLES_PROBE, str(tmp_path / "cache"), str(tmp_path / "out"))
+    out = fresh_interpreter(_TABLES_PROBE, str(tmp_path / "cache"), str(tmp_path / "out"))
     assert out.splitlines()[-1] == "[0, 0, 1]"
 
 
@@ -633,19 +627,12 @@ def test_record_bytes_independent_of_blas_threads(tmp_path):
     only a fresh interpreter shows what it does.
     """
     script = "import json, sys\nfrom fracnls.cli import main\nsys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
-    src = str(Path(cli.__file__).parents[1])
 
     def records(threads, workers, tag):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"out-{tag}"
         runs = [cmd + ["--workers", workers, "--cache-dir", str(tmp_path / f"cache-{tag}"), "--output-dir", str(out)]
                 for cmd in _BLAS_COMMANDS]
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True, text=True,
-                              timeout=600)
-        assert proc.returncode == EXIT_OK, proc.stderr
+        fresh_interpreter(script, json.dumps(runs), env={"OPENBLAS_NUM_THREADS": threads}, timeout=600)
         return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix in (".csv", ".json")
                 and not p.name.endswith(".meta.json")}
 
@@ -673,17 +660,12 @@ def test_main_pins_numpys_openblas_to_one_thread():
         "main(['kernel', '--n-list', 'bogus'])\n"
         "print(before, get())\n"
     )
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["2", "1"]
+    out = fresh_interpreter(script, env={"OPENBLAS_NUM_THREADS": "2"}, timeout=60)
+    assert out.split()[-2:] == ["2", "1"]
 
 
 @pytest.mark.parametrize("n_list,pool_size", [((0.2, 0.1), 2), ((0.2,), None)])
 def test_worker_pool_never_exceeds_the_points(tmp_path, monkeypatch, n_list, pool_size):
-    import fracnls.cli as cli
-
     sizes = []
 
     class SerialPool:
@@ -699,7 +681,7 @@ def test_worker_pool_never_exceeds_the_points(tmp_path, monkeypatch, n_list, poo
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # run imports it from there
     record = run(fast_config("solve", tmp_path, n_list=n_list, workers=5000))
     assert sizes == ([] if pool_size is None else [pool_size])
     assert record.exit_code() == EXIT_OK
@@ -962,10 +944,15 @@ def test_solver_failure_exit(tmp_path):
          {0.2: "1 - min|R|/max|R| is"}),
         *((["linearize", "--s-list", "1.5", "--n-list", "0.1", "--grid-l", length, "--grid-m", "16"],
            {0.1: "the solve is the spatially constant state: lengthen the torus"}) for length in ("2", "4", "8", "16")),
-        # gn-constant's ground state Q on the same detector (1 - min|Q|/max|Q| of 7e-13 and 0 here)
-        (["gn-constant", "--s-list", "1.5", "--grid-l", "2", "--grid-m", "256"], {None: "1 - min|Q|/max|Q| is"}),
-        (["gn-constant", "--s-list", "1.5", "--grid-l", "1e-200", "--grid-m", "256"],
-         {None: "the solve is the spatially constant state: lengthen the torus"}),
+        # solve and verify-th3 (on each random start) read the same detector before their checks; these tori
+        # hold only the constant R = sqrt(s0/L), theta = (s0/L)^s (1 - min|R|/max|R| of 5.9e-14 on 16/1024)
+        (["solve", "--s-list", "1.5", "--n-list", "0.1", "--grid-l", "16", "--grid-m", "1024"],
+         {0.1: "1 - min|R|/max|R| is"}),
+        (["solve", "--s-list", "1.3", "--n-list", "0.1", "--grid-l", "3", "--grid-m", "256"],
+         {0.1: "the solve is the spatially constant state: lengthen the torus"}),
+        *((["verify-th3", "--s-list", s, "--n-list", "0.1", "--grid-l", length, "--grid-m", points],
+           {0.1: "the solve is the spatially constant state: lengthen the torus"})
+          for s, length, points in (("1.5", "16", "1024"), ("1.5", "8", "1024"), ("1.3", "3", "256"))),
     ],
 )
 def test_unresolved_points_are_refused_with_exit_2_and_one_line(tmp_path, capsys, argv, refused):

@@ -4,17 +4,16 @@ and method of the package is reachable by name from the CLI's entry point
 unless it is a listed exception, so no command path names a dense test
 oracle; no module of the package imports another module's private name;
 only the QUADPACK oracle that the benchmark's tracer wraps imports scipy;
-and running any command loads no scipy module."""
+and neither importing the CLI nor running any command with one worker
+loads a scipy module or the worker pool's packages."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import fracnls
+from conftest import fresh_interpreter
 
 PACKAGE = Path(fracnls.__file__).parent
 ROOT = PACKAGE.parents[1]
@@ -392,20 +391,20 @@ def test_scipy_import_scan_sees_every_depth():
     assert _scipy_imports(source) == [(None, "scipy"), ("f", "scipy.linalg.eigh"), ("m", "scipy.sparse")]
 
 
-def _scipy_modules_loaded_by(statement: str) -> list:
-    """The scipy modules in sys.modules after running `statement` in a fresh interpreter."""
-    probe = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
-    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    ).stdout
-    return [name for name in out.splitlines()[-1].split() if name.split(".")[0] == "scipy"]
+# what a run at --workers 1 never needs: SciPy, and the packages of the worker pool that --workers > 1 starts
+_UNNEEDED = ("scipy", "multiprocessing", "concurrent")
+
+
+def _modules_loaded_by(statement: str) -> list:
+    """The modules under _UNNEEDED in sys.modules after running `statement` in a fresh interpreter."""
+    out = fresh_interpreter(f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))")
+    return [name for name in out.splitlines()[-1].split() if name.split(".")[0] in _UNNEEDED]
 
 
 def test_module_probe_sees_a_loaded_submodule():
-    loaded = _scipy_modules_loaded_by("import scipy.interpolate")
+    loaded = _modules_loaded_by("import scipy.interpolate\nimport concurrent.futures.process")
     assert "scipy.interpolate" in loaded and "scipy.linalg" in loaded
+    assert "concurrent.futures.process" in loaded and "multiprocessing" in loaded
 
 
 _SMALL_GRID = ("--n-list", "0.1", "--grid-l", "32", "--grid-m", "256")
@@ -414,6 +413,7 @@ _SMALL_GRID = ("--n-list", "0.1", "--grid-l", "32", "--grid-m", "256")
 @pytest.mark.parametrize(
     "argv",
     [
+        None,
         ("solve", *_SMALL_GRID),
         ("verify-th2", *_SMALL_GRID),
         ("verify-th3", *_SMALL_GRID, "--inits", "2"),
@@ -422,9 +422,14 @@ _SMALL_GRID = ("--n-list", "0.1", "--grid-l", "32", "--grid-m", "256")
         ("linearize", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "512"),
         ("verify-th4", "--n-list", "0.1", "--grid-l", "64", "--grid-m", "1024"),
     ],
-    ids=["solve", "verify-th2", "verify-th3", "kernel", "gn-constant", "linearize", "verify-th4"],
+    ids=["import", "solve", "verify-th2", "verify-th3", "kernel", "gn-constant", "linearize", "verify-th4"],
 )
 def test_command_loads_only_its_scipy_subpackages(tmp_path, argv):
-    # a cold run in a fresh interpreter, which imports the CLI first: no command loads a scipy module
-    argv = [*argv, "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
-    assert _scipy_modules_loaded_by(f"from fracnls.cli import main\nassert main({argv!r}) in (0, 1)") == []
+    # a cold run with one worker in a fresh interpreter, which imports the CLI
+    # first (argv None: the import alone); neither loads a scipy module nor the
+    # worker pool's packages
+    statement = "import fracnls.cli"
+    if argv is not None:
+        argv = [*argv, "--workers", "1", "--cache-dir", str(tmp_path / "cache"), "--output-dir", str(tmp_path / "out")]
+        statement = f"from fracnls.cli import main\nassert main({argv!r}) in (0, 1)"
+    assert _modules_loaded_by(statement) == []

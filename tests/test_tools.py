@@ -9,7 +9,7 @@ import readme_wall
 import record_diff
 import sweep
 import fracnls
-from fracnls import solvers
+from fracnls import cli, solvers
 
 
 def test_record_diff_reports_a_changed_field_and_one_sided_keys(tmp_path, capsys):
@@ -137,11 +137,10 @@ def test_sweep_times_whole_passes_and_keeps_the_best_per_point(monkeypatch):
 
 
 def test_readme_wall_times_the_readme_commands():
-    # COMMANDS are the README's CLI block, without the comments
-    readme = (Path(fracnls.__file__).parents[2] / "README.md").read_text()
-    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
-    listed = [" ".join(line.split("#", 1)[0].split()[1:]) for line in block.splitlines()]
-    assert list(readme_wall.COMMANDS) == listed
+    # COMMANDS are the README's CLI block without its comments: one command
+    # per pipeline, listed in the CLI's order, each with its flags
+    assert [command.split()[0] for command in readme_wall.COMMANDS] == list(cli.COMMANDS)
+    assert not any("#" in command for command in readme_wall.COMMANDS)
 
 
 def test_readme_wall_reports_wall_exit_and_stage_per_state(monkeypatch, capsys):
